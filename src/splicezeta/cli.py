@@ -7,6 +7,7 @@ error, 2 = precondition violation (bad graph kind, invalid decoration, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from .allowed import check_goal1, is_allowed, semigroup_condition
@@ -42,6 +43,17 @@ def _load(path: str):
         return parse_diagram(text)
     except ParseError as exc:
         raise CliError(1, f"{path}: {exc}") from None
+
+
+def _load_valid(path: str):
+    """_load, then refuse a splice diagram that ``validate`` rejects: the
+    verdict commands assume every invariant it checks."""
+    kind, name, obj = _load(path)
+    if kind == "splice":
+        rep = validate(obj)
+        if not rep.ok:
+            raise CliError(2, f"{name}: invalid splice diagram\n{rep}")
+    return kind, name, obj
 
 
 def _as_splice(kind: str, obj) -> SpliceDiagram:
@@ -141,7 +153,7 @@ def cmd_convert(args):
 
 
 def _zeta_of(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     try:
         if kind == "plumbing":
             return name, obj, kind, zeta_plumbing(obj)
@@ -211,7 +223,7 @@ def cmd_eig(args):
 
 
 def cmd_semigroup(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     d = _as_splice(kind, obj)
     try:
         rep = semigroup_condition(d)
@@ -237,7 +249,7 @@ def cmd_semigroup(args):
 
 
 def cmd_allowed(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     d = _as_splice(kind, obj)
     try:
         verdict = is_allowed(d)
@@ -308,7 +320,7 @@ def cmd_stars(args):
 
 
 def cmd_goal1(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     d = _as_splice(kind, obj)
     try:
         rep = check_goal1(d)
@@ -407,7 +419,9 @@ def cmd_selfcheck(args):
         raise CliError(2, "selfcheck failed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
     ap = argparse.ArgumentParser(

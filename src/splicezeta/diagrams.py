@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 
@@ -652,19 +653,72 @@ class PlumbingGraph:
     def det_minus_I(self, subset=None) -> int:
         return _int_det(self.minus_intersection_matrix(subset))
 
+    def _bfs_order(self) -> list[str]:
+        """Every vertex, breadth first from the first vertex of each component."""
+        order: list[str] = []
+        seen: set[str] = set()
+        for v in self.vertices:
+            if v.id in seen:
+                continue
+            seen.add(v.id)
+            k = len(order)
+            order.append(v.id)
+            while k < len(order):
+                for y in self._adj[order[k]]:
+                    if y not in seen:
+                        seen.add(y)
+                        order.append(y)
+                k += 1
+        return order
+
+    @cached_property
+    def _elimination(self) -> list[tuple[str, Fraction, dict]] | None:
+        """Symmetric sparse elimination of -I(G), computed once per graph.
+
+        Vertices go in reverse BFS order: on a tree every vertex goes after
+        all vertices beyond it, so it has one neighbour left, and the pass is
+        O(n); on a graph with cycles the fill-in is kept in the rows.  The
+        steps are (vertex, pivot, row of the vertices still left).  Returns
+        None at the first pivot <= 0: a symmetric matrix is positive definite
+        iff elimination without pivoting, in any fixed order, meets only
+        positive pivots (each is a ratio of leading principal minors).
+        """
+        a: dict[str, dict] = {v.id: {v.id: Fraction(-v.self_int)} for v in self.vertices}
+        for x, y in self.edges:
+            a[x][y] = a[x].get(y, 0) - 1
+            a[y][x] = a[y].get(x, 0) - 1
+        steps = []
+        for v in reversed(self._bfs_order()):
+            row = a.pop(v)
+            piv = row.pop(v)
+            if piv <= 0:
+                return None
+            for u, x in row.items():
+                au = a[u]
+                del au[v]
+                for w, y in row.items():
+                    au[w] = au.get(w, 0) - x * y / piv
+            steps.append((v, piv, row))
+        return steps
+
     def is_negative_definite(self) -> bool:
-        """Exact Sylvester criterion on -I(G)."""
-        m = [[Fraction(x) for x in row] for row in self.minus_intersection_matrix()]
-        n = len(m)
-        for k in range(n):
-            if m[k][k] <= 0:
-                return False
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    r = m[i][k] / m[k][k]
-                    for j in range(k, n):
-                        m[i][j] -= r * m[k][j]
-        return True
+        """Every pivot of the elimination of -I(G) is positive."""
+        return self._elimination is not None
+
+    def solve_minus_I(self, rhs: dict[str, int]) -> dict[str, Fraction]:
+        """x with -I(G) x = rhs (one entry per vertex), from the elimination."""
+        steps = self._elimination
+        if steps is None:
+            raise DiagramError("plumbing graph is not negative definite")
+        b = {v: Fraction(c) for v, c in rhs.items()}
+        for v, piv, row in steps:
+            f = b[v] / piv
+            for u, x in row.items():
+                b[u] -= x * f
+        sol: dict[str, Fraction] = {}
+        for v, piv, row in reversed(steps):
+            sol[v] = (b[v] - sum(x * sol[u] for u, x in row.items())) / piv
+        return sol
 
     def is_unimodular(self) -> bool:
         return self.is_negative_definite() and self.det_minus_I() == 1

@@ -86,31 +86,12 @@ def node_data(
 # plumbing-level linear algebra
 
 
-def _solve_exact(m: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Q; the intersection forms here are definite."""
-    n = len(m)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise DiagramError("singular intersection form")
-        a[k], a[piv] = a[piv], a[k]
-        for i in range(n):
-            if i != k and a[i][k]:
-                r = a[i][k] / a[k][k]
-                for j in range(k, n + 1):
-                    a[i][j] -= r * a[k][j]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
 def _as_int_if_possible(x: Fraction):
     return int(x) if x.denominator == 1 else x
 
 
 def pullback_plumbing(g: PlumbingGraph, arrows: PDivisor | None = None) -> dict[str, int | Fraction]:
     """Coefficients of the exceptional part of pi^*F: solve (pi^*F, E_i) = 0."""
-    if not g.is_negative_definite():
-        raise DiagramError("plumbing graph is not negative definite")
     fm = g.f_divisor() if arrows is None else dict(arrows)
     by_vertex: dict[str, int] = {v.id: 0 for v in g.vertices}
     arrows_by_id = {a.id: a for a in g.farrows}
@@ -118,14 +99,8 @@ def pullback_plumbing(g: PlumbingGraph, arrows: PDivisor | None = None) -> dict[
         if aid not in arrows_by_id:
             raise DiagramError(f"unknown arrowhead {aid!r}")
         by_vertex[arrows_by_id[aid].at] += mult
-    ids = [v.id for v in g.vertices]
-    I = [
-        [Fraction(-x) for x in row]
-        for row in g.minus_intersection_matrix()
-    ]
-    rhs = [Fraction(-by_vertex[v]) for v in ids]
-    sol = _solve_exact(I, rhs)
-    return {v: _as_int_if_possible(x) for v, x in zip(ids, sol)}
+    sol = g.solve_minus_I(by_vertex)
+    return {v.id: _as_int_if_possible(sol[v.id]) for v in g.vertices}
 
 
 def canonical_plumbing(g: PlumbingGraph, w: PDivisor | None = None) -> dict[str, int | Fraction]:
@@ -135,8 +110,6 @@ def canonical_plumbing(g: PlumbingGraph, w: PDivisor | None = None) -> dict[str,
     (K, E_i) = -e_i - 2; the W part solves (pi^*W, E_i) = 0 from the dashed
     arrowhead multiplicities.
     """
-    if not g.is_negative_definite():
-        raise DiagramError("plumbing graph is not negative definite")
     wm = g.w_divisor() if w is None else dict(w)
     by_vertex: dict[str, int] = {v.id: 0 for v in g.vertices}
     arrows_by_id = {a.id: a for a in g.farrows}
@@ -147,13 +120,8 @@ def canonical_plumbing(g: PlumbingGraph, w: PDivisor | None = None) -> dict[str,
             by_vertex[slot] += mult
         else:
             raise DiagramError(f"unknown W slot {slot!r}")
-    ids = [v.id for v in g.vertices]
-    I = [[Fraction(-x) for x in row] for row in g.minus_intersection_matrix()]
-    rhs = [
-        Fraction(-g.self_int(v) - 2 - by_vertex[v]) for v in ids
-    ]
-    sol = _solve_exact(I, rhs)
-    return {v: _as_int_if_possible(x) for v, x in zip(ids, sol)}
+    sol = g.solve_minus_I({v: g.self_int(v) + 2 + m for v, m in by_vertex.items()})
+    return {v.id: _as_int_if_possible(sol[v.id]) for v in g.vertices}
 
 
 def plumbing_node_data(

@@ -203,6 +203,15 @@ class RatFunc:
         self.den = den
 
     @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap num/den without a gcd: the caller guarantees gcd(num, den) = 1
+        and a monic den (a zero num must come with den = 1)."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
     def zero(cls) -> "RatFunc":
         return cls(Poly())
 
@@ -415,10 +424,6 @@ class NegativeMultiplicityError(ArithmeticError):
         self.multiplicity = multiplicity
 
 
-def _divisors(n: int) -> list[int]:
-    return _int_divisors(n)
-
-
 class CycloProduct:
     """Formal product prod_N (t**N - 1)**e_N with integer exponents.
 
@@ -483,7 +488,7 @@ class CycloProduct:
         """All orders q for which some factor could contribute a root."""
         seen: set[int] = set()
         for n in self.factors:
-            seen.update(_divisors(n))
+            seen.update(_int_divisors(n))
         return sorted(seen)
 
     def is_polynomial(self) -> bool:

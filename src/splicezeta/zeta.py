@@ -3,12 +3,31 @@
 The splice route implements the node/edge sum over the decorated diagram; the
 plumbing route implements the stratified Euler-characteristic sum over a
 resolution, which also covers non-unimodular (rational-multiplicity) graphs.
-Both produce exact rational functions in s, and the retained term list keeps
-per-node contributions addressable for residue queries.
+Both keep their term list, so per-node contributions stay addressable for
+residue queries, and both sum it with ``assemble``.
+
+Every denominator in the sum is a product of at most two linear forms
+nu + s N, so every candidate pole -nu/N is known before anything is added.
+``assemble`` writes each term as c / prod(s - r), where a form with N = 0 is
+a nonzero scalar folded into c, and splits the terms with two distinct roots
+into partial fractions: c / ((s - r1)(s - r2)) is
+(c / (r1 - r2)) (1 / (s - r1) - 1 / (s - r2)).  Summing the coefficients
+gives the whole function as C + sum over r of a1_r / (s - r) + a2_r / (s - r)^2.
+A root whose a1_r and a2_r both vanish is no pole (that is where the
+residues cancel).  Every other root r is a pole of order o_r = 2 if
+a2_r != 0 and 1 otherwise.  The denominator D = prod (s - r)^o_r is monic.
+The numerator C D + sum of a_k,r D / (s - r)^k is built from the cofactors
+D / (s - r)^k by synthetic division.  At each pole r it takes the value
+a_o_r,r times the product of the (r - r')^o_r' over the other poles r',
+which is not 0.  So the fraction is reduced.  A reduced rational function
+with a monic denominator is unique, so the result is exactly the ``RatFunc``
+that adding the terms one at a time, with a polynomial gcd after every
+addition, gives; no polynomial gcd is computed.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,13 +68,6 @@ class NodeTerm:
             acc += Fraction(p.weight) / (p.i + s0 * p.n)
         return acc
 
-    def ratfunc(self) -> RatFunc:
-        lin = RatFunc(Poly.const(1), Poly.linear(self.nu, self.n))
-        acc = RatFunc(Poly.const(self.const))
-        for p in self.arrows:
-            acc = acc + RatFunc(Poly.const(p.weight), Poly.linear(p.i, p.n))
-        return lin * acc
-
 
 @dataclass(frozen=True)
 class EdgeTerm:
@@ -67,12 +79,6 @@ class EdgeTerm:
     n1: Fraction
     nu2: Fraction
     n2: Fraction
-
-    def ratfunc(self) -> RatFunc:
-        return RatFunc(
-            Poly.const(self.q),
-            Poly.linear(self.nu1, self.n1) * Poly.linear(self.nu2, self.n2),
-        )
 
 
 @dataclass
@@ -123,6 +129,80 @@ class ZetaResult:
                 )
             contrib += Fraction(e.q) / (mine[1] * den)
         return contrib
+
+
+def _summands(node_terms, edge_terms):
+    """Every term as (c, forms): c / prod(a + s b) over the linear forms (a, b)."""
+    for t in node_terms:
+        lin = (t.nu, t.n)
+        yield t.const, (lin,)
+        for p in t.arrows:
+            yield Fraction(p.weight), (lin, (p.i, p.n))
+    for e in edge_terms:
+        yield e.q, ((e.nu1, e.n1), (e.nu2, e.n2))
+
+
+def _times_linear(p: list, r) -> list:
+    """Ascending coefficients of p(s) * (s - r)."""
+    out = [Fraction(0)] * (len(p) + 1)
+    for i, c in enumerate(p):
+        out[i + 1] += c
+        out[i] -= r * c
+    return out
+
+
+def _divide_linear(p: list, r) -> list:
+    """Synthetic division of p(s) by (s - r), for a root r of p."""
+    quo = [Fraction(0)] * (len(p) - 1)
+    acc = Fraction(0)
+    for i in range(len(p) - 1, 0, -1):
+        acc = p[i] + r * acc
+        quo[i - 1] = acc
+    return quo
+
+
+def assemble(node_terms, edge_terms) -> RatFunc:
+    """Sum of the node and edge terms as a reduced RatFunc (see the module
+    docstring); a linear form with nu = N = 0 raises ZeroDivisionError."""
+    const = Fraction(0)
+    # r -> [a1, a2]: the principal part a1 / (s - r) + a2 / (s - r)^2
+    parts: defaultdict[Fraction, list[Fraction]] = defaultdict(lambda: [Fraction(0), Fraction(0)])
+    for c, forms in _summands(node_terms, edge_terms):
+        roots = []
+        for a, b in forms:
+            if b:
+                c = c / b
+                roots.append(-a / b)
+            else:
+                c = c / a
+        if not roots:
+            const += c
+        elif len(roots) == 2 and roots[0] != roots[1]:
+            r1, r2 = roots
+            x = c / (r1 - r2)
+            parts[r1][0] += x
+            parts[r2][0] -= x
+        else:
+            parts[roots[0]][len(roots) - 1] += c
+    poles = {r: a for r, a in parts.items() if a[0] or a[1]}
+    den = [Fraction(1)]
+    for r, (_, a2) in poles.items():
+        den = _times_linear(den, r)
+        if a2:
+            den = _times_linear(den, r)
+    num = [const * x for x in den]
+    for r, (a1, a2) in poles.items():
+        cof = _divide_linear(den, r)
+        for i, x in enumerate(cof):
+            num[i] += a1 * x
+        if a2:
+            for i, x in enumerate(_divide_linear(cof, r)):
+                num[i] += a2 * x
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return RatFunc._reduced(Poly(), Poly.const(1))
+    return RatFunc._reduced(Poly(num), Poly(den))
 
 
 def _require_nonzero_pair(nu, n, where: str):
@@ -189,12 +269,9 @@ def zeta_splice(
                 n2=Fraction(n_b),
             )
         )
-    total = RatFunc.zero()
-    for t in node_terms:
-        total = total + t.ratfunc()
-    for t in edge_terms:
-        total = total + t.ratfunc()
-    return ZetaResult(func=total, node_terms=node_terms, edge_terms=edge_terms)
+    return ZetaResult(
+        func=assemble(node_terms, edge_terms), node_terms=node_terms, edge_terms=edge_terms
+    )
 
 
 def zeta_plumbing(
@@ -252,9 +329,6 @@ def zeta_plumbing(
                 n2=Fraction(nv[b]),
             )
         )
-    total = RatFunc.zero()
-    for t in node_terms:
-        total = total + t.ratfunc()
-    for t in edge_terms:
-        total = total + t.ratfunc()
-    return ZetaResult(func=total, node_terms=node_terms, edge_terms=edge_terms)
+    return ZetaResult(
+        func=assemble(node_terms, edge_terms), node_terms=node_terms, edge_terms=edge_terms
+    )

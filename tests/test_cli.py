@@ -7,10 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from splicezeta.cli import build_parser, main
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
 from splicezeta.io import ParseError, parse_diagram, print_diagram
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "splicezeta" / "corpus"
+# a star whose edge weights 2 and 4 are not coprime: ``validate`` rejects it
+STAR_2_4 = (
+    "splice-diagram bad\nvertex v\nvertex b1\nvertex b2\nvertex b3\n"
+    "edge v b1 2 1\nedge v b2 4 1\nedge v b3 3 1\nfarrow a at v w=1 N=1\n"
+)
 
 
 def run_cli(*args, expect: int = 0):
@@ -63,10 +69,7 @@ def test_cli_validate_ok_and_violations(tmp_path):
     out = run_cli("validate", str(CORPUS / "two_cusp.sd"))
     assert "valid" in out
     bad = tmp_path / "bad.sd"
-    bad.write_text(
-        "splice-diagram bad\nvertex v\nvertex b1\nvertex b2\nvertex b3\n"
-        "edge v b1 2 1\nedge v b2 4 1\nedge v b3 3 1\nfarrow a at v w=1 N=1\n"
-    )
+    bad.write_text(STAR_2_4)
     payload = json.loads(run_cli("validate", str(bad), "--json"))
     assert payload["valid"] is False
     assert any(v["kind"] == "coprimality" for v in payload["violations"])
@@ -180,3 +183,26 @@ def test_cli_plumbing_inputs_full_surface():
 
 def test_cli_splice_non_special_edge_exit2():
     run_cli("splice", str(CORPUS / "two_cusp.sd"), "--edge", "v1:bL", expect=2)
+
+
+def test_cli_verdict_commands_refuse_invalid_diagram(tmp_path, capsys):
+    # before validation at the boundary, goal1 printed a false counterexample
+    # ("pole -3/4 -> 1/4: NOT in Eig") for this star and exited 0
+    bad = tmp_path / "bad.sd"
+    bad.write_text(STAR_2_4)
+    for command in ("zeta", "poles", "allowed", "goal1", "semigroup"):
+        assert main([command, str(bad), "--json"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "weights 2 and 4 share a factor" in captured.err
+
+
+def test_cli_parser_reused_without_leftover_state(capsys):
+    sd = str(CORPUS / "two_cusp.sd")
+    assert build_parser() is build_parser()
+    assert main(["realize", sd, "--lambda", "1/5", "--effective", "--count", "3", "--json"]) == 2
+    capsys.readouterr()
+    assert main(["zeta", sd]) == 0
+    assert capsys.readouterr().out.startswith("two_cusp: Z numerator")
+    args = build_parser().parse_args(["realize", sd, "--lambda", "1/6"])
+    assert (args.json, args.effective, args.count, args.bound) == (False, False, 1, None)

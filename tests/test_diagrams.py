@@ -1,6 +1,7 @@
 """Diagram model: validation, determinants, linking products, conversion, blowup."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -339,3 +340,81 @@ def test_linking_product_from_edge():
     # and on the v1 side
     assert d.linking_product_from_edge(e, "v1", "bL") == 3
     assert d.linking_product_from_edge(e, "v1", "v1") == 6
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination of -I(G) against dense references kept here
+
+
+def dense_sylvester(m) -> bool:
+    """Reference: positive definiteness of a symmetric matrix, dense, leading minors."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            r = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= r * m[k][j]
+    return True
+
+
+def dense_solve(m, rhs):
+    """Reference: Gauss-Jordan over Q with row pivoting."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k] != 0)
+        a[k], a[piv] = a[piv], a[k]
+        for i in range(n):
+            if i != k and a[i][k]:
+                r = a[i][k] / a[k][k]
+                for j in range(k, n + 1):
+                    a[i][j] -= r * a[k][j]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def random_graph(rng):
+    """Trees, graphs with cycles and disconnected graphs; definite or not."""
+    n = rng.randint(1, 8)
+    ids = [f"x{k}" for k in range(n)]
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    if rng.random() < 0.5:  # a tree
+        edges = [(ids[rng.randrange(k)], ids[k]) for k in range(1, n)]
+    else:
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+    verts = [PVertex(v, rng.choice([-1, -2, -2, -3, -3, -4, -5, 0, 1])) for v in ids]
+    return PlumbingGraph(verts, edges)
+
+
+def test_elimination_matches_dense_references():
+    rng = random.Random(17)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        g = random_graph(rng)
+        m = g.minus_intersection_matrix()
+        pd = g.is_negative_definite()
+        assert pd == dense_sylvester(m)
+        seen[pd] += 1
+        if not pd:
+            with pytest.raises(DiagramError):
+                g.solve_minus_I({v.id: 1 for v in g.vertices})
+            continue
+        rhs = {v.id: rng.randint(-5, 5) for v in g.vertices}
+        sol = g.solve_minus_I(rhs)
+        assert [sol[v.id] for v in g.vertices] == dense_solve(m, [rhs[v.id] for v in g.vertices])
+    assert min(seen.values()) > 100
+
+
+def test_elimination_zero_pivots():
+    # a 0-curve; two (-1)-curves meeting (det 0); a (-2)-cycle (det 0, cyclic)
+    for verts, edges in (
+        ([("a", 0)], []),
+        ([("a", -1), ("b", -1)], [("a", "b")]),
+        ([("a", -2), ("b", -2), ("c", -2)], [("a", "b"), ("b", "c"), ("a", "c")]),
+    ):
+        g = PlumbingGraph(verts, edges)
+        assert not g.is_negative_definite()
+        assert not dense_sylvester(g.minus_intersection_matrix())
+        assert validate_plumbing(g).violations[-1].kind == "definiteness"

@@ -1,6 +1,7 @@
 """Topological zeta functions: golden values, oracle equality, pole structure."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,15 @@ from splicezeta.diagrams import DiagramError, blowup, plumbing_to_splice
 from splicezeta.divisors import nu_values, vertex_multiplicities
 from splicezeta.exact import Poly, RatFunc
 from splicezeta.generate import random_plumbing, random_valid_splice
-from splicezeta.zeta import zeta_plumbing, zeta_splice
+from splicezeta.zeta import (
+    ArrowPart,
+    EdgeTerm,
+    NodeTerm,
+    ZetaResult,
+    assemble,
+    zeta_plumbing,
+    zeta_splice,
+)
 
 
 def lin(a, b):
@@ -227,3 +236,121 @@ def test_zeta_is_proper_rational_function():
         z = zeta_splice(d)
         if not z.func.is_zero():
             assert z.func.num.degree < z.func.den.degree
+
+
+# ---------------------------------------------------------------------------
+# assembly of the term list: oracles and the no-gcd guard
+
+
+def termwise_sum(node_terms, edge_terms) -> RatFunc:
+    """Reference: add the terms one RatFunc at a time (a gcd per addition)."""
+    total = RatFunc.zero()
+    for t in node_terms:
+        bracket = RatFunc(Poly.const(t.const))
+        for p in t.arrows:
+            bracket = bracket + RatFunc(Poly.const(p.weight), lin(p.i, p.n))
+        total = total + RatFunc(Poly.const(1), lin(t.nu, t.n)) * bracket
+    for e in edge_terms:
+        total = total + RatFunc(Poly.const(e.q), lin(e.nu1, e.n1) * lin(e.nu2, e.n2))
+    return total
+
+
+def random_terms(rng):
+    """Term lists with shared and repeated roots, N = 0 factors and, now and
+    then, sums that cancel to 0 or to a constant."""
+    forms = []
+    while len(forms) < 4:
+        a, b = rng.randint(-4, 4), rng.choice([0, 1, 2, 3, -2])
+        if (a, b) != (0, 0):
+            forms.append((Fraction(a), Fraction(b)))
+    node_terms, edge_terms = [], []
+    for k in range(rng.randint(0, 4)):
+        nu, n = rng.choice(forms)
+        const = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        arrows = tuple(
+            ArrowPart(weight=rng.choice([1, 2, -3]), i=i, n=m)
+            for i, m in rng.sample(forms, rng.randint(0, 2))
+        )
+        node_terms.append(NodeTerm(f"v{k}", nu, n, const, arrows))
+    for k in range(rng.randint(0, 3)):
+        (nu1, n1), (nu2, n2) = rng.choice(forms), rng.choice(forms)
+        q = Fraction(rng.randint(-5, 5))
+        edge_terms.append(EdgeTerm((f"v{k}", f"v{k + 1}"), q, nu1, n1, nu2, n2))
+    mode = rng.random()
+    if mode < 0.3:  # add the negatives: the sum is 0, or a constant below
+        node_terms += [
+            replace(t, const=-t.const, arrows=tuple(replace(p, weight=-p.weight) for p in t.arrows))
+            for t in node_terms
+        ]
+        edge_terms += [replace(e, q=-e.q) for e in edge_terms]
+        if mode < 0.15:
+            const = Fraction(rng.randint(-3, 3))
+            node_terms.append(NodeTerm("c", Fraction(2), Fraction(0), const, ()))
+    return node_terms, edge_terms
+
+
+def test_assemble_equals_termwise_sum_random():
+    rng = random.Random(5)
+    for _ in range(400):
+        node_terms, edge_terms = random_terms(rng)
+        got = assemble(node_terms, edge_terms)
+        ref = termwise_sum(node_terms, edge_terms)
+        assert (got.num, got.den) == (ref.num, ref.den)
+        hints = ZetaResult(got, node_terms, edge_terms).candidate_poles()
+        assert got.poles(hints=hints) == ref.poles()
+
+
+def test_assemble_equals_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+
+    def q(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def frac_of(x):
+        return Fraction(int(x.p), int(x.q))
+
+    rng = random.Random(6)
+    for _ in range(60):
+        node_terms, edge_terms = random_terms(rng)
+        expr = sympy.Integer(0)
+        for t in node_terms:
+            bracket = q(t.const) + sum(p.weight / (q(p.i) + s * q(p.n)) for p in t.arrows)
+            expr += bracket / (q(t.nu) + s * q(t.n))
+        for e in edge_terms:
+            expr += q(e.q) / ((q(e.nu1) + s * q(e.n1)) * (q(e.nu2) + s * q(e.n2)))
+        num, den = (sympy.Poly(x, s) for x in sympy.fraction(sympy.cancel(expr)))
+        lead = frac_of(den.LC())
+        got = assemble(node_terms, edge_terms)
+        assert got.num == Poly([frac_of(c) / lead for c in reversed(num.all_coeffs())])
+        assert got.den == Poly([frac_of(c) / lead for c in reversed(den.all_coeffs())])
+        poles = got.poles()
+        assert {p.location: p.order for p in poles} == {
+            frac_of(r): m for r, m in sympy.roots(den).items()
+        }
+        for pole in poles:
+            r = q(pole.location)
+            assert sympy.cancel(expr * (s - r) ** pole.order).subs(s, r) == q(pole.leading)
+
+
+GUARD_SEED = 4  # random_plumbing(Random(4), blowups=40): 41 vertices, 12 splice nodes
+
+
+def test_zeta_routes_make_no_gcd_calls(monkeypatch):
+    import splicezeta.exact as exact
+
+    g = random_plumbing(random.Random(GUARD_SEED), blowups=40, arrows=2)
+    d = plumbing_to_splice(g)
+    calls = []
+    original = exact.poly_gcd
+    monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append(1) or original(a, b))
+    zeta_plumbing(g)
+    zeta_splice(d)
+    assert len(g.vertices) == 41 and calls == []
+
+
+def test_zeta_routes_agree_on_41_vertices():
+    g = random_plumbing(random.Random(GUARD_SEED), blowups=40, arrows=2)
+    zp, zs = zeta_plumbing(g), zeta_splice(plumbing_to_splice(g))
+    assert zp.func == zs.func
+    assert zp.poles() == zs.poles()
