@@ -15,7 +15,6 @@ from splicezeta.corpus import (
 from splicezeta.monodromy import (
     alexander,
     delta1,
-    delta1_plumbing,
     eig_contains,
     monodromy_zeta,
 )
@@ -52,12 +51,12 @@ print("37/42 in Eig:", eig_contains(d7, UnityRoot(37, 42)))
 # 3. the counterexample graphs keep a pole away from the eigenvalues
 
 rod = rodrigues_plumbing()
-print("\nRodrigues Delta1 =", delta1_plumbing(rod))
-print("exp(2 pi i/3) a root?", delta1_plumbing(rod).root_multiplicity(UnityRoot(1, 3)) > 0)
+print("\nRodrigues Delta1 =", delta1(rod))
+print("exp(2 pi i/3) a root?", delta1(rod).root_multiplicity(UnityRoot(1, 3)) > 0)
 
 for n in (1, 2):
     g = unimodular_counterexample_plumbing(n)
-    d1 = delta1_plumbing(g)
+    d1 = delta1(g)
     lam = UnityRoot(7, 3 * n)
     print(f"unimodular counterexample (n={n}): root at 7/(3n)?",
           d1.root_multiplicity(lam) > 0)

@@ -96,7 +96,7 @@ def semigroup_condition(d: SpliceDiagram, f: PDivisor | None = None) -> Semigrou
                 sorted(
                     d.linking_product(far, w, exclude_edge=e)
                     for w in side
-                    if d.incidence_count(w) == 1
+                    if d.valency_f(w) == 1
                 )
             )
             if not semigroup_member(e.weight_at(v), gens):
@@ -155,26 +155,37 @@ def _star_legs(star: SpliceDiagram) -> tuple[int, list[tuple[int, int, str]]]:
     return r, legs
 
 
+def star_allowed(r: int, legs) -> bool:
+    """The divisibility implication on a star with r ordinary arrowheads and
+    legs (d_l, i_l): if d_l | i_l at n + r - 2 or more of the n legs, then
+    i_l = d_l at n + r - 2 or more of them."""
+    n = len(legs)
+    if r > 2 or n == 0:
+        return True
+    need = n + r - 2
+    return (
+        sum(1 for dl, il in legs if il % dl == 0) < need
+        or sum(1 for dl, il in legs if il == dl) >= need
+    )
+
+
 def check_star_allowed(star: SpliceDiagram) -> StarCheck:
-    """The divisibility implication on one decorated star."""
+    """The divisibility implication on one decorated star, with its report."""
     (v,) = star.nodes()
     r, legs = _star_legs(star)
-    n = len(legs)
-    divisible = [k for k, (dl, il, _) in enumerate(legs) if il % dl == 0]
-    matched = [k for k, (dl, il, _) in enumerate(legs) if il == dl]
-    need = n + r - 2
-    ok = True
+    pairs = [(dl, il) for dl, il, _ in legs]
+    divisible = [k for k, (dl, il) in enumerate(pairs) if il % dl == 0]
+    matched = [k for k, (dl, il) in enumerate(pairs) if il == dl]
+    ok = star_allowed(r, pairs)
     reason = None
-    if r <= 2 and n > 0 and len(divisible) >= need and len(matched) < need:
-        ok = False
+    if not ok:
         slots = [legs[k][2] for k in divisible if k not in matched]
         reason = (
-            f"d | i at {len(divisible)} legs (need i = d at {need}, have {len(matched)}); "
-            f"offending slots: {', '.join(slots)}"
+            f"d | i at {len(divisible)} legs (need i = d at {len(legs) + r - 2}, "
+            f"have {len(matched)}); offending slots: {', '.join(slots)}"
         )
     return StarCheck(
-        node=v, r=r, legs=[(a, b) for a, b, _ in legs],
-        divisible=divisible, matched=matched, ok=ok, reason=reason,
+        node=v, r=r, legs=pairs, divisible=divisible, matched=matched, ok=ok, reason=reason,
     )
 
 

@@ -20,7 +20,7 @@ from .diagrams import (
 )
 from .exact import CycloProduct, NegativeMultiplicityError, UnityRoot, format_fraction
 from .io import ParseError, parse_diagram, print_splice
-from .monodromy import alexander, delta0, delta1, delta1_plumbing, eig_contains, eig_contains_plumbing
+from .monodromy import alexander, delta0, delta1, eig_contains
 from .realize import NotAnEigenvalueError, realize_eigenvalue
 from .selfcheck import run_selfcheck
 from .splicing import splice, star_decomposition, verify_splice_zeta
@@ -188,10 +188,10 @@ def cmd_poles(args):
 
 
 def cmd_alexander(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     try:
         if kind == "plumbing" and not obj.is_unimodular():
-            d1 = delta1_plumbing(obj)
+            d1 = delta1(obj)
             payload = {"name": name, "delta1": _cyclo_payload(d1)}
             _emit(args, payload, f"{name}: Delta1 = {d1}")
             return
@@ -209,11 +209,11 @@ def cmd_alexander(args):
 
 
 def cmd_eig(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     lam = _parse_lambda(args.lam)
     try:
         if kind == "plumbing" and not obj.is_unimodular():
-            member = eig_contains_plumbing(obj, lam)
+            member = eig_contains(obj, lam)
         else:
             member = eig_contains(_as_splice(kind, obj), lam)
     except DiagramError as exc:
@@ -281,7 +281,7 @@ def _parse_edge(text: str) -> tuple[str, str]:
 
 
 def cmd_splice(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     d = _as_splice(kind, obj)
     a, b = _parse_edge(args.edge)
     try:
@@ -308,7 +308,7 @@ def cmd_splice(args):
 
 
 def cmd_stars(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     d = _as_splice(kind, obj)
     try:
         stars = star_decomposition(d)
@@ -345,7 +345,7 @@ def cmd_goal1(args):
 
 
 def cmd_realize(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     d = _as_splice(kind, obj)
     lam = _parse_lambda(args.lam)
     try:

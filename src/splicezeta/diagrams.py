@@ -75,63 +75,59 @@ class Warrow:
             )
 
 
-class SpliceDiagram:
-    """Immutable decorated splice diagram."""
+class _Decorated:
+    """What splice diagrams and plumbing graphs share: vertex ids, the
+    adjacency of the underlying graph, ordinary arrowheads (F) and dashed
+    arrowheads (W)."""
 
-    def __init__(self, vertices, edges=(), farrows=(), warrows=()):
-        self.vertices: tuple[str, ...] = tuple(vertices)
-        self.edges: tuple[Edge, ...] = tuple(
-            e if isinstance(e, Edge) else Edge(*e) for e in edges
-        )
+    def _decorate(self, vids, pairs, farrows, warrows):
+        """Check ids and anchors, then index the adjacency and the arrowheads."""
         self.farrows: tuple[Farrow, ...] = tuple(farrows)
         self.warrows: tuple[Warrow, ...] = tuple(warrows)
-        self._check_ids()
-        self._adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            self._adj[e.a].append(e)
-            self._adj[e.b].append(e)
-        self._farrows_at: dict[str, list[Farrow]] = {v: [] for v in self.vertices}
-        for a in self.farrows:
-            self._farrows_at[a.at].append(a)
-        self._farrow_by_id = {a.id: a for a in self.farrows}
-        self._warrow_by_id = {w.id: w for w in self.warrows}
-
-    def _check_ids(self):
         seen: set[str] = set()
-        for v in self.vertices:
+        for v in vids:
             if v in seen:
                 raise DiagramError(f"duplicate id {v!r}")
             seen.add(v)
+        vset = set(seen)
+        self._farrow_by_id: dict[str, Farrow] = {}
         for a in self.farrows:
             if a.id in seen:
                 raise DiagramError(f"duplicate id {a.id!r}")
             seen.add(a.id)
-            if a.at not in self._vset():
+            if a.at not in vset:
                 raise DiagramError(f"farrow {a.id!r} at unknown vertex {a.at!r}")
-            if a.weight < 1 or a.mult < 0:
-                raise DiagramError(f"farrow {a.id!r}: weight >= 1 and mult >= 0 required")
-        fids = {a.id for a in self.farrows}
+            self._farrow_by_id[a.id] = a
         for w in self.warrows:
             if w.id in seen:
                 raise DiagramError(f"duplicate id {w.id!r}")
             seen.add(w.id)
-            if w.at is not None and w.at not in self._vset():
+            if w.at is not None and w.at not in vset:
                 raise DiagramError(f"warrow {w.id!r} at unknown vertex {w.at!r}")
-            if w.doubles is not None and w.doubles not in fids:
+            if w.doubles is not None and w.doubles not in self._farrow_by_id:
                 raise DiagramError(f"warrow {w.id!r} doubles unknown farrow {w.doubles!r}")
-        for e in self.edges:
-            if e.a not in self._vset() or e.b not in self._vset():
-                raise DiagramError(f"edge {e.key} touches an unknown vertex")
-            if e.a == e.b:
-                raise DiagramError(f"loop edge at {e.a!r}")
+        self._warrow_by_id = {w.id: w for w in self.warrows}
+        self._nbrs: dict[str, list[str]] = {v: [] for v in vids}
+        for a, b in pairs:
+            if a not in vset or b not in vset:
+                raise DiagramError(f"edge {tuple(sorted((a, b)))} touches an unknown vertex")
+            if a == b:
+                raise DiagramError(f"loop edge at {a!r}")
+            self._nbrs[a].append(b)
+            self._nbrs[b].append(a)
+        self._farrows_at: dict[str, list[Farrow]] = {v: [] for v in vids}
+        for a in self.farrows:
+            self._farrows_at[a.at].append(a)
 
-    def _vset(self) -> set[str]:
-        return set(self.vertices)
+    def neighbours(self, v: str) -> tuple[str, ...]:
+        return tuple(self._nbrs[v])
 
-    # -- structure ---------------------------------------------------------
+    def degree(self, v: str) -> int:
+        return len(self._nbrs[v])
 
-    def edges_at(self, v: str) -> tuple[Edge, ...]:
-        return tuple(self._adj[v])
+    def valency_f(self, v: str) -> int:
+        """Valency counting ordinary arrowheads (a doubled arrowhead counts once)."""
+        return len(self._nbrs[v]) + len(self._farrows_at[v])
 
     def farrows_at(self, v: str) -> tuple[Farrow, ...]:
         return tuple(self._farrows_at[v])
@@ -151,33 +147,89 @@ class SpliceDiagram:
         except KeyError:
             raise DiagramError(f"unknown farrow {farrow_id!r}") from None
 
+    def component_vertices(self, v: str, towards: str) -> list[str]:
+        """Vertices of the component of the graph minus v containing
+        ``towards``; with v == towards, the component of v itself."""
+        seen = {v, towards}
+        out = [towards]
+        stack = [towards]
+        while stack:
+            x = stack.pop()
+            for y in self._nbrs[x]:
+                if y not in seen:
+                    seen.add(y)
+                    out.append(y)
+                    stack.append(y)
+        return out
+
+    def is_connected(self) -> bool:
+        if not self._nbrs:
+            return False
+        first = next(iter(self._nbrs))
+        return len(self.component_vertices(first, first)) == len(self._nbrs)
+
+    def is_tree(self) -> bool:
+        return len(self.edges) == len(self._nbrs) - 1 and self.is_connected()
+
+    def f_divisor(self) -> dict[str, int]:
+        return {a.id: a.mult for a in self.farrows}
+
+    def w_divisor(self) -> dict[str, int]:
+        """Stored W as a slot map: slot id -> multiplicity (= value - 1)."""
+        out: dict[str, int] = {}
+        for w in self.warrows:
+            slot = w.at if w.at is not None else w.doubles
+            if slot in out:
+                raise DiagramError(f"two warrows on slot {slot!r}")
+            out[slot] = w.value - 1
+        return out
+
+
+class SpliceDiagram(_Decorated):
+    """Immutable decorated splice diagram."""
+
+    def __init__(self, vertices, edges=(), farrows=(), warrows=()):
+        self.vertices: tuple[str, ...] = tuple(vertices)
+        self.edges: tuple[Edge, ...] = tuple(
+            e if isinstance(e, Edge) else Edge(*e) for e in edges
+        )
+        self._decorate(self.vertices, [(e.a, e.b) for e in self.edges], farrows, warrows)
+        for a in self.farrows:
+            if a.weight < 1 or a.mult < 0:
+                raise DiagramError(f"farrow {a.id!r}: weight >= 1 and mult >= 0 required")
+        self._adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            self._adj[e.a].append(e)
+            self._adj[e.b].append(e)
+
+    # -- structure ---------------------------------------------------------
+
+    def edges_at(self, v: str) -> tuple[Edge, ...]:
+        return tuple(self._adj[v])
+
     def edge(self, a: str, b: str) -> Edge:
         for e in self._adj.get(a, ()):
             if e.other(a) == b:
                 return e
         raise DiagramError(f"no edge between {a!r} and {b!r}")
 
-    def incidence_count(self, v: str) -> int:
-        """Edges + ordinary arrowheads at v (doubled arrowheads count once)."""
-        return len(self._adj[v]) + len(self._farrows_at[v])
-
     def is_node(self, v: str) -> bool:
         if len(self.vertices) == 1:
             return True
-        return self.incidence_count(v) >= 3
+        return self.valency_f(v) >= 3
 
     def nodes(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self.is_node(v))
 
     def boundary_vertices(self) -> tuple[str, ...]:
         return tuple(
-            v for v in self.vertices if not self.is_node(v) and self.incidence_count(v) == 1
+            v for v in self.vertices if not self.is_node(v) and self.valency_f(v) == 1
         )
 
     def chain_vertices(self) -> tuple[str, ...]:
         """Valency-2 vertices: tolerated in the data model, rejected by most ops."""
         return tuple(
-            v for v in self.vertices if not self.is_node(v) and self.incidence_count(v) == 2
+            v for v in self.vertices if not self.is_node(v) and self.valency_f(v) == 2
         )
 
     def special_edges(self) -> tuple[Edge, ...]:
@@ -185,25 +237,9 @@ class SpliceDiagram:
             e for e in self.edges if self.is_node(e.a) and self.is_node(e.b)
         )
 
-    def is_connected_tree(self) -> bool:
-        if not self.vertices:
-            return False
-        if len(self.edges) != len(self.vertices) - 1:
-            return False
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for e in self._adj[v]:
-                u = e.other(v)
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.vertices)
-
     def require_standard(self):
         """Most operations need a tree with no valency-2 chain vertices."""
-        if not self.is_connected_tree():
+        if not self.is_tree():
             raise DiagramError("diagram is not a connected tree")
         chains = self.chain_vertices()
         if chains:
@@ -211,20 +247,10 @@ class SpliceDiagram:
                 f"valency-2 vertices present ({', '.join(chains)}); normalize first"
             )
 
-    # -- valencies at the three decoration levels --------------------------
-
     def delta(self, v: str) -> int:
         """Valency with every arrowhead stripped: weight>=2 arrowheads become
         boundary legs, weight-1 arrowheads vanish entirely."""
         return len(self._adj[v]) + sum(1 for a in self._farrows_at[v] if a.weight >= 2)
-
-    def delta_f(self, v: str) -> int:
-        """Valency counting ordinary arrowheads (the F level)."""
-        return len(self._adj[v]) + len(self._farrows_at[v])
-
-    def delta_fw(self, v: str) -> int:
-        """Valency counting all arrowheads; a doubled arrowhead is one incidence."""
-        return self.delta_f(v) + sum(1 for w in self.warrows if w.at == v)
 
     # -- paths and linking products ----------------------------------------
 
@@ -251,25 +277,26 @@ class SpliceDiagram:
         out.reverse()
         return out
 
-    def _target_anchor(self, target: str) -> tuple[str, str | None]:
+    def anchor(self, target: str) -> tuple[str, str | None]:
         """Resolve a target (vertex / farrow / warrow id) to (vertex, arrow edge).
 
-        The second component names the farrow whose supporting edge leads to the
-        target, or None when the target is the vertex itself (this includes
-        dashed arrows attached at a vertex: their supporting weight is 1 and
-        contributes nothing beyond the vertex)."""
-        if target in self._vset():
+        The first component is the vertex the target hangs at; for a W slot
+        (a vertex or a doubled farrow) it is where the dashed arrow sits.  The
+        second names the farrow whose supporting edge leads to the target, or
+        None when the target is the vertex itself (this includes dashed arrows
+        attached at a vertex: their supporting weight is 1 and contributes
+        nothing beyond the vertex)."""
+        if target in self._nbrs:
             return target, None
-        if target in self._farrow_by_id:
-            a = self._farrow_by_id[target]
-            return a.at, a.id
-        if target in self._warrow_by_id:
-            w = self._warrow_by_id[target]
-            if w.doubles is not None:
-                a = self._farrow_by_id[w.doubles]
-                return a.at, a.id
-            return w.at, None
-        raise DiagramError(f"unknown linking target {target!r}")
+        a = self._farrow_by_id.get(target)
+        if a is None:
+            w = self._warrow_by_id.get(target)
+            if w is None:
+                raise DiagramError(f"unknown linking target {target!r}")
+            if w.doubles is None:
+                return w.at, None
+            a = self._farrow_by_id[w.doubles]
+        return a.at, a.id
 
     def linking_product(self, v: str, target: str, exclude_edge: Edge | None = None) -> int:
         """Product of weights adjacent to, but not on, the path from v to target.
@@ -277,7 +304,7 @@ class SpliceDiagram:
         All weighted incidences count: edge ends and arrow supporting edges.
         ``exclude_edge`` drops one edge at v from the adjacent set, which is the
         edge-endpoint variant used by the splice formulas."""
-        anchor, via_farrow = self._target_anchor(target)
+        anchor, via_farrow = self.anchor(target)
         path = self.path(v, anchor)
         on_path: set[tuple[str, str]] = set()
         for x, y in zip(path, path[1:]):
@@ -297,53 +324,9 @@ class SpliceDiagram:
                 prod *= a.weight
         return prod
 
-    def linking_product_from_edge(self, e: Edge, side_vertex: str, target: str) -> int:
-        """l_{e,target}: weights on the ``side_vertex`` side only."""
-        return self.linking_product(side_vertex, target, exclude_edge=e)
-
     def side_vertices(self, v: str, e: Edge) -> list[str]:
         """Vertices of the connected component of diagram minus v in direction e."""
-        start = e.other(v)
-        seen = {v, start}
-        out = [start]
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for f in self._adj[x]:
-                y = f.other(x)
-                if y not in seen:
-                    seen.add(y)
-                    out.append(y)
-                    stack.append(y)
-        return out
-
-    # -- derived decorations -------------------------------------------------
-
-    def f_divisor(self) -> dict[str, int]:
-        return {a.id: a.mult for a in self.farrows}
-
-    def w_slots(self) -> list[str]:
-        """Legal attachment slots for W: boundary vertices, nodes, farrows."""
-        return [v for v in self.vertices if not self.chain_vertex(v)] + [
-            a.id for a in self.farrows
-        ]
-
-    def boundary_slots(self) -> list[str]:
-        """W slots at boundary vertices and nodes only (no arrowhead doubles)."""
-        return [v for v in self.vertices if not self.chain_vertex(v)]
-
-    def chain_vertex(self, v: str) -> bool:
-        return not self.is_node(v) and self.incidence_count(v) == 2
-
-    def w_divisor(self) -> dict[str, int]:
-        """Stored W as a slot map: slot id -> multiplicity (= value - 1)."""
-        out: dict[str, int] = {}
-        for w in self.warrows:
-            slot = w.at if w.at is not None else w.doubles
-            if slot in out:
-                raise DiagramError(f"two warrows on slot {slot!r}")
-            out[slot] = w.value - 1
-        return out
+        return self.component_vertices(v, e.other(v))
 
     # -- rebuilding ----------------------------------------------------------
 
@@ -429,7 +412,7 @@ def validate(d: SpliceDiagram) -> ValidationReport:
     if not d.vertices:
         rep.add("structure", "-", "empty diagram")
         return rep
-    if not d.is_connected_tree():
+    if not d.is_tree():
         rep.add("structure", "-", "underlying graph is not a connected tree")
         return rep
     for e in d.edges:
@@ -445,7 +428,7 @@ def validate(d: SpliceDiagram) -> ValidationReport:
         if slot in slot_seen:
             rep.add("warrow", w.id, f"slot {slot!r} already carries warrow {slot_seen[slot]!r}")
         slot_seen[slot] = w.id
-        if w.at is not None and not d.is_node(w.at) and d.incidence_count(w.at) != 1:
+        if w.at is not None and not d.is_node(w.at) and d.valency_f(w.at) != 1:
             rep.add("warrow", w.id, f"attached at valency-2 vertex {w.at!r}")
     # pairwise coprime weights at every node
     for v in d.nodes():
@@ -465,16 +448,20 @@ def validate(d: SpliceDiagram) -> ValidationReport:
         q = edge_determinant(d, e)
         if q <= 0:
             rep.add("edge-determinant", f"edge {e.key}", f"q_e = {q} <= 0")
-    # (N_a, i_a) != (0, 0) for every arrowhead
-    for a in d.farrows:
-        dbl = d.warrow_doubling(a.id)
+    _check_arrow_data(d, rep)
+    return rep
+
+
+def _check_arrow_data(x: _Decorated, rep: ValidationReport):
+    """(N_a, i_a) != (0, 0) at every arrowhead, i != 0 on every pure dashed arrow."""
+    for a in x.farrows:
+        dbl = x.warrow_doubling(a.id)
         i_a = dbl.value if dbl is not None else 1
         if a.mult == 0 and i_a == 0:
             rep.add("arrow-data", a.id, "(N, i) = (0, 0)")
-    for w in d.warrows:
+    for w in x.warrows:
         if w.at is not None and w.value == 0:
             rep.add("arrow-data", w.id, "pure dashed arrow with i = 0")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +505,7 @@ def normalize(d: SpliceDiagram) -> SpliceDiagram:
             continue
         # valency-2 vertex carrying a weight-1 arrowhead on a weight-1 stub
         for v in d.vertices:
-            if d.is_node(v) or d.incidence_count(v) != 2:
+            if d.is_node(v) or d.valency_f(v) != 2:
                 continue
             arrows = d.farrows_at(v)
             if len(arrows) != 1 or len(d.edges_at(v)) != 1:
@@ -555,7 +542,7 @@ class PVertex:
     self_int: int
 
 
-class PlumbingGraph:
+class PlumbingGraph(_Decorated):
     """Resolution dual graph: genus-0 vertices with self-intersections."""
 
     def __init__(self, vertices, edges=(), farrows=(), warrows=()):
@@ -565,77 +552,12 @@ class PlumbingGraph:
         self.edges: tuple[tuple[str, str], ...] = tuple(
             tuple(sorted(e)) for e in edges
         )
-        self.farrows: tuple[Farrow, ...] = tuple(
-            a if isinstance(a, Farrow) else Farrow(*a) for a in farrows
-        )
-        self.warrows: tuple[Warrow, ...] = tuple(warrows)
-        ids = [v.id for v in self.vertices]
-        if len(set(ids)) != len(ids):
-            raise DiagramError("duplicate vertex ids")
+        farrows = [a if isinstance(a, Farrow) else Farrow(*a) for a in farrows]
+        self._decorate([v.id for v in self.vertices], self.edges, farrows, warrows)
         self._index = {v.id: i for i, v in enumerate(self.vertices)}
-        seen = set(ids)
-        for a in self.farrows:
-            if a.id in seen:
-                raise DiagramError(f"duplicate id {a.id!r}")
-            seen.add(a.id)
-            if a.at not in self._index:
-                raise DiagramError(f"farrow {a.id!r} at unknown vertex")
-        fids = {a.id for a in self.farrows}
-        for w in self.warrows:
-            if w.id in seen:
-                raise DiagramError(f"duplicate id {w.id!r}")
-            seen.add(w.id)
-            if w.at is not None and w.at not in self._index:
-                raise DiagramError(f"warrow {w.id!r} at unknown vertex")
-            if w.doubles is not None and w.doubles not in fids:
-                raise DiagramError(f"warrow {w.id!r} doubles unknown farrow")
-        for a, b in self.edges:
-            if a not in self._index or b not in self._index or a == b:
-                raise DiagramError(f"bad edge ({a}, {b})")
-        self._adj: dict[str, list[str]] = {v.id: [] for v in self.vertices}
-        for a, b in self.edges:
-            self._adj[a].append(b)
-            self._adj[b].append(a)
-
-    def neighbours(self, v: str) -> tuple[str, ...]:
-        return tuple(self._adj[v])
-
-    def farrows_at(self, v: str) -> tuple[Farrow, ...]:
-        return tuple(a for a in self.farrows if a.at == v)
-
-    def warrow_doubling(self, farrow_id: str) -> Warrow | None:
-        for w in self.warrows:
-            if w.doubles == farrow_id:
-                return w
-        return None
-
-    def degree(self, v: str) -> int:
-        return len(self._adj[v])
-
-    def valency_f(self, v: str) -> int:
-        return self.degree(v) + len(self.farrows_at(v))
-
-    def valency_fw(self, v: str) -> int:
-        return self.valency_f(v) + sum(1 for w in self.warrows if w.at == v)
 
     def self_int(self, v: str) -> int:
         return self.vertices[self._index[v]].self_int
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(self.vertices)
-
-    def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == len(self.vertices) - 1
 
     def minus_intersection_matrix(self, subset=None) -> list[list[int]]:
         ids = [v.id for v in self.vertices] if subset is None else list(subset)
@@ -664,7 +586,7 @@ class PlumbingGraph:
             k = len(order)
             order.append(v.id)
             while k < len(order):
-                for y in self._adj[order[k]]:
+                for y in self._nbrs[order[k]]:
                     if y not in seen:
                         seen.add(y)
                         order.append(y)
@@ -723,32 +645,6 @@ class PlumbingGraph:
     def is_unimodular(self) -> bool:
         return self.is_negative_definite() and self.det_minus_I() == 1
 
-    def component_vertices(self, v: str, towards: str) -> list[str]:
-        """Vertices of the component of G minus v containing ``towards``."""
-        seen = {v, towards}
-        out = [towards]
-        stack = [towards]
-        while stack:
-            x = stack.pop()
-            for y in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    out.append(y)
-                    stack.append(y)
-        return out
-
-    def f_divisor(self) -> dict[str, int]:
-        return {a.id: a.mult for a in self.farrows}
-
-    def w_divisor(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for w in self.warrows:
-            slot = w.at if w.at is not None else w.doubles
-            if slot in out:
-                raise DiagramError(f"two warrows on slot {slot!r}")
-            out[slot] = w.value - 1
-        return out
-
     def __repr__(self):
         return (
             f"PlumbingGraph(vertices={len(self.vertices)}, edges={len(self.edges)}, "
@@ -797,20 +693,9 @@ def validate_plumbing(g: PlumbingGraph, require_unimodular: bool = False) -> Val
     if require_unimodular and det != 1:
         rep.add("determinant", "-", f"det(-I) = {det} != 1 (not an IHS link)")
     for w in g.warrows:
-        if w.at is not None:
-            if g.valency_f(w.at) > 1:
-                rep.add(
-                    "warrow",
-                    w.id,
-                    f"attached at {w.at!r} which is not a boundary component",
-                )
-        if w.at is not None and w.value == 0:
-            rep.add("arrow-data", w.id, "pure dashed arrow with i = 0")
-    for a in g.farrows:
-        dbl = g.warrow_doubling(a.id)
-        i_a = dbl.value if dbl is not None else 1
-        if a.mult == 0 and i_a == 0:
-            rep.add("arrow-data", a.id, "(N, i) = (0, 0)")
+        if w.at is not None and g.valency_f(w.at) > 1:
+            rep.add("warrow", w.id, f"attached at {w.at!r} which is not a boundary component")
+    _check_arrow_data(g, rep)
     return rep
 
 
@@ -854,7 +739,7 @@ def plumbing_to_splice(g: PlumbingGraph) -> SpliceDiagram:
 
     def check_interior(interior: list[str]):
         for x in interior:
-            if g.farrows_at(x) or any(w.at == x for w in g.warrows):
+            if g.farrows_at(x) or g.warrows_at(x):
                 raise DiagramError(f"decoration on string-interior vertex {x!r}")
 
     for v in node_ids:

@@ -19,21 +19,34 @@ PDivisor = dict
 
 
 def f_of(d, f: PDivisor | None) -> dict[str, int]:
-    return dict(d.f_divisor()) if f is None else dict(f)
+    """F as a fresh dict: the given one, or the diagram's own arrowheads."""
+    return d.f_divisor() if f is None else dict(f)
 
 
 def w_of(d, w: PDivisor | None) -> dict[str, int]:
-    return dict(d.w_divisor()) if w is None else dict(w)
+    """W as a fresh dict: the given one, or the diagram's own dashed arrows."""
+    return d.w_divisor() if w is None else dict(w)
+
+
+def effective_f(d, f: PDivisor | None) -> dict[str, int]:
+    """``f_of``, refused unless F is effective and nonzero."""
+    fm = f_of(d, f)
+    if any(m < 0 for m in fm.values()):
+        raise DiagramError("F must be effective")
+    if all(m == 0 for m in fm.values()):
+        raise DiagramError("F must be effective and nonzero")
+    return fm
 
 
 def _check_w_slots(d: SpliceDiagram, w: dict[str, int]):
     fids = {a.id for a in d.farrows}
+    chains = d.chain_vertices()
     for slot in w:
         if slot in fids:
             continue
         if slot not in d.vertices:
             raise DiagramError(f"W slot {slot!r} is not a vertex or arrowhead")
-        if d.chain_vertex(slot):
+        if slot in chains:
             raise DiagramError(f"W slot {slot!r} is a valency-2 vertex")
 
 
@@ -92,7 +105,7 @@ def _as_int_if_possible(x: Fraction):
 
 def pullback_plumbing(g: PlumbingGraph, arrows: PDivisor | None = None) -> dict[str, int | Fraction]:
     """Coefficients of the exceptional part of pi^*F: solve (pi^*F, E_i) = 0."""
-    fm = g.f_divisor() if arrows is None else dict(arrows)
+    fm = f_of(g, arrows)
     by_vertex: dict[str, int] = {v.id: 0 for v in g.vertices}
     arrows_by_id = {a.id: a for a in g.farrows}
     for aid, mult in fm.items():
@@ -110,7 +123,7 @@ def canonical_plumbing(g: PlumbingGraph, w: PDivisor | None = None) -> dict[str,
     (K, E_i) = -e_i - 2; the W part solves (pi^*W, E_i) = 0 from the dashed
     arrowhead multiplicities.
     """
-    wm = g.w_divisor() if w is None else dict(w)
+    wm = w_of(g, w)
     by_vertex: dict[str, int] = {v.id: 0 for v in g.vertices}
     arrows_by_id = {a.id: a for a in g.farrows}
     for slot, mult in wm.items():
@@ -122,12 +135,3 @@ def canonical_plumbing(g: PlumbingGraph, w: PDivisor | None = None) -> dict[str,
             raise DiagramError(f"unknown W slot {slot!r}")
     sol = g.solve_minus_I({v: g.self_int(v) + 2 + m for v, m in by_vertex.items()})
     return {v.id: _as_int_if_possible(sol[v.id]) for v in g.vertices}
-
-
-def plumbing_node_data(
-    g: PlumbingGraph, f: PDivisor | None = None, w: PDivisor | None = None
-) -> dict[str, tuple[Fraction, Fraction]]:
-    """(nu_v, N_v) for every plumbing vertex, by exact linear algebra."""
-    nv = pullback_plumbing(g, f)
-    kv = canonical_plumbing(g, w)
-    return {v.id: (Fraction(kv[v.id]) + 1, Fraction(nv[v.id])) for v in g.vertices}

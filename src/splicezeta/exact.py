@@ -563,17 +563,20 @@ def solve_linear_congruence(coeffs: Sequence[int], target: int, modulus: int) ->
     """Solve sum(c_j * x_j) = target (mod modulus) over the integers.
 
     Returns one solution vector, or None when gcd(c_1..c_k, modulus) does not
-    divide target.  Uses an explicit extended-gcd chain, which is exactly the
-    mechanism the pairwise-coprime edge weights make available.
+    divide target.  Modulus 0 asks for the plain equation (Z/0Z = Z).  Uses
+    an explicit extended-gcd chain, which is exactly the mechanism the
+    pairwise-coprime edge weights make available.
     """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
+    if modulus < 0:
+        raise ValueError("modulus must be nonnegative")
     g = modulus
     combo = [0] * len(coeffs)  # invariant: sum(c_j * combo_j) = g  (mod modulus)
     for idx, c in enumerate(coeffs):
         g, u, v = _ext_gcd(g, c)
         combo = [b * u for b in combo]
         combo[idx] += v
+    if g == 0:  # modulus 0 and every coefficient 0: only target 0 is reached
+        return combo if target == 0 else None
     if target % g != 0:
         return None
     k = target // g

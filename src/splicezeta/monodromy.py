@@ -5,6 +5,11 @@ The monodromy zeta of a decorated diagram is the product over vertices of
 and dashed ones ignored.  The one-variable Alexander polynomial folds in the
 component count; its roots together with the arrowhead root groups form the
 eigenvalue target set, queried lazily by divisibility.
+
+The vertex product is computed on a splice diagram or on a plumbing graph
+alike; only the source of N_v differs (``_multiplicities``).  On a graph
+that is not unimodular, N_v may be rational, and the product needs it
+integral wherever the exponent is nonzero.
 """
 
 from __future__ import annotations
@@ -12,53 +17,56 @@ from __future__ import annotations
 from math import gcd
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram
-from .divisors import PDivisor, f_of, pullback_plumbing, vertex_multiplicities
+from .divisors import PDivisor, effective_f, pullback_plumbing, vertex_multiplicities
 from .exact import CycloProduct, UnityRoot
 
 
-def _check_effective(fm: dict[str, int]):
-    if any(m < 0 for m in fm.values()):
-        raise DiagramError("F must be effective")
-    if all(m == 0 for m in fm.values()):
-        raise DiagramError("F must be nonzero")
+def _multiplicities(x: SpliceDiagram | PlumbingGraph, fm: dict[str, int]) -> dict:
+    """N_v at every vertex: linking products on a splice diagram, the
+    pullback of F by the intersection form on a plumbing graph (where N_v may
+    be rational)."""
+    if isinstance(x, PlumbingGraph):
+        return pullback_plumbing(x, fm)
+    x.require_standard()
+    return vertex_multiplicities(x, fm)
 
 
-def monodromy_zeta(d: SpliceDiagram, f: PDivisor | None = None) -> CycloProduct:
+def monodromy_zeta(x: SpliceDiagram | PlumbingGraph, f: PDivisor | None = None) -> CycloProduct:
     """zeta(t) = prod over vertices of (t**N_v - 1)**(delta'_v - 2)."""
-    d.require_standard()
-    fm = f_of(d, f)
-    _check_effective(fm)
-    nv = vertex_multiplicities(d, fm)
+    fm = effective_f(x, f)
+    nv = _multiplicities(x, fm)
     factors = []
-    for v in d.vertices:
-        e = d.delta_f(v) - 2
+    for v, n in nv.items():
+        e = x.valency_f(v) - 2
         if e:
-            if nv[v] <= 0:
-                raise DiagramError(f"vertex {v!r} has N = {nv[v]} <= 0")
-            factors.append((nv[v], e))
+            if not isinstance(n, int):
+                raise DiagramError(
+                    f"vertex {v!r} has non-integral multiplicity {n}; "
+                    "monodromy zeta needs integral data"
+                )
+            if n <= 0:
+                raise DiagramError(f"vertex {v!r} has N = {n} <= 0")
+            factors.append((n, e))
     return CycloProduct(factors)
 
 
-def delta0(d: SpliceDiagram, f: PDivisor | None = None) -> CycloProduct:
+def delta0(x: SpliceDiagram | PlumbingGraph, f: PDivisor | None = None) -> CycloProduct:
     """t**c - 1 where c = gcd of the arrowhead multiplicities (component count)."""
-    fm = f_of(d, f)
-    _check_effective(fm)
     c = 0
-    for m in fm.values():
+    for m in effective_f(x, f).values():
         c = gcd(c, m)
     return CycloProduct([(c, 1)])
 
 
-def delta1(d: SpliceDiagram, f: PDivisor | None = None) -> CycloProduct:
+def delta1(x: SpliceDiagram | PlumbingGraph, f: PDivisor | None = None) -> CycloProduct:
     """Characteristic polynomial of the first monodromy: zeta * delta0."""
-    return monodromy_zeta(d, f) * delta0(d, f)
+    return monodromy_zeta(x, f) * delta0(x, f)
 
 
 def alexander(d: SpliceDiagram, f: PDivisor | None = None) -> CycloProduct:
     """One-variable Alexander polynomial: zeta itself with >= 2 arrowheads,
     zeta * (t**N_a - 1) with a single arrowhead."""
-    fm = f_of(d, f)
-    _check_effective(fm)
+    fm = effective_f(d, f)
     arrows = [a.id for a in d.farrows if fm.get(a.id, 0) > 0]
     z = monodromy_zeta(d, fm)
     if len(arrows) >= 2:
@@ -66,54 +74,12 @@ def alexander(d: SpliceDiagram, f: PDivisor | None = None) -> CycloProduct:
     return z * delta0(d, fm)
 
 
-def eig_contains(d: SpliceDiagram, lam: UnityRoot, f: PDivisor | None = None) -> bool:
+def eig_contains(
+    x: SpliceDiagram | PlumbingGraph, lam: UnityRoot, f: PDivisor | None = None
+) -> bool:
     """Membership in Eig: root of delta1, or lam**N_a = 1 for some arrowhead."""
-    fm = f_of(d, f)
-    _check_effective(fm)
+    fm = effective_f(x, f)
     for m in fm.values():
         if m > 0 and m % lam.order == 0:
             return True
-    return delta1(d, fm).root_multiplicity(lam) > 0
-
-
-# ---------------------------------------------------------------------------
-# plumbing-level versions (used for the non-unimodular counterexamples)
-
-
-def monodromy_zeta_plumbing(g: PlumbingGraph, f: PDivisor | None = None) -> CycloProduct:
-    """Same vertex product computed on the resolution graph directly."""
-    fm = g.f_divisor() if f is None else dict(f)
-    _check_effective(fm)
-    nv = pullback_plumbing(g, fm)
-    factors = []
-    for v in g.vertices:
-        e = g.valency_f(v.id) - 2
-        if e:
-            n = nv[v.id]
-            if not isinstance(n, int):
-                raise DiagramError(
-                    f"vertex {v.id!r} has non-integral multiplicity {n}; "
-                    "monodromy zeta needs integral data"
-                )
-            if n <= 0:
-                raise DiagramError(f"vertex {v.id!r} has N = {n} <= 0")
-            factors.append((n, e))
-    return CycloProduct(factors)
-
-
-def delta1_plumbing(g: PlumbingGraph, f: PDivisor | None = None) -> CycloProduct:
-    fm = g.f_divisor() if f is None else dict(f)
-    _check_effective(fm)
-    c = 0
-    for m in fm.values():
-        c = gcd(c, m)
-    return monodromy_zeta_plumbing(g, fm) * CycloProduct([(c, 1)])
-
-
-def eig_contains_plumbing(g: PlumbingGraph, lam: UnityRoot, f: PDivisor | None = None) -> bool:
-    fm = g.f_divisor() if f is None else dict(f)
-    _check_effective(fm)
-    for m in fm.values():
-        if m > 0 and m % lam.order == 0:
-            return True
-    return delta1_plumbing(g, fm).root_multiplicity(lam) > 0
+    return delta1(x, fm).root_multiplicity(lam) > 0

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .allowed import is_allowed
+from .allowed import is_allowed, star_allowed
 from .diagrams import DiagramError, Edge, SpliceDiagram
 from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities
 from .exact import UnityRoot, solve_linear_congruence
@@ -102,11 +102,6 @@ class RealizeOutcome:
 # linear structure of nu and of the induced star legs
 
 
-def _w_anchor(d: SpliceDiagram, slot: str) -> str:
-    fids = {a.id for a in d.farrows}
-    return d.farrow(slot).at if slot in fids else slot
-
-
 def nu_linear_form(d: SpliceDiagram, v: str, slots: list[str]) -> tuple[int, dict[str, int]]:
     """nu_v = base + sum coef_s * mult_s over the given W slots."""
     base = nu_values(d, {})[v]
@@ -135,13 +130,7 @@ class _StarForm:
         vals = [(leg.d, leg.value(x)) for leg in self.legs]
         if any(i == 0 for _, i in vals):
             return False
-        n = len(vals)
-        need = n + self.r - 2
-        if self.r > 2 or n == 0:
-            return True
-        divisible = sum(1 for dl, il in vals if il % dl == 0)
-        matched = sum(1 for dl, il in vals if il == dl)
-        return not (divisible >= need and matched < need)
+        return star_allowed(self.r, vals)
 
 
 def star_forms(d: SpliceDiagram, slots: list[str]) -> list[_StarForm]:
@@ -162,7 +151,7 @@ def star_forms(d: SpliceDiagram, slots: list[str]) -> list[_StarForm]:
                 base = induced_value(d, e, v, {})
                 coefs = {}
                 for s in slots:
-                    if _w_anchor(d, s) in side:
+                    if d.anchor(s)[0] in side:
                         coefs[s] = induced_value(d, e, v, {s: 1}) - base
                 legs.append(_LegForm(d=e.weight_at(v), base=base, coefs=coefs, own_slot=None))
             else:
@@ -364,7 +353,7 @@ def extend_allowed(
     # w_flat's remaining slots belong to the original diagram
     partial = {s: m for s, m in w_flat.items() if m}
     for s in partial:
-        if _w_anchor(d, s) in left_vertices:
+        if d.anchor(s)[0] in left_vertices:
             raise DiagramError(f"flat divisor touches the left half at {s!r}")
     # fixed induced value onto the left star
     j = induced_value(d, e, v_l, partial)
@@ -379,7 +368,7 @@ def extend_allowed(
     base0 = induced_value(d, e, v_r, {})
     coefs = {s: induced_value(d, e, v_r, {s: 1}) - base0 for s in unknown}
     target = i_prime - base0
-    sol_exact = _solve_exact_combination([coefs[s] for s in unknown], target)
+    sol_exact = solve_linear_congruence([coefs[s] for s in unknown], target, 0)
     if sol_exact is None:
         raise ExtensionObstructedError(
             f"no integer decorations on the left legs reach i' = {i_prime}"
@@ -407,27 +396,6 @@ def extend_allowed(
 def _normalized(w: dict[str, int], diagram: SpliceDiagram) -> dict[str, int]:
     keep = set(diagram.vertices) | {a.id for a in diagram.farrows}
     return {s: m for s, m in w.items() if m and s in keep}
-
-
-def _solve_exact_combination(coefs: list[int], target: int) -> list[int] | None:
-    """Integer solution of sum coef_j x_j = target (not a congruence)."""
-    if not coefs:
-        return [] if target == 0 else None
-    g = 0
-    combo = [0] * len(coefs)
-    from .exact import _ext_gcd
-
-    for idx, c in enumerate(coefs):
-        g2, u, vv = _ext_gcd(g, c)
-        combo = [b * u for b in combo]
-        combo[idx] += vv
-        g = g2
-    if g == 0:
-        return combo if target == 0 else None
-    if target % g:
-        return None
-    k = target // g
-    return [b * k for b in combo]
 
 
 def _leg_fixups(d, v_l, unknown, coefs, x0) -> list[dict[str, int]]:

@@ -44,8 +44,7 @@ def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> i
     for slot, mult in wm.items():
         if not mult:
             continue
-        anchor = d.farrow(slot).at if slot in {a.id for a in d.farrows} else slot
-        if anchor in side_set:
+        if d.anchor(slot)[0] in side_set:
             acc += mult * d.linking_product(far, slot, exclude_edge=e)
     return acc
 

@@ -35,7 +35,7 @@ from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, edge_determina
 from .divisors import (
     PDivisor,
     canonical_plumbing,
-    f_of,
+    effective_f,
     node_data,
     pullback_plumbing,
     w_of,
@@ -215,12 +215,8 @@ def zeta_splice(
 ) -> ZetaResult:
     """Z(Gamma; s) of the decorated diagram, with the per-node term list."""
     d.require_standard()
-    fm = f_of(d, f)
+    fm = effective_f(d, f)
     wm = w_of(d, w)
-    if all(m == 0 for m in fm.values()):
-        raise DiagramError("F must be effective and nonzero")
-    if any(m < 0 for m in fm.values()):
-        raise DiagramError("F must be effective")
     data = node_data(d, fm, wm)
     node_terms: list[NodeTerm] = []
     edge_terms: list[EdgeTerm] = []
@@ -250,8 +246,7 @@ def zeta_splice(
                 raise DiagramError(f"dashed arrow at node {v!r} with i = 0")
             arrows.append(ArrowPart(weight=1, i=Fraction(i_a), n=Fraction(0)))
             node_warrows = 1
-        delta_fw = len(d.edges_at(v)) + len(d.farrows_at(v)) + node_warrows
-        const += Fraction(2 - delta_fw)
+        const += Fraction(2 - d.valency_f(v) - node_warrows)
         node_terms.append(
             NodeTerm(vertex=v, nu=Fraction(nu_v), n=Fraction(n_v), const=const, arrows=tuple(arrows))
         )
@@ -282,12 +277,8 @@ def zeta_plumbing(
     Works in general (non-unimodular negative-definite) mode, where the
     nu_v and N_v may be rational.
     """
-    fm = g.f_divisor() if f is None else dict(f)
-    wm = g.w_divisor() if w is None else dict(w)
-    if all(m == 0 for m in fm.values()):
-        raise DiagramError("F must be effective and nonzero")
-    if any(m < 0 for m in fm.values()):
-        raise DiagramError("F must be effective")
+    fm = effective_f(g, f)
+    wm = w_of(g, w)
     nv = pullback_plumbing(g, fm)
     kv = canonical_plumbing(g, wm)
     arrows_by_id = {a.id: a for a in g.farrows}

@@ -35,7 +35,7 @@ from splicezeta.diagrams import (
 from splicezeta.divisors import canonical_plumbing, nu_values, pullback_plumbing, vertex_multiplicities
 from splicezeta.exact import CycloProduct, Poly, RatFunc, UnityRoot
 from splicezeta.generate import random_allowed_w, random_plumbing, random_valid_splice
-from splicezeta.monodromy import alexander, delta1_plumbing
+from splicezeta.monodromy import alexander, delta1
 from splicezeta.realize import realize_eigenvalue
 from splicezeta.splicing import induced_value, splice, star_decomposition, verify_splice_zeta
 from splicezeta.zeta import zeta_plumbing, zeta_splice
@@ -242,7 +242,7 @@ def test_criterion_8_counterexample_graphs():
     z = zeta_plumbing(rod)
     third = [p for p in z.poles() if p.location == Fraction(1, 3)]
     ok = len(third) == 1 and third[0].order == 1
-    ok &= delta1_plumbing(rod).root_multiplicity(UnityRoot(1, 3)) == 0
+    ok &= delta1(rod).root_multiplicity(UnityRoot(1, 3)) == 0
     for n in (1, 2):
         g = unimodular_counterexample_plumbing(n)
         zn = zeta_plumbing(g)
@@ -254,7 +254,7 @@ def test_criterion_8_counterexample_graphs():
             / CycloProduct.plus_one(3 * n)
             / CycloProduct([(n, 1)])
         )
-        d1 = delta1_plumbing(g)
+        d1 = delta1(g)
         ok &= d1 == printed
         lam = UnityRoot(7, 3 * n)
         ok &= d1.root_multiplicity(lam) == 0

@@ -1,6 +1,7 @@
 """File format round-trips and the command surface."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,9 @@ def test_cli_deterministic_output():
 def test_cli_selfcheck_small():
     out = run_cli("selfcheck", "--samples", "6")
     assert "FAIL" not in out
+    payload = json.loads(run_cli("selfcheck", "--samples", "6", "--json"))
+    (oracle,) = [c for c in payload["checks"] if c["name"].startswith("random: plumbing/splice")]
+    assert re.fullmatch(r"\d+ checked, \d+ skipped", oracle["detail"])
 
 
 def test_cli_plumbing_inputs_full_surface():
@@ -190,11 +194,22 @@ def test_cli_verdict_commands_refuse_invalid_diagram(tmp_path, capsys):
     # ("pole -3/4 -> 1/4: NOT in Eig") for this star and exited 0
     bad = tmp_path / "bad.sd"
     bad.write_text(STAR_2_4)
-    for command in ("zeta", "poles", "allowed", "goal1", "semigroup"):
-        assert main([command, str(bad), "--json"]) == 2, command
+    for command, *flags in (
+        ("zeta",),
+        ("poles",),
+        ("allowed",),
+        ("goal1",),
+        ("semigroup",),
+        ("alexander",),
+        ("eig", "--lambda", "1/4"),
+        ("stars",),
+        ("realize", "--lambda", "1/8"),
+        ("splice", "--edge", "v:b1"),
+    ):
+        assert main([command, str(bad), *flags, "--json"]) == 2, command
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "weights 2 and 4 share a factor" in captured.err
+        assert "weights 2 and 4 share a factor" in captured.err, command
 
 
 def test_cli_parser_reused_without_leftover_state(capsys):

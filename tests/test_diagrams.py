@@ -334,12 +334,12 @@ def test_linking_product_from_edge():
     d = two_cusp_diagram()
     e = d.edge("v1", "v0")
     # weights on the v0 side only, path measured from the cut
-    assert d.linking_product_from_edge(e, "v0", "v0") == 1
-    assert d.linking_product_from_edge(e, "v0", "v1p") == 6
-    assert d.linking_product_from_edge(e, "v0", "a0") == 1
+    assert d.linking_product("v0", "v0", exclude_edge=e) == 1
+    assert d.linking_product("v0", "v1p", exclude_edge=e) == 6
+    assert d.linking_product("v0", "a0", exclude_edge=e) == 1
     # and on the v1 side
-    assert d.linking_product_from_edge(e, "v1", "bL") == 3
-    assert d.linking_product_from_edge(e, "v1", "v1") == 6
+    assert d.linking_product("v1", "bL", exclude_edge=e) == 3
+    assert d.linking_product("v1", "v1", exclude_edge=e) == 6
 
 
 # ---------------------------------------------------------------------------

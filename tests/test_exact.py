@@ -191,3 +191,12 @@ def test_solve_linear_congruence():
     assert solve_linear_congruence((4,), 2, 12) is None
     assert solve_linear_congruence((), 3, 12) is None
     assert solve_linear_congruence((), 24, 12) == []
+    # modulus 0: the plain equation over the integers
+    sol = solve_linear_congruence((6, 10, 15), 7, 0)
+    assert sum(c * x for c, x in zip((6, 10, 15), sol)) == 7
+    assert solve_linear_congruence((4, 6), 3, 0) is None
+    assert solve_linear_congruence((0, 0), 0, 0) == [0, 0]
+    assert solve_linear_congruence((0, 0), 5, 0) is None
+    assert solve_linear_congruence((), 0, 0) == []
+    with pytest.raises(ValueError):
+        solve_linear_congruence((3,), 1, -4)

@@ -15,17 +15,16 @@ from splicezeta.diagrams import (
     DiagramError,
     Farrow,
     SpliceDiagram,
+    plumbing_to_splice,
 )
 from splicezeta.divisors import vertex_multiplicities
 from splicezeta.exact import CycloProduct, Poly, UnityRoot
-from splicezeta.generate import random_valid_splice
+from splicezeta.generate import random_plumbing, random_valid_splice
 from splicezeta.monodromy import (
     alexander,
     delta0,
     delta1,
-    delta1_plumbing,
     eig_contains,
-    eig_contains_plumbing,
     monodromy_zeta,
 )
 from splicezeta.splicing import splice, star_decomposition
@@ -139,10 +138,10 @@ def test_eig_arrow_roots():
 
 def test_delta1_plumbing_counterexamples():
     rod = rodrigues_plumbing()
-    d1 = delta1_plumbing(rod)
+    d1 = delta1(rod)
     assert d1 == CycloProduct({12: 1, 7: 1, 6: -1, 1: -1})
     assert d1.root_multiplicity(UnityRoot(1, 3)) == 0
-    assert not eig_contains_plumbing(rod, UnityRoot(1, 3))
+    assert not eig_contains(rod, UnityRoot(1, 3))
     for n in (1, 2):
         g = unimodular_counterexample_plumbing(n)
         printed = (
@@ -151,7 +150,7 @@ def test_delta1_plumbing_counterexamples():
             / CycloProduct.plus_one(3 * n)
             / CycloProduct([(n, 1)])
         )
-        assert delta1_plumbing(g) == printed
+        assert delta1(g) == printed
         assert printed.root_multiplicity(UnityRoot(7 % (3 * n), 3 * n)) == 0
 
 
@@ -166,3 +165,25 @@ def test_monodromy_requires_nonzero_f():
     d = two_cusp_diagram()
     with pytest.raises(DiagramError):
         monodromy_zeta(d, {"a0": 0})
+
+
+def test_monodromy_plumbing_route_matches_splice_route():
+    # the vertex product over the resolution graph equals the one over its
+    # splice diagram whenever the graph converts
+    rng = random.Random(5)
+    checked = 0
+    for k in range(300):
+        g = random_plumbing(
+            rng,
+            blowups=rng.randint(2, 12),
+            arrows=rng.randint(1, 2),
+            warrow_chance=1.0 if k % 2 else 0.0,
+        )
+        try:
+            d = plumbing_to_splice(g)
+        except DiagramError:
+            continue
+        assert monodromy_zeta(g) == monodromy_zeta(d)
+        assert delta1(g) == delta1(d)
+        checked += 1
+    assert checked >= 200

@@ -253,6 +253,12 @@ def test_splice_rejects_non_special_edge():
         splice(d, ("v1", "bL"))
 
 
+def test_splice_rejects_unknown_w_slot():
+    # a W slot must be a vertex or an arrowhead of the diagram
+    with pytest.raises(DiagramError):
+        splice(two_cusp_diagram(), ("v1", "v0"), None, {"bogus": 1})
+
+
 def test_verify_reports_degenerate_factor():
     # engineered i = 0 with M = 0 on one side: warrow value 1 at the far leg
     # makes the induced pure dashed value vanish
