@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, inf
 
-from .diagrams import SpliceDiagram
+from .diagrams import DiagramError, SpliceDiagram
 from .divisors import PDivisor, f_of, w_of
 from .exact import UnityRoot
 from .monodromy import eig_contains
@@ -28,10 +29,26 @@ class SemigroupQuery:
     generators: tuple[int, ...]
 
 
+# The smallest generator sizes the residue table of ``semigroup_member``: a
+# list of that many ints, filled in O(k * smallest generator) steps.  Larger
+# smallest generators are refused rather than allocated.
+SEMIGROUP_MAX_MIN_GENERATOR = 1_000_000
+
+
+class SemigroupLimitError(DiagramError):
+    """The smallest semigroup generator exceeds SEMIGROUP_MAX_MIN_GENERATOR."""
+
+
 def semigroup_member(query: SemigroupQuery | int, generators=None) -> bool:
     """Is the target a nonnegative integer combination of the generators?
 
-    Boolean dynamic programming over 0..target."""
+    Round-robin residue table (Böcker and Lipták, "A fast and simple
+    algorithm for the money changing problem", Algorithmica 2007): with a
+    the smallest generator, least[r] is the smallest representable number
+    that is r mod a (the Apéry set of a), and the target is representable
+    exactly when least[target mod a] <= target.  Time O(k a), memory O(a);
+    a target below a is answered without the table, and a table larger than
+    SEMIGROUP_MAX_MIN_GENERATOR raises SemigroupLimitError."""
     if isinstance(query, SemigroupQuery):
         target, gens = query.target, query.generators
     else:
@@ -40,17 +57,30 @@ def semigroup_member(query: SemigroupQuery | int, generators=None) -> bool:
         raise ValueError("target must be nonnegative")
     if target == 0:
         return True
-    gens = tuple(g for g in gens if g > 0)
-    if not gens:
+    gens = sorted(set(g for g in gens if g > 0))
+    if not gens or target < gens[0]:
         return False
-    reach = [False] * (target + 1)
-    reach[0] = True
-    for k in range(1, target + 1):
-        for g in gens:
-            if g <= k and reach[k - g]:
-                reach[k] = True
-                break
-    return reach[target]
+    a = gens[0]
+    if a > SEMIGROUP_MAX_MIN_GENERATOR:
+        raise SemigroupLimitError(
+            f"semigroup generator {a} exceeds the limit {SEMIGROUP_MAX_MIN_GENERATOR}"
+        )
+    least: list[float] = [inf] * a
+    least[0] = 0
+    for g in gens[1:]:
+        step = gcd(a, g)
+        for r in range(step):
+            # start each cycle of n -> n + g (mod a) at its least entry
+            n = min(least[r::step])
+            if n == inf:
+                continue
+            for _ in range(a // step - 1):
+                n += g
+                p = n % a
+                if least[p] < n:
+                    n = least[p]
+                least[p] = n
+    return least[target % a] <= target
 
 
 @dataclass

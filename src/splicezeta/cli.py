@@ -187,15 +187,28 @@ def cmd_poles(args):
     _emit(args, payload, "\n".join(lines))
 
 
+def _splice_or_graph(kind: str, obj):
+    """The splice diagram of the input, or the plumbing graph itself when
+    ``plumbing_to_splice`` refuses it (not unimodular, or a chain with
+    decorations at several vertices): the monodromy product is computed on
+    a graph as well."""
+    if kind == "splice":
+        return obj
+    try:
+        return plumbing_to_splice(obj)
+    except DiagramError:
+        return obj
+
+
 def cmd_alexander(args):
     kind, name, obj = _load_valid(args.file)
     try:
-        if kind == "plumbing" and not obj.is_unimodular():
-            d1 = delta1(obj)
+        d = _splice_or_graph(kind, obj)
+        if not isinstance(d, SpliceDiagram):
+            d1 = delta1(d)
             payload = {"name": name, "delta1": _cyclo_payload(d1)}
             _emit(args, payload, f"{name}: Delta1 = {d1}")
             return
-        d = _as_splice(kind, obj)
         lam = alexander(d)
         payload = {
             "name": name,
@@ -212,10 +225,7 @@ def cmd_eig(args):
     kind, name, obj = _load_valid(args.file)
     lam = _parse_lambda(args.lam)
     try:
-        if kind == "plumbing" and not obj.is_unimodular():
-            member = eig_contains(obj, lam)
-        else:
-            member = eig_contains(_as_splice(kind, obj), lam)
+        member = eig_contains(_splice_or_graph(kind, obj), lam)
     except DiagramError as exc:
         raise CliError(2, str(exc)) from None
     payload = {"name": name, "lambda": str(lam), "in_eig": member}

@@ -185,6 +185,13 @@ class _Decorated:
         return out
 
 
+class _LinkingRow(dict):
+    """Target id -> linking product from one root vertex."""
+
+    def __missing__(self, target):
+        raise DiagramError(f"no linking product towards {target!r}")
+
+
 class SpliceDiagram(_Decorated):
     """Immutable decorated splice diagram."""
 
@@ -201,6 +208,7 @@ class SpliceDiagram(_Decorated):
         for e in self.edges:
             self._adj[e.a].append(e)
             self._adj[e.b].append(e)
+        self._rows: dict[tuple, _LinkingRow] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -254,29 +262,6 @@ class SpliceDiagram(_Decorated):
 
     # -- paths and linking products ----------------------------------------
 
-    def path(self, u: str, v: str) -> list[str]:
-        """Vertex path from u to v in the tree."""
-        if u == v:
-            return [u]
-        prev = {u: None}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for e in self._adj[x]:
-                y = e.other(x)
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        if v not in prev:
-            raise DiagramError(f"no path from {u!r} to {v!r}")
-        out = [v]
-        while out[-1] != u:
-            out.append(prev[out[-1]])
-        out.reverse()
-        return out
-
     def anchor(self, target: str) -> tuple[str, str | None]:
         """Resolve a target (vertex / farrow / warrow id) to (vertex, arrow edge).
 
@@ -304,25 +289,77 @@ class SpliceDiagram(_Decorated):
         All weighted incidences count: edge ends and arrow supporting edges.
         ``exclude_edge`` drops one edge at v from the adjacent set, which is the
         edge-endpoint variant used by the splice formulas."""
-        anchor, via_farrow = self.anchor(target)
-        path = self.path(v, anchor)
-        on_path: set[tuple[str, str]] = set()
-        for x, y in zip(path, path[1:]):
-            on_path.add((x, y))
-            on_path.add((y, x))
-        prod = 1
-        for x in path:
-            for e in self._adj[x]:
-                if (x, e.other(x)) in on_path:
-                    continue
-                if exclude_edge is not None and x == v and e.key == exclude_edge.key:
-                    continue
-                prod *= e.weight_at(x)
+        row = self.linking_row(v, exclude_edge)
+        if target not in row and exclude_edge is not None:
+            row = self.linking_row(v)  # beyond the excluded edge, which is on the path
+        if target not in row:
+            anchor = self.anchor(target)[0]  # raises on an unknown target
+            raise DiagramError(f"no path from {v!r} to {anchor!r}")
+        return row[target]
+
+    def linking_row(self, v: str, exclude_edge: Edge | None = None) -> dict[str, int]:
+        """``linking_product(v, t, exclude_edge)`` for every target t (vertex,
+        farrow and warrow ids) reachable from v; when ``exclude_edge`` is at
+        v, only the targets on v's side of it (beyond it the edge is on the
+        path and excludes nothing).  Paths are those of a tree.
+
+        One rooted traversal gives the whole row, so a row costs one search of
+        the diagram; it is cached, as the diagram is immutable."""
+        key = (v, None if exclude_edge is None else exclude_edge.key)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._linking_row(v, key[1])
+        return row
+
+    def _linking_row(self, v: str, excluded: tuple[str, str] | None) -> _LinkingRow:
+        # the excluded edge at v is cut off like the edge towards a parent
+        cut = None
+        if excluded is not None and v in excluded:
+            cut = excluded[1] if excluded[0] == v else excluded[0]
+        nbrs = self._weighted_nbrs
+        row = _LinkingRow()
+        # Search from v, each vertex taken from the first vertex that sees
+        # it: on a tree this gives the path to every vertex (elsewhere, the
+        # paths of one spanning tree).  A stack entry is (vertex, its
+        # neighbour towards v, the product over the path vertices before it).
+        seen = {v, cut}
+        stack = [(v, cut, 1)]
+        while stack:
+            x, back, before = stack.pop()
+            arrows = 1
             for a in self._farrows_at[x]:
-                if x == anchor and via_farrow == a.id:
-                    continue
-                prod *= a.weight
-        return prod
+                arrows *= a.weight
+            ends = 1
+            for y, w in nbrs[x]:
+                if y != back:
+                    ends *= w
+            row[x] = before * arrows * ends
+            for a in self._farrows_at[x]:
+                # the target's own supporting edge is on the path (its
+                # weight is >= 1, checked on construction)
+                row[a.id] = before * (arrows // a.weight) * ends
+            for y, _ in nbrs[x]:
+                if y not in seen:
+                    seen.add(y)
+                    through = before * arrows
+                    for z, w in nbrs[x]:
+                        if z != back and z != y:
+                            through *= w
+                    stack.append((y, x, through))
+        for w in self.warrows:
+            slot = w.at if w.at is not None else w.doubles
+            if slot in row:
+                row[w.id] = row[slot]
+        return row
+
+    @cached_property
+    def _weighted_nbrs(self) -> dict[str, list[tuple[str, int]]]:
+        """(neighbour, weight at v) for every edge at every vertex v."""
+        out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            out[e.a].append((e.b, e.wa))
+            out[e.b].append((e.a, e.wb))
+        return out
 
     def side_vertices(self, v: str, e: Edge) -> list[str]:
         """Vertices of the connected component of diagram minus v in direction e."""

@@ -51,13 +51,19 @@ def _check_w_slots(d: SpliceDiagram, w: dict[str, int]):
 
 
 def vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None = None) -> dict[str, int]:
-    """N_v = sum over arrowheads of N_a * l_{va}, for every vertex."""
-    fm = f_of(d, f)
-    out: dict[str, int] = {}
-    for v in d.vertices:
-        out[v] = sum(
-            mult * d.linking_product(v, aid) for aid, mult in fm.items() if mult
-        )
+    """N_v = sum over arrowheads of N_a * l_{va}, for every vertex.
+
+    Linking products are symmetric on a tree, so the row of the vertex that
+    carries a, divided by a's own supporting weight (which that row counts
+    and l_{va} does not), gives l_{va} for every v at once."""
+    out = dict.fromkeys(d.vertices, 0)
+    for aid, mult in f_of(d, f).items():
+        if mult:
+            at, via = d.anchor(aid)
+            row = d.linking_row(at)
+            own = d.farrow(via).weight if via is not None else 1
+            for v in out:
+                out[v] += mult * (row[v] // own)
     return out
 
 
@@ -67,22 +73,18 @@ def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
     The canonical part sums (2 - delta_x) l_{vx} over the vertices of the
     arrow-stripped diagram: ordinary arrowheads with supporting weight > 1
     turn into boundary vertices (contributing l_{va} each), weight-1
-    arrowheads vanish, and the dashed data is ignored.
+    arrowheads vanish, and the dashed data is ignored.  So nu_v is one
+    integer combination of the linking row of v, the same at every node.
     """
     wm = w_of(d, w)
     _check_w_slots(d, wm)
+    terms = [(x, 2 - d.delta(x)) for x in d.vertices]
+    terms += [(a.id, 1) for a in d.farrows if a.weight >= 2]
+    terms += [(slot, mult) for slot, mult in wm.items() if mult]
     out: dict[str, int] = {}
     for v in d.nodes():
-        acc = 0
-        for x in d.vertices:
-            acc += (2 - d.delta(x)) * d.linking_product(v, x)
-        for a in d.farrows:
-            if a.weight >= 2:
-                acc += d.linking_product(v, a.id)
-        for slot, mult in wm.items():
-            if mult:
-                acc += mult * d.linking_product(v, slot)
-        out[v] = acc
+        row = d.linking_row(v)
+        out[v] = sum(c * row[t] for t, c in terms)
     return out
 
 

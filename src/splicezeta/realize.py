@@ -10,6 +10,18 @@ Three cooperating engines:
 * a bounded exhaustive search over decoration windows, used as fallback and
   as an independent oracle at desk scale.
 
+The search walks the windows |mult| <= width of the k searched slots width
+by width, and at each width only the new shell, the points with some
+|mult| = width (width 1 is the whole 3^k box); with ``effective=True`` only
+the non-negative points of each shell.  It stops at the requested bound or
+when the next window would hold more than ``budget`` points, counted over
+the whole window, the negative points that ``effective`` skips included.
+Each point is a tuple of slot multiplicities, tested first by integer
+affine forms compiled once per query from the diagram's cached linking rows
+(the lambda congruences at nodes and arrowheads, then the star divisibility
+implication on the induced leg values); only the points that pass become a
+divisor for ``certify``.
+
 Every candidate is certified from scratch: the divisor must pass the
 allowedness check and the reduced zeta function must have a pole whose
 exponential equals the requested root of unity.  Nothing is trusted from the
@@ -29,13 +41,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .allowed import is_allowed, star_allowed
 from .diagrams import DiagramError, Edge, SpliceDiagram
 from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities
 from .exact import UnityRoot, solve_linear_congruence
 from .monodromy import alexander, eig_contains
-from .splicing import induced_value, splice, star_decomposition
+from .splicing import far_side_has_arrows, induced_value, splice, star_decomposition
 from .zeta import zeta_splice
 
 
@@ -100,72 +113,105 @@ class RealizeOutcome:
 
 # ---------------------------------------------------------------------------
 # linear structure of nu and of the induced star legs
+#
+# The cheap filters of a search see a candidate as a tuple x of slot
+# multiplicities, in the order of the searched slots.  Every quantity they
+# test is an integer affine form base + coefs . x, read off cached linking
+# rows once per query.
 
 
 def nu_linear_form(d: SpliceDiagram, v: str, slots: list[str]) -> tuple[int, dict[str, int]]:
     """nu_v = base + sum coef_s * mult_s over the given W slots."""
     base = nu_values(d, {})[v]
-    coefs = {s: d.linking_product(v, s) for s in slots}
-    return base, coefs
+    row = d.linking_row(v)
+    return base, {s: row[s] for s in slots}
 
 
-@dataclass
-class _LegForm:
-    d: int
-    base: int
-    coefs: dict[str, int]
-    own_slot: str | None  # the directly-settable slot, if the leg is original
-
-    def value(self, x: dict[str, int]) -> int:
-        return self.base + sum(c * x.get(s, 0) for s, c in self.coefs.items())
-
-
-@dataclass
-class _StarForm:
-    node: str
-    r: int
-    legs: list[_LegForm]
-
-    def allowed(self, x: dict[str, int]) -> bool:
-        vals = [(leg.d, leg.value(x)) for leg in self.legs]
-        if any(i == 0 for _, i in vals):
-            return False
-        return star_allowed(self.r, vals)
+# a star as (r, legs), each leg (d_l, base, coefs) with i_l = base + coefs . x
+_StarForm = tuple[int, tuple[tuple[int, int, tuple[int, ...]], ...]]
 
 
 def star_forms(d: SpliceDiagram, slots: list[str]) -> list[_StarForm]:
-    """Symbolic star decomposition: each star's legs as affine forms in the
-    searched slot multiplicities; arrow doubles carry no leg condition."""
+    """Symbolic star decomposition over the slots: each star's legs as affine
+    forms in the slot multiplicities; arrow doubles carry no leg condition."""
     forms: list[_StarForm] = []
-    slot_set = set(slots)
     for v in d.nodes():
-        legs: list[_LegForm] = []
+        legs = []
         r = len(d.farrows_at(v))
         for e in d.edges_at(v):
             u = e.other(v)
             if d.is_node(u):
-                side = set(d.side_vertices(v, e))
-                if any(a.at in side for a in d.farrows):
+                if far_side_has_arrows(d, e, v):
                     r += 1
                     continue
+                # the induced value is linear in W, with slope l(u, s) cut at e
+                side = set(d.side_vertices(v, e))
+                row = d.linking_row(u, e)
                 base = induced_value(d, e, v, {})
-                coefs = {}
-                for s in slots:
-                    if d.anchor(s)[0] in side:
-                        coefs[s] = induced_value(d, e, v, {s: 1}) - base
-                legs.append(_LegForm(d=e.weight_at(v), base=base, coefs=coefs, own_slot=None))
+                coefs = tuple(row[s] if d.anchor(s)[0] in side else 0 for s in slots)
             else:
-                own = u if u in slot_set else None
-                coefs = {u: 1} if own else {}
-                legs.append(_LegForm(d=e.weight_at(v), base=1, coefs=coefs, own_slot=own))
-        if v in slot_set:
-            legs.append(_LegForm(d=1, base=1, coefs={v: 1}, own_slot=v))
-        forms.append(_StarForm(node=v, r=r, legs=legs))
+                base, coefs = 1, tuple(int(s == u) for s in slots)
+            legs.append((e.weight_at(v), base, coefs))
+        if v in slots:
+            legs.append((1, 1, tuple(int(s == v) for s in slots)))
+        forms.append((r, tuple(legs)))
     return forms
 
 
-def _fast_allowed(forms: list[_StarForm], x: dict[str, int]) -> bool:
-    return all(f.allowed(x) for f in forms)
+def _fast_allowed(forms: list[_StarForm], x: tuple[int, ...]) -> bool:
+    """Every star passes the nonzero test and the divisibility implication."""
+    for r, legs in forms:
+        vals = [(dl, base + sum(map(mul, coefs, x))) for dl, base, coefs in legs]
+        if any(i == 0 for _, i in vals) or not star_allowed(r, vals):
+            return False
+    return True
+
+
+# base + coefs . x = 0 (mod modulus)
+_Congruence = tuple[int, tuple[int, ...], int]
+
+
+def _hit_forms(
+    d: SpliceDiagram, fm: dict[str, int], nv_all: dict[str, int], lam: UnityRoot, slots: list[str]
+) -> list[_Congruence] | None:
+    """Where exp(2 pi i s0) = lam can come from, as congruences
+    base + coefs . x = 0 (mod modulus): nu_v = u_v (mod N_v) at a node, and
+    x_a + 1 = u_a (mod N_a) at an arrowhead, with u = _target_residue(lam, N).
+    None when a congruence without slot terms already holds (every x hits).
+
+    This is the test s0 = -nu/N = lam.frac (mod 1).  Write lam.frac = p/q in
+    lowest terms.  -nu/N - p/q is an integer m exactly when
+    -nu*q - p*N = m*q*N.  Modulo q that forces q | p*N, hence q | N since
+    gcd(p, q) = 1; when q does not divide N no nu passes, and
+    _target_residue returns None.  When q | N, dividing by q leaves
+    -nu - p*(N/q) = m*N, that is nu = -p*(N/q) = u (mod N), and each such nu
+    gives back an integer m.  An arrowhead is the same with nu = x_a + 1,
+    N = N_a.  Only nonzero N take part, as s0 = -nu/N needs N != 0."""
+    nu0 = nu_values(d, {})
+    forms = []
+    for v in d.nodes():
+        n = nv_all[v]
+        u = _target_residue(lam, n) if n else None
+        if u is not None:
+            row = d.linking_row(v)
+            forms.append((nu0[v] - u, tuple(row[s] for s in slots), n))
+    for a in d.farrows:
+        n = fm.get(a.id, 0)
+        u = _target_residue(lam, n) if n else None
+        if u is not None:
+            forms.append((1 - u, tuple(int(s == a.id) for s in slots), n))
+    if any(not any(c) and b % n == 0 for b, c, n in forms):
+        return None
+    return [(b, c, n) for b, c, n in forms if any(c)]
+
+
+def _hits(forms: list[_Congruence] | None, x: tuple[int, ...]) -> bool:
+    if forms is None:
+        return True
+    for base, coefs, n in forms:
+        if (base + sum(map(mul, coefs, x))) % n == 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +494,26 @@ def _leg_fixups(d, v_l, unknown, coefs, x0) -> list[dict[str, int]]:
 # full-diagram realization
 
 
-def _window_iter(k: int, width: int):
-    """Cartesian window of mult values ordered by increasing max-abs."""
-    ladder = [0]
-    for a in range(1, width + 1):
-        ladder += [a, -a]
-    yield from itertools.product(ladder, repeat=k)
+def _shell(k: int, width: int, effective: bool):
+    """The points of the window |mult| <= width that have some |mult| = width
+    (at width 1 the whole window, origin included), in the order of the full
+    product over the ladder 0, 1, -1, ..., width, -width.  With ``effective``
+    only the non-negative points, over the ladder 0, 1, ..., width.
+
+    The first k - 1 coordinates run over the whole ladder; the last one over
+    the whole ladder when they already touch the rim, else only the rim."""
+    if effective:
+        ladder = tuple(range(width + 1))
+        rim = (width,)
+    else:
+        ladder = (0,) + tuple(c for a in range(1, width + 1) for c in (a, -a))
+        rim = (width, -width)
+    if width == 1:
+        yield from itertools.product(ladder, repeat=k)
+        return
+    for head in itertools.product(ladder, repeat=k - 1):
+        for c in ladder if width in head or -width in head else rim:
+            yield head + (c,)
 
 
 def realize_eigenvalue(
@@ -501,7 +561,7 @@ def realize_eigenvalue(
         found.append(r)
         return True
 
-    forms = star_forms(d, slots + [a.id for a in d.farrows])
+    forms = star_forms(d, slots)
     nv_all = vertex_multiplicities(d, fm)
 
     # --- source 1: arrowheads whose multiplicity order contains lam
@@ -574,7 +634,7 @@ def realize_eigenvalue(
                     period = nv // gcd(coefs[s], nv) if coefs[s] else 1
                     while x[s] < 0:
                         x[s] += period
-            if not _fast_allowed(forms, x):
+            if not _fast_allowed(forms, tuple(x[s] for s in slots)):
                 continue
             if push(certify(d, fm, x, lam, f"node:{v}", effective)):
                 break
@@ -584,23 +644,19 @@ def realize_eigenvalue(
     # --- fallback: windowed exhaustive search with cheap pre-filters
     explored = {"window": 0, "bound": bound}
     if len(found) < count and slots:
+        k = len(slots)
+        hit_forms = _hit_forms(d, fm, nv_all, lam, slots)
         width = 1
-        spent = 0
         while width <= bound:
-            shell = (2 * width + 1) ** len(slots) - (2 * width - 1) ** len(slots)
-            if spent + shell > budget and width > 1:
+            # The budget counts every point of the window, also the ones that
+            # --effective never visits: the windows up to this width hold
+            # (2 width + 1)^k points.  Width 1 is always searched.
+            if width > 1 and (2 * width + 1) ** k > budget:
                 break
-            for combo in _window_iter(len(slots), width):
-                if width > 1 and max(abs(c) for c in combo) != width:
-                    continue  # only the new shell
-                spent += 1
+            for combo in _shell(k, width, effective):
+                if not _hits(hit_forms, combo) or not _fast_allowed(forms, combo):
+                    continue
                 x = dict(zip(slots, combo))
-                if effective and any(m < 0 for m in combo):
-                    continue
-                if not _fast_allowed(forms, x):
-                    continue
-                if not _nu_matches_somewhere(d, fm, nv_all, x, lam):
-                    continue
                 if push(certify(d, fm, x, lam, "search", effective)):
                     if len(found) >= count:
                         break
@@ -624,29 +680,14 @@ def realize_eigenvalue(
     )
 
 
-def _nu_matches_somewhere(d, fm, nv_all, x, lam) -> bool:
-    """Cheap filter: some node or arrowhead could produce exp = lam."""
-    nu = nu_values(d, x)
-    for v, n in nv_all.items():
-        if v not in nu:
-            continue
-        if n and Fraction(-nu[v], n) % 1 == lam.frac % 1:
-            return True
-    for a in d.farrows:
-        na = fm.get(a.id, 0)
-        if na and Fraction(-(x.get(a.id, 0) + 1), na) % 1 == lam.frac % 1:
-            return True
-    return False
-
-
 def _small_allowed_candidates(d, fm, slots, forms, rng, tries: int = 40) -> list[dict[str, int]]:
     """A few small boundary assignments that make the divisor allowed."""
     out = []
-    if _fast_allowed(forms, {}):
+    if _fast_allowed(forms, (0,) * len(slots)):
         out.append({})
     for _ in range(tries):
         x = {s: rng.choice([0, 0, 1, -2, 2, -3, 3]) for s in slots}
-        if _fast_allowed(forms, x):
+        if _fast_allowed(forms, tuple(x.values())):
             out.append({s: m for s, m in x.items() if m})
         if len(out) >= 6:
             break

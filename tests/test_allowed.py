@@ -6,7 +6,11 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from splicezeta.allowed import (
+    SEMIGROUP_MAX_MIN_GENERATOR,
+    SemigroupLimitError,
     SemigroupQuery,
     check_goal1,
     check_star_allowed,
@@ -53,6 +57,39 @@ def test_semigroup_member_equals_bruteforce():
                 brute = True
                 break
         assert semigroup_member(target, gens) == brute
+
+
+def _semigroup_member_dp(target, gens):
+    """Reference: boolean dynamic programming over 0..target."""
+    if target == 0:
+        return True
+    gens = tuple(g for g in gens if g > 0)
+    if not gens:
+        return False
+    reach = [False] * (target + 1)
+    reach[0] = True
+    for k in range(1, target + 1):
+        reach[k] = any(g <= k and reach[k - g] for g in gens)
+    return reach[target]
+
+
+def test_semigroup_member_matches_dp():
+    rng = random.Random(5)
+    for _ in range(3000):
+        gens = tuple(rng.randint(0, 40) for _ in range(rng.randint(0, 5)))
+        target = rng.randint(0, 400)
+        assert semigroup_member(target, gens) == _semigroup_member_dp(target, gens), (target, gens)
+
+
+def test_semigroup_member_bounded_work():
+    # below the smallest generator: False without building any table
+    assert not semigroup_member(10**30 - 1, (10**30, 10**31))
+    # the table has as many entries as the smallest generator, not the target
+    big = SEMIGROUP_MAX_MIN_GENERATOR
+    assert semigroup_member(10**40, (big - 1, big))
+    assert not semigroup_member(1009 * 1013 - 1009 - 1013, (1009, 1013))  # Frobenius number
+    with pytest.raises(SemigroupLimitError):
+        semigroup_member(10**40, (big + 1, big + 2))
 
 
 def test_semigroup_condition_golden():

@@ -221,3 +221,47 @@ def test_cli_parser_reused_without_leftover_state(capsys):
     assert capsys.readouterr().out.startswith("two_cusp: Z numerator")
     args = build_parser().parse_args(["realize", sd, "--lambda", "1/6"])
     assert (args.json, args.effective, args.count, args.bound) == (False, False, 1, None)
+
+
+# a chain -2, -1, -3 with an arrowhead at each end: unimodular, but the splice
+# route refuses chains with decorations at several vertices
+CHAIN_TWO_ENDS = (
+    "plumbing-graph chain\nvertex e1 self=-2\nvertex e2 self=-1\nvertex e3 self=-3\n"
+    "edge e1 e2\nedge e2 e3\nfarrow a at e1 N=1\nfarrow b at e3 N=1\n"
+)
+
+
+def test_cli_monodromy_on_graph_the_splice_route_refuses(tmp_path, capsys):
+    chain = tmp_path / "chain.pg"
+    chain.write_text(CHAIN_TWO_ENDS)
+    assert main(["alexander", str(chain), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"name": "chain", "delta1": {"factors": [[1, 1]], "polynomial": ["-1", "1"]}}
+    assert main(["eig", str(chain), "--lambda", "1/2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["in_eig"] is False
+    assert main(["eig", str(chain), "--lambda", "0/1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["in_eig"] is True
+
+
+def test_cli_semigroup_refuses_huge_generators(tmp_path, capsys):
+    # valid diagram whose semigroup check at v needs 10**28 + 1 in <10**7, 3*10**7 + 1>
+    huge = tmp_path / "huge.sd"
+    huge.write_text(
+        "splice-diagram huge\nvertex v\nvertex a1\nvertex a2\nvertex w\nvertex c1\nvertex c2\n"
+        "edge v a1 2 1\nedge v a2 3 1\nedge v w 10000000000000000000000000001 1\n"
+        "edge w c1 10000000 1\nedge w c2 30000001 1\nfarrow a at v w=1 N=1\n"
+    )
+    assert main(["validate", str(huge)]) == 0
+    capsys.readouterr()
+    assert main(["semigroup", str(huge), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "semigroup generator 10000000 exceeds the limit" in captured.err
+
+
+def test_cli_realize_budget_exhausting_golden(capsys):
+    # the whole stdout of a query that spends the full 400k search budget
+    sd = str(CORPUS / "two_cusp_mult7.sd")
+    assert main(["realize", sd, "--lambda", "37/42", "--effective", "--json"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "realize_two_cusp_mult7_37_42_effective.json"
+    assert capsys.readouterr().out == golden.read_text()

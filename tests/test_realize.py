@@ -1,18 +1,20 @@
 """Eigenvalue realization: constructive paths, extension, bounded search."""
 
+import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from splicezeta.allowed import is_allowed, semigroup_condition
+from splicezeta.allowed import is_allowed, semigroup_condition, star_allowed
 from splicezeta.corpus import (
     intro_star,
     plane_curve_staircase,
     two_cusp_diagram,
     two_cusp_diagram_mult,
 )
-from splicezeta.divisors import f_of, vertex_multiplicities
+from splicezeta.divisors import f_of, nu_values, vertex_multiplicities
 from splicezeta.exact import UnityRoot
 from splicezeta.generate import random_valid_splice
 from splicezeta.monodromy import alexander, eig_contains
@@ -21,13 +23,16 @@ from splicezeta.realize import (
     NotAnEigenvalueError,
     StarRootError,
     _fast_allowed,
+    _hit_forms,
+    _hits,
+    _shell,
     certify,
     extend_allowed,
     realize_eigenvalue,
     realize_star,
     star_forms,
 )
-from splicezeta.splicing import induced_value, splice
+from splicezeta.splicing import far_side_has_arrows, induced_value, splice
 from splicezeta.zeta import zeta_splice
 
 
@@ -284,7 +289,7 @@ def test_star_forms_match_is_allowed():
         forms = star_forms(d, slots)
         for _ in range(6):
             x = {s: rng.randint(-3, 4) for s in slots if rng.random() < 0.7}
-            fast = _fast_allowed(forms, x)
+            fast = _fast_allowed(forms, tuple(x.get(s, 0) for s in slots))
             slow = is_allowed(d, None, x).allowed
             assert fast == slow, (x,)
             done += 1
@@ -412,3 +417,155 @@ def test_extend_allowed_obstruction_is_genuine():
                 _, r3 = splice(d, ("v", "w"), None, cand)
                 assert r3.diagram.w_divisor() != sub, (w_flat, cand)
     assert ok_count >= 20 and obstructed >= 5
+
+
+# ---------------------------------------------------------------------------
+# references: the window search in its plain form (the whole box filtered
+# down to its shell, dict-based leg forms, nu_values and Fraction arithmetic
+# per candidate)
+
+
+@dataclass
+class _RefLeg:
+    d: int
+    base: int
+    coefs: dict
+
+
+@dataclass
+class _RefStar:
+    r: int
+    legs: list
+
+    def allowed(self, x):
+        vals = [(leg.d, leg.base + sum(c * x.get(s, 0) for s, c in leg.coefs.items()))
+                for leg in self.legs]
+        if any(i == 0 for _, i in vals):
+            return False
+        return star_allowed(self.r, vals)
+
+
+def _ref_star_forms(d, slots):
+    forms = []
+    for v in d.nodes():
+        legs = []
+        r = len(d.farrows_at(v))
+        for e in d.edges_at(v):
+            u = e.other(v)
+            if d.is_node(u):
+                if far_side_has_arrows(d, e, v):
+                    r += 1
+                    continue
+                side = set(d.side_vertices(v, e))
+                base = induced_value(d, e, v, {})
+                coefs = {s: induced_value(d, e, v, {s: 1}) - base
+                         for s in slots if d.anchor(s)[0] in side}
+                legs.append(_RefLeg(e.weight_at(v), base, coefs))
+            else:
+                legs.append(_RefLeg(e.weight_at(v), 1, {u: 1} if u in slots else {}))
+        if v in slots:
+            legs.append(_RefLeg(1, 1, {v: 1}))
+        forms.append(_RefStar(r, legs))
+    return forms
+
+
+def _ref_nu_matches_somewhere(d, fm, nv_all, x, lam):
+    nu = nu_values(d, x)
+    for v, n in nv_all.items():
+        if v in nu and n and Fraction(-nu[v], n) % 1 == lam.frac % 1:
+            return True
+    for a in d.farrows:
+        na = fm.get(a.id, 0)
+        if na and Fraction(-(x.get(a.id, 0) + 1), na) % 1 == lam.frac % 1:
+            return True
+    return False
+
+
+def _ref_window_iter(k, width):
+    ladder = [0]
+    for a in range(1, width + 1):
+        ladder += [a, -a]
+    yield from itertools.product(ladder, repeat=k)
+
+
+def _ref_shell(k, width, effective):
+    for combo in _ref_window_iter(k, width):
+        if width > 1 and max(abs(c) for c in combo) != width:
+            continue
+        if effective and any(c < 0 for c in combo):
+            continue
+        yield combo
+
+
+def _ref_window_reached(k, bound, budget):
+    """The width the old loop reached when no candidate certifies."""
+    width, spent, reached = 1, 0, 0
+    while width <= bound:
+        shell = (2 * width + 1) ** k - (2 * width - 1) ** k
+        if spent + shell > budget and width > 1:
+            break
+        for combo in _ref_window_iter(k, width):
+            if width > 1 and max(abs(c) for c in combo) != width:
+                continue
+            spent += 1
+        reached = width
+        width += 1
+    return reached
+
+
+def test_shell_walk_matches_filtered_box():
+    for k in range(1, 5):
+        for width in range(1, 7):
+            for effective in (False, True):
+                got = list(_shell(k, width, effective))
+                assert got == list(_ref_shell(k, width, effective)), (k, width, effective)
+
+
+def test_explored_window_matches_old_budget_loop():
+    d = two_cusp_diagram_mult(7)
+    lam = UnityRoot(37, 42)
+    k = len(d.boundary_vertices())
+    assert k == 4
+    budgets = [0, 1] + [(2 * w + 1) ** k + delta for w in (1, 2, 3) for delta in (-2, -1, 0, 1)]
+    for budget in budgets:
+        out = realize_eigenvalue(d, lam, effective=True, budget=budget)
+        assert out.status == "unrealizable-within-bound"
+        want = _ref_window_reached(k, out.explored["bound"], budget)
+        assert out.explored["window"] == want, (budget, out.explored)
+
+
+def test_compiled_filters_match_reference():
+    rng = random.Random(23)
+    checked = hits = 0
+    while checked < 3000:
+        d = random_valid_splice(rng, max_nodes=3, max_weight=13)
+        slots = list(d.boundary_vertices())
+        if rng.random() < 0.5:
+            slots += [a.id for a in d.farrows]
+        fm = f_of(d, None)
+        nv_all = vertex_multiplicities(d, fm)
+        forms = star_forms(d, slots)
+        ref_forms = _ref_star_forms(d, slots + [a.id for a in d.farrows])
+        # lambdas: the exponential of a node's -nu/N at some x, an arrowhead
+        # class, and a random root of small order
+        lams = [UnityRoot(rng.randint(0, 11), rng.randint(1, 12))]
+        x0 = {s: rng.randint(-3, 3) for s in slots}
+        nu0 = nu_values(d, x0)
+        for v, nu in nu0.items():
+            if nv_all[v]:
+                lams.append(UnityRoot.from_exponent(Fraction(-nu, nv_all[v])))
+        for a in d.farrows:
+            if fm[a.id]:
+                lams.append(UnityRoot(rng.randint(0, fm[a.id]), fm[a.id]))
+        for lam in lams:
+            compiled = _hit_forms(d, fm, nv_all, lam, slots)
+            for _ in range(8):
+                xt = tuple(rng.randint(-4, 5) for _ in slots)
+                x = dict(zip(slots, xt))
+                want = _ref_nu_matches_somewhere(d, fm, nv_all, x, lam)
+                assert _hits(compiled, xt) == want, (lam, x)
+                ref_allowed = all(f.allowed(x) for f in ref_forms)
+                assert _fast_allowed(forms, xt) == ref_allowed, x
+                hits += want
+                checked += 1
+    assert 0 < hits < checked
