@@ -23,6 +23,7 @@ from .divisors import (
     vertex_multiplicities,
 )
 from .exact import (
+    CycloLimitError,
     CycloProduct,
     NegativeMultiplicityError,
     NonLinearDenominatorError,
@@ -34,6 +35,7 @@ from .exact import (
 from .zeta import ZetaResult, zeta_plumbing, zeta_splice
 
 __all__ = [
+    "CycloLimitError",
     "CycloProduct",
     "DiagramError",
     "Edge",

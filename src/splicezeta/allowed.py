@@ -122,13 +122,17 @@ def semigroup_condition(d: SpliceDiagram, f: PDivisor | None = None) -> Semigrou
                 continue
             checked += 1
             far = e.other(v)
-            gens = tuple(
-                sorted(
-                    d.linking_product(far, w, exclude_edge=e)
-                    for w in side
-                    if d.valency_f(w) == 1
+            if len(side) == 1:
+                # a bare leaf: its linking product with itself is 1
+                gens: tuple[int, ...] = (1,)
+            else:
+                gens = tuple(
+                    sorted(
+                        d.linking_product(far, w, exclude_edge=e)
+                        for w in side
+                        if d.valency_f(w) == 1
+                    )
                 )
-            )
             if not semigroup_member(e.weight_at(v), gens):
                 failures.append(
                     SemigroupFailure(node=v, edge=(v, far), weight=e.weight_at(v), generators=gens)

@@ -18,7 +18,13 @@ from .diagrams import (
     validate,
     validate_plumbing,
 )
-from .exact import CycloProduct, NegativeMultiplicityError, UnityRoot, format_fraction
+from .exact import (
+    CycloLimitError,
+    CycloProduct,
+    NegativeMultiplicityError,
+    UnityRoot,
+    format_fraction,
+)
 from .io import ParseError, parse_diagram, print_splice
 from .monodromy import alexander, delta0, delta1, eig_contains
 from .realize import NotAnEigenvalueError, realize_eigenvalue
@@ -104,7 +110,7 @@ def _cyclo_payload(c: CycloProduct) -> dict:
     out = {"factors": [[n, e] for n, e in c.factors.items()]}
     try:
         out["polynomial"] = [str(int(x)) for x in c.expand().coeffs]
-    except NegativeMultiplicityError as exc:
+    except (NegativeMultiplicityError, CycloLimitError) as exc:
         out["polynomial"] = None
         out["note"] = str(exc)
     return out

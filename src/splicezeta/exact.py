@@ -269,7 +269,7 @@ class RatFunc:
             raise ZeroDivisionError(f"evaluation at a pole: s = {x}")
         return self.num(x) / d
 
-    def poles(self, hints: Sequence[Fraction] = ()) -> list["Pole"]:
+    def poles(self) -> list["Pole"]:
         """All poles of the reduced function, with order and leading coefficient.
 
         The leading coefficient is the residue for a simple pole and the
@@ -279,7 +279,7 @@ class RatFunc:
         """
         if self.is_zero():
             return []
-        roots = _linear_roots(self.den, hints)
+        roots = _linear_roots(self.den)
         out = []
         for s0, order in sorted(roots.items()):
             g = self.den
@@ -325,14 +325,10 @@ def _int_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _linear_roots(den: Poly, hints: Sequence[Fraction]) -> dict[Fraction, int]:
+def _linear_roots(den: Poly) -> dict[Fraction, int]:
     """Split a denominator into rational linear factors; error if impossible."""
     roots: dict[Fraction, int] = {}
     rest = den
-    for h in dict.fromkeys(_as_fraction(h) for h in hints):
-        while rest.degree > 0 and rest(h) == 0:
-            roots[h] = roots.get(h, 0) + 1
-            rest = rest // Poly([-h, 1])
     while rest.degree > 0:
         found = None
         # rational root search on the primitive integer form
@@ -411,6 +407,18 @@ class UnityRoot:
             p, q = text.split("/", 1)
             return cls(int(p), int(q))
         return cls(int(text), 1)
+
+
+# ``CycloProduct.expand`` multiplies out the factors with positive exponent,
+# a list of that many int coefficients and one linear pass per factor, and
+# its polynomial check trial-divides every base up to its square root.  A
+# product whose positive part has a larger degree, or with a larger base, is
+# refused rather than expanded.
+CYCLO_MAX_DEGREE = 1_000_000
+
+
+class CycloLimitError(ArithmeticError):
+    """The expansion of a cyclotomic product exceeds CYCLO_MAX_DEGREE."""
 
 
 class NegativeMultiplicityError(ArithmeticError):
@@ -495,24 +503,29 @@ class CycloProduct:
         return all(self.root_multiplicity(UnityRoot(1, q)) >= 0 for q in self.root_orders())
 
     def expand(self) -> Poly:
-        """Exact expansion; error (naming the root) when not a polynomial."""
+        """Exact expansion; error (naming the root) when not a polynomial,
+        CycloLimitError above CYCLO_MAX_DEGREE."""
+        top = max(
+            sum(n * e for n, e in self.factors.items() if e > 0), max(self.factors, default=0)
+        )
+        if top > CYCLO_MAX_DEGREE:
+            raise CycloLimitError(
+                f"expansion of degree up to {top} exceeds the limit {CYCLO_MAX_DEGREE}"
+            )
         for q in self.root_orders():
             m = self.root_multiplicity(UnityRoot(1, q))
             if m < 0:
                 raise NegativeMultiplicityError(q, m)
-        num = [1]
-        den = [1]
+        coeffs = [1]
         for n, e in self.factors.items():
-            base = [-1] + [0] * (n - 1) + [1]  # t**n - 1, int coefficients
-            for _ in range(abs(e)):
-                if e > 0:
-                    num = _int_mul(num, base)
-                else:
-                    den = _int_mul(den, base)
-        quo, rem = _int_divmod(num, den)
-        if any(rem):
-            raise NegativeMultiplicityError(0, -1)
-        return Poly(quo)
+            for _ in range(e):
+                coeffs = _times_cyclo(coeffs, n)
+        for n, e in self.factors.items():
+            for _ in range(-e):
+                coeffs = _divide_cyclo(coeffs, n)
+                if coeffs is None:
+                    raise NegativeMultiplicityError(0, -1)
+        return Poly(coeffs)
 
     def __repr__(self):
         return f"CycloProduct({self.factors!r})"
@@ -527,36 +540,28 @@ class CycloProduct:
         return "".join(parts)
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+def _times_cyclo(a: list[int], n: int) -> list[int]:
+    """Ascending coefficients of a(t) * (t**n - 1): out_k = a_(k-n) - a_k."""
+    out = [0] * n + a
+    for k, c in enumerate(a):
+        out[k] -= c
     return out
 
 
-def _int_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    rem = list(a)
-    while len(b) > 1 and b[-1] == 0:
-        b.pop()
-    dq = len(rem) - len(b)
-    if dq < 0:
-        return [0], rem
-    quo = [0] * (dq + 1)
-    for i in range(dq, -1, -1):
-        c, r = divmod(rem[len(b) + i - 1], b[-1])
-        if r:
-            # exact division is expected; bail to Fraction-free failure
-            return [0], [1]
-        if c:
-            quo[i] = c
-            for j, cb in enumerate(b):
-                rem[i + j] -= c * cb
-        del rem[len(b) + i - 1]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
+def _divide_cyclo(p: list[int], n: int) -> list[int] | None:
+    """p(t) / (t**n - 1), or None when it does not divide.
+
+    From p_k = q_(k-n) - q_k: q_k = q_(k-n) - p_k below deg p - n + 1, and
+    the top n coefficients must be p_k = q_(k-n)."""
+    m = len(p) - n
+    if m < 1:
+        return None
+    q: list[int] = []
+    for k in range(m):
+        q.append((q[k - n] if k >= n else 0) - p[k])
+    if any(p[k] != (q[k - n] if k >= n else 0) for k in range(m, len(p))):
+        return None
+    return q
 
 
 def solve_linear_congruence(coeffs: Sequence[int], target: int, modulus: int) -> list[int] | None:

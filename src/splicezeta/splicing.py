@@ -11,10 +11,11 @@ dashed data of the far side the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+
 from .diagrams import DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant
 from .divisors import PDivisor, f_of, node_data, w_of
-from .exact import Poly, RatFunc
-from .zeta import zeta_splice
+from .zeta import principal_parts, summands, zeta_splice
 
 
 def induced_multiplicity(d: SpliceDiagram, e: Edge, keep: str, fm: dict[str, int]) -> int:
@@ -177,6 +178,11 @@ class SpliceCheck:
         )
 
 
+def _form(a, b) -> tuple[Fraction, Fraction]:
+    """The linear form a + s b."""
+    return Fraction(a), Fraction(b)
+
+
 def verify_splice_zeta(
     d: SpliceDiagram, e, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> SpliceCheck:
@@ -197,18 +203,23 @@ def verify_splice_zeta(
     z = zeta_splice(d, fm, wm)
     zl = zeta_splice(left.diagram)
     zr = zeta_splice(right.diagram)
-    corr = RatFunc(Poly.const(1), Poly.linear(i_l, m_l) * Poly.linear(i_r, m_r))
-    identity = z.func == zl.func + zr.func - corr
+    # both sides compared as C + principal parts, which is canonical (see
+    # the ``zeta`` module docstring); corr is 1 / ((i + s M)(i' + s M'))
+    ind_l, ind_r = _form(i_l, m_l), _form(i_r, m_r)
+    corr = (Fraction(-1), (ind_l, ind_r))
+    terms = [*summands(zl.node_terms, zl.edge_terms), *summands(zr.node_terms, zr.edge_terms)]
+    identity = principal_parts(terms + [corr]) == (z.const, z.parts)
     data = node_data(d, fm, wm)
     nu_l, n_l = data[e.a]
     nu_r, n_r = data[e.b]
-    lhs = RatFunc(Poly.const(q), Poly.linear(nu_l, n_l) * Poly.linear(nu_r, n_r))
-    rhs = (
-        RatFunc(Poly.const(e.weight_at(e.a)), Poly.linear(nu_l, n_l) * Poly.linear(i_l, m_l))
-        + RatFunc(Poly.const(e.weight_at(e.b)), Poly.linear(nu_r, n_r) * Poly.linear(i_r, m_r))
-        - corr
+    node_l, node_r = _form(nu_l, n_l), _form(nu_r, n_r)
+    lemma = principal_parts([(Fraction(q), (node_l, node_r))]) == principal_parts(
+        [
+            (Fraction(e.weight_at(e.a)), (node_l, ind_l)),
+            (Fraction(e.weight_at(e.b)), (node_r, ind_r)),
+            corr,
+        ]
     )
-    lemma = lhs == rhs
     pairs = [(nu_l, n_l), (nu_r, n_r), (i_l, m_l), (i_r, m_r)]
     dets = [
         pairs[i][0] * pairs[j][1] - pairs[i][1] * pairs[j][0]

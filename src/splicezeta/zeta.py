@@ -4,25 +4,50 @@ The splice route implements the node/edge sum over the decorated diagram; the
 plumbing route implements the stratified Euler-characteristic sum over a
 resolution, which also covers non-unimodular (rational-multiplicity) graphs.
 Both keep their term list, so per-node contributions stay addressable for
-residue queries, and both sum it with ``assemble``.
+residue queries, and both sum it with ``ZetaResult.from_terms``.
 
 Every denominator in the sum is a product of at most two linear forms
 nu + s N, so every candidate pole -nu/N is known before anything is added.
-``assemble`` writes each term as c / prod(s - r), where a form with N = 0 is
-a nonzero scalar folded into c, and splits the terms with two distinct roots
-into partial fractions: c / ((s - r1)(s - r2)) is
+``principal_parts`` writes each term as c / prod(s - r), where a form with
+N = 0 is a nonzero scalar folded into c, and splits the terms with two
+distinct roots into partial fractions: c / ((s - r1)(s - r2)) is
 (c / (r1 - r2)) (1 / (s - r1) - 1 / (s - r2)).  Summing the coefficients
-gives the whole function as C + sum over r of a1_r / (s - r) + a2_r / (s - r)^2.
-A root whose a1_r and a2_r both vanish is no pole (that is where the
-residues cancel).  Every other root r is a pole of order o_r = 2 if
-a2_r != 0 and 1 otherwise.  The denominator D = prod (s - r)^o_r is monic.
-The numerator C D + sum of a_k,r D / (s - r)^k is built from the cofactors
+gives the whole function as
+
+    Z(s) = C + sum over r of a1_r / (s - r) + a2_r / (s - r)^2,
+
+and the roots whose a1_r and a2_r both vanish are dropped (that is where the
+residues cancel).  ``ZetaResult`` keeps this form: the constant C and the
+parts {r: (a1_r, a2_r)}.
+
+The form is unique.  If two such sums are equal as functions, their
+difference C + sum b1_r / (s - r) + b2_r / (s - r)^2 is 0; multiplied by
+(s - r)^2 and evaluated at s = r it gives b2_r = 0, then multiplied by
+(s - r) it gives b1_r = 0, at every r in turn, and what is left is C = 0.
+So two functions whose denominators split over Q into factors of order at
+most 2 are equal exactly when their (C, parts) are, the same canonicity the
+reduced num/den has.  ``splicing.verify_splice_zeta`` compares these forms
+and no ``RatFunc``.
+
+Every kept root r is a pole of order o_r = 2 if a2_r != 0 and 1 otherwise.
+The denominator D = prod (s - r)^o_r is monic.  ``reduced_ratfunc`` builds
+the numerator C D + sum of a_k,r D / (s - r)^k from the cofactors
 D / (s - r)^k by synthetic division.  At each pole r it takes the value
 a_o_r,r times the product of the (r - r')^o_r' over the other poles r',
 which is not 0.  So the fraction is reduced.  A reduced rational function
 with a monic denominator is unique, so the result is exactly the ``RatFunc``
 that adding the terms one at a time, with a polynomial gcd after every
-addition, gives; no polynomial gcd is computed.
+addition, gives; no polynomial gcd is computed.  ``ZetaResult.func`` builds
+it on first use only.
+
+The poles are read off the parts, with no root search.  ``RatFunc.poles``
+returns, at a root r of order o of the reduced den, num(r) / g(r) with
+g = den / (s - r)^o.  Near r, num / g = (s - r)^o Z(s), which is
+(s - r)^o (C + sum over r' != r of the parts at r') + a1_r (s - r)^(o - 1)
++ a2_r (s - r)^(o - 2).  The other parts are regular at r, so at s = r this
+is a2_r when o = 2 and a1_r when o = 1 (where a2_r = 0).  The roots and
+orders are the same on both sides, as shown above, so ``ZetaResult.poles``
+gives exactly the list ``func.poles()`` gives.
 """
 
 from __future__ import annotations
@@ -30,6 +55,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, edge_determinant
 from .divisors import (
@@ -83,22 +109,31 @@ class EdgeTerm:
 
 @dataclass
 class ZetaResult:
-    func: RatFunc
+    """Z(s) as C + its principal parts {r: (a1_r, a2_r)} (see the module
+    docstring), with the node and edge terms it was summed from."""
+
+    const: Fraction
+    parts: dict[Fraction, tuple[Fraction, Fraction]]
     node_terms: list[NodeTerm]
     edge_terms: list[EdgeTerm]
 
-    def candidate_poles(self) -> list[Fraction]:
-        cands = set()
-        for t in self.node_terms:
-            if t.n:
-                cands.add(Fraction(-t.nu, t.n))
-            for p in t.arrows:
-                if p.n:
-                    cands.add(Fraction(-p.i, p.n))
-        return sorted(cands)
+    @classmethod
+    def from_terms(cls, node_terms: list[NodeTerm], edge_terms: list[EdgeTerm]) -> "ZetaResult":
+        """Sum of the terms; a linear form with nu = N = 0 raises ZeroDivisionError."""
+        const, parts = principal_parts(summands(node_terms, edge_terms))
+        return cls(const, parts, node_terms, edge_terms)
+
+    @cached_property
+    def func(self) -> RatFunc:
+        """The reduced num/den, built on first use."""
+        return reduced_ratfunc(self.const, self.parts)
 
     def poles(self) -> list[Pole]:
-        return self.func.poles(hints=self.candidate_poles())
+        """Every pole with its order and leading Laurent coefficient, sorted."""
+        return [
+            Pole(r, 2, a2) if a2 else Pole(r, 1, a1)
+            for r, (a1, a2) in sorted(self.parts.items())
+        ]
 
     def residue_contribution(self, vertex: str, s0: Fraction) -> Fraction:
         """Contribution of one node to the residue at a simple candidate s0.
@@ -131,7 +166,7 @@ class ZetaResult:
         return contrib
 
 
-def _summands(node_terms, edge_terms):
+def summands(node_terms, edge_terms):
     """Every term as (c, forms): c / prod(a + s b) over the linear forms (a, b)."""
     for t in node_terms:
         lin = (t.nu, t.n)
@@ -161,13 +196,15 @@ def _divide_linear(p: list, r) -> list:
     return quo
 
 
-def assemble(node_terms, edge_terms) -> RatFunc:
-    """Sum of the node and edge terms as a reduced RatFunc (see the module
-    docstring); a linear form with nu = N = 0 raises ZeroDivisionError."""
+def principal_parts(terms) -> tuple[Fraction, dict[Fraction, tuple[Fraction, Fraction]]]:
+    """C and {r: (a1_r, a2_r)} of the sum of the (c, forms) terms, each
+    c / prod(a + s b) over at most two linear forms (a, b) with Fraction
+    entries; roots whose parts both vanish are dropped.  A form with
+    a = b = 0 raises ZeroDivisionError."""
     const = Fraction(0)
     # r -> [a1, a2]: the principal part a1 / (s - r) + a2 / (s - r)^2
     parts: defaultdict[Fraction, list[Fraction]] = defaultdict(lambda: [Fraction(0), Fraction(0)])
-    for c, forms in _summands(node_terms, edge_terms):
+    for c, forms in terms:
         roots = []
         for a, b in forms:
             if b:
@@ -184,14 +221,19 @@ def assemble(node_terms, edge_terms) -> RatFunc:
             parts[r2][0] -= x
         else:
             parts[roots[0]][len(roots) - 1] += c
-    poles = {r: a for r, a in parts.items() if a[0] or a[1]}
+    return const, {r: (a1, a2) for r, (a1, a2) in parts.items() if a1 or a2}
+
+
+def reduced_ratfunc(const: Fraction, parts: dict[Fraction, tuple[Fraction, Fraction]]) -> RatFunc:
+    """C + sum of the principal parts as a reduced RatFunc (see the module
+    docstring)."""
     den = [Fraction(1)]
-    for r, (_, a2) in poles.items():
+    for r, (_, a2) in parts.items():
         den = _times_linear(den, r)
         if a2:
             den = _times_linear(den, r)
     num = [const * x for x in den]
-    for r, (a1, a2) in poles.items():
+    for r, (a1, a2) in parts.items():
         cof = _divide_linear(den, r)
         for i, x in enumerate(cof):
             num[i] += a1 * x
@@ -264,9 +306,7 @@ def zeta_splice(
                 n2=Fraction(n_b),
             )
         )
-    return ZetaResult(
-        func=assemble(node_terms, edge_terms), node_terms=node_terms, edge_terms=edge_terms
-    )
+    return ZetaResult.from_terms(node_terms, edge_terms)
 
 
 def zeta_plumbing(
@@ -320,6 +360,4 @@ def zeta_plumbing(
                 n2=Fraction(nv[b]),
             )
         )
-    return ZetaResult(
-        func=assemble(node_terms, edge_terms), node_terms=node_terms, edge_terms=edge_terms
-    )
+    return ZetaResult.from_terms(node_terms, edge_terms)

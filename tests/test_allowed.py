@@ -109,6 +109,33 @@ def test_semigroup_condition_golden():
     assert tuple(repu.failures[0].generators) == (2, 3)
 
 
+def test_semigroup_condition_matches_reference():
+    # reference: the generators of every arrow-free side from linking products
+    def reference(d):
+        checked, failures = 0, []
+        for v in d.nodes():
+            for e in d.edges_at(v):
+                side = d.side_vertices(v, e)
+                if any(a.at in side for a in d.farrows):
+                    continue
+                checked += 1
+                far = e.other(v)
+                gens = tuple(sorted(
+                    d.linking_product(far, w, exclude_edge=e) for w in side if d.valency_f(w) == 1
+                ))
+                if not semigroup_member(e.weight_at(v), gens):
+                    failures.append((v, (v, far), e.weight_at(v), gens))
+        return checked, failures
+
+    rng = random.Random(31)
+    diagrams = [two_cusp_diagram(), plane_curve_staircase([(3, 2), (25, 3), (530, 7)])]
+    diagrams += [random_valid_splice(rng, with_warrows=True) for _ in range(150)]
+    for d in diagrams:
+        rep = semigroup_condition(d)
+        got = [(f.node, f.edge, f.weight, f.generators) for f in rep.failures]
+        assert (rep.checked, got) == reference(d)
+
+
 def test_is_allowed_goldens():
     d = two_cusp_diagram()
     assert not is_allowed(d).allowed

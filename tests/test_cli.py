@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,25 @@ def test_cli_semigroup_refuses_huge_generators(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "semigroup generator 10000000 exceeds the limit" in captured.err
+
+
+def test_cli_alexander_refuses_huge_expansion_promptly(tmp_path, capsys):
+    # valid star whose Alexander polynomial has degree about 10**28
+    huge = tmp_path / "huge.sd"
+    huge.write_text(
+        "splice-diagram huge\nvertex v\nvertex b1\nvertex b2\n"
+        "edge v b1 10000000000000000000000000001 1\nedge v b2 2 1\nfarrow a at v w=1 N=1\n"
+    )
+    start = time.perf_counter()
+    assert main(["alexander", str(huge), "--json"]) == 0
+    assert time.perf_counter() - start < 2.0
+    payload = json.loads(capsys.readouterr().out)
+    lam = payload["alexander"]
+    assert lam["polynomial"] is None
+    assert "exceeds the limit" in lam["note"]
+    assert [10000000000000000000000000001, -1] in lam["factors"]
+    # Delta_0 = t - 1 is small enough to print
+    assert payload["delta0"]["polynomial"] == ["-1", "1"]
 
 
 def test_cli_realize_budget_exhausting_golden(capsys):

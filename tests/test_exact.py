@@ -1,5 +1,7 @@
 """Exact arithmetic: polynomials, rational functions, roots of unity, cyclo products."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splicezeta.exact import (
+    CYCLO_MAX_DEGREE,
+    CycloLimitError,
     CycloProduct,
     NegativeMultiplicityError,
     NonLinearDenominatorError,
@@ -168,6 +172,69 @@ def test_cyclo_negative_multiplicity_reported():
     with pytest.raises(NegativeMultiplicityError) as exc:
         c.expand()
     assert exc.value.q == 1
+
+
+def _reference_expand(c: CycloProduct) -> Poly:
+    """The expansion by long division of one product by the other."""
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return out
+
+    for q in c.root_orders():
+        m = c.root_multiplicity(UnityRoot(1, q))
+        if m < 0:
+            raise NegativeMultiplicityError(q, m)
+    num, den = [1], [1]
+    for n, e in c.factors.items():
+        for _ in range(abs(e)):
+            base = [-1] + [0] * (n - 1) + [1]
+            if e > 0:
+                num = mul(num, base)
+            else:
+                den = mul(den, base)
+    rem, quo = list(num), [0] * (len(num) - len(den) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c_i = rem[i + len(den) - 1] // den[-1]
+        quo[i] = c_i
+        for j, cb in enumerate(den):
+            rem[i + j] -= c_i * cb
+    assert not any(rem)
+    return Poly(quo)
+
+
+def test_cyclo_expand_matches_long_division():
+    rng = random.Random(9)
+    expanded = 0
+    for _ in range(400):
+        c = CycloProduct([(rng.randint(1, 12), rng.randint(-2, 3)) for _ in range(rng.randint(0, 5))])
+        try:
+            want = _reference_expand(c)
+        except NegativeMultiplicityError as exc:
+            with pytest.raises(NegativeMultiplicityError) as got:
+                c.expand()
+            assert (got.value.q, got.value.multiplicity) == (exc.q, exc.multiplicity)
+            continue
+        assert c.expand().coeffs == want.coeffs, c
+        expanded += 1
+    assert expanded >= 100
+
+
+def test_cyclo_expand_refuses_huge_degree_promptly():
+    start = time.perf_counter()
+    for c in (
+        CycloProduct({10**28: 1, 1: -1}),
+        CycloProduct({10**28: -1, 1: 3}),  # a base above the cap, even when divided by
+        CycloProduct({CYCLO_MAX_DEGREE // 2: 2, 1: 1}),
+    ):
+        with pytest.raises(CycloLimitError, match="exceeds the limit"):
+            c.expand()
+    assert time.perf_counter() - start < 1.0
+    # the old long division took ~20 s on this product of degree 10006
+    assert CycloProduct({20014: 1, 10007: -1, 2: -1, 1: 1}).expand().degree == 10006
 
 
 def test_plus_one_representation():

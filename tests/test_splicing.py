@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from splicezeta.corpus import two_cusp_diagram
-from splicezeta.diagrams import DiagramError
-from splicezeta.divisors import nu_values, vertex_multiplicities
+from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams, two_cusp_diagram
+from splicezeta.diagrams import DiagramError, edge_determinant, plumbing_to_splice
+from splicezeta.divisors import node_data, nu_values, vertex_multiplicities
 from splicezeta.exact import Poly, RatFunc
 from splicezeta.generate import random_valid_splice
 from splicezeta.splicing import (
@@ -170,6 +170,60 @@ def test_verify_splice_identity_randomized():
         assert chk.zeta_identity, (d, e.key)
         assert chk.edge_lemma
         assert chk.dependency_statement
+
+
+def reference_splice_verdicts(d, e):
+    """The zeta identity and the edge lemma at e as reduced RatFunc equalities."""
+    left, right = splice(d, e)
+    if (left.m, left.i) == (0, 0) or (right.m, right.i) == (0, 0):
+        return None
+    lin = Poly.linear
+    corr = RatFunc(Poly.const(1), lin(left.i, left.m) * lin(right.i, right.m))
+    identity = zeta_splice(d).func == (
+        zeta_splice(left.diagram).func + zeta_splice(right.diagram).func - corr
+    )
+    data = node_data(d, d.f_divisor(), d.w_divisor())
+    (nu_l, n_l), (nu_r, n_r) = data[e.a], data[e.b]
+    lhs = RatFunc(Poly.const(edge_determinant(d, e)), lin(nu_l, n_l) * lin(nu_r, n_r))
+    rhs = (
+        RatFunc(Poly.const(e.weight_at(e.a)), lin(nu_l, n_l) * lin(left.i, left.m))
+        + RatFunc(Poly.const(e.weight_at(e.b)), lin(nu_r, n_r) * lin(right.i, right.m))
+        - corr
+    )
+    return identity, lhs == rhs
+
+
+def test_verify_splice_zeta_matches_ratfunc_reference():
+    diagrams = list(golden_splice_diagrams().values())
+    for g in golden_plumbing_graphs().values():
+        try:
+            diagrams.append(plumbing_to_splice(g))
+        except DiagramError:
+            pass  # not unimodular: no splice diagram
+    rng = random.Random(77)
+    for _ in range(150):
+        d = random_valid_splice(rng, with_warrows=True)
+        slots = [v for v in d.vertices] + [a.id for a in d.farrows]
+        # also a random W, which reaches i = 0 and degenerate halves
+        diagrams += [d, d.with_decorations(w={x: rng.randint(-2, 2) for x in slots})]
+    edges = [(d, e) for d in diagrams for e in sorted(d.special_edges(), key=lambda e: e.key)]
+
+    def verdicts(d, e):
+        try:
+            chk = verify_splice_zeta(d, e)
+        except DiagramError as exc:  # e.g. a boundary vertex with i = 0
+            return str(exc)
+        return None if chk.degenerate is not None else (chk.zeta_identity, chk.edge_lemma)
+
+    def reference(d, e):
+        try:
+            return reference_splice_verdicts(d, e)
+        except DiagramError as exc:
+            return str(exc)
+
+    for d, e in edges:
+        assert verdicts(d, e) == reference(d, e), (d, e.key)
+    assert len(edges) >= 100
 
 
 def test_splice_preserves_node_data():

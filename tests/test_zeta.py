@@ -23,7 +23,6 @@ from splicezeta.zeta import (
     EdgeTerm,
     NodeTerm,
     ZetaResult,
-    assemble,
     zeta_plumbing,
     zeta_splice,
 )
@@ -293,11 +292,12 @@ def test_assemble_equals_termwise_sum_random():
     rng = random.Random(5)
     for _ in range(400):
         node_terms, edge_terms = random_terms(rng)
-        got = assemble(node_terms, edge_terms)
+        z = ZetaResult.from_terms(node_terms, edge_terms)
+        got = z.func
         ref = termwise_sum(node_terms, edge_terms)
         assert (got.num, got.den) == (ref.num, ref.den)
-        hints = ZetaResult(got, node_terms, edge_terms).candidate_poles()
-        assert got.poles(hints=hints) == ref.poles()
+        assert got.poles() == ref.poles()
+        assert z.poles() == ref.poles()
 
 
 def test_assemble_equals_sympy_cancel():
@@ -321,7 +321,8 @@ def test_assemble_equals_sympy_cancel():
             expr += q(e.q) / ((q(e.nu1) + s * q(e.n1)) * (q(e.nu2) + s * q(e.n2)))
         num, den = (sympy.Poly(x, s) for x in sympy.fraction(sympy.cancel(expr)))
         lead = frac_of(den.LC())
-        got = assemble(node_terms, edge_terms)
+        z = ZetaResult.from_terms(node_terms, edge_terms)
+        got = z.func
         assert got.num == Poly([frac_of(c) / lead for c in reversed(num.all_coeffs())])
         assert got.den == Poly([frac_of(c) / lead for c in reversed(den.all_coeffs())])
         poles = got.poles()
@@ -331,22 +332,45 @@ def test_assemble_equals_sympy_cancel():
         for pole in poles:
             r = q(pole.location)
             assert sympy.cancel(expr * (s - r) ** pole.order).subs(s, r) == q(pole.leading)
+        assert z.poles() == poles
+        # C is the value at infinity; a2_r and a1_r are the Laurent
+        # coefficients of (s - r)^-2 and (s - r)^-1 at r
+        assert q(z.const) == sympy.limit(expr, s, sympy.oo)
+        parts = {}
+        for root in sympy.roots(den):
+            lifted = sympy.cancel(expr * (s - root) ** 2)
+            parts[frac_of(root)] = (
+                frac_of(sympy.diff(lifted, s).subs(s, root)),
+                frac_of(lifted.subs(s, root)),
+            )
+        assert z.parts == parts
 
 
 GUARD_SEED = 4  # random_plumbing(Random(4), blowups=40): 41 vertices, 12 splice nodes
 
 
 def test_zeta_routes_make_no_gcd_calls(monkeypatch):
+    # nor does anything that reads the poles or checks a splice identity
+    # search for roots with RatFunc.poles
     import splicezeta.exact as exact
+    from splicezeta.allowed import check_goal1
+    from splicezeta.splicing import verify_splice_zeta
 
     g = random_plumbing(random.Random(GUARD_SEED), blowups=40, arrows=2)
     d = plumbing_to_splice(g)
     calls = []
-    original = exact.poly_gcd
-    monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append(1) or original(a, b))
+    original_gcd, original_poles = exact.poly_gcd, exact.RatFunc.poles
+    monkeypatch.setattr(exact, "poly_gcd", lambda a, b: calls.append("gcd") or original_gcd(a, b))
+    monkeypatch.setattr(
+        exact.RatFunc, "poles", lambda self: calls.append("poles") or original_poles(self)
+    )
     zeta_plumbing(g)
     zeta_splice(d)
-    assert len(g.vertices) == 41 and calls == []
+    assert zeta_splice(d).poles()
+    assert check_goal1(d).poles
+    specials = sorted(d.special_edges(), key=lambda e: e.key)
+    assert [verify_splice_zeta(d, e).ok for e in specials] == [True] * len(specials)
+    assert len(g.vertices) == 41 and specials and calls == []
 
 
 def test_zeta_routes_agree_on_41_vertices():
@@ -354,3 +378,5 @@ def test_zeta_routes_agree_on_41_vertices():
     zp, zs = zeta_plumbing(g), zeta_splice(plumbing_to_splice(g))
     assert zp.func == zs.func
     assert zp.poles() == zs.poles()
+    assert (zp.const, zp.parts) == (zs.const, zs.parts)
+    assert zp.poles() == zp.func.poles() and zs.poles() == zs.func.poles()
