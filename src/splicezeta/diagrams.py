@@ -10,7 +10,7 @@ dual graph: vertices carry self-intersection numbers, all genera are zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -209,6 +209,10 @@ class SpliceDiagram(_Decorated):
             self._adj[e.a].append(e)
             self._adj[e.b].append(e)
         self._rows: dict[tuple, _LinkingRow] = {}
+        self._memo: dict = {}
+        # computed on first use: _classes() and require_standard()'s verdict
+        self._kinds: tuple | None = None
+        self._nonstandard: str | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -227,33 +231,63 @@ class SpliceDiagram(_Decorated):
         return self.valency_f(v) >= 3
 
     def nodes(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.is_node(v))
+        return self._classes()[0]
 
     def boundary_vertices(self) -> tuple[str, ...]:
-        return tuple(
-            v for v in self.vertices if not self.is_node(v) and self.valency_f(v) == 1
-        )
+        return self._classes()[1]
 
     def chain_vertices(self) -> tuple[str, ...]:
         """Valency-2 vertices: tolerated in the data model, rejected by most ops."""
-        return tuple(
-            v for v in self.vertices if not self.is_node(v) and self.valency_f(v) == 2
-        )
+        return self._classes()[2]
 
     def special_edges(self) -> tuple[Edge, ...]:
-        return tuple(
-            e for e in self.edges if self.is_node(e.a) and self.is_node(e.b)
-        )
+        """Edges joining two nodes."""
+        return self._classes()[3]
+
+    def _classes(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """(nodes, boundary vertices, chain vertices, special edges), each in
+        the order of the vertices or edges; computed on first use.  (A plain
+        attribute: on Python 3.11 the first access of a ``cached_property``
+        takes a lock, ~1 us, which shows on diagrams parsed for one command.)"""
+        if self._kinds is None:
+            nodes, boundary, chains = [], [], []
+            for v in self.vertices:
+                if self.is_node(v):
+                    nodes.append(v)
+                elif self.valency_f(v) == 1:
+                    boundary.append(v)
+                elif self.valency_f(v) == 2:
+                    chains.append(v)
+            node_set = set(nodes)
+            specials = tuple(e for e in self.edges if e.a in node_set and e.b in node_set)
+            self._kinds = tuple(nodes), tuple(boundary), tuple(chains), specials
+        return self._kinds
 
     def require_standard(self):
         """Most operations need a tree with no valency-2 chain vertices."""
+        if self._nonstandard is None:
+            self._nonstandard = self._why_not_standard()
+        if self._nonstandard:
+            raise DiagramError(self._nonstandard)
+
+    def _why_not_standard(self) -> str:
+        """The reason ``require_standard`` refuses the diagram, or ''."""
         if not self.is_tree():
-            raise DiagramError("diagram is not a connected tree")
+            return "diagram is not a connected tree"
         chains = self.chain_vertices()
         if chains:
-            raise DiagramError(
-                f"valency-2 vertices present ({', '.join(chains)}); normalize first"
-            )
+            return f"valency-2 vertices present ({', '.join(chains)}); normalize first"
+        return ""
+
+    def memo(self, key, build, *args):
+        """``build(*args)``, computed once per key.  The diagram is immutable,
+        so whatever is derived from it alone can be kept with it, as the
+        linking rows are."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(*args)
+            return value
 
     def delta(self, v: str) -> int:
         """Valency with every arrowhead stripped: weight>=2 arrowheads become
@@ -375,7 +409,7 @@ class SpliceDiagram(_Decorated):
         """
         farrows = list(self.farrows)
         if f is not None:
-            farrows = [replace(a, mult=f.get(a.id, 0)) for a in farrows]
+            farrows = [Farrow(a.id, a.at, a.weight, f.get(a.id, 0)) for a in farrows]
         warrows = list(self.warrows)
         if w is not None:
             warrows = []

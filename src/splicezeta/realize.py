@@ -23,9 +23,13 @@ implication on the induced leg values); only the points that pass become a
 divisor for ``certify``.
 
 Every candidate is certified from scratch: the divisor must pass the
-allowedness check and the reduced zeta function must have a pole whose
-exponential equals the requested root of unity.  Nothing is trusted from the
-construction itself.
+allowedness check and the zeta function must have a pole whose exponential
+equals the requested root of unity.  Nothing is trusted from the
+construction itself.  Certifying reuses what does not depend on W: the
+allowedness check splits the diagram into stars through the cuts cached on
+it (``splicing.root_cut``), which the query's first star decomposition
+built, and still judges every candidate with ``is_allowed`` and the poles of
+``zeta_splice``.
 
 By default the searched dashed arrows live at boundary vertices; the double
 of an ordinary arrowhead is used only when that arrowhead itself is the
@@ -48,7 +52,7 @@ from .diagrams import DiagramError, Edge, SpliceDiagram
 from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities
 from .exact import UnityRoot, solve_linear_congruence
 from .monodromy import alexander, eig_contains
-from .splicing import far_side_has_arrows, induced_value, splice, star_decomposition
+from .splicing import induced_value, root_cut, splice, star_decomposition
 from .zeta import zeta_splice
 
 
@@ -141,14 +145,14 @@ def star_forms(d: SpliceDiagram, slots: list[str]) -> list[_StarForm]:
         for e in d.edges_at(v):
             u = e.other(v)
             if d.is_node(u):
-                if far_side_has_arrows(d, e, v):
+                cut = root_cut(d, v, e)
+                if cut.farrows:
                     r += 1
                     continue
-                # the induced value is linear in W, with slope l(u, s) cut at e
-                side = set(d.side_vertices(v, e))
-                row = d.linking_row(u, e)
-                base = induced_value(d, e, v, {})
-                coefs = tuple(row[s] if d.anchor(s)[0] in side else 0 for s in slots)
+                # the induced value is linear in W, with slope l(u, s) cut at
+                # e for the slots beyond e, the ones in the cut's row
+                base = cut.i0
+                coefs = tuple(cut.row.get(s, 0) for s in slots)
             else:
                 base, coefs = 1, tuple(int(s == u) for s in slots)
             legs.append((e.weight_at(v), base, coefs))
@@ -572,8 +576,10 @@ def realize_eigenvalue(
         if na <= 0 or na % lam.order:
             continue
         ua = _target_residue(lam, na)
-        base_candidates = [{}] + _small_allowed_candidates(d, fm, slots, forms, rng)
-        for basew in base_candidates:
+        # W = 0 comes first here when the star filters allow it; when they do
+        # not, no W that is 0 off the double of a is allowed, as that double
+        # changes no star leg
+        for basew in _small_allowed_candidates(d, fm, slots, forms, rng):
             done = False
             for t in range(8):
                 w = dict(basew)

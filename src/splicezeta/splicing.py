@@ -6,12 +6,49 @@ of value i) when the far side carried arrowheads, otherwise a boundary leg
 whose vertex carries a dashed arrow of value i.  M collects far-side arrow
 multiplicities against linking products; i collects the canonical-class and
 dashed data of the far side the same way.
+
+Two routes compute M and i.  ``splice`` reads them off the diagram it is
+given: that is the local route, used by the ``splice`` command and by
+``verify_splice_zeta``.  ``star_decomposition`` cuts every special edge in
+turn, so after the first cut it cuts pieces made of earlier halves; it reads
+M and i of every cut off the root diagram d instead, through ``root_cut``,
+which keeps on d, per directed edge, all that does not depend on F and W.
+
+Why d gives a piece's values (localization).  Let a piece P contain the edge
+e = (k, f), cut keeping k, and let an earlier cut at e' = (k', f'), with k'
+on f's side of e, have replaced the region R beyond e' by a new leaf x (no
+arrowheads in R) or a new arrowhead x (arrowheads in R), of weight
+d' = d_{k'e'} at k' and carrying that cut's M' and i'.  For a target t in R
+the path from f to t runs through k' and e', so the linking product
+factors: l_d(f, t) = l_P(f, x) * l_d(f', t), with e excluded at f and e' at
+f'.  Up to k' the adjacent weights are the same in P and in d (x hangs on k'
+with the weight e' had there, and its own supporting weight is on the
+path); past e' the factor is the one M' and i' were summed with.  So R's
+arrowheads add M' l_P(f, x) to M in d, just what x adds in P; and R's
+canonical and dashed terms add i' l_P(f, x) to i in d, which is what x adds
+in P: (2 - 1) + (i' - 1) times l_P(f, x) for a leaf, [d' >= 2] + (i' - 1)
+times it for an arrowhead; a weight-1 arrowhead does not count in delta_k',
+which adds the missing l_P(f, k') = l_P(f, x).  Targets outside the
+replaced regions have equal linking products in P and in d, and a far side
+carries arrowheads in P exactly when it does in d.  By induction over the
+cuts, every cut of every piece has M = sum N_a l_d(f, a) over the far-side
+arrowheads of d and i = i0 + sum mult_s l_d(f, s) over the nonzero W slots
+there, with i0 the value at W = 0.
+
+Why the names agree.  ``star_decomposition`` splits its pieces in the order
+repeated ``splice`` calls would: the smallest special edge by key, depth
+first, the half keeping e.b first.  Both build a half with the same list
+operation ``_cut`` from equal inputs, so the minted ids (``~a...``,
+``~...|...``, ``~w...``, and the ``~W.<slot>`` renames at each later cut)
+and the order of every list are those of that recursion, which the test
+suite keeps as its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagrams import DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant
 from .divisors import PDivisor, f_of, node_data, w_of
@@ -21,32 +58,32 @@ from .zeta import principal_parts, summands, zeta_splice
 def induced_multiplicity(d: SpliceDiagram, e: Edge, keep: str, fm: dict[str, int]) -> int:
     """M for the half keeping ``keep``: far-side arrow multiplicities times
     their linking products measured from the cut."""
-    far = e.other(keep)
     side = set(d.side_vertices(keep, e))
-    acc = 0
-    for a in d.farrows:
-        if a.at in side:
-            acc += fm.get(a.id, 0) * d.linking_product(far, a.id, exclude_edge=e)
-    return acc
+    row = d.linking_row(e.other(keep), e)
+    return sum(fm.get(a.id, 0) * row[a.id] for a in d.farrows if a.at in side)
 
 
 def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> int:
     """i for the half keeping ``keep``: canonical contribution of the far side
     plus its dashed-arrow terms."""
-    far = e.other(keep)
-    side = d.side_vertices(keep, e)
+    return _induced_value(d, d.side_vertices(keep, e), d.linking_row(e.other(keep), e), wm)
+
+
+def _induced_value(d: SpliceDiagram, side: list[str], row: dict[str, int], wm) -> int:
+    """``induced_value`` from the far side's vertices and the far endpoint's
+    linking row with the cut edge excluded, which reaches all of that side."""
     side_set = set(side)
     acc = 0
     for x in side:
-        acc += (2 - d.delta(x)) * d.linking_product(far, x, exclude_edge=e)
+        acc += (2 - d.delta(x)) * row[x]
     for a in d.farrows:
         if a.at in side_set and a.weight >= 2:
-            acc += d.linking_product(far, a.id, exclude_edge=e)
+            acc += row[a.id]
     for slot, mult in wm.items():
         if not mult:
             continue
         if d.anchor(slot)[0] in side_set:
-            acc += mult * d.linking_product(far, slot, exclude_edge=e)
+            acc += mult * row[slot]
     return acc
 
 
@@ -65,28 +102,35 @@ class SpliceHalf:
     new_slot: str
 
 
-def _half(d: SpliceDiagram, e: Edge, keep: str, fm, wm) -> SpliceHalf:
+# A piece of a diagram being cut up: its vertex, edge, farrow and warrow lists.
+_Piece = tuple[list[str], list[Edge], list[Farrow], list[Warrow]]
+
+
+def _cut(piece: _Piece, e: Edge, keep: str, side: set[str], wslots, m: int, i: int, arrows: bool):
+    """The half of ``piece`` that keeps ``keep`` when it is cut at e.
+
+    ``side`` holds the piece's vertices beyond e, ``wslots`` its W as (slot,
+    multiplicity) pairs, and (M, i, arrows) the induced data of the far side:
+    with far-side arrowheads the half gets an arrowhead of multiplicity M at
+    ``keep``, otherwise a boundary leg; either carries a dashed arrow of value
+    i unless i = 1.  Kept dashed arrows are renamed ``~W.<slot>``.  Returns
+    (half, new slot)."""
+    vertices, edges, farrows, _ = piece
     far = e.other(keep)
-    side = set(d.side_vertices(keep, e))
-    keep_vertices = [v for v in d.vertices if v not in side]
-    keep_edges = [x for x in d.edges if x.key != e.key and x.a not in side]
-    keep_farrows = [a for a in d.farrows if a.at not in side]
-    keep_warrows = []
+    keep_vertices = [v for v in vertices if v not in side]
+    keep_edges = [x for x in edges if x.a not in side and x.key != e.key]
+    keep_farrows = [a for a in farrows if a.at not in side]
+    keep_vset = set(keep_vertices)
     keep_fids = {a.id for a in keep_farrows}
-    for wslot, mult in wm.items():
+    keep_warrows = []
+    for wslot, mult in wslots:
         if mult == 0:
             continue
         if wslot in keep_fids:
             keep_warrows.append(Warrow(id=f"~W.{wslot}", value=mult + 1, doubles=wslot))
-        elif wslot in keep_vertices:
+        elif wslot in keep_vset:
             keep_warrows.append(Warrow(id=f"~W.{wslot}", value=mult + 1, at=wslot))
-    keep_farrows = [
-        Farrow(id=a.id, at=a.at, weight=a.weight, mult=fm.get(a.id, 0))
-        for a in keep_farrows
-    ]
-    m = induced_multiplicity(d, e, keep, fm)
-    i = induced_value(d, e, keep, wm)
-    used = set(keep_vertices) | {a.id for a in keep_farrows} | {x.id for x in keep_warrows}
+    used = keep_vset | keep_fids | {x.id for x in keep_warrows}
 
     def fresh(stem: str) -> str:
         name = stem
@@ -95,20 +139,34 @@ def _half(d: SpliceDiagram, e: Edge, keep: str, fm, wm) -> SpliceHalf:
         used.add(name)
         return name
 
-    if far_side_has_arrows(d, e, keep):
-        aid = fresh(f"~a{keep}|{far}")
-        keep_farrows.append(Farrow(id=aid, at=keep, weight=e.weight_at(keep), mult=m))
+    if arrows:
+        slot = fresh(f"~a{keep}|{far}")
+        keep_farrows.append(Farrow(id=slot, at=keep, weight=e.weight_at(keep), mult=m))
         if i != 1:
-            keep_warrows.append(Warrow(id=fresh(f"~w{keep}|{far}"), value=i, doubles=aid))
-        half = SpliceDiagram(keep_vertices, keep_edges, keep_farrows, keep_warrows)
-        return SpliceHalf(half, keep, m, i, aid, aid)
-    vid = fresh(f"~{keep}|{far}")
-    keep_vertices.append(vid)
-    keep_edges.append(Edge(keep, vid, e.weight_at(keep), 1))
-    if i != 1:
-        keep_warrows.append(Warrow(id=fresh(f"~w{keep}|{far}"), value=i, at=vid))
-    half = SpliceDiagram(keep_vertices, keep_edges, keep_farrows, keep_warrows)
-    return SpliceHalf(half, keep, 0, i, None, vid)
+            keep_warrows.append(Warrow(id=fresh(f"~w{keep}|{far}"), value=i, doubles=slot))
+    else:
+        slot = fresh(f"~{keep}|{far}")
+        keep_vertices.append(slot)
+        keep_edges.append(Edge(keep, slot, e.weight_at(keep), 1))
+        if i != 1:
+            keep_warrows.append(Warrow(id=fresh(f"~w{keep}|{far}"), value=i, at=slot))
+    return (keep_vertices, keep_edges, keep_farrows, keep_warrows), slot
+
+
+def _half(d: SpliceDiagram, e: Edge, keep: str, fm, wm) -> SpliceHalf:
+    """One half of ``splice``, with M and i computed on d itself."""
+    side = set(d.side_vertices(keep, e))
+    farrows = [
+        Farrow(id=a.id, at=a.at, weight=a.weight, mult=fm.get(a.id, 0)) for a in d.farrows
+    ]
+    m = induced_multiplicity(d, e, keep, fm)
+    i = induced_value(d, e, keep, wm)
+    arrows = far_side_has_arrows(d, e, keep)
+    piece = (d.vertices, d.edges, farrows, d.warrows)
+    half, slot = _cut(piece, e, keep, side, wm.items(), m, i, arrows)
+    if arrows:
+        return SpliceHalf(SpliceDiagram(*half), keep, m, i, slot, slot)
+    return SpliceHalf(SpliceDiagram(*half), keep, 0, i, None, slot)
 
 
 def _resolve_edge(d: SpliceDiagram, e) -> Edge:
@@ -120,7 +178,10 @@ def _resolve_edge(d: SpliceDiagram, e) -> Edge:
 def splice(
     d: SpliceDiagram, e, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> tuple[SpliceHalf, SpliceHalf]:
-    """Split at a special edge; returns the decorated halves (left keeps e.a)."""
+    """Split at a special edge; returns the decorated halves (left keeps e.a).
+
+    M and i are computed on d itself, so this is the local route that
+    ``star_decomposition``'s whole-diagram route is checked against."""
     d.require_standard()
     e = _resolve_edge(d, e)
     if not (d.is_node(e.a) and d.is_node(e.b)):
@@ -132,29 +193,72 @@ def splice(
     return left, right
 
 
+class RootCut(NamedTuple):
+    """What a cut at e, keeping ``keep``, sees of the far side of d, whatever
+    F and W are: its vertices, its arrowhead ids, i at W = 0 (``i0``) and the
+    linking row of the far endpoint with e excluded."""
+
+    far_side: frozenset[str]
+    farrows: tuple[str, ...]
+    i0: int
+    row: dict[str, int]
+
+
+def root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
+    """The cut of d at e keeping ``keep``, cached on d."""
+    return d.memo(("cut", keep, e.key), _root_cut, d, keep, e)
+
+
+def _root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
+    side = d.side_vertices(keep, e)
+    row = d.linking_row(e.other(keep), e)
+    far_side = frozenset(side)
+    farrows = tuple(a.id for a in d.farrows if a.at in far_side)
+    return RootCut(far_side, farrows, _induced_value(d, side, row, {}), row)
+
+
 def star_decomposition(
     d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> dict[str, SpliceDiagram]:
     """Fully splice every special edge; one decorated star per node.
 
-    Splicing order is deterministic (sorted edge keys); the result is
-    order-independent and the property suite asserts that.
-    """
+    The pieces are split at their smallest special edge (by key), depth
+    first, right half first, exactly as repeated ``splice`` calls would, so
+    the minted ids and the order of the stars are those of that recursion.
+    Each cut reads M and i off d's cached ``root_cut`` (see the module
+    docstring); a ``SpliceDiagram`` is built only for the stars."""
     d.require_standard()
-    work = [d.with_decorations(f_of(d, f), w_of(d, w))]
+    fm = f_of(d, f)
+    wm = w_of(d, w)
+    root = d.with_decorations(fm, wm)  # checks F and the W slots
+    specials = sorted(d.special_edges(), key=lambda x: x.key)
     stars: dict[str, SpliceDiagram] = {}
+    # a work item is a piece and the kept node of every vertex minted in it
+    whole = (root.vertices, root.edges, root.farrows, root.warrows)
+    work = [(whole, {})]
     while work:
-        cur = work.pop()
-        specials = sorted(cur.special_edges(), key=lambda x: x.key)
-        if not specials:
-            node_list = cur.nodes()
+        piece, home = work.pop()
+        vertices = piece[0]
+        own = {v for v in vertices if v not in home}
+        e = next((x for x in specials if x.a in own and x.b in own), None)
+        if e is None:
+            star = root if piece is whole else SpliceDiagram(*piece)
+            node_list = star.nodes()
             if len(node_list) != 1:
                 raise DiagramError("piece without a unique node")
-            stars[node_list[0]] = cur
+            stars[node_list[0]] = star
             continue
-        left, right = splice(cur, specials[0])
-        work.append(left.diagram)
-        work.append(right.diagram)
+        wslots = [(x.at if x.at is not None else x.doubles, x.value - 1) for x in piece[3]]
+        for keep in (e.a, e.b):
+            cut = root_cut(d, keep, e)
+            side = {v for v in vertices if home.get(v, v) in cut.far_side}
+            m = sum(fm.get(a, 0) * cut.row[a] for a in cut.farrows)
+            i = cut.i0 + sum(mult * cut.row[s] for s, mult in wm.items() if mult and s in cut.row)
+            half, slot = _cut(piece, e, keep, side, wslots, m, i, bool(cut.farrows))
+            kept_home = {v: h for v, h in home.items() if v not in side}
+            if not cut.farrows:
+                kept_home[slot] = keep
+            work.append((half, kept_home))
     return stars
 
 

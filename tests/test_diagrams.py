@@ -285,6 +285,64 @@ def test_duplicate_ids_rejected():
         PlumbingGraph([PVertex("v", -1), PVertex("v", -2)])
 
 
+def _fresh_structure(d):
+    """nodes, boundary vertices, chain vertices and special edges, recomputed."""
+    node = {v: len(d.vertices) == 1 or d.valency_f(v) >= 3 for v in d.vertices}
+    return (
+        tuple(v for v in d.vertices if node[v]),
+        tuple(v for v in d.vertices if not node[v] and d.valency_f(v) == 1),
+        tuple(v for v in d.vertices if not node[v] and d.valency_f(v) == 2),
+        tuple(e for e in d.edges if node[e.a] and node[e.b]),
+    )
+
+
+def test_cached_structure_matches_fresh_computation():
+    from splicezeta.corpus import golden_splice_diagrams
+    from splicezeta.generate import random_valid_splice
+
+    rng = random.Random(8)
+    diagrams = list(golden_splice_diagrams().values())
+    diagrams += [random_valid_splice(rng, with_warrows=True) for _ in range(80)]
+    # chains, a lone vertex, and a forest
+    diagrams += [
+        SpliceDiagram(["x"]),
+        SpliceDiagram(["x", "y"], [("x", "y", 1, 1)]),
+        SpliceDiagram(["a", "b", "c"], [("a", "b", 1, 1), ("b", "c", 2, 1)]),
+        SpliceDiagram(["a", "b", "c"], [("a", "b", 1, 1)]),
+    ]
+    for d in diagrams:
+        for _ in range(2):  # the second round reads the cache
+            got = (d.nodes(), d.boundary_vertices(), d.chain_vertices(), d.special_edges())
+            assert got == _fresh_structure(d)
+        assert d.nodes() is d.nodes()
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (
+            SpliceDiagram(
+                ["a", "b", "c"], [("a", "b", 1, 1), ("b", "c", 1, 1), ("c", "a", 1, 1)]
+            ),
+            "diagram is not a connected tree",
+        ),
+        (
+            SpliceDiagram(["a", "b", "c"], [("a", "b", 1, 1), ("b", "c", 2, 1)]),
+            "valency-2 vertices present (b); normalize first",
+        ),
+    ],
+)
+def test_require_standard_raises_the_same_error_every_call(d, message):
+    # a cyclic diagram and a chain: the cached verdict is raised anew each time
+    errors = []
+    for _ in range(3):
+        with pytest.raises(DiagramError) as info:
+            d.require_standard()
+        errors.append(info.value)
+    assert [str(e) for e in errors] == [message] * 3
+    assert errors[0] is not errors[1]
+
+
 def test_normalize_preserves_downstream_invariants():
     # zeta, Alexander polynomial, and the allowedness verdict all survive
     # normalization on decorated golden shapes

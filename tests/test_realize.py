@@ -569,3 +569,80 @@ def test_compiled_filters_match_reference():
                 hits += want
                 checked += 1
     assert 0 < hits < checked
+
+
+def test_arrow_source_tries_zero_w_only_when_allowed(monkeypatch, capsys):
+    # On two_cusp W = 0 is not allowed.  Trying W = 0 ahead of the arrow
+    # source's base candidates anyway, unchecked, prints the same realize
+    # --json bytes for every lambda in Eig, and only adds certify calls that
+    # the allowedness check refuses.
+    from math import gcd
+    from pathlib import Path
+
+    from splicezeta import realize
+    from splicezeta.cli import main
+    from splicezeta.io import parse_diagram
+    from splicezeta.monodromy import delta1
+
+    path = Path(realize.__file__).parent / "corpus" / "two_cusp.sd"
+    _, _, d = parse_diagram(path.read_text())
+    assert not is_allowed(d, None, {}).allowed
+    orders = set(delta1(d).root_orders()) | {1}
+    lams = [UnityRoot(p, q) for q in sorted(orders) for p in range(q) if gcd(p, q) == 1]
+    lams = [lam for lam in lams if eig_contains(d, lam)]
+    assert UnityRoot(0, 1) in lams  # the arrowhead's own root group
+    calls = {"certify": 0}
+    certify_once = realize.certify
+
+    def counted(*args, **kw):
+        calls["certify"] += 1
+        return certify_once(*args, **kw)
+
+    monkeypatch.setattr(realize, "certify", counted)
+    candidates = realize._small_allowed_candidates
+
+    def run(argv, zero_first):
+        with monkeypatch.context() as m:
+            if zero_first:
+                m.setattr(realize, "_small_allowed_candidates", lambda *a: [{}] + candidates(*a))
+            before = calls["certify"]
+            code = main(argv)
+            out = capsys.readouterr()
+        return (code, out.out, out.err), calls["certify"] - before
+
+    saved = 0
+    for lam in lams:
+        for extra in ([], ["--effective"]):
+            argv = ["realize", str(path), "--lambda", str(lam), "--json", *extra]
+            got, n_got = run(argv, False)
+            want, n_want = run(argv, True)
+            assert got == want, argv
+            assert n_got <= n_want
+            saved += n_want - n_got
+    assert saved > 0
+
+
+def test_realize_certifies_from_cached_cuts(monkeypatch):
+    # certify splits the diagram into stars through the cuts cached on it:
+    # no half diagram is spliced off, and each directed special edge is cut
+    # from the root once however many candidates are certified
+    from splicezeta import splicing
+
+    def refuse(*args, **kw):
+        raise AssertionError("splice called")
+
+    monkeypatch.setattr(splicing, "splice", refuse)
+    built = []
+    make_cut = splicing._root_cut
+
+    def counted(d, keep, e):
+        built.append((keep, e.key))
+        return make_cut(d, keep, e)
+
+    monkeypatch.setattr(splicing, "_root_cut", counted)
+    d = two_cusp_diagram_mult(7)
+    certified = 0
+    for lam in (UnityRoot(5, 6), UnityRoot(1, 7), UnityRoot(1, 42), UnityRoot(0, 1)):
+        certified += len(realize_eigenvalue(d, lam).found)
+    assert certified == 4
+    assert sorted(built) == sorted({(k, e.key) for e in d.special_edges() for k in (e.a, e.b)})

@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from splicezeta import allowed
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams, two_cusp_diagram
-from splicezeta.diagrams import DiagramError, edge_determinant, plumbing_to_splice
-from splicezeta.divisors import node_data, nu_values, vertex_multiplicities
+from splicezeta.diagrams import DiagramError, SpliceDiagram, edge_determinant, plumbing_to_splice
+from splicezeta.divisors import f_of, node_data, nu_values, vertex_multiplicities, w_of
 from splicezeta.exact import Poly, RatFunc
 from splicezeta.generate import random_valid_splice
+from splicezeta.io import print_splice
 from splicezeta.splicing import (
     induced_value,
+    root_cut,
     splice,
     star_decomposition,
     verify_splice_zeta,
@@ -81,9 +84,11 @@ def test_star_decomposition_star_input_identity():
 
 
 def test_star_decomposition_order_independent():
+    # piece-local splicing in every order of the first splits against the
+    # whole-diagram decomposition
     rng = random.Random(17)
     done = 0
-    while done < 12:
+    while done < 60:
         d = random_valid_splice(rng, max_nodes=4, max_weight=13, with_warrows=True)
         specials = sorted(d.special_edges(), key=lambda e: e.key)
         if len(specials) < 2:
@@ -135,6 +140,123 @@ def test_star_decomposition_order_independent():
                 except DiagramError:
                     continue
                 assert zeta_splice(alt[v]).func == zb
+
+
+def reference_star_decomposition(d, f=None, w=None):
+    """Star decomposition by repeated ``splice`` calls, each half computing
+    its M and i on itself."""
+    d.require_standard()
+    work = [d.with_decorations(f_of(d, f), w_of(d, w))]
+    stars = {}
+    while work:
+        cur = work.pop()
+        specials = sorted(cur.special_edges(), key=lambda x: x.key)
+        if not specials:
+            node_list = cur.nodes()
+            if len(node_list) != 1:
+                raise DiagramError("piece without a unique node")
+            stars[node_list[0]] = cur
+            continue
+        left, right = splice(cur, specials[0])
+        work.append(left.diagram)
+        work.append(right.diagram)
+    return stars
+
+
+def _outcome(decompose, d, f, w):
+    """Star ids in order with every star printed, or the exception."""
+    try:
+        stars = decompose(d, f, w)
+    except Exception as exc:  # the type is compared too
+        return type(exc).__name__, str(exc)
+    return [(v, print_splice(s, v)) for v, s in stars.items()]
+
+
+def _verdict(d, f, w):
+    try:
+        return str(allowed.is_allowed(d, f, w))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_decorations(rng, d):
+    """F with zero multiplicities and now and then a negative one; W on
+    boundary, node and double slots, with zero and negative multiplicities
+    and now and then an unknown slot."""
+    f = {a.id: rng.choice([0, 1, 1, 2, 3, 5]) for a in d.farrows}
+    if d.farrows and rng.random() < 0.05:
+        f[rng.choice(d.farrows).id] = -1
+    slots = list(d.vertices) + [a.id for a in d.farrows]
+    w = {s: rng.randint(-3, 3) for s in rng.sample(slots, rng.randint(0, min(5, len(slots))))}
+    if rng.random() < 0.05:
+        w["zz"] = rng.choice([0, 2])
+    return f, w
+
+
+def test_star_decomposition_matches_recursive_reference(monkeypatch):
+    # the whole-diagram decomposition against repeated piece-local splices:
+    # star ids and their order, every printed star, every exception, and the
+    # allowedness report built on either set of stars
+    rng = random.Random(2024)
+    cases = []
+    for d in golden_splice_diagrams().values():
+        cases += [(d, None, None), (d, None, {})]
+        cases += [(d, *_random_decorations(rng, d)) for _ in range(20)]
+    corpus_cases = len(cases)
+    diagrams = 0
+    while len(cases) - corpus_cases < 2400:
+        d = random_valid_splice(rng, max_nodes=rng.randint(1, 6), max_weight=13, with_warrows=True)
+        diagrams += 1
+        cases.append((d, None, None))
+        draws = 4 if d.special_edges() else 1  # stars are the easy case
+        cases += [(d, *_random_decorations(rng, d)) for _ in range(draws)]
+    seen = dict.fromkeys(
+        ["stars", "multi", "error", "unknown slot", "negative", "node slot", "double slot"], 0
+    )
+    for d, f, w in cases:
+        got = _outcome(star_decomposition, d, f, w)
+        want = _outcome(reference_star_decomposition, d, f, w)
+        assert got == want, (print_splice(d), f, w)
+        if isinstance(got, tuple):
+            seen["error"] += 1
+        else:
+            seen["stars"] += len(got)
+            seen["multi"] += len(got) > 1
+        w = w or {}
+        seen["unknown slot"] += bool(w.get("zz"))
+        seen["negative"] += any(m < 0 for m in w.values())
+        seen["node slot"] += any(m and s in d.nodes() for s, m in w.items())
+        seen["double slot"] += any(m and s in {a.id for a in d.farrows} for s, m in w.items())
+        verdict = _verdict(d, f, w)
+        with monkeypatch.context() as m:
+            m.setattr(allowed, "star_decomposition", reference_star_decomposition)
+            assert verdict == _verdict(d, f, w), (print_splice(d), f, w)
+    assert diagrams >= 500
+    assert seen["multi"] >= 1000 and min(seen.values()) >= 20, seen
+
+
+def test_star_decomposition_keeps_its_error_messages():
+    d = two_cusp_diagram()
+    with pytest.raises(DiagramError, match=r"^warrow '~W\.zz' at unknown vertex 'zz'$"):
+        star_decomposition(d, None, {"zz": 1})
+    with pytest.raises(DiagramError, match="mult >= 0 required"):
+        star_decomposition(d, {a.id: -1 for a in d.farrows})
+    # a two-vertex diagram has no node at all
+    with pytest.raises(DiagramError, match="piece without a unique node"):
+        star_decomposition(SpliceDiagram(["x", "y"], [("x", "y", 1, 1)]))
+
+
+def test_root_cuts_are_cached_and_shared_across_decorations():
+    d = two_cusp_diagram()
+    first = star_decomposition(d, None, {})
+    cuts = {(k, e.key): root_cut(d, k, e) for e in d.special_edges() for k in (e.a, e.b)}
+    again = star_decomposition(d, None, {"bR": 2, "leg1p": -3})
+    assert list(again) == list(first)
+    for (k, key), cut in cuts.items():
+        assert root_cut(d, k, d.edge(*key)) is cut
+    # the W-independent part of each cut is i at W = 0
+    for (k, key), cut in cuts.items():
+        assert cut.i0 == induced_value(d, d.edge(*key), k, {})
 
 
 def test_verify_three_star_identity():
