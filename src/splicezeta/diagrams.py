@@ -6,6 +6,25 @@ effective divisor F and attach at nodes via a weighted supporting edge; dashed
 arrowheads (``Warrow``) encode components of a second divisor W and either sit
 at a vertex or double an ordinary arrowhead.  A plumbing graph is a resolution
 dual graph: vertices carry self-intersection numbers, all genera are zero.
+
+Plumbing determinants.  Converting a plumbing tree to a splice diagram puts
+on the edge near a node v, towards v's neighbour u, the determinant of -I
+restricted to the side of u: the component of G - v containing u
+(Eisenbud-Neumann).  Root that side at u, and for each vertex x let D_x be
+the determinant of x's subtree and E_x = prod D_c over x's children c, the
+determinant of that subtree minus x.  Expanding along x's row,
+
+    D_x = (-e_x) E_x - sum_c E_c prod_{c' != c} D_c',
+
+with e_x the self-intersection of x.  One leaf-first pass over the side
+gives D_u in integers, in O(|side|) steps, for a zero or negative D as well.
+The whole graph's det(-I) comes from the same pass on a forest.  With
+cycles, when -I(G) is positive definite, it comes from the elimination the
+graph keeps for its solves: eliminating a vertex multiplies the determinant
+of the rest (its Schur complement) by the pivot, and eliminating in another
+order is a symmetric permutation, which keeps the determinant, so det(-I) is
+the product of the pivots.  On a tree eliminated leaves first, the pivot at
+x is D_x / E_x.
 """
 
 from __future__ import annotations
@@ -13,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 
 class DiagramError(ValueError):
@@ -84,28 +103,12 @@ class _Decorated:
         """Check ids and anchors, then index the adjacency and the arrowheads."""
         self.farrows: tuple[Farrow, ...] = tuple(farrows)
         self.warrows: tuple[Warrow, ...] = tuple(warrows)
-        seen: set[str] = set()
+        vset: set[str] = set()
         for v in vids:
-            if v in seen:
+            if v in vset:
                 raise DiagramError(f"duplicate id {v!r}")
-            seen.add(v)
-        vset = set(seen)
-        self._farrow_by_id: dict[str, Farrow] = {}
-        for a in self.farrows:
-            if a.id in seen:
-                raise DiagramError(f"duplicate id {a.id!r}")
-            seen.add(a.id)
-            if a.at not in vset:
-                raise DiagramError(f"farrow {a.id!r} at unknown vertex {a.at!r}")
-            self._farrow_by_id[a.id] = a
-        for w in self.warrows:
-            if w.id in seen:
-                raise DiagramError(f"duplicate id {w.id!r}")
-            seen.add(w.id)
-            if w.at is not None and w.at not in vset:
-                raise DiagramError(f"warrow {w.id!r} at unknown vertex {w.at!r}")
-            if w.doubles is not None and w.doubles not in self._farrow_by_id:
-                raise DiagramError(f"warrow {w.id!r} doubles unknown farrow {w.doubles!r}")
+            vset.add(v)
+        self._farrow_by_id = _index_arrowheads(vset, self.farrows, self.warrows)
         self._warrow_by_id = {w.id: w for w in self.warrows}
         self._nbrs: dict[str, list[str]] = {v: [] for v in vids}
         for a, b in pairs:
@@ -118,6 +121,7 @@ class _Decorated:
         self._farrows_at: dict[str, list[Farrow]] = {v: [] for v in vids}
         for a in self.farrows:
             self._farrows_at[a.at].append(a)
+        self._connected: bool | None = None  # is_connected()'s verdict, on first use
 
     def neighbours(self, v: str) -> tuple[str, ...]:
         return tuple(self._nbrs[v])
@@ -163,10 +167,14 @@ class _Decorated:
         return out
 
     def is_connected(self) -> bool:
-        if not self._nbrs:
-            return False
-        first = next(iter(self._nbrs))
-        return len(self.component_vertices(first, first)) == len(self._nbrs)
+        """One search on first use; the object is immutable, so the verdict
+        is kept (a plain attribute, for the reason ``_classes`` gives)."""
+        if self._connected is None:
+            first = next(iter(self._nbrs), None)
+            self._connected = first is not None and len(
+                self.component_vertices(first, first)
+            ) == len(self._nbrs)
+        return self._connected
 
     def is_tree(self) -> bool:
         return len(self.edges) == len(self._nbrs) - 1 and self.is_connected()
@@ -185,6 +193,34 @@ class _Decorated:
         return out
 
 
+def _index_arrowheads(vset: set[str], farrows, warrows) -> dict[str, Farrow]:
+    """Check that arrowhead ids are new and their anchors known; farrows by id."""
+    seen = set(vset)
+    by_id: dict[str, Farrow] = {}
+    for a in farrows:
+        if a.id in seen:
+            raise DiagramError(f"duplicate id {a.id!r}")
+        seen.add(a.id)
+        if a.at not in vset:
+            raise DiagramError(f"farrow {a.id!r} at unknown vertex {a.at!r}")
+        by_id[a.id] = a
+    for w in warrows:
+        if w.id in seen:
+            raise DiagramError(f"duplicate id {w.id!r}")
+        seen.add(w.id)
+        if w.at is not None and w.at not in vset:
+            raise DiagramError(f"warrow {w.id!r} at unknown vertex {w.at!r}")
+        if w.doubles is not None and w.doubles not in by_id:
+            raise DiagramError(f"warrow {w.id!r} doubles unknown farrow {w.doubles!r}")
+    return by_id
+
+
+def _check_farrow_data(farrows):
+    for a in farrows:
+        if a.weight < 1 or a.mult < 0:
+            raise DiagramError(f"farrow {a.id!r}: weight >= 1 and mult >= 0 required")
+
+
 class _LinkingRow(dict):
     """Target id -> linking product from one root vertex."""
 
@@ -201,9 +237,7 @@ class SpliceDiagram(_Decorated):
             e if isinstance(e, Edge) else Edge(*e) for e in edges
         )
         self._decorate(self.vertices, [(e.a, e.b) for e in self.edges], farrows, warrows)
-        for a in self.farrows:
-            if a.weight < 1 or a.mult < 0:
-                raise DiagramError(f"farrow {a.id!r}: weight >= 1 and mult >= 0 required")
+        _check_farrow_data(self.farrows)
         self._adj: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             self._adj[e.a].append(e)
@@ -407,13 +441,19 @@ class SpliceDiagram(_Decorated):
         ``f`` maps farrow id -> multiplicity.  ``w`` maps slot (vertex id or
         farrow id) -> multiplicity i-1; slots with multiplicity 0 are dropped.
         """
+        return SpliceDiagram(*self.decorated_lists(f, w))
+
+    def decorated_lists(self, f: dict[str, int] | None, w: dict[str, int] | None):
+        """The vertex, edge, farrow and warrow lists of ``with_decorations(f,
+        w)``, checked with its constructor's messages but without building
+        the diagram."""
         farrows = list(self.farrows)
         if f is not None:
             farrows = [Farrow(a.id, a.at, a.weight, f.get(a.id, 0)) for a in farrows]
         warrows = list(self.warrows)
         if w is not None:
             warrows = []
-            fids = {a.id for a in self.farrows}
+            fids = self._farrow_by_id
             for slot, mult in sorted(w.items()):
                 if mult == 0:
                     continue
@@ -422,7 +462,9 @@ class SpliceDiagram(_Decorated):
                     warrows.append(Warrow(id=wid, value=mult + 1, doubles=slot))
                 else:
                     warrows.append(Warrow(id=wid, value=mult + 1, at=slot))
-        return SpliceDiagram(self.vertices, self.edges, farrows, warrows)
+        _index_arrowheads(set(self.vertices), farrows, warrows)
+        _check_farrow_data(farrows)
+        return self.vertices, self.edges, farrows, warrows
 
     def __repr__(self):
         return (
@@ -630,39 +672,61 @@ class PlumbingGraph(_Decorated):
     def self_int(self, v: str) -> int:
         return self.vertices[self._index[v]].self_int
 
-    def minus_intersection_matrix(self, subset=None) -> list[list[int]]:
-        ids = [v.id for v in self.vertices] if subset is None else list(subset)
-        pos = {v: i for i, v in enumerate(ids)}
-        n = len(ids)
-        m = [[0] * n for _ in range(n)]
-        for v in ids:
-            m[pos[v]][pos[v]] = -self.self_int(v)
-        for a, b in self.edges:
-            if a in pos and b in pos:
-                m[pos[a]][pos[b]] -= 1
-                m[pos[b]][pos[a]] -= 1
-        return m
-
-    def det_minus_I(self, subset=None) -> int:
-        return _int_det(self.minus_intersection_matrix(subset))
-
-    def _bfs_order(self) -> list[str]:
-        """Every vertex, breadth first from the first vertex of each component."""
-        order: list[str] = []
-        seen: set[str] = set()
-        for v in self.vertices:
-            if v.id in seen:
+    def _bfs_tree(self, roots, cut: str | None = None) -> list[tuple[str, str | None]]:
+        """(vertex, parent) pairs, breadth first from each root not reached
+        yet, never entering ``cut``; a root's parent is None.  Every vertex
+        comes after its parent, so the reverse order goes leaves first."""
+        tree: list[tuple[str, str | None]] = []
+        seen = {cut}
+        for r in roots:
+            if r in seen:
                 continue
-            seen.add(v.id)
-            k = len(order)
-            order.append(v.id)
-            while k < len(order):
-                for y in self._nbrs[order[k]]:
+            seen.add(r)
+            k = len(tree)
+            tree.append((r, None))
+            while k < len(tree):
+                x = tree[k][0]
+                for y in self._nbrs[x]:
                     if y not in seen:
                         seen.add(y)
-                        order.append(y)
+                        tree.append((y, x))
                 k += 1
-        return order
+        return tree
+
+    def _tree_det(self, tree: list[tuple[str, str | None]]) -> int:
+        """det(-I) of the forest spanned by a ``_bfs_tree``, which must have
+        no other edges: the product of D_r over its roots r, by the leaf-first
+        recurrence of the module docstring."""
+        e: dict[str, int] = {}  # E_x: product of D_c over x's children so far
+        s: dict[str, int] = {}  # sum over those c of E_c times the other D_c'
+        det = 1
+        for x, parent in reversed(tree):
+            ex = e.pop(x, 1)
+            dx = -self.self_int(x) * ex - s.pop(x, 0)
+            if parent is None:
+                det *= dx
+            else:
+                ep = e.get(parent, 1)
+                s[parent] = s.get(parent, 0) * dx + ex * ep
+                e[parent] = ep * dx
+        return det
+
+    def _side_det(self, v: str, u: str) -> int:
+        """det(-I) of the component of G - v containing u (of v's own
+        component when u == v); that component must be a tree."""
+        return self._tree_det(self._bfs_tree((u,), None if u == v else v))
+
+    def det_minus_I(self) -> int:
+        """det(-I(G)): the tree recurrence on a forest, otherwise the product
+        of the elimination pivots, which needs -I(G) positive definite."""
+        tree = self._bfs_tree([v.id for v in self.vertices])
+        components = sum(1 for _, parent in tree if parent is None)
+        if len(self.edges) == len(self.vertices) - components:
+            return self._tree_det(tree)
+        steps = self._elimination
+        if steps is None:
+            raise DiagramError("det(-I) of a graph with a cycle needs -I(G) positive definite")
+        return int(prod(piv for _, piv, _ in steps))
 
     @cached_property
     def _elimination(self) -> list[tuple[str, Fraction, dict]] | None:
@@ -681,7 +745,7 @@ class PlumbingGraph(_Decorated):
             a[x][y] = a[x].get(y, 0) - 1
             a[y][x] = a[y].get(x, 0) - 1
         steps = []
-        for v in reversed(self._bfs_order()):
+        for v, _ in reversed(self._bfs_tree([v.id for v in self.vertices])):
             row = a.pop(v)
             piv = row.pop(v)
             if piv <= 0:
@@ -723,30 +787,6 @@ class PlumbingGraph(_Decorated):
         )
 
 
-def _int_det(m: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant on an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def validate_plumbing(g: PlumbingGraph, require_unimodular: bool = False) -> ValidationReport:
     rep = ValidationReport()
     if not g.vertices:
@@ -777,7 +817,12 @@ def validate_plumbing(g: PlumbingGraph, require_unimodular: bool = False) -> Val
 def plumbing_to_splice(g: PlumbingGraph) -> SpliceDiagram:
     """Collapse strings to weighted edges; near-node weights are det(-I) of the
     subtree cut off in that direction; arrowheads on strings become
-    node-supported arrowheads with the string determinant as weight."""
+    node-supported arrowheads with the string determinant as weight.
+
+    Each weight is one leaf-first integer pass over its side (see the module
+    docstring), so a conversion costs O(n) per string end and never forms a
+    matrix.  Refuses graphs that are disconnected, not trees, or not
+    unimodular and negative definite."""
     if not g.is_connected():
         raise DiagramError("disconnected plumbing graph")
     if not g.is_tree():
@@ -822,12 +867,12 @@ def plumbing_to_splice(g: PlumbingGraph) -> SpliceDiagram:
                     continue
                 done_pairs.add(pair)
                 check_interior(chain)
-                wa = g.det_minus_I(g.component_vertices(v, u))
-                wb = g.det_minus_I(g.component_vertices(end, chain[-1] if chain else v))
+                wa = g._side_det(v, u)
+                wb = g._side_det(end, chain[-1] if chain else v)
                 edges.append(Edge(v, end, wa, wb))
             else:
                 check_interior(chain[:-1])
-                det = g.det_minus_I(g.component_vertices(v, u))
+                det = g._side_det(v, u)
                 tip = chain[-1]
                 tip_arrows = g.farrows_at(tip)
                 if tip_arrows:

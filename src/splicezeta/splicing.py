@@ -226,23 +226,22 @@ def star_decomposition(
     first, right half first, exactly as repeated ``splice`` calls would, so
     the minted ids and the order of the stars are those of that recursion.
     Each cut reads M and i off d's cached ``root_cut`` (see the module
-    docstring); a ``SpliceDiagram`` is built only for the stars."""
+    docstring); a ``SpliceDiagram`` is built only for the stars, so a
+    diagram with one node is rebuilt with F and W as its one star."""
     d.require_standard()
     fm = f_of(d, f)
     wm = w_of(d, w)
-    root = d.with_decorations(fm, wm)  # checks F and the W slots
     specials = sorted(d.special_edges(), key=lambda x: x.key)
     stars: dict[str, SpliceDiagram] = {}
     # a work item is a piece and the kept node of every vertex minted in it
-    whole = (root.vertices, root.edges, root.farrows, root.warrows)
-    work = [(whole, {})]
+    work = [(d.decorated_lists(fm, wm), {})]
     while work:
         piece, home = work.pop()
         vertices = piece[0]
         own = {v for v in vertices if v not in home}
         e = next((x for x in specials if x.a in own and x.b in own), None)
         if e is None:
-            star = root if piece is whole else SpliceDiagram(*piece)
+            star = SpliceDiagram(*piece)
             node_list = star.nodes()
             if len(node_list) != 1:
                 raise DiagramError("piece without a unique node")

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from splicezeta import cli
 from splicezeta.corpus import (
     smooth_point_plumbing,
     two_cusp_diagram,
@@ -19,6 +21,7 @@ from splicezeta.diagrams import (
     PVertex,
     SpliceDiagram,
     Warrow,
+    _degenerate_splice,
     blowup,
     edge_determinant,
     normalize,
@@ -28,7 +31,10 @@ from splicezeta.diagrams import (
 )
 from splicezeta.divisors import vertex_multiplicities
 from splicezeta.generate import random_plumbing
-from splicezeta.zeta import zeta_splice
+from splicezeta.io import print_plumbing
+from splicezeta.zeta import zeta_plumbing, zeta_splice
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "splicezeta" / "corpus"
 
 
 def test_validate_running_example():
@@ -389,6 +395,41 @@ def test_normalize_preserves_downstream_invariants():
     assert alexander(merged) == alexander(direct)
 
 
+def _fresh_connected(ids, neighbours) -> bool:
+    if not ids:
+        return False
+    seen = {ids[0]}
+    stack = [ids[0]]
+    while stack:
+        for y in neighbours(stack.pop()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(ids)
+
+
+def test_connectivity_verdict_is_kept_and_matches_a_fresh_search():
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    cases = [PlumbingGraph([]), SpliceDiagram([])]
+    for _ in range(300):
+        g = random_graph(rng)  # trees, cycles, forests and single vertices
+        cases += [g, SpliceDiagram([v.id for v in g.vertices], g.edges)]
+    for x in cases:
+        ids = [getattr(v, "id", v) for v in x.vertices]
+        want = _fresh_connected(ids, x.neighbours)
+        assert x.is_connected() is want
+        seen[want] += 1
+
+        def searched(*_):
+            raise AssertionError("searched again")
+
+        x.component_vertices = searched
+        assert x.is_connected() is want
+        assert x.is_tree() is (want and len(x.edges) == len(ids) - 1)
+    assert min(seen.values()) >= 100, seen
+
+
 def test_linking_product_from_edge():
     d = two_cusp_diagram()
     e = d.edge("v1", "v0")
@@ -516,6 +557,45 @@ def dense_solve(m, rhs):
     return [a[i][n] / a[i][i] for i in range(n)]
 
 
+def minus_intersection_matrix(g, subset=None) -> list[list[int]]:
+    """Reference: -I(G) as a dense matrix, on ``subset`` if given."""
+    ids = [v.id for v in g.vertices] if subset is None else list(subset)
+    pos = {v: i for i, v in enumerate(ids)}
+    n = len(ids)
+    m = [[0] * n for _ in range(n)]
+    for v in ids:
+        m[pos[v]][pos[v]] = -g.self_int(v)
+    for a, b in g.edges:
+        if a in pos and b in pos:
+            m[pos[a]][pos[b]] -= 1
+            m[pos[b]][pos[a]] -= 1
+    return m
+
+
+def int_det(m: list[list[int]]) -> int:
+    """Reference: Bareiss fraction-free determinant on an integer matrix."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def random_graph(rng):
     """Trees, graphs with cycles and disconnected graphs; definite or not."""
     n = rng.randint(1, 8)
@@ -532,12 +612,19 @@ def random_graph(rng):
 def test_elimination_matches_dense_references():
     rng = random.Random(17)
     seen = {True: 0, False: 0}
+    seen_det = {"forest": 0, "definite with a cycle": 0}
     for _ in range(600):
         g = random_graph(rng)
-        m = g.minus_intersection_matrix()
+        m = minus_intersection_matrix(g)
         pd = g.is_negative_definite()
         assert pd == dense_sylvester(m)
         seen[pd] += 1
+        if pd or _is_forest(g):
+            assert g.det_minus_I() == int_det(m)
+            seen_det["forest" if _is_forest(g) else "definite with a cycle"] += 1
+        else:
+            with pytest.raises(DiagramError, match="cycle"):
+                g.det_minus_I()
         if not pd:
             with pytest.raises(DiagramError):
                 g.solve_minus_I({v.id: 1 for v in g.vertices})
@@ -546,6 +633,16 @@ def test_elimination_matches_dense_references():
         sol = g.solve_minus_I(rhs)
         assert [sol[v.id] for v in g.vertices] == dense_solve(m, [rhs[v.id] for v in g.vertices])
     assert min(seen.values()) > 100
+    assert seen_det["forest"] > 100 and seen_det["definite with a cycle"] > 0, seen_det
+
+
+def _is_forest(g) -> bool:
+    comps, seen = 0, set()
+    for v in g.vertices:
+        if v.id not in seen:
+            comps += 1
+            seen.update(g.component_vertices(v.id, v.id))
+    return len(g.edges) == len(g.vertices) - comps
 
 
 def test_elimination_zero_pivots():
@@ -557,5 +654,248 @@ def test_elimination_zero_pivots():
     ):
         g = PlumbingGraph(verts, edges)
         assert not g.is_negative_definite()
-        assert not dense_sylvester(g.minus_intersection_matrix())
+        assert not dense_sylvester(minus_intersection_matrix(g))
         assert validate_plumbing(g).violations[-1].kind == "definiteness"
+
+
+# ---------------------------------------------------------------------------
+# plumbing determinants from the tree recurrence, against dense references
+
+
+def random_tree_graph(rng, forest=False):
+    """A random tree (or forest) whose -I may be definite, indefinite or singular."""
+    n = rng.randint(1, 12)
+    ids = [f"x{k}" for k in range(n)]
+    edges = [(ids[rng.randrange(k)], ids[k]) for k in range(1, n)]
+    if forest:
+        edges = [e for e in edges if rng.random() < 0.7]
+    pool = rng.choice([[-2, -2, -3, -1, -5], [-1, -2, 0, 1, -3], [-1, -1, -2]])
+    return PlumbingGraph([PVertex(v, rng.choice(pool)) for v in ids], edges)
+
+
+def test_side_determinants_match_dense_reference():
+    rng = random.Random(5)
+    seen = dict.fromkeys(["definite", "indefinite", "zero side", "negative side", "single", "forest"], 0)
+    for k in range(700):
+        g = random_tree_graph(rng, forest=k % 4 == 3)
+        seen["forest"] += not g.is_connected()
+        seen["definite" if g.is_negative_definite() else "indefinite"] += 1
+        for v in g.vertices:
+            for u in (v.id, *g.neighbours(v.id)):
+                side = g.component_vertices(v.id, u)
+                got = g._side_det(v.id, u)
+                assert got == int_det(minus_intersection_matrix(g, side)), (v.id, u)
+                seen["zero side"] += got == 0
+                seen["negative side"] += got < 0
+                seen["single"] += len(side) == 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_elimination_pivots_are_side_determinant_ratios():
+    # on a definite tree eliminated leaves first, the pivot at x is D_x / E_x:
+    # x's subtree below its parent over that subtree minus x
+    rng = random.Random(8)
+    checked = 0
+    while checked < 300:
+        g = random_tree_graph(rng, forest=rng.random() < 0.2)
+        steps = g._elimination
+        if steps is None:
+            continue
+        checked += 1
+        for x, piv, row in steps:
+            parent = next(iter(row), x)  # a tree leaves one neighbour, a root none
+            children = [c for c in g.neighbours(x) if c != parent]
+            e_x = 1
+            for c in children:
+                e_x *= g._side_det(x, c)
+            assert piv == Fraction(g._side_det(parent, x), e_x)
+
+
+def test_det_minus_I_on_graphs_with_cycles():
+    # the pivot product when definite, a refusal otherwise; self-
+    # intersections near minus the degree give both kinds
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(3, 9)
+        ids = [f"x{k}" for k in range(n)]
+        pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+        edges = rng.sample(pairs, rng.randint(n, len(pairs)))
+        deg = {v: sum(v in e for e in edges) for v in ids}
+        g = PlumbingGraph([PVertex(v, -deg[v] - rng.choice([-1, 0, 1, 1, 2, 2])) for v in ids], edges)
+        pd = g.is_negative_definite()
+        seen[pd] += 1
+        if pd:
+            assert g.det_minus_I() == int_det(minus_intersection_matrix(g))
+        else:
+            with pytest.raises(DiagramError, match="cycle"):
+                g.det_minus_I()
+    assert min(seen.values()) >= 20, seen
+
+
+def dense_plumbing_to_splice(g):
+    """Reference: the conversion with every weight a dense determinant."""
+    if not g.is_connected():
+        raise DiagramError("disconnected plumbing graph")
+    if not g.is_tree():
+        raise DiagramError("plumbing graph is not a tree")
+    if not (g.is_negative_definite() and int_det(minus_intersection_matrix(g)) == 1):
+        raise DiagramError(
+            "splice calculus requires an unimodular negative-definite graph"
+        )
+    node_ids = [v.id for v in g.vertices if g.valency_f(v.id) >= 3]
+    if not node_ids:
+        return _degenerate_splice(g)
+    vertices = list(node_ids)
+    edges, farrows, warrow_out = [], [], []
+    done_pairs = set()
+    nodes = set(node_ids)
+
+    def side_det(v, u):
+        return int_det(minus_intersection_matrix(g, g.component_vertices(v, u)))
+
+    def walk(v, first):
+        chain = []
+        prev, cur = v, first
+        while cur not in nodes:
+            chain.append(cur)
+            nxt = [x for x in g.neighbours(cur) if x != prev]
+            if not nxt:
+                return chain, None
+            prev, cur = cur, nxt[0]
+        return chain, cur
+
+    def check_interior(interior):
+        for x in interior:
+            if g.farrows_at(x) or g.warrows_at(x):
+                raise DiagramError(f"decoration on string-interior vertex {x!r}")
+
+    for v in node_ids:
+        for u in g.neighbours(v):
+            chain, end = walk(v, u)
+            if end is not None:
+                pair = tuple(sorted((v, end)))
+                if pair in done_pairs:
+                    continue
+                done_pairs.add(pair)
+                check_interior(chain)
+                wa = side_det(v, u)
+                wb = side_det(end, chain[-1] if chain else v)
+                edges.append(Edge(v, end, wa, wb))
+            else:
+                check_interior(chain[:-1])
+                det = side_det(v, u)
+                tip = chain[-1]
+                tip_arrows = g.farrows_at(tip)
+                if tip_arrows:
+                    a = tip_arrows[0]
+                    farrows.append(Farrow(id=a.id, at=v, weight=det, mult=a.mult))
+                    for w in g.warrows:
+                        if w.at == tip:
+                            raise DiagramError(
+                                f"warrow {w.id!r} shares boundary component with {a.id!r}"
+                            )
+                else:
+                    vertices.append(tip)
+                    edges.append(Edge(v, tip, det, 1))
+                    for w in g.warrows:
+                        if w.at == tip:
+                            warrow_out.append(Warrow(id=w.id, value=w.value, at=tip))
+    for v in node_ids:
+        for a in g.farrows_at(v):
+            farrows.append(Farrow(id=a.id, at=v, weight=1, mult=a.mult))
+        for w in g.warrows:
+            if w.at == v:
+                raise DiagramError(f"warrow {w.id!r} attached at a rupture vertex")
+    for w in g.warrows:
+        if w.doubles is not None:
+            warrow_out.append(w)
+    return SpliceDiagram(vertices, edges, farrows, warrow_out)
+
+
+def _random_chain(rng):
+    """A unimodular chain (blowups of a point along its ends and edges) with
+    two arrowheads, mostly at its ends."""
+    g = PlumbingGraph([PVertex("r0", -1)], [])
+    for _ in range(rng.randint(1, 8)):
+        if g.edges and rng.random() < 0.5:
+            g = blowup(g, ("edge", rng.choice(g.edges)))
+        else:
+            ends = [v.id for v in g.vertices if g.degree(v.id) <= 1]
+            g = blowup(g, ("vertex", rng.choice(ends)))
+    ids = [v.id for v in g.vertices]
+    ends = [v for v in ids if g.degree(v) <= 1]
+    farrows = [
+        Farrow(f"q{k}", rng.choice(ends if rng.random() < 0.8 else ids), 1, rng.randint(1, 3))
+        for k in range(2)
+    ]
+    return PlumbingGraph(g.vertices, g.edges, farrows)
+
+
+def _conversion_cases(rng, count):
+    """Random graphs of 5-81 vertices, mostly small (the reference is dense):
+    a fifth kept as drawn or given a dashed arrow at a random vertex, the
+    others made non-unimodular, cyclic, disconnected or a decorated chain."""
+    for k in range(count):
+        blowups = rng.randint(4, 29) if rng.random() < 0.85 else rng.randint(30, 80)
+        g = random_plumbing(rng, blowups=blowups, arrows=rng.randint(1, 2))
+        verts, edges = list(g.vertices), list(g.edges)
+        ids = [v.id for v in verts]
+        warrows = list(g.warrows)
+        if k % 10 == 5:
+            warrows.append(Warrow("wx", rng.choice([0, 2, 3]), at=rng.choice(ids)))
+        elif k % 5 == 1:
+            i = rng.randrange(len(verts))
+            verts[i] = PVertex(ids[i], verts[i].self_int + rng.choice([-1, 1]))
+        elif k % 5 == 2:
+            a, b = rng.sample(ids, 2)
+            if b not in g.neighbours(a):
+                edges.append((a, b))
+        elif k % 5 == 3:
+            verts.append(PVertex("lone", rng.choice([-1, -2])))
+        elif k % 5 == 4:
+            yield _random_chain(rng)
+            continue
+        yield PlumbingGraph(verts, edges, g.farrows, warrows)
+
+
+def _convert_json(path, capsys):
+    rc = cli.main(["convert", str(path), "--json"])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_convert_matches_dense_reference(tmp_path, capsys, monkeypatch):
+    # convert --json from the recurrence against the dense determinants:
+    # stdout, stderr and exit code, on the corpus and on random graphs
+    rng = random.Random(3)
+    paths = sorted(CORPUS.glob("*.pg"))
+    for k, g in enumerate(_conversion_cases(rng, 300)):
+        paths.append(tmp_path / f"g{k}.pg")
+        paths[-1].write_text(print_plumbing(g, f"g{k}"))
+    messages = {}
+    for path in paths:
+        got = _convert_json(path, capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "plumbing_to_splice", dense_plumbing_to_splice)
+            assert _convert_json(path, capsys) == got, path.read_text()
+        # the refusal message up to its first quoted id
+        key = got[2].split(":")[1].split("'")[0].strip() if got[0] else "converted"
+        messages[key] = messages.get(key, 0) + 1
+    for key in (
+        "converted",
+        "splice calculus requires an unimodular negative-definite graph",
+        "plumbing graph is not a tree",
+        "disconnected plumbing graph",
+        "degenerate chain with decorations at several vertices is unsupported",
+        "decoration on string-interior vertex",
+        "warrow",
+    ):
+        assert messages.get(key, 0) >= 5, messages
+
+
+def test_large_conversion_round_trip():
+    # 321 vertices: dense determinants took ~78 s here, the recurrence ~0.05 s
+    g = random_plumbing(random.Random(0), blowups=320, arrows=2)
+    assert len(g.vertices) == 321
+    assert zeta_splice(plumbing_to_splice(g)).parts == zeta_plumbing(g).parts
