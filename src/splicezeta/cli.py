@@ -7,6 +7,7 @@ error, 2 = precondition violation (bad graph kind, invalid decoration, ...).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -28,7 +29,6 @@ from .exact import (
 from .io import ParseError, parse_diagram, print_splice
 from .monodromy import alexander, delta0, delta1, eig_contains
 from .realize import NotAnEigenvalueError, realize_eigenvalue
-from .selfcheck import run_selfcheck
 from .splicing import splice, star_decomposition, verify_splice_zeta
 from .zeta import ZetaResult, zeta_plumbing, zeta_splice
 
@@ -62,11 +62,13 @@ def _load_valid(path: str):
     return kind, name, obj
 
 
-def _as_splice(kind: str, obj) -> SpliceDiagram:
+def _load_splice(path: str) -> tuple[str, SpliceDiagram]:
+    """_load_valid, converting a plumbing graph to its splice diagram."""
+    kind, name, obj = _load_valid(path)
     if kind == "splice":
-        return obj
+        return name, obj
     try:
-        return plumbing_to_splice(obj)
+        return name, plumbing_to_splice(obj)
     except DiagramError as exc:
         raise CliError(2, f"cannot convert plumbing graph: {exc}") from None
 
@@ -149,27 +151,18 @@ def cmd_convert(args):
     kind, name, obj = _load(args.file)
     if kind != "plumbing":
         raise CliError(2, "convert expects a plumbing graph")
-    try:
-        d = plumbing_to_splice(obj)
-    except DiagramError as exc:
-        raise CliError(2, str(exc)) from None
-    text = print_splice(d, name)
+    text = print_splice(plumbing_to_splice(obj), name)
     payload = {"name": name, "splice": text}
     _emit(args, payload, text)
 
 
-def _zeta_of(args):
+def _zeta_of(args) -> tuple[str, ZetaResult]:
     kind, name, obj = _load_valid(args.file)
-    try:
-        if kind == "plumbing":
-            return name, obj, kind, zeta_plumbing(obj)
-        return name, obj, kind, zeta_splice(obj)
-    except DiagramError as exc:
-        raise CliError(2, str(exc)) from None
+    return name, zeta_plumbing(obj) if kind == "plumbing" else zeta_splice(obj)
 
 
 def cmd_zeta(args):
-    name, obj, kind, z = _zeta_of(args)
+    name, z = _zeta_of(args)
     payload = {"name": name, "zeta": _zeta_payload(z)}
     num = " ".join(_poly_coeffs(z.func.num)) or "0"
     den = " ".join(_poly_coeffs(z.func.den))
@@ -177,7 +170,7 @@ def cmd_zeta(args):
 
 
 def cmd_poles(args):
-    name, obj, kind, z = _zeta_of(args)
+    name, z = _zeta_of(args)
     poles = z.poles()
     payload = {
         "name": name,
@@ -208,43 +201,33 @@ def _splice_or_graph(kind: str, obj):
 
 def cmd_alexander(args):
     kind, name, obj = _load_valid(args.file)
-    try:
-        d = _splice_or_graph(kind, obj)
-        if not isinstance(d, SpliceDiagram):
-            d1 = delta1(d)
-            payload = {"name": name, "delta1": _cyclo_payload(d1)}
-            _emit(args, payload, f"{name}: Delta1 = {d1}")
-            return
-        lam = alexander(d)
-        payload = {
-            "name": name,
-            "alexander": _cyclo_payload(lam),
-            "delta0": _cyclo_payload(delta0(d)),
-            "delta1": _cyclo_payload(delta1(d)),
-        }
-        _emit(args, payload, f"{name}: Lambda = {lam}")
-    except DiagramError as exc:
-        raise CliError(2, str(exc)) from None
+    d = _splice_or_graph(kind, obj)
+    if not isinstance(d, SpliceDiagram):
+        d1 = delta1(d)
+        payload = {"name": name, "delta1": _cyclo_payload(d1)}
+        _emit(args, payload, f"{name}: Delta1 = {d1}")
+        return
+    lam = alexander(d)
+    payload = {
+        "name": name,
+        "alexander": _cyclo_payload(lam),
+        "delta0": _cyclo_payload(delta0(d)),
+        "delta1": _cyclo_payload(delta1(d)),
+    }
+    _emit(args, payload, f"{name}: Lambda = {lam}")
 
 
 def cmd_eig(args):
     kind, name, obj = _load_valid(args.file)
     lam = _parse_lambda(args.lam)
-    try:
-        member = eig_contains(_splice_or_graph(kind, obj), lam)
-    except DiagramError as exc:
-        raise CliError(2, str(exc)) from None
+    member = eig_contains(_splice_or_graph(kind, obj), lam)
     payload = {"name": name, "lambda": str(lam), "in_eig": member}
     _emit(args, payload, f"{name}: exp(2 pi i {lam}) in Eig: {member}")
 
 
 def cmd_semigroup(args):
-    kind, name, obj = _load_valid(args.file)
-    d = _as_splice(kind, obj)
-    try:
-        rep = semigroup_condition(d)
-    except DiagramError as exc:
-        raise CliError(2, str(exc)) from None
+    name, d = _load_splice(args.file)
+    rep = semigroup_condition(d)
     payload = {
         "name": name,
         "holds": rep.ok,
@@ -265,12 +248,8 @@ def cmd_semigroup(args):
 
 
 def cmd_allowed(args):
-    kind, name, obj = _load_valid(args.file)
-    d = _as_splice(kind, obj)
-    try:
-        verdict = is_allowed(d)
-    except DiagramError as exc:
-        raise CliError(2, str(exc)) from None
+    name, d = _load_splice(args.file)
+    verdict = is_allowed(d)
     payload = {
         "name": name,
         "allowed": verdict.allowed,
@@ -297,14 +276,10 @@ def _parse_edge(text: str) -> tuple[str, str]:
 
 
 def cmd_splice(args):
-    kind, name, obj = _load_valid(args.file)
-    d = _as_splice(kind, obj)
+    name, d = _load_splice(args.file)
     a, b = _parse_edge(args.edge)
-    try:
-        left, right = splice(d, (a, b))
-        chk = verify_splice_zeta(d, (a, b))
-    except DiagramError as exc:
-        raise CliError(2, str(exc)) from None
+    left, right = splice(d, (a, b))
+    chk = verify_splice_zeta(d, (a, b))
     lt = print_splice(left.diagram, f"{name}.left")
     rt = print_splice(right.diagram, f"{name}.right")
     payload = {
@@ -324,24 +299,16 @@ def cmd_splice(args):
 
 
 def cmd_stars(args):
-    kind, name, obj = _load_valid(args.file)
-    d = _as_splice(kind, obj)
-    try:
-        stars = star_decomposition(d)
-    except DiagramError as exc:
-        raise CliError(2, str(exc)) from None
+    name, d = _load_splice(args.file)
+    stars = star_decomposition(d)
     payload = {"name": name, "stars": {v: print_splice(s, f"{name}.{v}") for v, s in stars.items()}}
     text = "\n".join(print_splice(stars[v], f"{name}.{v}") for v in sorted(stars))
     _emit(args, payload, text)
 
 
 def cmd_goal1(args):
-    kind, name, obj = _load_valid(args.file)
-    d = _as_splice(kind, obj)
-    try:
-        rep = check_goal1(d)
-    except DiagramError as exc:
-        raise CliError(2, str(exc)) from None
+    name, d = _load_splice(args.file)
+    rep = check_goal1(d)
     payload = {
         "name": name,
         "holds": rep.holds,
@@ -361,8 +328,9 @@ def cmd_goal1(args):
 
 
 def cmd_realize(args):
-    kind, name, obj = _load_valid(args.file)
-    d = _as_splice(kind, obj)
+    if args.count < 1:
+        raise CliError(1, "--count must be at least 1")
+    name, d = _load_splice(args.file)
     lam = _parse_lambda(args.lam)
     try:
         out = realize_eigenvalue(
@@ -374,8 +342,6 @@ def cmd_realize(args):
             include_doubles=args.include_doubles,
         )
     except NotAnEigenvalueError as exc:
-        raise CliError(2, str(exc)) from None
-    except DiagramError as exc:
         raise CliError(2, str(exc)) from None
     payload = {
         "name": name,
@@ -425,13 +391,16 @@ def cmd_realize(args):
 
 
 def cmd_selfcheck(args):
-    rep = run_selfcheck(samples=args.samples)
-    payload = {
-        "ok": rep.ok,
-        "checks": [{"name": line.name, "ok": line.ok, "detail": line.detail} for line in rep.lines],
-    }
-    _emit(args, payload, str(rep) + ("\nall checks passed" if rep.ok else "\nFAILURES PRESENT"))
-    if not rep.ok:
+    from .selfcheck import run_selfcheck  # other commands never load the check table
+
+    if args.samples < 1:
+        raise CliError(1, "--samples must be at least 1")
+    lines = run_selfcheck(args.samples)
+    ok = all(line.ok for line in lines)
+    payload = {"ok": ok, "checks": [dataclasses.asdict(line) for line in lines]}
+    text = "\n".join(map(str, lines)) + ("\nall checks passed" if ok else "\nFAILURES PRESENT")
+    _emit(args, payload, text)
+    if not ok:
         raise CliError(2, "selfcheck failed")
 
 

@@ -533,10 +533,13 @@ def realize_eigenvalue(
 ) -> RealizeOutcome:
     """Find allowed W with a certified zeta pole mapping to lam.
 
-    Raises NotAnEigenvalueError when lam is outside Eig.  Otherwise returns
+    Raises ValueError when count < 1 and NotAnEigenvalueError when lam is
+    outside Eig.  Otherwise returns
     either realized divisors or the honest bounded-search failure with the
     per-node congruence diagnostics.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     d.require_standard()
     fm = f_of(d, f)
     if not eig_contains(d, lam, fm):

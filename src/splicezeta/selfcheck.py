@@ -1,21 +1,322 @@
-"""Golden-corpus and randomized invariant runner behind the selfcheck command."""
+"""One ordered table of named checks: the golden corpus and the randomized
+invariants behind the paper's properties.
+
+``run_selfcheck`` (the ``selfcheck`` command) and the acceptance suite both
+run ``CHECKS``.  Each entry draws its samples from ``random.Random(seed)``;
+``samples`` is its acceptance count and the most ``selfcheck`` draws.
+"""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import corpus
 from .allowed import check_goal1, is_allowed, semigroup_condition
-from .diagrams import DiagramError, blowup, plumbing_to_splice, validate, validate_plumbing
+from .diagrams import DiagramError, SpliceDiagram, blowup, plumbing_to_splice, validate, validate_plumbing
 from .divisors import canonical_plumbing, nu_values, pullback_plumbing, vertex_multiplicities
-from .exact import Poly, RatFunc, UnityRoot
+from .exact import CycloProduct, Poly, RatFunc, UnityRoot
 from .generate import random_allowed_w, random_plumbing, random_valid_splice
 from .monodromy import alexander, delta1
 from .realize import realize_eigenvalue
-from .splicing import star_decomposition, verify_splice_zeta
+from .splicing import induced_value, splice, star_decomposition, verify_splice_zeta
 from .zeta import zeta_plumbing, zeta_splice
+
+
+@dataclass(frozen=True)
+class Check:
+    """``run(rng, n) -> (ok, detail)`` over ``n`` samples."""
+
+    name: str
+    seed: int
+    run: Callable[[random.Random, int], tuple[bool, str]]
+    samples: int = 1
+
+    def __call__(self, n: int) -> tuple[bool, str]:
+        return self.run(random.Random(self.seed), n)
+
+
+def _star_product(d: SpliceDiagram) -> CycloProduct:
+    prod = CycloProduct.one()
+    for s in star_decomposition(d).values():
+        prod = prod * alexander(s)
+    return prod
+
+
+def _minimal(d: SpliceDiagram) -> bool:
+    """No weight-1 end on a leaf edge."""
+    return all(
+        e.weight_at(e.a if d.is_node(e.a) else e.b) > 1
+        for e in d.edges
+        if not (d.is_node(e.a) and d.is_node(e.b))
+    )
+
+
+def _running_example_golden(rng, n):
+    g = corpus.two_cusp_plumbing()
+    d = plumbing_to_splice(g)
+    hand = corpus.two_cusp_diagram()
+    lin = Poly.linear
+    printed = (  # the zeta function as the paper prints it
+        RatFunc(Poly.const(8), lin(-13, 6))
+        + RatFunc(Poly.const(1), lin(-2, 1))
+        * (RatFunc(Poly.const(-1)) + RatFunc(Poly.const(1), lin(1, 1)))
+        + RatFunc(Poly.const(2), lin(-2, 1) * lin(-13, 6))
+    )
+    ok = (
+        validate(d).ok
+        and sorted(nu_values(d).values()) == [-13, -13, -2]
+        and nu_values(hand) == {"v1": -13, "v0": -2, "v1p": -13}
+        and zeta_splice(hand).func == printed
+        and zeta_splice(d).func == printed
+        and zeta_plumbing(g).func == printed
+    )
+    return ok, ""
+
+
+def _splice_identity(rng, n):
+    d = corpus.two_cusp_diagram()
+    stars = star_decomposition(d)
+    corr = RatFunc(Poly.const(2), Poly.linear(-1, 0) * Poly.linear(-1, 1))
+    ok = zeta_splice(d).func == (
+        zeta_splice(stars["v1"]).func
+        + zeta_splice(stars["v0"]).func
+        + zeta_splice(stars["v1p"]).func
+        - corr
+    )
+    count = failures = 0
+    while count < n:
+        dd = random_valid_splice(rng, max_nodes=6, max_weight=13, with_warrows=True)
+        specials = dd.special_edges()
+        if not specials:
+            continue
+        chk = verify_splice_zeta(dd, rng.choice(specials))
+        if chk.degenerate is not None:
+            continue
+        count += 1
+        failures += not chk.ok
+    return ok and failures == 0, f"{failures} failures in {count} diagrams"
+
+
+def _alexander_multiplicativity(rng, n):
+    d = corpus.two_cusp_diagram()
+    t2 = Poly([1, -1, 1])
+    ok = _star_product(d).expand() == t2 * t2 == alexander(d).expand()
+    count = failures = 0
+    while count < n:
+        dd = random_valid_splice(rng, max_nodes=5, max_weight=13)
+        specials = dd.special_edges()
+        if not specials:
+            continue
+        count += 1
+        left, right = splice(dd, rng.choice(specials))
+        la = alexander(dd)
+        halves = alexander(left.diagram) * alexander(right.diagram)
+        failures += halves != la or halves.expand() != la.expand()
+    return ok and failures == 0, f"{failures} failures"
+
+
+def _allowedness_goldens(rng, n):
+    ok = not is_allowed(corpus.two_cusp_diagram()).allowed
+    for pairs in ([(2, 3)], [(2, 3), (13, 2)], [(3, 2), (25, 3)], [(2, 5), (21, 2)]):
+        ok &= is_allowed(corpus.plane_curve_staircase(pairs)).allowed
+    # every semigroup-passing minimal diagram in a generated pool allows W = 0
+    checked = tried = 0
+    while checked < n and tried < 4000:
+        tried += 1
+        d = random_valid_splice(rng, max_nodes=4, max_weight=13)
+        if not _minimal(d) or not semigroup_condition(d).ok:
+            continue
+        checked += 1
+        ok &= is_allowed(d, None, {}).allowed
+    return ok and checked >= n, f"{checked} semigroup cases"
+
+
+def _goal1_property(rng, n):
+    count = violations = 0
+    while count < n:
+        d = random_valid_splice(rng, max_nodes=4, max_weight=13)
+        w = random_allowed_w(rng, d, tries=40)
+        if w is None:
+            continue
+        count += 1
+        violations += not check_goal1(d, w=w).holds
+    # negative control: a non-allowed decoration produces the flagged pole
+    bad = check_goal1(corpus.two_cusp_diagram(), w={"leg1": 5})
+    control = (not bad.holds) and any(
+        p.s0 == Fraction(-57, 6) and p.eigenvalue == UnityRoot(1, 2)
+        for p in bad.counterexamples
+    )
+    return violations == 0 and control, f"{violations} violations, control={control}"
+
+
+def _residue_cancellation(rng, n):
+    d = corpus.two_cusp_diagram()
+    ok = True
+    pairs = {5: (1, 1), 6: (4, -3), 7: (1, 2), 8: (2, 1), 12: (2, 3)}
+    for iprime, (i1p, i2p) in pairs.items():
+        ok &= 3 * i1p + 2 * i2p == iprime
+        z = zeta_splice(d, w={"leg1": 2, "bR": i1p - 1, "leg1p": i2p - 1})
+        s0 = Fraction(15 - 6 * iprime, 6)
+        ok &= z.residue_contribution("v1", s0) == 0
+        ok &= all(p.location != s0 for p in z.poles())
+    return ok, "I' in {5, 6, 7, 8, 12}"
+
+
+def _realization_goldens(rng, n):
+    d = corpus.two_cusp_diagram()
+    ok = True
+    for lam in (UnityRoot(1, 6), UnityRoot(5, 6)):
+        out = realize_eigenvalue(d, lam, count=1)
+        out_eff = realize_eigenvalue(d, lam, count=1, effective=True)
+        ok &= out.realized and out_eff.realized
+        for r in list(out.found) + list(out_eff.found):
+            ok &= is_allowed(d, None, r.w).allowed
+            ok &= UnityRoot.from_exponent(r.s0) == lam
+            ok &= any(p.location == r.s0 for p in zeta_splice(d, w=r.w).poles())
+        ok &= all(m >= 0 for r in out_eff.found for m in r.w.values())
+    # the honest unrealizable case, with the blocking congruences
+    out7 = realize_eigenvalue(corpus.two_cusp_diagram_mult(7), UnityRoot(37, 42), budget=120_000)
+    cong = [c for c in out7.congruences if c.node in ("v1", "v1p")]
+    ok &= (
+        out7.status == "unrealizable-within-bound"
+        and not out7.found
+        and len(cong) == 2
+        and all(c.modulus == 42 and c.target == 5 for c in cong)
+        and all({m for m, _, _ in c.reductions} == {2, 3, 7} for c in cong)
+    )
+    return ok, "1/6, 5/6 realized; 37/42 unrealizable"
+
+
+def _counterexample_graphs(rng, n):
+    rod = corpus.rodrigues_plumbing()
+    third = [p for p in zeta_plumbing(rod).poles() if p.location == Fraction(1, 3)]
+    ok = len(third) == 1 and third[0].order == 1
+    ok &= delta1(rod).root_multiplicity(UnityRoot(1, 3)) == 0
+    for k in (1, 2):
+        g = corpus.unimodular_counterexample_plumbing(k)
+        ok &= any(p.location == Fraction(7, 3 * k) for p in zeta_plumbing(g).poles())
+        printed = (
+            CycloProduct.plus_one(9 * k)
+            * CycloProduct([(2 * k, k - 1), (1, 1)])
+            / CycloProduct.plus_one(3 * k)
+            / CycloProduct([(k, 1)])
+        )
+        d1 = delta1(g)
+        ok &= d1 == printed
+        ok &= d1.root_multiplicity(UnityRoot(7, 3 * k)) == 0
+        rep = semigroup_condition(plumbing_to_splice(g))
+        ok &= (not rep.ok) and {f.node for f in rep.failures} == {"u3"}
+    return ok, ""
+
+
+def _oracle_equivalences(rng, n):
+    count = skipped = failures = 0
+    while count < n:
+        g = random_plumbing(rng, blowups=rng.randint(2, 7), arrows=rng.randint(1, 2))
+        try:
+            d = plumbing_to_splice(g)
+        except DiagramError:
+            skipped += 1  # e.g. a chain with decorations at several vertices
+            continue
+        count += 1
+        z = zeta_plumbing(g).func
+        ok = z == zeta_splice(d).func
+        rupture = [v for v in d.nodes() if g.valency_f(v) >= 3]
+        ns, np_ = vertex_multiplicities(d), pullback_plumbing(g)
+        nus, kp = nu_values(d), canonical_plumbing(g)
+        ok &= all(ns[v] == np_[v] for v in rupture)
+        ok &= all(nus[v] == kp[v] + 1 for v in rupture)
+        # blowup invariance of zeta and of the allowedness verdict
+        g2 = blowup(g, ("vertex", rng.choice(g.vertices).id))
+        ok &= zeta_plumbing(g2).func == z
+        try:
+            ok &= is_allowed(plumbing_to_splice(g2)).allowed == is_allowed(d).allowed
+        except DiagramError:
+            pass
+        failures += not ok
+    return failures == 0, f"{count} checked, {skipped} skipped"
+
+
+def _arithmetic_lemmas(rng, n):
+    # induced values on arrow-free sides of minimal semigroup-passing diagrams
+    cases = [
+        corpus.plane_curve_staircase([(2, 3), (13, 2)]),
+        corpus.plane_curve_staircase([(3, 2), (25, 3)]),
+        corpus.plane_curve_staircase([(2, 3), (13, 2), (79, 3)]),
+    ]
+    tried = 0
+    while len(cases) < n and tried < 4000:
+        tried += 1
+        d = random_valid_splice(rng, max_nodes=4, max_weight=13)
+        if _minimal(d) and semigroup_condition(d).ok and d.special_edges():
+            cases.append(d)
+    ok = True
+    checked = 0
+    for d in cases:
+        if not semigroup_condition(d).ok:
+            continue
+        for e in d.special_edges():
+            for keep in (e.a, e.b):
+                side = set(d.side_vertices(keep, e))
+                if any(a.at in side for a in d.farrows):
+                    continue
+                iprime = induced_value(d, e, keep, {})
+                checked += 1
+                ok &= iprime < 0 and iprime % e.weight_at(keep) != 0
+    return ok and checked >= n // 5, f"{checked} induced-value checks"
+
+
+def _running_example_structure(rng, n):
+    d = corpus.two_cusp_diagram()
+    conv = plumbing_to_splice(corpus.two_cusp_plumbing())
+    staircase = corpus.plane_curve_staircase([(2, 3), (13, 2)])
+    verdicts = {
+        "validates": validate(d).ok,
+        "conversion multiplicities": vertex_multiplicities(conv)["e3"] == 1
+        and nu_values(conv)["e2"] == -13,
+        "splice identity at (v1, v0)": verify_splice_zeta(d, ("v1", "v0")).ok,
+        "semigroup fails at center": not semigroup_condition(d).ok,
+        "staircase semigroup holds": semigroup_condition(staircase).ok,
+    }
+    failed = [label for label, ok in verdicts.items() if not ok]
+    return not failed, "failed: " + ", ".join(failed) if failed else ""
+
+
+def _generated_diagrams(rng, n):
+    ok = True
+    for _ in range(n):
+        d = random_valid_splice(rng, max_nodes=4, max_weight=13)
+        ok &= validate(d).ok and _star_product(d) == alexander(d)
+    for _ in range((n + 1) // 2):
+        g = random_plumbing(rng, blowups=rng.randint(3, 7), arrows=rng.randint(1, 2))
+        ok &= validate_plumbing(g, require_unimodular=True).ok
+        z = zeta_plumbing(g).func
+        loci = [("vertex", rng.choice(g.vertices).id)]
+        if g.edges:
+            loci.append(("edge", rng.choice(g.edges)))
+        for locus in loci:
+            g2 = blowup(g, locus)
+            ok &= g2.is_unimodular() and zeta_plumbing(g2).func == z
+    return ok, f"{n} diagrams, {(n + 1) // 2} graphs"
+
+
+CHECKS: tuple[Check, ...] = (
+    Check("criterion_1_running_example_golden", 1, _running_example_golden),
+    Check("criterion_2_splice_identity", 2026, _splice_identity, 500),
+    Check("criterion_3_alexander_multiplicativity", 3, _alexander_multiplicativity, 200),
+    Check("criterion_4_allowedness_goldens", 4, _allowedness_goldens, 40),
+    Check("criterion_5_goal1_property", 5, _goal1_property, 500),
+    Check("criterion_6_residue_cancellation", 6, _residue_cancellation),
+    Check("criterion_7_realization_goldens", 7, _realization_goldens),
+    Check("criterion_8_counterexample_graphs", 8, _counterexample_graphs),
+    Check("criterion_9_oracle_equivalences", 9, _oracle_equivalences, 300),
+    Check("criterion_10_arithmetic_lemmas", 10, _arithmetic_lemmas, 25),
+    Check("running_example_structure", 11, _running_example_structure),
+    Check("generated_diagrams", 20260810, _generated_diagrams, 200),
+)
 
 
 @dataclass
@@ -30,126 +331,12 @@ class CheckLine:
         return f"{mark} {self.name}{tail}"
 
 
-@dataclass
-class SelfCheckReport:
-    lines: list[CheckLine] = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.lines.append(CheckLine(name, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(line.ok for line in self.lines)
-
-    def __str__(self):
-        return "\n".join(str(line) for line in self.lines)
-
-
-def run_selfcheck(samples: int = 60, seed: int = 20260810) -> SelfCheckReport:
-    rng = random.Random(seed)
-    rep = SelfCheckReport()
-
-    # golden: running example
-    d = corpus.two_cusp_diagram()
-    g = corpus.two_cusp_plumbing()
-    rep.add("golden: running example validates", validate(d).ok)
-    nu = nu_values(d)
-    rep.add(
-        "golden: nu values (-13, -2, -13)",
-        (nu["v1"], nu["v0"], nu["v1p"]) == (-13, -2, -13),
-    )
-    expected = (
-        RatFunc(Poly.const(8), Poly.linear(-13, 6))
-        + RatFunc(Poly.const(1), Poly.linear(-2, 1))
-        * (RatFunc(Poly.const(-1)) + RatFunc(Poly.const(1), Poly.linear(1, 1)))
-        + RatFunc(Poly.const(2), Poly.linear(-2, 1) * Poly.linear(-13, 6))
-    )
-    rep.add("golden: zeta equals printed sum", zeta_splice(d).func == expected)
-    rep.add("golden: plumbing route agrees", zeta_plumbing(g).func == expected)
-    conv = plumbing_to_splice(g)
-    rep.add("golden: conversion validates", validate(conv).ok)
-    rep.add(
-        "golden: conversion multiplicities",
-        vertex_multiplicities(conv)["e3"] == 1 and nu_values(conv)["e2"] == -13,
-    )
-    chk = verify_splice_zeta(d, ("v1", "v0"))
-    rep.add("golden: splice identity at (v1, v0)", chk.ok)
-    lam = alexander(d).expand()
-    rep.add("golden: Alexander = (t^2-t+1)^2", lam == Poly([1, -1, 1]) * Poly([1, -1, 1]))
-    rep.add("golden: W = 0 not allowed here", not is_allowed(d).allowed)
-    rep.add("golden: semigroup fails at center", not semigroup_condition(d).ok)
-    st = corpus.plane_curve_staircase([(2, 3), (13, 2)])
-    rep.add("golden: staircase semigroup holds", semigroup_condition(st).ok)
-    rep.add("golden: staircase W = 0 allowed", is_allowed(st).allowed)
-    bad = check_goal1(d, w={"leg1": 5})
-    rep.add(
-        "golden: non-allowed counterexample flagged",
-        (not bad.holds) and any(p.s0 == Fraction(-19, 2) for p in bad.counterexamples),
-    )
-    r = realize_eigenvalue(d, UnityRoot(5, 6), effective=True)
-    rep.add("golden: eigenvalue 5/6 realized effectively", r.realized)
-    rod = corpus.rodrigues_plumbing()
-    zr = zeta_plumbing(rod)
-    has_third = any(p.location == Fraction(1, 3) and p.order == 1 for p in zr.poles())
-    not_root = delta1(rod).root_multiplicity(UnityRoot(1, 3)) == 0
-    rep.add("golden: Rodrigues pole 1/3 misses eigenvalues", has_third and not_root)
-
-    # randomized invariants
-    ok_validate = ok_splice = ok_alex = ok_goal1 = ok_oracle = ok_blow = True
-    n_splice = n_goal = n_oracle = n_skipped = 0
-    for k in range(samples):
-        dd = random_valid_splice(rng, max_nodes=4, max_weight=13)
-        ok_validate &= validate(dd).ok
-        specials = dd.special_edges()
-        if specials:
-            e = rng.choice(specials)
-            c = verify_splice_zeta(dd, e)
-            if c.degenerate is None:
-                ok_splice &= c.ok
-                stars = star_decomposition(dd)
-                prod = None
-                for s in stars.values():
-                    a = alexander(s)
-                    prod = a if prod is None else prod * a
-                ok_alex &= prod == alexander(dd)
-                n_splice += 1
-        w = random_allowed_w(rng, dd)
-        if w is not None:
-            ok_goal1 &= check_goal1(dd, w=w).holds
-            n_goal += 1
-    for k in range(samples // 2):
-        gg = random_plumbing(rng, blowups=rng.randint(3, 7), arrows=rng.randint(1, 2))
-        ok_validate &= validate_plumbing(gg, require_unimodular=True).ok
-        try:
-            dd = plumbing_to_splice(gg)
-        except DiagramError:
-            n_skipped += 1  # e.g. a chain with decorations at several vertices
-            continue
-        n_oracle += 1
-        rupture = [v for v in dd.nodes() if gg.valency_f(v) >= 3]
-        nvs = vertex_multiplicities(dd)
-        nvp = pullback_plumbing(gg)
-        ok_oracle &= all(nvs[v] == nvp[v] for v in rupture)
-        nus = nu_values(dd)
-        nup = canonical_plumbing(gg)
-        ok_oracle &= all(nus[v] == nup[v] + 1 for v in rupture)
-        z0 = zeta_plumbing(gg)
-        ok_oracle &= z0.func == zeta_splice(dd).func
-        loci = [("vertex", rng.choice(gg.vertices).id)]
-        if gg.edges:
-            loci.append(("edge", rng.choice(gg.edges)))
-        for locus in loci:
-            g2 = blowup(gg, locus)
-            ok_blow &= g2.is_unimodular()
-            ok_blow &= zeta_plumbing(g2).func == z0.func
-    rep.add("random: generated diagrams validate", ok_validate)
-    rep.add(f"random: splice identities ({n_splice})", ok_splice)
-    rep.add(f"random: Alexander multiplicativity ({n_splice})", ok_alex)
-    rep.add(f"random: goal-(1) on allowed divisors ({n_goal})", ok_goal1)
-    rep.add(
-        "random: plumbing/splice oracle equalities",
-        ok_oracle,
-        f"{n_oracle} checked, {n_skipped} skipped",
-    )
-    rep.add("random: blowup invariance", ok_blow)
-    return rep
+def run_selfcheck(samples: int = 60) -> list[CheckLine]:
+    """Run every check in ``CHECKS`` on at most ``samples`` samples each."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    lines = []
+    for check in CHECKS:
+        ok, detail = check(min(samples, check.samples))
+        lines.append(CheckLine(check.name, bool(ok), detail))
+    return lines

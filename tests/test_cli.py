@@ -12,6 +12,7 @@ import pytest
 from splicezeta.cli import build_parser, main
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
 from splicezeta.io import ParseError, parse_diagram, print_diagram
+from splicezeta.selfcheck import CHECKS, run_selfcheck
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "splicezeta" / "corpus"
 # a star whose edge weights 2 and 4 are not coprime: ``validate`` rejects it
@@ -162,8 +163,23 @@ def test_cli_selfcheck_small():
     out = run_cli("selfcheck", "--samples", "6")
     assert "FAIL" not in out
     payload = json.loads(run_cli("selfcheck", "--samples", "6", "--json"))
-    (oracle,) = [c for c in payload["checks"] if c["name"].startswith("random: plumbing/splice")]
+    # selfcheck runs the whole table the acceptance suite runs, in order
+    assert [c["name"] for c in payload["checks"]] == [c.name for c in CHECKS]
+    (oracle,) = [c for c in payload["checks"] if c["name"] == "criterion_9_oracle_equivalences"]
     assert re.fullmatch(r"\d+ checked, \d+ skipped", oracle["detail"])
+
+
+def test_cli_refuses_counts_below_one(capsys):
+    # a count below one used to yield a vacuous verdict with exit 0
+    sd = str(CORPUS / "two_cusp.sd")
+    for count in ("0", "-3"):
+        assert main(["realize", sd, "--lambda", "5/6", "--count", count, "--json"]) == 1
+        assert capsys.readouterr() == ("", "error: --count must be at least 1\n")
+    for samples in ("0", "-4"):
+        assert main(["selfcheck", "--samples", samples]) == 1
+        assert capsys.readouterr() == ("", "error: --samples must be at least 1\n")
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        run_selfcheck(0)
 
 
 def test_cli_plumbing_inputs_full_surface():

@@ -198,6 +198,14 @@ def test_realize_rejects_non_eigenvalue():
         realize_eigenvalue(d, UnityRoot(1, 5))
 
 
+def test_realize_rejects_count_below_one():
+    # 5/6 is realizable: a count below one must not yield an empty verdict
+    d = two_cusp_diagram()
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            realize_eigenvalue(d, UnityRoot(5, 6), count=count)
+
+
 def test_realize_unrealizable_counterexample():
     d = two_cusp_diagram_mult(7)
     lam = UnityRoot(37, 42)
