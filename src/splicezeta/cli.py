@@ -330,6 +330,8 @@ def cmd_goal1(args):
 def cmd_realize(args):
     if args.count < 1:
         raise CliError(1, "--count must be at least 1")
+    if args.bound is not None and args.bound < 0:
+        raise CliError(1, "--bound must be nonnegative")
     name, d = _load_splice(args.file)
     lam = _parse_lambda(args.lam)
     try:

@@ -93,6 +93,26 @@ class Warrow:
                 f"warrow {self.id!r}: exactly one of at/doubles must be given"
             )
 
+    @property
+    def slot(self) -> str:
+        """The W slot this arrow decorates: its vertex or the farrow it doubles."""
+        return self.at if self.at is not None else self.doubles
+
+
+def slot_warrows(wslots, farrow_ids) -> list[Warrow]:
+    """One dashed arrow ``~W.<slot>`` of value mult + 1 per (slot, mult) pair
+    with mult != 0, in the given order: doubling ``slot`` when it is one of
+    ``farrow_ids``, else at the vertex ``slot``."""
+    out = []
+    for slot, mult in wslots:
+        if mult == 0:
+            continue
+        if slot in farrow_ids:
+            out.append(Warrow(id=f"~W.{slot}", value=mult + 1, doubles=slot))
+        else:
+            out.append(Warrow(id=f"~W.{slot}", value=mult + 1, at=slot))
+    return out
+
 
 class _Decorated:
     """What splice diagrams and plumbing graphs share: vertex ids, the
@@ -186,10 +206,9 @@ class _Decorated:
         """Stored W as a slot map: slot id -> multiplicity (= value - 1)."""
         out: dict[str, int] = {}
         for w in self.warrows:
-            slot = w.at if w.at is not None else w.doubles
-            if slot in out:
-                raise DiagramError(f"two warrows on slot {slot!r}")
-            out[slot] = w.value - 1
+            if w.slot in out:
+                raise DiagramError(f"two warrows on slot {w.slot!r}")
+            out[w.slot] = w.value - 1
         return out
 
 
@@ -415,9 +434,8 @@ class SpliceDiagram(_Decorated):
                             through *= w
                     stack.append((y, x, through))
         for w in self.warrows:
-            slot = w.at if w.at is not None else w.doubles
-            if slot in row:
-                row[w.id] = row[slot]
+            if w.slot in row:
+                row[w.id] = row[w.slot]
         return row
 
     @cached_property
@@ -452,16 +470,7 @@ class SpliceDiagram(_Decorated):
             farrows = [Farrow(a.id, a.at, a.weight, f.get(a.id, 0)) for a in farrows]
         warrows = list(self.warrows)
         if w is not None:
-            warrows = []
-            fids = self._farrow_by_id
-            for slot, mult in sorted(w.items()):
-                if mult == 0:
-                    continue
-                wid = f"~W.{slot}"
-                if slot in fids:
-                    warrows.append(Warrow(id=wid, value=mult + 1, doubles=slot))
-                else:
-                    warrows.append(Warrow(id=wid, value=mult + 1, at=slot))
+            warrows = slot_warrows(sorted(w.items()), self._farrow_by_id)
         _index_arrowheads(set(self.vertices), farrows, warrows)
         _check_farrow_data(farrows)
         return self.vertices, self.edges, farrows, warrows
@@ -537,7 +546,7 @@ def validate(d: SpliceDiagram) -> ValidationReport:
     # at most one warrow per boundary vertex and per slot
     slot_seen: dict[str, str] = {}
     for w in d.warrows:
-        slot = w.at if w.at is not None else w.doubles
+        slot = w.slot
         if slot in slot_seen:
             rep.add("warrow", w.id, f"slot {slot!r} already carries warrow {slot_seen[slot]!r}")
         slot_seen[slot] = w.id

@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-Q = Fraction
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
@@ -144,20 +142,11 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
         lead = self.coeffs[-1]
         return Poly([c / lead for c in self.coeffs])
-
-    def shift_mul_x(self, k: int) -> "Poly":
-        """Multiply by s**k."""
-        if self.is_zero():
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -168,9 +157,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
-
-
-S = Poly([0, 1])
 
 
 class NonLinearDenominatorError(ArithmeticError):

@@ -1,14 +1,21 @@
 """Constructing allowed divisors whose zeta poles hit a prescribed eigenvalue.
 
-Three cooperating engines:
+One engine, ``realize_eigenvalue``, tries three sources of candidates in
+turn:
 
-* a congruence solver on stars (pairwise-coprime weights make the linear
-  congruence for nu explicitly solvable, with the divisibility pattern of the
-  leg values pinned by the target residue);
-* a one-step extension of an allowed divisor across a special edge, with the
-  obstructed cases detected and reported;
+* arrowheads whose multiplicity the order of lambda divides: the arrowhead's
+  double is set so that s0 = -i_a/N_a hits lambda, on top of a few small
+  allowed boundary assignments;
+* nodes whose star Alexander polynomial has lambda as a root: the linear
+  congruence for nu_v in the slot multiplicities (explicitly solvable, as
+  the weights at a node are pairwise coprime) is solved and its solution
+  shifted along the kernel;
 * a bounded exhaustive search over decoration windows, used as fallback and
   as an independent oracle at desk scale.
+
+``realize_star`` is that engine on a standalone star, whose arrowhead
+doubles it searches too.  ``extend_allowed`` carries an allowed divisor one
+step across a special edge, with the obstructed cases detected and reported.
 
 The search walks the windows |mult| <= width of the k searched slots width
 by width, and at each width only the new shell, the points with some
@@ -52,7 +59,7 @@ from .diagrams import DiagramError, Edge, SpliceDiagram
 from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities
 from .exact import UnityRoot, solve_linear_congruence
 from .monodromy import alexander, eig_contains
-from .splicing import induced_value, root_cut, splice, star_decomposition
+from .splicing import root_cut, splice, star_decomposition
 from .zeta import zeta_splice
 
 
@@ -275,11 +282,19 @@ def _reduce_solution(x: dict[str, int], coefs: dict[str, int], modulus: int) -> 
     return out
 
 
+# Trial division for the printed per-prime congruence reductions stops at
+# this divisor; what is left of N_v is reported as one modulus.
+FACTOR_TRIAL_LIMIT = 100_000
+
+
 def _prime_power_factors(n: int) -> list[int]:
+    """Pairwise coprime moduli whose product is n: the prime powers of the
+    primes up to FACTOR_TRIAL_LIMIT, then the unfactored cofactor (prime
+    when it is below the square of the limit)."""
     out = []
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= FACTOR_TRIAL_LIMIT:
         if m % p == 0:
             pk = 1
             while m % p == 0:
@@ -301,72 +316,21 @@ def realize_star(
     lam: UnityRoot,
     count: int = 1,
     effective: bool = False,
-    tries: int = 60,
     rng: random.Random | None = None,
 ) -> list[Realization]:
     """Allowed divisors on a one-node diagram with a certified pole hitting lam.
 
-    The star's own boundary vertices and its own arrowhead doubles are both
-    free slots here (a standalone star owns all its decorations)."""
+    A standalone star owns all its decorations, so ``realize_eigenvalue``
+    searches its arrowhead doubles as well as its boundary vertices."""
     star.require_standard()
-    nodes = star.nodes()
-    if len(nodes) != 1:
+    if len(star.nodes()) != 1:
         raise DiagramError("realize_star needs a star-shaped diagram")
-    (v,) = nodes
-    fm = f_of(star, None)
-    if alexander(star, fm).root_multiplicity(lam) <= 0:
+    if alexander(star).root_multiplicity(lam) <= 0:
         raise StarRootError(f"{lam} is not an eigenvalue of this star")
-    rng = rng or random.Random(7)
-    slots = [e.other(v) for e in star.edges_at(v) if not star.is_node(e.other(v))]
-    doubles = [a.id for a in star.farrows]
-    out: list[Realization] = []
-    seen: set[tuple] = set()
-
-    def push(r: Realization | None):
-        if r is None:
-            return
-        key = tuple(sorted(r.w.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-
-    # node path: hit s0 = -nu/N at the central node
-    nv = vertex_multiplicities(star, fm)[v]
-    u = _target_residue(lam, nv)
-    all_slots = slots + doubles
-    if u is not None and all_slots:
-        base, coefs = nu_linear_form(star, v, all_slots)
-        order = all_slots
-        cvec = [coefs[s] for s in order]
-        sol = solve_linear_congruence(cvec, u - base, nv)
-        if sol is not None:
-            reduced = _reduce_solution(dict(zip(order, sol)), coefs, nv)
-            for t in range(tries):
-                x = dict(reduced)
-                if t:
-                    for s in order:
-                        period = nv // gcd(coefs[s], nv)
-                        x[s] += period * rng.randint(-2, 2)
-                if effective:
-                    for s in order:
-                        period = nv // gcd(coefs[s], nv)
-                        while x[s] < 0:
-                            x[s] += period
-                push(certify(star, fm, x, lam, f"node:{v}", effective))
-                if len(out) >= count:
-                    return out[:count]
-    # arrow path: hit s0 = -i_a/N_a on a doubling slot
-    for a in star.farrows:
-        if fm.get(a.id, 0) <= 0 or fm[a.id] % lam.order:
-            continue
-        na = fm[a.id]
-        ua = _target_residue(lam, na)
-        for t in range(tries):
-            x = {a.id: (ua - 1) + na * t}
-            push(certify(star, fm, x, lam, f"arrow:{a.id}", effective))
-            if len(out) >= count:
-                return out[:count]
-    return out[:count]
+    out = realize_eigenvalue(
+        star, lam, count=count, effective=effective, include_doubles=True, rng=rng
+    )
+    return out.found
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +370,7 @@ def extend_allowed(
         if d.anchor(s)[0] in left_vertices:
             raise DiagramError(f"flat divisor touches the left half at {s!r}")
     # fixed induced value onto the left star
-    j = induced_value(d, e, v_l, partial)
+    j = root_cut(d, v_l, e).value(partial)
     # unknowns: the left star's own leg slots (plus its doubles on request)
     unknown = [
         x.other(v_l)
@@ -415,9 +379,10 @@ def extend_allowed(
     ]
     if include_doubles:
         unknown += [a.id for a in d.farrows_at(v_l)]
-    base0 = induced_value(d, e, v_r, {})
-    coefs = {s: induced_value(d, e, v_r, {s: 1}) - base0 for s in unknown}
-    target = i_prime - base0
+    # i' = i0 + sum row[s] x_s over the left star's slots, all beyond e from v_r
+    cut = root_cut(d, v_r, e)
+    coefs = {s: cut.row[s] for s in unknown}
+    target = i_prime - cut.i0
     sol_exact = solve_linear_congruence([coefs[s] for s in unknown], target, 0)
     if sol_exact is None:
         raise ExtensionObstructedError(
@@ -533,13 +498,15 @@ def realize_eigenvalue(
 ) -> RealizeOutcome:
     """Find allowed W with a certified zeta pole mapping to lam.
 
-    Raises ValueError when count < 1 and NotAnEigenvalueError when lam is
-    outside Eig.  Otherwise returns
+    Raises ValueError when count < 1 or bound < 0 and NotAnEigenvalueError
+    when lam is outside Eig.  Otherwise returns
     either realized divisors or the honest bounded-search failure with the
     per-node congruence diagnostics.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if bound is not None and bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     d.require_standard()
     fm = f_of(d, f)
     if not eig_contains(d, lam, fm):

@@ -7,12 +7,14 @@ whose vertex carries a dashed arrow of value i.  M collects far-side arrow
 multiplicities against linking products; i collects the canonical-class and
 dashed data of the far side the same way.
 
-Two routes compute M and i.  ``splice`` reads them off the diagram it is
-given: that is the local route, used by the ``splice`` command and by
-``verify_splice_zeta``.  ``star_decomposition`` cuts every special edge in
-turn, so after the first cut it cuts pieces made of earlier halves; it reads
-M and i of every cut off the root diagram d instead, through ``root_cut``,
-which keeps on d, per directed edge, all that does not depend on F and W.
+Every cut reads M and i off ``root_cut``, which keeps on a diagram, per
+directed edge, all that does not depend on F and W: with f the far endpoint,
+M = sum N_a l(f, a) and i = i0 + sum mult_s l(f, s) over the far side.  The
+two routes differ in the diagram they cut.  ``splice`` reads the cuts of the
+diagram it is given: that is the local route, used by the ``splice`` command
+and by ``verify_splice_zeta``.  ``star_decomposition`` cuts every special
+edge in turn, so after the first cut it cuts pieces made of earlier halves;
+it reads the cuts of the root diagram d instead, never those of a piece.
 
 Why d gives a piece's values (localization).  Let a piece P contain the edge
 e = (k, f), cut keeping k, and let an earlier cut at e' = (k', f'), with k'
@@ -50,46 +52,61 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagrams import DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant
+from .diagrams import DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant, slot_warrows
 from .divisors import PDivisor, f_of, node_data, w_of
 from .zeta import principal_parts, summands, zeta_splice
 
 
-def induced_multiplicity(d: SpliceDiagram, e: Edge, keep: str, fm: dict[str, int]) -> int:
-    """M for the half keeping ``keep``: far-side arrow multiplicities times
-    their linking products measured from the cut."""
-    side = set(d.side_vertices(keep, e))
+class RootCut(NamedTuple):
+    """What a cut at e, keeping ``keep``, sees of the far side of d, whatever
+    F and W are: its vertices, its arrowhead ids, i at W = 0 (``i0``) and the
+    linking row of the far endpoint with e excluded, which reaches all of
+    that side and nothing else."""
+
+    far_side: frozenset[str]
+    farrows: tuple[str, ...]
+    i0: int
+    row: dict[str, int]
+
+    def multiplicity(self, fm: dict[str, int]) -> int:
+        """M = sum N_a l(f, a) over the far-side arrowheads a."""
+        return sum(fm.get(a, 0) * self.row[a] for a in self.farrows)
+
+    def value(self, wm: dict[str, int]) -> int:
+        """i = i0 + sum mult_s l(f, s) over the far-side W slots s."""
+        row = self.row
+        return self.i0 + sum(mult * row[s] for s, mult in wm.items() if mult and s in row)
+
+
+def root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
+    """The cut of d at e keeping ``keep``, cached on d."""
+    return d.memo(("cut", keep, e.key), _root_cut, d, keep, e)
+
+
+def _root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
+    side = d.side_vertices(keep, e)
     row = d.linking_row(e.other(keep), e)
-    return sum(fm.get(a.id, 0) * row[a.id] for a in d.farrows if a.at in side)
+    far_side = frozenset(side)
+    far_farrows = [a for a in d.farrows if a.at in far_side]
+    # the canonical contribution: (2 - delta_x) per vertex, 1 per arrowhead
+    # of weight >= 2 (a boundary leg once the arrowheads are stripped)
+    i0 = sum((2 - d.delta(x)) * row[x] for x in side)
+    i0 += sum(row[a.id] for a in far_farrows if a.weight >= 2)
+    return RootCut(far_side, tuple(a.id for a in far_farrows), i0, row)
+
+
+def _require_slots(d: SpliceDiagram, wm: dict[str, int]):
+    """Refuse a W slot of nonzero multiplicity that names nothing in d."""
+    for slot, mult in wm.items():
+        if mult:
+            d.anchor(slot)
 
 
 def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> int:
     """i for the half keeping ``keep``: canonical contribution of the far side
     plus its dashed-arrow terms."""
-    return _induced_value(d, d.side_vertices(keep, e), d.linking_row(e.other(keep), e), wm)
-
-
-def _induced_value(d: SpliceDiagram, side: list[str], row: dict[str, int], wm) -> int:
-    """``induced_value`` from the far side's vertices and the far endpoint's
-    linking row with the cut edge excluded, which reaches all of that side."""
-    side_set = set(side)
-    acc = 0
-    for x in side:
-        acc += (2 - d.delta(x)) * row[x]
-    for a in d.farrows:
-        if a.at in side_set and a.weight >= 2:
-            acc += row[a.id]
-    for slot, mult in wm.items():
-        if not mult:
-            continue
-        if d.anchor(slot)[0] in side_set:
-            acc += mult * row[slot]
-    return acc
-
-
-def far_side_has_arrows(d: SpliceDiagram, e: Edge, keep: str) -> bool:
-    side = set(d.side_vertices(keep, e))
-    return any(a.at in side for a in d.farrows)
+    _require_slots(d, wm)
+    return root_cut(d, keep, e).value(wm)
 
 
 @dataclass
@@ -122,14 +139,9 @@ def _cut(piece: _Piece, e: Edge, keep: str, side: set[str], wslots, m: int, i: i
     keep_farrows = [a for a in farrows if a.at not in side]
     keep_vset = set(keep_vertices)
     keep_fids = {a.id for a in keep_farrows}
-    keep_warrows = []
-    for wslot, mult in wslots:
-        if mult == 0:
-            continue
-        if wslot in keep_fids:
-            keep_warrows.append(Warrow(id=f"~W.{wslot}", value=mult + 1, doubles=wslot))
-        elif wslot in keep_vset:
-            keep_warrows.append(Warrow(id=f"~W.{wslot}", value=mult + 1, at=wslot))
+    keep_warrows = slot_warrows(
+        [(s, mult) for s, mult in wslots if s in keep_fids or s in keep_vset], keep_fids
+    )
     used = keep_vset | keep_fids | {x.id for x in keep_warrows}
 
     def fresh(stem: str) -> str:
@@ -154,19 +166,15 @@ def _cut(piece: _Piece, e: Edge, keep: str, side: set[str], wslots, m: int, i: i
 
 
 def _half(d: SpliceDiagram, e: Edge, keep: str, fm, wm) -> SpliceHalf:
-    """One half of ``splice``, with M and i computed on d itself."""
-    side = set(d.side_vertices(keep, e))
+    """One half of ``splice``, with M and i read off d's own cut."""
+    cut = root_cut(d, keep, e)
+    m, i = cut.multiplicity(fm), cut.value(wm)
     farrows = [
         Farrow(id=a.id, at=a.at, weight=a.weight, mult=fm.get(a.id, 0)) for a in d.farrows
     ]
-    m = induced_multiplicity(d, e, keep, fm)
-    i = induced_value(d, e, keep, wm)
-    arrows = far_side_has_arrows(d, e, keep)
     piece = (d.vertices, d.edges, farrows, d.warrows)
-    half, slot = _cut(piece, e, keep, side, wm.items(), m, i, arrows)
-    if arrows:
-        return SpliceHalf(SpliceDiagram(*half), keep, m, i, slot, slot)
-    return SpliceHalf(SpliceDiagram(*half), keep, 0, i, None, slot)
+    half, slot = _cut(piece, e, keep, cut.far_side, wm.items(), m, i, bool(cut.farrows))
+    return SpliceHalf(SpliceDiagram(*half), keep, m, i, slot if cut.farrows else None, slot)
 
 
 def _resolve_edge(d: SpliceDiagram, e) -> Edge:
@@ -180,41 +188,18 @@ def splice(
 ) -> tuple[SpliceHalf, SpliceHalf]:
     """Split at a special edge; returns the decorated halves (left keeps e.a).
 
-    M and i are computed on d itself, so this is the local route that
-    ``star_decomposition``'s whole-diagram route is checked against."""
+    M and i are read off the cuts of d itself, so this is the local route
+    that ``star_decomposition``'s whole-diagram route is checked against."""
     d.require_standard()
     e = _resolve_edge(d, e)
     if not (d.is_node(e.a) and d.is_node(e.b)):
         raise DiagramError(f"edge {e.key} is not special")
     fm = f_of(d, f)
     wm = w_of(d, w)
+    _require_slots(d, wm)
     left = _half(d, e, e.a, fm, wm)
     right = _half(d, e, e.b, fm, wm)
     return left, right
-
-
-class RootCut(NamedTuple):
-    """What a cut at e, keeping ``keep``, sees of the far side of d, whatever
-    F and W are: its vertices, its arrowhead ids, i at W = 0 (``i0``) and the
-    linking row of the far endpoint with e excluded."""
-
-    far_side: frozenset[str]
-    farrows: tuple[str, ...]
-    i0: int
-    row: dict[str, int]
-
-
-def root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
-    """The cut of d at e keeping ``keep``, cached on d."""
-    return d.memo(("cut", keep, e.key), _root_cut, d, keep, e)
-
-
-def _root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
-    side = d.side_vertices(keep, e)
-    row = d.linking_row(e.other(keep), e)
-    far_side = frozenset(side)
-    farrows = tuple(a.id for a in d.farrows if a.at in far_side)
-    return RootCut(far_side, farrows, _induced_value(d, side, row, {}), row)
 
 
 def star_decomposition(
@@ -247,12 +232,11 @@ def star_decomposition(
                 raise DiagramError("piece without a unique node")
             stars[node_list[0]] = star
             continue
-        wslots = [(x.at if x.at is not None else x.doubles, x.value - 1) for x in piece[3]]
+        wslots = [(x.slot, x.value - 1) for x in piece[3]]
         for keep in (e.a, e.b):
             cut = root_cut(d, keep, e)
             side = {v for v in vertices if home.get(v, v) in cut.far_side}
-            m = sum(fm.get(a, 0) * cut.row[a] for a in cut.farrows)
-            i = cut.i0 + sum(mult * cut.row[s] for s, mult in wm.items() if mult and s in cut.row)
+            m, i = cut.multiplicity(fm), cut.value(wm)
             half, slot = _cut(piece, e, keep, side, wslots, m, i, bool(cut.farrows))
             kept_home = {v: h for v, h in home.items() if v not in side}
             if not cut.farrows:

@@ -175,6 +175,9 @@ def test_cli_refuses_counts_below_one(capsys):
     for count in ("0", "-3"):
         assert main(["realize", sd, "--lambda", "5/6", "--count", count, "--json"]) == 1
         assert capsys.readouterr() == ("", "error: --count must be at least 1\n")
+    for bound in ("-1", "-3"):
+        assert main(["realize", sd, "--lambda", "5/6", "--bound", bound, "--json"]) == 1
+        assert capsys.readouterr() == ("", "error: --bound must be nonnegative\n")
     for samples in ("0", "-4"):
         assert main(["selfcheck", "--samples", samples]) == 1
         assert capsys.readouterr() == ("", "error: --samples must be at least 1\n")

@@ -14,17 +14,20 @@ from splicezeta.corpus import (
     two_cusp_diagram,
     two_cusp_diagram_mult,
 )
+from splicezeta.diagrams import Edge, Farrow, SpliceDiagram
 from splicezeta.divisors import f_of, nu_values, vertex_multiplicities
 from splicezeta.exact import UnityRoot
 from splicezeta.generate import random_valid_splice
 from splicezeta.monodromy import alexander, eig_contains
 from splicezeta.realize import (
+    FACTOR_TRIAL_LIMIT,
     ExtensionObstructedError,
     NotAnEigenvalueError,
     StarRootError,
     _fast_allowed,
     _hit_forms,
     _hits,
+    _prime_power_factors,
     _shell,
     certify,
     extend_allowed,
@@ -32,8 +35,32 @@ from splicezeta.realize import (
     realize_star,
     star_forms,
 )
-from splicezeta.splicing import far_side_has_arrows, induced_value, splice
+from splicezeta.splicing import induced_value, splice
 from splicezeta.zeta import zeta_splice
+
+
+_INTRO_STARS = [(2, 3), (2, 5), (3, 4)]
+
+
+def _star_roots(st):
+    """Every root of unity that is a root of the star's Alexander polynomial."""
+    poly = alexander(st)
+    for q in poly.root_orders():
+        for p in range(q):
+            lam = UnityRoot(p, q)
+            if lam.order == q and poly.root_multiplicity(lam) > 0:
+                yield lam
+
+
+def _check_star_realizations(st, lam, sols, effective):
+    assert sols, (lam, effective)
+    for s in sols:
+        assert UnityRoot.from_exponent(s.s0) == lam
+        assert is_allowed(st, None, s.w).allowed
+        poles = zeta_splice(st, w=s.w).poles()
+        assert any(UnityRoot.from_exponent(p.location) == lam for p in poles)
+        if effective:
+            assert all(m >= 0 for m in s.w.values())
 
 
 def test_realize_star_intro_golden():
@@ -42,11 +69,11 @@ def test_realize_star_intro_golden():
     # certifies the pole -13/12, whose exponential is the conjugate class 11/12
     r = certify(st, f_of(st, None), {"b1": 2, "b2": 1}, UnityRoot(11, 12), "manual", False)
     assert r is not None and r.s0 == Fraction(-13, 12)
-    # the engine solves the matching congruence for 1/12 directly
-    sols = realize_star(st, UnityRoot(1, 12), count=2)
-    assert sols
-    for s in sols:
-        assert UnityRoot.from_exponent(s.s0) == UnityRoot(1, 12)
+    # the engine realizes every root of every intro star's polynomial
+    for d1, d2 in _INTRO_STARS:
+        st = intro_star(d1, d2)
+        for lam in _star_roots(st):
+            _check_star_realizations(st, lam, realize_star(st, lam, count=2), False)
 
 
 def test_realize_star_requires_root():
@@ -60,8 +87,6 @@ def test_realize_star_requires_root():
 
 def test_realize_star_automatic_pole_r1():
     # r = 1, p1 = 1, n = 2: every allowed W whose class is a root gives a pole
-    from splicezeta.diagrams import Edge, Farrow, SpliceDiagram
-
     st = SpliceDiagram(
         ["v", "b1", "b2"],
         [Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1)],
@@ -90,11 +115,11 @@ def test_realize_star_automatic_pole_r1():
 
 
 def test_realize_star_effective():
-    st = intro_star(2, 3)
-    sols = realize_star(st, UnityRoot(1, 12), count=2, effective=True)
-    assert sols
-    for s in sols:
-        assert all(m >= 0 for m in s.w.values())
+    for d1, d2 in _INTRO_STARS:
+        st = intro_star(d1, d2)
+        for lam in _star_roots(st):
+            sols = realize_star(st, lam, count=2, effective=True)
+            _check_star_realizations(st, lam, sols, True)
 
 
 def test_extend_allowed_running_example():
@@ -204,6 +229,30 @@ def test_realize_rejects_count_below_one():
     for count in (0, -3):
         with pytest.raises(ValueError, match="count must be at least 1"):
             realize_eigenvalue(d, UnityRoot(5, 6), count=count)
+    # nor may a negative bound yield an empty window
+    for bound in (-1, -3):
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            realize_eigenvalue(d, UnityRoot(5, 6), bound=bound)
+
+
+def test_prime_power_factors_stop_at_the_trial_limit():
+    # the reductions' moduli stay pairwise coprime with product N whatever
+    # N is; primes above the limit are left together in one cofactor
+    big, bigger = 100000007, 100000037
+    assert big > FACTOR_TRIAL_LIMIT
+    assert _prime_power_factors(2**3 * 3 * 7**2 * 101) == [8, 3, 49, 101]
+    assert _prime_power_factors(12 * big) == [4, 3, big]
+    assert _prime_power_factors(12 * big * bigger) == [4, 3, big * bigger]
+    # realizing on the star with those legs answers at once, the
+    # unfactored N_v of the node reported as one modulus
+    st = SpliceDiagram(
+        ["v", "b1", "b2"],
+        [Edge("v", "b1", big, 1), Edge("v", "b2", bigger, 1)],
+        [Farrow(id="a", at="v", weight=1, mult=1)],
+    )
+    out = realize_eigenvalue(st, UnityRoot(1, big * bigger))
+    assert out.realized
+    assert [m for m, _, _ in out.congruences[0].reductions] == [big * bigger]
 
 
 def test_realize_unrealizable_counterexample():
@@ -461,12 +510,15 @@ def _ref_star_forms(d, slots):
         for e in d.edges_at(v):
             u = e.other(v)
             if d.is_node(u):
-                if far_side_has_arrows(d, e, v):
+                side = set(d.side_vertices(v, e))
+                if any(a.at in side for a in d.farrows):
                     r += 1
                     continue
-                side = set(d.side_vertices(v, e))
-                base = induced_value(d, e, v, {})
-                coefs = {s: induced_value(d, e, v, {s: 1}) - base
+                # i at W = 0 and its slopes, linking products cut at e
+                base = sum((2 - d.delta(x)) * d.linking_product(u, x, e) for x in side)
+                base += sum(d.linking_product(u, a.id, e) for a in d.farrows
+                            if a.at in side and a.weight >= 2)
+                coefs = {s: d.linking_product(u, s, e)
                          for s in slots if d.anchor(s)[0] in side}
                 legs.append(_RefLeg(e.weight_at(v), base, coefs))
             else:

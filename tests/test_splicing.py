@@ -254,9 +254,15 @@ def test_root_cuts_are_cached_and_shared_across_decorations():
     assert list(again) == list(first)
     for (k, key), cut in cuts.items():
         assert root_cut(d, k, d.edge(*key)) is cut
-    # the W-independent part of each cut is i at W = 0
+    # the W-independent part of each cut is i at W = 0, summed here over a
+    # side walk of its own
     for (k, key), cut in cuts.items():
-        assert cut.i0 == induced_value(d, d.edge(*key), k, {})
+        e = d.edge(*key)
+        far, side = e.other(k), d.side_vertices(k, e)
+        want = sum((2 - d.delta(x)) * d.linking_product(far, x, e) for x in side)
+        want += sum(d.linking_product(far, a.id, e) for a in d.farrows
+                    if a.at in side and a.weight >= 2)
+        assert cut.i0 == want
 
 
 def test_verify_three_star_identity():
