@@ -104,13 +104,12 @@ class SemigroupReport:
     checked: int = 0
 
 
-def semigroup_condition(d: SpliceDiagram, f: PDivisor | None = None) -> SemigroupReport:
+def semigroup_condition(d: SpliceDiagram) -> SemigroupReport:
     """For every node/edge pair whose cut-off side carries no arrowheads:
     the edge weight at the node must lie in the semigroup generated by the
-    linking products towards the boundary vertices of that side.
-
-    The ``f`` argument is accepted for signature symmetry; the condition
-    depends only on the support of F, which the diagram's arrowheads carry."""
+    linking products towards the boundary vertices of that side.  The
+    condition depends only on the support of F, which the diagram's
+    arrowheads carry."""
     d.require_standard()
     failures: list[SemigroupFailure] = []
     checked = 0

@@ -953,41 +953,35 @@ def blowup(g: PlumbingGraph, locus) -> PlumbingGraph:
     verts = {v.id: v.self_int for v in g.vertices}
     edges = list(g.edges)
     farrows = list(g.farrows)
+    warrows = list(g.warrows)
+    # the vertices the new -1 curve meets, each losing 1 of self-intersection
     if kind == "vertex":
         if what not in verts:
             raise DiagramError(f"unknown vertex {what!r}")
-        verts[what] -= 1
-        vertices = [PVertex(i, s) for i, s in verts.items()] + [PVertex(new, -1)]
-        edges.append(tuple(sorted((what, new))))
-        return PlumbingGraph(vertices, edges, farrows, g.warrows)
-    if kind == "edge":
+        met = [what]
+    elif kind == "edge":
         a, b = sorted(what)
         if (a, b) not in edges:
             raise DiagramError(f"unknown edge ({a}, {b})")
         edges.remove((a, b))
-        verts[a] -= 1
-        verts[b] -= 1
-        vertices = [PVertex(i, s) for i, s in verts.items()] + [PVertex(new, -1)]
-        edges.extend([tuple(sorted((a, new))), tuple(sorted((b, new)))])
-        return PlumbingGraph(vertices, edges, farrows, g.warrows)
-    if kind == "arrow":
-        match = [a for a in farrows if a.id == what]
-        warr = [w for w in g.warrows if w.id == what and w.at is not None]
-        if match:
-            a = match[0]
-            verts[a.at] -= 1
-            vertices = [PVertex(i, s) for i, s in verts.items()] + [PVertex(new, -1)]
-            edges.append(tuple(sorted((a.at, new))))
-            farrows = [x for x in farrows if x.id != a.id]
-            farrows.append(Farrow(id=a.id, at=new, weight=1, mult=a.mult))
-            return PlumbingGraph(vertices, edges, farrows, g.warrows)
-        if warr:
-            w = warr[0]
-            verts[w.at] -= 1
-            vertices = [PVertex(i, s) for i, s in verts.items()] + [PVertex(new, -1)]
-            edges.append(tuple(sorted((w.at, new))))
-            warrows = [x for x in g.warrows if x.id != w.id]
-            warrows.append(Warrow(id=w.id, value=w.value, at=new))
-            return PlumbingGraph(vertices, edges, farrows, warrows)
-        raise DiagramError(f"unknown arrow {what!r}")
-    raise DiagramError(f"unknown blowup locus kind {kind!r}")
+        met = [a, b]
+    elif kind == "arrow":
+        fa = next((x for x in farrows if x.id == what), None)
+        wa = next((x for x in warrows if x.id == what and x.at is not None), None)
+        if fa is not None:
+            met = [fa.at]
+            farrows = [x for x in farrows if x.id != what]
+            farrows.append(Farrow(id=fa.id, at=new, weight=1, mult=fa.mult))
+        elif wa is not None:
+            met = [wa.at]
+            warrows = [x for x in warrows if x.id != what]
+            warrows.append(Warrow(id=wa.id, value=wa.value, at=new))
+        else:
+            raise DiagramError(f"unknown arrow {what!r}")
+    else:
+        raise DiagramError(f"unknown blowup locus kind {kind!r}")
+    for v in met:
+        verts[v] -= 1
+    edges.extend(tuple(sorted((v, new))) for v in met)
+    vertices = [PVertex(i, s) for i, s in verts.items()] + [PVertex(new, -1)]
+    return PlumbingGraph(vertices, edges, farrows, warrows)

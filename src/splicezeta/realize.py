@@ -1,7 +1,7 @@
 """Constructing allowed divisors whose zeta poles hit a prescribed eigenvalue.
 
-One engine, ``realize_eigenvalue``, tries three sources of candidates in
-turn:
+One engine, ``realize_eigenvalue``, certifies candidates from three lazy
+sources, chained in this order:
 
 * arrowheads whose multiplicity the order of lambda divides: the arrowhead's
   double is set so that s0 = -i_a/N_a hits lambda, on top of a few small
@@ -12,6 +12,10 @@ turn:
   shifted along the kernel;
 * a bounded exhaustive search over decoration windows, used as fallback and
   as an independent oracle at desk scale.
+
+The sources know nothing of how many results are wanted: one loop certifies
+each divisor they yield once, and stops pulling at the requested count, so a
+source is left only when it runs dry.
 
 ``realize_star`` is that engine on a standalone star, whose arrowhead
 doubles it searches too.  ``extend_allowed`` carries an allowed divisor one
@@ -129,13 +133,6 @@ class RealizeOutcome:
 # multiplicities, in the order of the searched slots.  Every quantity they
 # test is an integer affine form base + coefs . x, read off cached linking
 # rows once per query.
-
-
-def nu_linear_form(d: SpliceDiagram, v: str, slots: list[str]) -> tuple[int, dict[str, int]]:
-    """nu_v = base + sum coef_s * mult_s over the given W slots."""
-    base = nu_values(d, {})[v]
-    row = d.linking_row(v)
-    return base, {s: row[s] for s in slots}
 
 
 # a star as (r, legs), each leg (d_l, base, coefs) with i_l = base + coefs . x
@@ -265,21 +262,6 @@ def _target_residue(lam: UnityRoot, modulus: int) -> int | None:
     if modulus % lam.order:
         return None
     return (-lam.p * (modulus // lam.order)) % modulus
-
-
-def _reduce_solution(x: dict[str, int], coefs: dict[str, int], modulus: int) -> dict[str, int]:
-    """Shrink a congruence solution by single-slot period moves (these keep
-    the residue class of the congruence and the divisibility pattern)."""
-    out = dict(x)
-    for s, val in out.items():
-        c = coefs.get(s, 0)
-        period = modulus // gcd(c, modulus) if c else 1
-        if period:
-            r = val % period
-            if abs(r - period) < abs(r):
-                r -= period
-            out[s] = r
-    return out
 
 
 # Trial division for the printed per-prime congruence reductions stops at
@@ -485,6 +467,118 @@ def _shell(k: int, width: int, effective: bool):
             yield head + (c,)
 
 
+@dataclass
+class _Query:
+    """One realize query: what is compiled for it once and shared by its
+    candidate sources, and what the sources report back (the node
+    congruences and diagnostics they reached, the window they explored)."""
+
+    d: SpliceDiagram
+    fm: dict[str, int]
+    lam: UnityRoot
+    slots: list[str]
+    effective: bool
+    rng: random.Random
+    forms: list[_StarForm]
+    nv_all: dict[str, int]
+    explored: dict[str, int]
+    congruences: list[NodeCongruence] = field(default_factory=list)
+    diagnostics: list[str] = field(default_factory=list)
+
+
+def _arrow_candidates(q: _Query):
+    """Arrowheads whose multiplicity the order of lam divides: the double of
+    the arrowhead set so that s0 = -i_a/N_a hits lam, on top of a few small
+    allowed boundary assignments."""
+    for a in q.d.farrows:
+        na = q.fm.get(a.id, 0)
+        if na <= 0 or na % q.lam.order:
+            continue
+        ua = _target_residue(q.lam, na)
+        # W = 0 comes first here when the star filters allow it; when they do
+        # not, no W that is 0 off the double of a is allowed, as that double
+        # changes no star leg
+        for basew in _small_allowed_candidates(q.d, q.fm, q.slots, q.forms, q.rng):
+            for t in range(1, 9) if q.effective else range(8):
+                yield basew | {a.id: (ua - 1) + na * t}, f"arrow:{a.id}"
+
+
+def _node_candidates(q: _Query):
+    """Nodes whose star Alexander polynomial has lam as a root: the solution
+    of the congruence nu_v = u (mod N_v) reduced slot by slot, then 80 random
+    kernel moves of it, each yielded when it passes the star filters.  Every
+    node reached leaves its congruence on the query, and the reason when it
+    has no candidate."""
+    stars = star_decomposition(q.d, q.fm, {})
+    nu0 = nu_values(q.d, {})
+    for v in sorted(q.d.nodes()):
+        try:
+            rootmult = alexander(stars[v]).root_multiplicity(q.lam)
+        except DiagramError:
+            rootmult = 0
+        nv = q.nv_all[v]
+        u = _target_residue(q.lam, nv)
+        if u is None:
+            continue
+        row = q.d.linking_row(v)
+        coefs = [row[s] for s in q.slots]
+        base = nu0[v]
+        q.congruences.append(
+            NodeCongruence(
+                node=v,
+                modulus=nv,
+                base=base % nv,
+                target=u,
+                coefficients={s: c % nv for s, c in zip(q.slots, coefs)},
+                reductions=[
+                    (m, {s: c % m for s, c in zip(q.slots, coefs)}, (u - base) % m)
+                    for m in _prime_power_factors(nv)
+                ],
+            )
+        )
+        if rootmult <= 0:
+            q.diagnostics.append(f"node {v}: lam is not a root of the star Alexander polynomial")
+            continue
+        sol = solve_linear_congruence(coefs, u - base, nv)
+        if sol is None:
+            q.diagnostics.append(f"node {v}: congruence for nu has no solution")
+            continue
+        # moving a slot by its period keeps nu_v mod N_v: a kernel move
+        periods = [nv // gcd(c, nv) if c else 1 for c in coefs]
+        # each slot at the residue of least absolute value in its period class
+        residues = [x % p for x, p in zip(sol, periods)]
+        reduced = [r - p if 2 * r > p else r for r, p in zip(residues, periods)]
+        for t in range(80):
+            x = reduced
+            if t:
+                x = [xi + p * q.rng.randint(-3, 3) for xi, p in zip(x, periods)]
+            if q.effective:
+                # the least non-negative value in the period class
+                x = [xi % p if xi < 0 else xi for xi, p in zip(x, periods)]
+            if _fast_allowed(q.forms, tuple(x)):
+                yield dict(zip(q.slots, x)), f"node:{v}"
+
+
+def _window_candidates(q: _Query, bound: int, budget: int):
+    """The points of the windows |mult| <= width, width by width up to
+    ``bound``, that pass the lambda congruences and the star filters;
+    ``explored["window"]`` is the width being walked."""
+    if not q.slots:
+        return
+    k = len(q.slots)
+    hit_forms = _hit_forms(q.d, q.fm, q.nv_all, q.lam, q.slots)
+    for width in range(1, bound + 1):
+        # The budget counts every point of the window, also the ones that
+        # --effective never visits: the windows up to this width hold
+        # (2 width + 1)^k points.  Width 1 is always searched.
+        if width > 1 and (2 * width + 1) ** k > budget:
+            return
+        q.explored["window"] = width
+        for combo in _shell(k, width, q.effective):
+            if _hits(hit_forms, combo) and _fast_allowed(q.forms, combo):
+                yield dict(zip(q.slots, combo)), "search"
+
+
 def realize_eigenvalue(
     d: SpliceDiagram,
     lam: UnityRoot,
@@ -520,139 +614,39 @@ def realize_eigenvalue(
     slots = [v for v in d.boundary_vertices()]
     if include_doubles:
         slots += [a.id for a in d.farrows]
+    q = _Query(
+        d, fm, lam, slots, effective, rng,
+        forms=star_forms(d, slots),
+        nv_all=vertex_multiplicities(d, fm),
+        explored={"window": 0, "bound": bound},
+    )
+    # the sources are pulled in turn, each only while results are missing;
+    # a W is certified once, keyed as certify keys its result
     found: list[Realization] = []
-    seen: set[tuple] = set()
-    diagnostics: list[str] = []
-    congruences: list[NodeCongruence] = []
-
-    def push(r: Realization | None) -> bool:
-        if r is None:
-            return False
-        key = tuple(sorted(r.w.items()))
-        if key in seen:
-            return False
-        seen.add(key)
-        found.append(r)
-        return True
-
-    forms = star_forms(d, slots)
-    nv_all = vertex_multiplicities(d, fm)
-
-    # --- source 1: arrowheads whose multiplicity order contains lam
-    for a in d.farrows:
-        na = fm.get(a.id, 0)
-        if len(found) >= count:
-            break
-        if na <= 0 or na % lam.order:
+    tried: set[tuple] = set()
+    for w, source in itertools.chain(
+        _arrow_candidates(q), _node_candidates(q), _window_candidates(q, bound, budget)
+    ):
+        key = tuple(sorted((s, m) for s, m in w.items() if m))
+        if key in tried:
             continue
-        ua = _target_residue(lam, na)
-        # W = 0 comes first here when the star filters allow it; when they do
-        # not, no W that is 0 off the double of a is allowed, as that double
-        # changes no star leg
-        for basew in _small_allowed_candidates(d, fm, slots, forms, rng):
-            done = False
-            for t in range(8):
-                w = dict(basew)
-                w[a.id] = (ua - 1) + na * (t if not effective else t + 1)
-                if push(certify(d, fm, w, lam, f"arrow:{a.id}", effective)):
-                    done = True
-                    break
-            if done or len(found) >= count:
+        tried.add(key)
+        r = certify(d, fm, w, lam, source, effective)
+        if r is not None:
+            found.append(r)
+            if len(found) == count:
                 break
-
-    # --- source 2: nodes whose star Alexander polynomial has lam as root
-    stars = star_decomposition(d, fm, {})
-    for v in sorted(d.nodes()):
-        if len(found) >= count:
-            break
-        try:
-            rootmult = alexander(stars[v]).root_multiplicity(lam)
-        except DiagramError:
-            rootmult = 0
-        nv = nv_all[v]
-        u = _target_residue(lam, nv)
-        if u is None:
-            continue
-        base, coefs = nu_linear_form(d, v, slots)
-        cong = NodeCongruence(
-            node=v,
-            modulus=nv,
-            base=base % nv,
-            target=u,
-            coefficients={s: coefs[s] % nv for s in slots},
-        )
-        for m in _prime_power_factors(nv):
-            cong.reductions.append(
-                (m, {s: coefs[s] % m for s in slots}, (u - base) % m)
-            )
-        congruences.append(cong)
-        if rootmult <= 0:
-            diagnostics.append(
-                f"node {v}: lam is not a root of the star Alexander polynomial"
-            )
-            continue
-        order = list(slots)
-        cvec = [coefs[s] for s in order]
-        sol = solve_linear_congruence(cvec, u - base, nv)
-        if sol is None:
-            diagnostics.append(f"node {v}: congruence for nu has no solution")
-            continue
-        # constructive: congruence solution plus kernel perturbations
-        reduced = _reduce_solution(dict(zip(order, sol)), coefs, nv)
-        for t in range(80):
-            x = dict(reduced)
-            if t:
-                for s in order:
-                    period = nv // gcd(coefs[s], nv) if coefs[s] else 1
-                    x[s] += period * rng.randint(-3, 3)
-            if effective:
-                for s in order:
-                    period = nv // gcd(coefs[s], nv) if coefs[s] else 1
-                    while x[s] < 0:
-                        x[s] += period
-            if not _fast_allowed(forms, tuple(x[s] for s in slots)):
-                continue
-            if push(certify(d, fm, x, lam, f"node:{v}", effective)):
-                break
-        if len(found) >= count:
-            break
-
-    # --- fallback: windowed exhaustive search with cheap pre-filters
-    explored = {"window": 0, "bound": bound}
-    if len(found) < count and slots:
-        k = len(slots)
-        hit_forms = _hit_forms(d, fm, nv_all, lam, slots)
-        width = 1
-        while width <= bound:
-            # The budget counts every point of the window, also the ones that
-            # --effective never visits: the windows up to this width hold
-            # (2 width + 1)^k points.  Width 1 is always searched.
-            if width > 1 and (2 * width + 1) ** k > budget:
-                break
-            for combo in _shell(k, width, effective):
-                if not _hits(hit_forms, combo) or not _fast_allowed(forms, combo):
-                    continue
-                x = dict(zip(slots, combo))
-                if push(certify(d, fm, x, lam, "search", effective)):
-                    if len(found) >= count:
-                        break
-            explored["window"] = width
-            if len(found) >= count:
-                break
-            width += 1
-
-    status = "realized" if found else "unrealizable-within-bound"
     if not found:
-        diagnostics.append(
-            f"no allowed divisor within the explored window (|mult| <= {explored['window']}, "
+        q.diagnostics.append(
+            f"no allowed divisor within the explored window (|mult| <= {q.explored['window']}, "
             f"requested bound {bound}) produced a pole with exponential {lam}"
         )
     return RealizeOutcome(
-        status=status,
-        found=found[:count],
-        diagnostics=diagnostics,
-        congruences=congruences,
-        explored=explored,
+        status="realized" if found else "unrealizable-within-bound",
+        found=found,
+        diagnostics=q.diagnostics,
+        congruences=q.congruences,
+        explored=q.explored,
     )
 
 

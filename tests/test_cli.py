@@ -1,5 +1,7 @@
 """File format round-trips and the command surface."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -8,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splicezeta.cli import build_parser, main
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
@@ -304,3 +308,58 @@ def test_cli_realize_budget_exhausting_golden(capsys):
     assert main(["realize", sd, "--lambda", "37/42", "--effective", "--json"]) == 0
     golden = Path(__file__).resolve().parent / "golden" / "realize_two_cusp_mult7_37_42_effective.json"
     assert capsys.readouterr().out == golden.read_text()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed boundary: mutated corpus texts through the command surface
+
+_FUZZ_VALUES = ["0", "-1", str(10**30 + 57), "x", "1.5"]
+_FUZZ_COMMANDS = [
+    [name]
+    for name in (
+        "validate", "convert", "zeta", "poles", "alexander", "semigroup", "allowed",
+        "goal1", "stars",
+    )
+] + [["eig", "--lambda", "1/6"], ["realize", "--lambda", "1/6", "--bound", "3"]]
+
+
+@st.composite
+def _mutated_corpus_text(draw):
+    """A corpus file with one to three of its lines deleted, duplicated or
+    given a number that is 0, -1, huge or not an integer."""
+    path = draw(st.sampled_from(sorted(CORPUS.iterdir())))
+    lines = path.read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "token"]))
+        tokens = lines[k].split()
+        numbers = [j for j, t in enumerate(tokens) if t.rpartition("=")[2].lstrip("-").isdigit()]
+        if op == "delete":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        elif numbers:
+            j = draw(st.sampled_from(numbers))
+            key, eq, _ = tokens[j].rpartition("=")
+            tokens[j] = key + eq + draw(st.sampled_from(_FUZZ_VALUES))
+            lines[k] = " ".join(tokens)
+    return path.suffix, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_mutated_corpus_text())
+def test_cli_fuzzed_corpus_exits_cleanly(tmp_path_factory, case):
+    # every command ends in exit 0, 1 or 2, never a traceback, and a nonzero
+    # exit says why on stderr
+    suffix, text = case
+    path = tmp_path_factory.mktemp("fuzz") / ("mutated" + suffix)
+    path.write_text(text)
+    for command in _FUZZ_COMMANDS:
+        argv = [command[0], str(path), *command[1:]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, text)
+        assert code == 0 or err.getvalue(), (argv, text)

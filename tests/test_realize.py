@@ -73,7 +73,11 @@ def test_realize_star_intro_golden():
     for d1, d2 in _INTRO_STARS:
         st = intro_star(d1, d2)
         for lam in _star_roots(st):
-            _check_star_realizations(st, lam, realize_star(st, lam, count=2), False)
+            sols = realize_star(st, lam, count=2)
+            _check_star_realizations(st, lam, sols, False)
+            # the node source yields on after its first hit: the window
+            # search is never needed for the second result
+            assert all(s.source != "search" for s in sols), (d1, d2, lam)
 
 
 def test_realize_star_requires_root():
@@ -120,6 +124,7 @@ def test_realize_star_effective():
         for lam in _star_roots(st):
             sols = realize_star(st, lam, count=2, effective=True)
             _check_star_realizations(st, lam, sols, True)
+            assert all(s.source != "search" for s in sols), (d1, d2, lam)
 
 
 def test_extend_allowed_running_example():
@@ -635,7 +640,8 @@ def test_arrow_source_tries_zero_w_only_when_allowed(monkeypatch, capsys):
     # On two_cusp W = 0 is not allowed.  Trying W = 0 ahead of the arrow
     # source's base candidates anyway, unchecked, prints the same realize
     # --json bytes for every lambda in Eig, and only adds certify calls that
-    # the allowedness check refuses.
+    # the allowedness check refuses.  No certify call follows the count-th
+    # distinct certified W.
     from math import gcd
     from pathlib import Path
 
@@ -651,34 +657,43 @@ def test_arrow_source_tries_zero_w_only_when_allowed(monkeypatch, capsys):
     lams = [UnityRoot(p, q) for q in sorted(orders) for p in range(q) if gcd(p, q) == 1]
     lams = [lam for lam in lams if eig_contains(d, lam)]
     assert UnityRoot(0, 1) in lams  # the arrowhead's own root group
-    calls = {"certify": 0}
+    certified = []
     certify_once = realize.certify
 
     def counted(*args, **kw):
-        calls["certify"] += 1
-        return certify_once(*args, **kw)
+        r = certify_once(*args, **kw)
+        certified.append(r)
+        return r
 
     monkeypatch.setattr(realize, "certify", counted)
     candidates = realize._small_allowed_candidates
 
-    def run(argv, zero_first):
+    def run(argv, zero_first, count):
+        certified.clear()
         with monkeypatch.context() as m:
             if zero_first:
                 m.setattr(realize, "_small_allowed_candidates", lambda *a: [{}] + candidates(*a))
-            before = calls["certify"]
             code = main(argv)
             out = capsys.readouterr()
-        return (code, out.out, out.err), calls["certify"] - before
+        hits = set()
+        for k, r in enumerate(certified):
+            if r is not None:
+                hits.add(tuple(r.w.items()))
+            if len(hits) == count:
+                assert k == len(certified) - 1, argv
+        return (code, out.out, out.err), len(certified)
 
     saved = 0
     for lam in lams:
         for extra in ([], ["--effective"]):
-            argv = ["realize", str(path), "--lambda", str(lam), "--json", *extra]
-            got, n_got = run(argv, False)
-            want, n_want = run(argv, True)
-            assert got == want, argv
-            assert n_got <= n_want
-            saved += n_want - n_got
+            for count in (1, 2):
+                argv = ["realize", str(path), "--lambda", str(lam), "--json", *extra,
+                        "--count", str(count)]
+                got, n_got = run(argv, False, count)
+                want, n_want = run(argv, True, count)
+                assert got == want, argv
+                assert n_got <= n_want
+                saved += n_want - n_got
     assert saved > 0
 
 
