@@ -73,12 +73,8 @@ def _load_splice(path: str) -> tuple[str, SpliceDiagram]:
         raise CliError(2, f"cannot convert plumbing graph: {exc}") from None
 
 
-def _frac(x) -> str:
-    return format_fraction(x)
-
-
 def _poly_coeffs(p) -> list[str]:
-    return [_frac(c) for c in p.coeffs]
+    return [format_fraction(c) for c in p.coeffs]
 
 
 def _zeta_payload(z: ZetaResult) -> dict:
@@ -88,11 +84,12 @@ def _zeta_payload(z: ZetaResult) -> dict:
         "node_terms": [
             {
                 "vertex": t.vertex,
-                "nu": _frac(t.nu),
-                "N": _frac(t.n),
-                "const": _frac(t.const),
+                "nu": format_fraction(t.nu),
+                "N": format_fraction(t.n),
+                "const": format_fraction(t.const),
                 "arrows": [
-                    {"weight": a.weight, "i": _frac(a.i), "N": _frac(a.n)} for a in t.arrows
+                    {"weight": a.weight, "i": format_fraction(a.i), "N": format_fraction(a.n)}
+                    for a in t.arrows
                 ],
             }
             for t in z.node_terms
@@ -100,8 +97,10 @@ def _zeta_payload(z: ZetaResult) -> dict:
         "edge_terms": [
             {
                 "vertices": list(t.vertices),
-                "q": _frac(t.q),
-                "factors": [[_frac(t.nu1), _frac(t.n1)], [_frac(t.nu2), _frac(t.n2)]],
+                "q": format_fraction(t.q),
+                "factors": [
+                    [format_fraction(x) for x in f] for f in ((t.nu1, t.n1), (t.nu2, t.n2))
+                ],
             }
             for t in z.edge_terms
         ],
@@ -120,8 +119,7 @@ def _cyclo_payload(c: CycloProduct) -> dict:
 
 def _emit(args, payload: dict, text: str):
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -175,12 +173,17 @@ def cmd_poles(args):
     payload = {
         "name": name,
         "poles": [
-            {"s0": _frac(p.location), "order": p.order, "leading": _frac(p.leading)}
+            {
+                "s0": format_fraction(p.location),
+                "order": p.order,
+                "leading": format_fraction(p.leading),
+            }
             for p in poles
         ],
     }
     lines = [f"{name}: {len(poles)} pole(s)"] + [
-        f"  s0 = {_frac(p.location)}  order {p.order}  leading {_frac(p.leading)}"
+        f"  s0 = {format_fraction(p.location)}  order {p.order}"
+        f"  leading {format_fraction(p.leading)}"
         for p in poles
     ]
     _emit(args, payload, "\n".join(lines))
@@ -315,9 +318,9 @@ def cmd_goal1(args):
         "allowed": rep.allowed,
         "poles": [
             {
-                "s0": _frac(p.s0),
+                "s0": format_fraction(p.s0),
                 "order": p.order,
-                "leading": _frac(p.leading),
+                "leading": format_fraction(p.leading),
                 "eigenvalue": str(p.eigenvalue),
                 "in_eig": p.in_eig,
             }
@@ -353,9 +356,9 @@ def cmd_realize(args):
             {
                 "w": {s: m for s, m in r.w.items()},
                 "values": r.values(),
-                "s0": _frac(r.s0),
+                "s0": format_fraction(r.s0),
                 "order": r.order,
-                "leading": _frac(r.leading),
+                "leading": format_fraction(r.leading),
                 "source": r.source,
             }
             for r in out.found
@@ -380,7 +383,7 @@ def cmd_realize(args):
     if out.realized:
         lines = [f"{name}: realized {lam}"]
         for r in out.found:
-            lines.append(f"  s0 = {_frac(r.s0)} (order {r.order}, from {r.source})")
+            lines.append(f"  s0 = {format_fraction(r.s0)} (order {r.order}, from {r.source})")
             for slot, value in r.values().items():
                 kind2 = "doubles" if slot in {x.id for x in d.farrows} else "at"
                 lines.append(f"  warrow w_{slot} {kind2} {slot} i={value}")

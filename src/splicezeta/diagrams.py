@@ -18,13 +18,29 @@ determinant of that subtree minus x.  Expanding along x's row,
 
 with e_x the self-intersection of x.  One leaf-first pass over the side
 gives D_u in integers, in O(|side|) steps, for a zero or negative D as well.
-The whole graph's det(-I) comes from the same pass on a forest.  With
-cycles, when -I(G) is positive definite, it comes from the elimination the
-graph keeps for its solves: eliminating a vertex multiplies the determinant
-of the rest (its Schur complement) by the pivot, and eliminating in another
-order is a symmetric permutation, which keeps the determinant, so det(-I) is
-the product of the pivots.  On a tree eliminated leaves first, the pivot at
-x is D_x / E_x.
+
+The same pass over a whole forest, each component rooted at its first
+vertex, decides the rest in integers.  Eliminating -I leaves first, the
+pivot at x is D_x / E_x.  A symmetric matrix is positive definite iff
+elimination without pivoting meets only positive pivots.  If every D_x > 0,
+every E_x > 0 and so is every pivot.  Otherwise, at the first x in leaf-first
+order with D_x <= 0, all of x's children have D_c > 0, so E_x > 0 and the
+pivot there is <= 0.  So -I(G) is definite iff every D_x > 0, and det(-I)
+is the product of D_r over the roots r.  The solve of -I x = rhs follows the
+elimination in integers: with beta_x = E_x times x's eliminated right-hand
+side,
+
+    beta_x = rhs_x E_x + sum_c beta_c (E_x / D_c),
+
+leaves first, and then, root first, with x_parent = 0 at a root,
+
+    x_v = (beta_v + x_parent E_v) / D_v.
+
+E_x / D_c is the product of the other children's D, an integer.  A graph
+with cycles keeps a ``Fraction`` elimination for all three.  Eliminating a
+vertex multiplies the determinant of the rest (its Schur complement) by the
+pivot, and eliminating in another order is a symmetric permutation, which
+keeps the determinant, so there det(-I) is the product of the pivots.
 """
 
 from __future__ import annotations
@@ -702,36 +718,44 @@ class PlumbingGraph(_Decorated):
                 k += 1
         return tree
 
-    def _tree_det(self, tree: list[tuple[str, str | None]]) -> int:
-        """det(-I) of the forest spanned by a ``_bfs_tree``, which must have
-        no other edges: the product of D_r over its roots r, by the leaf-first
+    def _tree_pass(self, tree: list[tuple[str, str | None]]) -> tuple[dict, dict]:
+        """D_x and E_x at every vertex of the forest spanned by a
+        ``_bfs_tree``, which must have no other edges, by the leaf-first
         recurrence of the module docstring."""
+        d: dict[str, int] = {}
         e: dict[str, int] = {}  # E_x: product of D_c over x's children so far
         s: dict[str, int] = {}  # sum over those c of E_c times the other D_c'
-        det = 1
         for x, parent in reversed(tree):
-            ex = e.pop(x, 1)
-            dx = -self.self_int(x) * ex - s.pop(x, 0)
-            if parent is None:
-                det *= dx
-            else:
+            ex = e.setdefault(x, 1)
+            dx = d[x] = -self.self_int(x) * ex - s.pop(x, 0)
+            if parent is not None:
                 ep = e.get(parent, 1)
                 s[parent] = s.get(parent, 0) * dx + ex * ep
                 e[parent] = ep * dx
-        return det
+        return d, e
 
     def _side_det(self, v: str, u: str) -> int:
         """det(-I) of the component of G - v containing u (of v's own
         component when u == v); that component must be a tree."""
-        return self._tree_det(self._bfs_tree((u,), None if u == v else v))
+        return self._tree_pass(self._bfs_tree((u,), None if u == v else v))[0][u]
 
-    def det_minus_I(self) -> int:
-        """det(-I(G)): the tree recurrence on a forest, otherwise the product
-        of the elimination pivots, which needs -I(G) positive definite."""
+    @cached_property
+    def _forest(self) -> tuple[list, dict[str, int], dict[str, int]] | None:
+        """(tree, D, E) of the leaf-first pass over the whole graph, computed
+        once per graph; None when the graph has a cycle."""
         tree = self._bfs_tree([v.id for v in self.vertices])
         components = sum(1 for _, parent in tree if parent is None)
-        if len(self.edges) == len(self.vertices) - components:
-            return self._tree_det(tree)
+        if len(self.edges) != len(self.vertices) - components:
+            return None
+        return (tree, *self._tree_pass(tree))
+
+    def det_minus_I(self) -> int:
+        """det(-I(G)): the product of D at the roots on a forest, otherwise
+        the product of the elimination pivots, which needs -I(G) positive
+        definite."""
+        if self._forest is not None:
+            tree, d, _ = self._forest
+            return prod(d[x] for x, parent in tree if parent is None)
         steps = self._elimination
         if steps is None:
             raise DiagramError("det(-I) of a graph with a cycle needs -I(G) positive definite")
@@ -739,7 +763,8 @@ class PlumbingGraph(_Decorated):
 
     @cached_property
     def _elimination(self) -> list[tuple[str, Fraction, dict]] | None:
-        """Symmetric sparse elimination of -I(G), computed once per graph.
+        """Symmetric sparse elimination of -I(G), computed once per graph;
+        forests use the integer pass instead.
 
         Vertices go in reverse BFS order: on a tree every vertex goes after
         all vertices beyond it, so it has one neighbour left, and the pass is
@@ -768,14 +793,21 @@ class PlumbingGraph(_Decorated):
         return steps
 
     def is_negative_definite(self) -> bool:
-        """Every pivot of the elimination of -I(G) is positive."""
+        """Every D_x of the integer pass is positive on a forest, every pivot
+        of the elimination otherwise."""
+        if self._forest is not None:
+            return all(dx > 0 for dx in self._forest[1].values())
         return self._elimination is not None
 
     def solve_minus_I(self, rhs: dict[str, int]) -> dict[str, Fraction]:
-        """x with -I(G) x = rhs (one entry per vertex), from the elimination."""
-        steps = self._elimination
-        if steps is None:
+        """x with -I(G) x = rhs (one entry per vertex): the integer forest
+        solve of the module docstring, or back substitution through the
+        elimination on a graph with cycles."""
+        if not self.is_negative_definite():
             raise DiagramError("plumbing graph is not negative definite")
+        if self._forest is not None:
+            return self._forest_solve(rhs)
+        steps = self._elimination
         b = {v: Fraction(c) for v, c in rhs.items()}
         for v, piv, row in steps:
             f = b[v] / piv
@@ -785,6 +817,22 @@ class PlumbingGraph(_Decorated):
         for v, piv, row in reversed(steps):
             sol[v] = (b[v] - sum(x * sol[u] for u, x in row.items())) / piv
         return sol
+
+    def _forest_solve(self, rhs: dict[str, int]) -> dict[str, Fraction]:
+        """The beta_x and x_v recurrences of the module docstring."""
+        tree, d, e = self._forest
+        beta: dict[str, int] = {}  # sum over x's children c of beta_c E_x / D_c, then beta_x
+        for x, parent in reversed(tree):
+            bx = beta[x] = rhs[x] * e[x] + beta.get(x, 0)
+            if parent is not None:
+                beta[parent] = beta.get(parent, 0) + bx * (e[parent] // d[x])
+        sol: dict[str, tuple[int, int]] = {}  # x_v as a reduced (num, den)
+        for x, parent in tree:
+            pn, pq = (0, 1) if parent is None else sol[parent]
+            n, q = beta[x] * pq + pn * e[x], pq * d[x]
+            g = gcd(n, q)
+            sol[x] = (n // g, q // g)
+        return {x: Fraction(n, q) for x, (n, q) in sol.items()}
 
     def is_unimodular(self) -> bool:
         return self.is_negative_definite() and self.det_minus_I() == 1

@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 
 def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         raise TypeError("floating point input rejected; use Fraction or int")
     return Fraction(x)
@@ -590,7 +592,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def format_fraction(x) -> str:
-    """Serialize a rational as 'p/q' (denominator kept even when 1? no: 'p' if integral)."""
+    """Serialize a rational as 'p/q', or as 'p' when it is an integer."""
     f = _as_fraction(x)
     if f.denominator == 1:
         return str(f.numerator)

@@ -18,7 +18,10 @@ gives the whole function as
 
 and the roots whose a1_r and a2_r both vanish are dropped (that is where the
 residues cancel).  ``ZetaResult`` keeps this form: the constant C and the
-parts {r: (a1_r, a2_r)}.
+parts {r: (a1_r, a2_r)}.  The sums run in integers: each root is keyed by
+its reduced numerator and denominator, each coefficient is an integer
+numerator over an integer denominator, and each ``Fraction`` is built once
+at the end, so the values are the ones a ``Fraction`` sum gives.
 
 The form is unique.  If two such sums are equal as functions, their
 difference C + sum b1_r / (s - r) + b2_r / (s - r)^2 is 0; multiplied by
@@ -52,10 +55,10 @@ gives exactly the list ``func.poles()`` gives.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, edge_determinant
 from .divisors import (
@@ -172,7 +175,7 @@ def summands(node_terms, edge_terms):
         lin = (t.nu, t.n)
         yield t.const, (lin,)
         for p in t.arrows:
-            yield Fraction(p.weight), (lin, (p.i, p.n))
+            yield p.weight, (lin, (p.i, p.n))
     for e in edge_terms:
         yield e.q, ((e.nu1, e.n1), (e.nu2, e.n2))
 
@@ -198,30 +201,56 @@ def _divide_linear(p: list, r) -> list:
 
 def principal_parts(terms) -> tuple[Fraction, dict[Fraction, tuple[Fraction, Fraction]]]:
     """C and {r: (a1_r, a2_r)} of the sum of the (c, forms) terms, each
-    c / prod(a + s b) over at most two linear forms (a, b) with Fraction
-    entries; roots whose parts both vanish are dropped.  A form with
-    a = b = 0 raises ZeroDivisionError."""
-    const = Fraction(0)
-    # r -> [a1, a2]: the principal part a1 / (s - r) + a2 / (s - r)^2
-    parts: defaultdict[Fraction, list[Fraction]] = defaultdict(lambda: [Fraction(0), Fraction(0)])
+    c / prod(a + s b) over at most two linear forms (a, b) with int or
+    Fraction entries; roots whose parts both vanish are dropped.  A form
+    with a = b = 0 raises ZeroDivisionError.  Summed in integers (see the
+    module docstring), with the roots in the order they first occur."""
+    const = [0, 1]
+    # (p, q) -> [n1, d1, n2, d2]: the principal part (n1/d1) / (s - p/q)
+    # + (n2/d2) / (s - p/q)^2
+    parts: dict[tuple[int, int], list[int]] = {}
     for c, forms in terms:
+        n, d = c.numerator, c.denominator
         roots = []
         for a, b in forms:
             if b:
-                c = c / b
-                roots.append(-a / b)
+                # c / b, and the root -a / b in lowest terms with q > 0
+                n, d = n * b.denominator, d * b.numerator
+                p, q = -a.numerator * b.denominator, a.denominator * b.numerator
+                g = gcd(p, q) if q > 0 else -gcd(p, q)
+                roots.append((p // g, q // g))
+            elif a:
+                n, d = n * a.denominator, d * a.numerator
             else:
-                c = c / a
+                raise ZeroDivisionError("linear form with a = b = 0")
         if not roots:
-            const += c
-        elif len(roots) == 2 and roots[0] != roots[1]:
-            r1, r2 = roots
-            x = c / (r1 - r2)
-            parts[r1][0] += x
-            parts[r2][0] -= x
+            _add_to(const, 0, n, d)
+        elif len(roots) == 1 or roots[0] == roots[1]:
+            _add_to(parts.setdefault(roots[0], [0, 1, 0, 1]), 2 * len(roots) - 2, n, d)
         else:
-            parts[roots[0]][len(roots) - 1] += c
-    return const, {r: (a1, a2) for r, (a1, a2) in parts.items() if a1 or a2}
+            # c / (r1 - r2), with r1 - r2 = (p1 q2 - p2 q1) / (q1 q2)
+            (p1, q1), (p2, q2) = roots
+            n, d = n * q1 * q2, d * (p1 * q2 - p2 * q1)
+            _add_to(parts.setdefault(roots[0], [0, 1, 0, 1]), 0, n, d)
+            _add_to(parts.setdefault(roots[1], [0, 1, 0, 1]), 0, -n, d)
+    return Fraction(*const), {
+        Fraction(*r): (Fraction(n1, d1), Fraction(n2, d2))
+        for r, (n1, d1, n2, d2) in parts.items()
+        if n1 or n2
+    }
+
+
+def _add_to(acc: list[int], k: int, n: int, d: int):
+    """acc[k] / acc[k + 1] += n / d, over the lcm of the two denominators."""
+    if d < 0:
+        n, d = -n, -d
+    dk = acc[k + 1]
+    if dk == d:
+        acc[k] += n
+    else:
+        g = gcd(dk, d)
+        acc[k] = acc[k] * (d // g) + n * (dk // g)
+        acc[k + 1] = dk // g * d
 
 
 def reduced_ratfunc(const: Fraction, parts: dict[Fraction, tuple[Fraction, Fraction]]) -> RatFunc:

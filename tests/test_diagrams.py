@@ -711,6 +711,48 @@ def test_elimination_pivots_are_side_determinant_ratios():
             assert piv == Fraction(g._side_det(parent, x), e_x)
 
 
+def test_forest_pass_matches_elimination_and_dense_solve(monkeypatch):
+    # definiteness, det(-I) and the solves on a forest come from the integer
+    # pass and never build the Fraction elimination
+    import splicezeta.diagrams as diagrams
+
+    rng = random.Random(41)
+    seen = dict.fromkeys(
+        ["definite", "indefinite", "forest", "zero D", "negative D", "det > 1"], 0
+    )
+    for k in range(1500):
+        g = random_tree_graph(rng, forest=k % 3 == 2)
+        m = minus_intersection_matrix(g)
+        with monkeypatch.context() as mp:  # no Fraction before the solve
+            mp.setattr(diagrams, "Fraction", None)
+            pd = g.is_negative_definite()
+            det = g.det_minus_I()
+        rhs = {v.id: rng.randint(-5, 5) for v in g.vertices}
+        if pd:
+            sol = g.solve_minus_I(rhs)
+        else:
+            with pytest.raises(DiagramError, match="not negative definite"):
+                g.solve_minus_I(rhs)
+        assert "_elimination" not in g.__dict__
+        assert pd == (PlumbingGraph(g.vertices, g.edges)._elimination is not None)
+        assert pd == dense_sylvester(m)
+        assert det == int_det(m)
+        if pd:
+            assert [sol[v.id] for v in g.vertices] == dense_solve(m, [rhs[v.id] for v in g.vertices])
+            assert all(type(x) is Fraction for x in sol.values())
+        d = g._forest[1]
+        seen["definite" if pd else "indefinite"] += 1
+        seen["forest"] += not g.is_connected()
+        seen["zero D"] += 0 in d.values()
+        seen["negative D"] += any(x < 0 for x in d.values())
+        seen["det > 1"] += pd and det > 1
+    assert min(seen.values()) >= 100, seen
+    # a graph with a cycle still goes through the elimination
+    g = PlumbingGraph([PVertex(v, -3) for v in "abc"], [("a", "b"), ("b", "c"), ("a", "c")])
+    assert g.is_negative_definite() and g._forest is None and "_elimination" in g.__dict__
+    assert g.det_minus_I() == int_det(minus_intersection_matrix(g))
+
+
 def test_det_minus_I_on_graphs_with_cycles():
     # the pivot product when definite, a refusal otherwise; self-
     # intersections near minus the degree give both kinds

@@ -1,6 +1,7 @@
 """Topological zeta functions: golden values, oracle equality, pole structure."""
 
 import random
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from splicezeta.zeta import (
     EdgeTerm,
     NodeTerm,
     ZetaResult,
+    principal_parts,
     zeta_plumbing,
     zeta_splice,
 )
@@ -380,3 +382,95 @@ def test_zeta_routes_agree_on_41_vertices():
     assert zp.poles() == zs.poles()
     assert (zp.const, zp.parts) == (zs.const, zs.parts)
     assert zp.poles() == zp.func.poles() and zs.poles() == zs.func.poles()
+
+
+def fraction_principal_parts(terms):
+    """Reference: the principal parts summed one ``Fraction`` at a time."""
+    const = Fraction(0)
+    parts = defaultdict(lambda: [Fraction(0), Fraction(0)])
+    for c, forms in terms:
+        c = Fraction(c)
+        roots = []
+        for a, b in forms:
+            if b:
+                c = c / b
+                roots.append(Fraction(-a) / b)
+            else:
+                c = c / a
+        if not roots:
+            const += c
+        elif len(roots) == 2 and roots[0] != roots[1]:
+            r1, r2 = roots
+            x = c / (r1 - r2)
+            parts[r1][0] += x
+            parts[r2][0] -= x
+        else:
+            parts[roots[0]][len(roots) - 1] += c
+    return const, {r: (a1, a2) for r, (a1, a2) in parts.items() if a1 or a2}
+
+
+def _assert_same_parts(terms):
+    want = fraction_principal_parts(terms)
+    got = principal_parts(terms)
+    assert got == want, terms
+    assert list(got[1]) == list(want[1]), terms
+    values = [got[0], *got[1], *(x for pair in got[1].values() for x in pair)]
+    assert all(type(x) is Fraction for x in values)
+    return got
+
+
+def test_principal_parts_matches_fraction_reference(monkeypatch):
+    import splicezeta.splicing as splicing
+    from splicezeta.corpus import golden_splice_diagrams
+
+    rng = random.Random(23)
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-9, 9), rng.randint(2, 6))
+
+    seen = dict.fromkeys(["int", "fraction", "negative b", "N = 0", "repeated", "cancels"], 0)
+    for _ in range(3000):
+        forms = []
+        while len(forms) < 4:
+            a, b = entry(), entry()
+            if (a, b) != (0, 0):
+                forms.append((a, b))
+        a, b = forms[0]
+        forms.append((-3 * a, -3 * b))  # the same root as forms[0]
+        terms = [
+            (rng.choice([entry(), Fraction(entry())]), tuple(rng.choices(forms, k=rng.randint(0, 2))))
+            for _ in range(rng.randint(0, 7))
+        ]
+        if rng.random() < 0.25:  # add the negatives: the sum is 0
+            terms += [(-c, fs) for c, fs in terms]
+        const, parts = _assert_same_parts(terms)
+        flat = [x for _, fs in terms for form in fs for x in form]
+        seen["int"] += any(type(x) is int for x in flat)
+        seen["fraction"] += any(type(x) is Fraction and x.denominator > 1 for x in flat)
+        seen["negative b"] += any(b < 0 for _, fs in terms for _, b in fs)
+        seen["N = 0"] += any(b == 0 for _, fs in terms for _, b in fs)
+        seen["repeated"] += any(
+            len(fs) == 2 and fs[0][1] and fs[1][1] and fs[0][0] * fs[1][1] == fs[0][1] * fs[1][0]
+            for _, fs in terms
+        )
+        seen["cancels"] += bool(terms) and const == 0 and not parts
+    assert min(seen.values()) >= 100, seen
+
+    # the terms verify_splice_zeta builds at every special edge of the corpus
+    calls = []
+    original = splicing.principal_parts
+    monkeypatch.setattr(
+        splicing, "principal_parts", lambda terms: calls.append(list(terms)) or original(calls[-1])
+    )
+    for d in golden_splice_diagrams().values():
+        for e in d.special_edges():
+            assert splicing.verify_splice_zeta(d, e).ok
+    assert len(calls) >= 9
+    for terms in calls:
+        _assert_same_parts(terms)
+
+    for bad in ([(Fraction(1), ((0, 0),))], [(Fraction(2), ((1, 2), (Fraction(0), 0)))]):
+        with pytest.raises(ZeroDivisionError):
+            principal_parts(bad)
