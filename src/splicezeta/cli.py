@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from .allowed import check_goal1, is_allowed, semigroup_condition
 from .diagrams import (
     DiagramError,
@@ -117,9 +117,37 @@ def _cyclo_payload(c: CycloProduct) -> dict:
     return out
 
 
+def _json(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for str,
+    int, bool, None, lists, tuples and dicts with str keys; anything else
+    (a float, a Fraction, a non-str key) raises TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("JSON object keys must be str")
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def _emit(args, payload: dict, text: str):
     if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # json.dumps with indent runs only the pure-Python encoder; _json
+        # gives the same bytes with the C string encoder
+        sys.stdout.write(_json(payload) + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

@@ -593,6 +593,8 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def format_fraction(x) -> str:
     """Serialize a rational as 'p/q', or as 'p' when it is an integer."""
+    if type(x) is int:  # not a bool, which goes through Fraction
+        return str(x)
     f = _as_fraction(x)
     if f.denominator == 1:
         return str(f.numerator)

@@ -17,7 +17,9 @@ Header line names the kind and the diagram; records follow one per line.
     warrow <wid> doubles <aid> i=<int>
 
 ``#`` starts a comment.  Unknown record kinds and duplicate ids are errors.
-Ids starting with ``~`` are reserved for vertices minted by splicing.
+Ids starting with ``~`` are reserved for vertices minted by splicing.  An
+id is a whitespace-separated token, so it is nonempty and holds no
+whitespace by construction.
 """
 
 from __future__ import annotations
@@ -43,13 +45,6 @@ def _split_kv(tokens: list[str], line_no: int, expected: set[str]) -> dict[str, 
             raise ParseError(line_no, f"duplicate field {k!r}")
         out[k] = v
     return out
-
-
-def _check_id(name: str, line_no: int) -> str:
-    # leading '~' marks ids minted by splicing; reparsing printed output is fine
-    if not name or any(c.isspace() for c in name):
-        raise ParseError(line_no, f"bad id {name!r} (nonempty, no spaces)")
-    return name
 
 
 def _int(text: str, line_no: int, what: str) -> int:
@@ -95,14 +90,14 @@ def parse_diagram(text: str):
             if kind == "splice":
                 if len(toks) != 2:
                     raise ParseError(no, "vertex <id>")
-                vertices.append(_check_id(toks[1], no))
+                vertices.append(toks[1])
             else:
                 if len(toks) != 3:
                     raise ParseError(no, "vertex <id> self=<int>")
                 kv = _split_kv(toks[2:], no, {"self"})
                 if "self" not in kv:
                     raise ParseError(no, "missing self=<int>")
-                vertices.append(PVertex(_check_id(toks[1], no), _int(kv["self"], no, "self")))
+                vertices.append(PVertex(toks[1], _int(kv["self"], no, "self")))
         elif rec == "edge":
             if kind == "splice":
                 if len(toks) not in (3, 5):
@@ -124,7 +119,7 @@ def parse_diagram(text: str):
             weight = _int(kv.get("w", "1"), no, "w") if kind == "splice" else 1
             farrows.append(
                 Farrow(
-                    id=_check_id(toks[1], no),
+                    id=toks[1],
                     at=toks[3],
                     weight=weight,
                     mult=_int(kv["N"], no, "N"),
@@ -137,11 +132,10 @@ def parse_diagram(text: str):
             if "i" not in kv:
                 raise ParseError(no, "missing i=<int>")
             value = _int(kv["i"], no, "i")
-            wid = _check_id(toks[1], no)
             if toks[2] == "at":
-                warrows.append(Warrow(id=wid, value=value, at=toks[3]))
+                warrows.append(Warrow(id=toks[1], value=value, at=toks[3]))
             else:
-                warrows.append(Warrow(id=wid, value=value, doubles=toks[3]))
+                warrows.append(Warrow(id=toks[1], value=value, doubles=toks[3]))
         else:
             raise ParseError(no, f"unknown record kind {rec!r}")
     try:

@@ -4,7 +4,10 @@ The splice route implements the node/edge sum over the decorated diagram; the
 plumbing route implements the stratified Euler-characteristic sum over a
 resolution, which also covers non-unimodular (rational-multiplicity) graphs.
 Both keep their term list, so per-node contributions stay addressable for
-residue queries, and both sum it with ``ZetaResult.from_terms``.
+residue queries, and both sum it with ``ZetaResult.from_terms``.  The term
+entries are the ints the routes hold (kv + 1, N, i, multiplicities, chi,
+edge determinants); a ``Fraction`` appears only where a value is not
+integral, as on non-unimodular graphs or in the d/i constants.
 
 Every denominator in the sum is a product of at most two linear forms
 nu + s N, so every candidate pole -nu/N is known before anything is added.
@@ -34,8 +37,14 @@ and no ``RatFunc``.
 
 Every kept root r is a pole of order o_r = 2 if a2_r != 0 and 1 otherwise.
 The denominator D = prod (s - r)^o_r is monic.  ``reduced_ratfunc`` builds
-the numerator C D + sum of a_k,r D / (s - r)^k from the cofactors
-D / (s - r)^k by synthetic division.  At each pole r it takes the value
+the numerator C D + sum of a_k,r D / (s - r)^k over one integer
+denominator: with r = p/q in lowest terms it forms the integer polynomial
+D' = prod (q s - p)^o_r = lead(D') D, takes each cofactor D' / (q s - p)^k
+by exact integer synthetic division (q s - p is primitive, so the quotient
+is integral by Gauss's lemma), and sums L (C D' + sum of a_k,r q^k
+D' / (q s - p)^k), where L is the lcm of the denominators of C and of every
+a_k,r.  Only the final coefficients, over L lead(D') and over lead(D'), are
+``Fraction``s.  At each pole r the numerator takes the value
 a_o_r,r times the product of the (r - r')^o_r' over the other poles r',
 which is not 0.  So the fraction is reduced.  A reduced rational function
 with a monic denominator is unique, so the result is exactly the ``RatFunc``
@@ -58,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, edge_determinant
 from .divisors import (
@@ -77,8 +86,8 @@ class ArrowPart:
     """d / (i + s N) inside a node bracket."""
 
     weight: int
-    i: Fraction
-    n: Fraction
+    i: int | Fraction
+    n: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -86,9 +95,9 @@ class NodeTerm:
     """(1/(nu + s N)) * (const + sum of arrow parts)."""
 
     vertex: str
-    nu: Fraction
-    n: Fraction
-    const: Fraction
+    nu: int | Fraction
+    n: int | Fraction
+    const: int | Fraction
     arrows: tuple[ArrowPart, ...]
 
     def bracket_at(self, s0: Fraction) -> Fraction:
@@ -103,11 +112,11 @@ class EdgeTerm:
     """q / ((nu + s N)(nu' + s N'))."""
 
     vertices: tuple[str, str]
-    q: Fraction
-    nu1: Fraction
-    n1: Fraction
-    nu2: Fraction
-    n2: Fraction
+    q: int | Fraction
+    nu1: int | Fraction
+    n1: int | Fraction
+    nu2: int | Fraction
+    n2: int | Fraction
 
 
 @dataclass
@@ -180,21 +189,23 @@ def summands(node_terms, edge_terms):
         yield e.q, ((e.nu1, e.n1), (e.nu2, e.n2))
 
 
-def _times_linear(p: list, r) -> list:
-    """Ascending coefficients of p(s) * (s - r)."""
-    out = [Fraction(0)] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i + 1] += c
-        out[i] -= r * c
+def _times_root(poly: list[int], p: int, q: int) -> list[int]:
+    """Ascending coefficients of poly(s) * (q s - p)."""
+    out = [0] * (len(poly) + 1)
+    for i, c in enumerate(poly):
+        out[i + 1] += q * c
+        out[i] -= p * c
     return out
 
 
-def _divide_linear(p: list, r) -> list:
-    """Synthetic division of p(s) by (s - r), for a root r of p."""
-    quo = [Fraction(0)] * (len(p) - 1)
-    acc = Fraction(0)
-    for i in range(len(p) - 1, 0, -1):
-        acc = p[i] + r * acc
+def _divide_root(poly: list[int], p: int, q: int) -> list[int]:
+    """poly(s) / (q s - p) for a root p/q of the integer polynomial poly.
+    With gcd(p, q) = 1 the factor is primitive, so the quotient is integral
+    (Gauss's lemma) and every step divides exactly."""
+    quo = [0] * (len(poly) - 1)
+    acc = 0
+    for i in range(len(poly) - 1, 0, -1):
+        acc = (poly[i] + p * acc) // q
         quo[i - 1] = acc
     return quo
 
@@ -255,25 +266,34 @@ def _add_to(acc: list[int], k: int, n: int, d: int):
 
 def reduced_ratfunc(const: Fraction, parts: dict[Fraction, tuple[Fraction, Fraction]]) -> RatFunc:
     """C + sum of the principal parts as a reduced RatFunc (see the module
-    docstring)."""
-    den = [Fraction(1)]
+    docstring), over one integer denominator."""
+    den = [1]
     for r, (_, a2) in parts.items():
-        den = _times_linear(den, r)
+        den = _times_root(den, r.numerator, r.denominator)
         if a2:
-            den = _times_linear(den, r)
-    num = [const * x for x in den]
+            den = _times_root(den, r.numerator, r.denominator)
+    scale = lcm(const.denominator, *(a.denominator for pair in parts.values() for a in pair))
+    c = const.numerator * (scale // const.denominator)
+    num = [c * x for x in den]
     for r, (a1, a2) in parts.items():
-        cof = _divide_linear(den, r)
+        p, q = r.numerator, r.denominator
+        cof = _divide_root(den, p, q)
+        c = a1.numerator * (scale // a1.denominator) * q
         for i, x in enumerate(cof):
-            num[i] += a1 * x
+            num[i] += c * x
         if a2:
-            for i, x in enumerate(_divide_linear(cof, r)):
-                num[i] += a2 * x
+            c = a2.numerator * (scale // a2.denominator) * q * q
+            for i, x in enumerate(_divide_root(cof, p, q)):
+                num[i] += c * x
     while num and not num[-1]:
         num.pop()
     if not num:
         return RatFunc._reduced(Poly(), Poly.const(1))
-    return RatFunc._reduced(Poly(num), Poly(den))
+    lead = den[-1]
+    scale *= lead
+    return RatFunc._reduced(
+        Poly([Fraction(x, scale) for x in num]), Poly([Fraction(x, lead) for x in den])
+    )
 
 
 def _require_nonzero_pair(nu, n, where: str):
@@ -295,7 +315,7 @@ def zeta_splice(
         nu_v, n_v = data[v]
         _require_nonzero_pair(nu_v, n_v, f"node {v}")
         arrows: list[ArrowPart] = []
-        const = Fraction(0)
+        const = 0
         for e in d.edges_at(v):
             u = e.other(v)
             if d.is_node(u):
@@ -308,33 +328,21 @@ def zeta_splice(
         for a in d.farrows_at(v):
             i_a = wm.get(a.id, 0) + 1
             _require_nonzero_pair(i_a, a.mult, f"arrowhead {a.id}")
-            arrows.append(ArrowPart(weight=a.weight, i=Fraction(i_a), n=Fraction(a.mult)))
+            arrows.append(ArrowPart(weight=a.weight, i=i_a, n=a.mult))
         node_warrows = 0
         if wm.get(v, 0):
             # dashed arrow drawn at the node: weight 1, N = 0
             i_a = wm[v] + 1
             if i_a == 0:
                 raise DiagramError(f"dashed arrow at node {v!r} with i = 0")
-            arrows.append(ArrowPart(weight=1, i=Fraction(i_a), n=Fraction(0)))
+            arrows.append(ArrowPart(weight=1, i=i_a, n=0))
             node_warrows = 1
-        const += Fraction(2 - d.valency_f(v) - node_warrows)
-        node_terms.append(
-            NodeTerm(vertex=v, nu=Fraction(nu_v), n=Fraction(n_v), const=const, arrows=tuple(arrows))
-        )
+        const += 2 - d.valency_f(v) - node_warrows
+        if const.denominator == 1:  # an int where integral
+            const = const.numerator
+        node_terms.append(NodeTerm(vertex=v, nu=nu_v, n=n_v, const=const, arrows=tuple(arrows)))
     for e in d.special_edges():
-        q = edge_determinant(d, e)
-        nu_a, n_a = data[e.a]
-        nu_b, n_b = data[e.b]
-        edge_terms.append(
-            EdgeTerm(
-                vertices=(e.a, e.b),
-                q=Fraction(q),
-                nu1=Fraction(nu_a),
-                n1=Fraction(n_a),
-                nu2=Fraction(nu_b),
-                n2=Fraction(n_b),
-            )
-        )
+        edge_terms.append(EdgeTerm((e.a, e.b), edge_determinant(d, e), *data[e.a], *data[e.b]))
     return ZetaResult.from_terms(node_terms, edge_terms)
 
 
@@ -355,38 +363,21 @@ def zeta_plumbing(
     node_terms: list[NodeTerm] = []
     edge_terms: list[EdgeTerm] = []
     for v in g.vertices:
-        nu_v = Fraction(kv[v.id]) + 1
-        n_v = Fraction(nv[v.id])
+        nu_v = kv[v.id] + 1
+        n_v = nv[v.id]
         _require_nonzero_pair(nu_v, n_v, f"vertex {v.id}")
         transforms: list[ArrowPart] = []
         for a in g.farrows_at(v.id):
             i_a = wm.get(a.id, 0) + 1
             _require_nonzero_pair(i_a, a.mult, f"arrowhead {a.id}")
-            transforms.append(ArrowPart(weight=1, i=Fraction(i_a), n=Fraction(a.mult)))
+            transforms.append(ArrowPart(weight=1, i=i_a, n=a.mult))
         if wm.get(v.id, 0) and v.id not in arrows_by_id:
             i_a = wm[v.id] + 1
             if i_a == 0:
                 raise DiagramError(f"dashed arrow at {v.id!r} with i = 0")
-            transforms.append(ArrowPart(weight=1, i=Fraction(i_a), n=Fraction(0)))
+            transforms.append(ArrowPart(weight=1, i=i_a, n=0))
         chi = 2 - g.degree(v.id) - len(transforms)
-        node_terms.append(
-            NodeTerm(
-                vertex=v.id,
-                nu=nu_v,
-                n=n_v,
-                const=Fraction(chi),
-                arrows=tuple(transforms),
-            )
-        )
+        node_terms.append(NodeTerm(v.id, nu_v, n_v, chi, tuple(transforms)))
     for a, b in g.edges:
-        edge_terms.append(
-            EdgeTerm(
-                vertices=(a, b),
-                q=Fraction(1),
-                nu1=Fraction(kv[a]) + 1,
-                n1=Fraction(nv[a]),
-                nu2=Fraction(kv[b]) + 1,
-                n2=Fraction(nv[b]),
-            )
-        )
+        edge_terms.append(EdgeTerm((a, b), 1, kv[a] + 1, nv[a], kv[b] + 1, nv[b]))
     return ZetaResult.from_terms(node_terms, edge_terms)

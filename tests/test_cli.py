@@ -7,13 +7,14 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splicezeta.cli import build_parser, main
+from splicezeta.cli import _json, build_parser, main
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
 from splicezeta.io import ParseError, parse_diagram, print_diagram
 from splicezeta.selfcheck import CHECKS, run_selfcheck
@@ -363,3 +364,46 @@ def test_cli_fuzzed_corpus_exits_cleanly(tmp_path_factory, case):
             code = main(argv)
         assert code in (0, 1, 2), (argv, text)
         assert code == 0 or err.getvalue(), (argv, text)
+
+
+# ---------------------------------------------------------------------------
+# the --json writer against json.dumps(indent=2, sort_keys=True)
+
+_JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f \té\u2028\ud800\U0001f600ab')
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**40)
+    | st.integers(max_value=-(10**40))
+    | _JSON_TEXT,
+    lambda kids: st.lists(kids)
+    | st.lists(kids).map(tuple)
+    | st.dictionaries(_JSON_TEXT, kids),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(obj=_JSON_VALUES)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj", [0.5, Fraction(1, 2), {1: "a"}, {"a": [1, {None: 2}]}, ["x", (Fraction(3),)]]
+)
+def test_json_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        _json(obj)
+
+
+def test_cli_json_output_is_json_dumps_of_the_payload():
+    for path in sorted(CORPUS.iterdir()):
+        for command in ("zeta", "poles", "allowed", "goal1", "alexander"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, str(path), "--json"])
+            if code == 0:
+                text = out.getvalue()
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

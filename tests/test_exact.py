@@ -17,6 +17,7 @@ from splicezeta.exact import (
     Poly,
     RatFunc,
     UnityRoot,
+    format_fraction,
     poly_gcd,
     solve_linear_congruence,
 )
@@ -267,3 +268,12 @@ def test_solve_linear_congruence():
     assert solve_linear_congruence((), 0, 0) == []
     with pytest.raises(ValueError):
         solve_linear_congruence((3,), 1, -4)
+
+
+def test_format_fraction_int_bool_and_fraction():
+    assert [format_fraction(x) for x in (0, -12, 10**30)] == ["0", "-12", str(10**30)]
+    assert (format_fraction(True), format_fraction(False)) == ("1", "0")
+    assert format_fraction(Fraction(6, 3)) == "2"
+    assert format_fraction(Fraction(-7, 6)) == "-7/6"
+    with pytest.raises(TypeError):
+        format_fraction(0.5)

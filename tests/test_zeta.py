@@ -2,12 +2,16 @@
 
 import random
 from collections import defaultdict
+from itertools import chain
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from splicezeta.cli import _json, _zeta_payload
 from splicezeta.corpus import (
+    golden_plumbing_graphs,
+    golden_splice_diagrams,
     intro_star,
     rodrigues_plumbing,
     smooth_point_plumbing,
@@ -25,6 +29,8 @@ from splicezeta.zeta import (
     NodeTerm,
     ZetaResult,
     principal_parts,
+    reduced_ratfunc,
+    summands,
     zeta_plumbing,
     zeta_splice,
 )
@@ -474,3 +480,169 @@ def test_principal_parts_matches_fraction_reference(monkeypatch):
     for bad in ([(Fraction(1), ((0, 0),))], [(Fraction(2), ((1, 2), (Fraction(0), 0)))]):
         with pytest.raises(ZeroDivisionError):
             principal_parts(bad)
+
+
+# ---------------------------------------------------------------------------
+# the integer reduced_ratfunc against Fraction synthetic division
+
+
+def _times_linear(p: list, r) -> list:
+    """Ascending coefficients of p(s) * (s - r)."""
+    out = [Fraction(0)] * (len(p) + 1)
+    for i, c in enumerate(p):
+        out[i + 1] += c
+        out[i] -= r * c
+    return out
+
+
+def _divide_linear(p: list, r) -> list:
+    """Synthetic division of p(s) by (s - r), for a root r of p."""
+    quo = [Fraction(0)] * (len(p) - 1)
+    acc = Fraction(0)
+    for i in range(len(p) - 1, 0, -1):
+        acc = p[i] + r * acc
+        quo[i - 1] = acc
+    return quo
+
+
+def fraction_reduced_ratfunc(const, parts) -> RatFunc:
+    """Reference: the monic D and the numerator by Fraction synthetic division."""
+    den = [Fraction(1)]
+    for r, (_, a2) in parts.items():
+        den = _times_linear(den, r)
+        if a2:
+            den = _times_linear(den, r)
+    num = [const * x for x in den]
+    for r, (a1, a2) in parts.items():
+        cof = _divide_linear(den, r)
+        for i, x in enumerate(cof):
+            num[i] += a1 * x
+        if a2:
+            for i, x in enumerate(_divide_linear(cof, r)):
+                num[i] += a2 * x
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return RatFunc._reduced(Poly(), Poly.const(1))
+    return RatFunc._reduced(Poly(num), Poly(den))
+
+
+def _random_fraction(rng, zero_chance=0.0):
+    if rng.random() < zero_chance:
+        return Fraction(0)
+    den = rng.choice([1, 1, 2, 3, 12, 10**15 + 37])
+    return Fraction(rng.randint(-(10**6), 10**6) if den > 12 else rng.randint(-9, 9), den)
+
+
+def random_principal_parts(rng):
+    """(C, parts) with zero and negative roots, order-2 roots, C = 0 and
+    large denominators; every kept root has a nonzero part."""
+    const = _random_fraction(rng, zero_chance=0.3)
+    parts = {}
+    for _ in range(rng.randint(0, 6)):
+        r = _random_fraction(rng, zero_chance=0.15)
+        a1 = _random_fraction(rng, zero_chance=0.3)
+        a2 = _random_fraction(rng, zero_chance=0.6)
+        if a1 or a2:
+            parts[r] = (a1, a2)
+    return const, parts
+
+
+def test_reduced_ratfunc_equals_fraction_reference_random():
+    rng = random.Random(12)
+    for _ in range(3000):
+        const, parts = random_principal_parts(rng)
+        got = reduced_ratfunc(const, parts)
+        ref = fraction_reduced_ratfunc(const, parts)
+        assert (got.num, got.den) == (ref.num, ref.den)
+        assert all(type(c) is Fraction for c in got.num.coeffs + got.den.coeffs)
+
+
+def test_reduced_ratfunc_when_every_part_cancels():
+    rng = random.Random(13)
+    node_terms, edge_terms = random_terms(rng)
+    while not node_terms and not edge_terms:
+        node_terms, edge_terms = random_terms(rng)
+    node_terms += [
+        replace(t, const=-t.const, arrows=tuple(replace(p, weight=-p.weight) for p in t.arrows))
+        for t in node_terms
+    ]
+    edge_terms += [replace(e, q=-e.q) for e in edge_terms]
+    const, parts = principal_parts(summands(node_terms, edge_terms))
+    assert (const, parts) == (0, {})
+    for f in (reduced_ratfunc(const, parts), fraction_reduced_ratfunc(const, parts)):
+        assert (f.num, f.den) == (Poly(), Poly.const(1))
+
+
+def _corpus_zetas():
+    """Both routes on every corpus input that has a nonzero F."""
+    return [zeta_splice(d) for d in golden_splice_diagrams().values() if d.farrows] + [
+        zeta_plumbing(g) for g in golden_plumbing_graphs().values() if g.farrows
+    ]
+
+
+def test_reduced_ratfunc_equals_fraction_reference_on_corpus():
+    for z in _corpus_zetas():
+        ref = fraction_reduced_ratfunc(z.const, z.parts)
+        assert (z.func.num, z.func.den) == (ref.num, ref.den)
+
+
+# ---------------------------------------------------------------------------
+# term entries: ints where integral
+
+
+def _entries(z: ZetaResult):
+    for t in z.node_terms:
+        yield t.nu, t.n, t.const
+        for p in t.arrows:
+            yield p.weight, p.i, p.n
+    for e in z.edge_terms:
+        yield e.q, e.nu1, e.n1, e.nu2, e.n2
+
+
+def test_term_entries_are_ints_where_integral():
+    rng = random.Random(14)
+    graphs = [g for g in golden_plumbing_graphs().values() if g.farrows]
+    graphs += [random_plumbing(rng, blowups=rng.randint(2, 10), arrows=2) for _ in range(20)]
+    for g in graphs:
+        entries = list(chain(*_entries(zeta_plumbing(g))))
+        if g.is_unimodular():
+            assert all(type(x) is int for x in entries)
+        else:
+            assert all(type(x) is int or x.denominator != 1 for x in entries)
+    # without W every i is 1, so every splice-route entry is integral
+    diagrams = [d for d in golden_splice_diagrams().values() if d.farrows and not d.warrows]
+    diagrams += [random_valid_splice(rng, max_nodes=4, max_weight=9) for _ in range(20)]
+    for d in diagrams:
+        assert all(type(x) is int for x in chain(*_entries(zeta_splice(d))))
+    # W at the boundary: the d/i constants are Fractions only when not integral
+    z = zeta_splice(two_cusp_diagram(), w={"leg1": 2, "bR": 1, "leg1p": -3})
+    entries = list(chain(*_entries(z)))
+    assert any(type(x) is Fraction for x in entries)
+    assert all(type(x) is int or x.denominator != 1 for x in entries)
+
+
+def _as_fraction_terms(z: ZetaResult) -> ZetaResult:
+    """z with every term entry but the arrow weights as a Fraction."""
+    node_terms = [
+        replace(
+            t,
+            nu=Fraction(t.nu),
+            n=Fraction(t.n),
+            const=Fraction(t.const),
+            arrows=tuple(replace(p, i=Fraction(p.i), n=Fraction(p.n)) for p in t.arrows),
+        )
+        for t in z.node_terms
+    ]
+    edge_terms = [
+        replace(e, **{k: Fraction(getattr(e, k)) for k in ("q", "nu1", "n1", "nu2", "n2")})
+        for e in z.edge_terms
+    ]
+    return ZetaResult(z.const, z.parts, node_terms, edge_terms)
+
+
+def test_zeta_payload_bytes_do_not_depend_on_entry_types():
+    for z in _corpus_zetas():
+        fz = _as_fraction_terms(z)
+        assert ZetaResult.from_terms(fz.node_terms, fz.edge_terms).parts == z.parts
+        assert _json(_zeta_payload(fz)) == _json(_zeta_payload(z))
