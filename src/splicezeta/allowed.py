@@ -7,6 +7,13 @@ implication: with r ordinary arrowheads at the star and n boundary legs, if
 d_l | i_l for at least n+r-2 leg indexes then i_l = d_l for at least n+r-2 of
 them (vacuous for r >= 3).  Dashed arrows drawn at the node participate with
 d_l = 1.
+
+No star is built to reach the verdict.  Each node's legs are read off the
+cuts cached on the diagram itself (``splicing.star_legs``): a boundary leg
+has i = W(leg) + 1, a leg induced by splicing has the i of its root cut,
+and the module docstring of ``splicing`` shows that this is the value the
+star of ``star_decomposition`` carries.  The semigroup condition reads the
+same cuts: their far side, its arrowheads and its linking row.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .diagrams import DiagramError, SpliceDiagram
 from .divisors import PDivisor, f_of, w_of
 from .exact import UnityRoot
 from .monodromy import eig_contains
-from .splicing import star_decomposition
+from .splicing import root_cut, star_legs
 from .zeta import zeta_splice
 
 
@@ -115,27 +122,15 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupReport:
     checked = 0
     for v in d.nodes():
         for e in d.edges_at(v):
-            side = d.side_vertices(v, e)
-            side_set = set(side)
-            if any(a.at in side_set for a in d.farrows):
+            cut = root_cut(d, v, e)
+            if cut.farrows:
                 continue
             checked += 1
-            far = e.other(v)
-            if len(side) == 1:
-                # a bare leaf: its linking product with itself is 1
-                gens: tuple[int, ...] = (1,)
-            else:
-                gens = tuple(
-                    sorted(
-                        d.linking_product(far, w, exclude_edge=e)
-                        for w in side
-                        if d.valency_f(w) == 1
-                    )
-                )
-            if not semigroup_member(e.weight_at(v), gens):
-                failures.append(
-                    SemigroupFailure(node=v, edge=(v, far), weight=e.weight_at(v), generators=gens)
-                )
+            # the cut's row is l(far, w) with e excluded; a bare leaf's is 1
+            gens = tuple(sorted(cut.row[w] for w in cut.far_side if d.valency_f(w) == 1))
+            weight = e.weight_at(v)
+            if not semigroup_member(weight, gens):
+                failures.append(SemigroupFailure(v, (v, e.other(v)), weight, gens))
     return SemigroupReport(ok=not failures, failures=failures, checked=checked)
 
 
@@ -173,21 +168,6 @@ class AllowedVerdict:
         return "\n".join(lines)
 
 
-def _star_legs(star: SpliceDiagram) -> tuple[int, list[tuple[int, int, str]]]:
-    """(r, legs) of a one-node diagram: r ordinary arrowheads; legs as
-    (d_l, i_l, slot) covering boundary vertices and node-drawn dashed arrows."""
-    (v,) = star.nodes()
-    wm = star.w_divisor()
-    r = len(star.farrows)
-    legs: list[tuple[int, int, str]] = []
-    for e in star.edges_at(v):
-        u = e.other(v)
-        legs.append((e.weight_at(v), wm.get(u, 0) + 1, u))
-    if v in wm:
-        legs.append((1, wm[v] + 1, v))
-    return r, legs
-
-
 def star_allowed(r: int, legs) -> bool:
     """The divisibility implication on a star with r ordinary arrowheads and
     legs (d_l, i_l): if d_l | i_l at n + r - 2 or more of the n legs, then
@@ -202,34 +182,20 @@ def star_allowed(r: int, legs) -> bool:
     )
 
 
-def check_star_allowed(star: SpliceDiagram) -> StarCheck:
-    """The divisibility implication on one decorated star, with its report."""
-    (v,) = star.nodes()
-    r, legs = _star_legs(star)
-    pairs = [(dl, il) for dl, il, _ in legs]
-    divisible = [k for k, (dl, il) in enumerate(pairs) if il % dl == 0]
-    matched = [k for k, (dl, il) in enumerate(pairs) if il == dl]
-    ok = star_allowed(r, pairs)
-    reason = None
-    if not ok:
-        slots = [legs[k][2] for k in divisible if k not in matched]
-        reason = (
-            f"d | i at {len(divisible)} legs (need i = d at {len(legs) + r - 2}, "
-            f"have {len(matched)}); offending slots: {', '.join(slots)}"
-        )
-    return StarCheck(
-        node=v, r=r, legs=pairs, divisible=divisible, matched=matched, ok=ok, reason=reason,
-    )
-
-
 def is_allowed(
     d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> AllowedVerdict:
     """Full allowedness verdict: the nonzero condition on the given data plus
-    the star-wise divisibility implications on the canonical decomposition."""
+    the star-wise divisibility implications on the canonical decomposition,
+    each star's legs evaluated at W from ``star_legs``."""
     d.require_standard()
     fm = f_of(d, f)
     wm = w_of(d, w)
+    # F and W refused as the decorated diagram would refuse them
+    d.decorated_lists(fm, wm)
+    table = star_legs(d)
+    if not table:
+        raise DiagramError("piece without a unique node")
     nonzero_detail: list[str] = []
     fids = {a.id for a in d.farrows}
     for slot, mult in wm.items():
@@ -238,24 +204,36 @@ def is_allowed(
     for a in d.farrows:
         if fm.get(a.id, 0) == 0 and wm.get(a.id, 0) + 1 == 0:
             nonzero_detail.append(f"arrowhead {a.id!r} has (N, i) = (0, 0)")
-    stars = star_decomposition(d, fm, wm)
     checks = []
-    for node in sorted(stars):
-        star = stars[node]
-        swm = star.w_divisor()
-        for slot, mult in swm.items():
-            if slot not in {a.id for a in star.farrows} and mult + 1 == 0:
-                nonzero_detail.append(
-                    f"induced dashed arrow at {slot!r} (star {node}) has i = 0"
-                )
-        checks.append(check_star_allowed(star))
-    allowed = not nonzero_detail and all(c.ok for c in checks)
-    return AllowedVerdict(
-        allowed=allowed,
-        stars=checks,
-        nonzero_ok=not nonzero_detail,
-        nonzero_detail=nonzero_detail,
-    )
+    for node in sorted(table):
+        r, star = table[node]
+        legs = [
+            (dl, wm.get(slot, 0) + 1 if cut is None else cut.value(wm), slot, cut)
+            for dl, slot, cut in star
+        ]
+        if wm.get(node, 0):
+            legs.append((1, wm[node] + 1, node, None))
+        # the star's dashed arrows list its own slots sorted, then its leaves
+        zero = sorted(slot for _, i, slot, cut in legs if i == 0 and cut is None)
+        zero += [slot for _, i, slot, cut in legs if i == 0 and cut is not None]
+        nonzero_detail += [
+            f"induced dashed arrow at {slot!r} (star {node}) has i = 0" for slot in zero
+        ]
+        pairs = [(dl, il) for dl, il, *_ in legs]
+        divisible = [k for k, (dl, il) in enumerate(pairs) if il % dl == 0]
+        matched = [k for k, (dl, il) in enumerate(pairs) if il == dl]
+        ok = star_allowed(r, pairs)
+        reason = None
+        if not ok:
+            slots = [legs[k][2] for k in divisible if k not in matched]
+            reason = (
+                f"d | i at {len(divisible)} legs (need i = d at {len(legs) + r - 2}, "
+                f"have {len(matched)}); offending slots: {', '.join(slots)}"
+            )
+        checks.append(StarCheck(node, r, pairs, divisible, matched, ok, reason))
+    nonzero_ok = not nonzero_detail
+    allowed = nonzero_ok and all(c.ok for c in checks)
+    return AllowedVerdict(allowed, checks, nonzero_ok, nonzero_detail)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,10 @@ Every candidate is certified from scratch: the divisor must pass the
 allowedness check and the zeta function must have a pole whose exponential
 equals the requested root of unity.  Nothing is trusted from the
 construction itself.  Certifying reuses what does not depend on W: the
-allowedness check splits the diagram into stars through the cuts cached on
-it (``splicing.root_cut``), which the query's first star decomposition
-built, and still judges every candidate with ``is_allowed`` and the poles of
-``zeta_splice``.
+allowedness check builds no star, but reads each node's legs off the table
+cached on the diagram (``splicing.star_legs``), the one the query's star
+filters were compiled from, and still judges every candidate with
+``is_allowed`` and the poles of ``zeta_splice``.
 
 By default the searched dashed arrows live at boundary vertices; the double
 of an ordinary arrowhead is used only when that arrowhead itself is the
@@ -63,7 +63,7 @@ from .diagrams import DiagramError, Edge, SpliceDiagram
 from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities
 from .exact import UnityRoot, solve_linear_congruence
 from .monodromy import alexander, eig_contains
-from .splicing import root_cut, splice, star_decomposition
+from .splicing import root_cut, splice, star_decomposition, star_legs
 from .zeta import zeta_splice
 
 
@@ -141,28 +141,20 @@ _StarForm = tuple[int, tuple[tuple[int, int, tuple[int, ...]], ...]]
 
 def star_forms(d: SpliceDiagram, slots: list[str]) -> list[_StarForm]:
     """Symbolic star decomposition over the slots: each star's legs as affine
-    forms in the slot multiplicities; arrow doubles carry no leg condition."""
+    forms in the slot multiplicities; arrow doubles carry no leg condition.
+    An induced leg's value is linear in W, with slope l(u, s) cut at e for
+    the slots s beyond e, the ones in its cut's row."""
     forms: list[_StarForm] = []
-    for v in d.nodes():
-        legs = []
-        r = len(d.farrows_at(v))
-        for e in d.edges_at(v):
-            u = e.other(v)
-            if d.is_node(u):
-                cut = root_cut(d, v, e)
-                if cut.farrows:
-                    r += 1
-                    continue
-                # the induced value is linear in W, with slope l(u, s) cut at
-                # e for the slots beyond e, the ones in the cut's row
-                base = cut.i0
-                coefs = tuple(cut.row.get(s, 0) for s in slots)
+    for v, (r, legs) in star_legs(d).items():
+        out = []
+        for leg in legs:
+            if leg.cut is None:
+                out.append((leg.weight, 1, tuple(int(s == leg.slot) for s in slots)))
             else:
-                base, coefs = 1, tuple(int(s == u) for s in slots)
-            legs.append((e.weight_at(v), base, coefs))
+                out.append((leg.weight, leg.cut.i0, tuple(leg.cut.row.get(s, 0) for s in slots)))
         if v in slots:
-            legs.append((1, 1, tuple(int(s == v) for s in slots)))
-        forms.append((r, tuple(legs)))
+            out.append((1, 1, tuple(int(s == v) for s in slots)))
+        forms.append((r, tuple(out)))
     return forms
 
 
@@ -298,7 +290,6 @@ def realize_star(
     lam: UnityRoot,
     count: int = 1,
     effective: bool = False,
-    rng: random.Random | None = None,
 ) -> list[Realization]:
     """Allowed divisors on a one-node diagram with a certified pole hitting lam.
 
@@ -309,9 +300,7 @@ def realize_star(
         raise DiagramError("realize_star needs a star-shaped diagram")
     if alexander(star).root_multiplicity(lam) <= 0:
         raise StarRootError(f"{lam} is not an eigenvalue of this star")
-    out = realize_eigenvalue(
-        star, lam, count=count, effective=effective, include_doubles=True, rng=rng
-    )
+    out = realize_eigenvalue(star, lam, count=count, effective=effective, include_doubles=True)
     return out.found
 
 
@@ -354,11 +343,8 @@ def extend_allowed(
     # fixed induced value onto the left star
     j = root_cut(d, v_l, e).value(partial)
     # unknowns: the left star's own leg slots (plus its doubles on request)
-    unknown = [
-        x.other(v_l)
-        for x in d.edges_at(v_l)
-        if x.key != e.key and not d.is_node(x.other(v_l))
-    ]
+    legs = {leg.slot: leg.weight for leg in star_legs(d)[v_l][1] if leg.cut is None}
+    unknown = list(legs)
     if include_doubles:
         unknown += [a.id for a in d.farrows_at(v_l)]
     # i' = i0 + sum row[s] x_s over the left star's slots, all beyond e from v_r
@@ -371,7 +357,7 @@ def extend_allowed(
             f"no integer decorations on the left legs reach i' = {i_prime}"
         )
     x = {s: m for s, m in zip(unknown, sol_exact)}
-    candidates = _leg_fixups(d, v_l, unknown, coefs, x)
+    candidates = _leg_fixups(legs, unknown, coefs, x)
     for cand in candidates:
         w_full = dict(partial)
         for s, m in cand.items():
@@ -395,14 +381,10 @@ def _normalized(w: dict[str, int], diagram: SpliceDiagram) -> dict[str, int]:
     return {s: m for s, m in w.items() if m and s in keep}
 
 
-def _leg_fixups(d, v_l, unknown, coefs, x0) -> list[dict[str, int]]:
+def _leg_fixups(legs, unknown, coefs, x0) -> list[dict[str, int]]:
     """Candidate assignments derived from one solution: the raw solution,
-    kernel-shifted variants avoiding zero values, and the forced i = d branch."""
-    legs = {
-        s: d.edge(v_l, s).weight_at(v_l)
-        for s in unknown
-        if s in d.vertices
-    }
+    kernel-shifted variants avoiding zero values, and the forced i = d branch.
+    ``legs`` maps the star's boundary slots to their weights."""
     base_variants = [dict(x0)]
     # kernel pair moves: coef_a * legs[a] == coef_b * legs[b] on a star
     slots = list(unknown)
@@ -471,19 +453,21 @@ def _shell(k: int, width: int, effective: bool):
 class _Query:
     """One realize query: what is compiled for it once and shared by its
     candidate sources, and what the sources report back (the node
-    congruences and diagnostics they reached, the window they explored)."""
+    congruences and diagnostics they reached, the window they explored).
+    Every query draws its random candidates from the same fixed seed, so
+    its output depends on its arguments alone."""
 
     d: SpliceDiagram
     fm: dict[str, int]
     lam: UnityRoot
     slots: list[str]
     effective: bool
-    rng: random.Random
     forms: list[_StarForm]
     nv_all: dict[str, int]
     explored: dict[str, int]
     congruences: list[NodeCongruence] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
+    rng: random.Random = field(default_factory=lambda: random.Random(20260810))
 
 
 def _arrow_candidates(q: _Query):
@@ -498,7 +482,7 @@ def _arrow_candidates(q: _Query):
         # W = 0 comes first here when the star filters allow it; when they do
         # not, no W that is 0 off the double of a is allowed, as that double
         # changes no star leg
-        for basew in _small_allowed_candidates(q.d, q.fm, q.slots, q.forms, q.rng):
+        for basew in _small_allowed_candidates(q.slots, q.forms, q.rng):
             for t in range(1, 9) if q.effective else range(8):
                 yield basew | {a.id: (ua - 1) + na * t}, f"arrow:{a.id}"
 
@@ -587,7 +571,6 @@ def realize_eigenvalue(
     effective: bool = False,
     bound: int | None = None,
     include_doubles: bool = False,
-    rng: random.Random | None = None,
     budget: int = 400_000,
 ) -> RealizeOutcome:
     """Find allowed W with a certified zeta pole mapping to lam.
@@ -605,7 +588,6 @@ def realize_eigenvalue(
     fm = f_of(d, f)
     if not eig_contains(d, lam, fm):
         raise NotAnEigenvalueError(f"{lam} is not in Eig of this diagram")
-    rng = rng or random.Random(20260810)
     if bound is None:
         maxw = max(
             [e.wa for e in d.edges] + [e.wb for e in d.edges] + [a.weight for a in d.farrows] + [1]
@@ -615,7 +597,7 @@ def realize_eigenvalue(
     if include_doubles:
         slots += [a.id for a in d.farrows]
     q = _Query(
-        d, fm, lam, slots, effective, rng,
+        d, fm, lam, slots, effective,
         forms=star_forms(d, slots),
         nv_all=vertex_multiplicities(d, fm),
         explored={"window": 0, "bound": bound},
@@ -650,7 +632,7 @@ def realize_eigenvalue(
     )
 
 
-def _small_allowed_candidates(d, fm, slots, forms, rng, tries: int = 40) -> list[dict[str, int]]:
+def _small_allowed_candidates(slots, forms, rng, tries: int = 40) -> list[dict[str, int]]:
     """A few small boundary assignments that make the divisor allowed."""
     out = []
     if _fast_allowed(forms, (0,) * len(slots)):

@@ -37,6 +37,12 @@ cuts, every cut of every piece has M = sum N_a l_d(f, a) over the far-side
 arrowheads of d and i = i0 + sum mult_s l_d(f, s) over the nonzero W slots
 there, with i0 the value at W = 0.
 
+The same argument gives ``star_legs`` without cutting anything: the star of
+a node v gets one leaf or arrowhead per special edge e at v, from the cut at
+e keeping v, so an induced leg's value is ``root_cut(d, v, e).value(W)``
+and it is an arrowhead exactly when that cut carries arrowheads.  The
+allowedness check and the filters of ``realize`` read their legs there.
+
 Why the names agree.  ``star_decomposition`` splits its pieces in the order
 repeated ``splice`` calls would: the smallest special edge by key, depth
 first, the half keeping e.b first.  Both build a half with the same list
@@ -95,17 +101,48 @@ def _root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
     return RootCut(far_side, tuple(a.id for a in far_farrows), i0, row)
 
 
-def _require_slots(d: SpliceDiagram, wm: dict[str, int]):
-    """Refuse a W slot of nonzero multiplicity that names nothing in d."""
-    for slot, mult in wm.items():
-        if mult:
-            d.anchor(slot)
+class Leg(NamedTuple):
+    """One leg of a node's star: its weight d_l at the node, its W slot, and
+    for an induced leg the root cut it stands for.  A boundary leg's slot is
+    its vertex, with i_l = W(slot) + 1; an induced leg's is the leaf id
+    ``_cut`` mints, with i_l = ``cut.value(W)``."""
+
+    weight: int
+    slot: str
+    cut: RootCut | None
+
+
+def star_legs(d: SpliceDiagram) -> dict[str, tuple[int, tuple[Leg, ...]]]:
+    """Node -> (r, legs) of its star in ``star_decomposition``, cached on d.
+
+    r counts the arrowheads at the node and the special edges there whose
+    cut carries arrowheads.  The legs come in the star's edge order: the
+    boundary edges in d's order, then the arrow-free special edges in key
+    order, the order of their cuts.  A dashed arrow drawn at the node is
+    left to the reader, as it depends on W."""
+    return d.memo(("star legs",), _leg_table, d)
+
+
+def _leg_table(d: SpliceDiagram) -> dict[str, tuple[int, tuple[Leg, ...]]]:
+    table = {}
+    for v in d.nodes():
+        r = len(d.farrows_at(v))
+        edges = d.edges_at(v)
+        legs = [Leg(e.weight_at(v), e.other(v), None) for e in edges if not d.is_node(e.other(v))]
+        for e in sorted((e for e in edges if d.is_node(e.other(v))), key=lambda x: x.key):
+            cut = root_cut(d, v, e)
+            if cut.farrows:
+                r += 1
+            else:
+                legs.append(Leg(e.weight_at(v), f"~{v}|{e.other(v)}", cut))
+        table[v] = r, tuple(legs)
+    return table
 
 
 def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> int:
     """i for the half keeping ``keep``: canonical contribution of the far side
     plus its dashed-arrow terms."""
-    _require_slots(d, wm)
+    d.decorated_lists(None, wm)
     return root_cut(d, keep, e).value(wm)
 
 
@@ -196,7 +233,7 @@ def splice(
         raise DiagramError(f"edge {e.key} is not special")
     fm = f_of(d, f)
     wm = w_of(d, w)
-    _require_slots(d, wm)
+    d.decorated_lists(fm, wm)
     left = _half(d, e, e.a, fm, wm)
     right = _half(d, e, e.b, fm, wm)
     return left, right

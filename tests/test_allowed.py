@@ -13,7 +13,6 @@ from splicezeta.allowed import (
     SemigroupLimitError,
     SemigroupQuery,
     check_goal1,
-    check_star_allowed,
     is_allowed,
     semigroup_condition,
     semigroup_member,
@@ -23,7 +22,7 @@ from splicezeta.corpus import (
     two_cusp_diagram,
     unimodular_counterexample_plumbing,
 )
-from splicezeta.diagrams import blowup, plumbing_to_splice
+from splicezeta.diagrams import SpliceDiagram, blowup, plumbing_to_splice
 from splicezeta.divisors import nu_values, vertex_multiplicities
 from splicezeta.generate import random_allowed_w, random_plumbing, random_valid_splice
 from splicezeta.splicing import induced_value, splice
@@ -136,6 +135,29 @@ def test_semigroup_condition_matches_reference():
         assert (rep.checked, got) == reference(d)
 
 
+def test_allowedness_builds_no_diagram(monkeypatch):
+    # the verdicts read the leg table and the root cuts; no star is built
+    rng = random.Random(5)
+    d = random_valid_splice(rng, max_nodes=6, max_weight=13, with_warrows=True)
+    while len(d.nodes()) < 4:
+        d = random_valid_splice(rng, max_nodes=6, max_weight=13, with_warrows=True)
+    cusps = two_cusp_diagram()
+    built = []
+    init = SpliceDiagram.__init__
+
+    def counted(self, *args, **kw):
+        built.append(1)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(SpliceDiagram, "__init__", counted)
+    for w in (None, {}, {v: -1 for v in d.boundary_vertices()}):
+        is_allowed(d, None, w)
+    semigroup_condition(d)
+    is_allowed(cusps, None, {"leg1": 2, "leg1p": 1})
+    semigroup_condition(cusps)
+    assert built == []
+
+
 def test_is_allowed_goldens():
     d = two_cusp_diagram()
     assert not is_allowed(d).allowed
@@ -162,14 +184,14 @@ def test_allowedness_unified_condition():
         return SpliceDiagram(vertices, edges, farrows, warrows)
 
     # r = 2: all divisible forces all equal
-    assert not check_star_allowed(star(2, [(2, 4), (3, 3)])).ok
-    assert check_star_allowed(star(2, [(2, 2), (3, 3)])).ok
-    assert check_star_allowed(star(2, [(2, 5), (3, 3)])).ok
+    assert not is_allowed(star(2, [(2, 4), (3, 3)])).stars[0].ok
+    assert is_allowed(star(2, [(2, 2), (3, 3)])).stars[0].ok
+    assert is_allowed(star(2, [(2, 5), (3, 3)])).stars[0].ok
     # r = 1: n-1 divisible forces n-1 equal
-    assert not check_star_allowed(star(1, [(2, 4), (3, 5)])).ok
-    assert check_star_allowed(star(1, [(2, 2), (3, 5)])).ok
+    assert not is_allowed(star(1, [(2, 4), (3, 5)])).stars[0].ok
+    assert is_allowed(star(1, [(2, 2), (3, 5)])).stars[0].ok
     # r >= 3: no condition
-    assert check_star_allowed(star(3, [(2, 4), (3, 6)])).ok
+    assert is_allowed(star(3, [(2, 4), (3, 6)])).stars[0].ok
 
 
 def test_goal1_negative_control():

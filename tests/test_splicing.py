@@ -8,11 +8,17 @@ import pytest
 
 from splicezeta import allowed
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams, two_cusp_diagram
-from splicezeta.diagrams import DiagramError, SpliceDiagram, edge_determinant, plumbing_to_splice
+from splicezeta.diagrams import (
+    DiagramError,
+    SpliceDiagram,
+    Warrow,
+    edge_determinant,
+    plumbing_to_splice,
+)
 from splicezeta.divisors import f_of, node_data, nu_values, vertex_multiplicities, w_of
 from splicezeta.exact import Poly, RatFunc
 from splicezeta.generate import random_valid_splice
-from splicezeta.io import print_splice
+from splicezeta.io import parse_diagram, print_splice
 from splicezeta.splicing import (
     induced_value,
     root_cut,
@@ -172,10 +178,63 @@ def _outcome(decompose, d, f, w):
     return [(v, print_splice(s, v)) for v, s in stars.items()]
 
 
-def _verdict(d, f, w):
+def _reference_star_check(star):
+    """The divisibility implication on one star diagram, its legs read off
+    the star's own edges and dashed arrows."""
+    (v,) = star.nodes()
+    wm = star.w_divisor()
+    r = len(star.farrows)
+    legs = [(e.weight_at(v), wm.get(e.other(v), 0) + 1, e.other(v)) for e in star.edges_at(v)]
+    if v in wm:
+        legs.append((1, wm[v] + 1, v))
+    pairs = [(dl, il) for dl, il, _ in legs]
+    divisible = [k for k, (dl, il) in enumerate(pairs) if il % dl == 0]
+    matched = [k for k, (dl, il) in enumerate(pairs) if il == dl]
+    ok = allowed.star_allowed(r, pairs)
+    reason = None
+    if not ok:
+        slots = [legs[k][2] for k in divisible if k not in matched]
+        reason = (
+            f"d | i at {len(divisible)} legs (need i = d at {len(legs) + r - 2}, "
+            f"have {len(matched)}); offending slots: {', '.join(slots)}"
+        )
+    return allowed.StarCheck(v, r, pairs, divisible, matched, ok, reason)
+
+
+def reference_is_allowed(d, f=None, w=None):
+    """The allowedness verdict built on the stars of
+    ``reference_star_decomposition``, each judged as a diagram of its own."""
+    d.require_standard()
+    fm, wm = f_of(d, f), w_of(d, w)
+    nonzero_detail = []
+    fids = {a.id for a in d.farrows}
+    for slot, mult in wm.items():
+        if slot not in fids and mult + 1 == 0:
+            nonzero_detail.append(f"pure dashed arrow at {slot!r} has i = 0")
+    for a in d.farrows:
+        if fm.get(a.id, 0) == 0 and wm.get(a.id, 0) + 1 == 0:
+            nonzero_detail.append(f"arrowhead {a.id!r} has (N, i) = (0, 0)")
+    stars = reference_star_decomposition(d, fm, wm)
+    checks = []
+    for node in sorted(stars):
+        star = stars[node]
+        for slot, mult in star.w_divisor().items():
+            if slot not in {a.id for a in star.farrows} and mult + 1 == 0:
+                nonzero_detail.append(f"induced dashed arrow at {slot!r} (star {node}) has i = 0")
+        checks.append(_reference_star_check(star))
+    return allowed.AllowedVerdict(
+        allowed=not nonzero_detail and all(c.ok for c in checks),
+        stars=checks,
+        nonzero_ok=not nonzero_detail,
+        nonzero_detail=nonzero_detail,
+    )
+
+
+def _verdict(judge, d, f, w):
+    """The verdict, or the exception's type and message."""
     try:
-        return str(allowed.is_allowed(d, f, w))
-    except Exception as exc:
+        return judge(d, f, w)
+    except Exception as exc:  # the type is compared too
         return type(exc).__name__, str(exc)
 
 
@@ -193,10 +252,18 @@ def _random_decorations(rng, d):
     return f, w
 
 
-def test_star_decomposition_matches_recursive_reference(monkeypatch):
+def _reparsed_halves(rng, d, f, w):
+    """Both halves of d spliced at a random special edge, printed and parsed
+    back: diagrams whose minted ids start with ``~``."""
+    left, right = splice(d, rng.choice(d.special_edges()), f, w)
+    return [parse_diagram(print_splice(h.diagram))[2] for h in (left, right)]
+
+
+def test_star_decomposition_matches_recursive_reference():
     # the whole-diagram decomposition against repeated piece-local splices:
-    # star ids and their order, every printed star, every exception, and the
-    # allowedness report built on either set of stars
+    # star ids and their order, every printed star, every exception; and the
+    # allowedness verdict read off the leg table against the one built on
+    # the reference stars, field by field
     rng = random.Random(2024)
     cases = []
     for d in golden_splice_diagrams().values():
@@ -204,14 +271,25 @@ def test_star_decomposition_matches_recursive_reference(monkeypatch):
         cases += [(d, *_random_decorations(rng, d)) for _ in range(20)]
     corpus_cases = len(cases)
     diagrams = 0
+    halves = []
     while len(cases) - corpus_cases < 2400:
         d = random_valid_splice(rng, max_nodes=rng.randint(1, 6), max_weight=13, with_warrows=True)
         diagrams += 1
         cases.append((d, None, None))
         draws = 4 if d.special_edges() else 1  # stars are the easy case
         cases += [(d, *_random_decorations(rng, d)) for _ in range(draws)]
+        if d.special_edges() and len(halves) < 400:
+            f, w = _random_decorations(rng, d)
+            w.pop("zz", None)
+            if all(m >= 0 for m in f.values()):
+                halves += _reparsed_halves(rng, d, f, w)
+    for h in halves:
+        cases.append((h, None, None))
+        cases += [(h, *_random_decorations(rng, h)) for _ in range(2)]
     seen = dict.fromkeys(
-        ["stars", "multi", "error", "unknown slot", "negative", "node slot", "double slot"], 0
+        ["stars", "multi", "error", "unknown slot", "negative", "node slot", "double slot",
+         "minted ids", "failing star", "induced i = 0"],
+        0,
     )
     for d, f, w in cases:
         got = _outcome(star_decomposition, d, f, w)
@@ -222,15 +300,20 @@ def test_star_decomposition_matches_recursive_reference(monkeypatch):
         else:
             seen["stars"] += len(got)
             seen["multi"] += len(got) > 1
+        verdict = _verdict(allowed.is_allowed, d, f, w)
+        assert verdict == _verdict(reference_is_allowed, d, f, w), (print_splice(d), f, w)
+        if isinstance(verdict, allowed.AllowedVerdict):
+            seen["failing star"] += any(c.reason for c in verdict.stars)
+            seen["induced i = 0"] += any(
+                x.startswith("induced") and x.split("'")[1] not in d.vertices
+                for x in verdict.nonzero_detail
+            )
         w = w or {}
         seen["unknown slot"] += bool(w.get("zz"))
         seen["negative"] += any(m < 0 for m in w.values())
         seen["node slot"] += any(m and s in d.nodes() for s, m in w.items())
         seen["double slot"] += any(m and s in {a.id for a in d.farrows} for s, m in w.items())
-        verdict = _verdict(d, f, w)
-        with monkeypatch.context() as m:
-            m.setattr(allowed, "star_decomposition", reference_star_decomposition)
-            assert verdict == _verdict(d, f, w), (print_splice(d), f, w)
+        seen["minted ids"] += any(x.startswith("~") for x in (*d.vertices, *d.f_divisor()))
     assert diagrams >= 500
     assert seen["multi"] >= 1000 and min(seen.values()) >= 20, seen
 
@@ -244,6 +327,25 @@ def test_star_decomposition_keeps_its_error_messages():
     # a two-vertex diagram has no node at all
     with pytest.raises(DiagramError, match="piece without a unique node"):
         star_decomposition(SpliceDiagram(["x", "y"], [("x", "y", 1, 1)]))
+
+
+def test_w_keyed_by_a_dashed_arrow_id_is_refused_everywhere():
+    # W is keyed by slots (vertices and arrowheads), never by a dashed arrow
+    base = two_cusp_diagram()
+    d = SpliceDiagram(base.vertices, base.edges, base.farrows, [Warrow("dw", 3, at="bL")])
+    e = d.edge("v1", "v0")
+    message = r"^warrow '~W\.dw' at unknown vertex 'dw'$"
+    for call in (
+        lambda: splice(d, e, None, {"dw": 4}),
+        lambda: induced_value(d, e, "v0", {"dw": 4}),
+        lambda: star_decomposition(d, None, {"dw": 4}),
+        lambda: allowed.is_allowed(d, None, {"dw": 4}),
+    ):
+        with pytest.raises(DiagramError, match=message):
+            call()
+    # the slot the arrow decorates is accepted
+    left, _ = splice(d, e, None, {"bL": 4})
+    assert left.diagram.w_divisor() == {"bL": 4, "~av1|v0": -2}
 
 
 def test_root_cuts_are_cached_and_shared_across_decorations():
