@@ -27,7 +27,7 @@ d = two_cusp_diagram()
 z = monodromy_zeta(d)
 lam = alexander(d)
 print("zeta(t) =", z)
-print("Lambda(t) =", lam, "=", [int(c) for c in lam.expand().coeffs], "(ascending)")
+print("Lambda(t) =", lam, "=", lam.coefficients(), "(ascending)")
 
 stars = star_decomposition(d)
 print("star factors:", {v: str(alexander(s)) for v, s in stars.items()})

@@ -2,6 +2,12 @@
 
 Exit codes: 0 = computed (verdicts live in the payload), 1 = usage or parse
 error, 2 = precondition violation (bad graph kind, invalid decoration, ...).
+
+Argv dispatch: when argv[0] names a command, that command's own parser reads
+the rest; an argv it leaves arguments over from, and any other argv (none,
+an option before the command, an unknown command, -h), goes through the
+top-level parser, so usage and error text are those of ``build_parser()``.
+``--json`` may stand before or after the command.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ def _zeta_payload(z: ZetaResult) -> dict:
 def _cyclo_payload(c: CycloProduct) -> dict:
     out = {"factors": [[n, e] for n, e in c.factors.items()]}
     try:
-        out["polynomial"] = [str(int(x)) for x in c.expand().coeffs]
+        out["polynomial"] = [str(x) for x in c.coefficients()]
     except (NegativeMultiplicityError, CycloLimitError) as exc:
         out["polynomial"] = None
         out["note"] = str(exc)
@@ -121,26 +127,40 @@ def _json(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for str,
     int, bool, None, lists, tuples and dicts with str keys; anything else
     (a float, a Fraction, a non-str key) raises TypeError."""
+    # containers are tested first: a plain str or int child is written in
+    # place, without a call per scalar, so most calls are for containers;
+    # bools, None and subclasses recurse
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a non-str key
+        items = [
+            encode_basestring_ascii(k) + ": " + (
+                encode_basestring_ascii(v) if type(v) is str
+                else int.__repr__(v) if type(v) is int
+                else _json(v, inner)
+            )
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [
+            encode_basestring_ascii(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else _json(v, inner)
+            for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("JSON object keys must be str")
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        items = [_json(v, inner) for v in obj]
-        brackets = "[]"
-    else:
-        raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
 def _emit(args, payload: dict, text: str):
@@ -438,20 +458,25 @@ def cmd_selfcheck(args):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="structured output")
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built
+    once per process (parsing leaves them unchanged)."""
     ap = argparse.ArgumentParser(
         prog="splicezeta",
         description="Exact invariants of splice diagrams and plumbing graphs",
-        parents=[common],
+    )
+    ap.add_argument("--json", action="store_true", help="structured output")
+    # a command's --json sets the flag only when given there, so one given
+    # before the command is not reset by the command's default
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS, help="structured output"
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, parents=[common], **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, command=name)
         return p
 
     for name, fn, help_ in [
@@ -484,13 +509,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--include-doubles", action="store_true")
-    return ap
+    return ap, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level argument parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` gives.  When argv[0]
+    names a command, that command's parser reads the rest of argv alone
+    (about half the time of the top-level pass, which hands the same
+    arguments to it); anything it leaves over, and any other argv, goes
+    through the top-level parser, so its usage and errors are unchanged."""
+    ap, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(json=False))
+        if not rest:
+            return args
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -397,11 +397,14 @@ class UnityRoot:
         return cls(int(text), 1)
 
 
-# ``CycloProduct.expand`` multiplies out the factors with positive exponent,
-# a list of that many int coefficients and one linear pass per factor, and
-# its polynomial check trial-divides every base up to its square root.  A
-# product whose positive part has a larger degree, or with a larger base, is
-# refused rather than expanded.
+# ``CycloProduct.coefficients`` multiplies out the factors with positive
+# exponent, a list of that many int coefficients and one linear pass per
+# factor.  Before it expands anything, a product with a negative exponent is
+# checked to be a polynomial: the multiplicity at each root order q (every
+# divisor of a base, found by trial division up to its square root) is the
+# integer sum of the exponents e_N with q | N.  A product whose positive part
+# has a larger degree, or with a larger base, is refused rather than
+# expanded or checked.
 CYCLO_MAX_DEGREE = 1_000_000
 
 
@@ -477,7 +480,10 @@ class CycloProduct:
 
     def root_multiplicity(self, lam: UnityRoot) -> int:
         """Multiplicity of lam as a root: lam**N = 1 iff ord(lam) divides N."""
-        q = lam.order
+        return self._multiplicity(lam.order)
+
+    def _multiplicity(self, q: int) -> int:
+        """Multiplicity of the roots of order q."""
         return sum(e for n, e in self.factors.items() if n % q == 0)
 
     def root_orders(self) -> list[int]:
@@ -488,11 +494,16 @@ class CycloProduct:
         return sorted(seen)
 
     def is_polynomial(self) -> bool:
-        return all(self.root_multiplicity(UnityRoot(1, q)) >= 0 for q in self.root_orders())
+        return all(self._multiplicity(q) >= 0 for q in self.root_orders())
 
     def expand(self) -> Poly:
-        """Exact expansion; error (naming the root) when not a polynomial,
-        CycloLimitError above CYCLO_MAX_DEGREE."""
+        """``coefficients()`` as a Poly."""
+        return Poly(self.coefficients())
+
+    def coefficients(self) -> list[int]:
+        """Ascending integer coefficients of the exact expansion; error
+        (naming the root) when not a polynomial, CycloLimitError above
+        CYCLO_MAX_DEGREE."""
         top = max(
             sum(n * e for n, e in self.factors.items() if e > 0), max(self.factors, default=0)
         )
@@ -500,10 +511,11 @@ class CycloProduct:
             raise CycloLimitError(
                 f"expansion of degree up to {top} exceeds the limit {CYCLO_MAX_DEGREE}"
             )
-        for q in self.root_orders():
-            m = self.root_multiplicity(UnityRoot(1, q))
-            if m < 0:
-                raise NegativeMultiplicityError(q, m)
+        if any(e < 0 for e in self.factors.values()):
+            for q in self.root_orders():
+                m = self._multiplicity(q)
+                if m < 0:
+                    raise NegativeMultiplicityError(q, m)
         coeffs = [1]
         for n, e in self.factors.items():
             for _ in range(e):
@@ -513,7 +525,7 @@ class CycloProduct:
                 coeffs = _divide_cyclo(coeffs, n)
                 if coeffs is None:
                     raise NegativeMultiplicityError(0, -1)
-        return Poly(coeffs)
+        return coeffs
 
     def __repr__(self):
         return f"CycloProduct({self.factors!r})"

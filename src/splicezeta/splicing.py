@@ -90,13 +90,13 @@ def root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
 
 
 def _root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
-    side = d.side_vertices(keep, e)
     row = d.linking_row(e.other(keep), e)
-    far_side = frozenset(side)
+    # the excluded row reaches exactly the far side: its vertex ids are it
+    far_side = d.memo(("vertex set",), frozenset, d.vertices).intersection(row)
     far_farrows = [a for a in d.farrows if a.at in far_side]
     # the canonical contribution: (2 - delta_x) per vertex, 1 per arrowhead
     # of weight >= 2 (a boundary leg once the arrowheads are stripped)
-    i0 = sum((2 - d.delta(x)) * row[x] for x in side)
+    i0 = sum((2 - d.delta(x)) * row[x] for x in far_side)
     i0 += sum(row[a.id] for a in far_farrows if a.weight >= 2)
     return RootCut(far_side, tuple(a.id for a in far_farrows), i0, row)
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splicezeta import cli
 from splicezeta.cli import _json, build_parser, main
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
 from splicezeta.io import ParseError, parse_diagram, print_diagram
@@ -237,6 +238,72 @@ def test_cli_verdict_commands_refuse_invalid_diagram(tmp_path, capsys):
         assert "weights 2 and 4 share a factor" in captured.err, command
 
 
+# argvs the command's own parser reads, and argvs it leaves to the top-level
+# parser: abbreviations, --json on either side of the command, leftovers,
+# a missing file, unknown commands and help; corpus file names stand for
+# their paths
+_DISPATCH_ARGVS = [
+    ["validate", "two_cusp.sd"],
+    ["convert", "two_cusp.pg", "--json"],
+    ["zeta", "two_cusp.sd"],
+    ["zeta", "two_cusp.sd", "--json"],
+    ["--json", "zeta", "two_cusp.sd"],
+    ["--json", "zeta", "two_cusp.sd", "--json"],
+    ["zeta", "--js", "two_cusp.sd"],
+    ["poles", "two_cusp.sd", "--json"],
+    ["alexander", "two_cusp.sd", "--json"],
+    ["semigroup", "two_cusp.sd"],
+    ["allowed", "two_cusp.sd", "--json"],
+    ["goal1", "two_cusp.sd"],
+    ["stars", "two_cusp.sd", "--json"],
+    ["selfcheck", "--samples", "0"],
+    ["selfcheck", "--samples", "x"],
+    ["eig", "two_cusp.sd", "--lam", "1/2"],
+    ["eig", "two_cusp.sd", "--lambda=1/7", "--json"],
+    ["eig", "two_cusp.sd"],
+    ["splice", "two_cusp.sd", "--edge", "v1:v0", "--json"],
+    ["realize", "two_cusp.sd", "--lam", "1/6", "--eff", "--count=2", "--json"],
+    ["realize", "two_cusp.sd", "--lambda", "1/6", "--count", "two"],
+    ["zeta"],
+    ["zeta", "two_cusp.sd", "--bogus"],
+    ["zeta", "--bogus", "two_cusp.sd"],
+    ["zeta", "two_cusp.sd", "two_cusp.sd"],
+    ["bogus", "two_cusp.sd"],
+    ["zet", "two_cusp.sd"],
+    ["-h"],
+    ["zeta", "-h"],
+    ["realize", "--help"],
+    ["--json"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_cli_dispatch_matches_the_top_level_parser(argv, capsys, monkeypatch):
+    argv = [str(CORPUS / a) if a.startswith("two_cusp.") else a for a in argv]
+    code = main(argv)
+    got = capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_args", build_parser().parse_args)
+        want_code = main(argv)
+    assert (code, got) == (want_code, capsys.readouterr())
+    try:
+        want = build_parser().parse_args(argv)
+    except SystemExit:
+        capsys.readouterr()
+        return
+    assert vars(cli._parse_args(argv)) == vars(want)
+
+
+def test_cli_reads_sys_argv_without_an_argv(capsys, monkeypatch):
+    sd = str(CORPUS / "two_cusp.sd")
+    monkeypatch.setattr(sys, "argv", ["splicezeta", "--json", "poles", sd])
+    assert main() == 0
+    a = capsys.readouterr()
+    assert main(["poles", sd, "--json"]) == 0
+    assert capsys.readouterr() == a
+
+
 def test_cli_parser_reused_without_leftover_state(capsys):
     sd = str(CORPUS / "two_cusp.sd")
     assert build_parser() is build_parser()
@@ -396,6 +463,27 @@ def test_json_writer_matches_json_dumps(obj):
 def test_json_writer_refuses_other_types(obj):
     with pytest.raises(TypeError):
         _json(obj)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [True, False, None, 0, -7, "x", _Str("s\u00e9"), _Int(5), _Int(-12)],
+        {"a": True, "b": False, "c": None, "d": _Str("\x00"), "e": _Int(3), "f": 10**40, "g": ""},
+        (None, [True, _Int(0)], {"k": (_Str(""), None)}),
+    ],
+)
+def test_json_writer_scalar_children_match_json_dumps(obj):
+    # plain str and int children are written in place; the rest recurse
+    assert _json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_cli_json_output_is_json_dumps_of_the_payload():

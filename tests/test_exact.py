@@ -220,8 +220,36 @@ def test_cyclo_expand_matches_long_division():
             assert (got.value.q, got.value.multiplicity) == (exc.q, exc.multiplicity)
             continue
         assert c.expand().coeffs == want.coeffs, c
+        assert c.coefficients() == [int(x) for x in want.coeffs], c
         expanded += 1
     assert expanded >= 100
+
+
+def _raised(f) -> tuple[type, str]:
+    with pytest.raises(ArithmeticError) as got:
+        f()
+    return type(got.value), str(got.value)
+
+
+def test_cyclo_coefficients_refuse_as_expand_does():
+    rng = random.Random(9)
+    refused = 0
+    for _ in range(400):
+        c = CycloProduct([(rng.randint(1, 12), rng.randint(-2, 3)) for _ in range(rng.randint(0, 5))])
+        if not c.is_polynomial():
+            assert _raised(c.coefficients) == _raised(c.expand), c
+            refused += 1
+    assert refused >= 100
+    for c in (
+        CycloProduct({10**28: 1, 1: -1}),
+        CycloProduct({10**28: -1, 1: 3}),
+        CycloProduct({CYCLO_MAX_DEGREE // 2: 2, 1: 1}),
+        # over the limit and not a polynomial: the limit is named first
+        CycloProduct({CYCLO_MAX_DEGREE + 1: 1, 1: -2}),
+    ):
+        kind, message = _raised(c.coefficients)
+        assert kind is CycloLimitError and "exceeds the limit" in message
+        assert (kind, message) == _raised(c.expand)
 
 
 def test_cyclo_expand_refuses_huge_degree_promptly():
