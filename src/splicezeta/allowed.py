@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf
 
-from .diagrams import DiagramError, SpliceDiagram
+from .diagrams import DiagramError, SpliceDiagram, require_valid
 from .divisors import PDivisor, f_of, w_of
 from .exact import UnityRoot
 from .monodromy import eig_contains
@@ -116,12 +116,17 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupReport:
     the edge weight at the node must lie in the semigroup generated by the
     linking products towards the boundary vertices of that side.  The
     condition depends only on the support of F, which the diagram's
-    arrowheads carry."""
+    arrowheads carry.  Towards a leaf the far side is the bare leaf, whose
+    linking product with e excluded is 1: the generators are (1,), so the
+    pair is counted as checked and holds without a cut."""
     d.require_standard()
     failures: list[SemigroupFailure] = []
     checked = 0
     for v in d.nodes():
         for e in d.edges_at(v):
+            if not d.is_node(e.other(v)):
+                checked += 1
+                continue
             cut = root_cut(d, v, e)
             if cut.farrows:
                 continue
@@ -276,7 +281,10 @@ def check_goal1(
     d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> Goal1Report:
     """Map every pole of the zeta function to a root of unity and test Eig
-    membership.  Allowedness is reported, not required."""
+    membership.  Allowedness is reported, not required; a diagram that
+    ``validate`` rejects is refused."""
+    d.require_standard()
+    require_valid(d)
     fm = f_of(d, f)
     wm = w_of(d, w)
     verdict = is_allowed(d, fm, wm)

@@ -8,6 +8,10 @@ the rest; an argv it leaves arguments over from, and any other argv (none,
 an option before the command, an unknown command, -h), goes through the
 top-level parser, so usage and error text are those of ``build_parser()``.
 ``--json`` may stand before or after the command.
+
+Parsed inputs are kept per process, keyed by the whole file text (never by
+its path, as a file may be rewritten between commands): the commands on one
+text share one diagram object, and with it everything kept in its memo.
 """
 
 from __future__ import annotations
@@ -45,6 +49,17 @@ class CliError(Exception):
         self.code = code
 
 
+# how many parsed inputs a process keeps, least recently used first out
+PARSE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse(text: str):
+    """``parse_diagram(text)``, kept for the next command on the same text;
+    a text that fails to parse raises, and is parsed again next time."""
+    return parse_diagram(text)
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -52,7 +67,7 @@ def _load(path: str):
     except OSError as exc:
         raise CliError(1, f"cannot read {path}: {exc}") from None
     try:
-        return parse_diagram(text)
+        return _parse(text)
     except ParseError as exc:
         raise CliError(1, f"{path}: {exc}") from None
 

@@ -158,6 +158,7 @@ class _Decorated:
         for a in self.farrows:
             self._farrows_at[a.at].append(a)
         self._connected: bool | None = None  # is_connected()'s verdict, on first use
+        self._memo: dict = {}
 
     def neighbours(self, v: str) -> tuple[str, ...]:
         return tuple(self._nbrs[v])
@@ -214,6 +215,18 @@ class _Decorated:
 
     def is_tree(self) -> bool:
         return len(self.edges) == len(self._nbrs) - 1 and self.is_connected()
+
+    def memo(self, key, build, *args):
+        """``build(*args)``, computed once per key.  The object is immutable,
+        so whatever is derived from it alone can be kept with it.  A key
+        names a value that needs no F or W, or one at the object's own F and
+        W or at W = 0, never at a searched W: the memo holds a fixed set of
+        entries."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(*args)
+            return value
 
     def f_divisor(self) -> dict[str, int]:
         return {a.id: a.mult for a in self.farrows}
@@ -278,7 +291,6 @@ class SpliceDiagram(_Decorated):
             self._adj[e.a].append(e)
             self._adj[e.b].append(e)
         self._rows: dict[tuple, _LinkingRow] = {}
-        self._memo: dict = {}
         # computed on first use: _classes() and require_standard()'s verdict
         self._kinds: tuple | None = None
         self._nonstandard: str | None = None
@@ -347,16 +359,6 @@ class SpliceDiagram(_Decorated):
         if chains:
             return f"valency-2 vertices present ({', '.join(chains)}); normalize first"
         return ""
-
-    def memo(self, key, build, *args):
-        """``build(*args)``, computed once per key.  The diagram is immutable,
-        so whatever is derived from it alone can be kept with it, as the
-        linking rows are."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build(*args)
-            return value
 
     def delta(self, v: str) -> int:
         """Valency with every arrowhead stripped: weight>=2 arrowheads become
@@ -502,7 +504,7 @@ class SpliceDiagram(_Decorated):
 # validation
 
 
-@dataclass
+@dataclass(frozen=True)
 class Violation:
     kind: str
     where: str
@@ -545,7 +547,21 @@ def edge_determinant(d: SpliceDiagram, e: Edge) -> int:
 
 
 def validate(d: SpliceDiagram) -> ValidationReport:
-    """Check every diagram invariant; violations are data, not exceptions."""
+    """Check every diagram invariant; violations are data, not exceptions.
+    The violations are found once per diagram and kept on it; each call
+    gets a report of its own."""
+    return ValidationReport(list(d.memo(("validate",), _validate, d).violations))
+
+
+def require_valid(d: SpliceDiagram):
+    """Refuse a diagram that ``validate`` rejects: the verdicts that assume
+    every invariant it checks call this where input enters."""
+    rep = validate(d)
+    if not rep.ok:
+        raise DiagramError(f"invalid splice diagram\n{rep}")
+
+
+def _validate(d: SpliceDiagram) -> ValidationReport:
     rep = ValidationReport()
     if not d.vertices:
         rep.add("structure", "-", "empty diagram")
@@ -845,6 +861,12 @@ class PlumbingGraph(_Decorated):
 
 
 def validate_plumbing(g: PlumbingGraph, require_unimodular: bool = False) -> ValidationReport:
+    """``validate`` for a plumbing graph, kept on the graph the same way."""
+    rep = g.memo(("validate", require_unimodular), _validate_plumbing, g, require_unimodular)
+    return ValidationReport(list(rep.violations))
+
+
+def _validate_plumbing(g: PlumbingGraph, require_unimodular: bool) -> ValidationReport:
     rep = ValidationReport()
     if not g.vertices:
         rep.add("structure", "-", "empty graph")
@@ -879,7 +901,12 @@ def plumbing_to_splice(g: PlumbingGraph) -> SpliceDiagram:
     Each weight is one leaf-first integer pass over its side (see the module
     docstring), so a conversion costs O(n) per string end and never forms a
     matrix.  Refuses graphs that are disconnected, not trees, or not
-    unimodular and negative definite."""
+    unimodular and negative definite.  The diagram is built once per graph
+    and kept on it, so every caller shares it (and its own memo)."""
+    return g.memo(("splice diagram",), _plumbing_to_splice, g)
+
+
+def _plumbing_to_splice(g: PlumbingGraph) -> SpliceDiagram:
     if not g.is_connected():
         raise DiagramError("disconnected plumbing graph")
     if not g.is_tree():

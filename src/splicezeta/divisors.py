@@ -28,6 +28,20 @@ def w_of(d, w: PDivisor | None) -> dict[str, int]:
     return d.w_divisor() if w is None else dict(w)
 
 
+def is_own(x, f: PDivisor | None, w: PDivisor | None = None) -> bool:
+    """Whether F and W, None standing for the stored one, are the object's
+    stored decorations.  Values at those are the ones kept in the object's
+    ``memo``: any other F or W is computed afresh."""
+    if f is not None and f != x.f_divisor():
+        return False
+    if w is None:
+        return True
+    try:
+        return w == x.w_divisor()
+    except DiagramError:  # two dashed arrows on one slot: no stored W
+        return False
+
+
 def effective_f(d, f: PDivisor | None) -> dict[str, int]:
     """``f_of``, refused unless F is effective and nonzero."""
     fm = f_of(d, f)
@@ -55,7 +69,14 @@ def vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None = None) -> dict[s
 
     Linking products are symmetric on a tree, so the row of the vertex that
     carries a, divided by a's own supporting weight (which that row counts
-    and l_{va} does not), gives l_{va} for every v at once."""
+    and l_{va} does not), gives l_{va} for every v at once.  At the stored
+    F the values are kept on d; each call gets a dict of its own."""
+    if is_own(d, f):
+        return dict(d.memo(("N",), _vertex_multiplicities, d, None))
+    return _vertex_multiplicities(d, f)
+
+
+def _vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None) -> dict[str, int]:
     out = dict.fromkeys(d.vertices, 0)
     for aid, mult in f_of(d, f).items():
         if mult:
@@ -75,12 +96,23 @@ def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
     turn into boundary vertices (contributing l_{va} each), weight-1
     arrowheads vanish, and the dashed data is ignored.  So nu_v is one
     integer combination of the linking row of v, the same at every node.
+    The canonical part does not depend on W: it is kept on d, and each
+    call adds its own W part to a copy.
     """
     wm = w_of(d, w)
     _check_w_slots(d, wm)
+    out = dict(d.memo(("nu at W = 0",), _canonical_nu, d))
+    terms = [(slot, mult) for slot, mult in wm.items() if mult]
+    if terms:
+        for v in out:
+            row = d.linking_row(v)
+            out[v] += sum(c * row[t] for t, c in terms)
+    return out
+
+
+def _canonical_nu(d: SpliceDiagram) -> dict[str, int]:
     terms = [(x, 2 - d.delta(x)) for x in d.vertices]
     terms += [(a.id, 1) for a in d.farrows if a.weight >= 2]
-    terms += [(slot, mult) for slot, mult in wm.items() if mult]
     out: dict[str, int] = {}
     for v in d.nodes():
         row = d.linking_row(v)

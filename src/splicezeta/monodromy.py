@@ -10,6 +10,12 @@ The vertex product is computed on a splice diagram or on a plumbing graph
 alike; only the source of N_v differs (``_multiplicities``).  On a graph
 that is not unimodular, N_v may be rational, and the product needs it
 integral wherever the exponent is nonzero.
+
+At an object's own F the monodromy zeta, Delta_1 and the Alexander
+polynomial are kept in its ``memo``: the commands on one diagram, the
+poles ``check_goal1`` maps and the stars ``realize`` reads ask for them
+again and again.  A ``CycloProduct`` is a value: its operations build new
+ones.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from math import gcd
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram
-from .divisors import PDivisor, effective_f, pullback_plumbing, vertex_multiplicities
+from .divisors import PDivisor, effective_f, is_own, pullback_plumbing, vertex_multiplicities
 from .exact import CycloProduct, UnityRoot
 
 
@@ -33,6 +39,12 @@ def _multiplicities(x: SpliceDiagram | PlumbingGraph, fm: dict[str, int]) -> dic
 
 def monodromy_zeta(x: SpliceDiagram | PlumbingGraph, f: PDivisor | None = None) -> CycloProduct:
     """zeta(t) = prod over vertices of (t**N_v - 1)**(delta'_v - 2)."""
+    if is_own(x, f):
+        return x.memo(("monodromy zeta",), _monodromy_zeta, x, None)
+    return _monodromy_zeta(x, f)
+
+
+def _monodromy_zeta(x: SpliceDiagram | PlumbingGraph, f: PDivisor | None) -> CycloProduct:
     fm = effective_f(x, f)
     nv = _multiplicities(x, fm)
     factors = []
@@ -60,12 +72,24 @@ def delta0(x: SpliceDiagram | PlumbingGraph, f: PDivisor | None = None) -> Cyclo
 
 def delta1(x: SpliceDiagram | PlumbingGraph, f: PDivisor | None = None) -> CycloProduct:
     """Characteristic polynomial of the first monodromy: zeta * delta0."""
+    if is_own(x, f):
+        return x.memo(("delta1",), _delta1, x, None)
+    return _delta1(x, f)
+
+
+def _delta1(x: SpliceDiagram | PlumbingGraph, f: PDivisor | None) -> CycloProduct:
     return monodromy_zeta(x, f) * delta0(x, f)
 
 
 def alexander(d: SpliceDiagram, f: PDivisor | None = None) -> CycloProduct:
     """One-variable Alexander polynomial: zeta itself with >= 2 arrowheads,
     zeta * (t**N_a - 1) with a single arrowhead."""
+    if is_own(d, f):
+        return d.memo(("alexander",), _alexander, d, None)
+    return _alexander(d, f)
+
+
+def _alexander(d: SpliceDiagram, f: PDivisor | None) -> CycloProduct:
     fm = effective_f(d, f)
     arrows = [a.id for a in d.farrows if fm.get(a.id, 0) > 0]
     z = monodromy_zeta(d, fm)

@@ -59,7 +59,7 @@ from math import gcd
 from operator import mul
 
 from .allowed import is_allowed, star_allowed
-from .diagrams import DiagramError, Edge, SpliceDiagram
+from .diagrams import DiagramError, Edge, SpliceDiagram, require_valid
 from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities
 from .exact import UnityRoot, solve_linear_congruence
 from .monodromy import alexander, eig_contains
@@ -575,8 +575,9 @@ def realize_eigenvalue(
 ) -> RealizeOutcome:
     """Find allowed W with a certified zeta pole mapping to lam.
 
-    Raises ValueError when count < 1 or bound < 0 and NotAnEigenvalueError
-    when lam is outside Eig.  Otherwise returns
+    Raises ValueError when count < 1 or bound < 0, DiagramError when
+    ``validate`` rejects d and NotAnEigenvalueError when lam is outside Eig.
+    Otherwise returns
     either realized divisors or the honest bounded-search failure with the
     per-node congruence diagnostics.
     """
@@ -585,6 +586,7 @@ def realize_eigenvalue(
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     d.require_standard()
+    require_valid(d)
     fm = f_of(d, f)
     if not eig_contains(d, lam, fm):
         raise NotAnEigenvalueError(f"{lam} is not in Eig of this diagram")

@@ -49,7 +49,9 @@ first, the half keeping e.b first.  Both build a half with the same list
 operation ``_cut`` from equal inputs, so the minted ids (``~a...``,
 ``~...|...``, ``~w...``, and the ``~W.<slot>`` renames at each later cut)
 and the order of every list are those of that recursion, which the test
-suite keeps as its reference.
+suite keeps as its reference.  ``star_legs`` names an induced leaf ``~v|u``
+as well, unless some id of d could make ``fresh`` prime it; then it reads
+the names off the same recursion, run on lists (``_minted_leaves``).
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .diagrams import DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant, slot_warrows
-from .divisors import PDivisor, f_of, node_data, w_of
+from .divisors import PDivisor, f_of, is_own, node_data, w_of
 from .zeta import principal_parts, summands, zeta_splice
 
 
@@ -125,6 +127,7 @@ def star_legs(d: SpliceDiagram) -> dict[str, tuple[int, tuple[Leg, ...]]]:
 
 def _leg_table(d: SpliceDiagram) -> dict[str, tuple[int, tuple[Leg, ...]]]:
     table = {}
+    names = _minted_leaves(d)
     for v in d.nodes():
         r = len(d.farrows_at(v))
         edges = d.edges_at(v)
@@ -134,9 +137,28 @@ def _leg_table(d: SpliceDiagram) -> dict[str, tuple[int, tuple[Leg, ...]]]:
             if cut.farrows:
                 r += 1
             else:
-                legs.append(Leg(e.weight_at(v), f"~{v}|{e.other(v)}", cut))
+                slot = names.get((v, e.key), f"~{v}|{e.other(v)}")
+                legs.append(Leg(e.weight_at(v), slot, cut))
         table[v] = r, tuple(legs)
     return table
+
+
+def _minted_leaves(d: SpliceDiagram) -> dict[tuple[str, tuple[str, str]], str]:
+    """The induced leaf ids ``_cut`` mints, keyed by (v, edge key), where
+    one may differ from ``~v|u``; otherwise {}.  ``fresh`` primes a minted
+    id (``~`` and the two ids it joins) only when the piece already holds
+    it, which needs some vertex or arrowhead id of d that starts with ``~``
+    or holds a ``|``.  Then the split recursion runs on lists, at W = 0, and
+    the names are read off it.  (Its dashed arrows, renamed ``~W.<slot>``
+    and minted ``~w...``, follow W, so on a diagram whose own ids mimic
+    those a name could still depend on W.)"""
+    ids = [*d.vertices, *(a.id for a in d.farrows)]
+    if not any(x.startswith("~") or "|" in x for x in ids):
+        return {}
+    minted: dict[tuple[str, tuple[str, str]], str] = {}
+    for _ in _split(d, f_of(d, None), {}, minted):
+        pass
+    return minted
 
 
 def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> int:
@@ -249,12 +271,33 @@ def star_decomposition(
     the minted ids and the order of the stars are those of that recursion.
     Each cut reads M and i off d's cached ``root_cut`` (see the module
     docstring); a ``SpliceDiagram`` is built only for the stars, so a
-    diagram with one node is rebuilt with F and W as its one star."""
+    diagram with one node is rebuilt with F and W as its one star.  The
+    stars at d's own F and W = 0, which ``realize`` reads, are kept on d;
+    each call gets a dict of its own."""
     d.require_standard()
     fm = f_of(d, f)
     wm = w_of(d, w)
-    specials = sorted(d.special_edges(), key=lambda x: x.key)
+    if is_own(d, fm) and not any(wm.values()):
+        return dict(d.memo(("stars at W = 0",), _stars, d, fm, {}))
+    return _stars(d, fm, wm)
+
+
+def _stars(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]) -> dict[str, SpliceDiagram]:
     stars: dict[str, SpliceDiagram] = {}
+    for piece in _split(d, fm, wm):
+        star = SpliceDiagram(*piece)
+        node_list = star.nodes()
+        if len(node_list) != 1:
+            raise DiagramError("piece without a unique node")
+        stars[node_list[0]] = star
+    return stars
+
+
+def _split(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], minted: dict | None = None):
+    """The final pieces of ``star_decomposition``'s recursion, as lists, in
+    its order.  ``minted``, when given, gets the leaf id minted at each cut
+    whose far side has no arrowheads, keyed by (kept node, edge key)."""
+    specials = sorted(d.special_edges(), key=lambda x: x.key)
     # a work item is a piece and the kept node of every vertex minted in it
     work = [(d.decorated_lists(fm, wm), {})]
     while work:
@@ -263,11 +306,7 @@ def star_decomposition(
         own = {v for v in vertices if v not in home}
         e = next((x for x in specials if x.a in own and x.b in own), None)
         if e is None:
-            star = SpliceDiagram(*piece)
-            node_list = star.nodes()
-            if len(node_list) != 1:
-                raise DiagramError("piece without a unique node")
-            stars[node_list[0]] = star
+            yield piece
             continue
         wslots = [(x.slot, x.value - 1) for x in piece[3]]
         for keep in (e.a, e.b):
@@ -278,8 +317,9 @@ def star_decomposition(
             kept_home = {v: h for v, h in home.items() if v not in side}
             if not cut.farrows:
                 kept_home[slot] = keep
+                if minted is not None:
+                    minted[keep, e.key] = slot
             work.append((half, kept_home))
-    return stars
 
 
 @dataclass

@@ -52,6 +52,12 @@ that adding the terms one at a time, with a polynomial gcd after every
 addition, gives; no polynomial gcd is computed.  ``ZetaResult.func`` builds
 it on first use only.
 
+A diagram or graph keeps its zeta function at its own F and W in its
+``memo``, so the commands on one object sum it once; other F and W, such as
+the candidates ``realize`` certifies, are summed afresh.  So a
+``ZetaResult`` is read-only: frozen, with tuples of terms and a read-only
+view of the parts.
+
 The poles are read off the parts, with no root search.  ``RatFunc.poles``
 returns, at a root r of order o of the reduced den, num(r) / g(r) with
 g = den / (s - r)^o.  Near r, num / g = (s - r)^o Z(s), which is
@@ -64,16 +70,19 @@ gives exactly the list ``func.poles()`` gives.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, edge_determinant
 from .divisors import (
     PDivisor,
     canonical_plumbing,
     effective_f,
+    is_own,
     node_data,
     pullback_plumbing,
     w_of,
@@ -119,21 +128,21 @@ class EdgeTerm:
     n2: int | Fraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZetaResult:
     """Z(s) as C + its principal parts {r: (a1_r, a2_r)} (see the module
     docstring), with the node and edge terms it was summed from."""
 
     const: Fraction
-    parts: dict[Fraction, tuple[Fraction, Fraction]]
-    node_terms: list[NodeTerm]
-    edge_terms: list[EdgeTerm]
+    parts: Mapping[Fraction, tuple[Fraction, Fraction]]
+    node_terms: tuple[NodeTerm, ...]
+    edge_terms: tuple[EdgeTerm, ...]
 
     @classmethod
-    def from_terms(cls, node_terms: list[NodeTerm], edge_terms: list[EdgeTerm]) -> "ZetaResult":
+    def from_terms(cls, node_terms, edge_terms) -> "ZetaResult":
         """Sum of the terms; a linear form with nu = N = 0 raises ZeroDivisionError."""
         const, parts = principal_parts(summands(node_terms, edge_terms))
-        return cls(const, parts, node_terms, edge_terms)
+        return cls(const, MappingProxyType(parts), tuple(node_terms), tuple(edge_terms))
 
     @cached_property
     def func(self) -> RatFunc:
@@ -304,7 +313,14 @@ def _require_nonzero_pair(nu, n, where: str):
 def zeta_splice(
     d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> ZetaResult:
-    """Z(Gamma; s) of the decorated diagram, with the per-node term list."""
+    """Z(Gamma; s) of the decorated diagram, with the per-node term list;
+    at d's own F and W, kept on d."""
+    if is_own(d, f, w):
+        return d.memo(("zeta",), _zeta_splice, d, None, None)
+    return _zeta_splice(d, f, w)
+
+
+def _zeta_splice(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None) -> ZetaResult:
     d.require_standard()
     fm = effective_f(d, f)
     wm = w_of(d, w)
@@ -352,8 +368,14 @@ def zeta_plumbing(
     """Z(F, W; s) from a resolution graph via the stratified Euler sum.
 
     Works in general (non-unimodular negative-definite) mode, where the
-    nu_v and N_v may be rational.
+    nu_v and N_v may be rational.  At g's own F and W, kept on g.
     """
+    if is_own(g, f, w):
+        return g.memo(("zeta",), _zeta_plumbing, g, None, None)
+    return _zeta_plumbing(g, f, w)
+
+
+def _zeta_plumbing(g: PlumbingGraph, f: PDivisor | None, w: PDivisor | None) -> ZetaResult:
     fm = effective_f(g, f)
     wm = w_of(g, w)
     nv = pullback_plumbing(g, fm)

@@ -916,11 +916,20 @@ def test_convert_matches_dense_reference(tmp_path, capsys, monkeypatch):
         paths.append(tmp_path / f"g{k}.pg")
         paths[-1].write_text(print_plumbing(g, f"g{k}"))
     messages = {}
-    for path in paths:
+    dense_calls = []
+
+    def dense(g):
+        dense_calls.append(g)
+        return dense_plumbing_to_splice(g)
+
+    for k, path in enumerate(paths):
         got = _convert_json(path, capsys)
         with monkeypatch.context() as m:
-            m.setattr(cli, "plumbing_to_splice", dense_plumbing_to_splice)
+            # the graph of this text is kept by the CLI with its conversion;
+            # the patched name is called all the same
+            m.setattr(cli, "plumbing_to_splice", dense)
             assert _convert_json(path, capsys) == got, path.read_text()
+        assert len(dense_calls) == k + 1
         # the refusal message up to its first quoted id
         key = got[2].split(":")[1].split("'")[0].strip() if got[0] else "converted"
         messages[key] = messages.get(key, 0) + 1

@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from splicezeta.allowed import is_allowed, semigroup_condition, star_allowed
+from splicezeta.allowed import check_goal1, is_allowed, semigroup_condition, star_allowed
 from splicezeta.corpus import (
     intro_star,
     plane_curve_staircase,
     two_cusp_diagram,
     two_cusp_diagram_mult,
 )
-from splicezeta.diagrams import Edge, Farrow, SpliceDiagram
+from splicezeta.diagrams import DiagramError, Edge, Farrow, SpliceDiagram, validate
 from splicezeta.divisors import f_of, nu_values, vertex_multiplicities
 from splicezeta.exact import UnityRoot
 from splicezeta.generate import random_valid_splice
@@ -434,7 +434,7 @@ def test_extend_allowed_obstruction_is_genuine():
     # every reported obstruction is confirmed by brute force over a window
     import itertools as _it
 
-    from splicezeta.diagrams import Edge, Farrow, SpliceDiagram
+    from splicezeta.diagrams import DiagramError, Edge, Farrow, SpliceDiagram, validate
 
     d = SpliceDiagram(
         ["v", "b1", "b2", "w", "c1", "c2"],
@@ -721,3 +721,20 @@ def test_realize_certifies_from_cached_cuts(monkeypatch):
         certified += len(realize_eigenvalue(d, lam).found)
     assert certified == 4
     assert sorted(built) == sorted({(k, e.key) for e in d.special_edges() for k in (e.a, e.b)})
+
+
+def test_library_verdicts_refuse_an_invalid_diagram():
+    # the leg weights 2 and 4 share a factor: validate rejects the star, so
+    # realize_eigenvalue and check_goal1 refuse it where it enters, reading
+    # the report kept on the diagram
+    bad = SpliceDiagram(
+        ["v", "b1", "b2", "b3"],
+        [("v", "b1", 2, 1), ("v", "b2", 4, 1), ("v", "b3", 3, 1)],
+        [Farrow("a", "v", 1, 1)],
+    )
+    assert [v.kind for v in validate(bad).violations] == ["coprimality"]
+    for lam in (UnityRoot(0, 1), UnityRoot(1, 4), UnityRoot(1, 8)):
+        with pytest.raises(DiagramError, match="invalid splice diagram"):
+            realize_eigenvalue(bad, lam)
+    with pytest.raises(DiagramError, match="weights 2 and 4 share a factor"):
+        check_goal1(bad)

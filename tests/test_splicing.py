@@ -10,10 +10,12 @@ from splicezeta import allowed
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams, two_cusp_diagram
 from splicezeta.diagrams import (
     DiagramError,
+    Farrow,
     SpliceDiagram,
     Warrow,
     edge_determinant,
     plumbing_to_splice,
+    validate,
 )
 from splicezeta.divisors import f_of, node_data, nu_values, vertex_multiplicities, w_of
 from splicezeta.exact import Poly, RatFunc
@@ -316,6 +318,28 @@ def test_star_decomposition_matches_recursive_reference():
         seen["minted ids"] += any(x.startswith("~") for x in (*d.vertices, *d.f_divisor()))
     assert diagrams >= 500
     assert seen["multi"] >= 1000 and min(seen.values()) >= 20, seen
+
+
+def test_induced_leaf_named_as_its_star_names_it():
+    # node v0 carries a leaf literally named ~v0|v1, so the leaf that the
+    # cut at v0-v1 induces at v0 is minted ~v0|v1'; the verdict's reasons
+    # and nonzero details name it so, as the reference's stars do
+    d = SpliceDiagram(
+        ["v0", "v1", "~v0|v1", "b0", "c1", "c2"],
+        [("v0", "~v0|v1", 2, 1), ("v0", "b0", 3, 1), ("v0", "v1", 5, 11),
+         ("v1", "c1", 2, 1), ("v1", "c2", 3, 1)],
+        [Farrow("a", "v0", 1, 1)],
+    )
+    assert validate(d).ok
+    assert "~v0|v1'" in star_decomposition(d)["v0"].vertices
+    named = 0
+    for values in itertools.product(range(-1, 3), repeat=4):
+        w = dict(zip(["~v0|v1", "b0", "c1", "c2"], values))
+        verdict = allowed.is_allowed(d, None, w)
+        assert verdict == reference_is_allowed(d, None, w), w
+        named += any("~v0|v1'" in (c.reason or "") for c in verdict.stars)
+        named += any("~v0|v1'" in x for x in verdict.nonzero_detail)
+    assert named
 
 
 def test_star_decomposition_keeps_its_error_messages():
