@@ -119,7 +119,7 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupReport:
     arrowheads carry.  Towards a leaf the far side is the bare leaf, whose
     linking product with e excluded is 1: the generators are (1,), so the
     pair is counted as checked and holds without a cut."""
-    d.require_standard()
+    require_valid(d)
     failures: list[SemigroupFailure] = []
     checked = 0
     for v in d.nodes():
@@ -193,7 +193,7 @@ def is_allowed(
     """Full allowedness verdict: the nonzero condition on the given data plus
     the star-wise divisibility implications on the canonical decomposition,
     each star's legs evaluated at W from ``star_legs``."""
-    d.require_standard()
+    require_valid(d)
     fm = f_of(d, f)
     wm = w_of(d, w)
     # F and W refused as the decorated diagram would refuse them
@@ -282,8 +282,7 @@ def check_goal1(
 ) -> Goal1Report:
     """Map every pole of the zeta function to a root of unity and test Eig
     membership.  Allowedness is reported, not required; a diagram that
-    ``validate`` rejects is refused."""
-    d.require_standard()
+    ``require_valid`` refuses is refused."""
     require_valid(d)
     fm = f_of(d, f)
     wm = w_of(d, w)

@@ -72,14 +72,21 @@ def _load(path: str):
         raise CliError(1, f"{path}: {exc}") from None
 
 
+def _report(kind: str, obj):
+    return validate(obj) if kind == "splice" else validate_plumbing(obj)
+
+
 def _load_valid(path: str):
-    """_load, then refuse a splice diagram that ``validate`` rejects: the
-    verdict commands assume every invariant it checks."""
+    """_load, then refuse an input that its validator rejects: ``validate``
+    for a splice diagram, ``validate_plumbing`` for a plumbing graph, each
+    with the W it stores.  Every command but ``validate`` loads through
+    here, so none answers on an input that ``validate`` would list as
+    invalid."""
     kind, name, obj = _load(path)
-    if kind == "splice":
-        rep = validate(obj)
-        if not rep.ok:
-            raise CliError(2, f"{name}: invalid splice diagram\n{rep}")
+    rep = _report(kind, obj)
+    if not rep.ok:
+        what = "splice diagram" if kind == "splice" else "plumbing graph"
+        raise CliError(2, f"{name}: invalid {what}\n{rep}")
     return kind, name, obj
 
 
@@ -196,7 +203,7 @@ def _parse_lambda(text: str) -> UnityRoot:
 
 def cmd_validate(args):
     kind, name, obj = _load(args.file)
-    rep = validate(obj) if kind == "splice" else validate_plumbing(obj)
+    rep = _report(kind, obj)
     payload = {
         "name": name,
         "kind": kind,
@@ -209,7 +216,7 @@ def cmd_validate(args):
 
 
 def cmd_convert(args):
-    kind, name, obj = _load(args.file)
+    kind, name, obj = _load_valid(args.file)
     if kind != "plumbing":
         raise CliError(2, "convert expects a plumbing graph")
     text = print_splice(plumbing_to_splice(obj), name)

@@ -37,10 +37,9 @@ leaves first, and then, root first, with x_parent = 0 at a root,
     x_v = (beta_v + x_parent E_v) / D_v.
 
 E_x / D_c is the product of the other children's D, an integer.  A graph
-with cycles keeps a ``Fraction`` elimination for all three.  Eliminating a
-vertex multiplies the determinant of the rest (its Schur complement) by the
-pivot, and eliminating in another order is a symmetric permutation, which
-keeps the determinant, so there det(-I) is the product of the pivots.
+with a cycle is refused (``DiagramError``): a cycle in the resolution graph
+gives the link b1 > 0, so the integral homology sphere links of the paper
+have trees, and ``validate_plumbing`` refuses any other graph.
 """
 
 from __future__ import annotations
@@ -553,15 +552,41 @@ def validate(d: SpliceDiagram) -> ValidationReport:
     return ValidationReport(list(d.memo(("validate",), _validate, d).violations))
 
 
-def require_valid(d: SpliceDiagram):
-    """Refuse a diagram that ``validate`` rejects: the verdicts that assume
-    every invariant it checks call this where input enters."""
-    rep = validate(d)
+def require_valid(x: SpliceDiagram | PlumbingGraph):
+    """Refuse a splice diagram that is not standard, or a diagram or graph
+    with a violation that does not depend on W: the verdicts call this where
+    input enters.  The W-dependent kinds (warrow, arrow-data) are left to
+    the verdicts that judge a W: a star piece carries induced dashed arrows
+    with i = 0, and its allowedness verdict is False, not a refusal."""
+    if isinstance(x, PlumbingGraph):
+        rep, what = x.memo(("invariants",), _plumbing_invariants, x), "plumbing graph"
+    else:
+        x.require_standard()
+        rep, what = x.memo(("invariants",), _invariants, x), "splice diagram"
     if not rep.ok:
-        raise DiagramError(f"invalid splice diagram\n{rep}")
+        raise DiagramError(f"invalid {what}\n{rep}")
 
 
 def _validate(d: SpliceDiagram) -> ValidationReport:
+    rep = ValidationReport(list(d.memo(("invariants",), _invariants, d).violations))
+    if not d.is_tree():
+        return rep
+    # at most one warrow per boundary vertex and per slot
+    slot_seen: dict[str, str] = {}
+    for w in d.warrows:
+        slot = w.slot
+        if slot in slot_seen:
+            rep.add("warrow", w.id, f"slot {slot!r} already carries warrow {slot_seen[slot]!r}")
+        slot_seen[slot] = w.id
+        if w.at is not None and not d.is_node(w.at) and d.valency_f(w.at) != 1:
+            rep.add("warrow", w.id, f"attached at valency-2 vertex {w.at!r}")
+    _check_arrow_data(d, rep)
+    return rep
+
+
+def _invariants(d: SpliceDiagram) -> ValidationReport:
+    """The violations that do not depend on W: structure, weight, farrow,
+    coprimality and edge-determinant."""
     rep = ValidationReport()
     if not d.vertices:
         rep.add("structure", "-", "empty diagram")
@@ -575,15 +600,6 @@ def _validate(d: SpliceDiagram) -> ValidationReport:
     for a in d.farrows:
         if not d.is_node(a.at):
             rep.add("farrow", a.id, f"attached at non-node vertex {a.at!r}")
-    # at most one warrow per boundary vertex and per slot
-    slot_seen: dict[str, str] = {}
-    for w in d.warrows:
-        slot = w.slot
-        if slot in slot_seen:
-            rep.add("warrow", w.id, f"slot {slot!r} already carries warrow {slot_seen[slot]!r}")
-        slot_seen[slot] = w.id
-        if w.at is not None and not d.is_node(w.at) and d.valency_f(w.at) != 1:
-            rep.add("warrow", w.id, f"attached at valency-2 vertex {w.at!r}")
     # pairwise coprime weights at every node
     for v in d.nodes():
         weights = [e.weight_at(v) for e in d.edges_at(v)] + [
@@ -602,7 +618,6 @@ def _validate(d: SpliceDiagram) -> ValidationReport:
         q = edge_determinant(d, e)
         if q <= 0:
             rep.add("edge-determinant", f"edge {e.key}", f"q_e = {q} <= 0")
-    _check_arrow_data(d, rep)
     return rep
 
 
@@ -756,86 +771,29 @@ class PlumbingGraph(_Decorated):
         return self._tree_pass(self._bfs_tree((u,), None if u == v else v))[0][u]
 
     @cached_property
-    def _forest(self) -> tuple[list, dict[str, int], dict[str, int]] | None:
+    def _forest(self) -> tuple[list, dict[str, int], dict[str, int]]:
         """(tree, D, E) of the leaf-first pass over the whole graph, computed
-        once per graph; None when the graph has a cycle."""
+        once per graph; a graph with a cycle is refused."""
         tree = self._bfs_tree([v.id for v in self.vertices])
         components = sum(1 for _, parent in tree if parent is None)
         if len(self.edges) != len(self.vertices) - components:
-            return None
+            raise DiagramError("plumbing graph has a cycle")
         return (tree, *self._tree_pass(tree))
 
     def det_minus_I(self) -> int:
-        """det(-I(G)): the product of D at the roots on a forest, otherwise
-        the product of the elimination pivots, which needs -I(G) positive
-        definite."""
-        if self._forest is not None:
-            tree, d, _ = self._forest
-            return prod(d[x] for x, parent in tree if parent is None)
-        steps = self._elimination
-        if steps is None:
-            raise DiagramError("det(-I) of a graph with a cycle needs -I(G) positive definite")
-        return int(prod(piv for _, piv, _ in steps))
-
-    @cached_property
-    def _elimination(self) -> list[tuple[str, Fraction, dict]] | None:
-        """Symmetric sparse elimination of -I(G), computed once per graph;
-        forests use the integer pass instead.
-
-        Vertices go in reverse BFS order: on a tree every vertex goes after
-        all vertices beyond it, so it has one neighbour left, and the pass is
-        O(n); on a graph with cycles the fill-in is kept in the rows.  The
-        steps are (vertex, pivot, row of the vertices still left).  Returns
-        None at the first pivot <= 0: a symmetric matrix is positive definite
-        iff elimination without pivoting, in any fixed order, meets only
-        positive pivots (each is a ratio of leading principal minors).
-        """
-        a: dict[str, dict] = {v.id: {v.id: Fraction(-v.self_int)} for v in self.vertices}
-        for x, y in self.edges:
-            a[x][y] = a[x].get(y, 0) - 1
-            a[y][x] = a[y].get(x, 0) - 1
-        steps = []
-        for v, _ in reversed(self._bfs_tree([v.id for v in self.vertices])):
-            row = a.pop(v)
-            piv = row.pop(v)
-            if piv <= 0:
-                return None
-            for u, x in row.items():
-                au = a[u]
-                del au[v]
-                for w, y in row.items():
-                    au[w] = au.get(w, 0) - x * y / piv
-            steps.append((v, piv, row))
-        return steps
+        """det(-I(G)): the product of D at the roots of the forest pass."""
+        tree, d, _ = self._forest
+        return prod(d[x] for x, parent in tree if parent is None)
 
     def is_negative_definite(self) -> bool:
-        """Every D_x of the integer pass is positive on a forest, every pivot
-        of the elimination otherwise."""
-        if self._forest is not None:
-            return all(dx > 0 for dx in self._forest[1].values())
-        return self._elimination is not None
+        """Every D_x of the forest pass is positive."""
+        return all(dx > 0 for dx in self._forest[1].values())
 
     def solve_minus_I(self, rhs: dict[str, int]) -> dict[str, Fraction]:
-        """x with -I(G) x = rhs (one entry per vertex): the integer forest
-        solve of the module docstring, or back substitution through the
-        elimination on a graph with cycles."""
+        """x with -I(G) x = rhs (one entry per vertex), by the beta_x and x_v
+        recurrences of the module docstring."""
         if not self.is_negative_definite():
             raise DiagramError("plumbing graph is not negative definite")
-        if self._forest is not None:
-            return self._forest_solve(rhs)
-        steps = self._elimination
-        b = {v: Fraction(c) for v, c in rhs.items()}
-        for v, piv, row in steps:
-            f = b[v] / piv
-            for u, x in row.items():
-                b[u] -= x * f
-        sol: dict[str, Fraction] = {}
-        for v, piv, row in reversed(steps):
-            sol[v] = (b[v] - sum(x * sol[u] for u, x in row.items())) / piv
-        return sol
-
-    def _forest_solve(self, rhs: dict[str, int]) -> dict[str, Fraction]:
-        """The beta_x and x_v recurrences of the module docstring."""
         tree, d, e = self._forest
         beta: dict[str, int] = {}  # sum over x's children c of beta_c E_x / D_c, then beta_x
         for x, parent in reversed(tree):
@@ -867,17 +825,8 @@ def validate_plumbing(g: PlumbingGraph, require_unimodular: bool = False) -> Val
 
 
 def _validate_plumbing(g: PlumbingGraph, require_unimodular: bool) -> ValidationReport:
-    rep = ValidationReport()
-    if not g.vertices:
-        rep.add("structure", "-", "empty graph")
-        return rep
-    if not g.is_connected():
-        rep.add("structure", "-", "graph is not connected")
-        return rep
-    if not g.is_tree():
-        rep.add("structure", "-", "graph has a cycle (genus-0 IHS links are trees)")
-    if not g.is_negative_definite():
-        rep.add("definiteness", "-", "-I(G) is not positive definite")
+    rep = ValidationReport(list(g.memo(("invariants",), _plumbing_invariants, g).violations))
+    if not rep.ok:
         return rep
     det = g.det_minus_I()
     if require_unimodular and det != 1:
@@ -886,6 +835,21 @@ def _validate_plumbing(g: PlumbingGraph, require_unimodular: bool) -> Validation
         if w.at is not None and g.valency_f(w.at) > 1:
             rep.add("warrow", w.id, f"attached at {w.at!r} which is not a boundary component")
     _check_arrow_data(g, rep)
+    return rep
+
+
+def _plumbing_invariants(g: PlumbingGraph) -> ValidationReport:
+    """The violations that depend on neither W nor unimodularity: structure
+    (the first found) and definiteness."""
+    rep = ValidationReport()
+    if not g.vertices:
+        rep.add("structure", "-", "empty graph")
+    elif not g.is_connected():
+        rep.add("structure", "-", "graph is not connected")
+    elif not g.is_tree():
+        rep.add("structure", "-", "graph has a cycle (genus-0 IHS links are trees)")
+    elif not g.is_negative_definite():
+        rep.add("definiteness", "-", "-I(G) is not positive definite")
     return rep
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram
+from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, require_valid
 from .divisors import PDivisor, effective_f, is_own, pullback_plumbing, vertex_multiplicities
 from .exact import CycloProduct, UnityRoot
 
@@ -101,7 +101,9 @@ def _alexander(d: SpliceDiagram, f: PDivisor | None) -> CycloProduct:
 def eig_contains(
     x: SpliceDiagram | PlumbingGraph, lam: UnityRoot, f: PDivisor | None = None
 ) -> bool:
-    """Membership in Eig: root of delta1, or lam**N_a = 1 for some arrowhead."""
+    """Membership in Eig: root of delta1, or lam**N_a = 1 for some arrowhead.
+    A diagram or graph that ``require_valid`` refuses is refused."""
+    require_valid(x)
     fm = effective_f(x, f)
     for m in fm.values():
         if m > 0 and m % lam.order == 0:

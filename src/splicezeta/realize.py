@@ -27,6 +27,8 @@ by width, and at each width only the new shell, the points with some
 the non-negative points of each shell.  It stops at the requested bound or
 when the next window would hold more than ``budget`` points, counted over
 the whole window, the negative points that ``effective`` skips included.
+The budget holds at width 1 too: when 3^k exceeds it, no window is walked
+and the search ends at window 0.
 Each point is a tuple of slot multiplicities, tested first by integer
 affine forms compiled once per query from the diagram's cached linking rows
 (the lambda congruences at nodes and arrowheads, then the star divisibility
@@ -554,8 +556,9 @@ def _window_candidates(q: _Query, bound: int, budget: int):
     for width in range(1, bound + 1):
         # The budget counts every point of the window, also the ones that
         # --effective never visits: the windows up to this width hold
-        # (2 width + 1)^k points.  Width 1 is always searched.
-        if width > 1 and (2 * width + 1) ** k > budget:
+        # (2 width + 1)^k points.  Width 1 is no exception: its 3^k points
+        # are the whole box.
+        if (2 * width + 1) ** k > budget:
             return
         q.explored["window"] = width
         for combo in _shell(k, width, q.effective):
@@ -576,7 +579,7 @@ def realize_eigenvalue(
     """Find allowed W with a certified zeta pole mapping to lam.
 
     Raises ValueError when count < 1 or bound < 0, DiagramError when
-    ``validate`` rejects d and NotAnEigenvalueError when lam is outside Eig.
+    ``require_valid`` refuses d and NotAnEigenvalueError when lam is outside Eig.
     Otherwise returns
     either realized divisors or the honest bounded-search failure with the
     per-node congruence diagnostics.
@@ -585,7 +588,6 @@ def realize_eigenvalue(
         raise ValueError(f"count must be at least 1, got {count}")
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    d.require_standard()
     require_valid(d)
     fm = f_of(d, f)
     if not eig_contains(d, lam, fm):

@@ -60,7 +60,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagrams import DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant, slot_warrows
+from .diagrams import (
+    DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant, require_valid, slot_warrows,
+)
 from .divisors import PDivisor, f_of, is_own, node_data, w_of
 from .zeta import principal_parts, summands, zeta_splice
 
@@ -351,7 +353,7 @@ def verify_splice_zeta(
     d: SpliceDiagram, e, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> SpliceCheck:
     """Exact check of the zeta splice identity and the edge lemma at e."""
-    d.require_standard()
+    require_valid(d)
     e = _resolve_edge(d, e)
     fm = f_of(d, f)
     wm = w_of(d, w)

@@ -22,10 +22,10 @@ from splicezeta.corpus import (
     two_cusp_diagram,
     unimodular_counterexample_plumbing,
 )
-from splicezeta.diagrams import SpliceDiagram, blowup, plumbing_to_splice
+from splicezeta.diagrams import SpliceDiagram, blowup, plumbing_to_splice, validate
 from splicezeta.divisors import nu_values, vertex_multiplicities
 from splicezeta.generate import random_allowed_w, random_plumbing, random_valid_splice
-from splicezeta.splicing import induced_value, splice
+from splicezeta.splicing import induced_value, splice, star_decomposition
 from splicezeta.zeta import zeta_splice
 
 
@@ -425,3 +425,15 @@ def test_forced_equalities_kill_residue():
         done += 1
         z = zeta_splice(d, w=w)
         assert all(p.location != s0 for p in z.poles()), (w, s0)
+
+
+def test_star_piece_with_induced_zero_is_not_allowed_not_refused():
+    # the W-dependent kinds stay with the verdict that judges the W: a star
+    # piece whose induced dashed arrow has i = 0 is invalid, and not allowed
+    d = two_cusp_diagram()
+    w = {"bL": -2, "leg1": -2, "leg1p": -1, "bR": 1}
+    star = star_decomposition(d, None, w)["v0"]
+    assert [v.kind for v in validate(star).violations] == ["arrow-data"]
+    verdict = is_allowed(star)
+    assert verdict.allowed is False
+    assert verdict.nonzero_detail[0] == "pure dashed arrow at '~v0|v1p' has i = 0"

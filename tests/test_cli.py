@@ -495,3 +495,52 @@ def test_cli_json_output_is_json_dumps_of_the_payload():
             if code == 0:
                 text = out.getvalue()
                 assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+TWO_CUSP_PG = (CORPUS / "two_cusp.pg").read_text()
+# plumbing graphs that validate_plumbing rejects: a dashed arrow at a vertex
+# that is no boundary component, an arrowhead with (N, i) = (0, 0), and a
+# definite triangle of (-3)-curves (a cycle)
+INVALID_PLUMBING = {
+    "warrow": (TWO_CUSP_PG + "warrow w1 at e3 i=2\n", "[warrow] w1"),
+    "arrow-data": (
+        TWO_CUSP_PG.replace("farrow a0 at e3 N=1", "farrow a0 at e3 N=0")
+        + "warrow wa doubles a0 i=0\n",
+        "[arrow-data] a0: (N, i) = (0, 0)",
+    ),
+    "cycle": (
+        "plumbing-graph triangle\nvertex a self=-3\nvertex b self=-3\nvertex c self=-3\n"
+        "edge a b\nedge b c\nedge a c\n",
+        "[structure] -: graph has a cycle",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_PLUMBING))
+def test_cli_every_command_refuses_invalid_plumbing_graph(tmp_path, capsys, case):
+    # zeta, poles, alexander and eig answered on the dashed-arrow case and
+    # convert on the arrow-data case, with exit 0
+    text, violation = INVALID_PLUMBING[case]
+    path = tmp_path / f"{case}.pg"
+    path.write_text(text)
+    assert main(["validate", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert any(violation in f"[{v['kind']}] {v['where']}: {v['detail']}" for v in payload["violations"])
+    for command, *flags in (
+        ("convert",),
+        ("zeta",),
+        ("poles",),
+        ("alexander",),
+        ("eig", "--lambda", "1/4"),
+        ("semigroup",),
+        ("allowed",),
+        ("goal1",),
+        ("stars",),
+        ("splice", "--edge", "e2:e4"),
+        ("realize", "--lambda", "1/4"),
+    ):
+        assert main([command, str(path), *flags, "--json"]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert "invalid plumbing graph" in captured.err and violation in captured.err, command

@@ -31,7 +31,7 @@ from splicezeta.diagrams import (
 )
 from splicezeta.divisors import vertex_multiplicities
 from splicezeta.generate import random_plumbing
-from splicezeta.io import print_plumbing
+from splicezeta.io import parse_diagram, print_plumbing
 from splicezeta.zeta import zeta_plumbing, zeta_splice
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "splicezeta" / "corpus"
@@ -609,22 +609,32 @@ def random_graph(rng):
     return PlumbingGraph(verts, edges)
 
 
+def _assert_cycle_refused(g):
+    # the linear algebra and the validator refuse a graph with a cycle
+    rhs = {v.id: 1 for v in g.vertices}
+    for op in (g.is_negative_definite, g.det_minus_I, lambda: g.solve_minus_I(rhs)):
+        with pytest.raises(DiagramError, match="cycle"):
+            op()
+    if g.is_connected():
+        (v,) = validate_plumbing(g).violations
+        assert (v.kind, v.detail) == ("structure", "graph has a cycle (genus-0 IHS links are trees)")
+
+
 def test_elimination_matches_dense_references():
+    # forests against the dense references; a graph with a cycle is refused
     rng = random.Random(17)
-    seen = {True: 0, False: 0}
-    seen_det = {"forest": 0, "definite with a cycle": 0}
+    seen = {True: 0, False: 0, "cycle": 0}
     for _ in range(600):
         g = random_graph(rng)
+        if not _is_forest(g):
+            _assert_cycle_refused(g)
+            seen["cycle"] += 1
+            continue
         m = minus_intersection_matrix(g)
         pd = g.is_negative_definite()
         assert pd == dense_sylvester(m)
+        assert g.det_minus_I() == int_det(m)
         seen[pd] += 1
-        if pd or _is_forest(g):
-            assert g.det_minus_I() == int_det(m)
-            seen_det["forest" if _is_forest(g) else "definite with a cycle"] += 1
-        else:
-            with pytest.raises(DiagramError, match="cycle"):
-                g.det_minus_I()
         if not pd:
             with pytest.raises(DiagramError):
                 g.solve_minus_I({v.id: 1 for v in g.vertices})
@@ -632,8 +642,7 @@ def test_elimination_matches_dense_references():
         rhs = {v.id: rng.randint(-5, 5) for v in g.vertices}
         sol = g.solve_minus_I(rhs)
         assert [sol[v.id] for v in g.vertices] == dense_solve(m, [rhs[v.id] for v in g.vertices])
-    assert min(seen.values()) > 100
-    assert seen_det["forest"] > 100 and seen_det["definite with a cycle"] > 0, seen_det
+    assert min(seen.values()) > 100, seen
 
 
 def _is_forest(g) -> bool:
@@ -646,16 +655,18 @@ def _is_forest(g) -> bool:
 
 
 def test_elimination_zero_pivots():
-    # a 0-curve; two (-1)-curves meeting (det 0); a (-2)-cycle (det 0, cyclic)
+    # a 0-curve and two (-1)-curves meeting (det 0) are not definite
     for verts, edges in (
         ([("a", 0)], []),
         ([("a", -1), ("b", -1)], [("a", "b")]),
-        ([("a", -2), ("b", -2), ("c", -2)], [("a", "b"), ("b", "c"), ("a", "c")]),
     ):
         g = PlumbingGraph(verts, edges)
         assert not g.is_negative_definite()
         assert not dense_sylvester(minus_intersection_matrix(g))
         assert validate_plumbing(g).violations[-1].kind == "definiteness"
+    # a (-2)-cycle (det 0) is refused as a cycle
+    g = PlumbingGraph([("a", -2), ("b", -2), ("c", -2)], [("a", "b"), ("b", "c"), ("a", "c")])
+    _assert_cycle_refused(g)
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +702,24 @@ def test_side_determinants_match_dense_reference():
     assert min(seen.values()) >= 50, seen
 
 
+def dense_pivots(m, order):
+    """Reference: the pivots of dense elimination without pivoting of the
+    symmetric matrix m, its rows and columns taken in ``order``, or None at
+    the first pivot <= 0."""
+    a = [[Fraction(m[i][j]) for j in order] for i in order]
+    n = len(a)
+    pivots = []
+    for k in range(n):
+        if a[k][k] <= 0:
+            return None
+        pivots.append(a[k][k])
+        for i in range(k + 1, n):
+            r = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= r * a[k][j]
+    return pivots
+
+
 def test_elimination_pivots_are_side_determinant_ratios():
     # on a definite tree eliminated leaves first, the pivot at x is D_x / E_x:
     # x's subtree below its parent over that subtree minus x
@@ -698,22 +727,28 @@ def test_elimination_pivots_are_side_determinant_ratios():
     checked = 0
     while checked < 300:
         g = random_tree_graph(rng, forest=rng.random() < 0.2)
-        steps = g._elimination
-        if steps is None:
+        tree = g._forest[0]
+        ids = [v.id for v in g.vertices]
+        order = [x for x, _ in reversed(tree)]
+        pivots = dense_pivots(minus_intersection_matrix(g), [ids.index(x) for x in order])
+        assert (pivots is not None) == g.is_negative_definite()
+        if pivots is None:
             continue
         checked += 1
-        for x, piv, row in steps:
-            parent = next(iter(row), x)  # a tree leaves one neighbour, a root none
+        parents = dict(tree)
+        for x, piv in zip(order, pivots):
+            parent = parents[x]
             children = [c for c in g.neighbours(x) if c != parent]
             e_x = 1
             for c in children:
                 e_x *= g._side_det(x, c)
-            assert piv == Fraction(g._side_det(parent, x), e_x)
+            assert piv == Fraction(g._side_det(parent or x, x), e_x)
+            assert piv == Fraction(g._forest[1][x], g._forest[2][x])
 
 
 def test_forest_pass_matches_elimination_and_dense_solve(monkeypatch):
     # definiteness, det(-I) and the solves on a forest come from the integer
-    # pass and never build the Fraction elimination
+    # pass, with no Fraction before the solve, and match the dense references
     import splicezeta.diagrams as diagrams
 
     rng = random.Random(41)
@@ -733,8 +768,6 @@ def test_forest_pass_matches_elimination_and_dense_solve(monkeypatch):
         else:
             with pytest.raises(DiagramError, match="not negative definite"):
                 g.solve_minus_I(rhs)
-        assert "_elimination" not in g.__dict__
-        assert pd == (PlumbingGraph(g.vertices, g.edges)._elimination is not None)
         assert pd == dense_sylvester(m)
         assert det == int_det(m)
         if pd:
@@ -747,15 +780,15 @@ def test_forest_pass_matches_elimination_and_dense_solve(monkeypatch):
         seen["negative D"] += any(x < 0 for x in d.values())
         seen["det > 1"] += pd and det > 1
     assert min(seen.values()) >= 100, seen
-    # a graph with a cycle still goes through the elimination
+    # a definite graph with a cycle is refused all the same
     g = PlumbingGraph([PVertex(v, -3) for v in "abc"], [("a", "b"), ("b", "c"), ("a", "c")])
-    assert g.is_negative_definite() and g._forest is None and "_elimination" in g.__dict__
-    assert g.det_minus_I() == int_det(minus_intersection_matrix(g))
+    assert dense_sylvester(minus_intersection_matrix(g))
+    _assert_cycle_refused(g)
 
 
 def test_det_minus_I_on_graphs_with_cycles():
-    # the pivot product when definite, a refusal otherwise; self-
-    # intersections near minus the degree give both kinds
+    # a graph with a cycle is refused whether or not -I is definite;
+    # self-intersections near minus the degree give both kinds
     rng = random.Random(31)
     seen = {True: 0, False: 0}
     for _ in range(300):
@@ -765,13 +798,8 @@ def test_det_minus_I_on_graphs_with_cycles():
         edges = rng.sample(pairs, rng.randint(n, len(pairs)))
         deg = {v: sum(v in e for e in edges) for v in ids}
         g = PlumbingGraph([PVertex(v, -deg[v] - rng.choice([-1, 0, 1, 1, 2, 2])) for v in ids], edges)
-        pd = g.is_negative_definite()
-        seen[pd] += 1
-        if pd:
-            assert g.det_minus_I() == int_det(minus_intersection_matrix(g))
-        else:
-            with pytest.raises(DiagramError, match="cycle"):
-                g.det_minus_I()
+        seen[dense_sylvester(minus_intersection_matrix(g))] += 1
+        _assert_cycle_refused(g)
     assert min(seen.values()) >= 20, seen
 
 
@@ -909,7 +937,8 @@ def _convert_json(path, capsys):
 
 def test_convert_matches_dense_reference(tmp_path, capsys, monkeypatch):
     # convert --json from the recurrence against the dense determinants:
-    # stdout, stderr and exit code, on the corpus and on random graphs
+    # stdout, stderr and exit code, on the corpus and on random graphs; a
+    # graph that validate_plumbing rejects is refused before any conversion
     rng = random.Random(3)
     paths = sorted(CORPUS.glob("*.pg"))
     for k, g in enumerate(_conversion_cases(rng, 300)):
@@ -922,27 +951,40 @@ def test_convert_matches_dense_reference(tmp_path, capsys, monkeypatch):
         dense_calls.append(g)
         return dense_plumbing_to_splice(g)
 
-    for k, path in enumerate(paths):
+    for path in paths:
         got = _convert_json(path, capsys)
+        calls = len(dense_calls)
         with monkeypatch.context() as m:
             # the graph of this text is kept by the CLI with its conversion;
             # the patched name is called all the same
             m.setattr(cli, "plumbing_to_splice", dense)
             assert _convert_json(path, capsys) == got, path.read_text()
-        assert len(dense_calls) == k + 1
-        # the refusal message up to its first quoted id
-        key = got[2].split(":")[1].split("'")[0].strip() if got[0] else "converted"
+        g = parse_diagram(path.read_text())[2]
+        refused = not validate_plumbing(g).ok
+        assert len(dense_calls) == calls + (not refused)
+        if refused:
+            # exit 2 with the report; the first violation is the key
+            assert got[0] == 2 and "invalid plumbing graph" in got[2]
+            key = got[2].splitlines()[1]
+            if "definite" in key:
+                assert not dense_sylvester(minus_intersection_matrix(g))
+            if "cycle" in key:
+                assert not _is_forest(g)
+        else:
+            # the refusal message up to its first quoted id
+            key = got[2].split(":")[1].split("'")[0].strip() if got[0] else "converted"
         messages[key] = messages.get(key, 0) + 1
     for key in (
         "converted",
         "splice calculus requires an unimodular negative-definite graph",
-        "plumbing graph is not a tree",
-        "disconnected plumbing graph",
+        "[structure] -: graph has a cycle (genus-0 IHS links are trees)",
+        "[structure] -: graph is not connected",
+        "[definiteness] -: -I(G) is not positive definite",
         "degenerate chain with decorations at several vertices is unsupported",
-        "decoration on string-interior vertex",
-        "warrow",
     ):
-        assert messages.get(key, 0) >= 5, messages
+        assert messages.get(key, 0) >= 5, sorted(messages.items())
+    # a dashed arrow off the boundary or with i = 0 is a violation now
+    assert sum(n for key, n in messages.items() if key.startswith(("[warrow]", "[arrow-data]"))) >= 5
 
 
 def test_large_conversion_round_trip():

@@ -35,7 +35,7 @@ from splicezeta.realize import (
     realize_star,
     star_forms,
 )
-from splicezeta.splicing import induced_value, splice
+from splicezeta.splicing import induced_value, splice, verify_splice_zeta
 from splicezeta.zeta import zeta_splice
 
 
@@ -563,16 +563,13 @@ def _ref_shell(k, width, effective):
 
 
 def _ref_window_reached(k, bound, budget):
-    """The width the old loop reached when no candidate certifies."""
-    width, spent, reached = 1, 0, 0
+    """The width the budget loop reaches when no candidate certifies: the
+    last window whose points, counted one by one, fit the budget (at width 1
+    as well, whose window is the whole 3^k box)."""
+    width, reached = 1, 0
     while width <= bound:
-        shell = (2 * width + 1) ** k - (2 * width - 1) ** k
-        if spent + shell > budget and width > 1:
+        if sum(1 for _ in _ref_window_iter(k, width)) > budget:
             break
-        for combo in _ref_window_iter(k, width):
-            if width > 1 and max(abs(c) for c in combo) != width:
-                continue
-            spent += 1
         reached = width
         width += 1
     return reached
@@ -738,3 +735,17 @@ def test_library_verdicts_refuse_an_invalid_diagram():
             realize_eigenvalue(bad, lam)
     with pytest.raises(DiagramError, match="weights 2 and 4 share a factor"):
         check_goal1(bad)
+    # the other verdicts refuse it too (they answered True, True and False)
+    for verdict in (is_allowed, semigroup_condition, lambda x: eig_contains(x, UnityRoot(1, 4))):
+        with pytest.raises(DiagramError, match="weights 2 and 4 share a factor"):
+            verdict(bad)
+    # the leg of weight 3 led to a node u with legs 2 and 7 and weight 5 at
+    # u: q_e = 15 - 8 * 14 = -97, and the splice identity answered True
+    bad2 = SpliceDiagram(
+        ["v", "b1", "b2", "u", "c1", "c2"],
+        [("v", "b1", 2, 1), ("v", "b2", 4, 1), ("v", "u", 3, 5), ("u", "c1", 2, 1), ("u", "c2", 7, 1)],
+        [Farrow("a", "v", 1, 1)],
+    )
+    assert {v.kind for v in validate(bad2).violations} == {"coprimality", "edge-determinant"}
+    with pytest.raises(DiagramError, match="q_e = -97 <= 0"):
+        verify_splice_zeta(bad2, ("v", "u"))
