@@ -181,10 +181,14 @@ def star_allowed(r: int, legs) -> bool:
     if r > 2 or n == 0:
         return True
     need = n + r - 2
-    return (
-        sum(1 for dl, il in legs if il % dl == 0) < need
-        or sum(1 for dl, il in legs if il == dl) >= need
-    )
+    divisible = matched = 0
+    for dl, il in legs:
+        if il % dl == 0:
+            divisible += 1
+            # i = d is a case of d | i
+            if il == dl:
+                matched += 1
+    return divisible < need or matched >= need
 
 
 def is_allowed(

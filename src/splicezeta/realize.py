@@ -29,11 +29,17 @@ when the next window would hold more than ``budget`` points, counted over
 the whole window, the negative points that ``effective`` skips included.
 The budget holds at width 1 too: when 3^k exceeds it, no window is walked
 and the search ends at window 0.
-Each point is a tuple of slot multiplicities, tested first by integer
-affine forms compiled once per query from the diagram's cached linking rows
-(the lambda congruences at nodes and arrowheads, then the star divisibility
-implication on the induced leg values); only the points that pass become a
-divisor for ``certify``.
+A point is a tuple of slot multiplicities.  The lambda congruences at the
+nodes and arrowheads are integer affine forms base + coefs . x = 0 (mod n),
+compiled once per query from the diagram's cached linking rows, and the
+shell walk solves them one coordinate at a time: it fixes the slots in the
+shell's product order and drops a congruence below a prefix as soon as the
+partial sum is not 0 modulo the gcd of n and the coefficients still free.
+A prefix that keeps no congruence is skipped whole, so the walk reaches
+exactly the shell points that satisfy one, in the order of the full shell.
+Each of them is then tested by the star divisibility implication on the
+induced leg values, sparse affine forms that sum only a leg's nonzero slot
+terms; only the points that pass become a divisor for ``certify``.
 
 Every candidate is certified from scratch: the divisor must pass the
 allowedness check and the zeta function must have a pole whose exponential
@@ -58,7 +64,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .allowed import is_allowed, star_allowed
 from .diagrams import DiagramError, Edge, SpliceDiagram, require_valid
@@ -137,25 +142,31 @@ class RealizeOutcome:
 # rows once per query.
 
 
-# a star as (r, legs), each leg (d_l, base, coefs) with i_l = base + coefs . x
-_StarForm = tuple[int, tuple[tuple[int, int, tuple[int, ...]], ...]]
+# a star as (r, legs), each leg (d_l, base, terms) with
+# i_l = base + sum(coef * x[index] for index, coef in terms)
+_StarForm = tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]
 
 
 def star_forms(d: SpliceDiagram, slots: list[str]) -> list[_StarForm]:
     """Symbolic star decomposition over the slots: each star's legs as affine
-    forms in the slot multiplicities; arrow doubles carry no leg condition.
+    forms in the slot multiplicities, kept sparse as (index, coef) terms with
+    the zero coefficients dropped; arrow doubles carry no leg condition.
     An induced leg's value is linear in W, with slope l(u, s) cut at e for
     the slots s beyond e, the ones in its cut's row."""
+    index = {s: j for j, s in enumerate(slots)}
     forms: list[_StarForm] = []
     for v, (r, legs) in star_legs(d).items():
         out = []
         for leg in legs:
             if leg.cut is None:
-                out.append((leg.weight, 1, tuple(int(s == leg.slot) for s in slots)))
+                terms = ((index[leg.slot], 1),) if leg.slot in index else ()
+                out.append((leg.weight, 1, terms))
             else:
-                out.append((leg.weight, leg.cut.i0, tuple(leg.cut.row.get(s, 0) for s in slots)))
-        if v in slots:
-            out.append((1, 1, tuple(int(s == v) for s in slots)))
+                row = leg.cut.row
+                terms = tuple((j, row[s]) for j, s in enumerate(slots) if row.get(s, 0))
+                out.append((leg.weight, leg.cut.i0, terms))
+        if v in index:
+            out.append((1, 1, ((index[v], 1),)))
         forms.append((r, tuple(out)))
     return forms
 
@@ -163,8 +174,14 @@ def star_forms(d: SpliceDiagram, slots: list[str]) -> list[_StarForm]:
 def _fast_allowed(forms: list[_StarForm], x: tuple[int, ...]) -> bool:
     """Every star passes the nonzero test and the divisibility implication."""
     for r, legs in forms:
-        vals = [(dl, base + sum(map(mul, coefs, x))) for dl, base, coefs in legs]
-        if any(i == 0 for _, i in vals) or not star_allowed(r, vals):
+        vals = []
+        for dl, i, terms in legs:
+            for j, c in terms:
+                i += c * x[j]
+            if i == 0:
+                return False
+            vals.append((dl, i))
+        if not star_allowed(r, vals):
             return False
     return True
 
@@ -175,11 +192,12 @@ _Congruence = tuple[int, tuple[int, ...], int]
 
 def _hit_forms(
     d: SpliceDiagram, fm: dict[str, int], nv_all: dict[str, int], lam: UnityRoot, slots: list[str]
-) -> list[_Congruence] | None:
+) -> list[_Congruence]:
     """Where exp(2 pi i s0) = lam can come from, as congruences
     base + coefs . x = 0 (mod modulus): nu_v = u_v (mod N_v) at a node, and
     x_a + 1 = u_a (mod N_a) at an arrowhead, with u = _target_residue(lam, N).
-    None when a congruence without slot terms already holds (every x hits).
+    When a congruence without slot terms already holds, every x hits: the
+    one form returned is then 0 = 0 (mod 1).
 
     This is the test s0 = -nu/N = lam.frac (mod 1).  Write lam.frac = p/q in
     lowest terms.  -nu/N - p/q is an integer m exactly when
@@ -203,17 +221,8 @@ def _hit_forms(
         if u is not None:
             forms.append((1 - u, tuple(int(s == a.id) for s in slots), n))
     if any(not any(c) and b % n == 0 for b, c, n in forms):
-        return None
+        return [(0, (0,) * len(slots), 1)]
     return [(b, c, n) for b, c, n in forms if any(c)]
-
-
-def _hits(forms: list[_Congruence] | None, x: tuple[int, ...]) -> bool:
-    if forms is None:
-        return True
-    for base, coefs, n in forms:
-        if (base + sum(map(mul, coefs, x))) % n == 0:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -429,26 +438,59 @@ def _leg_fixups(legs, unknown, coefs, x0) -> list[dict[str, int]]:
 # full-diagram realization
 
 
-def _shell(k: int, width: int, effective: bool):
+def _hit_walk(forms: list[_Congruence], k: int, width: int, effective: bool):
     """The points of the window |mult| <= width that have some |mult| = width
-    (at width 1 the whole window, origin included), in the order of the full
-    product over the ladder 0, 1, -1, ..., width, -width.  With ``effective``
-    only the non-negative points, over the ladder 0, 1, ..., width.
+    (at width 1 the whole window, origin included) and satisfy one of the
+    congruences ``forms``, in the order of the full product over the ladder
+    0, 1, -1, ..., width, -width.  With ``effective`` only the non-negative
+    points, over the ladder 0, 1, ..., width.
 
-    The first k - 1 coordinates run over the whole ladder; the last one over
-    the whole ladder when they already touch the rim, else only the rim."""
+    The walk fixes the coordinates one at a time, each over the whole ladder
+    except the last one when the others do not touch the rim: that one runs
+    over the rim alone.  A form base + coefs . x = 0 (mod n) stays alive
+    below a prefix x_0..x_{i-1} only when its partial sum base + coefs . prefix
+    is 0 modulo g_i = gcd(c_i, ..., c_{k-1}, n): the coordinates still free
+    add a multiple of g_i.  A prefix under which no form is alive is pruned
+    whole, and as g_k = n, the points reached at the last coordinate are
+    exactly those that satisfy some form."""
     if effective:
         ladder = tuple(range(width + 1))
         rim = (width,)
     else:
         ladder = (0,) + tuple(c for a in range(1, width + 1) for c in (a, -a))
         rim = (width, -width)
-    if width == 1:
-        yield from itertools.product(ladder, repeat=k)
-        return
-    for head in itertools.product(ladder, repeat=k - 1):
-        for c in ladder if width in head or -width in head else rim:
-            yield head + (c,)
+    # each form as its partial sum at the empty prefix and, per coordinate i,
+    # the pair (c_i, g_{i+1})
+    alive = []
+    for base, coefs, n in forms:
+        steps = []
+        g = n
+        for c in reversed(coefs):
+            steps.append((c, g))
+            g = gcd(c, g)
+        if base % g == 0:
+            alive.append((base, steps[::-1]))
+
+    def walk(i, head, alive, touched):
+        if i == k - 1:
+            for x in ladder if touched else rim:
+                for s, steps in alive:
+                    c, g = steps[i]
+                    if (s + c * x) % g == 0:
+                        yield head + (x,)
+                        break
+            return
+        for x in ladder:
+            below = []
+            for s, steps in alive:
+                c, g = steps[i]
+                s += c * x
+                if s % g == 0:
+                    below.append((s, steps))
+            if below:
+                yield from walk(i + 1, head + (x,), below, touched or x in rim)
+
+    yield from walk(0, (), alive, width == 1)
 
 
 @dataclass
@@ -561,8 +603,8 @@ def _window_candidates(q: _Query, bound: int, budget: int):
         if (2 * width + 1) ** k > budget:
             return
         q.explored["window"] = width
-        for combo in _shell(k, width, q.effective):
-            if _hits(hit_forms, combo) and _fast_allowed(q.forms, combo):
+        for combo in _hit_walk(hit_forms, k, width, q.effective):
+            if _fast_allowed(q.forms, combo):
                 yield dict(zip(q.slots, combo)), "search"
 
 

@@ -4,6 +4,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 
@@ -18,7 +20,7 @@ from splicezeta.diagrams import DiagramError, Edge, Farrow, SpliceDiagram, valid
 from splicezeta.divisors import f_of, nu_values, vertex_multiplicities
 from splicezeta.exact import UnityRoot
 from splicezeta.generate import random_valid_splice
-from splicezeta.monodromy import alexander, eig_contains
+from splicezeta.monodromy import alexander, delta1, eig_contains
 from splicezeta.realize import (
     FACTOR_TRIAL_LIMIT,
     ExtensionObstructedError,
@@ -26,9 +28,8 @@ from splicezeta.realize import (
     StarRootError,
     _fast_allowed,
     _hit_forms,
-    _hits,
+    _hit_walk,
     _prime_power_factors,
-    _shell,
     certify,
     extend_allowed,
     realize_eigenvalue,
@@ -575,12 +576,131 @@ def _ref_window_reached(k, bound, budget):
     return reached
 
 
-def test_shell_walk_matches_filtered_box():
-    for k in range(1, 5):
-        for width in range(1, 7):
+def _ref_hits(forms, x):
+    """Does x satisfy one of the congruences base + coefs . x = 0 (mod n)?"""
+    return any((base + sum(map(mul, coefs, x))) % n == 0 for base, coefs, n in forms)
+
+
+def _random_hit_forms(rng, k):
+    """Congruences of every kind the walk meets: with and without slot
+    terms, negative coefficients, and gcd(c_i, n) > 1 at every coordinate."""
+    forms = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.choice([2, 3, 4, 6, 7, 12, 30, 42])
+        kind = rng.randrange(4)
+        if kind == 0:
+            coefs = (0,) * k
+        elif kind == 1:
+            # every coefficient shares a factor with n
+            p = min(q for q in (2, 3, 7) if n % q == 0)
+            coefs = tuple(p * rng.randint(-6, 6) or p for _ in range(k))
+        else:
+            coefs = tuple(rng.choice([0, rng.randint(-20, 20), n * rng.randint(-2, 2)])
+                          for _ in range(k))
+        forms.append((rng.randint(-30, 30), coefs, n))
+    if rng.random() < 0.1:
+        forms = [(0, (0,) * k, 1)]
+    return forms
+
+
+def test_hit_walk_matches_filtered_box():
+    rng = random.Random(29)
+    pruned = 0
+    for k in range(1, 6):
+        for width in range(1, 6):
             for effective in (False, True):
-                got = list(_shell(k, width, effective))
-                assert got == list(_ref_shell(k, width, effective)), (k, width, effective)
+                shell = list(_ref_shell(k, width, effective))
+                assert list(_box_shell(k, width, effective)) == shell
+                for _ in range(2 if k == 5 else 6):
+                    forms = _random_hit_forms(rng, k)
+                    got = list(_hit_walk(forms, k, width, effective))
+                    want = [x for x in shell if _ref_hits(forms, x)]
+                    assert got == want, (forms, k, width, effective)
+                    pruned += len(want) < len(shell)
+    # the every-point form gives back the whole shell
+    for k in range(1, 5):
+        for effective in (False, True):
+            got = list(_hit_walk([(0, (0,) * k, 1)], k, 3, effective))
+            assert got == list(_ref_shell(k, 3, effective))
+    assert pruned
+
+
+def _box_shell(k, width, effective):
+    """The shell of ``_ref_shell`` without the filtered box: the first k - 1
+    coordinates over the whole ladder, the last one over the rim alone when
+    they do not touch it."""
+    if effective:
+        ladder = tuple(range(width + 1))
+        rim = (width,)
+    else:
+        ladder = (0,) + tuple(c for a in range(1, width + 1) for c in (a, -a))
+        rim = (width, -width)
+    if width == 1:
+        yield from itertools.product(ladder, repeat=k)
+        return
+    for head in itertools.product(ladder, repeat=k - 1):
+        for c in ladder if width in head or -width in head else rim:
+            yield head + (c,)
+
+
+def _box_window_candidates(q, bound, budget):
+    """The window search as a box walk: every point of each shell, tested by
+    the congruences one by one, then by the star filters."""
+    if not q.slots:
+        return
+    k = len(q.slots)
+    hit_forms = _hit_forms(q.d, q.fm, q.nv_all, q.lam, q.slots)
+    for width in range(1, bound + 1):
+        if (2 * width + 1) ** k > budget:
+            return
+        q.explored["window"] = width
+        for combo in _box_shell(k, width, q.effective):
+            if _ref_hits(hit_forms, combo) and _fast_allowed(q.forms, combo):
+                yield dict(zip(q.slots, combo)), "search"
+
+
+def _eig(d):
+    """Every lam in Eig(d): roots of Delta_1 and the arrowhead root groups."""
+    orders = set(delta1(d).root_orders())
+    for m in f_of(d, None).values():
+        orders.update(q for q in range(1, m + 1) if m % q == 0)
+    lams = [UnityRoot(p, q) for q in sorted(orders) for p in range(q) if gcd(p, q) == 1]
+    return [lam for lam in lams if eig_contains(d, lam)]
+
+
+def test_realize_json_matches_box_walk(monkeypatch, capsys):
+    # every lambda in Eig of every corpus diagram, with and without
+    # --effective and --include-doubles, the two_cusp_mult7 queries that
+    # exhaust the budget among them: the pruned walk prints the bytes the
+    # box walk prints
+    from pathlib import Path
+
+    from splicezeta import realize
+    from splicezeta.cli import main
+    from splicezeta.diagrams import plumbing_to_splice
+    from splicezeta.io import parse_diagram
+
+    argvs = []
+    for path in sorted((Path(realize.__file__).parent / "corpus").iterdir()):
+        kind, _, obj = parse_diagram(path.read_text())
+        try:
+            lams = _eig(obj if kind == "splice" else plumbing_to_splice(obj))
+        except DiagramError:
+            continue
+        for lam in lams:
+            for eff, dbl in itertools.product(([], ["--effective"]), ([], ["--include-doubles"])):
+                argvs.append(["realize", str(path), "--lambda", str(lam), "--json", *eff, *dbl])
+    exhausted = 0
+    for argv in argvs:
+        code = main(argv)
+        got = (code, *capsys.readouterr())
+        with monkeypatch.context() as m:
+            m.setattr(realize, "_window_candidates", _box_window_candidates)
+            code = main(argv)
+            want = (code, *capsys.readouterr())
+        assert got == want, argv
+        exhausted += '"window": 12' in got[1] and "unrealizable-within-bound" in got[1]
+    assert exhausted >= 12
 
 
 def test_explored_window_matches_old_budget_loop():
@@ -619,13 +739,18 @@ def test_compiled_filters_match_reference():
         for a in d.farrows:
             if fm[a.id]:
                 lams.append(UnityRoot(rng.randint(0, fm[a.id]), fm[a.id]))
+        # the star forms are sparse: each leg keeps its nonzero slot terms
+        for _, legs in forms:
+            for _, _, terms in legs:
+                assert all(c for _, c in terms)
+                assert [j for j, _ in terms] == sorted({j for j, _ in terms})
         for lam in lams:
             compiled = _hit_forms(d, fm, nv_all, lam, slots)
             for _ in range(8):
                 xt = tuple(rng.randint(-4, 5) for _ in slots)
                 x = dict(zip(slots, xt))
                 want = _ref_nu_matches_somewhere(d, fm, nv_all, x, lam)
-                assert _hits(compiled, xt) == want, (lam, x)
+                assert _ref_hits(compiled, xt) == want, (lam, x)
                 ref_allowed = all(f.allowed(x) for f in ref_forms)
                 assert _fast_allowed(forms, xt) == ref_allowed, x
                 hits += want
@@ -645,7 +770,6 @@ def test_arrow_source_tries_zero_w_only_when_allowed(monkeypatch, capsys):
     from splicezeta import realize
     from splicezeta.cli import main
     from splicezeta.io import parse_diagram
-    from splicezeta.monodromy import delta1
 
     path = Path(realize.__file__).parent / "corpus" / "two_cusp.sd"
     _, _, d = parse_diagram(path.read_text())

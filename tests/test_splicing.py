@@ -581,8 +581,9 @@ def test_verify_reports_degenerate_factor():
                 assert "identically zero" in chk.degenerate
         if hit:
             break
-    # degenerate draws are rare but the reporting path must stay exercised
-    assert hit or True
+    # degenerate draws are rare (at this seed the 295th of the 300 diagrams),
+    # but the reporting path must stay exercised
+    assert hit
 
 
 def test_one_sided_splice_shares_multiplicity():
