@@ -24,7 +24,7 @@ from math import gcd, inf
 
 from .diagrams import DiagramError, SpliceDiagram, require_valid
 from .divisors import PDivisor, f_of, w_of
-from .exact import UnityRoot
+from .exact import UnityRoot, format_size
 from .monodromy import eig_contains
 from .splicing import root_cut, star_legs
 from .zeta import zeta_splice
@@ -70,7 +70,7 @@ def semigroup_member(query: SemigroupQuery | int, generators=None) -> bool:
     a = gens[0]
     if a > SEMIGROUP_MAX_MIN_GENERATOR:
         raise SemigroupLimitError(
-            f"semigroup generator {a} exceeds the limit {SEMIGROUP_MAX_MIN_GENERATOR}"
+            f"semigroup generator {format_size(a)} exceeds the limit {SEMIGROUP_MAX_MIN_GENERATOR}"
         )
     least: list[float] = [inf] * a
     least[0] = 0

@@ -1,17 +1,26 @@
 """Command-line interface.
 
 Exit codes: 0 = computed (verdicts live in the payload), 1 = usage or parse
-error, 2 = precondition violation (bad graph kind, invalid decoration, ...).
+error, or a file that cannot be read (an OS error, or bytes that are not
+UTF-8: the message names the offset), 2 = precondition violation (bad graph
+kind, invalid decoration, ...) or a result holding an integer too long for
+Python's integer string conversion limit (``sys.get_int_max_str_digits()``).
 
-Argv dispatch: when argv[0] names a command, that command's own parser reads
-the rest; an argv it leaves arguments over from, and any other argv (none,
-an option before the command, an unknown command, -h), goes through the
-top-level parser, so usage and error text are those of ``build_parser()``.
-``--json`` may stand before or after the command.
+Argv dispatch: every command is declared once, in ``_COMMANDS``, and
+``build_parser()`` builds argparse from that table.  A well-formed argv
+(argv[0] a command, its options spelled in full, each value present, not
+starting with '-' and of its type, the positionals and the required options
+all given) is read straight from the table; any other argv (none, an option
+before the command, an abbreviation, ``=``-joined values, ``--``, negative
+values, a leftover argument, -h) goes through the top-level parser, so usage
+and error text are those of ``build_parser()``.  ``--json`` may stand before
+or after the command.
 
-Parsed inputs are kept per process, keyed by the whole file text (never by
-its path, as a file may be rewritten between commands): the commands on one
-text share one diagram object, and with it everything kept in its memo.
+Input files are read as bytes.  Parsed inputs are kept per process, keyed by
+those bytes (never by the path, as a file may be rewritten between
+commands): a kept input is neither decoded nor parsed again, and the
+commands on one file share one diagram object, and with it everything kept
+in its memo.
 """
 
 from __future__ import annotations
@@ -20,7 +29,10 @@ import argparse
 import dataclasses
 import functools
 import sys
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
+
 from .allowed import check_goal1, is_allowed, semigroup_condition
 from .diagrams import (
     DiagramError,
@@ -54,20 +66,26 @@ PARSE_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
-def _parse(text: str):
-    """``parse_diagram(text)``, kept for the next command on the same text;
-    a text that fails to parse raises, and is parsed again next time."""
-    return parse_diagram(text)
+def _parse(data: bytes):
+    """``parse_diagram`` of a file's bytes, kept for the next command on the
+    same bytes.  They are decoded here, so a kept input is not decoded
+    again, into the text that ``open(path, encoding="utf-8")`` reads: strict
+    UTF-8 and universal newlines.  Bytes that fail to decode or to parse
+    raise, and are tried again next time."""
+    return parse_diagram(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _load(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        # unbuffered: one read of the whole file, no buffer object
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
     except OSError as exc:
         raise CliError(1, f"cannot read {path}: {exc}") from None
     try:
-        return _parse(text)
+        return _parse(data)
+    except UnicodeDecodeError as exc:
+        raise CliError(1, f"cannot read {path}: {exc}") from None
     except ParseError as exc:
         raise CliError(1, f"{path}: {exc}") from None
 
@@ -479,79 +497,142 @@ def cmd_selfcheck(args):
         raise CliError(2, "selfcheck failed")
 
 
+class _Option(NamedTuple):
+    """One option of a command: a flag (``store_true``) when ``convert`` is
+    None, else an option taking one value, converted as argparse's ``type``."""
+
+    dest: str
+    convert: Callable[[str], object] | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    fn: Callable
+    help: str
+    positionals: tuple[str, ...] = ("file",)
+    options: dict[str, _Option] = {}
+
+
+_LAMBDA = _Option("lam", str, required=True, help="root of unity p/q")
+
+# every command, in the order ``-h`` lists them; each also takes --json, which
+# may stand before the command as well
+_COMMANDS = {
+    "validate": _Command(cmd_validate, "check every diagram invariant"),
+    "convert": _Command(cmd_convert, "plumbing graph to splice diagram"),
+    "zeta": _Command(cmd_zeta, "topological zeta function"),
+    "poles": _Command(cmd_poles, "poles of the zeta function"),
+    "alexander": _Command(cmd_alexander, "Alexander polynomial / Delta_1"),
+    "semigroup": _Command(cmd_semigroup, "semigroup condition"),
+    "allowed": _Command(cmd_allowed, "allowedness of the stored dashed arrows"),
+    "goal1": _Command(cmd_goal1, "map every pole to the eigenvalue set"),
+    "stars": _Command(cmd_stars, "star decomposition"),
+    "selfcheck": _Command(
+        cmd_selfcheck,
+        "golden corpus + randomized invariants",
+        (),
+        {"--samples": _Option("samples", int, 60)},
+    ),
+    "eig": _Command(cmd_eig, "eigenvalue-set membership", options={"--lambda": _LAMBDA}),
+    "splice": _Command(
+        cmd_splice,
+        "splice at a special edge",
+        options={"--edge": _Option("edge", str, required=True, help="id1:id2")},
+    ),
+    "realize": _Command(
+        cmd_realize,
+        "construct allowed W hitting an eigenvalue",
+        options={
+            "--lambda": _LAMBDA,
+            "--effective": _Option("effective", default=False),
+            "--count": _Option("count", int, 1),
+            "--bound": _Option("bound", int),
+            "--include-doubles": _Option("include_doubles", default=False),
+        },
+    ),
+}
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser by name, built
-    once per process (parsing leaves them unchanged)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level argument parser, built from the command table once per
+    process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="splicezeta",
         description="Exact invariants of splice diagrams and plumbing graphs",
     )
     ap.add_argument("--json", action="store_true", help="structured output")
-    # a command's --json sets the flag only when given there, so one given
-    # before the command is not reset by the command's default
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS, help="structured output"
-    )
     sub = ap.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        # a command's --json sets the flag only when given there, so one given
+        # before the command is not reset by the command's default
+        p.add_argument(
+            "--json", action="store_true", default=argparse.SUPPRESS, help="structured output"
+        )
+        p.set_defaults(fn=command.fn, command=name)
+        for dest in command.positionals:
+            p.add_argument(dest)
+        for flag, opt in command.options.items():
+            how = {"action": "store_true"} if opt.convert is None else {"type": opt.convert}
+            p.add_argument(
+                flag, dest=opt.dest, default=opt.default, required=opt.required, help=opt.help, **how
+            )
+    return ap
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
-        p.set_defaults(fn=fn, command=name)
-        return p
 
-    for name, fn, help_ in [
-        ("validate", cmd_validate, "check every diagram invariant"),
-        ("convert", cmd_convert, "plumbing graph to splice diagram"),
-        ("zeta", cmd_zeta, "topological zeta function"),
-        ("poles", cmd_poles, "poles of the zeta function"),
-        ("alexander", cmd_alexander, "Alexander polynomial / Delta_1"),
-        ("semigroup", cmd_semigroup, "semigroup condition"),
-        ("allowed", cmd_allowed, "allowedness of the stored dashed arrows"),
-        ("goal1", cmd_goal1, "map every pole to the eigenvalue set"),
-        ("stars", cmd_stars, "star decomposition"),
-        ("selfcheck", cmd_selfcheck, "golden corpus + randomized invariants"),
-    ]:
-        p = add(name, fn, help=help_)
-        if name != "selfcheck":
-            p.add_argument("file")
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a well-formed argv, read from the command table, or
+    None.  Well formed: argv[0] names a command; every other argument that
+    starts with '-' is one of its options spelled in full; each option that
+    takes a value is followed by an argument that does not start with '-'
+    and converts; the command's positionals are all given, and no more; every
+    required option is given.  argparse reads such an argv the same way."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"json": False, "command": argv[0], "fn": command.fn}
+    values.update({opt.dest: opt.default for opt in command.options.values()})
+    positionals = []
+    given = set()
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-":
+            positionals.append(arg)
+        elif arg == "--json":
+            values["json"] = True
         else:
-            p.add_argument("--samples", type=int, default=60)
-    p = add("eig", cmd_eig, help="eigenvalue-set membership")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", required=True, help="root of unity p/q")
-    p = add("splice", cmd_splice, help="splice at a special edge")
-    p.add_argument("file")
-    p.add_argument("--edge", required=True, help="id1:id2")
-    p = add("realize", cmd_realize, help="construct allowed W hitting an eigenvalue")
-    p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", required=True, help="root of unity p/q")
-    p.add_argument("--effective", action="store_true")
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--include-doubles", action="store_true")
-    return ap, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level argument parser, built once per process."""
-    return _parsers()[0]
+            opt = command.options.get(arg)
+            if opt is None:
+                return None
+            if opt.convert is None:
+                values[opt.dest] = True
+                continue
+            value = next(rest, "-")
+            if value[:1] == "-":
+                return None
+            try:
+                values[opt.dest] = opt.convert(value)
+            except (TypeError, ValueError):
+                return None
+            given.add(opt.dest)
+    if len(positionals) != len(command.positionals):
+        return None
+    if any(opt.required and opt.dest not in given for opt in command.options.values()):
+        return None
+    values.update(zip(command.positionals, positionals))
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace ``build_parser().parse_args(argv)`` gives.  When argv[0]
-    names a command, that command's parser reads the rest of argv alone
-    (about half the time of the top-level pass, which hands the same
-    arguments to it); anything it leaves over, and any other argv, goes
-    through the top-level parser, so its usage and errors are unchanged."""
-    ap, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(json=False))
-        if not rest:
-            return args
-    return ap.parse_args(argv)
+    """The namespace ``build_parser().parse_args(argv)`` gives: a well-formed
+    argv is read from the command table, and any other goes through the
+    top-level parser, so usage text, errors, abbreviations and ``-h`` stay
+    argparse's."""
+    args = _read_argv(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -566,6 +647,19 @@ def main(argv=None) -> int:
         return exc.code
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # CPython refuses to convert an int of more than
+        # sys.get_int_max_str_digits() digits to a string with a plain
+        # ValueError; any other ValueError is a fault
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            "error: a result has an integer of more than "
+            f"{sys.get_int_max_str_digits()} decimal digits, Python's limit for "
+            "integer string conversion",
+            file=sys.stderr,
+        )
         return 2
     return 0
 

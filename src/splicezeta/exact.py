@@ -509,7 +509,7 @@ class CycloProduct:
         )
         if top > CYCLO_MAX_DEGREE:
             raise CycloLimitError(
-                f"expansion of degree up to {top} exceeds the limit {CYCLO_MAX_DEGREE}"
+                f"expansion of degree up to {format_size(top)} exceeds the limit {CYCLO_MAX_DEGREE}"
             )
         if any(e < 0 for e in self.factors.values()):
             for q in self.root_orders():
@@ -611,3 +611,10 @@ def format_fraction(x) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def format_size(n: int) -> str:
+    """n in decimal, or its bit count once it has more than 64 bits: a
+    message about a limit never spells out a huge value (past
+    ``sys.get_int_max_str_digits()`` digits it could not)."""
+    return str(n) if n.bit_length() <= 64 else f"a {n.bit_length()}-bit integer"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from splicezeta import cli
 from splicezeta.cli import _json, build_parser, main
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
+from splicezeta.exact import CycloLimitError, CycloProduct
 from splicezeta.io import ParseError, parse_diagram, print_diagram
 from splicezeta.selfcheck import CHECKS, run_selfcheck
 
@@ -238,36 +239,67 @@ def test_cli_verdict_commands_refuse_invalid_diagram(tmp_path, capsys):
         assert "weights 2 and 4 share a factor" in captured.err, command
 
 
-# argvs the command's own parser reads, and argvs it leaves to the top-level
-# parser: abbreviations, --json on either side of the command, leftovers,
-# a missing file, unknown commands and help; corpus file names stand for
-# their paths
+# argvs the command table reads, and argvs it leaves to the top-level
+# parser: abbreviations, =-joined values, --json on either side of the
+# command, repeated options, --, negative values, an empty argument,
+# leftovers, a missing file, unknown commands and help; corpus file names
+# stand for their paths, and -x.sd is a copy of two_cusp.sd in the working
+# directory
 _DISPATCH_ARGVS = [
     ["validate", "two_cusp.sd"],
     ["convert", "two_cusp.pg", "--json"],
     ["zeta", "two_cusp.sd"],
     ["zeta", "two_cusp.sd", "--json"],
+    ["zeta", "two_cusp.sd", "--json", "--json"],
     ["--json", "zeta", "two_cusp.sd"],
     ["--json", "zeta", "two_cusp.sd", "--json"],
     ["zeta", "--js", "two_cusp.sd"],
+    ["zeta", "--json=1", "two_cusp.sd"],
     ["poles", "two_cusp.sd", "--json"],
     ["alexander", "two_cusp.sd", "--json"],
     ["semigroup", "two_cusp.sd"],
     ["allowed", "two_cusp.sd", "--json"],
     ["goal1", "two_cusp.sd"],
     ["stars", "two_cusp.sd", "--json"],
+    ["selfcheck", "--samples", "3"],
+    ["selfcheck", "--samples=3", "--json"],
+    ["selfcheck", "--sam", "3"],
     ["selfcheck", "--samples", "0"],
     ["selfcheck", "--samples", "x"],
+    ["eig", "two_cusp.sd", "--lambda", "1/2"],
     ["eig", "two_cusp.sd", "--lam", "1/2"],
     ["eig", "two_cusp.sd", "--lambda=1/7", "--json"],
     ["eig", "two_cusp.sd"],
+    ["eig", "two_cusp.sd", "--lambda", ""],
+    ["eig", "two_cusp.sd", "--", "1/2"],
     ["splice", "two_cusp.sd", "--edge", "v1:v0", "--json"],
+    ["splice", "two_cusp.sd", "--edge=v1:v0", "--json"],
+    ["splice", "two_cusp.sd", "--ed", "v1:v0"],
+    ["splice", "--edge", "v1:v0", "two_cusp.sd", "--edge", "v0:v1"],
+    ["splice", "two_cusp.sd", "-", "v1:v0"],
+    ["realize", "two_cusp.sd", "--lambda", "1/6", "--effective", "--count", "2", "--json"],
     ["realize", "two_cusp.sd", "--lam", "1/6", "--eff", "--count=2", "--json"],
+    ["realize", "two_cusp.sd", "--lambda=1/6", "--cou", "2", "--bound=3", "--include-d"],
+    ["realize", "two_cusp.sd", "--lambda", "1/6", "--bo", "3", "--include-doubles"],
+    ["realize", "two_cusp.sd", "--lambda", "1/6", "--count", "2", "--count", "3", "--json"],
     ["realize", "two_cusp.sd", "--lambda", "1/6", "--count", "two"],
+    ["realize", "two_cusp.sd", "--lambda", "1/6", "--bound", "-1"],
+    ["realize", "two_cusp.sd", "--lambda", "1/6", "--count", "-2"],
+    ["realize", "two_cusp.sd", "--lambda", "-1/2", "--json"],
+    ["realize", "two_cusp.sd", "--lambda", "1/6", "--count"],
+    ["realize", "two_cusp.sd", "--count", "2"],
     ["zeta"],
+    ["zeta", ""],
+    ["zeta", "--", "two_cusp.sd"],
+    ["zeta", "two_cusp.sd", "--"],
+    ["--", "zeta", "two_cusp.sd"],
+    ["zeta", "-x.sd"],
+    ["zeta", "--", "-x.sd", "--json"],
+    ["zeta", "./-x.sd", "--json"],
     ["zeta", "two_cusp.sd", "--bogus"],
     ["zeta", "--bogus", "two_cusp.sd"],
     ["zeta", "two_cusp.sd", "two_cusp.sd"],
+    ["zeta", "two_cusp.sd", "-"],
     ["bogus", "two_cusp.sd"],
     ["zet", "two_cusp.sd"],
     ["-h"],
@@ -278,21 +310,90 @@ _DISPATCH_ARGVS = [
 ]
 
 
-@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
-def test_cli_dispatch_matches_the_top_level_parser(argv, capsys, monkeypatch):
-    argv = [str(CORPUS / a) if a.startswith("two_cusp.") else a for a in argv]
-    code = main(argv)
-    got = capsys.readouterr()
-    with monkeypatch.context() as m:
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _same_as_the_top_level_parser(argv):
+    """main(argv) gives the exit code, stdout and stderr it gives with
+    ``build_parser().parse_args`` as its argv parser, and ``_parse_args``
+    the namespace that parser gives."""
+    got = _main_output(argv)
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "_parse_args", build_parser().parse_args)
-        want_code = main(argv)
-    assert (code, got) == (want_code, capsys.readouterr())
+        assert got == _main_output(argv), argv
     try:
-        want = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            want = build_parser().parse_args(argv)
     except SystemExit:
-        capsys.readouterr()
         return
-    assert vars(cli._parse_args(argv)) == vars(want)
+    assert vars(cli._parse_args(argv)) == vars(want), argv
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_cli_dispatch_matches_the_top_level_parser(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-x.sd").write_text((CORPUS / "two_cusp.sd").read_text())
+    argv = [str(CORPUS / a) if a.startswith("two_cusp.") else a for a in argv]
+    _same_as_the_top_level_parser(argv)
+
+
+# the argv vocabulary: command names, every option string and each of its
+# prefixes, bare and =-joined to a value, small ints, p/q values, an edge of
+# two_cusp.sd and files of the corpus that every command answers quickly
+_OPTION_STRINGS = sorted(
+    {"-h", "--help", "--json"}
+    | {flag for command in cli._COMMANDS.values() for flag in command.options}
+)
+_ARGV_INTS = st.integers(-3, 4).map(str)
+_ARGV_FRACTIONS = st.tuples(st.integers(-2, 7), st.integers(0, 8)).map("{0[0]}/{0[1]}".format)
+_ARGV_FILES = st.sampled_from(
+    ["two_cusp.sd", "two_cusp.pg", "intro_star_2_3.sd", "rodrigues.pg"]
+).map(lambda name: str(CORPUS / name))
+_ARGV_VALUES = _ARGV_INTS | _ARGV_FRACTIONS | st.sampled_from(["", "x", "v1:v0"]) | _ARGV_FILES
+_ARGV_OPTIONS = st.sampled_from(
+    [flag[:k] for flag in _OPTION_STRINGS for k in range(1, len(flag) + 1)]
+)
+_ARGV_WORDS = (
+    st.sampled_from(sorted(cli._COMMANDS) + ["bogus"])
+    | _ARGV_OPTIONS
+    | _ARGV_VALUES
+    | st.tuples(_ARGV_OPTIONS, _ARGV_VALUES).map("=".join)
+)
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly a command name and a shuffle of its file, options with values
+    and another word or two: about half are well formed, and most others a
+    word away from it."""
+    def likely(strategy, p=3):
+        # strategy in p of p + 1 draws, any vocabulary word otherwise
+        return draw(strategy if draw(st.integers(0, p)) else _ARGV_WORDS)
+
+    name = likely(st.sampled_from(sorted(cli._COMMANDS)))
+    command = cli._COMMANDS.get(name)
+    parts = [[draw(_ARGV_WORDS)] for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2])))]
+    if command is not None:
+        parts += [[likely(_ARGV_FILES, 7)] for _ in command.positionals]
+        for flag, opt in [("--json", None), *command.options.items()]:
+            if draw(st.integers(0, 3 if opt and opt.required else 1)) == 0:
+                continue
+            if opt is None or opt.convert is None:
+                parts.append([flag])
+            else:
+                value = _ARGV_INTS if opt.convert is int else _ARGV_FRACTIONS | st.just("v1:v0")
+                parts.append([flag, likely(value, 7)])
+    return [name, *(word for part in draw(st.permutations(parts)) for word in part)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(argv=_argvs())
+def test_cli_argv_reader_matches_the_top_level_parser(argv):
+    _same_as_the_top_level_parser(argv)
 
 
 def test_cli_reads_sys_argv_without_an_argv(capsys, monkeypatch):
@@ -368,6 +469,100 @@ def test_cli_alexander_refuses_huge_expansion_promptly(tmp_path, capsys):
     assert [10000000000000000000000000001, -1] in lam["factors"]
     # Delta_0 = t - 1 is small enough to print
     assert payload["delta0"]["polynomial"] == ["-1", "1"]
+
+
+# every command that reads a file, with the options it requires
+_FILE_COMMANDS = [
+    ("validate",),
+    ("convert",),
+    ("zeta",),
+    ("poles",),
+    ("alexander",),
+    ("semigroup",),
+    ("allowed",),
+    ("goal1",),
+    ("stars",),
+    ("eig", "--lambda", "1/2"),
+    ("splice", "--edge", "v:b1"),
+    ("realize", "--lambda", "0/1"),
+]
+
+
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    # an undecodable byte raised UnicodeDecodeError out of main
+    path = tmp_path / "latin.sd"
+    path.write_bytes(b"splice x\n\xff\xfe\n")
+    for command, *flags in _FILE_COMMANDS:
+        for extra in ([], ["--json"]):
+            assert main([command, str(path), *flags, *extra]) == 1, command
+            assert capsys.readouterr() == (
+                "",
+                f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+                " in position 9: invalid start byte\n",
+            )
+
+
+def test_cli_parses_what_text_mode_reads(tmp_path, monkeypatch):
+    # the bytes reach parse_diagram as the text open(path, encoding="utf-8")
+    # reads: CR LF and lone CR line ends become LF, a BOM stays
+    text = (CORPUS / "two_cusp.sd").read_text()
+    want = _main_output(["zeta", str(CORPUS / "two_cusp.sd"), "--json"])
+    seen = []
+    monkeypatch.setattr(cli, "parse_diagram", lambda t: seen.append(t) or parse_diagram(t))
+    for name, data in (
+        ("crlf", text.replace("\n", "\r\n")),
+        ("cr", text.replace("\n", "\r")),
+        ("mixed", text.replace("\n", "\r\n", 3).replace("\n", "\r", 2) + "\r"),
+    ):
+        path = tmp_path / f"{name}.sd"
+        path.write_bytes(data.encode())
+        assert _main_output(["zeta", str(path), "--json"]) == want
+        with open(path, encoding="utf-8") as fh:
+            assert seen.pop() == fh.read()
+    path = tmp_path / "bom.sd"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code, out, err = _main_output(["zeta", str(path)])
+    assert (code, out) == (1, "") and err.startswith(f"error: {path}: line 1:")
+    assert seen == ["\ufeff" + text]
+
+
+# a valid star whose weights each have fewer digits than Python's default
+# limit for integer string conversion (4300), while N at its node and the
+# zeta function's coefficients have more
+BIG_STAR = (
+    "splice-diagram big\nvertex v\nvertex b1\nvertex b2\nvertex b3\n"
+    f"edge v b1 {3**6000} 1\nedge v b2 {2**9000} 1\nedge v b3 {5**4000} 1\n"
+    "farrow f at v w=1 N=1\n"
+)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on integer string conversion",
+)
+def test_cli_results_past_the_integer_string_limit_exit_2(tmp_path, capsys):
+    # zeta, poles, goal1 and alexander ended in a ValueError traceback, and
+    # alexander's note raised it while spelling out its degree
+    path = tmp_path / "big.sd"
+    path.write_text(BIG_STAR)
+    limit = (
+        f"error: a result has an integer of more than {sys.get_int_max_str_digits()} decimal"
+        " digits, Python's limit for integer string conversion\n"
+    )
+    other = {
+        "convert": "error: convert expects a plumbing graph\n",
+        "splice": "error: edge ('b1', 'v') is not special\n",
+    }
+    for command, *flags in _FILE_COMMANDS:
+        for extra in ([], ["--json"]):
+            code = main([command, str(path), *flags, *extra])
+            out, err = capsys.readouterr()
+            if command in ("validate", "semigroup", "allowed", "stars", "eig"):
+                assert (code, err) == (0, ""), command
+            else:
+                assert (code, out, err) == (2, "", other.get(command, limit)), command
+    with pytest.raises(CycloLimitError, match="^expansion of degree up to a 9510-bit integer"):
+        CycloProduct({3**6000: 1}).coefficients()
 
 
 def test_cli_realize_budget_exhausting_golden(capsys):
