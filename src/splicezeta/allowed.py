@@ -200,8 +200,6 @@ def is_allowed(
     require_valid(d)
     fm = f_of(d, f)
     wm = w_of(d, w)
-    # F and W refused as the decorated diagram would refuse them
-    d.decorated_lists(fm, wm)
     table = star_legs(d)
     if not table:
         raise DiagramError("piece without a unique node")
@@ -288,10 +286,8 @@ def check_goal1(
     membership.  Allowedness is reported, not required; a diagram that
     ``require_valid`` refuses is refused."""
     require_valid(d)
-    fm = f_of(d, f)
-    wm = w_of(d, w)
-    verdict = is_allowed(d, fm, wm)
-    z = zeta_splice(d, fm, wm)
+    verdict = is_allowed(d, f, w)
+    z = zeta_splice(d, f, w)
     reports = []
     for p in z.poles():
         lam = UnityRoot.from_exponent(p.location)
@@ -301,7 +297,7 @@ def check_goal1(
                 order=p.order,
                 leading=p.leading,
                 eigenvalue=lam,
-                in_eig=eig_contains(d, lam, fm),
+                in_eig=eig_contains(d, lam, f),
             )
         )
     return Goal1Report(

@@ -4,6 +4,12 @@ Two independent computation routes are provided.  On splice diagrams the
 values come from linking-number products; on plumbing graphs they come from
 exact linear algebra against the intersection form.  The two routes must agree
 on unimodular graphs, and the test suite enforces that.
+
+Every F and W that a function here or above takes is read through ``f_of``
+and ``w_of``, on both routes: an F key must be an arrowhead id with
+multiplicity >= 0; a W key, whatever its multiplicity, a vertex or arrowhead
+id and not a valency-2 vertex of a splice diagram.  Anything else is refused
+with one ``DiagramError`` per case; None stands for the object's own F or W.
 """
 
 from __future__ import annotations
@@ -18,14 +24,30 @@ from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram
 PDivisor = dict
 
 
-def f_of(d, f: PDivisor | None) -> dict[str, int]:
-    """F as a fresh dict: the given one, or the diagram's own arrowheads."""
-    return d.f_divisor() if f is None else dict(f)
+def f_of(x, f: PDivisor | None) -> dict[str, int]:
+    """F as a fresh dict: the given one, or the object's own arrowheads;
+    refused unless every key is an arrowhead id with multiplicity >= 0."""
+    fm = x.f_divisor() if f is None else dict(f)
+    for aid, mult in fm.items():
+        if aid not in x._farrow_by_id:
+            raise DiagramError(f"F key {aid!r} is not an arrowhead")
+        if mult < 0:
+            raise DiagramError(f"F multiplicity {mult} at {aid!r} is negative")
+    return fm
 
 
-def w_of(d, w: PDivisor | None) -> dict[str, int]:
-    """W as a fresh dict: the given one, or the diagram's own dashed arrows."""
-    return d.w_divisor() if w is None else dict(w)
+def w_of(x, w: PDivisor | None) -> dict[str, int]:
+    """W as a fresh dict: the given one, or the object's own dashed arrows;
+    refused unless every key is a vertex or arrowhead id, and not a
+    valency-2 vertex of a splice diagram."""
+    wm = x.w_divisor() if w is None else dict(w)
+    chains = x.chain_vertices() if isinstance(x, SpliceDiagram) else ()
+    for slot in wm:
+        if slot not in x._nbrs and slot not in x._farrow_by_id:
+            raise DiagramError(f"W slot {slot!r} is not a vertex or arrowhead")
+        if slot in chains:
+            raise DiagramError(f"W slot {slot!r} is a valency-2 vertex")
+    return wm
 
 
 def is_own(x, f: PDivisor | None, w: PDivisor | None = None) -> bool:
@@ -42,26 +64,12 @@ def is_own(x, f: PDivisor | None, w: PDivisor | None = None) -> bool:
         return False
 
 
-def effective_f(d, f: PDivisor | None) -> dict[str, int]:
-    """``f_of``, refused unless F is effective and nonzero."""
-    fm = f_of(d, f)
-    if any(m < 0 for m in fm.values()):
-        raise DiagramError("F must be effective")
-    if all(m == 0 for m in fm.values()):
+def effective_f(x, f: PDivisor | None) -> dict[str, int]:
+    """``f_of``, refused when F is zero."""
+    fm = f_of(x, f)
+    if not any(fm.values()):
         raise DiagramError("F must be effective and nonzero")
     return fm
-
-
-def _check_w_slots(d: SpliceDiagram, w: dict[str, int]):
-    fids = {a.id for a in d.farrows}
-    chains = d.chain_vertices()
-    for slot in w:
-        if slot in fids:
-            continue
-        if slot not in d.vertices:
-            raise DiagramError(f"W slot {slot!r} is not a vertex or arrowhead")
-        if slot in chains:
-            raise DiagramError(f"W slot {slot!r} is a valency-2 vertex")
 
 
 def vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None = None) -> dict[str, int]:
@@ -80,11 +88,10 @@ def _vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None) -> dict[str, in
     out = dict.fromkeys(d.vertices, 0)
     for aid, mult in f_of(d, f).items():
         if mult:
-            at, via = d.anchor(aid)
-            row = d.linking_row(at)
-            own = d.farrow(via).weight if via is not None else 1
+            a = d.farrow(aid)
+            row = d.linking_row(a.at)
             for v in out:
-                out[v] += mult * (row[v] // own)
+                out[v] += mult * (row[v] // a.weight)
     return out
 
 
@@ -100,7 +107,6 @@ def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
     call adds its own W part to a copy.
     """
     wm = w_of(d, w)
-    _check_w_slots(d, wm)
     out = dict(d.memo(("nu at W = 0",), _canonical_nu, d))
     terms = [(slot, mult) for slot, mult in wm.items() if mult]
     if terms:
@@ -111,13 +117,19 @@ def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
 
 
 def _canonical_nu(d: SpliceDiagram) -> dict[str, int]:
-    terms = [(x, 2 - d.delta(x)) for x in d.vertices]
-    terms += [(a.id, 1) for a in d.farrows if a.weight >= 2]
-    out: dict[str, int] = {}
-    for v in d.nodes():
-        row = d.linking_row(v)
-        out[v] = sum(c * row[t] for t, c in terms)
-    return out
+    return {v: canonical_part(d, d.linking_row(v)) for v in d.nodes()}
+
+
+def canonical_part(d: SpliceDiagram, row: dict[str, int]) -> int:
+    """The canonical part of nu (see ``nu_values``) summed over the targets
+    a linking row reaches; its nonzero coefficients are kept on d."""
+    terms = d.memo(("canonical terms",), _canonical_terms, d)
+    return sum(c * row[t] for t, c in terms if t in row)
+
+
+def _canonical_terms(d: SpliceDiagram) -> tuple[tuple[str, int], ...]:
+    terms = [(x, c) for x in d.vertices if (c := 2 - d.delta(x))]
+    return tuple(terms + [(a.id, 1) for a in d.farrows if a.weight >= 2])
 
 
 def node_data(
@@ -139,13 +151,9 @@ def _as_int_if_possible(x: Fraction):
 
 def pullback_plumbing(g: PlumbingGraph, arrows: PDivisor | None = None) -> dict[str, int | Fraction]:
     """Coefficients of the exceptional part of pi^*F: solve (pi^*F, E_i) = 0."""
-    fm = f_of(g, arrows)
     by_vertex: dict[str, int] = {v.id: 0 for v in g.vertices}
-    arrows_by_id = {a.id: a for a in g.farrows}
-    for aid, mult in fm.items():
-        if aid not in arrows_by_id:
-            raise DiagramError(f"unknown arrowhead {aid!r}")
-        by_vertex[arrows_by_id[aid].at] += mult
+    for aid, mult in f_of(g, arrows).items():
+        by_vertex[g.farrow(aid).at] += mult
     sol = g.solve_minus_I(by_vertex)
     return {v.id: _as_int_if_possible(sol[v.id]) for v in g.vertices}
 
@@ -157,15 +165,8 @@ def canonical_plumbing(g: PlumbingGraph, w: PDivisor | None = None) -> dict[str,
     (K, E_i) = -e_i - 2; the W part solves (pi^*W, E_i) = 0 from the dashed
     arrowhead multiplicities.
     """
-    wm = w_of(g, w)
     by_vertex: dict[str, int] = {v.id: 0 for v in g.vertices}
-    arrows_by_id = {a.id: a for a in g.farrows}
-    for slot, mult in wm.items():
-        if slot in arrows_by_id:
-            by_vertex[arrows_by_id[slot].at] += mult
-        elif slot in by_vertex:
-            by_vertex[slot] += mult
-        else:
-            raise DiagramError(f"unknown W slot {slot!r}")
+    for slot, mult in w_of(g, w).items():
+        by_vertex[slot if slot in by_vertex else g.farrow(slot).at] += mult
     sol = g.solve_minus_I({v: g.self_int(v) + 2 + m for v, m in by_vertex.items()})
     return {v.id: _as_int_if_possible(sol[v.id]) for v in g.vertices}

@@ -12,6 +12,7 @@ import random
 from math import gcd
 
 from .diagrams import (
+    DiagramError,
     Edge,
     Farrow,
     PlumbingGraph,
@@ -185,7 +186,7 @@ def random_valid_splice(rng: random.Random, **kw) -> SpliceDiagram:
             )
             try:
                 d = plumbing_to_splice(g)
-            except Exception:
+            except DiagramError:
                 continue
             if d.chain_vertices() or not validate(d).ok:
                 continue
@@ -219,6 +220,6 @@ def random_allowed_w(rng: random.Random, d: SpliceDiagram, tries: int = 200) -> 
         try:
             if is_allowed(d, None, w).allowed:
                 return w
-        except Exception:
+        except DiagramError:
             continue
     return None

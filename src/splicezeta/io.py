@@ -24,6 +24,8 @@ whitespace by construction.
 
 from __future__ import annotations
 
+import sys
+
 from .diagrams import Edge, Farrow, PlumbingGraph, PVertex, SpliceDiagram, Warrow
 
 
@@ -51,7 +53,13 @@ def _int(text: str, line_no: int, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {text!r}") from None
+        pass
+    # a token past Python's limit for integer string conversion is not echoed
+    digits = sum(c.isdigit() for c in text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < digits:
+        raise ParseError(line_no, f"{what} has {digits} digits, past Python's limit of {limit}")
+    raise ParseError(line_no, f"{what} must be an integer, got {text!r}")
 
 
 def parse_diagram(text: str):

@@ -91,9 +91,8 @@ def alexander(d: SpliceDiagram, f: PDivisor | None = None) -> CycloProduct:
 
 def _alexander(d: SpliceDiagram, f: PDivisor | None) -> CycloProduct:
     fm = effective_f(d, f)
-    arrows = [a.id for a in d.farrows if fm.get(a.id, 0) > 0]
     z = monodromy_zeta(d, fm)
-    if len(arrows) >= 2:
+    if sum(m > 0 for m in fm.values()) >= 2:
         return z
     return z * delta0(d, fm)
 

@@ -186,18 +186,19 @@ def _fast_allowed(forms: list[_StarForm], x: tuple[int, ...]) -> bool:
     return True
 
 
-# base + coefs . x = 0 (mod modulus)
-_Congruence = tuple[int, tuple[int, ...], int]
+# node -> (N_v, u_v, nu_v at W = 0, the row of v over the searched slots)
+_NodeHits = dict[str, tuple[int, int, int, tuple[int, ...]]]
+# arrowhead -> (N_a, u_a)
+_ArrowHits = dict[str, tuple[int, int]]
 
 
-def _hit_forms(
-    d: SpliceDiagram, fm: dict[str, int], nv_all: dict[str, int], lam: UnityRoot, slots: list[str]
-) -> list[_Congruence]:
-    """Where exp(2 pi i s0) = lam can come from, as congruences
-    base + coefs . x = 0 (mod modulus): nu_v = u_v (mod N_v) at a node, and
-    x_a + 1 = u_a (mod N_a) at an arrowhead, with u = _target_residue(lam, N).
-    When a congruence without slot terms already holds, every x hits: the
-    one form returned is then 0 = 0 (mod 1).
+def _compile_hits(
+    d: SpliceDiagram, fm: dict[str, int], lam: UnityRoot, slots: list[str]
+) -> tuple[_NodeHits, _ArrowHits]:
+    """Where exp(2 pi i s0) = lam can come from, compiled once per query:
+    nu_v = u_v (mod N_v) at a node, and x_a + 1 = u_a (mod N_a) at an
+    arrowhead, with u = _target_residue(lam, N), each in the diagram's order
+    and only where u exists.
 
     This is the test s0 = -nu/N = lam.frac (mod 1).  Write lam.frac = p/q in
     lowest terms.  -nu/N - p/q is an integer m exactly when
@@ -207,19 +208,33 @@ def _hit_forms(
     -nu - p*(N/q) = m*N, that is nu = -p*(N/q) = u (mod N), and each such nu
     gives back an integer m.  An arrowhead is the same with nu = x_a + 1,
     N = N_a.  Only nonzero N take part, as s0 = -nu/N needs N != 0."""
+    nv = vertex_multiplicities(d, fm)
     nu0 = nu_values(d, {})
-    forms = []
+    nodes = {}
     for v in d.nodes():
-        n = nv_all[v]
-        u = _target_residue(lam, n) if n else None
+        u = _target_residue(lam, nv[v]) if nv[v] else None
         if u is not None:
             row = d.linking_row(v)
-            forms.append((nu0[v] - u, tuple(row[s] for s in slots), n))
+            nodes[v] = nv[v], u, nu0[v], tuple(row[s] for s in slots)
+    arrows = {}
     for a in d.farrows:
         n = fm.get(a.id, 0)
         u = _target_residue(lam, n) if n else None
         if u is not None:
-            forms.append((1 - u, tuple(int(s == a.id) for s in slots), n))
+            arrows[a.id] = n, u
+    return nodes, arrows
+
+
+# base + coefs . x = 0 (mod modulus)
+_Congruence = tuple[int, tuple[int, ...], int]
+
+
+def _hit_forms(nodes: _NodeHits, arrows: _ArrowHits, slots: list[str]) -> list[_Congruence]:
+    """The hits as congruences base + coefs . x = 0 (mod modulus).  When a
+    congruence without slot terms already holds, every x hits: the one form
+    returned is then 0 = 0 (mod 1)."""
+    forms = [(nu0 - u, coefs, n) for n, u, nu0, coefs in nodes.values()]
+    forms += [(1 - u, tuple(int(s == aid) for s in slots), n) for aid, (n, u) in arrows.items()]
     if any(not any(c) and b % n == 0 for b, c, n in forms):
         return [(0, (0,) * len(slots), 1)]
     return [(b, c, n) for b, c, n in forms if any(c)]
@@ -507,7 +522,8 @@ class _Query:
     slots: list[str]
     effective: bool
     forms: list[_StarForm]
-    nv_all: dict[str, int]
+    node_hits: _NodeHits
+    arrow_hits: _ArrowHits
     explored: dict[str, int]
     congruences: list[NodeCongruence] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
@@ -518,17 +534,13 @@ def _arrow_candidates(q: _Query):
     """Arrowheads whose multiplicity the order of lam divides: the double of
     the arrowhead set so that s0 = -i_a/N_a hits lam, on top of a few small
     allowed boundary assignments."""
-    for a in q.d.farrows:
-        na = q.fm.get(a.id, 0)
-        if na <= 0 or na % q.lam.order:
-            continue
-        ua = _target_residue(q.lam, na)
+    for aid, (na, ua) in q.arrow_hits.items():
         # W = 0 comes first here when the star filters allow it; when they do
         # not, no W that is 0 off the double of a is allowed, as that double
         # changes no star leg
         for basew in _small_allowed_candidates(q.slots, q.forms, q.rng):
             for t in range(1, 9) if q.effective else range(8):
-                yield basew | {a.id: (ua - 1) + na * t}, f"arrow:{a.id}"
+                yield basew | {aid: (ua - 1) + na * t}, f"arrow:{aid}"
 
 
 def _node_candidates(q: _Query):
@@ -538,19 +550,12 @@ def _node_candidates(q: _Query):
     node reached leaves its congruence on the query, and the reason when it
     has no candidate."""
     stars = star_decomposition(q.d, q.fm, {})
-    nu0 = nu_values(q.d, {})
-    for v in sorted(q.d.nodes()):
+    for v in sorted(q.node_hits):
+        nv, u, base, coefs = q.node_hits[v]
         try:
             rootmult = alexander(stars[v]).root_multiplicity(q.lam)
         except DiagramError:
             rootmult = 0
-        nv = q.nv_all[v]
-        u = _target_residue(q.lam, nv)
-        if u is None:
-            continue
-        row = q.d.linking_row(v)
-        coefs = [row[s] for s in q.slots]
-        base = nu0[v]
         q.congruences.append(
             NodeCongruence(
                 node=v,
@@ -594,7 +599,7 @@ def _window_candidates(q: _Query, bound: int, budget: int):
     if not q.slots:
         return
     k = len(q.slots)
-    hit_forms = _hit_forms(q.d, q.fm, q.nv_all, q.lam, q.slots)
+    hit_forms = _hit_forms(q.node_hits, q.arrow_hits, q.slots)
     for width in range(1, bound + 1):
         # The budget counts every point of the window, also the ones that
         # --effective never visits: the windows up to this width hold
@@ -642,10 +647,9 @@ def realize_eigenvalue(
     slots = [v for v in d.boundary_vertices()]
     if include_doubles:
         slots += [a.id for a in d.farrows]
+    node_hits, arrow_hits = _compile_hits(d, fm, lam, slots)
     q = _Query(
-        d, fm, lam, slots, effective,
-        forms=star_forms(d, slots),
-        nv_all=vertex_multiplicities(d, fm),
+        d, fm, lam, slots, effective, star_forms(d, slots), node_hits, arrow_hits,
         explored={"window": 0, "bound": bound},
     )
     # the sources are pulled in turn, each only while results are missing;
@@ -689,11 +693,4 @@ def _small_allowed_candidates(slots, forms, rng, tries: int = 40) -> list[dict[s
             out.append({s: m for s, m in x.items() if m})
         if len(out) >= 6:
             break
-    uniq = []
-    seen = set()
-    for x in out:
-        k = tuple(sorted(x.items()))
-        if k not in seen:
-            seen.add(k)
-            uniq.append(x)
-    return uniq
+    return out

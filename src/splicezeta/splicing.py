@@ -63,7 +63,7 @@ from typing import NamedTuple
 from .diagrams import (
     DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant, require_valid, slot_warrows,
 )
-from .divisors import PDivisor, f_of, is_own, node_data, w_of
+from .divisors import PDivisor, canonical_part, f_of, is_own, node_data, w_of
 from .zeta import principal_parts, summands, zeta_splice
 
 
@@ -97,12 +97,8 @@ def _root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
     row = d.linking_row(e.other(keep), e)
     # the excluded row reaches exactly the far side: its vertex ids are it
     far_side = d.memo(("vertex set",), frozenset, d.vertices).intersection(row)
-    far_farrows = [a for a in d.farrows if a.at in far_side]
-    # the canonical contribution: (2 - delta_x) per vertex, 1 per arrowhead
-    # of weight >= 2 (a boundary leg once the arrowheads are stripped)
-    i0 = sum((2 - d.delta(x)) * row[x] for x in far_side)
-    i0 += sum(row[a.id] for a in far_farrows if a.weight >= 2)
-    return RootCut(far_side, tuple(a.id for a in far_farrows), i0, row)
+    far_farrows = tuple(a.id for a in d.farrows if a.at in far_side)
+    return RootCut(far_side, far_farrows, canonical_part(d, row), row)
 
 
 class Leg(NamedTuple):
@@ -166,8 +162,7 @@ def _minted_leaves(d: SpliceDiagram) -> dict[tuple[str, tuple[str, str]], str]:
 def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> int:
     """i for the half keeping ``keep``: canonical contribution of the far side
     plus its dashed-arrow terms."""
-    d.decorated_lists(None, wm)
-    return root_cut(d, keep, e).value(wm)
+    return root_cut(d, keep, e).value(w_of(d, wm))
 
 
 @dataclass
@@ -257,7 +252,6 @@ def splice(
         raise DiagramError(f"edge {e.key} is not special")
     fm = f_of(d, f)
     wm = w_of(d, w)
-    d.decorated_lists(fm, wm)
     left = _half(d, e, e.a, fm, wm)
     right = _half(d, e, e.b, fm, wm)
     return left, right

@@ -343,8 +343,9 @@ def _zeta_splice(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None) -> Ze
             const += Fraction(e.weight_at(v), i_w)
         for a in d.farrows_at(v):
             i_a = wm.get(a.id, 0) + 1
-            _require_nonzero_pair(i_a, a.mult, f"arrowhead {a.id}")
-            arrows.append(ArrowPart(weight=a.weight, i=i_a, n=a.mult))
+            n_a = fm.get(a.id, 0)
+            _require_nonzero_pair(i_a, n_a, f"arrowhead {a.id}")
+            arrows.append(ArrowPart(weight=a.weight, i=i_a, n=n_a))
         node_warrows = 0
         if wm.get(v, 0):
             # dashed arrow drawn at the node: weight 1, N = 0
@@ -380,7 +381,6 @@ def _zeta_plumbing(g: PlumbingGraph, f: PDivisor | None, w: PDivisor | None) -> 
     wm = w_of(g, w)
     nv = pullback_plumbing(g, fm)
     kv = canonical_plumbing(g, wm)
-    arrows_by_id = {a.id: a for a in g.farrows}
     # strict transforms at each vertex: (weight-like count, i, N)
     node_terms: list[NodeTerm] = []
     edge_terms: list[EdgeTerm] = []
@@ -391,9 +391,10 @@ def _zeta_plumbing(g: PlumbingGraph, f: PDivisor | None, w: PDivisor | None) -> 
         transforms: list[ArrowPart] = []
         for a in g.farrows_at(v.id):
             i_a = wm.get(a.id, 0) + 1
-            _require_nonzero_pair(i_a, a.mult, f"arrowhead {a.id}")
-            transforms.append(ArrowPart(weight=1, i=i_a, n=a.mult))
-        if wm.get(v.id, 0) and v.id not in arrows_by_id:
+            n_a = fm.get(a.id, 0)
+            _require_nonzero_pair(i_a, n_a, f"arrowhead {a.id}")
+            transforms.append(ArrowPart(weight=1, i=i_a, n=n_a))
+        if wm.get(v.id, 0):
             i_a = wm[v.id] + 1
             if i_a == 0:
                 raise DiagramError(f"dashed arrow at {v.id!r} with i = 0")

@@ -55,6 +55,20 @@ def test_roundtrip_plumbing():
         assert print_diagram(obj, name) == text
 
 
+def test_corpus_files_match_their_constructors():
+    # each shipped file parses to what its golden constructor prints, and
+    # every file has a constructor
+    goldens = {".sd": golden_splice_diagrams(), ".pg": golden_plumbing_graphs()}
+    paths = sorted(CORPUS.iterdir())
+    assert {(p.stem, p.suffix) for p in paths} == {
+        (name, suffix) for suffix, objs in goldens.items() for name in objs
+    }
+    for path in paths:
+        _, name, obj = parse_diagram(path.read_text())
+        assert name == path.stem
+        assert print_diagram(obj, name) == print_diagram(goldens[path.suffix][name], name), path
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_diagram("")
@@ -563,6 +577,22 @@ def test_cli_results_past_the_integer_string_limit_exit_2(tmp_path, capsys):
                 assert (code, out, err) == (2, "", other.get(command, limit)), command
     with pytest.raises(CycloLimitError, match="^expansion of degree up to a 9510-bit integer"):
         CycloProduct({3**6000: 1}).coefficients()
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on integer string conversion",
+)
+def test_cli_integer_token_past_the_string_limit_exits_1(tmp_path, monkeypatch, capsys):
+    # the token was echoed whole, in a 5074-byte message
+    monkeypatch.chdir(tmp_path)
+    Path("long.sd").write_text(f"splice-diagram long\nvertex v\nvertex b\nedge v b {'7' * 5000} 1\n")
+    code = main(["validate", "long.sd"])
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (1, "")
+    assert err == f"error: long.sd: line 4: weight has 5000 digits, past Python's limit of {limit}\n"
+    assert len(err.encode()) < 200
 
 
 def test_cli_realize_budget_exhausting_golden(capsys):

@@ -165,3 +165,85 @@ def test_nu_rejects_chain_slots():
     d = two_cusp_diagram()
     with pytest.raises(DiagramError):
         nu_values(d, {"nonexistent": 1})
+
+
+def test_every_f_and_w_entry_point_refuses_the_same_bad_input():
+    # F and W enter through divisors.f_of and divisors.w_of on both routes,
+    # so each bad input gets one message everywhere; "dw" is a dashed-arrow
+    # id, which is not a W slot
+    from splicezeta.allowed import check_goal1, is_allowed
+    from splicezeta.diagrams import PlumbingGraph, SpliceDiagram, Warrow, validate_plumbing
+    from splicezeta.exact import UnityRoot
+    from splicezeta.monodromy import alexander, delta1, eig_contains
+    from splicezeta.realize import realize_eigenvalue
+    from splicezeta.splicing import induced_value, splice, star_decomposition
+    from splicezeta.zeta import zeta_plumbing, zeta_splice
+
+    base = two_cusp_diagram()
+    d = SpliceDiagram(base.vertices, base.edges, base.farrows, [Warrow("dw", 3, at="bL")])
+    pbase = two_cusp_plumbing()
+    g = PlumbingGraph(pbase.vertices, pbase.edges, pbase.farrows, [Warrow("dw", 3, at="e1")])
+    assert validate_plumbing(g).ok
+    e = d.edge("v1", "v0")
+    lam = UnityRoot(1, 6)
+    f_calls = [
+        lambda f: zeta_splice(d, f),
+        lambda f: vertex_multiplicities(d, f),
+        lambda f: alexander(d, f),
+        lambda f: delta1(d, f),
+        lambda f: eig_contains(d, lam, f),
+        lambda f: is_allowed(d, f),
+        lambda f: check_goal1(d, f),
+        lambda f: splice(d, e, f),
+        lambda f: star_decomposition(d, f),
+        lambda f: realize_eigenvalue(d, lam, f=f),
+    ]
+    f_plumbing_calls = [
+        lambda f: zeta_plumbing(g, f),
+        lambda f: pullback_plumbing(g, f),
+        lambda f: delta1(g, f),
+        lambda f: eig_contains(g, lam, f),
+    ]
+    w_calls = [
+        lambda w: zeta_splice(d, None, w),
+        lambda w: nu_values(d, w),
+        lambda w: is_allowed(d, None, w),
+        lambda w: check_goal1(d, None, w),
+        lambda w: splice(d, e, None, w),
+        lambda w: star_decomposition(d, None, w),
+        lambda w: induced_value(d, e, "v0", w),
+    ]
+    w_plumbing_calls = [
+        lambda w: zeta_plumbing(g, None, w),
+        lambda w: canonical_plumbing(g, w),
+    ]
+    f_cases = [
+        ({"a0": 1, "{vertex}": 1}, "F key '{vertex}' is not an arrowhead"),
+        ({"bogus": 1}, "F key 'bogus' is not an arrowhead"),
+        ({"a0": -1}, "F multiplicity -1 at 'a0' is negative"),
+    ]
+    w_cases = [
+        ({"bogus": 0}, "W slot 'bogus' is not a vertex or arrowhead"),
+        ({"bogus": 1}, "W slot 'bogus' is not a vertex or arrowhead"),
+        ({"dw": 4}, "W slot 'dw' is not a vertex or arrowhead"),
+    ]
+    checked = 0
+    for calls, vertex in ((f_calls, "leg1"), (f_plumbing_calls, "e3")):
+        for f, message in f_cases:
+            f = {k.format(vertex=vertex): m for k, m in f.items()}
+            for call in calls:
+                with pytest.raises(DiagramError) as info:
+                    call(f)
+                assert str(info.value) == message.format(vertex=vertex)
+                checked += 1
+    for calls in (w_calls, w_plumbing_calls):
+        for w, message in w_cases:
+            for call in calls:
+                with pytest.raises(DiagramError) as info:
+                    call(w)
+                assert str(info.value) == message
+                checked += 1
+    assert checked == 3 * 14 + 3 * 9
+    # any multiplicity at a vertex or arrowhead slot is accepted, 0 included
+    assert nu_values(d, {"bL": 0, "a0": 0}) == nu_values(d, {})
+    assert canonical_plumbing(g, {"e1": 0, "a0": 0}) == canonical_plumbing(g, {})

@@ -26,6 +26,7 @@ from splicezeta.realize import (
     ExtensionObstructedError,
     NotAnEigenvalueError,
     StarRootError,
+    _compile_hits,
     _fast_allowed,
     _hit_forms,
     _hit_walk,
@@ -649,7 +650,7 @@ def _box_window_candidates(q, bound, budget):
     if not q.slots:
         return
     k = len(q.slots)
-    hit_forms = _hit_forms(q.d, q.fm, q.nv_all, q.lam, q.slots)
+    hit_forms = _hit_forms(q.node_hits, q.arrow_hits, q.slots)
     for width in range(1, bound + 1):
         if (2 * width + 1) ** k > budget:
             return
@@ -745,7 +746,7 @@ def test_compiled_filters_match_reference():
                 assert all(c for _, c in terms)
                 assert [j for j, _ in terms] == sorted({j for j, _ in terms})
         for lam in lams:
-            compiled = _hit_forms(d, fm, nv_all, lam, slots)
+            compiled = _hit_forms(*_compile_hits(d, fm, lam, slots), slots)
             for _ in range(8):
                 xt = tuple(rng.randint(-4, 5) for _ in slots)
                 x = dict(zip(slots, xt))

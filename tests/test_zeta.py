@@ -646,3 +646,23 @@ def test_zeta_payload_bytes_do_not_depend_on_entry_types():
         fz = _as_fraction_terms(z)
         assert ZetaResult.from_terms(fz.node_terms, fz.edge_terms).parts == z.parts
         assert _json(_zeta_payload(fz)) == _json(_zeta_payload(z))
+
+
+def test_zeta_reads_arrowhead_multiplicities_from_the_given_f():
+    # both routes took N_a of the arrowhead terms from the stored arrowheads,
+    # whatever F they were given
+    from splicezeta.diagrams import PlumbingGraph, SpliceDiagram
+
+    rng = random.Random(11)
+    checked = 0
+    for x in [*golden_splice_diagrams().values(), *golden_plumbing_graphs().values()]:
+        f = {a.id: a.mult + rng.randint(1, 3) for a in x.farrows}
+        if isinstance(x, SpliceDiagram):
+            stored, zeta = x.with_decorations(f=f), zeta_splice
+        else:
+            farrows = [replace(a, mult=f[a.id]) for a in x.farrows]
+            stored, zeta = PlumbingGraph(x.vertices, x.edges, farrows, x.warrows), zeta_plumbing
+        if f:
+            assert zeta(x, f).func == zeta(stored).func
+            checked += 1
+    assert checked >= 10
