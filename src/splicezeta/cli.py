@@ -51,7 +51,7 @@ from .exact import (
 from .io import ParseError, parse_diagram, print_splice
 from .monodromy import alexander, delta0, delta1, eig_contains
 from .realize import NotAnEigenvalueError, realize_eigenvalue
-from .splicing import splice, star_decomposition, verify_splice_zeta
+from .splicing import star_decomposition, verify_splice_zeta
 from .zeta import ZetaResult, zeta_plumbing, zeta_splice
 
 
@@ -249,30 +249,22 @@ def _zeta_of(args) -> tuple[str, ZetaResult]:
 
 def cmd_zeta(args):
     name, z = _zeta_of(args)
-    payload = {"name": name, "zeta": _zeta_payload(z)}
-    num = " ".join(_poly_coeffs(z.func.num)) or "0"
-    den = " ".join(_poly_coeffs(z.func.den))
+    zeta = _zeta_payload(z)
+    payload = {"name": name, "zeta": zeta}
+    num = " ".join(zeta["numerator"]) or "0"
+    den = " ".join(zeta["denominator"])
     _emit(args, payload, f"{name}: Z numerator [{num}] denominator [{den}] (ascending in s)")
 
 
 def cmd_poles(args):
     name, z = _zeta_of(args)
-    poles = z.poles()
-    payload = {
-        "name": name,
-        "poles": [
-            {
-                "s0": format_fraction(p.location),
-                "order": p.order,
-                "leading": format_fraction(p.leading),
-            }
-            for p in poles
-        ],
-    }
+    poles = [
+        {"s0": format_fraction(p.location), "order": p.order, "leading": format_fraction(p.leading)}
+        for p in z.poles()
+    ]
+    payload = {"name": name, "poles": poles}
     lines = [f"{name}: {len(poles)} pole(s)"] + [
-        f"  s0 = {format_fraction(p.location)}  order {p.order}"
-        f"  leading {format_fraction(p.leading)}"
-        for p in poles
+        f"  s0 = {p['s0']}  order {p['order']}  leading {p['leading']}" for p in poles
     ]
     _emit(args, payload, "\n".join(lines))
 
@@ -369,8 +361,8 @@ def _parse_edge(text: str) -> tuple[str, str]:
 def cmd_splice(args):
     name, d = _load_splice(args.file)
     a, b = _parse_edge(args.edge)
-    left, right = splice(d, (a, b))
     chk = verify_splice_zeta(d, (a, b))
+    left, right = chk.left, chk.right
     lt = print_splice(left.diagram, f"{name}.left")
     rt = print_splice(right.diagram, f"{name}.right")
     payload = {
@@ -391,9 +383,9 @@ def cmd_splice(args):
 
 def cmd_stars(args):
     name, d = _load_splice(args.file)
-    stars = star_decomposition(d)
-    payload = {"name": name, "stars": {v: print_splice(s, f"{name}.{v}") for v, s in stars.items()}}
-    text = "\n".join(print_splice(stars[v], f"{name}.{v}") for v in sorted(stars))
+    texts = {v: print_splice(s, f"{name}.{v}") for v, s in star_decomposition(d).items()}
+    payload = {"name": name, "stars": texts}
+    text = "\n".join(texts[v] for v in sorted(texts))
     _emit(args, payload, text)
 
 

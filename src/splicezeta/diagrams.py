@@ -262,6 +262,17 @@ def _index_arrowheads(vset: set[str], farrows, warrows) -> dict[str, Farrow]:
     return by_id
 
 
+def checked_f(x: _Decorated, fm: dict[str, int]) -> dict[str, int]:
+    """fm, refused unless every key is an arrowhead id of x with
+    multiplicity >= 0: the F contract, which ``divisors.f_of`` applies."""
+    for aid, mult in fm.items():
+        if aid not in x._farrow_by_id:
+            raise DiagramError(f"F key {aid!r} is not an arrowhead")
+        if mult < 0:
+            raise DiagramError(f"F multiplicity {mult} at {aid!r} is negative")
+    return fm
+
+
 def _check_farrow_data(farrows):
     for a in farrows:
         if a.weight < 1 or a.mult < 0:
@@ -473,8 +484,10 @@ class SpliceDiagram(_Decorated):
     def with_decorations(self, f: dict[str, int] | None = None, w: dict[str, int] | None = None) -> "SpliceDiagram":
         """Copy with farrow multiplicities / warrow records replaced.
 
-        ``f`` maps farrow id -> multiplicity.  ``w`` maps slot (vertex id or
-        farrow id) -> multiplicity i-1; slots with multiplicity 0 are dropped.
+        ``f`` maps farrow id -> multiplicity, refused as ``checked_f``
+        refuses it; an arrowhead it omits gets multiplicity 0.  ``w`` maps
+        slot (vertex id or farrow id) -> multiplicity i-1; slots with
+        multiplicity 0 are dropped.
         """
         return SpliceDiagram(*self.decorated_lists(f, w))
 
@@ -484,6 +497,7 @@ class SpliceDiagram(_Decorated):
         the diagram."""
         farrows = list(self.farrows)
         if f is not None:
+            checked_f(self, f)
             farrows = [Farrow(a.id, a.at, a.weight, f.get(a.id, 0)) for a in farrows]
         warrows = list(self.warrows)
         if w is not None:

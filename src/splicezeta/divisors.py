@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram
+from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, checked_f
 
 # A P-divisor is a plain mapping: arrowhead id -> multiplicity for F,
 # slot id -> multiplicity (= value - 1) for W.  Slots are boundary-vertex ids,
@@ -27,13 +27,7 @@ PDivisor = dict
 def f_of(x, f: PDivisor | None) -> dict[str, int]:
     """F as a fresh dict: the given one, or the object's own arrowheads;
     refused unless every key is an arrowhead id with multiplicity >= 0."""
-    fm = x.f_divisor() if f is None else dict(f)
-    for aid, mult in fm.items():
-        if aid not in x._farrow_by_id:
-            raise DiagramError(f"F key {aid!r} is not an arrowhead")
-        if mult < 0:
-            raise DiagramError(f"F multiplicity {mult} at {aid!r} is negative")
-    return fm
+    return checked_f(x, x.f_divisor() if f is None else dict(f))
 
 
 def w_of(x, w: PDivisor | None) -> dict[str, int]:

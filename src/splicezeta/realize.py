@@ -47,8 +47,19 @@ equals the requested root of unity.  Nothing is trusted from the
 construction itself.  Certifying reuses what does not depend on W: the
 allowedness check builds no star, but reads each node's legs off the table
 cached on the diagram (``splicing.star_legs``), the one the query's star
-filters were compiled from, and still judges every candidate with
+filters were compiled from, and ``zeta_splice`` reads the diagram's kept
+plan and fills in only nu, N and i; every candidate is still judged by
 ``is_allowed`` and the poles of ``zeta_splice``.
+
+What a query needs that is free of F, W and lambda is kept on the diagram:
+the searched slots, their star forms and each node's nu at W = 0 and
+linking row over them, under one memo key without and one with the
+arrowhead doubles.  A query compiles from them only what its lambda and F
+decide, N_v and the target residues.  No memo key names a lambda or a
+searched W.  The kernel moves and the small boundary assignments draw
+their random values through ``_below7``, which takes from the random
+stream what ``randint(-3, 3)`` and a seven-way ``choice`` take and gives
+what they give, in fewer calls.
 
 By default the searched dashed arrows live at boundary vertices; the double
 of an ordinary arrowhead is used only when that arrowhead itself is the
@@ -61,13 +72,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .allowed import is_allowed, star_allowed
 from .diagrams import DiagramError, Edge, SpliceDiagram, require_valid
-from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities
+from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities, w_of
 from .exact import UnityRoot, solve_linear_congruence
 from .monodromy import alexander, eig_contains
 from .splicing import root_cut, splice, star_decomposition, star_legs
@@ -147,7 +159,7 @@ class RealizeOutcome:
 _StarForm = tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]
 
 
-def star_forms(d: SpliceDiagram, slots: list[str]) -> list[_StarForm]:
+def star_forms(d: SpliceDiagram, slots: Sequence[str]) -> list[_StarForm]:
     """Symbolic star decomposition over the slots: each star's legs as affine
     forms in the slot multiplicities, kept sparse as (index, coef) terms with
     the zero coefficients dropped; arrow doubles carry no leg condition.
@@ -186,19 +198,42 @@ def _fast_allowed(forms: list[_StarForm], x: tuple[int, ...]) -> bool:
     return True
 
 
+# node -> (nu_v at W = 0, the row of v over the searched slots)
+_SlotRows = dict[str, tuple[int, tuple[int, ...]]]
 # node -> (N_v, u_v, nu_v at W = 0, the row of v over the searched slots)
 _NodeHits = dict[str, tuple[int, int, int, tuple[int, ...]]]
 # arrowhead -> (N_a, u_a)
 _ArrowHits = dict[str, tuple[int, int]]
 
 
+def _slot_tables(
+    d: SpliceDiagram, include_doubles: bool
+) -> tuple[tuple[str, ...], list[_StarForm], _SlotRows]:
+    """The searched slots (the boundary vertices, then the arrowhead doubles
+    on request), their star forms and ``_slot_rows`` over them: free of F,
+    W and lam, so ``realize_eigenvalue`` keeps them on d, under one key per
+    value of ``include_doubles``."""
+    slots = d.boundary_vertices()
+    if include_doubles:
+        slots += tuple(a.id for a in d.farrows)
+    return slots, star_forms(d, slots), _slot_rows(d, slots)
+
+
+def _slot_rows(d: SpliceDiagram, slots: Sequence[str]) -> _SlotRows:
+    """Each node's nu at W = 0 and its linking row over the slots: nu_v at
+    W = x is nu_v + row . x."""
+    nu0 = nu_values(d, {})
+    return {v: (nu0[v], tuple(d.linking_row(v)[s] for s in slots)) for v in d.nodes()}
+
+
 def _compile_hits(
-    d: SpliceDiagram, fm: dict[str, int], lam: UnityRoot, slots: list[str]
+    d: SpliceDiagram, fm: dict[str, int], lam: UnityRoot, rows: _SlotRows
 ) -> tuple[_NodeHits, _ArrowHits]:
     """Where exp(2 pi i s0) = lam can come from, compiled once per query:
     nu_v = u_v (mod N_v) at a node, and x_a + 1 = u_a (mod N_a) at an
     arrowhead, with u = _target_residue(lam, N), each in the diagram's order
-    and only where u exists.
+    and only where u exists.  ``rows`` is ``_slot_rows`` over the searched
+    slots.
 
     This is the test s0 = -nu/N = lam.frac (mod 1).  Write lam.frac = p/q in
     lowest terms.  -nu/N - p/q is an integer m exactly when
@@ -209,13 +244,11 @@ def _compile_hits(
     gives back an integer m.  An arrowhead is the same with nu = x_a + 1,
     N = N_a.  Only nonzero N take part, as s0 = -nu/N needs N != 0."""
     nv = vertex_multiplicities(d, fm)
-    nu0 = nu_values(d, {})
     nodes = {}
-    for v in d.nodes():
+    for v, (nu0, coefs) in rows.items():
         u = _target_residue(lam, nv[v]) if nv[v] else None
         if u is not None:
-            row = d.linking_row(v)
-            nodes[v] = nv[v], u, nu0[v], tuple(row[s] for s in slots)
+            nodes[v] = nv[v], u, nu0, coefs
     arrows = {}
     for a in d.farrows:
         n = fm.get(a.id, 0)
@@ -344,10 +377,13 @@ def extend_allowed(
     """Extend an allowed divisor from the far half across edge e.
 
     ``e`` is (vL, vR) or an Edge; the half containing vR is where ``w_flat``
-    lives (keyed by that half's slots, including the slot minted by splicing).
-    The half containing vL must be star-shaped.  Returns an allowed W on the
-    whole diagram restricting to ``w_flat``; raises ExtensionObstructedError
-    when the excluded configuration blocks every choice.
+    lives (keyed by that half's slots, including the slot minted by
+    splicing).  Any other key is refused, whatever its multiplicity: one
+    that is not a W slot of d as ``w_of`` refuses it, one on the half
+    containing vL as touching it.  That half must be star-shaped.  Returns
+    an allowed W on the whole diagram restricting to ``w_flat``; raises
+    ExtensionObstructedError when the excluded configuration blocks every
+    choice.
     """
     d.require_standard()
     if not isinstance(e, Edge):
@@ -361,11 +397,12 @@ def extend_allowed(
     w_flat = dict(w_flat)
     target_slot = right0.new_slot
     i_prime = w_flat.pop(target_slot, 0) + 1
-    # w_flat's remaining slots belong to the original diagram
-    partial = {s: m for s, m in w_flat.items() if m}
-    for s in partial:
+    # w_flat's remaining slots are slots of the original diagram, on the
+    # right half, whatever their multiplicity
+    for s in w_of(d, w_flat):
         if d.anchor(s)[0] in left_vertices:
             raise DiagramError(f"flat divisor touches the left half at {s!r}")
+    partial = {s: m for s, m in w_flat.items() if m}
     # fixed induced value onto the left star
     j = root_cut(d, v_l, e).value(partial)
     # unknowns: the left star's own leg slots (plus its doubles on request)
@@ -519,7 +556,7 @@ class _Query:
     d: SpliceDiagram
     fm: dict[str, int]
     lam: UnityRoot
-    slots: list[str]
+    slots: tuple[str, ...]
     effective: bool
     forms: list[_StarForm]
     node_hits: _NodeHits
@@ -584,7 +621,7 @@ def _node_candidates(q: _Query):
         for t in range(80):
             x = reduced
             if t:
-                x = [xi + p * q.rng.randint(-3, 3) for xi, p in zip(x, periods)]
+                x = [xi + p * (_below7(q.rng) - 3) for xi, p in zip(x, periods)]
             if q.effective:
                 # the least non-negative value in the period class
                 x = [xi % p if xi < 0 else xi for xi, p in zip(x, periods)]
@@ -629,7 +666,9 @@ def realize_eigenvalue(
     ``require_valid`` refuses d and NotAnEigenvalueError when lam is outside Eig.
     Otherwise returns
     either realized divisors or the honest bounded-search failure with the
-    per-node congruence diagnostics.
+    per-node congruence diagnostics.  The first query on d keeps its slot
+    tables (``_slot_tables``) on d for each value of ``include_doubles``;
+    the queries after it, at any lambda, F, count and bound, read them.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -644,12 +683,10 @@ def realize_eigenvalue(
             [e.wa for e in d.edges] + [e.wb for e in d.edges] + [a.weight for a in d.farrows] + [1]
         )
         bound = 4 * lam.order * maxw
-    slots = [v for v in d.boundary_vertices()]
-    if include_doubles:
-        slots += [a.id for a in d.farrows]
-    node_hits, arrow_hits = _compile_hits(d, fm, lam, slots)
+    slots, forms, rows = d.memo(("realize slots", include_doubles), _slot_tables, d, include_doubles)
+    node_hits, arrow_hits = _compile_hits(d, fm, lam, rows)
     q = _Query(
-        d, fm, lam, slots, effective, star_forms(d, slots), node_hits, arrow_hits,
+        d, fm, lam, slots, effective, forms, node_hits, arrow_hits,
         explored={"window": 0, "bound": bound},
     )
     # the sources are pulled in turn, each only while results are missing;
@@ -682,13 +719,24 @@ def realize_eigenvalue(
     )
 
 
+def _below7(rng: random.Random) -> int:
+    """An int in 0..6 drawn as ``rng.randrange(7)`` draws it: three random
+    bits, drawn again while they read 7.  So ``_below7(rng) - 3`` is
+    ``rng.randint(-3, 3)`` and ``seq[_below7(rng)]`` is ``rng.choice(seq)``
+    for a seq of length 7, on the same stream, in two calls instead of four."""
+    r = rng.getrandbits(3)
+    while r == 7:
+        r = rng.getrandbits(3)
+    return r
+
+
 def _small_allowed_candidates(slots, forms, rng, tries: int = 40) -> list[dict[str, int]]:
     """A few small boundary assignments that make the divisor allowed."""
     out = []
     if _fast_allowed(forms, (0,) * len(slots)):
         out.append({})
     for _ in range(tries):
-        x = {s: rng.choice([0, 0, 1, -2, 2, -3, 3]) for s in slots}
+        x = {s: (0, 0, 1, -2, 2, -3, 3)[_below7(rng)] for s in slots}
         if _fast_allowed(forms, tuple(x.values())):
             out.append({s: m for s, m in x.items() if m})
         if len(out) >= 6:

@@ -320,11 +320,11 @@ def _split(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], minted: dic
 
 @dataclass
 class SpliceCheck:
+    """The verdicts at edge ``edge``, with the halves ``splice`` gives there."""
+
     edge: tuple[str, str]
-    m_left: int
-    i_left: int
-    m_right: int
-    i_right: int
+    left: SpliceHalf
+    right: SpliceHalf
     q: int
     degenerate: str | None
     zeta_identity: bool | None
@@ -357,9 +357,9 @@ def verify_splice_zeta(
     m_l, i_l = left.m, left.i
     m_r, i_r = right.m, right.i
     if m_l == 0 and i_l == 0:
-        return SpliceCheck(e.key, m_l, i_l, m_r, i_r, q, "left factor identically zero", None, None, None)
+        return SpliceCheck(e.key, left, right, q, "left factor identically zero", None, None, None)
     if m_r == 0 and i_r == 0:
-        return SpliceCheck(e.key, m_l, i_l, m_r, i_r, q, "right factor identically zero", None, None, None)
+        return SpliceCheck(e.key, left, right, q, "right factor identically zero", None, None, None)
     z = zeta_splice(d, fm, wm)
     zl = zeta_splice(left.diagram)
     zr = zeta_splice(right.diagram)
@@ -387,4 +387,4 @@ def verify_splice_zeta(
         for j in range(i + 1, 4)
     ]
     dependency = (not any(x == 0 for x in dets)) or all(x == 0 for x in dets)
-    return SpliceCheck(e.key, m_l, i_l, m_r, i_r, q, None, identity, lemma, dependency)
+    return SpliceCheck(e.key, left, right, q, None, identity, lemma, dependency)

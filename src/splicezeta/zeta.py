@@ -54,7 +54,11 @@ it on first use only.
 
 A diagram or graph keeps its zeta function at its own F and W in its
 ``memo``, so the commands on one object sum it once; other F and W, such as
-the candidates ``realize`` certifies, are summed afresh.  So a
+the candidates ``realize`` certifies, are summed afresh.  What the splice
+route's sum needs of the diagram alone is kept on it as a plan, whatever F
+and W are: each node's boundary legs, arrowheads and 2 - valency_f, and
+each special edge's ends and determinant.  A sum at another F or W fills in
+only nu, N and i, and adds each node constant as one integer num/den.  So a
 ``ZetaResult`` is read-only: frozen, with tuples of terms and a read-only
 view of the parts.
 
@@ -314,10 +318,27 @@ def zeta_splice(
     d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> ZetaResult:
     """Z(Gamma; s) of the decorated diagram, with the per-node term list;
-    at d's own F and W, kept on d."""
+    at d's own F and W, kept on d.  At any F and W it reads the plan kept
+    on d (see the module docstring)."""
     if is_own(d, f, w):
         return d.memo(("zeta",), _zeta_splice, d, None, None)
     return _zeta_splice(d, f, w)
+
+
+def _zeta_plan(d: SpliceDiagram) -> tuple[tuple, tuple]:
+    """What the splice sum needs of d, whatever F and W are: each node as
+    (v, its boundary legs as (d_vw, w), its arrowheads as (id, weight),
+    2 - valency_f), and each special edge as (a, b, q_e)."""
+    nodes = tuple(
+        (
+            v,
+            tuple((e.weight_at(v), e.other(v)) for e in d.edges_at(v) if not d.is_node(e.other(v))),
+            tuple((a.id, a.weight) for a in d.farrows_at(v)),
+            2 - d.valency_f(v),
+        )
+        for v in d.nodes()
+    )
+    return nodes, tuple((e.a, e.b, edge_determinant(d, e)) for e in d.special_edges())
 
 
 def _zeta_splice(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None) -> ZetaResult:
@@ -325,41 +346,37 @@ def _zeta_splice(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None) -> Ze
     fm = effective_f(d, f)
     wm = w_of(d, w)
     data = node_data(d, fm, wm)
+    nodes, specials = d.memo(("zeta plan",), _zeta_plan, d)
     node_terms: list[NodeTerm] = []
-    edge_terms: list[EdgeTerm] = []
-    for v in d.nodes():
+    for v, legs, farrows, chi in nodes:
         nu_v, n_v = data[v]
         _require_nonzero_pair(nu_v, n_v, f"node {v}")
-        arrows: list[ArrowPart] = []
-        const = 0
-        for e in d.edges_at(v):
-            u = e.other(v)
-            if d.is_node(u):
-                continue
-            # boundary vertex: constant part d_vw / i_w
+        # the constant as num / den: d_vw / i_w at each boundary vertex w
+        num, den = 0, 1
+        for weight, u in legs:
             i_w = wm.get(u, 0) + 1
             if i_w == 0:
                 raise DiagramError(f"boundary vertex {u!r} carries i = 0")
-            const += Fraction(e.weight_at(v), i_w)
-        for a in d.farrows_at(v):
-            i_a = wm.get(a.id, 0) + 1
-            n_a = fm.get(a.id, 0)
-            _require_nonzero_pair(i_a, n_a, f"arrowhead {a.id}")
-            arrows.append(ArrowPart(weight=a.weight, i=i_a, n=n_a))
-        node_warrows = 0
+            num, den = num * i_w + weight * den, den * i_w
+        arrows: list[ArrowPart] = []
+        for aid, weight in farrows:
+            i_a = wm.get(aid, 0) + 1
+            n_a = fm.get(aid, 0)
+            _require_nonzero_pair(i_a, n_a, f"arrowhead {aid}")
+            arrows.append(ArrowPart(weight=weight, i=i_a, n=n_a))
         if wm.get(v, 0):
-            # dashed arrow drawn at the node: weight 1, N = 0
+            # dashed arrow drawn at the node: weight 1, N = 0, and one less
+            # in the Euler characteristic
             i_a = wm[v] + 1
             if i_a == 0:
                 raise DiagramError(f"dashed arrow at node {v!r} with i = 0")
             arrows.append(ArrowPart(weight=1, i=i_a, n=0))
-            node_warrows = 1
-        const += 2 - d.valency_f(v) - node_warrows
-        if const.denominator == 1:  # an int where integral
-            const = const.numerator
+            chi -= 1
+        num += chi * den
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        const = num // g if den == g else Fraction(num // g, den // g)  # an int where integral
         node_terms.append(NodeTerm(vertex=v, nu=nu_v, n=n_v, const=const, arrows=tuple(arrows)))
-    for e in d.special_edges():
-        edge_terms.append(EdgeTerm((e.a, e.b), edge_determinant(d, e), *data[e.a], *data[e.b]))
+    edge_terms = [EdgeTerm((a, b), q, *data[a], *data[b]) for a, b, q in specials]
     return ZetaResult.from_terms(node_terms, edge_terms)
 
 

@@ -9,6 +9,7 @@ import contextlib
 import dataclasses
 import io
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from splicezeta.diagrams import (
     validate_plumbing,
 )
 from splicezeta.divisors import _vertex_multiplicities, nu_values, vertex_multiplicities
+from splicezeta.exact import UnityRoot
 from splicezeta.generate import random_valid_splice
 from splicezeta.io import parse_diagram, print_diagram, print_splice
 from splicezeta.monodromy import (
@@ -33,8 +35,10 @@ from splicezeta.monodromy import (
     _monodromy_zeta,
     alexander,
     delta1,
+    eig_contains,
     monodromy_zeta,
 )
+from splicezeta.realize import realize_eigenvalue
 from splicezeta.splicing import _stars, star_decomposition
 from splicezeta.zeta import _zeta_plumbing, _zeta_splice, zeta_plumbing, zeta_splice
 
@@ -145,6 +149,50 @@ def test_values_at_other_decorations_are_not_kept():
     delta1(d, f)
     assert set(d._memo) == keys
     assert zeta_splice(d, None, {"bL": 1}).parts != zeta_splice(d).parts
+
+
+# every key realize may leave in a splice diagram's memo, whatever lambda
+# and W it searches: besides these, a "cut" key per special edge and kept
+# end; "realize slots" is kept without and with the arrowhead doubles
+_REALIZE_KEYS = {
+    ("N",), ("canonical terms",), ("delta1",), ("invariants",), ("monodromy zeta",),
+    ("nu at W = 0",), ("realize slots", False), ("realize slots", True), ("star legs",),
+    ("stars at W = 0",), ("vertex set",), ("zeta",), ("zeta plan",),
+}
+
+
+def _eigenvalues(d):
+    orders = set(delta1(d).root_orders())
+    for m in d.f_divisor().values():
+        orders.update(q for q in range(1, m + 1) if m % q == 0)
+    lams = [UnityRoot(p, q) for q in sorted(orders) for p in range(q) if gcd(p, q) == 1]
+    return [lam for lam in lams if eig_contains(d, lam)]
+
+
+def test_realize_keeps_only_the_fixed_keys():
+    # realize at every lambda in Eig, with and without --effective and the
+    # arrowhead doubles: no key names a lambda or a searched W
+    rng = random.Random(20)
+    diagrams = [_fresh(d) for d in golden_splice_diagrams().values()]
+    for g in golden_plumbing_graphs().values():
+        with contextlib.suppress(DiagramError):
+            diagrams.append(_fresh(plumbing_to_splice(g)))
+    diagrams += [_fresh(random_valid_splice(rng, max_nodes=3, max_weight=7)) for _ in range(10)]
+    queries = 0
+    for d in diagrams:
+        if not any(d.f_divisor().values()):
+            continue
+        fixed = _REALIZE_KEYS | {("cut", v, e.key) for e in d.special_edges() for v in e.key}
+        for lam in _eigenvalues(d):
+            for effective in (False, True):
+                for doubles in (False, True):
+                    realize_eigenvalue(
+                        d, lam, effective=effective, include_doubles=doubles, budget=5000
+                    )
+                    queries += 1
+                    assert set(d._memo) <= fixed, set(d._memo) - fixed
+        assert {("realize slots", False), ("realize slots", True)} <= set(d._memo)
+    assert queries > 1000
 
 
 def test_returned_values_are_not_shared():

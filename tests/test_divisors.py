@@ -168,14 +168,15 @@ def test_nu_rejects_chain_slots():
 
 
 def test_every_f_and_w_entry_point_refuses_the_same_bad_input():
-    # F and W enter through divisors.f_of and divisors.w_of on both routes,
-    # so each bad input gets one message everywhere; "dw" is a dashed-arrow
-    # id, which is not a W slot
+    # F and W enter through divisors.f_of and divisors.w_of on both routes
+    # (and a copy's F through the check f_of applies), so each bad input
+    # gets one message everywhere; "dw" is a dashed-arrow id, which is not a
+    # W slot
     from splicezeta.allowed import check_goal1, is_allowed
     from splicezeta.diagrams import PlumbingGraph, SpliceDiagram, Warrow, validate_plumbing
     from splicezeta.exact import UnityRoot
     from splicezeta.monodromy import alexander, delta1, eig_contains
-    from splicezeta.realize import realize_eigenvalue
+    from splicezeta.realize import extend_allowed, realize_eigenvalue
     from splicezeta.splicing import induced_value, splice, star_decomposition
     from splicezeta.zeta import zeta_plumbing, zeta_splice
 
@@ -197,6 +198,7 @@ def test_every_f_and_w_entry_point_refuses_the_same_bad_input():
         lambda f: splice(d, e, f),
         lambda f: star_decomposition(d, f),
         lambda f: realize_eigenvalue(d, lam, f=f),
+        lambda f: d.with_decorations(f=f),
     ]
     f_plumbing_calls = [
         lambda f: zeta_plumbing(g, f),
@@ -212,6 +214,7 @@ def test_every_f_and_w_entry_point_refuses_the_same_bad_input():
         lambda w: splice(d, e, None, w),
         lambda w: star_decomposition(d, None, w),
         lambda w: induced_value(d, e, "v0", w),
+        lambda w: extend_allowed(d, e, w),
     ]
     w_plumbing_calls = [
         lambda w: zeta_plumbing(g, None, w),
@@ -243,7 +246,7 @@ def test_every_f_and_w_entry_point_refuses_the_same_bad_input():
                     call(w)
                 assert str(info.value) == message
                 checked += 1
-    assert checked == 3 * 14 + 3 * 9
+    assert checked == 3 * 15 + 3 * 10
     # any multiplicity at a vertex or arrowhead slot is accepted, 0 included
     assert nu_values(d, {"bL": 0, "a0": 0}) == nu_values(d, {})
     assert canonical_plumbing(g, {"e1": 0, "a0": 0}) == canonical_plumbing(g, {})

@@ -26,11 +26,13 @@ from splicezeta.realize import (
     ExtensionObstructedError,
     NotAnEigenvalueError,
     StarRootError,
+    _below7,
     _compile_hits,
     _fast_allowed,
     _hit_forms,
     _hit_walk,
     _prime_power_factors,
+    _slot_rows,
     certify,
     extend_allowed,
     realize_eigenvalue,
@@ -746,7 +748,7 @@ def test_compiled_filters_match_reference():
                 assert all(c for _, c in terms)
                 assert [j for j, _ in terms] == sorted({j for j, _ in terms})
         for lam in lams:
-            compiled = _hit_forms(*_compile_hits(d, fm, lam, slots), slots)
+            compiled = _hit_forms(*_compile_hits(d, fm, lam, _slot_rows(d, slots)), slots)
             for _ in range(8):
                 xt = tuple(rng.randint(-4, 5) for _ in slots)
                 x = dict(zip(slots, xt))
@@ -874,3 +876,29 @@ def test_library_verdicts_refuse_an_invalid_diagram():
     assert {v.kind for v in validate(bad2).violations} == {"coprimality", "edge-determinant"}
     with pytest.raises(DiagramError, match="q_e = -97 <= 0"):
         verify_splice_zeta(bad2, ("v", "u"))
+
+
+def test_draw_helper_reads_the_stream_of_randint_and_choice():
+    # the kernel moves and the small boundary assignments draw through
+    # _below7; the draws, and the stream left after them, are those of
+    # randint(-3, 3) and of choice over seven entries (the index drawn)
+    for seed in range(1000):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(12):
+            assert _below7(ours) - 3 == ref.randint(-3, 3)
+            assert _below7(ours) == ref.choice(range(7))
+        assert ours.getstate() == ref.getstate()
+
+
+def test_extend_allowed_refuses_keys_off_the_right_half():
+    d = two_cusp_diagram()
+    _, right = splice(d, ("v1", "v0"))
+    w_flat = {"leg1p": 1, right.new_slot: -2}
+    for m in (0, 1):
+        with pytest.raises(DiagramError, match=r"^W slot 'bogus' is not a vertex or arrowhead$"):
+            extend_allowed(d, ("v1", "v0"), w_flat | {"bogus": m})
+        with pytest.raises(DiagramError, match=r"^flat divisor touches the left half at 'bL'$"):
+            extend_allowed(d, ("v1", "v0"), w_flat | {"bL": m})
+    assert extend_allowed(d, ("v1", "v0"), w_flat | {"bR": 0}) == extend_allowed(
+        d, ("v1", "v0"), w_flat
+    )

@@ -666,3 +666,83 @@ def test_zeta_reads_arrowhead_multiplicities_from_the_given_f():
             assert zeta(x, f).func == zeta(stored).func
             checked += 1
     assert checked >= 10
+
+
+def _ref_zeta_splice_terms(d, f, w):
+    """The node and edge terms as the splice route assembled them before it
+    read a per-diagram plan: every boundary leg, arrowhead and valency read
+    off the diagram at each call, the constant summed as a Fraction."""
+    from splicezeta.diagrams import edge_determinant
+    from splicezeta.divisors import effective_f, node_data, w_of
+
+    d.require_standard()
+    fm = effective_f(d, f)
+    wm = w_of(d, w)
+    data = node_data(d, fm, wm)
+    node_terms = []
+    for v in d.nodes():
+        nu_v, n_v = data[v]
+        if nu_v == 0 and n_v == 0:
+            raise DiagramError(f"(nu, N) = (0, 0) at node {v}")
+        arrows = []
+        const = 0
+        for e in d.edges_at(v):
+            u = e.other(v)
+            if d.is_node(u):
+                continue
+            i_w = wm.get(u, 0) + 1
+            if i_w == 0:
+                raise DiagramError(f"boundary vertex {u!r} carries i = 0")
+            const += Fraction(e.weight_at(v), i_w)
+        for a in d.farrows_at(v):
+            i_a = wm.get(a.id, 0) + 1
+            n_a = fm.get(a.id, 0)
+            if i_a == 0 and n_a == 0:
+                raise DiagramError(f"(nu, N) = (0, 0) at arrowhead {a.id}")
+            arrows.append(ArrowPart(weight=a.weight, i=i_a, n=n_a))
+        node_warrows = 0
+        if wm.get(v, 0):
+            i_a = wm[v] + 1
+            if i_a == 0:
+                raise DiagramError(f"dashed arrow at node {v!r} with i = 0")
+            arrows.append(ArrowPart(weight=1, i=i_a, n=0))
+            node_warrows = 1
+        const += 2 - d.valency_f(v) - node_warrows
+        if const.denominator == 1:
+            const = const.numerator
+        node_terms.append(NodeTerm(v, nu_v, n_v, const, tuple(arrows)))
+    edge_terms = [
+        EdgeTerm((e.a, e.b), edge_determinant(d, e), *data[e.a], *data[e.b])
+        for e in d.special_edges()
+    ]
+    return node_terms, edge_terms
+
+
+def test_planned_splice_terms_equal_the_per_call_assembly():
+    # values and int/Fraction types of every term entry, and the refusals,
+    # at random F and W on every slot kind: boundary vertices, nodes and
+    # arrowhead doubles, i = 0 included
+    rng = random.Random(20)
+    compared = refused = fractions = 0
+    for _ in range(200):
+        d = random_valid_splice(rng, max_nodes=4, max_weight=9, with_warrows=True)
+        slots = [*d.boundary_vertices(), *d.nodes(), *(a.id for a in d.farrows)]
+        f = {a.id: rng.randint(0, 3) for a in d.farrows}
+        for f, w in ((None, None), (f, {s: rng.randint(-3, 3) for s in slots if rng.random() < 0.6})):
+            try:
+                want = _ref_zeta_splice_terms(d, f, w)
+            except (DiagramError, ZeroDivisionError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    zeta_splice(d, f, w)
+                assert str(info.value) == str(exc)
+                refused += 1
+                continue
+            z, ref = zeta_splice(d, f, w), ZetaResult.from_terms(*want)
+            assert (z.node_terms, z.edge_terms, z.const, z.parts) == (
+                ref.node_terms, ref.edge_terms, ref.const, ref.parts
+            )
+            entries = list(chain(*_entries(z)))
+            assert [type(x) for x in entries] == [type(x) for x in chain(*_entries(ref))]
+            compared += 1
+            fractions += any(type(x) is Fraction for x in entries)
+    assert compared > 250 and refused > 40 and fractions > 80
