@@ -79,8 +79,13 @@ def vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None = None) -> dict[s
 
 
 def _vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None) -> dict[str, int]:
-    out = dict.fromkeys(d.vertices, 0)
-    for aid, mult in f_of(d, f).items():
+    return _multiplicities(d, f_of(d, f), d.vertices)
+
+
+def _multiplicities(d: SpliceDiagram, fm: dict[str, int], targets) -> dict[str, int]:
+    """N_v at the targets, for an F already read through ``f_of``."""
+    out = dict.fromkeys(targets, 0)
+    for aid, mult in fm.items():
         if mult:
             a = d.farrow(aid)
             row = d.linking_row(a.at)
@@ -100,7 +105,11 @@ def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
     The canonical part does not depend on W: it is kept on d, and each
     call adds its own W part to a copy.
     """
-    wm = w_of(d, w)
+    return _nu_values(d, w_of(d, w))
+
+
+def _nu_values(d: SpliceDiagram, wm: dict[str, int]) -> dict[str, int]:
+    """``nu_values`` for a W already read through ``w_of``."""
     out = dict(d.memo(("nu at W = 0",), _canonical_nu, d))
     terms = [(slot, mult) for slot, mult in wm.items() if mult]
     if terms:
@@ -127,11 +136,12 @@ def _canonical_terms(d: SpliceDiagram) -> tuple[tuple[str, int], ...]:
 
 
 def node_data(
-    d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None = None
+    d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]
 ) -> dict[str, tuple[int, int]]:
-    """(nu_v, N_v) for every node."""
-    nv = vertex_multiplicities(d, f)
-    nu = nu_values(d, w)
+    """(nu_v, N_v) for every node, at an F and a W already read through
+    ``f_of`` and ``w_of``: neither is checked again."""
+    nu = _nu_values(d, wm)
+    nv = _multiplicities(d, fm, nu)
     return {v: (nu[v], nv[v]) for v in nu}
 
 

@@ -47,9 +47,12 @@ equals the requested root of unity.  Nothing is trusted from the
 construction itself.  Certifying reuses what does not depend on W: the
 allowedness check builds no star, but reads each node's legs off the table
 cached on the diagram (``splicing.star_legs``), the one the query's star
-filters were compiled from, and ``zeta_splice`` reads the diagram's kept
-plan and fills in only nu, N and i; every candidate is still judged by
-``is_allowed`` and the poles of ``zeta_splice``.
+filters were compiled from, and ``zeta.pole_at`` reads the diagram's kept
+zeta plan and fills in only nu, N and i.  Every candidate is judged by
+``is_allowed`` and by ``pole_at``, the least pole mapping to lambda, which
+sums only the terms that vanish at the roots mapping to lambda and is
+exactly the first such pole of ``zeta_splice(...).poles()`` (see the
+``zeta`` module docstring).
 
 What a query needs that is free of F, W and lambda is kept on the diagram:
 the searched slots, their star forms and each node's nu at W = 0 and
@@ -83,7 +86,7 @@ from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities, w_of
 from .exact import UnityRoot, solve_linear_congruence
 from .monodromy import alexander, eig_contains
 from .splicing import root_cut, splice, star_decomposition, star_legs
-from .zeta import zeta_splice
+from .zeta import pole_at, target_residue
 
 
 class NotAnEigenvalueError(ValueError):
@@ -231,28 +234,21 @@ def _compile_hits(
 ) -> tuple[_NodeHits, _ArrowHits]:
     """Where exp(2 pi i s0) = lam can come from, compiled once per query:
     nu_v = u_v (mod N_v) at a node, and x_a + 1 = u_a (mod N_a) at an
-    arrowhead, with u = _target_residue(lam, N), each in the diagram's order
+    arrowhead, with u = target_residue(lam, N), each in the diagram's order
     and only where u exists.  ``rows`` is ``_slot_rows`` over the searched
-    slots.
-
-    This is the test s0 = -nu/N = lam.frac (mod 1).  Write lam.frac = p/q in
-    lowest terms.  -nu/N - p/q is an integer m exactly when
-    -nu*q - p*N = m*q*N.  Modulo q that forces q | p*N, hence q | N since
-    gcd(p, q) = 1; when q does not divide N no nu passes, and
-    _target_residue returns None.  When q | N, dividing by q leaves
-    -nu - p*(N/q) = m*N, that is nu = -p*(N/q) = u (mod N), and each such nu
-    gives back an integer m.  An arrowhead is the same with nu = x_a + 1,
-    N = N_a.  Only nonzero N take part, as s0 = -nu/N needs N != 0."""
+    slots.  This is the test s0 = -nu/N = lam.frac (mod 1), the one
+    ``zeta.pole_at`` applies (derived in the ``zeta`` module docstring);
+    only nonzero N take part, as s0 = -nu/N needs N != 0."""
     nv = vertex_multiplicities(d, fm)
     nodes = {}
     for v, (nu0, coefs) in rows.items():
-        u = _target_residue(lam, nv[v]) if nv[v] else None
+        u = target_residue(lam, nv[v]) if nv[v] else None
         if u is not None:
             nodes[v] = nv[v], u, nu0, coefs
     arrows = {}
     for a in d.farrows:
         n = fm.get(a.id, 0)
-        u = _target_residue(lam, n) if n else None
+        u = target_residue(lam, n) if n else None
         if u is not None:
             arrows[a.id] = n, u
     return nodes, arrows
@@ -292,27 +288,19 @@ def certify(
     try:
         if not is_allowed(d, fm, w).allowed:
             return None
-        z = zeta_splice(d, fm, w)
-        for p in z.poles():
-            if UnityRoot.from_exponent(p.location) == lam:
-                return Realization(
-                    w=dict(sorted(w.items())),
-                    s0=p.location,
-                    order=p.order,
-                    leading=p.leading,
-                    eigenvalue=lam,
-                    source=source,
-                )
+        pole = pole_at(d, fm, w, lam)
     except DiagramError:
         return None
-    return None
-
-
-def _target_residue(lam: UnityRoot, modulus: int) -> int | None:
-    """u with exp(-2 pi i u/modulus) = lam, or None when ord(lam)∤modulus."""
-    if modulus % lam.order:
+    if pole is None:
         return None
-    return (-lam.p * (modulus // lam.order)) % modulus
+    return Realization(
+        w=dict(sorted(w.items())),
+        s0=pole.location,
+        order=pole.order,
+        leading=pole.leading,
+        eigenvalue=lam,
+        source=source,
+    )
 
 
 # Trial division for the printed per-prime congruence reductions stops at

@@ -22,7 +22,7 @@ from .generate import random_allowed_w, random_plumbing, random_valid_splice
 from .monodromy import alexander, delta1
 from .realize import realize_eigenvalue
 from .splicing import induced_value, splice, star_decomposition, verify_splice_zeta
-from .zeta import zeta_plumbing, zeta_splice
+from .zeta import pole_at, zeta_plumbing, zeta_splice
 
 
 @dataclass(frozen=True)
@@ -303,6 +303,35 @@ def _generated_diagrams(rng, n):
     return ok, f"{n} diagrams, {(n + 1) // 2} graphs"
 
 
+def _pole_at_oracle(rng, n):
+    # pole_at against the first pole of the whole zeta function that maps to
+    # lam, at random W on the boundary, node and double slots (i = 0 now and
+    # then), for the exponential of each pole and a random root of unity
+    count = failures = 0
+    while count < n:
+        d = random_valid_splice(rng, max_nodes=4, max_weight=13, with_warrows=True)
+        slots = [*d.boundary_vertices(), *d.nodes(), *(a.id for a in d.farrows)]
+        w = {s: rng.randint(-2, 4) for s in slots if rng.random() < 0.5}
+        try:
+            poles = zeta_splice(d, None, w).poles()
+        except DiagramError:
+            poles = None
+        q = rng.randint(1, 12)
+        lams = {UnityRoot(rng.randrange(q), q)}
+        lams.update(UnityRoot.from_exponent(p.location) for p in poles or ())
+        for lam in lams:
+            want = "refused"
+            if poles is not None:
+                want = next((p for p in poles if UnityRoot.from_exponent(p.location) == lam), None)
+            try:
+                got = pole_at(d, None, w, lam)
+            except DiagramError:
+                got = "refused"
+            count += 1
+            failures += got != want
+    return failures == 0, f"{failures} failures in {count} triples"
+
+
 CHECKS: tuple[Check, ...] = (
     Check("criterion_1_running_example_golden", 1, _running_example_golden),
     Check("criterion_2_splice_identity", 2026, _splice_identity, 500),
@@ -316,6 +345,7 @@ CHECKS: tuple[Check, ...] = (
     Check("criterion_10_arithmetic_lemmas", 10, _arithmetic_lemmas, 25),
     Check("running_example_structure", 11, _running_example_structure),
     Check("generated_diagrams", 20260810, _generated_diagrams, 200),
+    Check("pole_at_oracle", 21, _pole_at_oracle, 500),
 )
 
 

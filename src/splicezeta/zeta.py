@@ -70,6 +70,34 @@ g = den / (s - r)^o.  Near r, num / g = (s - r)^o Z(s), which is
 is a2_r when o = 2 and a1_r when o = 1 (where a2_r = 0).  The roots and
 orders are the same on both sides, as shown above, so ``ZetaResult.poles``
 gives exactly the list ``func.poles()`` gives.
+
+``pole_at`` answers the question ``realize`` certifies, the least pole r
+with exp(2 pi i r) = lam, without summing the whole function.  Two facts
+make that exact.  First, (a1_r, a2_r) depend only on the terms with a
+factor that vanishes at r: the partial-fraction split above adds a
+principal part at r only for a root r of one of the term's forms, and a
+term regular at r adds nothing there.  A term with one vanishing factor
+b (s - r) and a partner form a' + s b' (or none) adds c / (b (a' + r b'))
+to a1_r, and one whose two factors both vanish adds c / (b b') to a2_r.
+Second, which roots map to lam is an integer test on each form a + s N,
+N != 0, whose root is r = -a/N.  Write lam = exp(2 pi i p/q) with p/q in
+lowest terms.  exp(2 pi i r) = lam holds exactly when -a/N - p/q is an
+integer m, that is when -a q - p N = m q N.  Modulo q that forces q | p N,
+hence q | N since gcd(p, q) = 1; so when q does not divide N no a passes,
+and ``target_residue`` returns None.  When q | N, dividing by q leaves
+-a - p (N/q) = m N, that is a = -p (N/q) = u (mod N), u =
+``target_residue(lam, N)``, and each such a gives back an integer m.  So
+the test is ``UnityRoot.from_exponent(r) == lam`` read off the integers,
+and every root that passes it is P/q with P = -a q / N an integer and
+gcd(P, q) = 1 (as r - p/q is an integer), so the roots that pass are
+ordered by P alone.  ``pole_at`` tests every node and arrowhead form
+(an edge term's forms are node forms, and a dashed arrow's N is 0), so it
+sees every root a pole can sit at; it returns None when none passes, and otherwise sums, root by root in
+ascending order and in integers, the terms vanishing there (``_parts_at``),
+returning at the first root whose part is nonzero: exactly the first pole
+of ``poles()`` that maps to lam.  ``ZetaResult.residue_contribution`` sums
+one node's terms at a root through the same ``_parts_at``.  ``realize``
+compiles its lambda congruences from ``target_residue`` too.
 """
 
 from __future__ import annotations
@@ -91,7 +119,7 @@ from .divisors import (
     pullback_plumbing,
     w_of,
 )
-from .exact import Poly, Pole, RatFunc
+from .exact import Poly, Pole, RatFunc, UnityRoot
 
 
 @dataclass(frozen=True)
@@ -112,12 +140,6 @@ class NodeTerm:
     n: int | Fraction
     const: int | Fraction
     arrows: tuple[ArrowPart, ...]
-
-    def bracket_at(self, s0: Fraction) -> Fraction:
-        acc = Fraction(self.const)
-        for p in self.arrows:
-            acc += Fraction(p.weight) / (p.i + s0 * p.n)
-        return acc
 
 
 @dataclass(frozen=True)
@@ -163,32 +185,32 @@ class ZetaResult:
     def residue_contribution(self, vertex: str, s0: Fraction) -> Fraction:
         """Contribution of one node to the residue at a simple candidate s0.
 
-        Sums the node term and the incident edge terms whose (nu + s N)
-        factor vanishes at s0; the partner factors must not vanish."""
+        Sums the node term and the incident edge terms, each at its
+        (nu + s N) factor, which must vanish at s0; a partner factor that
+        vanishes there too raises DiagramError."""
         s0 = Fraction(s0)
-        contrib = Fraction(0)
-        for t in self.node_terms:
-            if t.vertex != vertex:
-                continue
-            if t.nu + s0 * t.n != 0:
-                return Fraction(0)
-            contrib += t.bracket_at(s0) / t.n
-        for e in self.edge_terms:
-            if vertex not in e.vertices:
-                continue
-            if e.vertices[0] == vertex:
-                mine, other = (e.nu1, e.n1), (e.nu2, e.n2)
-            else:
-                mine, other = (e.nu2, e.n2), (e.nu1, e.n1)
-            if mine[0] + s0 * mine[1] != 0:
-                continue
-            den = other[0] + s0 * other[1]
-            if den == 0:
-                raise DiagramError(
-                    f"order-2 interaction at s0={s0}; no simple residue contribution"
-                )
-            contrib += Fraction(e.q) / (mine[1] * den)
-        return contrib
+        p, q = s0.numerator, s0.denominator
+        node = [t for t in self.node_terms if t.vertex == vertex]
+        if any(t.nu + s0 * t.n for t in node):
+            return Fraction(0)
+        edges = [e for e in self.edge_terms if vertex in e.vertices]
+        terms = [_integral(c, forms) for c, forms in summands(node, edges)]
+        if any(len(forms) == 2 and not any(a * q + b * p for a, b in forms) for *_, forms in terms):
+            raise DiagramError(f"order-2 interaction at s0={s0}; no simple residue contribution")
+        n1, d1, _, _ = _parts_at(terms, p, q)
+        return Fraction(n1, d1)
+
+
+def _integral(c, forms) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """The term c / prod(a + s b) as (n, d, forms) with integer forms: each
+    form times the lcm m of its denominators, and c times every m."""
+    n, d = c.numerator, c.denominator
+    out = []
+    for a, b in forms:
+        m = lcm(a.denominator, b.denominator)
+        out.append((a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)))
+        n *= m
+    return n, d, tuple(out)
 
 
 def summands(node_terms, edge_terms):
@@ -309,9 +331,9 @@ def reduced_ratfunc(const: Fraction, parts: dict[Fraction, tuple[Fraction, Fract
     )
 
 
-def _require_nonzero_pair(nu, n, where: str):
+def _require_nonzero_pair(nu, n, kind: str, name: str):
     if nu == 0 and n == 0:
-        raise DiagramError(f"(nu, N) = (0, 0) at {where}")
+        raise DiagramError(f"(nu, N) = (0, 0) at {kind} {name}")
 
 
 def zeta_splice(
@@ -341,43 +363,140 @@ def _zeta_plan(d: SpliceDiagram) -> tuple[tuple, tuple]:
     return nodes, tuple((e.a, e.b, edge_determinant(d, e)) for e in d.special_edges())
 
 
-def _zeta_splice(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None) -> ZetaResult:
+def _splice_rows(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None):
+    """The splice sum's integers at F and W, each read and checked once:
+    each node as (v, (nu_v, N_v), its legs as (d_vw, i_w), its arrow parts
+    as (weight, (i, N)), chi), with a dashed arrow drawn at the node as the
+    last arrow part, weight 1 and N = 0, counted out of chi; and each
+    special edge as (a, b, q_e).  Also the (nu_v, N_v) of every node.
+    Refuses a nonstandard d, F = 0, a W ``w_of`` refuses, (nu, N) = (0, 0)
+    at a node or an arrowhead, and i = 0 at a boundary vertex or a node's
+    dashed arrow."""
     d.require_standard()
     fm = effective_f(d, f)
     wm = w_of(d, w)
     data = node_data(d, fm, wm)
     nodes, specials = d.memo(("zeta plan",), _zeta_plan, d)
-    node_terms: list[NodeTerm] = []
+    rows = []
     for v, legs, farrows, chi in nodes:
-        nu_v, n_v = data[v]
-        _require_nonzero_pair(nu_v, n_v, f"node {v}")
-        # the constant as num / den: d_vw / i_w at each boundary vertex w
-        num, den = 0, 1
+        form = data[v]
+        _require_nonzero_pair(*form, "node", v)
+        leg_values = []
         for weight, u in legs:
             i_w = wm.get(u, 0) + 1
             if i_w == 0:
                 raise DiagramError(f"boundary vertex {u!r} carries i = 0")
-            num, den = num * i_w + weight * den, den * i_w
-        arrows: list[ArrowPart] = []
+            leg_values.append((weight, i_w))
+        arrows = []
         for aid, weight in farrows:
-            i_a = wm.get(aid, 0) + 1
-            n_a = fm.get(aid, 0)
-            _require_nonzero_pair(i_a, n_a, f"arrowhead {aid}")
-            arrows.append(ArrowPart(weight=weight, i=i_a, n=n_a))
+            arrow = (wm.get(aid, 0) + 1, fm.get(aid, 0))
+            _require_nonzero_pair(*arrow, "arrowhead", aid)
+            arrows.append((weight, arrow))
         if wm.get(v, 0):
-            # dashed arrow drawn at the node: weight 1, N = 0, and one less
-            # in the Euler characteristic
             i_a = wm[v] + 1
             if i_a == 0:
                 raise DiagramError(f"dashed arrow at node {v!r} with i = 0")
-            arrows.append(ArrowPart(weight=1, i=i_a, n=0))
+            arrows.append((1, (i_a, 0)))
             chi -= 1
-        num += chi * den
+        rows.append((v, form, leg_values, arrows, chi))
+    return rows, specials, data
+
+
+def _node_const(legs, chi: int) -> tuple[int, int]:
+    """A node's constant chi + sum of d_vw / i_w as num / den."""
+    num, den = 0, 1
+    for weight, i_w in legs:
+        num, den = num * i_w + weight * den, den * i_w
+    return num + chi * den, den
+
+
+def _zeta_splice(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None) -> ZetaResult:
+    rows, specials, data = _splice_rows(d, f, w)
+    node_terms: list[NodeTerm] = []
+    for v, form, legs, arrows, chi in rows:
+        num, den = _node_const(legs, chi)
         g = gcd(num, den) if den > 0 else -gcd(num, den)
         const = num // g if den == g else Fraction(num // g, den // g)  # an int where integral
-        node_terms.append(NodeTerm(vertex=v, nu=nu_v, n=n_v, const=const, arrows=tuple(arrows)))
+        parts = tuple(ArrowPart(weight, *arrow) for weight, arrow in arrows)
+        node_terms.append(NodeTerm(v, *form, const, parts))
     edge_terms = [EdgeTerm((a, b), q, *data[a], *data[b]) for a, b, q in specials]
     return ZetaResult.from_terms(node_terms, edge_terms)
+
+
+def target_residue(lam: UnityRoot, modulus: int) -> int | None:
+    """u with exp(-2 pi i u/modulus) = lam, or None when ord(lam)∤modulus."""
+    frac = lam.frac  # p/q, read once: UnityRoot's p and q are properties
+    if modulus % frac.denominator:
+        return None
+    return (-frac.numerator * (modulus // frac.denominator)) % modulus
+
+
+def _hit_numerator(a: int, n: int, lam: UnityRoot) -> int | None:
+    """P with -a/n = P/q, q = ord(lam), when exp(-2 pi i a/n) = lam; else
+    None, as at n = 0 (see the module docstring)."""
+    if n:
+        u = target_residue(lam, n)
+        if u is not None and (a - u) % n == 0:
+            return -a * lam.q // n
+    return None
+
+
+def _parts_at(terms, p: int, q: int) -> list[int]:
+    """[n1, d1, n2, d2]: the principal part (n1/d1) / (s - r) + (n2/d2) /
+    (s - r)^2 at r = p/q of the sum of the terms (n, d, forms), each
+    (n/d) / prod(a + s b) over at most two integer forms (a, b).  A term
+    contributes only when one of its forms vanishes at r (see the module
+    docstring)."""
+    acc = [0, 1, 0, 1]
+    for n, d, forms in terms:
+        k = 0
+        for a, b in forms:
+            v = a * q + b * p
+            if v:
+                # a + r b = v / q
+                n, d = n * q, d * v
+            else:
+                d *= b
+                k += 2
+        if k:
+            _add_to(acc, k - 2, n, d)
+    return acc
+
+
+def pole_at(
+    d: SpliceDiagram, fm: PDivisor | None, w: PDivisor | None, lam: UnityRoot
+) -> Pole | None:
+    """The least pole r of Z(d, F, W; s) with exp(2 pi i r) = lam, with its
+    order and leading coefficient, or None: the first pole of
+    ``zeta_splice(d, fm, w).poles()`` that maps to lam, raising where
+    ``zeta_splice`` raises.  Only the terms that vanish at a root mapping to
+    lam are summed (see the module docstring)."""
+    rows, specials, data = _splice_rows(d, fm, w)
+    hits = set()
+    for _, (nu_v, n_v), _, arrows, _ in rows:
+        hits.add(_hit_numerator(nu_v, n_v, lam))
+        for _, (i, n) in arrows:
+            hits.add(_hit_numerator(i, n, lam))
+    hits.discard(None)
+    if not hits:
+        return None
+    q = lam.q
+    terms = [
+        (weight, 1, (form, arrow)) for _, form, _, arrows, _ in rows for weight, arrow in arrows
+    ]
+    terms += [(qe, 1, (data[a], data[b])) for a, b, qe in specials]
+    for p in sorted(hits):
+        consts = [
+            (*_node_const(legs, chi), (form,))
+            for _, form, legs, _, chi in rows
+            if form[0] * q + form[1] * p == 0
+        ]
+        n1, d1, n2, d2 = _parts_at(consts + terms, p, q)
+        if n2:
+            return Pole(Fraction(p, q), 2, Fraction(n2, d2))
+        if n1:
+            return Pole(Fraction(p, q), 1, Fraction(n1, d1))
+    return None
 
 
 def zeta_plumbing(
@@ -404,12 +523,12 @@ def _zeta_plumbing(g: PlumbingGraph, f: PDivisor | None, w: PDivisor | None) -> 
     for v in g.vertices:
         nu_v = kv[v.id] + 1
         n_v = nv[v.id]
-        _require_nonzero_pair(nu_v, n_v, f"vertex {v.id}")
+        _require_nonzero_pair(nu_v, n_v, "vertex", v.id)
         transforms: list[ArrowPart] = []
         for a in g.farrows_at(v.id):
             i_a = wm.get(a.id, 0) + 1
             n_a = fm.get(a.id, 0)
-            _require_nonzero_pair(i_a, n_a, f"arrowhead {a.id}")
+            _require_nonzero_pair(i_a, n_a, "arrowhead", a.id)
             transforms.append(ArrowPart(weight=1, i=i_a, n=n_a))
         if wm.get(v.id, 0):
             i_a = wm[v.id] + 1

@@ -25,6 +25,7 @@ from splicezeta.realize import (
     FACTOR_TRIAL_LIMIT,
     ExtensionObstructedError,
     NotAnEigenvalueError,
+    Realization,
     StarRootError,
     _below7,
     _compile_hits,
@@ -902,3 +903,63 @@ def test_extend_allowed_refuses_keys_off_the_right_half():
     assert extend_allowed(d, ("v1", "v0"), w_flat | {"bR": 0}) == extend_allowed(
         d, ("v1", "v0"), w_flat
     )
+
+
+def _certify_reference(d, fm, w, lam, source, effective):
+    """certify as it was before ``zeta.pole_at``: the first pole of the whole
+    zeta function whose exponential is lam."""
+    w = {s: m for s, m in w.items() if m}
+    if effective and any(m < 0 for m in w.values()):
+        return None
+    try:
+        if not is_allowed(d, fm, w).allowed:
+            return None
+        z = zeta_splice(d, fm, w)
+        for p in z.poles():
+            if UnityRoot.from_exponent(p.location) == lam:
+                return Realization(
+                    w=dict(sorted(w.items())),
+                    s0=p.location,
+                    order=p.order,
+                    leading=p.leading,
+                    eigenvalue=lam,
+                    source=source,
+                )
+    except DiagramError:
+        return None
+    return None
+
+
+def test_certify_matches_the_whole_zeta_reference(monkeypatch):
+    # every candidate of every corpus query, at every lambda in Eig, plain
+    # and effective, without and with the arrowhead doubles: certify gives
+    # what the reference gives
+    from splicezeta import realize
+    from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
+    from splicezeta.diagrams import plumbing_to_splice
+
+    compared = []
+    certify_once = realize.certify
+
+    def both(*args):
+        got = certify_once(*args)
+        assert got == _certify_reference(*args), args
+        compared.append(got is not None)
+        return got
+
+    monkeypatch.setattr(realize, "certify", both)
+    diagrams = list(golden_splice_diagrams().values())
+    for g in golden_plumbing_graphs().values():
+        try:
+            diagrams.append(plumbing_to_splice(g))
+        except DiagramError:
+            continue
+    for d in diagrams:
+        try:
+            lams = _eig(d)
+        except DiagramError:
+            continue
+        for lam in lams:
+            for effective, doubles in itertools.product((False, True), (False, True)):
+                realize_eigenvalue(d, lam, effective=effective, include_doubles=doubles)
+    assert 0 < sum(compared) < len(compared)

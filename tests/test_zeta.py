@@ -1,6 +1,7 @@
 """Topological zeta functions: golden values, oracle equality, pole structure."""
 
 import random
+from math import gcd
 from collections import defaultdict
 from itertools import chain
 from dataclasses import replace
@@ -21,13 +22,15 @@ from splicezeta.corpus import (
 )
 from splicezeta.diagrams import DiagramError, blowup, plumbing_to_splice
 from splicezeta.divisors import nu_values, vertex_multiplicities
-from splicezeta.exact import Poly, RatFunc
+from splicezeta.exact import Poly, RatFunc, UnityRoot
 from splicezeta.generate import random_plumbing, random_valid_splice
+from splicezeta.monodromy import delta1, eig_contains
 from splicezeta.zeta import (
     ArrowPart,
     EdgeTerm,
     NodeTerm,
     ZetaResult,
+    pole_at,
     principal_parts,
     reduced_ratfunc,
     summands,
@@ -746,3 +749,92 @@ def test_planned_splice_terms_equal_the_per_call_assembly():
             compared += 1
             fractions += any(type(x) is Fraction for x in entries)
     assert compared > 250 and refused > 40 and fractions > 80
+
+
+def _first_hit(d, f, w, lam):
+    """The first pole of the whole zeta function whose exponential is lam."""
+    poles = zeta_splice(d, f, w).poles()
+    return next((p for p in poles if UnityRoot.from_exponent(p.location) == lam), None)
+
+
+def _same_pole_at(d, f, w, lam) -> str:
+    """Whether ``pole_at`` gives ``_first_hit``, raising where it raises;
+    the kind of the shared outcome."""
+    try:
+        want = _first_hit(d, f, w, lam)
+    except DiagramError:
+        with pytest.raises(DiagramError):
+            pole_at(d, f, w, lam)
+        return "refused"
+    got = pole_at(d, f, w, lam)
+    assert got == want, (f, w, lam)
+    return "none" if want is None else f"order {want.order}"
+
+
+def _eig_and_more(rng, d, f, w) -> list[UnityRoot]:
+    """Every lam in Eig(d), the exponentials of the poles at F and W, and two
+    random roots of unity of small order."""
+    orders = set(delta1(d).root_orders())
+    for m in d.f_divisor().values():
+        orders.update(q for q in range(1, m + 1) if m % q == 0)
+    lams = {UnityRoot(p, q) for q in orders for p in range(q) if eig_contains(d, UnityRoot(p, q))}
+    try:
+        lams.update(UnityRoot.from_exponent(p.location) for p in zeta_splice(d, f, w).poles())
+    except DiagramError:
+        pass
+    for _ in range(2):
+        q = rng.randint(1, 30)
+        lams.add(UnityRoot(rng.randrange(q), q))
+    return sorted(lams, key=lambda lam: lam.frac)
+
+
+def pole_at_triples(rng, n) -> dict[str, int]:
+    """n random (d, W, lam) triples through ``_same_pole_at``: diagrams with
+    dashed arrows, W on the boundary, node and double slots (i = 0 and
+    random F, zero F included, now and then), each lam of ``_eig_and_more``."""
+    outcomes = defaultdict(int)
+    done = 0
+    while done < n:
+        d = random_valid_splice(rng, max_nodes=4, max_weight=13, with_warrows=True)
+        slots = [*d.boundary_vertices(), *d.nodes(), *(a.id for a in d.farrows)]
+        f = None
+        if rng.random() < 0.2:
+            f = {a.id: rng.randint(0, 3) for a in d.farrows}
+        for _ in range(2):
+            w = {s: rng.randint(-2, 4) for s in slots if rng.random() < 0.5}
+            for lam in _eig_and_more(rng, d, f, w):
+                outcomes[_same_pole_at(d, f, w, lam)] += 1
+                done += 1
+    return dict(outcomes)
+
+
+def test_pole_at_matches_the_first_hit_of_poles():
+    # the corpus at its own decorations, then random triples
+    lams = [UnityRoot(p, q) for q in range(1, 43) for p in range(q) if gcd(p, q) == 1]
+    outcomes = defaultdict(int)
+    for d in golden_splice_diagrams().values():
+        for lam in lams:
+            outcomes[_same_pole_at(d, None, None, lam)] += 1
+    assert outcomes["order 1"] > 0 and outcomes["none"] > 0
+    random_outcomes = pole_at_triples(random.Random(31), 4000)
+    assert sum(random_outcomes.values()) >= 4000
+    assert all(random_outcomes.get(k) for k in ("order 1", "none", "refused")), random_outcomes
+    # the W's of selfcheck criterion 6, where the residue at s0 cancels
+    d = two_cusp_diagram()
+    for i1p, i2p in ((1, 1), (4, -3), (1, 2), (2, 1), (2, 3)):
+        w = {"leg1": 2, "bR": i1p - 1, "leg1p": i2p - 1}
+        s0 = Fraction(15 - 6 * (3 * i1p + 2 * i2p), 6)
+        lam = UnityRoot.from_exponent(s0)
+        _same_pole_at(d, None, w, lam)
+        got = pole_at(d, None, w, lam)
+        assert got is None or got.location != s0
+
+
+def test_pole_at_double_pole():
+    # two roots of the splice sum meet at s0 = -4, where W makes a pole of
+    # order 2 the first that maps to 1
+    d = two_cusp_diagram()
+    w = {"bL": 4, "leg1": 0, "bR": -3, "a0": 3}
+    assert _same_pole_at(d, None, w, UnityRoot(0, 1)) == "order 2"
+    pole = pole_at(d, None, w, UnityRoot(0, 1))
+    assert (pole.location, pole.order, pole.leading) == (-4, 2, 1)
