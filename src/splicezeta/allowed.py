@@ -191,6 +191,49 @@ def star_allowed(r: int, legs) -> bool:
     return divisible < need or matched >= need
 
 
+def _arrow_zeros(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]):
+    """The nonzero condition's failures at the arrows, one message each,
+    built only when asked for: a pure dashed arrow with i = 0, an
+    arrowhead with (N, i) = (0, 0)."""
+    fids = d._farrow_by_id
+    for slot, mult in wm.items():
+        if mult == -1 and slot not in fids:
+            yield f"pure dashed arrow at {slot!r} has i = 0"
+    for a in d.farrows:
+        if not fm.get(a.id, 0) and wm.get(a.id, 0) == -1:
+            yield f"arrowhead {a.id!r} has (N, i) = (0, 0)"
+
+
+def _stars(d: SpliceDiagram, wm: dict[str, int]):
+    """Each node of ``star_legs(d)`` in order, as (node, r, star, legs): its
+    legs (d_l, slot, cut) and their (d_l, i_l) at W, with a dashed arrow
+    drawn at the node last, as (1, node, None).  Refuses a diagram without
+    a node at the first step."""
+    table = star_legs(d)
+    if not table:
+        raise DiagramError("piece without a unique node")
+    for node in sorted(table):
+        r, star = table[node]
+        legs = [(dl, wm.get(slot, 0) + 1 if cut is None else cut.value(wm)) for dl, slot, cut in star]
+        if wm.get(node, 0):
+            star = (*star, (1, node, None))
+            legs.append((1, wm[node] + 1))
+        yield node, r, star, legs
+
+
+def allowed_at(d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None = None) -> bool:
+    """``is_allowed(d, f, w).allowed``, with no report built: the same
+    legs, the same nonzero condition and the same ``star_allowed``, up to
+    the first failure."""
+    require_valid(d)
+    fm = f_of(d, f)
+    wm = w_of(d, w)
+    for _, r, _, legs in _stars(d, wm):
+        if not star_allowed(r, legs) or any(il == 0 for _, il in legs):
+            return False
+    return next(_arrow_zeros(d, fm, wm), None) is None
+
+
 def is_allowed(
     d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> AllowedVerdict:
@@ -200,41 +243,24 @@ def is_allowed(
     require_valid(d)
     fm = f_of(d, f)
     wm = w_of(d, w)
-    table = star_legs(d)
-    if not table:
-        raise DiagramError("piece without a unique node")
-    nonzero_detail: list[str] = []
-    fids = {a.id for a in d.farrows}
-    for slot, mult in wm.items():
-        if slot not in fids and mult + 1 == 0:
-            nonzero_detail.append(f"pure dashed arrow at {slot!r} has i = 0")
-    for a in d.farrows:
-        if fm.get(a.id, 0) == 0 and wm.get(a.id, 0) + 1 == 0:
-            nonzero_detail.append(f"arrowhead {a.id!r} has (N, i) = (0, 0)")
+    nonzero_detail = list(_arrow_zeros(d, fm, wm))
     checks = []
-    for node in sorted(table):
-        r, star = table[node]
-        legs = [
-            (dl, wm.get(slot, 0) + 1 if cut is None else cut.value(wm), slot, cut)
-            for dl, slot, cut in star
-        ]
-        if wm.get(node, 0):
-            legs.append((1, wm[node] + 1, node, None))
+    for node, r, star, pairs in _stars(d, wm):
+        zeros = [(slot, cut) for (_, slot, cut), (_, il) in zip(star, pairs) if il == 0]
         # the star's dashed arrows list its own slots sorted, then its leaves
-        zero = sorted(slot for _, i, slot, cut in legs if i == 0 and cut is None)
-        zero += [slot for _, i, slot, cut in legs if i == 0 and cut is not None]
+        zero = sorted(slot for slot, cut in zeros if cut is None)
+        zero += [slot for slot, cut in zeros if cut is not None]
         nonzero_detail += [
             f"induced dashed arrow at {slot!r} (star {node}) has i = 0" for slot in zero
         ]
-        pairs = [(dl, il) for dl, il, *_ in legs]
         divisible = [k for k, (dl, il) in enumerate(pairs) if il % dl == 0]
         matched = [k for k, (dl, il) in enumerate(pairs) if il == dl]
         ok = star_allowed(r, pairs)
         reason = None
         if not ok:
-            slots = [legs[k][2] for k in divisible if k not in matched]
+            slots = [star[k][1] for k in divisible if k not in matched]
             reason = (
-                f"d | i at {len(divisible)} legs (need i = d at {len(legs) + r - 2}, "
+                f"d | i at {len(divisible)} legs (need i = d at {len(pairs) + r - 2}, "
                 f"have {len(matched)}); offending slots: {', '.join(slots)}"
             )
         checks.append(StarCheck(node, r, pairs, divisible, matched, ok, reason))

@@ -31,6 +31,7 @@ import functools
 import sys
 from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import NamedTuple
 
 from .allowed import check_goal1, is_allowed, semigroup_condition
@@ -52,7 +53,7 @@ from .io import ParseError, parse_diagram, print_splice
 from .monodromy import alexander, delta0, delta1, eig_contains
 from .realize import NotAnEigenvalueError, realize_eigenvalue
 from .splicing import star_decomposition, verify_splice_zeta
-from .zeta import ZetaResult, zeta_plumbing, zeta_splice
+from .zeta import ZetaResult, reduced_coefficients, zeta_plumbing, zeta_splice
 
 
 class CliError(Exception):
@@ -119,14 +120,19 @@ def _load_splice(path: str) -> tuple[str, SpliceDiagram]:
         raise CliError(2, f"cannot convert plumbing graph: {exc}") from None
 
 
-def _poly_coeffs(p) -> list[str]:
-    return [format_fraction(c) for c in p.coeffs]
+def _ratio(n: int, d: int) -> str:
+    """``format_fraction(Fraction(n, d))`` for ints with d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _zeta_payload(z: ZetaResult) -> dict:
+    """The reduced num/den printed from ``reduced_coefficients``' integers
+    (the coefficients of ``z.func``, which is not built), and the terms."""
+    num, num_den, den, den_den = reduced_coefficients(z.const, z.parts)
     return {
-        "numerator": _poly_coeffs(z.func.num),
-        "denominator": _poly_coeffs(z.func.den),
+        "numerator": [_ratio(x, num_den) for x in num],
+        "denominator": [_ratio(x, den_den) for x in den],
         "node_terms": [
             {
                 "vertex": t.vertex,
@@ -163,37 +169,59 @@ def _cyclo_payload(c: CycloProduct) -> dict:
     return out
 
 
+# the '"name": ' prefix of every field name a payload writes, encoded once;
+# any other key (a vertex or slot id) is encoded where it is written
+_KEY_PREFIXES = {
+    k: encode_basestring_ascii(k) + ": "
+    for k in """M M_prime N alexander allowed arrows base bound checked checks coefficients
+    congruences const d degenerate delta0 delta1 denominator detail diagnostics edge edge_terms
+    eigenvalue explored factors failures found generators holds i i_prime identity_holds in_eig
+    kind lambda leading left legs modulus name node node_terms nonzero note nu numerator ok
+    order poles polynomial q r reason reductions right s0 source splice stars status target
+    valid values vertex vertices violations w weight where window zeta""".split()
+}
+
+
 def _json(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for str,
     int, bool, None, lists, tuples and dicts with str keys; anything else
     (a float, a Fraction, a non-str key) raises TypeError."""
-    # containers are tested first: a plain str or int child is written in
-    # place, without a call per scalar, so most calls are for containers;
-    # bools, None and subclasses recurse
+    # plain dicts, lists and tuples are told by their exact type, and their
+    # plain str and int children are written in place, without a call per
+    # scalar; bools, None and subclasses take the isinstance tests below
+    t = type(obj)
     inner = newline + "  "
-    if isinstance(obj, dict):
+    if t is dict:
         if not obj:
             return "{}"
-        # encode_basestring_ascii raises TypeError on a non-str key
-        items = [
-            encode_basestring_ascii(k) + ": " + (
-                encode_basestring_ascii(v) if type(v) is str
-                else int.__repr__(v) if type(v) is int
-                else _json(v, inner)
+        items = []
+        for k in sorted(obj):
+            v = obj[k]
+            tv = type(v)
+            # encode_basestring_ascii raises TypeError on a non-str key
+            items.append(
+                (_KEY_PREFIXES.get(k) or encode_basestring_ascii(k) + ": ")
+                + (
+                    encode_basestring_ascii(v) if tv is str
+                    else repr(v) if tv is int
+                    else _json(v, inner)
+                )
             )
-            for k, v in sorted(obj.items())
-        ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
+    if t is list or t is tuple:
         if not obj:
             return "[]"
         items = [
             encode_basestring_ascii(v) if type(v) is str
-            else int.__repr__(v) if type(v) is int
+            else repr(v) if type(v) is int
             else _json(v, inner)
             for v in obj
         ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        return _json(dict(obj), newline)
+    if isinstance(obj, (list, tuple)):
+        return _json(list(obj), newline)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:

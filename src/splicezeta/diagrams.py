@@ -36,7 +36,21 @@ leaves first, and then, root first, with x_parent = 0 at a root,
 
     x_v = (beta_v + x_parent E_v) / D_v.
 
-E_x / D_c is the product of the other children's D, an integer.  A graph
+E_x / D_c is the product of the other children's D, an integer.
+
+Every side from one more pass.  With s_x = sum_c E_c prod_{c' != c} D_c'
+kept from the leaf-first pass (D_x = (-e_x) E_x - s_x), the side of v's
+child u is u's subtree, D_u, and the side of v's parent p is the tree
+minus v's subtree, U_v.  Rooted at p, that side's branches are p's other
+children and p's own parent side (determinant U_p; minus its root, V_p;
+U = 1 and V = 0 at a root).  With P_p = E_p U_p and S_p = s_p U_p +
+V_p E_p, the product of p's branch determinants and the sum of each
+branch's E times the other branches' determinants,
+
+    V_v = P_p / D_v,    U_v = (-e_p) V_v - (S_p - E_v V_v) / D_v,
+
+root first.  Both divisions are exact when D_v != 0, as on a definite
+tree, so the sides of all edge ends cost O(n) integer steps.  A graph
 with a cycle is refused (``DiagramError``): a cycle in the resolution graph
 gives the link b1 > 0, so the integral homology sphere links of the paper
 have trees, and ``validate_plumbing`` refuses any other graph.
@@ -559,6 +573,16 @@ def edge_determinant(d: SpliceDiagram, e: Edge) -> int:
     return q - rest
 
 
+def edge_determinants(d: SpliceDiagram) -> tuple[int, ...]:
+    """q_e of every special edge, in ``special_edges`` order; computed once
+    per diagram and kept on it, for ``validate`` and the zeta plan alike."""
+    return d.memo(("edge determinants",), _edge_determinants, d)
+
+
+def _edge_determinants(d: SpliceDiagram) -> tuple[int, ...]:
+    return tuple(edge_determinant(d, e) for e in d.special_edges())
+
+
 def validate(d: SpliceDiagram) -> ValidationReport:
     """Check every diagram invariant; violations are data, not exceptions.
     The violations are found once per diagram and kept on it; each call
@@ -628,8 +652,7 @@ def _invariants(d: SpliceDiagram) -> ValidationReport:
                         f"weights {weights[i]} and {weights[j]} share a factor",
                     )
     # positive edge determinants
-    for e in d.special_edges():
-        q = edge_determinant(d, e)
+    for e, q in zip(d.special_edges(), edge_determinants(d)):
         if q <= 0:
             rep.add("edge-determinant", f"edge {e.key}", f"q_e = {q} <= 0")
     return rep
@@ -742,12 +765,12 @@ class PlumbingGraph(_Decorated):
     def self_int(self, v: str) -> int:
         return self.vertices[self._index[v]].self_int
 
-    def _bfs_tree(self, roots, cut: str | None = None) -> list[tuple[str, str | None]]:
+    def _bfs_tree(self, roots) -> list[tuple[str, str | None]]:
         """(vertex, parent) pairs, breadth first from each root not reached
-        yet, never entering ``cut``; a root's parent is None.  Every vertex
-        comes after its parent, so the reverse order goes leaves first."""
+        yet; a root's parent is None.  Every vertex comes after its parent,
+        so the reverse order goes leaves first."""
         tree: list[tuple[str, str | None]] = []
-        seen = {cut}
+        seen = set()
         for r in roots:
             if r in seen:
                 continue
@@ -763,8 +786,8 @@ class PlumbingGraph(_Decorated):
                 k += 1
         return tree
 
-    def _tree_pass(self, tree: list[tuple[str, str | None]]) -> tuple[dict, dict]:
-        """D_x and E_x at every vertex of the forest spanned by a
+    def _tree_pass(self, tree: list[tuple[str, str | None]]) -> tuple[dict, dict, dict]:
+        """D_x, E_x and s_x at every vertex of the forest spanned by a
         ``_bfs_tree``, which must have no other edges, by the leaf-first
         recurrence of the module docstring."""
         d: dict[str, int] = {}
@@ -772,55 +795,73 @@ class PlumbingGraph(_Decorated):
         s: dict[str, int] = {}  # sum over those c of E_c times the other D_c'
         for x, parent in reversed(tree):
             ex = e.setdefault(x, 1)
-            dx = d[x] = -self.self_int(x) * ex - s.pop(x, 0)
+            dx = d[x] = -self.self_int(x) * ex - s.setdefault(x, 0)
             if parent is not None:
                 ep = e.get(parent, 1)
                 s[parent] = s.get(parent, 0) * dx + ex * ep
                 e[parent] = ep * dx
-        return d, e
-
-    def _side_det(self, v: str, u: str) -> int:
-        """det(-I) of the component of G - v containing u (of v's own
-        component when u == v); that component must be a tree."""
-        return self._tree_pass(self._bfs_tree((u,), None if u == v else v))[0][u]
+        return d, e, s
 
     @cached_property
-    def _forest(self) -> tuple[list, dict[str, int], dict[str, int]]:
-        """(tree, D, E) of the leaf-first pass over the whole graph, computed
-        once per graph; a graph with a cycle is refused."""
+    def _forest(self) -> tuple[list, dict[str, int], dict[str, int], dict[str, int]]:
+        """(tree, D, E, s) of the leaf-first pass over the whole graph,
+        computed once per graph; a graph with a cycle is refused."""
         tree = self._bfs_tree([v.id for v in self.vertices])
         components = sum(1 for _, parent in tree if parent is None)
         if len(self.edges) != len(self.vertices) - components:
             raise DiagramError("plumbing graph has a cycle")
         return (tree, *self._tree_pass(tree))
 
+    def _side_dets(self) -> dict[tuple[str, str], int]:
+        """(v, u) -> det(-I) of the component of G - v containing u, for
+        both ends of every edge of a negative definite forest: the forest
+        pass and one root-first pass (see the module docstring)."""
+        tree, d, e, s = self._forest
+        whole: dict[str, tuple[int, int]] = {}  # x -> (P_x, S_x)
+        sides: dict[tuple[str, str], int] = {}
+        for x, p in tree:
+            ex = e[x]
+            if p is None:
+                whole[x] = (ex, s[x])
+                continue
+            dx = d[x]
+            pp, sp = whole[p]
+            vx = pp // dx
+            ux = -self.self_int(p) * vx - (sp - ex * vx) // dx
+            sides[p, x] = dx
+            sides[x, p] = ux
+            whole[x] = (ex * ux, s[x] * ux + vx * ex)
+        return sides
+
     def det_minus_I(self) -> int:
         """det(-I(G)): the product of D at the roots of the forest pass."""
-        tree, d, _ = self._forest
+        tree, d = self._forest[:2]
         return prod(d[x] for x, parent in tree if parent is None)
 
     def is_negative_definite(self) -> bool:
         """Every D_x of the forest pass is positive."""
         return all(dx > 0 for dx in self._forest[1].values())
 
-    def solve_minus_I(self, rhs: dict[str, int]) -> dict[str, Fraction]:
+    def solve_minus_I(self, rhs: dict[str, int]) -> dict[str, int | Fraction]:
         """x with -I(G) x = rhs (one entry per vertex), by the beta_x and x_v
-        recurrences of the module docstring."""
+        recurrences of the module docstring: an int where x_v is integral,
+        a ``Fraction`` only where it is not."""
         if not self.is_negative_definite():
             raise DiagramError("plumbing graph is not negative definite")
-        tree, d, e = self._forest
+        tree, d, e, _ = self._forest
         beta: dict[str, int] = {}  # sum over x's children c of beta_c E_x / D_c, then beta_x
         for x, parent in reversed(tree):
             bx = beta[x] = rhs[x] * e[x] + beta.get(x, 0)
             if parent is not None:
                 beta[parent] = beta.get(parent, 0) + bx * (e[parent] // d[x])
-        sol: dict[str, tuple[int, int]] = {}  # x_v as a reduced (num, den)
+        # x_v as a reduced (num, den); keyed in vertex order from the start
+        sol: dict[str, tuple[int, int]] = dict.fromkeys(self._index)
         for x, parent in tree:
             pn, pq = (0, 1) if parent is None else sol[parent]
             n, q = beta[x] * pq + pn * e[x], pq * d[x]
             g = gcd(n, q)
             sol[x] = (n // g, q // g)
-        return {x: Fraction(n, q) for x, (n, q) in sol.items()}
+        return {x: n if q == 1 else Fraction(n, q) for x, (n, q) in sol.items()}
 
     def is_unimodular(self) -> bool:
         return self.is_negative_definite() and self.det_minus_I() == 1
@@ -876,9 +917,10 @@ def plumbing_to_splice(g: PlumbingGraph) -> SpliceDiagram:
     subtree cut off in that direction; arrowheads on strings become
     node-supported arrowheads with the string determinant as weight.
 
-    Each weight is one leaf-first integer pass over its side (see the module
-    docstring), so a conversion costs O(n) per string end and never forms a
-    matrix.  Refuses graphs that are disconnected, not trees, or not
+    Every weight is read from one table of side determinants, the forest
+    pass and one root-first pass over the whole graph (see the module
+    docstring), so a conversion costs O(n) integer steps per graph and never
+    forms a matrix.  Refuses graphs that are disconnected, not trees, or not
     unimodular and negative definite.  The diagram is built once per graph
     and kept on it, so every caller shares it (and its own memo)."""
     return g.memo(("splice diagram",), _plumbing_to_splice, g)
@@ -902,6 +944,7 @@ def _plumbing_to_splice(g: PlumbingGraph) -> SpliceDiagram:
     warrow_out: list[Warrow] = []
     done_pairs: set[tuple[str, str]] = set()
     nodes = set(node_ids)
+    side = g._side_dets()
 
     def walk(v: str, first: str) -> tuple[list[str], str | None]:
         """Follow the string from v through first; return (chain, end node or None)."""
@@ -929,12 +972,11 @@ def _plumbing_to_splice(g: PlumbingGraph) -> SpliceDiagram:
                     continue
                 done_pairs.add(pair)
                 check_interior(chain)
-                wa = g._side_det(v, u)
-                wb = g._side_det(end, chain[-1] if chain else v)
-                edges.append(Edge(v, end, wa, wb))
+                wb = side[end, chain[-1] if chain else v]
+                edges.append(Edge(v, end, side[v, u], wb))
             else:
                 check_interior(chain[:-1])
-                det = g._side_det(v, u)
+                det = side[v, u]
                 tip = chain[-1]
                 tip_arrows = g.farrows_at(tip)
                 if tip_arrows:

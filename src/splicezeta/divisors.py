@@ -149,17 +149,17 @@ def node_data(
 # plumbing-level linear algebra
 
 
-def _as_int_if_possible(x: Fraction):
-    return int(x) if x.denominator == 1 else x
-
-
 def pullback_plumbing(g: PlumbingGraph, arrows: PDivisor | None = None) -> dict[str, int | Fraction]:
     """Coefficients of the exceptional part of pi^*F: solve (pi^*F, E_i) = 0."""
-    by_vertex: dict[str, int] = {v.id: 0 for v in g.vertices}
-    for aid, mult in f_of(g, arrows).items():
-        by_vertex[g.farrow(aid).at] += mult
-    sol = g.solve_minus_I(by_vertex)
-    return {v.id: _as_int_if_possible(sol[v.id]) for v in g.vertices}
+    return solve_pullback(g, f_of(g, arrows))
+
+
+def solve_pullback(g: PlumbingGraph, fm: dict[str, int]) -> dict[str, int | Fraction]:
+    """``pullback_plumbing`` for an F already read through ``f_of``."""
+    rhs = dict.fromkeys(g._index, 0)
+    for aid, mult in fm.items():
+        rhs[g.farrow(aid).at] += mult
+    return g.solve_minus_I(rhs)
 
 
 def canonical_plumbing(g: PlumbingGraph, w: PDivisor | None = None) -> dict[str, int | Fraction]:
@@ -169,8 +169,12 @@ def canonical_plumbing(g: PlumbingGraph, w: PDivisor | None = None) -> dict[str,
     (K, E_i) = -e_i - 2; the W part solves (pi^*W, E_i) = 0 from the dashed
     arrowhead multiplicities.
     """
-    by_vertex: dict[str, int] = {v.id: 0 for v in g.vertices}
-    for slot, mult in w_of(g, w).items():
-        by_vertex[slot if slot in by_vertex else g.farrow(slot).at] += mult
-    sol = g.solve_minus_I({v: g.self_int(v) + 2 + m for v, m in by_vertex.items()})
-    return {v.id: _as_int_if_possible(sol[v.id]) for v in g.vertices}
+    return solve_canonical(g, w_of(g, w))
+
+
+def solve_canonical(g: PlumbingGraph, wm: dict[str, int]) -> dict[str, int | Fraction]:
+    """``canonical_plumbing`` for a W already read through ``w_of``."""
+    rhs = {v.id: v.self_int + 2 for v in g.vertices}
+    for slot, mult in wm.items():
+        rhs[slot if slot in rhs else g.farrow(slot).at] += mult
+    return g.solve_minus_I(rhs)

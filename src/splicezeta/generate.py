@@ -208,7 +208,7 @@ def random_valid_splice(rng: random.Random, **kw) -> SpliceDiagram:
 
 def random_allowed_w(rng: random.Random, d: SpliceDiagram, tries: int = 200) -> dict[str, int] | None:
     """Rejection-sample a nontrivial allowed W on boundary slots and doubles."""
-    from .allowed import is_allowed
+    from .allowed import allowed_at
 
     slots = list(d.boundary_vertices()) + [a.id for a in d.farrows]
     for _ in range(tries):
@@ -218,7 +218,7 @@ def random_allowed_w(rng: random.Random, d: SpliceDiagram, tries: int = 200) -> 
                 m = rng.choice([-3, -2, -1, 1, 2, 3, 4])
                 w[s] = m
         try:
-            if is_allowed(d, None, w).allowed:
+            if allowed_at(d, None, w):
                 return w
         except DiagramError:
             continue

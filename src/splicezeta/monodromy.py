@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, require_valid
-from .divisors import PDivisor, effective_f, is_own, pullback_plumbing, vertex_multiplicities
+from .divisors import PDivisor, effective_f, is_own, solve_pullback, vertex_multiplicities
 from .exact import CycloProduct, UnityRoot
 
 
@@ -32,7 +32,7 @@ def _multiplicities(x: SpliceDiagram | PlumbingGraph, fm: dict[str, int]) -> dic
     pullback of F by the intersection form on a plumbing graph (where N_v may
     be rational)."""
     if isinstance(x, PlumbingGraph):
-        return pullback_plumbing(x, fm)
+        return solve_pullback(x, fm)
     x.require_standard()
     return vertex_multiplicities(x, fm)
 

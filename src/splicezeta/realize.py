@@ -49,10 +49,10 @@ allowedness check builds no star, but reads each node's legs off the table
 cached on the diagram (``splicing.star_legs``), the one the query's star
 filters were compiled from, and ``zeta.pole_at`` reads the diagram's kept
 zeta plan and fills in only nu, N and i.  Every candidate is judged by
-``is_allowed`` and by ``pole_at``, the least pole mapping to lambda, which
-sums only the terms that vanish at the roots mapping to lambda and is
-exactly the first such pole of ``zeta_splice(...).poles()`` (see the
-``zeta`` module docstring).
+``allowed_at`` (``is_allowed``'s verdict, with no report built) and by
+``pole_at``, the least pole mapping to lambda, which sums only the terms
+that vanish at the roots mapping to lambda and is exactly the first such
+pole of ``zeta_splice(...).poles()`` (see the ``zeta`` module docstring).
 
 What a query needs that is free of F, W and lambda is kept on the diagram:
 the searched slots, their star forms and each node's nu at W = 0 and
@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .allowed import is_allowed, star_allowed
+from .allowed import allowed_at, star_allowed
 from .diagrams import DiagramError, Edge, SpliceDiagram, require_valid
 from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities, w_of
 from .exact import UnityRoot, solve_linear_congruence
@@ -286,7 +286,7 @@ def certify(
     if effective and any(m < 0 for m in w.values()):
         return None
     try:
-        if not is_allowed(d, fm, w).allowed:
+        if not allowed_at(d, fm, w):
             return None
         pole = pole_at(d, fm, w, lam)
     except DiagramError:
@@ -414,8 +414,7 @@ def extend_allowed(
         for s, m in cand.items():
             if m:
                 w_full[s] = m
-        verdict = is_allowed(d, fm, w_full)
-        if not verdict.allowed:
+        if not allowed_at(d, fm, w_full):
             continue
         # restriction must reproduce w_flat exactly
         _, right = splice(d, e, fm, w_full)

@@ -36,21 +36,22 @@ reduced num/den has.  ``splicing.verify_splice_zeta`` compares these forms
 and no ``RatFunc``.
 
 Every kept root r is a pole of order o_r = 2 if a2_r != 0 and 1 otherwise.
-The denominator D = prod (s - r)^o_r is monic.  ``reduced_ratfunc`` builds
-the numerator C D + sum of a_k,r D / (s - r)^k over one integer
+The denominator D = prod (s - r)^o_r is monic.  ``reduced_coefficients``
+builds the numerator C D + sum of a_k,r D / (s - r)^k over one integer
 denominator: with r = p/q in lowest terms it forms the integer polynomial
 D' = prod (q s - p)^o_r = lead(D') D, takes each cofactor D' / (q s - p)^k
 by exact integer synthetic division (q s - p is primitive, so the quotient
 is integral by Gauss's lemma), and sums L (C D' + sum of a_k,r q^k
 D' / (q s - p)^k), where L is the lcm of the denominators of C and of every
-a_k,r.  Only the final coefficients, over L lead(D') and over lead(D'), are
-``Fraction``s.  At each pole r the numerator takes the value
+a_k,r.  It returns these integer coefficients with their denominators,
+L lead(D') and lead(D'); the CLI prints each ratio reduced, and
+``ZetaResult.func`` builds the ``RatFunc`` of ``Fraction``s from them on
+first use only.  At each pole r the numerator takes the value
 a_o_r,r times the product of the (r - r')^o_r' over the other poles r',
 which is not 0.  So the fraction is reduced.  A reduced rational function
 with a monic denominator is unique, so the result is exactly the ``RatFunc``
 that adding the terms one at a time, with a polynomial gcd after every
-addition, gives; no polynomial gcd is computed.  ``ZetaResult.func`` builds
-it on first use only.
+addition, gives; no polynomial gcd is computed.
 
 A diagram or graph keeps its zeta function at its own F and W in its
 ``memo``, so the commands on one object sum it once; other F and W, such as
@@ -109,14 +110,14 @@ from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, edge_determinant
+from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, edge_determinants
 from .divisors import (
     PDivisor,
-    canonical_plumbing,
     effective_f,
     is_own,
     node_data,
-    pullback_plumbing,
+    solve_canonical,
+    solve_pullback,
     w_of,
 )
 from .exact import Poly, Pole, RatFunc, UnityRoot
@@ -172,7 +173,8 @@ class ZetaResult:
 
     @cached_property
     def func(self) -> RatFunc:
-        """The reduced num/den, built on first use."""
+        """The reduced num/den as a ``RatFunc``, built on first use; the
+        ``zeta`` command prints ``reduced_coefficients`` and never builds it."""
         return reduced_ratfunc(self.const, self.parts)
 
     def poles(self) -> list[Pole]:
@@ -299,9 +301,13 @@ def _add_to(acc: list[int], k: int, n: int, d: int):
         acc[k + 1] = dk // g * d
 
 
-def reduced_ratfunc(const: Fraction, parts: dict[Fraction, tuple[Fraction, Fraction]]) -> RatFunc:
-    """C + sum of the principal parts as a reduced RatFunc (see the module
-    docstring), over one integer denominator."""
+def reduced_coefficients(
+    const: Fraction, parts: Mapping[Fraction, tuple[Fraction, Fraction]]
+) -> tuple[list[int], int, list[int], int]:
+    """C + sum of the principal parts as (num, num_den, den, den_den): the
+    reduced num/den's coefficients, ascending in s, are num[k] / num_den
+    and den[k] / den_den, all integers with num_den, den_den > 0 (see the
+    module docstring).  num is [] when the sum is 0, over den = [1]."""
     den = [1]
     for r, (_, a2) in parts.items():
         den = _times_root(den, r.numerator, r.denominator)
@@ -323,11 +329,17 @@ def reduced_ratfunc(const: Fraction, parts: dict[Fraction, tuple[Fraction, Fract
     while num and not num[-1]:
         num.pop()
     if not num:
-        return RatFunc._reduced(Poly(), Poly.const(1))
+        return [], 1, [1], 1
     lead = den[-1]
-    scale *= lead
+    return num, scale * lead, den, lead
+
+
+def reduced_ratfunc(const: Fraction, parts: Mapping[Fraction, tuple[Fraction, Fraction]]) -> RatFunc:
+    """C + sum of the principal parts as a reduced RatFunc, from
+    ``reduced_coefficients``."""
+    num, num_den, den, den_den = reduced_coefficients(const, parts)
     return RatFunc._reduced(
-        Poly([Fraction(x, scale) for x in num]), Poly([Fraction(x, lead) for x in den])
+        Poly([Fraction(x, num_den) for x in num]), Poly([Fraction(x, den_den) for x in den])
     )
 
 
@@ -360,7 +372,8 @@ def _zeta_plan(d: SpliceDiagram) -> tuple[tuple, tuple]:
         )
         for v in d.nodes()
     )
-    return nodes, tuple((e.a, e.b, edge_determinant(d, e)) for e in d.special_edges())
+    specials = zip(d.special_edges(), edge_determinants(d))
+    return nodes, tuple((e.a, e.b, q) for e, q in specials)
 
 
 def _splice_rows(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None):
@@ -515,8 +528,8 @@ def zeta_plumbing(
 def _zeta_plumbing(g: PlumbingGraph, f: PDivisor | None, w: PDivisor | None) -> ZetaResult:
     fm = effective_f(g, f)
     wm = w_of(g, w)
-    nv = pullback_plumbing(g, fm)
-    kv = canonical_plumbing(g, wm)
+    nv = solve_pullback(g, fm)
+    kv = solve_canonical(g, wm)
     # strict transforms at each vertex: (weight-like count, i, N)
     node_terms: list[NodeTerm] = []
     edge_terms: list[EdgeTerm] = []

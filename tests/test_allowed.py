@@ -12,12 +12,14 @@ from splicezeta.allowed import (
     SEMIGROUP_MAX_MIN_GENERATOR,
     SemigroupLimitError,
     SemigroupQuery,
+    allowed_at,
     check_goal1,
     is_allowed,
     semigroup_condition,
     semigroup_member,
 )
 from splicezeta.corpus import (
+    golden_splice_diagrams,
     plane_curve_staircase,
     two_cusp_diagram,
     unimodular_counterexample_plumbing,
@@ -295,6 +297,36 @@ def test_blowup_invariance_of_allowedness():
         for locus in rng.sample(loci, min(3, len(loci))):
             g2 = blowup(g, locus)
             assert is_allowed(plumbing_to_splice(g2)).allowed == base, (locus,)
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except DiagramError as exc:
+        return str(exc)
+
+
+def test_allowed_at_is_the_verdict_without_its_report():
+    # the boolean core gives is_allowed's .allowed, or the same refusal, on
+    # the corpus and on random diagrams at random F and W, with i = 0 on
+    # slots, slots that are no vertex and F without an arrowhead key
+    rng = random.Random(23)
+    diagrams = list(golden_splice_diagrams().values())
+    diagrams += [random_valid_splice(rng, max_nodes=4, max_weight=9) for _ in range(60)]
+    seen = dict.fromkeys([True, False, "refused"], 0)
+    for d in diagrams:
+        slots = [*d.vertices, *(a.id for a in d.farrows), "bogus"]
+        for k in range(40):
+            picked = rng.sample(slots, rng.randint(0, min(4, len(slots))))
+            w = {s: rng.choice([-2, -1, -1, 0, 1, 2, 3, 5]) for s in picked}
+            f = None if k % 3 else {a.id: rng.randint(0, 2) for a in d.farrows}
+            if k % 20 == 7:
+                f = {"bogus": 1}
+            got = _verdict(allowed_at, d, f, w)
+            want = _verdict(lambda *a: is_allowed(*a).allowed, d, f, w)
+            assert got == want, (d, f, w)
+            seen[got if isinstance(got, bool) else "refused"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_w_zero_allowed_under_semigroup_condition():

@@ -155,9 +155,9 @@ def test_values_at_other_decorations_are_not_kept():
 # and W it searches: besides these, a "cut" key per special edge and kept
 # end; "realize slots" is kept without and with the arrowhead doubles
 _REALIZE_KEYS = {
-    ("N",), ("canonical terms",), ("delta1",), ("invariants",), ("monodromy zeta",),
-    ("nu at W = 0",), ("realize slots", False), ("realize slots", True), ("star legs",),
-    ("stars at W = 0",), ("vertex set",), ("zeta",), ("zeta plan",),
+    ("N",), ("canonical terms",), ("delta1",), ("edge determinants",), ("invariants",),
+    ("monodromy zeta",), ("nu at W = 0",), ("realize slots", False), ("realize slots", True),
+    ("star legs",), ("stars at W = 0",), ("vertex set",), ("zeta",), ("zeta plan",),
 }
 
 

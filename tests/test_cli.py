@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -17,9 +18,12 @@ from hypothesis import strategies as st
 from splicezeta import cli
 from splicezeta.cli import _json, build_parser, main
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
-from splicezeta.exact import CycloLimitError, CycloProduct
+from splicezeta.diagrams import DiagramError, Farrow, PlumbingGraph, PVertex, plumbing_to_splice
+from splicezeta.exact import CycloLimitError, CycloProduct, format_fraction
+from splicezeta.generate import random_plumbing
 from splicezeta.io import ParseError, parse_diagram, print_diagram
 from splicezeta.selfcheck import CHECKS, run_selfcheck
+from splicezeta.zeta import ZetaResult, zeta_plumbing, zeta_splice
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "splicezeta" / "corpus"
 # a star whose edge weights 2 and 4 are not coprime: ``validate`` rejects it
@@ -671,7 +675,8 @@ _JSON_VALUES = st.recursive(
     | _JSON_TEXT,
     lambda kids: st.lists(kids)
     | st.lists(kids).map(tuple)
-    | st.dictionaries(_JSON_TEXT, kids),
+    # keys from the writer's table of field-name prefixes, and any other
+    | st.dictionaries(_JSON_TEXT | st.sampled_from(sorted(cli._KEY_PREFIXES)), kids),
     max_leaves=25,
 )
 
@@ -720,6 +725,42 @@ def test_cli_json_output_is_json_dumps_of_the_payload():
             if code == 0:
                 text = out.getvalue()
                 assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_zeta_payload_prints_the_reduced_function():
+    # the payload's numerator and denominator, printed from integers without
+    # building z.func, are format_fraction over z.func's coefficients: the
+    # corpus, ladder-style graphs by both routes, a graph with det(-I) = 5
+    # (rational N) and Z = 0
+    zs = []
+    for path in sorted(CORPUS.iterdir()):
+        kind, _, obj = parse_diagram(path.read_text())
+        with contextlib.suppress(DiagramError):  # e8 carries no F
+            zs.append(zeta_plumbing(obj) if kind == "plumbing" else zeta_splice(obj))
+    assert len(zs) == 12
+    rng = random.Random(22)
+    for k in range(200):
+        g = random_plumbing(rng, blowups=rng.choice([4, 7, 10, 13, 16]), arrows=2,
+                            warrow_chance=1.0 if k % 2 else 0.0)
+        zs.append(zeta_plumbing(g))
+        with contextlib.suppress(DiagramError):  # a chain decorated at two vertices
+            zs.append(zeta_splice(plumbing_to_splice(g)))
+    rational = PlumbingGraph(
+        [PVertex("a", -2), PVertex("b", -3)], [("a", "b")], [Farrow(id="f", at="a", weight=1, mult=1)]
+    )
+    zs.append(zeta_plumbing(rational))
+    zs.append(ZetaResult.from_terms((), ()))
+    fractional = 0
+    for z in zs:
+        payload = cli._zeta_payload(z)
+        assert "func" not in vars(z)
+        assert payload["numerator"] == [format_fraction(c) for c in z.func.num.coeffs]
+        assert payload["denominator"] == [format_fraction(c) for c in z.func.den.coeffs]
+        fractional += any("/" in c for c in payload["numerator"] + payload["denominator"])
+    assert fractional >= 100
+    assert cli._zeta_payload(zs[-2])["node_terms"][0]["N"] == "3/5"
+    zero = cli._zeta_payload(zs[-1])
+    assert (zero["numerator"], zero["denominator"]) == ([], ["1"])
 
 
 TWO_CUSP_PG = (CORPUS / "two_cusp.pg").read_text()

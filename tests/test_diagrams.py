@@ -684,6 +684,16 @@ def random_tree_graph(rng, forest=False):
     return PlumbingGraph([PVertex(v, rng.choice(pool)) for v in ids], edges)
 
 
+def _side_det(g, v, u) -> int:
+    """Oracle: det(-I) of the component of G - v containing u (of v's own
+    component when u == v), from that component alone, as a graph of its
+    own."""
+    side = set(g.component_vertices(v, u))
+    return PlumbingGraph(
+        [x for x in g.vertices if x.id in side], [e for e in g.edges if side.issuperset(e)]
+    ).det_minus_I()
+
+
 def test_side_determinants_match_dense_reference():
     rng = random.Random(5)
     seen = dict.fromkeys(["definite", "indefinite", "zero side", "negative side", "single", "forest"], 0)
@@ -694,7 +704,7 @@ def test_side_determinants_match_dense_reference():
         for v in g.vertices:
             for u in (v.id, *g.neighbours(v.id)):
                 side = g.component_vertices(v.id, u)
-                got = g._side_det(v.id, u)
+                got = _side_det(g, v.id, u)
                 assert got == int_det(minus_intersection_matrix(g, side)), (v.id, u)
                 seen["zero side"] += got == 0
                 seen["negative side"] += got < 0
@@ -741,9 +751,51 @@ def test_elimination_pivots_are_side_determinant_ratios():
             children = [c for c in g.neighbours(x) if c != parent]
             e_x = 1
             for c in children:
-                e_x *= g._side_det(x, c)
-            assert piv == Fraction(g._side_det(parent or x, x), e_x)
+                e_x *= _side_det(g, x, c)
+            assert piv == Fraction(_side_det(g, parent or x, x), e_x)
             assert piv == Fraction(g._forest[1][x], g._forest[2][x])
+
+
+def test_side_table_matches_oracle_and_dense_minors():
+    # the rerooted pass gives det(-I) of the side of every edge end: the
+    # oracle everywhere, and the dense minor wherever it is cheap (every end
+    # up to 25 blowups, the sides of at most 25 vertices above that)
+    rng = random.Random(12)
+    dense = 0
+    for blowups in (*range(1, 26), *range(26, 81, 6), 80):
+        g = random_plumbing(rng, blowups=blowups, arrows=rng.randint(1, 2))
+        table = g._side_dets()
+        ends = {(a, b) for a, b in g.edges} | {(b, a) for a, b in g.edges}
+        assert set(table) == ends
+        for v, u in sorted(ends):
+            assert table[v, u] == _side_det(g, v, u), (blowups, v, u)
+            side = g.component_vertices(v, u)
+            if blowups <= 25 or len(side) <= 25:
+                assert table[v, u] == int_det(minus_intersection_matrix(g, side))
+                dense += 1
+    assert dense > 1000
+
+
+@pytest.mark.parametrize("blowups", [5, 40, 320])
+def test_conversion_runs_one_forest_pass(blowups, monkeypatch):
+    # O(n) guard: one plumbing_to_splice makes one breadth-first tree and
+    # one leaf-first pass, however many string ends the graph has
+    calls = {"_bfs_tree": 0, "_tree_pass": 0}
+    for name in calls:
+        method = getattr(PlumbingGraph, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(PlumbingGraph, name, counted)
+    rng = random.Random(blowups)
+    g = random_plumbing(rng, blowups=blowups, arrows=2)
+    while not any(g.valency_f(v.id) >= 3 for v in g.vertices):
+        g = random_plumbing(rng, blowups=blowups, arrows=2)
+    d = plumbing_to_splice(g)
+    assert len(d.nodes()) >= 1 and (blowups < 40 or len(d.edges) >= 10)
+    assert calls == {"_bfs_tree": 1, "_tree_pass": 1}
 
 
 def test_forest_pass_matches_elimination_and_dense_solve(monkeypatch):
@@ -753,7 +805,8 @@ def test_forest_pass_matches_elimination_and_dense_solve(monkeypatch):
 
     rng = random.Random(41)
     seen = dict.fromkeys(
-        ["definite", "indefinite", "forest", "zero D", "negative D", "det > 1"], 0
+        ["definite", "indefinite", "forest", "zero D", "negative D", "det > 1",
+         "integral entry", "fractional entry"], 0
     )
     for k in range(1500):
         g = random_tree_graph(rng, forest=k % 3 == 2)
@@ -772,7 +825,10 @@ def test_forest_pass_matches_elimination_and_dense_solve(monkeypatch):
         assert det == int_det(m)
         if pd:
             assert [sol[v.id] for v in g.vertices] == dense_solve(m, [rhs[v.id] for v in g.vertices])
-            assert all(type(x) is Fraction for x in sol.values())
+            # an int exactly where the value is integral, a Fraction otherwise
+            assert all(type(x) is (Fraction if x.denominator > 1 else int) for x in sol.values())
+            seen["integral entry"] += any(type(x) is int for x in sol.values())
+            seen["fractional entry"] += any(type(x) is Fraction for x in sol.values())
         d = g._forest[1]
         seen["definite" if pd else "indefinite"] += 1
         seen["forest"] += not g.is_connected()
@@ -988,7 +1044,7 @@ def test_convert_matches_dense_reference(tmp_path, capsys, monkeypatch):
 
 
 def test_large_conversion_round_trip():
-    # 321 vertices: dense determinants took ~78 s here, the recurrence ~0.05 s
+    # 321 vertices: dense determinants took ~78 s here, the rerooted pass ~2 ms
     g = random_plumbing(random.Random(0), blowups=320, arrows=2)
     assert len(g.vertices) == 321
     assert zeta_splice(plumbing_to_splice(g)).parts == zeta_plumbing(g).parts
