@@ -572,12 +572,46 @@ def solve_linear_congruence(coeffs: Sequence[int], target: int, modulus: int) ->
     an explicit extended-gcd chain, which is exactly the mechanism the
     pairwise-coprime edge weights make available.
     """
+    return _congruence_chain(coeffs, target, modulus, None)
+
+
+def congruence_lattice(
+    coeffs: Sequence[int], target: int, modulus: int
+) -> tuple[list[int], list[list[int]]] | None:
+    """``solve_linear_congruence``'s solution x0 with a basis B of the
+    homogeneous solutions {y : sum(c_j * y_j) = 0 (mod modulus)}, read off
+    the same extended-gcd chain: the solutions are exactly x0 + span(B).
+    Returns None when there is none.
+
+    Step j of the chain takes g_{j-1} (g_0 = modulus) to g_j = gcd(g_{j-1}, c_j)
+    and keeps a prefix combination p with c . p = g_{j-1}.  Its basis vector
+    has g_{j-1}/g_j at j, -(c_j/g_j) p before it and 0 after it.  So B is
+    triangular, and for modulus > 0 |det B| = modulus / gcd(c_1..c_k, modulus).
+    For modulus 0 a step with g_{j-1} = 0 < g_j adds no vector: the lattice
+    then has rank k - 1.
+    """
+    basis: list[list[int]] = []
+    x0 = _congruence_chain(coeffs, target, modulus, basis)
+    return None if x0 is None else (x0, basis)
+
+
+def _congruence_chain(coeffs, target, modulus, basis: list | None) -> list[int] | None:
+    """The chain behind both solvers: one solution, or None; it appends the
+    homogeneous basis to ``basis`` unless that is None (the plain solve
+    does not pay for it)."""
     if modulus < 0:
         raise ValueError("modulus must be nonnegative")
     g = modulus
     combo = [0] * len(coeffs)  # invariant: sum(c_j * combo_j) = g  (mod modulus)
     for idx, c in enumerate(coeffs):
-        g, u, v = _ext_gcd(g, c)
+        g_next, u, v = _ext_gcd(g, c)
+        if basis is not None and not g_next:  # g = c = 0: x_idx is free
+            basis.append([int(j == idx) for j in range(len(coeffs))])
+        elif basis is not None and g:  # combo is 0 from idx on
+            y = [-(c // g_next) * b for b in combo]
+            y[idx] = g // g_next
+            basis.append(y)
+        g = g_next
         combo = [b * u for b in combo]
         combo[idx] += v
     if g == 0:  # modulus 0 and every coefficient 0: only target 0 is reached

@@ -41,6 +41,25 @@ Each of them is then tested by the star divisibility implication on the
 induced leg values, sparse affine forms that sum only a leg's nonzero slot
 terms; only the points that pass become a divisor for ``certify``.
 
+Before a source tests the points of a lattice coset x0 + span(B), an exact
+certificate (``rejecting_star``) asks whether one star rejects all of them:
+each leg's value runs over i(x0) + gZ, g the gcd of its slopes along B, so
+whether d divides it everywhere and whether it can equal d anywhere are
+read off i(x0) and g.  A star with n legs and r arrowheads rejects the
+coset when some leg is 0 on all of it, or when n + r - 2 legs are divisible
+everywhere and fewer can equal d anywhere.  When a node's reduced solution
+fails the star filters, the node source asks it of the node's kernel coset
+(x0 that solution, B the periods p_j e_j, which hold every kernel move and
+its ``effective`` representative); the moves of a rejected coset are not
+tested, but their random draws are taken and dropped, so the nodes after it
+see the same stream.  The window asks it of each hit form's solution
+lattice (``exact.congruence_lattice``) and walks only the forms left; with
+none left it walks nothing and reports the width it would have reached.  A
+rejected coset holds no point that passes the star filters, and the draws
+do not change, so no found W, no certify call and no ``--json`` byte moves:
+the certificate only skips work that proves nothing.  It is partial: a
+coset that no single star rejects may still hold no allowed point.
+
 Every candidate is certified from scratch: the divisor must pass the
 allowedness check and the zeta function must have a pole whose exponential
 equals the requested root of unity.  Nothing is trusted from the
@@ -83,7 +102,7 @@ from math import gcd
 from .allowed import allowed_at, star_allowed
 from .diagrams import DiagramError, Edge, SpliceDiagram, require_valid
 from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities, w_of
-from .exact import UnityRoot, solve_linear_congruence
+from .exact import UnityRoot, congruence_lattice, solve_linear_congruence
 from .monodromy import alexander, eig_contains
 from .splicing import root_cut, splice, star_decomposition, star_legs
 from .zeta import pole_at, target_residue
@@ -199,6 +218,57 @@ def _fast_allowed(forms: list[_StarForm], x: tuple[int, ...]) -> bool:
         if not star_allowed(r, vals):
             return False
     return True
+
+
+# a lattice basis B given by slot: at index j, the pairs (t, B_t[j]) with
+# B_t[j] != 0
+_Columns = list[list[tuple[int, int]]]
+
+
+def lattice_columns(basis: Sequence[Sequence[int]], k: int) -> _Columns:
+    """The basis vectors of length k, given by slot."""
+    return [[(t, b[j]) for t, b in enumerate(basis) if b[j]] for j in range(k)]
+
+
+def leg_ranges(legs, x0: Sequence[int], columns: _Columns) -> list[tuple[int, int, int]]:
+    """Each leg's values on the coset x0 + span(B) as (d_l, i_l(x0), g): the
+    leg runs over i_l(x0) + gZ, g the gcd of its slopes along the basis B,
+    which ``columns`` gives by slot (0 when the leg is constant on the
+    coset)."""
+    out = []
+    for dl, i, terms in legs:
+        slopes = {}
+        for j, c in terms:
+            i += c * x0[j]
+            for t, b in columns[j]:
+                slopes[t] = slopes.get(t, 0) + c * b
+        out.append((dl, i, gcd(*slopes.values())))
+    return out
+
+
+def rejecting_star(forms: list[_StarForm], x0: Sequence[int], columns: _Columns) -> int | None:
+    """The index in ``forms`` of a star that rejects every point of the
+    coset x0 + span(B), B given by ``columns``, or None when no star is
+    seen to.  A star rejects the whole coset when some leg is 0 on all of
+    it, or when ``star_allowed`` would fail everywhere: at least n + r - 2
+    legs are divisible at every point (d | i(x0) and d | g) and fewer than
+    n + r - 2 can equal d at any point.  None proves nothing: the test is
+    exact for each leg alone, not for the legs together."""
+    for index, (r, legs) in enumerate(forms):
+        need = len(legs) + r - 2
+        divisible = pinnable = 0
+        for dl, i, g in leg_ranges(legs, x0, columns):
+            if i == 0 and g == 0:
+                return index
+            if i % dl == 0 and g % dl == 0:
+                divisible += 1
+            if (dl - i) % g == 0 if g else i == dl:
+                pinnable += 1
+        # with r > 2, need exceeds n: such a star, which star_allowed always
+        # passes, is rejected only by a zero leg
+        if divisible >= need > pinnable:
+            return index
+    return None
 
 
 # node -> (nu_v at W = 0, the row of v over the searched slots)
@@ -570,9 +640,10 @@ def _arrow_candidates(q: _Query):
 def _node_candidates(q: _Query):
     """Nodes whose star Alexander polynomial has lam as a root: the solution
     of the congruence nu_v = u (mod N_v) reduced slot by slot, then 80 random
-    kernel moves of it, each yielded when it passes the star filters.  Every
-    node reached leaves its congruence on the query, and the reason when it
-    has no candidate."""
+    kernel moves of it, each yielded when it passes the star filters; when
+    the solution fails them and a star rejects its whole kernel coset, the
+    moves are not tested.  Every node reached leaves its
+    congruence on the query, and the reason when it has no candidate."""
     stars = star_decomposition(q.d, q.fm, {})
     for v in sorted(q.node_hits):
         nv, u, base, coefs = q.node_hits[v]
@@ -605,6 +676,7 @@ def _node_candidates(q: _Query):
         # each slot at the residue of least absolute value in its period class
         residues = [x % p for x, p in zip(sol, periods)]
         reduced = [r - p if 2 * r > p else r for r, p in zip(residues, periods)]
+        kernel = [[(j, p)] for j, p in enumerate(periods)]  # p_j e_j by slot
         for t in range(80):
             x = reduced
             if t:
@@ -614,16 +686,33 @@ def _node_candidates(q: _Query):
                 x = [xi % p if xi < 0 else xi for xi, p in zip(x, periods)]
             if _fast_allowed(q.forms, tuple(x)):
                 yield dict(zip(q.slots, x)), f"node:{v}"
+            elif t == 0 and rejecting_star(q.forms, reduced, kernel) is not None:
+                # every move, and its --effective representative, stays in
+                # the coset reduced + span(p_j e_j), which a star rejects:
+                # the moves are not tested, but their draws are taken all
+                # the same, so the nodes after v see the same stream
+                _drop7(q.rng, 79 * len(periods))
+                break
 
 
 def _window_candidates(q: _Query, bound: int, budget: int):
     """The points of the windows |mult| <= width, width by width up to
     ``bound``, that pass the lambda congruences and the star filters;
-    ``explored["window"]`` is the width being walked."""
+    ``explored["window"]`` is the width being walked, or, when a star
+    rejects every congruence's solutions, the width the walk would end at."""
     if not q.slots:
         return
     k = len(q.slots)
-    hit_forms = _hit_forms(q.node_hits, q.arrow_hits, q.slots)
+    # a form whose solutions a star rejects everywhere yields no candidate:
+    # the walk leaves it out, and skips every shell when no form is left
+    hit_forms = [
+        (base, coefs, n)
+        for base, coefs, n in _hit_forms(q.node_hits, q.arrow_hits, q.slots)
+        if _hit_lattice_open(q.forms, coefs, -base, n)
+    ]
+    if not hit_forms:
+        q.explored["window"] = _last_width(k, bound, budget)
+        return
     for width in range(1, bound + 1):
         # The budget counts every point of the window, also the ones that
         # --effective never visits: the windows up to this width hold
@@ -635,6 +724,30 @@ def _window_candidates(q: _Query, bound: int, budget: int):
         for combo in _hit_walk(hit_forms, k, width, q.effective):
             if _fast_allowed(q.forms, combo):
                 yield dict(zip(q.slots, combo)), "search"
+
+
+def _hit_lattice_open(forms: list[_StarForm], coefs, target: int, modulus: int) -> bool:
+    """Are the solutions of coefs . x = target (mod modulus) neither absent
+    nor rejected everywhere by a star?"""
+    lattice = congruence_lattice(coefs, target, modulus)
+    if lattice is None:
+        return False
+    x0, basis = lattice
+    return rejecting_star(forms, x0, lattice_columns(basis, len(x0))) is None
+
+
+def _last_width(k: int, bound: int, budget: int) -> int:
+    """The width the window walk ends at when it yields nothing: the
+    largest w <= bound whose window of (2w + 1)^k points fits the budget,
+    or 0."""
+    lo, hi = 0, min(bound, budget)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (2 * mid + 1) ** k <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def realize_eigenvalue(
@@ -715,6 +828,20 @@ def _below7(rng: random.Random) -> int:
     while r == 7:
         r = rng.getrandbits(3)
     return r
+
+
+# the top bytes of the 32-bit words whose top three bits do not read 7
+_NOT_SEVEN = bytes(range(0xE0))
+
+
+def _drop7(rng: random.Random, count: int) -> None:
+    """Take ``count`` draws of ``_below7`` from the stream and drop them.
+    Each ``getrandbits(3)`` reads the top three bits of one 32-bit word of
+    the generator, and ``getrandbits(32 * m)`` reads the next m words whole;
+    so m words are drawn at a time, and as many again as they held sevens."""
+    while count:
+        words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        count = len(words[3::4].translate(None, _NOT_SEVEN))
 
 
 def _small_allowed_candidates(slots, forms, rng, tries: int = 40) -> list[dict[str, int]]:

@@ -1,8 +1,11 @@
 """Exact arithmetic: polynomials, rational functions, roots of unity, cyclo products."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from splicezeta.exact import (
     Poly,
     RatFunc,
     UnityRoot,
+    congruence_lattice,
     format_fraction,
     poly_gcd,
     solve_linear_congruence,
@@ -296,6 +300,85 @@ def test_solve_linear_congruence():
     assert solve_linear_congruence((), 0, 0) == []
     with pytest.raises(ValueError):
         solve_linear_congruence((3,), 1, -4)
+
+
+def _inverse(rows):
+    """The inverse of a square nonsingular integer matrix, by Gauss over
+    the rationals."""
+    k = len(rows)
+    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(k)]
+         for i, r in enumerate(rows)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(k):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [r[k:] for r in m]
+
+
+def _det(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def test_congruence_lattice_basis():
+    # the solutions of c . x = t (mod n) are solve_linear_congruence's x0
+    # plus the span of the homogeneous basis read off the same chain
+    rng = random.Random(31)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        n = rng.choice([1, 2, 3, 4, 6, 7, 12, 30, 42])
+        coefs = [rng.choice([0, rng.randint(-15, 15), n * rng.randint(-2, 2)]) for _ in range(k)]
+        target = rng.randint(-20, 20)
+        x0, basis = congruence_lattice(coefs, 0, n)
+        assert x0 == [0] * k
+        assert len(basis) == k
+        for b in basis:
+            assert sum(map(mul, coefs, b)) % n == 0
+        g = n
+        for c in coefs:
+            g = gcd(g, c)
+        assert abs(_det(basis)) == n // g
+        # in a box, the homogeneous solutions are exactly the integer
+        # combinations y = t . basis, t = y . basis^-1
+        # (in integers: adj = det . basis^-1, and t is integral when det
+        # divides y . adj)
+        det = int(_det(basis))
+        adj = [[int(x * det) for x in col] for col in zip(*_inverse(basis))]
+        for y in itertools.product(range(-4, 5), repeat=k):
+            solves = sum(map(mul, coefs, y)) % n == 0
+            assert solves == all(sum(map(mul, y, col)) % det == 0 for col in adj), (coefs, n, y)
+        lattice = congruence_lattice(coefs, target, n)
+        sol = solve_linear_congruence(coefs, target, n)
+        assert (lattice is None) == (sol is None) == (target % g != 0)
+        if lattice is not None:
+            assert lattice == (sol, basis)
+    # n = 1: every point solves, the basis spans Z^k
+    for coefs in ([0, 0], [5, -3, 0], [7]):
+        x0, basis = congruence_lattice(coefs, 4, 1)
+        assert abs(_det(basis)) == 1
+    # modulus 0: the plain equation, whose lattice has rank k - 1 (k when
+    # every coefficient is 0)
+    for coefs, rank in (([6, 10, 15], 2), ([0, 4, 0], 2), ([0, 0], 2), ([3], 0)):
+        x0, basis = congruence_lattice(coefs, 0, 0)
+        assert len(basis) == rank
+        assert all(sum(map(mul, coefs, b)) == 0 for b in basis)
+    assert congruence_lattice([4, 6], 3, 0) is None
 
 
 def test_format_fraction_int_bool_and_fraction():

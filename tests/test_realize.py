@@ -29,6 +29,7 @@ from splicezeta.realize import (
     StarRootError,
     _below7,
     _compile_hits,
+    _drop7,
     _fast_allowed,
     _hit_forms,
     _hit_walk,
@@ -36,8 +37,11 @@ from splicezeta.realize import (
     _slot_rows,
     certify,
     extend_allowed,
+    lattice_columns,
+    leg_ranges,
     realize_eigenvalue,
     realize_star,
+    rejecting_star,
     star_forms,
 )
 from splicezeta.splicing import induced_value, splice, verify_splice_zeta
@@ -889,6 +893,46 @@ def test_draw_helper_reads_the_stream_of_randint_and_choice():
             assert _below7(ours) - 3 == ref.randint(-3, 3)
             assert _below7(ours) == ref.choice(range(7))
         assert ours.getstate() == ref.getstate()
+        # _drop7 takes m such draws and leaves the stream m _below7 calls leave
+        m = seed % 90
+        for _ in range(m):
+            _below7(ref)
+        _drop7(ours, m)
+        assert ours.getstate() == ref.getstate()
+
+
+def test_rejecting_star_is_sound_on_random_stars():
+    # random stars (r up to 3, constant legs, legs pinned at d) on random
+    # cosets, degenerate bases included: a coset rejected by a star holds
+    # no point passing _fast_allowed at |t_j| <= 2 over the basis
+    rng = random.Random(53)
+    rejected = {"zero": 0, "pins": 0}
+    for _ in range(3000):
+        k = rng.randint(1, 3)
+        forms = []
+        for _ in range(rng.randint(1, 2)):
+            legs = []
+            for _ in range(rng.randint(1, 3)):
+                dl = rng.choice([1, 2, 3, 5])
+                terms = tuple((j, c) for j in range(k) if (c := rng.choice([0, 0, 1, -2, 3, 6])))
+                base = rng.choice([dl, 0, rng.randint(-6, 6)])
+                legs.append((dl, base, terms))
+            forms.append((rng.randint(0, 3), tuple(legs)))
+        x0 = [rng.randint(-3, 3) for _ in range(k)]
+        basis = [[rng.choice([0, 0, 1, -1, 2, 3, 6]) for _ in range(k)]
+                 for _ in range(rng.randint(0, 2))]
+        columns = lattice_columns(basis, k)
+        index = rejecting_star(forms, x0, columns)
+        if index is None:
+            continue
+        zero = any(i == 0 and g == 0 for _, i, g in leg_ranges(forms[index][1], x0, columns))
+        rejected["zero" if zero else "pins"] += 1
+        for t in itertools.product(range(-2, 3), repeat=len(basis)):
+            x = list(x0)
+            for tj, b in zip(t, basis):
+                x = [xi + tj * bi for xi, bi in zip(x, b)]
+            assert not _fast_allowed(forms, tuple(x)), (forms, x0, basis, t)
+    assert all(n > 100 for n in rejected.values()), rejected
 
 
 def test_extend_allowed_refuses_keys_off_the_right_half():
@@ -963,3 +1007,104 @@ def test_certify_matches_the_whole_zeta_reference(monkeypatch):
             for effective, doubles in itertools.product((False, True), (False, True)):
                 realize_eigenvalue(d, lam, effective=effective, include_doubles=doubles)
     assert 0 < sum(compared) < len(compared)
+
+
+def _oracle_diagrams(rng):
+    """The corpus, 150 random decorated splice diagrams and 30 converted
+    random plumbing curves."""
+    from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
+    from splicezeta.diagrams import plumbing_to_splice
+    from splicezeta.generate import random_plumbing
+
+    diagrams = list(golden_splice_diagrams().values())
+    graphs = list(golden_plumbing_graphs().values())
+    graphs += [random_plumbing(rng, blowups=rng.randint(2, 7), arrows=rng.randint(1, 2))
+               for _ in range(30)]
+    for g in graphs:
+        try:
+            diagrams.append(plumbing_to_splice(g))
+        except DiagramError:
+            continue
+    diagrams += [random_valid_splice(rng, max_nodes=3, max_weight=9) for _ in range(150)]
+    return diagrams
+
+
+def _drained_node_source(d, lam, effective, doubles):
+    """Everything the node source yields at lam when it is drained, with the
+    state of the random stream it leaves and the congruences and
+    diagnostics it reports."""
+    from splicezeta import realize
+
+    slots, forms, rows = realize._slot_tables(d, doubles)
+    fm = f_of(d, None)
+    node_hits, arrow_hits = _compile_hits(d, fm, lam, rows)
+    q = realize._Query(d, fm, lam, slots, effective, forms, node_hits, arrow_hits, explored={})
+    return list(realize._node_candidates(q)), q.rng.getstate(), q.congruences, q.diagnostics
+
+
+def test_star_certificate_is_sound_and_moves_no_outcome(monkeypatch):
+    # Every coset that a star rejects, a node's kernel coset or a hit
+    # form's solution lattice, holds no point passing the star filters at
+    # |t_j| <= 3 over its basis (300 random points of that box past four
+    # basis vectors).  With the certificate off, every query
+    # ends as it does with it on: the same found W, diagnostics,
+    # congruences and explored window; and the node source, drained, yields
+    # the same candidates and leaves the random stream where it was left.
+    import sys
+
+    from splicezeta import realize
+
+    rng = random.Random(47)
+    rejected = {}
+    reject_once = realize.rejecting_star
+
+    def recorded(forms, x0, columns):
+        index = reject_once(forms, x0, columns)
+        if index is not None:
+            # the basis vectors back from their entries by slot
+            basis = [[0] * len(x0) for _ in range(1 + max(t for col in columns for t, _ in col))]
+            for j, col in enumerate(columns):
+                for t, b in col:
+                    basis[t][j] = b
+            where = sys._getframe(1).f_code.co_name
+            rejected.setdefault((id(forms), tuple(x0), tuple(map(tuple, basis))), (where, forms))
+        return index
+
+    queries = 0
+    for d in _oracle_diagrams(rng):
+        try:
+            lams = _eig(d)
+        except DiagramError:
+            continue
+        for lam in rng.sample(lams, min(8, len(lams))):
+            for effective, doubles in itertools.product((False, True), (False, True)):
+                kw = dict(effective=effective, include_doubles=doubles, budget=3000)
+                with monkeypatch.context() as m:
+                    m.setattr(realize, "rejecting_star", recorded)
+                    got = realize_eigenvalue(d, lam, **kw)
+                    # every hit lattice of the query, also where the window
+                    # is not reached
+                    slots, forms, rows = realize._slot_tables(d, doubles)
+                    hits = _compile_hits(d, f_of(d, None), lam, rows)
+                    for base, coefs, n in _hit_forms(*hits, slots):
+                        realize._hit_lattice_open(forms, coefs, -base, n)
+                    node_stream = _drained_node_source(d, lam, effective, doubles)
+                with monkeypatch.context() as m:
+                    m.setattr(realize, "rejecting_star", lambda *a: None)
+                    want = realize_eigenvalue(d, lam, **kw)
+                    assert node_stream == _drained_node_source(d, lam, effective, doubles)
+                assert got == want, (d.name, lam, kw)
+                queries += 1
+    kinds = {"_node_candidates": 0, "_hit_lattice_open": 0}
+    for (_, x0, basis), (where, forms) in rejected.items():
+        kinds[where] += 1
+        box = itertools.product(range(-3, 4), repeat=len(basis))
+        if len(basis) > 4:
+            box = [[rng.randint(-3, 3) for _ in basis] for _ in range(300)]
+        for t in box:
+            x = list(x0)
+            for tj, b in zip(t, basis):
+                x = [xi + tj * bi for xi, bi in zip(x, b)]
+            assert not _fast_allowed(forms, tuple(x)), (x0, basis, t)
+    assert queries > 1000
+    assert all(n >= 50 for n in kinds.values()), kinds
