@@ -312,7 +312,7 @@ def check_goal1(
     membership.  Allowedness is reported, not required; a diagram that
     ``require_valid`` refuses is refused."""
     require_valid(d)
-    verdict = is_allowed(d, f, w)
+    allowed = allowed_at(d, f, w)
     z = zeta_splice(d, f, w)
     reports = []
     for p in z.poles():
@@ -327,5 +327,5 @@ def check_goal1(
             )
         )
     return Goal1Report(
-        holds=all(p.in_eig for p in reports), allowed=verdict.allowed, poles=reports
+        holds=all(p.in_eig for p in reports), allowed=allowed, poles=reports
     )

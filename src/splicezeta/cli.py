@@ -21,6 +21,11 @@ those bytes (never by the path, as a file may be rewritten between
 commands): a kept input is neither decoded nor parsed again, and the
 commands on one file share one diagram object, and with it everything kept
 in its memo.
+
+``--json`` output is ``json.dumps(payload, indent=2, sort_keys=True)``, byte
+for byte.  ``zeta`` writes its payload from its terms (``_zeta_json``), with
+no payload dict built; every other command's payload is written by
+``_json``.
 """
 
 from __future__ import annotations
@@ -126,37 +131,70 @@ def _ratio(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _zeta_payload(z: ZetaResult) -> dict:
-    """The reduced num/den printed from ``reduced_coefficients``' integers
-    (the coefficients of ``z.func``, which is not built), and the terms."""
+def _zeta_coefficients(z: ZetaResult) -> tuple[list[str], list[str]]:
+    """The reduced num/den's coefficients, ascending in s, as ``format_fraction``
+    strings, printed from ``reduced_coefficients``' integers (the
+    coefficients of ``z.func``, which is not built)."""
     num, num_den, den, den_den = reduced_coefficients(z.const, z.parts)
-    return {
-        "numerator": [_ratio(x, num_den) for x in num],
-        "denominator": [_ratio(x, den_den) for x in den],
-        "node_terms": [
-            {
-                "vertex": t.vertex,
-                "nu": format_fraction(t.nu),
-                "N": format_fraction(t.n),
-                "const": format_fraction(t.const),
-                "arrows": [
-                    {"weight": a.weight, "i": format_fraction(a.i), "N": format_fraction(a.n)}
-                    for a in t.arrows
-                ],
-            }
-            for t in z.node_terms
-        ],
-        "edge_terms": [
-            {
-                "vertices": list(t.vertices),
-                "q": format_fraction(t.q),
-                "factors": [
-                    [format_fraction(x) for x in f] for f in ((t.nu1, t.n1), (t.nu2, t.n2))
-                ],
-            }
-            for t in z.edge_terms
-        ],
-    }
+    return [_ratio(x, num_den) for x in num], [_ratio(x, den_den) for x in den]
+
+
+# The zeta payload's text, in the templates _json writes at each depth of
+# {"name": ..., "zeta": {...}}: every key in sorted order, a node term or
+# edge term at zeta[...][k], an arrow part at zeta["node_terms"][k]["arrows"][j].
+# Entries are format_fraction strings (digits, '-' and '/', so they need no
+# escaping) and ids are encoded with encode_basestring_ascii.
+_ZETA = (
+    '{\n  "name": %s,\n  "zeta": {\n    "denominator": %s,\n    "edge_terms": %s,'
+    '\n    "node_terms": %s,\n    "numerator": %s\n  }\n}'
+)
+_NODE = (
+    '{\n        "N": "%s",\n        "arrows": %s,\n        "const": "%s",'
+    '\n        "nu": "%s",\n        "vertex": %s\n      }'
+)
+_ARROW = '{\n            "N": "%s",\n            "i": "%s",\n            "weight": %d\n          }'
+_EDGE = (
+    '{\n        "factors": [\n          [\n            "%s",\n            "%s"\n          ],'
+    '\n          [\n            "%s",\n            "%s"\n          ]\n        ],'
+    '\n        "q": "%s",\n        "vertices": [\n          %s,\n          %s\n        ]\n      }'
+)
+
+
+def _json_list(items: list[str]) -> str:
+    """A list at zeta[...] of the zeta payload, from its items' text."""
+    return "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
+
+
+def _zeta_json(name: str, z: ZetaResult) -> str:
+    """``_json({"name": name, "zeta": payload})`` of the zeta payload, byte
+    for byte, written from the terms without building the payload: the
+    numerator and denominator (``_zeta_coefficients``), each node term
+    (vertex, nu, N, const and its arrow parts: weight, i, N) and each edge
+    term (vertices, q and the factors [[nu1, N1], [nu2, N2]])."""
+    ff = format_fraction
+    enc = encode_basestring_ascii
+    nodes = []
+    for t in z.node_terms:
+        arrows = "[]"
+        if t.arrows:
+            arrows = (
+                "[\n          "
+                + ",\n          ".join([_ARROW % (ff(a.n), ff(a.i), a.weight) for a in t.arrows])
+                + "\n        ]"
+            )
+        nodes.append(_NODE % (ff(t.n), arrows, ff(t.const), ff(t.nu), enc(t.vertex)))
+    edges = [
+        _EDGE % (ff(t.nu1), ff(t.n1), ff(t.nu2), ff(t.n2), ff(t.q), *map(enc, t.vertices))
+        for t in z.edge_terms
+    ]
+    num, den = _zeta_coefficients(z)
+    return _ZETA % (
+        enc(name),
+        _json_list(['"' + x + '"' for x in den]),
+        _json_list(edges),
+        _json_list(nodes),
+        _json_list(['"' + x + '"' for x in num]),
+    )
 
 
 def _cyclo_payload(c: CycloProduct) -> dict:
@@ -173,12 +211,11 @@ def _cyclo_payload(c: CycloProduct) -> dict:
 # any other key (a vertex or slot id) is encoded where it is written
 _KEY_PREFIXES = {
     k: encode_basestring_ascii(k) + ": "
-    for k in """M M_prime N alexander allowed arrows base bound checked checks coefficients
-    congruences const d degenerate delta0 delta1 denominator detail diagnostics edge edge_terms
-    eigenvalue explored factors failures found generators holds i i_prime identity_holds in_eig
-    kind lambda leading left legs modulus name node node_terms nonzero note nu numerator ok
-    order poles polynomial q r reason reductions right s0 source splice stars status target
-    valid values vertex vertices violations w weight where window zeta""".split()
+    for k in """M M_prime alexander allowed base bound checked checks coefficients congruences
+    d degenerate delta0 delta1 detail diagnostics edge eigenvalue explored factors failures
+    found generators holds i i_prime identity_holds in_eig kind lambda leading left legs
+    modulus name node nonzero note ok order poles polynomial r reason reductions right s0
+    source splice stars status target valid values violations w weight where window""".split()
 }
 
 
@@ -277,11 +314,13 @@ def _zeta_of(args) -> tuple[str, ZetaResult]:
 
 def cmd_zeta(args):
     name, z = _zeta_of(args)
-    zeta = _zeta_payload(z)
-    payload = {"name": name, "zeta": zeta}
-    num = " ".join(zeta["numerator"]) or "0"
-    den = " ".join(zeta["denominator"])
-    _emit(args, payload, f"{name}: Z numerator [{num}] denominator [{den}] (ascending in s)")
+    if args.json:
+        sys.stdout.write(_zeta_json(name, z) + "\n")
+        return
+    num, den = _zeta_coefficients(z)
+    num_text = " ".join(num) or "0"
+    den_text = " ".join(den)
+    sys.stdout.write(f"{name}: Z numerator [{num_text}] denominator [{den_text}] (ascending in s)\n")
 
 
 def cmd_poles(args):

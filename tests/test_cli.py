@@ -24,6 +24,7 @@ from splicezeta.generate import random_plumbing
 from splicezeta.io import ParseError, parse_diagram, print_diagram
 from splicezeta.selfcheck import CHECKS, run_selfcheck
 from splicezeta.zeta import ZetaResult, zeta_plumbing, zeta_splice
+from zeta_oracle import zeta_payload
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "splicezeta" / "corpus"
 # a star whose edge weights 2 and 4 are not coprime: ``validate`` rejects it
@@ -729,38 +730,64 @@ def test_cli_json_output_is_json_dumps_of_the_payload():
 
 def test_zeta_payload_prints_the_reduced_function():
     # the payload's numerator and denominator, printed from integers without
-    # building z.func, are format_fraction over z.func's coefficients: the
-    # corpus, ladder-style graphs by both routes, a graph with det(-I) = 5
-    # (rational N) and Z = 0
+    # building z.func, are format_fraction over z.func's coefficients, and
+    # the text written from the terms is _json of the payload's dict form:
+    # the corpus, ladder-style graphs by both routes, a graph with
+    # det(-I) = 5 (rational N) and Z = 0
     zs = []
     for path in sorted(CORPUS.iterdir()):
-        kind, _, obj = parse_diagram(path.read_text())
+        kind, name, obj = parse_diagram(path.read_text())
         with contextlib.suppress(DiagramError):  # e8 carries no F
-            zs.append(zeta_plumbing(obj) if kind == "plumbing" else zeta_splice(obj))
+            zs.append((name, zeta_plumbing(obj) if kind == "plumbing" else zeta_splice(obj)))
     assert len(zs) == 12
     rng = random.Random(22)
     for k in range(200):
         g = random_plumbing(rng, blowups=rng.choice([4, 7, 10, 13, 16]), arrows=2,
                             warrow_chance=1.0 if k % 2 else 0.0)
-        zs.append(zeta_plumbing(g))
+        zs.append((f"ladder{k}", zeta_plumbing(g)))
         with contextlib.suppress(DiagramError):  # a chain decorated at two vertices
-            zs.append(zeta_splice(plumbing_to_splice(g)))
+            zs.append((f"ladder{k}.sd", zeta_splice(plumbing_to_splice(g))))
     rational = PlumbingGraph(
         [PVertex("a", -2), PVertex("b", -3)], [("a", "b")], [Farrow(id="f", at="a", weight=1, mult=1)]
     )
-    zs.append(zeta_plumbing(rational))
-    zs.append(ZetaResult.from_terms((), ()))
+    zs.append(("rational", zeta_plumbing(rational)))
+    zs.append(("zero", ZetaResult.from_terms((), ())))
     fractional = 0
-    for z in zs:
-        payload = cli._zeta_payload(z)
+    arrow_counts = set()
+    for name, z in zs:
+        text = cli._zeta_json(name, z)
         assert "func" not in vars(z)
+        assert text == _json({"name": name, "zeta": zeta_payload(z)})
+        payload = json.loads(text)["zeta"]
         assert payload["numerator"] == [format_fraction(c) for c in z.func.num.coeffs]
         assert payload["denominator"] == [format_fraction(c) for c in z.func.den.coeffs]
         fractional += any("/" in c for c in payload["numerator"] + payload["denominator"])
+        arrow_counts.update(len(t.arrows) for t in z.node_terms)
     assert fractional >= 100
-    assert cli._zeta_payload(zs[-2])["node_terms"][0]["N"] == "3/5"
-    zero = cli._zeta_payload(zs[-1])
+    assert {0, 1, 2} <= arrow_counts
+    assert json.loads(cli._zeta_json(*zs[-2]))["zeta"]["node_terms"][0]["N"] == "3/5"
+    zero = json.loads(cli._zeta_json(*zs[-1]))["zeta"]
     assert (zero["numerator"], zero["denominator"]) == ([], ["1"])
+    assert zero["node_terms"] == zero["edge_terms"] == []
+
+
+def test_zeta_json_escapes_the_name_and_ids():
+    # the name and the ids of the node and edge terms are JSON strings: a
+    # non-ASCII letter, a quote and a backslash, by both routes
+    graph = PlumbingGraph(
+        [PVertex('é"\\', -1), PVertex("b", -2), PVertex("c", -3)],
+        [('é"\\', "b"), ('é"\\', "c")],
+        [Farrow(id="f", at='é"\\', weight=1, mult=1)],
+    )
+    for z in (zeta_plumbing(graph), zeta_splice(plumbing_to_splice(graph))):
+        text = cli._zeta_json('ä"\\n', z)
+        assert text == _json({"name": 'ä"\\n', "zeta": zeta_payload(z)})
+        assert text.isascii()
+        payload = json.loads(text)
+        assert payload["name"] == 'ä"\\n'
+        ids = {t["vertex"] for t in payload["zeta"]["node_terms"]}
+        ids.update(*(t["vertices"] for t in payload["zeta"]["edge_terms"]))
+        assert 'é"\\' in ids
 
 
 TWO_CUSP_PG = (CORPUS / "two_cusp.pg").read_text()

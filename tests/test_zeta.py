@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from splicezeta.cli import _json, _zeta_payload
+from splicezeta.cli import _json, _zeta_json
 from splicezeta.corpus import (
     golden_plumbing_graphs,
     golden_splice_diagrams,
@@ -37,6 +37,7 @@ from splicezeta.zeta import (
     zeta_plumbing,
     zeta_splice,
 )
+from zeta_oracle import zeta_payload
 
 
 def lin(a, b):
@@ -648,7 +649,8 @@ def test_zeta_payload_bytes_do_not_depend_on_entry_types():
     for z in _corpus_zetas():
         fz = _as_fraction_terms(z)
         assert ZetaResult.from_terms(fz.node_terms, fz.edge_terms).parts == z.parts
-        assert _json(_zeta_payload(fz)) == _json(_zeta_payload(z))
+        assert _zeta_json("x", fz) == _zeta_json("x", z)
+        assert _zeta_json("x", fz) == _json({"name": "x", "zeta": zeta_payload(fz)})
 
 
 def test_zeta_reads_arrowhead_multiplicities_from_the_given_f():
