@@ -3,13 +3,15 @@
 
 Z is a rational function of s built from the pairs (nu_v, N_v): N_v is the
 vanishing order of the function divisor along the curve of v, nu_v - 1 the
-order of the canonical class plus the form divisor.  Everything is exact;
+order of the canonical class plus the form divisor.  A ``ZetaResult`` holds
+Z as its constant C plus its principal parts, a canonical form: two zeta
+functions are equal exactly when their (C, parts) are.  Everything is exact;
 candidate poles cancel or survive by exact residue arithmetic.
 """
 
 from fractions import Fraction
 
-from splicezeta import RatFunc, Poly, zeta_plumbing, zeta_splice
+from splicezeta import zeta_plumbing, zeta_splice
 from splicezeta.corpus import (
     rodrigues_plumbing,
     smooth_point_plumbing,
@@ -17,6 +19,7 @@ from splicezeta.corpus import (
     two_cusp_plumbing,
 )
 from splicezeta.divisors import nu_values, vertex_multiplicities
+from splicezeta.zeta import principal_parts, reduced_coefficients
 
 # ---------------------------------------------------------------------------
 # 1. the running example: two independent routes, one exact answer
@@ -26,11 +29,12 @@ print("N_v:", vertex_multiplicities(d))
 print("nu_v:", nu_values(d))
 
 z = zeta_splice(d)
-print("\nZ(s) numerator  :", [str(c) for c in z.func.num.coeffs])
-print("Z(s) denominator:", [str(c) for c in z.func.den.coeffs])
+num, num_den, den, den_den = reduced_coefficients(z.const, z.parts)
+print("\nZ(s) numerator  :", [str(Fraction(c, num_den)) for c in num])
+print("Z(s) denominator:", [str(Fraction(c, den_den)) for c in den])
 
 zp = zeta_plumbing(two_cusp_plumbing())
-print("plumbing route agrees:", z.func == zp.func)
+print("plumbing route agrees:", (z.const, z.parts) == (zp.const, zp.parts))
 
 print("\npoles (location, order, leading coefficient):")
 for p in z.poles():
@@ -40,8 +44,10 @@ print("note: the candidate s = 1 of the individual pieces has cancelled")
 # ---------------------------------------------------------------------------
 # 2. the smallest possible case: a smooth germ
 
-print("\nsmooth germ (one blowup):", zeta_plumbing(smooth_point_plumbing()).func
-      == RatFunc(Poly.const(1), Poly.linear(1, 1)), "-> Z = 1/(s+1)")
+# 1/(1 + s) as a term c / prod(a + s b)
+zs = zeta_plumbing(smooth_point_plumbing())
+print("\nsmooth germ (one blowup):", (zs.const, zs.parts) == principal_parts([(1, ((1, 1),))]),
+      "-> Z = 1/(s+1)")
 
 # ---------------------------------------------------------------------------
 # 3. an exact cancellation family

@@ -8,11 +8,10 @@ zeta functions then satisfy, exactly,
     Z(whole) = Z(left) + Z(right) - 1/((i + s M)(i' + s M')).
 """
 
-from splicezeta import RatFunc, Poly
 from splicezeta.corpus import two_cusp_diagram
 from splicezeta.io import print_splice
 from splicezeta.splicing import splice, star_decomposition, verify_splice_zeta
-from splicezeta.zeta import zeta_splice
+from splicezeta.zeta import principal_parts, summands, zeta_splice
 
 d = two_cusp_diagram()
 
@@ -35,12 +34,11 @@ stars = star_decomposition(d)
 for v in sorted(stars):
     print(print_splice(stars[v], f"star-{v}"))
 
-# and the printed three-piece identity with correction term 2/((-1)(s-1))
-corr = RatFunc(Poly.const(2), Poly.linear(-1, 0) * Poly.linear(-1, 1))
-total = (
-    zeta_splice(stars["v1"]).func
-    + zeta_splice(stars["v0"]).func
-    + zeta_splice(stars["v1p"]).func
-    - corr
-)
-print("three-star identity:", total == zeta_splice(d).func)
+# and the printed three-piece identity with correction term 2/((-1)(s-1)),
+# compared as C + principal parts: the three stars' terms less the
+# correction, each a term c / prod(a + s b)
+zs = [zeta_splice(stars[v]) for v in ("v1", "v0", "v1p")]
+terms = [t for z in zs for t in summands(z.node_terms, z.edge_terms)]
+total = principal_parts(terms + [(-2, ((-1, 0), (-1, 1)))])
+z = zeta_splice(d)
+print("three-star identity:", total == (z.const, z.parts))

@@ -30,12 +30,6 @@ from .splicing import root_cut, star_legs
 from .zeta import zeta_splice
 
 
-@dataclass(frozen=True)
-class SemigroupQuery:
-    target: int
-    generators: tuple[int, ...]
-
-
 # The smallest generator sizes the residue table of ``semigroup_member``: a
 # list of that many ints, filled in O(k * smallest generator) steps.  Larger
 # smallest generators are refused rather than allocated.
@@ -46,7 +40,7 @@ class SemigroupLimitError(DiagramError):
     """The smallest semigroup generator exceeds SEMIGROUP_MAX_MIN_GENERATOR."""
 
 
-def semigroup_member(query: SemigroupQuery | int, generators=None) -> bool:
+def semigroup_member(target: int, generators) -> bool:
     """Is the target a nonnegative integer combination of the generators?
 
     Round-robin residue table (Böcker and Lipták, "A fast and simple
@@ -56,15 +50,11 @@ def semigroup_member(query: SemigroupQuery | int, generators=None) -> bool:
     exactly when least[target mod a] <= target.  Time O(k a), memory O(a);
     a target below a is answered without the table, and a table larger than
     SEMIGROUP_MAX_MIN_GENERATOR raises SemigroupLimitError."""
-    if isinstance(query, SemigroupQuery):
-        target, gens = query.target, query.generators
-    else:
-        target, gens = query, tuple(generators or ())
     if target < 0:
         raise ValueError("target must be nonnegative")
     if target == 0:
         return True
-    gens = sorted(set(g for g in gens if g > 0))
+    gens = sorted(set(g for g in generators if g > 0))
     if not gens or target < gens[0]:
         return False
     a = gens[0]

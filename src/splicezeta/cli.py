@@ -133,8 +133,9 @@ def _ratio(n: int, d: int) -> str:
 
 def _zeta_coefficients(z: ZetaResult) -> tuple[list[str], list[str]]:
     """The reduced num/den's coefficients, ascending in s, as ``format_fraction``
-    strings, printed from ``reduced_coefficients``' integers (the
-    coefficients of ``z.func``, which is not built)."""
+    strings, printed from ``reduced_coefficients``' integers: the reduced
+    rational function C + sum of the principal parts, with a monic
+    denominator (see the ``zeta`` module docstring)."""
     num, num_den, den, den_den = reduced_coefficients(z.const, z.parts)
     return [_ratio(x, num_den) for x in num], [_ratio(x, den_den) for x in den]
 

@@ -1,47 +1,36 @@
-"""Built-in golden diagrams used by tests, the self-check runner, and demos.
+"""The golden corpus: the diagrams and graphs shipped as text files in
+``splicezeta/corpus``, used by tests, the self-check runner and demos.
 
-Each constructor returns a fresh decorated diagram.  The same objects are
-shipped as text files in ``splicezeta/corpus`` exercising the parser.
+The files are the one copy.  Each constructor of a fixed object reads its
+file and returns a fresh object on every call, and the ``golden_*`` tables
+list the directory; nothing is read at import.  The parametric families
+are code, and at the parameters of a shipped file each prints that file.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .diagrams import Edge, Farrow, PlumbingGraph, PVertex, SpliceDiagram
+from .io import parse_diagram
+
+CORPUS_DIR = Path(__file__).with_suffix("")
+
+
+def _read(path: Path):
+    return parse_diagram(path.read_text())[2]
 
 
 def two_cusp_diagram() -> SpliceDiagram:
     """Three-node chain: two (2,3,7) nodes around a central valency-3 node
     carrying the single arrowhead.  The running example of the suite."""
-    return SpliceDiagram(
-        vertices=["bL", "v1", "leg1", "v0", "v1p", "leg1p", "bR"],
-        edges=[
-            Edge("bL", "v1", 1, 2),
-            Edge("v1", "leg1", 3, 1),
-            Edge("v1", "v0", 7, 1),
-            Edge("v0", "v1p", 1, 7),
-            Edge("v1p", "leg1p", 3, 1),
-            Edge("v1p", "bR", 2, 1),
-        ],
-        farrows=[Farrow(id="a0", at="v0", weight=1, mult=1)],
-    )
+    return _read(CORPUS_DIR / "two_cusp.sd")
 
 
 def two_cusp_plumbing() -> PlumbingGraph:
     """The resolution graph collapsing to two_cusp_diagram: the chain
     (-2, -1, -13, -1, -2) with (-3)-legs at both (-1)s and the arrow at -13."""
-    return PlumbingGraph(
-        vertices=[
-            PVertex("e1", -2),
-            PVertex("e2", -1),
-            PVertex("e3", -13),
-            PVertex("e4", -1),
-            PVertex("e5", -2),
-            PVertex("e6", -3),
-            PVertex("e7", -3),
-        ],
-        edges=[("e1", "e2"), ("e2", "e3"), ("e3", "e4"), ("e4", "e5"), ("e2", "e6"), ("e4", "e7")],
-        farrows=[Farrow(id="a0", at="e3", weight=1, mult=1)],
-    )
+    return _read(CORPUS_DIR / "two_cusp.pg")
 
 
 def two_cusp_diagram_mult(n: int) -> SpliceDiagram:
@@ -53,18 +42,7 @@ def two_cusp_diagram_mult(n: int) -> SpliceDiagram:
 def rodrigues_plumbing() -> PlumbingGraph:
     """Non-unimodular elliptic graph: chain (-2, -1, -6, -2) with legs (-4)
     at the -1 and (-3) at the -6, one arrowhead of multiplicity 7 at the end."""
-    return PlumbingGraph(
-        vertices=[
-            PVertex("c1", -2),
-            PVertex("c2", -1),
-            PVertex("c3", -6),
-            PVertex("c4", -2),
-            PVertex("c5", -4),
-            PVertex("c6", -3),
-        ],
-        edges=[("c1", "c2"), ("c2", "c3"), ("c3", "c4"), ("c2", "c5"), ("c3", "c6")],
-        farrows=[Farrow(id="a0", at="c4", weight=1, mult=7)],
-    )
+    return _read(CORPUS_DIR / "rodrigues.pg")
 
 
 def unimodular_counterexample_plumbing(n: int = 1) -> PlumbingGraph:
@@ -128,47 +106,24 @@ def plane_curve_staircase(pairs: list[tuple[int, int]]) -> SpliceDiagram:
 def staircase_plumbing_235() -> PlumbingGraph:
     """Minimal resolution of the (2,3)-cusp: star with legs (-2), (-3) around
     a (-1), arrow at the (-1)."""
-    return PlumbingGraph(
-        vertices=[PVertex("x1", -2), PVertex("x2", -1), PVertex("x3", -3)],
-        edges=[("x1", "x2"), ("x2", "x3")],
-        farrows=[Farrow(id="a0", at="x2", weight=1, mult=1)],
-    )
+    return _read(CORPUS_DIR / "staircase_235.pg")
 
 
 def smooth_point_plumbing() -> PlumbingGraph:
     """One (-1) curve with a transversal arrow: the smooth germ after one blowup."""
-    return PlumbingGraph(
-        vertices=[PVertex("e", -1)],
-        edges=[],
-        farrows=[Farrow(id="a0", at="e", weight=1, mult=1)],
-    )
+    return _read(CORPUS_DIR / "smooth_point.pg")
 
 
 def e8_plumbing() -> PlumbingGraph:
     """The E8 graph (all -2), det 1: the Poincare sphere."""
-    vs = [PVertex(f"e{i}", -2) for i in range(1, 9)]
-    edges = [(f"e{i}", f"e{i+1}") for i in range(1, 7)] + [("e5", "e8")]
-    return PlumbingGraph(vs, edges)
+    return _read(CORPUS_DIR / "e8.pg")
 
 
 def golden_splice_diagrams() -> dict[str, SpliceDiagram]:
-    return {
-        "two_cusp": two_cusp_diagram(),
-        "two_cusp_mult7": two_cusp_diagram_mult(7),
-        "intro_star_2_3": intro_star(2, 3),
-        "staircase_2_3": plane_curve_staircase([(2, 3)]),
-        "staircase_2_3_13_2": plane_curve_staircase([(2, 3), (13, 2)]),
-        "staircase_3_2_25_3": plane_curve_staircase([(3, 2), (25, 3)]),
-    }
+    """Every shipped ``.sd`` file, parsed afresh, by file stem."""
+    return {p.stem: _read(p) for p in sorted(CORPUS_DIR.glob("*.sd"))}
 
 
 def golden_plumbing_graphs() -> dict[str, PlumbingGraph]:
-    return {
-        "two_cusp": two_cusp_plumbing(),
-        "rodrigues": rodrigues_plumbing(),
-        "unimod_counterexample_1": unimodular_counterexample_plumbing(1),
-        "unimod_counterexample_2": unimodular_counterexample_plumbing(2),
-        "staircase_235": staircase_plumbing_235(),
-        "smooth_point": smooth_point_plumbing(),
-        "e8": e8_plumbing(),
-    }
+    """Every shipped ``.pg`` file, parsed afresh, by file stem."""
+    return {p.stem: _read(p) for p in sorted(CORPUS_DIR.glob("*.pg"))}

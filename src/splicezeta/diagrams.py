@@ -381,7 +381,7 @@ class SpliceDiagram(_Decorated):
             return "diagram is not a connected tree"
         chains = self.chain_vertices()
         if chains:
-            return f"valency-2 vertices present ({', '.join(chains)}); normalize first"
+            return f"valency-2 vertices present ({', '.join(chains)})"
         return ""
 
     def delta(self, v: str) -> int:

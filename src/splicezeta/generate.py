@@ -9,7 +9,7 @@ pairwise-coprime weights and positive edge determinants.
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, prod
 
 from .diagrams import (
     DiagramError,
@@ -114,7 +114,7 @@ def random_splice_diagram(
         vertices.append(v)
         legs = rng.choice(_LEG_POOLS) if (k == 0 or k == n_nodes - 1 or rng.random() < 0.6) else ()
         if prev is not None:
-            lo = prev_prod * max(1, _prod(legs))
+            lo = prev_prod * max(1, prod(legs))
             choices = [
                 wgt
                 for wgt in range(lo + 1, max_weight + 1)
@@ -124,9 +124,9 @@ def random_splice_diagram(
                 return None
             up = rng.choice(choices)
             edges.append(Edge(prev, v, 1, up))
-            prev_prod = up * _prod(legs)
+            prev_prod = up * prod(legs)
         else:
-            prev_prod = _prod(legs)
+            prev_prod = prod(legs)
         for j, w in enumerate(legs):
             b = f"b{k}_{j}"
             vertices.append(b)
@@ -151,13 +151,6 @@ def random_splice_diagram(
     if with_warrows:
         d = attach_random_splice_warrows(rng, d)
     return d
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def attach_random_splice_warrows(rng: random.Random, d: SpliceDiagram) -> SpliceDiagram:

@@ -57,7 +57,6 @@ the names off the same recursion, run on lists (``_minted_leaves``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .diagrams import (
@@ -338,11 +337,6 @@ class SpliceCheck:
         )
 
 
-def _form(a, b) -> tuple[Fraction, Fraction]:
-    """The linear form a + s b."""
-    return Fraction(a), Fraction(b)
-
-
 def verify_splice_zeta(
     d: SpliceDiagram, e, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> SpliceCheck:
@@ -364,23 +358,18 @@ def verify_splice_zeta(
     zl = zeta_splice(left.diagram)
     zr = zeta_splice(right.diagram)
     # both sides compared as C + principal parts, which is canonical (see
-    # the ``zeta`` module docstring); corr is 1 / ((i + s M)(i' + s M'))
-    ind_l, ind_r = _form(i_l, m_l), _form(i_r, m_r)
-    corr = (Fraction(-1), (ind_l, ind_r))
+    # the ``zeta`` module docstring); corr is 1 / ((i + s M)(i' + s M')),
+    # each linear form a + s b as the int pair (a, b)
+    ind_l, ind_r = (i_l, m_l), (i_r, m_r)
+    corr = (-1, (ind_l, ind_r))
     terms = [*summands(zl.node_terms, zl.edge_terms), *summands(zr.node_terms, zr.edge_terms)]
     identity = principal_parts(terms + [corr]) == (z.const, z.parts)
     data = node_data(d, fm, wm)
-    nu_l, n_l = data[e.a]
-    nu_r, n_r = data[e.b]
-    node_l, node_r = _form(nu_l, n_l), _form(nu_r, n_r)
-    lemma = principal_parts([(Fraction(q), (node_l, node_r))]) == principal_parts(
-        [
-            (Fraction(e.weight_at(e.a)), (node_l, ind_l)),
-            (Fraction(e.weight_at(e.b)), (node_r, ind_r)),
-            corr,
-        ]
+    node_l, node_r = data[e.a], data[e.b]
+    lemma = principal_parts([(q, (node_l, node_r))]) == principal_parts(
+        [(e.weight_at(e.a), (node_l, ind_l)), (e.weight_at(e.b), (node_r, ind_r)), corr]
     )
-    pairs = [(nu_l, n_l), (nu_r, n_r), (i_l, m_l), (i_r, m_r)]
+    pairs = [node_l, node_r, ind_l, ind_r]
     dets = [
         pairs[i][0] * pairs[j][1] - pairs[i][1] * pairs[j][0]
         for i in range(4)

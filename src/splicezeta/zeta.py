@@ -32,8 +32,9 @@ difference C + sum b1_r / (s - r) + b2_r / (s - r)^2 is 0; multiplied by
 (s - r) it gives b1_r = 0, at every r in turn, and what is left is C = 0.
 So two functions whose denominators split over Q into factors of order at
 most 2 are equal exactly when their (C, parts) are, the same canonicity the
-reduced num/den has.  ``splicing.verify_splice_zeta`` compares these forms
-and no ``RatFunc``.
+reduced num/den has.  This is the one form the package computes with:
+``splicing.verify_splice_zeta`` and the ``selfcheck`` goldens compare
+(C, parts), each side summed through ``principal_parts``.
 
 Every kept root r is a pole of order o_r = 2 if a2_r != 0 and 1 otherwise.
 The denominator D = prod (s - r)^o_r is monic.  ``reduced_coefficients``
@@ -44,14 +45,14 @@ by exact integer synthetic division (q s - p is primitive, so the quotient
 is integral by Gauss's lemma), and sums L (C D' + sum of a_k,r q^k
 D' / (q s - p)^k), where L is the lcm of the denominators of C and of every
 a_k,r.  It returns these integer coefficients with their denominators,
-L lead(D') and lead(D'); the CLI prints each ratio reduced, and
-``ZetaResult.func`` builds the ``RatFunc`` of ``Fraction``s from them on
-first use only.  At each pole r the numerator takes the value
-a_o_r,r times the product of the (r - r')^o_r' over the other poles r',
-which is not 0.  So the fraction is reduced.  A reduced rational function
-with a monic denominator is unique, so the result is exactly the ``RatFunc``
-that adding the terms one at a time, with a polynomial gcd after every
-addition, gives; no polynomial gcd is computed.
+L lead(D') and lead(D'); the CLI prints each ratio reduced.  At each pole
+r the numerator takes the value a_o_r,r times the product of the
+(r - r')^o_r' over the other poles r', which is not 0.  So the fraction is reduced.  A reduced rational function
+with a monic denominator is unique, so the result is exactly the reduced
+num/den that adding the terms one at a time, with a polynomial gcd after
+every addition, gives; no polynomial gcd is computed.  That term-by-term
+sum, in ``exact.RatFunc``s, is the tests' oracle: this equality and the
+one below are what the tests check against it.
 
 A diagram or graph keeps its zeta function at its own F and W in its
 ``memo``, so the commands on one object sum it once; other F and W, such as
@@ -63,14 +64,15 @@ only nu, N and i, and adds each node constant as one integer num/den.  So a
 ``ZetaResult`` is read-only: frozen, with tuples of terms and a read-only
 view of the parts.
 
-The poles are read off the parts, with no root search.  ``RatFunc.poles``
-returns, at a root r of order o of the reduced den, num(r) / g(r) with
-g = den / (s - r)^o.  Near r, num / g = (s - r)^o Z(s), which is
-(s - r)^o (C + sum over r' != r of the parts at r') + a1_r (s - r)^(o - 1)
-+ a2_r (s - r)^(o - 2).  The other parts are regular at r, so at s = r this
-is a2_r when o = 2 and a1_r when o = 1 (where a2_r = 0).  The roots and
-orders are the same on both sides, as shown above, so ``ZetaResult.poles``
-gives exactly the list ``func.poles()`` gives.
+The poles are read off the parts, with no root search.  The oracle's
+``RatFunc.poles`` returns, at a root r of order o of the reduced den,
+num(r) / g(r) with g = den / (s - r)^o.  Near r, num / g = (s - r)^o Z(s),
+which is (s - r)^o (C + sum over r' != r of the parts at r')
++ a1_r (s - r)^(o - 1) + a2_r (s - r)^(o - 2).  The other parts are regular
+at r, so at s = r this is a2_r when o = 2 and a1_r when o = 1 (where
+a2_r = 0).  The roots and orders are the same on both sides, as shown
+above, so ``ZetaResult.poles`` gives exactly the list the oracle's
+``poles()`` gives.
 
 ``pole_at`` answers the question ``realize`` certifies, the least pole r
 with exp(2 pi i r) = lam, without summing the whole function.  Two facts
@@ -106,7 +108,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -120,7 +121,7 @@ from .divisors import (
     solve_pullback,
     w_of,
 )
-from .exact import Poly, Pole, RatFunc, UnityRoot
+from .exact import Pole, UnityRoot
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,6 @@ class ZetaResult:
         """Sum of the terms; a linear form with nu = N = 0 raises ZeroDivisionError."""
         const, parts = principal_parts(summands(node_terms, edge_terms))
         return cls(const, MappingProxyType(parts), tuple(node_terms), tuple(edge_terms))
-
-    @cached_property
-    def func(self) -> RatFunc:
-        """The reduced num/den as a ``RatFunc``, built on first use; the
-        ``zeta`` command prints ``reduced_coefficients`` and never builds it."""
-        return reduced_ratfunc(self.const, self.parts)
 
     def poles(self) -> list[Pole]:
         """Every pole with its order and leading Laurent coefficient, sorted."""
@@ -332,15 +327,6 @@ def reduced_coefficients(
         return [], 1, [1], 1
     lead = den[-1]
     return num, scale * lead, den, lead
-
-
-def reduced_ratfunc(const: Fraction, parts: Mapping[Fraction, tuple[Fraction, Fraction]]) -> RatFunc:
-    """C + sum of the principal parts as a reduced RatFunc, from
-    ``reduced_coefficients``."""
-    num, num_den, den, den_den = reduced_coefficients(const, parts)
-    return RatFunc._reduced(
-        Poly([Fraction(x, num_den) for x in num]), Poly([Fraction(x, den_den) for x in den])
-    )
 
 
 def _require_nonzero_pair(nu, n, kind: str, name: str):

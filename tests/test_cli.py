@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splicezeta import cli
+from splicezeta import cli, corpus, exact
 from splicezeta.cli import _json, build_parser, main
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
 from splicezeta.diagrams import DiagramError, Farrow, PlumbingGraph, PVertex, plumbing_to_splice
@@ -24,7 +24,7 @@ from splicezeta.generate import random_plumbing
 from splicezeta.io import ParseError, parse_diagram, print_diagram
 from splicezeta.selfcheck import CHECKS, run_selfcheck
 from splicezeta.zeta import ZetaResult, zeta_plumbing, zeta_splice
-from zeta_oracle import zeta_payload
+from zeta_oracle import func, zeta_payload
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "splicezeta" / "corpus"
 # a star whose edge weights 2 and 4 are not coprime: ``validate`` rejects it
@@ -61,17 +61,63 @@ def test_roundtrip_plumbing():
 
 
 def test_corpus_files_match_their_constructors():
-    # each shipped file parses to what its golden constructor prints, and
-    # every file has a constructor
+    # the golden tables are the shipped files; each parametric family prints
+    # its shipped file exactly at that file's parameters, and every file is
+    # reached by a constructor
     goldens = {".sd": golden_splice_diagrams(), ".pg": golden_plumbing_graphs()}
     paths = sorted(CORPUS.iterdir())
     assert {(p.stem, p.suffix) for p in paths} == {
         (name, suffix) for suffix, objs in goldens.items() for name in objs
     }
+    constructors = {
+        "two_cusp.sd": corpus.two_cusp_diagram(),
+        "two_cusp_mult7.sd": corpus.two_cusp_diagram_mult(7),
+        "intro_star_2_3.sd": corpus.intro_star(2, 3),
+        "staircase_2_3.sd": corpus.plane_curve_staircase([(2, 3)]),
+        "staircase_2_3_13_2.sd": corpus.plane_curve_staircase([(2, 3), (13, 2)]),
+        "staircase_3_2_25_3.sd": corpus.plane_curve_staircase([(3, 2), (25, 3)]),
+        "two_cusp.pg": corpus.two_cusp_plumbing(),
+        "rodrigues.pg": corpus.rodrigues_plumbing(),
+        "unimod_counterexample_1.pg": corpus.unimodular_counterexample_plumbing(1),
+        "unimod_counterexample_2.pg": corpus.unimodular_counterexample_plumbing(2),
+        "staircase_235.pg": corpus.staircase_plumbing_235(),
+        "smooth_point.pg": corpus.smooth_point_plumbing(),
+        "e8.pg": corpus.e8_plumbing(),
+    }
+    assert sorted(constructors) == [p.name for p in paths]
+    kinds = {".sd": "splice diagram", ".pg": "plumbing graph"}
     for path in paths:
-        _, name, obj = parse_diagram(path.read_text())
-        assert name == path.stem
-        assert print_diagram(obj, name) == print_diagram(goldens[path.suffix][name], name), path
+        header = f"# {path.stem}: golden {kinds[path.suffix]}\n"
+        text = path.read_text()
+        assert text == header + print_diagram(constructors[path.name], path.stem), path
+        assert text == header + print_diagram(goldens[path.suffix][path.stem], path.stem), path
+    # a fixed constructor reads its file afresh: no memo is shared
+    assert corpus.two_cusp_diagram() is not corpus.two_cusp_diagram()
+
+
+def test_corpus_reads_no_file_at_import():
+    # importing the module opens nothing under the corpus directory; the
+    # constructors read it on call
+    code = '''
+import sys
+from pathlib import Path
+seen = []
+def hook(event, args):
+    if event in ("open", "os.listdir", "os.scandir") and args and args[0] is not None:
+        seen.append(Path(str(args[0])).absolute())
+sys.addaudithook(hook)
+import splicezeta.corpus as corpus
+def reads():
+    return sum(p == corpus.CORPUS_DIR or p.parent == corpus.CORPUS_DIR for p in seen)
+at_import = reads()
+corpus.e8_plumbing()
+corpus.golden_splice_diagrams()
+print(at_import, reads() >= 7)
+'''
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0 True\n"  # e8.pg and the six .sd files, at least
 
 
 def test_parse_errors():
@@ -209,6 +255,52 @@ def test_cli_refuses_counts_below_one(capsys):
         assert capsys.readouterr() == ("", "error: --samples must be at least 1\n")
     with pytest.raises(ValueError, match="samples must be at least 1"):
         run_selfcheck(0)
+
+
+def test_no_src_path_reaches_the_polynomial_algebra(monkeypatch):
+    # (C, parts) is the one zeta form: selfcheck, every splice_batch command
+    # and convert, in process on every corpus file, give the same exit codes
+    # and bytes with Poly, RatFunc and poly_gcd refusing as without, and
+    # none is reached
+    reached = []
+
+    def refuse(*args, **kwargs):
+        reached.append(args)
+        raise AssertionError("reached the polynomial algebra")
+
+    commands = (
+        "validate", "zeta", "poles", "alexander", "semigroup", "allowed", "goal1", "stars",
+        "convert",
+    )
+    argvs = []
+    for path in sorted(CORPUS.iterdir()):
+        argvs += [[command, str(path), "--json"] for command in commands]
+        _, _, obj = parse_diagram(path.read_text())
+        with contextlib.suppress(DiagramError):
+            d = obj if path.suffix == ".sd" else plumbing_to_splice(obj)
+            for e in sorted(d.special_edges(), key=lambda e: e.key)[:1]:
+                argvs.append(["splice", str(path), "--edge", f"{e.a}:{e.b}", "--json"])
+
+    def run_all():
+        cli._parse.cache_clear()  # parse afresh, so no zeta is read from a memo
+        lines = [str(line) for line in run_selfcheck(3)]
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            lines.append((argv, code, out.getvalue(), err.getvalue()))
+        return lines
+
+    monkeypatch.setattr(exact.Poly, "__init__", refuse)
+    monkeypatch.setattr(exact.RatFunc, "__init__", refuse)
+    monkeypatch.setattr(exact, "poly_gcd", refuse)
+    refused = run_all()
+    monkeypatch.undo()
+    assert reached == []
+    assert refused == run_all()
+    assert all(line.startswith("PASS") for line in refused[: len(CHECKS)])
+    ran = {argv[0] for argv, code, *_ in refused[len(CHECKS):] if code == 0}
+    assert ran == {*commands, "splice"}
 
 
 def test_cli_plumbing_inputs_full_surface():
@@ -728,10 +820,11 @@ def test_cli_json_output_is_json_dumps_of_the_payload():
                 assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-def test_zeta_payload_prints_the_reduced_function():
+def test_zeta_payload_prints_the_reduced_function(monkeypatch):
     # the payload's numerator and denominator, printed from integers without
-    # building z.func, are format_fraction over z.func's coefficients, and
-    # the text written from the terms is _json of the payload's dict form:
+    # building a RatFunc, are format_fraction over the coefficients of the
+    # term-by-term RatFunc sum, and the text written from the terms is _json
+    # of the payload's dict form:
     # the corpus, ladder-style graphs by both routes, a graph with
     # det(-I) = 5 (rational N) and Z = 0
     zs = []
@@ -754,13 +847,20 @@ def test_zeta_payload_prints_the_reduced_function():
     zs.append(("zero", ZetaResult.from_terms((), ())))
     fractional = 0
     arrow_counts = set()
-    for name, z in zs:
-        text = cli._zeta_json(name, z)
-        assert "func" not in vars(z)
+
+    def refuse(*args):
+        raise AssertionError("the zeta payload built a Poly or a RatFunc")
+
+    monkeypatch.setattr(exact.Poly, "__init__", refuse)
+    monkeypatch.setattr(exact.RatFunc, "__init__", refuse)
+    texts = [cli._zeta_json(name, z) for name, z in zs]
+    monkeypatch.undo()
+    for (name, z), text in zip(zs, texts):
         assert text == _json({"name": name, "zeta": zeta_payload(z)})
         payload = json.loads(text)["zeta"]
-        assert payload["numerator"] == [format_fraction(c) for c in z.func.num.coeffs]
-        assert payload["denominator"] == [format_fraction(c) for c in z.func.den.coeffs]
+        f = func(z)
+        assert payload["numerator"] == [format_fraction(c) for c in f.num.coeffs]
+        assert payload["denominator"] == [format_fraction(c) for c in f.den.coeffs]
         fractional += any("/" in c for c in payload["numerator"] + payload["denominator"])
         arrow_counts.update(len(t.arrows) for t in z.node_terms)
     assert fractional >= 100

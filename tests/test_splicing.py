@@ -29,6 +29,7 @@ from splicezeta.splicing import (
     verify_splice_zeta,
 )
 from splicezeta.zeta import zeta_splice
+from zeta_oracle import func
 
 
 def test_splice_running_example_decorations():
@@ -144,10 +145,10 @@ def test_star_decomposition_order_independent():
             for v in base:
                 assert signature(alt[v]) == signature(base[v])
                 try:
-                    zb = zeta_splice(base[v]).func
+                    zb = func(zeta_splice(base[v]))
                 except DiagramError:
                     continue
-                assert zeta_splice(alt[v]).func == zb
+                assert func(zeta_splice(alt[v])) == zb
 
 
 def reference_star_decomposition(d, f=None, w=None):
@@ -395,8 +396,8 @@ def test_verify_three_star_identity():
     # Z = Z1 + Z0 + Z1' - 2/((-1)(s-1)) exactly
     d = two_cusp_diagram()
     stars = star_decomposition(d)
-    z = zeta_splice(d).func
-    parts = [zeta_splice(stars[v]).func for v in ("v1", "v0", "v1p")]
+    z = func(zeta_splice(d))
+    parts = [func(zeta_splice(stars[v])) for v in ("v1", "v0", "v1p")]
     corr = RatFunc(Poly.const(2), Poly.linear(-1, 0) * Poly.linear(-1, 1))
     assert z == parts[0] + parts[1] + parts[2] - corr
 
@@ -433,8 +434,8 @@ def reference_splice_verdicts(d, e):
         return None
     lin = Poly.linear
     corr = RatFunc(Poly.const(1), lin(left.i, left.m) * lin(right.i, right.m))
-    identity = zeta_splice(d).func == (
-        zeta_splice(left.diagram).func + zeta_splice(right.diagram).func - corr
+    identity = func(zeta_splice(d)) == (
+        func(zeta_splice(left.diagram)) + func(zeta_splice(right.diagram)) - corr
     )
     data = node_data(d, d.f_divisor(), d.w_divisor())
     (nu_l, n_l), (nu_r, n_r) = data[e.a], data[e.b]
@@ -618,4 +619,4 @@ def test_splice_identity_with_node_attached_warrow():
             base.farrows,
             [Warrow(id="nw", value=value, at="x")],
         )
-        assert zeta_splice(d).func == zeta_splice(leg).func
+        assert func(zeta_splice(d)) == func(zeta_splice(leg))
