@@ -23,9 +23,10 @@ commands on one file share one diagram object, and with it everything kept
 in its memo.
 
 ``--json`` output is ``json.dumps(payload, indent=2, sort_keys=True)``, byte
-for byte.  ``zeta`` writes its payload from its terms (``_zeta_json``), with
-no payload dict built; every other command's payload is written by
-``_json``.
+for byte.  ``zeta`` and ``realize`` write their own payloads, ``zeta`` from
+its terms (``_zeta_json``) and ``realize`` from its outcome
+(``_realize_json``), with no payload dict built; every other command's
+payload is written by ``_json``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .exact import (
 )
 from .io import ParseError, parse_diagram, print_splice
 from .monodromy import alexander, delta0, delta1, eig_contains
-from .realize import NotAnEigenvalueError, realize_eigenvalue
+from .realize import NotAnEigenvalueError, RealizeOutcome, realize_eigenvalue
 from .splicing import star_decomposition, verify_splice_zeta
 from .zeta import ZetaResult, reduced_coefficients, zeta_plumbing, zeta_splice
 
@@ -161,9 +162,13 @@ _EDGE = (
 )
 
 
-def _json_list(items: list[str]) -> str:
-    """A list at zeta[...] of the zeta payload, from its items' text."""
-    return "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
+def _json_list(items: list[str], indent: str = "\n    ") -> str:
+    """A list from its items' text, its closing bracket at ``indent`` (by
+    default at zeta[...] of the zeta payload)."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def _zeta_json(name: str, z: ZetaResult) -> str:
@@ -198,6 +203,75 @@ def _zeta_json(name: str, z: ZetaResult) -> str:
     )
 
 
+# The realize payload's text, in the templates _json writes at each depth of
+# {"name": ..., "lambda": ..., "status": ..., "found": [...], ...}: every key
+# in sorted order, a found entry or a congruence at payload[...][k], a
+# reduction at payload["congruences"][k]["reductions"][j].  s0 and leading
+# are format_fraction strings; ids and messages are encoded with
+# encode_basestring_ascii.
+_REALIZE = (
+    '{\n  "congruences": %s,\n  "diagnostics": %s,\n  "explored": %s,\n  "found": %s,'
+    '\n  "lambda": %s,\n  "name": %s,\n  "status": %s\n}'
+)
+_FOUND = (
+    '{\n      "leading": "%s",\n      "order": %d,\n      "s0": "%s",\n      "source": %s,'
+    '\n      "values": %s,\n      "w": %s\n    }'
+)
+_CONGRUENCE = (
+    '{\n      "base": %d,\n      "coefficients": %s,\n      "modulus": %d,\n      "node": %s,'
+    '\n      "reductions": %s,\n      "target": %d\n    }'
+)
+_REDUCTION = (
+    '{\n          "coefficients": %s,\n          "modulus": %d,\n          "target": %d\n        }'
+)
+
+
+def _int_map(m: dict[str, int], indent: str) -> str:
+    """A slot -> int map in sorted key order, its closing brace at ``indent``."""
+    if not m:
+        return "{}"
+    inner = indent + "  "
+    items = [encode_basestring_ascii(k) + ": %d" % v for k, v in sorted(m.items())]
+    return "{" + inner + ("," + inner).join(items) + indent + "}"
+
+
+def _realize_json(name: str, lam: UnityRoot, out: RealizeOutcome) -> str:
+    """``_json`` of the realize payload, byte for byte, written from the
+    outcome without building the payload: name, lambda, status, each found
+    divisor (w, values, s0, order, leading, source), the diagnostics, each
+    node congruence (node, modulus, base, target, coefficients and the
+    reductions: modulus, coefficients, target) and the explored window."""
+    ff = format_fraction
+    enc = encode_basestring_ascii
+    found = [
+        _FOUND % (
+            ff(r.leading), r.order, ff(r.s0), enc(r.source),
+            _int_map(r.values(), "\n      "), _int_map(r.w, "\n      "),
+        )
+        for r in out.found
+    ]
+    congruences = [
+        _CONGRUENCE % (
+            c.base, _int_map(c.coefficients, "\n      "), c.modulus, enc(c.node),
+            _json_list(
+                [_REDUCTION % (_int_map(co, "\n          "), m, t) for m, co, t in c.reductions],
+                "\n      ",
+            ),
+            c.target,
+        )
+        for c in out.congruences
+    ]
+    return _REALIZE % (
+        _json_list(congruences, "\n  "),
+        _json_list([enc(x) for x in out.diagnostics], "\n  "),
+        _int_map(out.explored, "\n  "),
+        _json_list(found, "\n  "),
+        enc(str(lam)),
+        enc(name),
+        enc(out.status),
+    )
+
+
 def _cyclo_payload(c: CycloProduct) -> dict:
     out = {"factors": [[n, e] for n, e in c.factors.items()]}
     try:
@@ -212,11 +286,10 @@ def _cyclo_payload(c: CycloProduct) -> dict:
 # any other key (a vertex or slot id) is encoded where it is written
 _KEY_PREFIXES = {
     k: encode_basestring_ascii(k) + ": "
-    for k in """M M_prime alexander allowed base bound checked checks coefficients congruences
-    d degenerate delta0 delta1 detail diagnostics edge eigenvalue explored factors failures
-    found generators holds i i_prime identity_holds in_eig kind lambda leading left legs
-    modulus name node nonzero note ok order poles polynomial r reason reductions right s0
-    source splice stars status target valid values violations w weight where window""".split()
+    for k in """M M_prime alexander allowed checked checks d degenerate delta0 delta1 detail edge
+    eigenvalue factors failures generators holds i i_prime identity_holds in_eig kind lambda
+    leading left legs name node nonzero note ok order poles polynomial r reason right s0 splice
+    stars valid violations weight where""".split()
 }
 
 
@@ -496,51 +569,28 @@ def cmd_realize(args):
         )
     except NotAnEigenvalueError as exc:
         raise CliError(2, str(exc)) from None
-    payload = {
-        "name": name,
-        "lambda": str(lam),
-        "status": out.status,
-        "found": [
-            {
-                "w": {s: m for s, m in r.w.items()},
-                "values": r.values(),
-                "s0": format_fraction(r.s0),
-                "order": r.order,
-                "leading": format_fraction(r.leading),
-                "source": r.source,
-            }
-            for r in out.found
-        ],
-        "diagnostics": out.diagnostics,
-        "congruences": [
-            {
-                "node": c.node,
-                "modulus": c.modulus,
-                "base": c.base,
-                "target": c.target,
-                "coefficients": c.coefficients,
-                "reductions": [
-                    {"modulus": m, "coefficients": co, "target": t}
-                    for m, co, t in c.reductions
-                ],
-            }
-            for c in out.congruences
-        ],
-        "explored": out.explored,
-    }
+    if args.json:
+        sys.stdout.write(_realize_json(name, lam, out) + "\n")
+        return
+    # the text leaves out what --json also prints: the explored window, W
+    # (it prints W + 1) and the leading coefficients; a result holding one
+    # past the integer string limit exits 2 all the same
+    for x in (*out.explored.values(), *(y for r in out.found for y in (r.leading, *r.w.values()))):
+        str(x)
     if out.realized:
+        doubles = {x.id for x in d.farrows}
         lines = [f"{name}: realized {lam}"]
         for r in out.found:
             lines.append(f"  s0 = {format_fraction(r.s0)} (order {r.order}, from {r.source})")
             for slot, value in r.values().items():
-                kind2 = "doubles" if slot in {x.id for x in d.farrows} else "at"
+                kind2 = "doubles" if slot in doubles else "at"
                 lines.append(f"  warrow w_{slot} {kind2} {slot} i={value}")
     else:
         lines = [f"{name}: {out.status} for {lam}"]
         lines += [f"  {x}" for x in out.diagnostics]
         for c in out.congruences:
             lines.append("  " + c.describe().replace("\n", "\n  "))
-    _emit(args, payload, "\n".join(lines))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_selfcheck(args):

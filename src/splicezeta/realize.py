@@ -77,11 +77,14 @@ What a query needs that is free of F, W and lambda is kept on the diagram:
 the searched slots, their star forms and each node's nu at W = 0 and
 linking row over them, under one memo key without and one with the
 arrowhead doubles.  A query compiles from them only what its lambda and F
-decide, N_v and the target residues.  No memo key names a lambda or a
-searched W.  The kernel moves and the small boundary assignments draw
-their random values through ``_below7``, which takes from the random
-stream what ``randint(-3, 3)`` and a seven-way ``choice`` take and gives
-what they give, in fewer calls.
+decide, N_v and the target residues.  The first arrowhead source's small
+boundary assignments depend on the slots and their star forms alone, as
+every query draws them first from the same fixed seed: they are kept too,
+with the state of the random stream after them, which the query restores.
+No memo key names a lambda or a searched W.  The kernel moves and the
+small boundary assignments draw their random values through ``_below7``,
+which takes from the random stream what ``randint(-3, 3)`` and a seven-way
+``choice`` take and gives what they give, in fewer calls.
 
 By default the searched dashed arrows live at boundary vertices; the double
 of an ordinary arrowhead is used only when that arrowhead itself is the
@@ -602,6 +605,10 @@ def _hit_walk(forms: list[_Congruence], k: int, width: int, effective: bool):
     yield from walk(0, (), alive, width == 1)
 
 
+# the seed of every query's random stream
+_SEED = 20260810
+
+
 @dataclass
 class _Query:
     """One realize query: what is compiled for it once and shared by its
@@ -621,18 +628,37 @@ class _Query:
     explored: dict[str, int]
     congruences: list[NodeCongruence] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
-    rng: random.Random = field(default_factory=lambda: random.Random(20260810))
+    rng: random.Random = field(default_factory=lambda: random.Random(_SEED))
+    include_doubles: bool = False
+
+
+def _first_draws(slots, forms) -> tuple[tuple[dict[str, int], ...], tuple]:
+    """The first arrowhead's small boundary assignments, drawn from a fresh
+    stream, and the state of the stream after them: free of F, W and lam,
+    so ``_arrow_candidates`` keeps them on the diagram, under one key per
+    value of ``include_doubles``."""
+    rng = random.Random(_SEED)
+    return tuple(_small_allowed_candidates(slots, forms, rng)), rng.getstate()
 
 
 def _arrow_candidates(q: _Query):
     """Arrowheads whose multiplicity the order of lam divides: the double of
     the arrowhead set so that s0 = -i_a/N_a hits lam, on top of a few small
-    allowed boundary assignments."""
-    for aid, (na, ua) in q.arrow_hits.items():
+    allowed boundary assignments.  The first arrowhead is the first to draw
+    from the query's fresh stream, so it reads its assignments, and the
+    state they leave the stream in, from the diagram's memo."""
+    for k, (aid, (na, ua)) in enumerate(q.arrow_hits.items()):
+        if k:
+            bases = _small_allowed_candidates(q.slots, q.forms, q.rng)
+        else:
+            bases, state = q.d.memo(
+                ("realize draws", q.include_doubles), _first_draws, q.slots, q.forms
+            )
+            q.rng.setstate(state)
         # W = 0 comes first here when the star filters allow it; when they do
         # not, no W that is 0 off the double of a is allowed, as that double
         # changes no star leg
-        for basew in _small_allowed_candidates(q.slots, q.forms, q.rng):
+        for basew in bases:
             for t in range(1, 9) if q.effective else range(8):
                 yield basew | {aid: (ua - 1) + na * t}, f"arrow:{aid}"
 
@@ -787,7 +813,7 @@ def realize_eigenvalue(
     node_hits, arrow_hits = _compile_hits(d, fm, lam, rows)
     q = _Query(
         d, fm, lam, slots, effective, forms, node_hits, arrow_hits,
-        explored={"window": 0, "bound": bound},
+        explored={"window": 0, "bound": bound}, include_doubles=include_doubles,
     )
     # the sources are pulled in turn, each only while results are missing;
     # a W is certified once, keyed as certify keys its result

@@ -8,6 +8,7 @@ parsed inputs by file text, so a rewritten file is read anew.
 import contextlib
 import dataclasses
 import io
+import itertools
 import random
 from math import gcd
 from pathlib import Path
@@ -153,10 +154,12 @@ def test_values_at_other_decorations_are_not_kept():
 
 # every key realize may leave in a splice diagram's memo, whatever lambda
 # and W it searches: besides these, a "cut" key per special edge and kept
-# end; "realize slots" is kept without and with the arrowhead doubles
+# end; "realize slots" and "realize draws" are kept without and with the
+# arrowhead doubles
 _REALIZE_KEYS = {
     ("N",), ("canonical terms",), ("delta1",), ("edge determinants",), ("invariants",),
     ("monodromy zeta",), ("nu at W = 0",), ("realize slots", False), ("realize slots", True),
+    ("realize draws", False), ("realize draws", True),
     ("star legs",), ("stars at W = 0",), ("vertex set",), ("zeta",), ("zeta plan",),
 }
 
@@ -193,6 +196,56 @@ def test_realize_keeps_only_the_fixed_keys():
                     assert set(d._memo) <= fixed, set(d._memo) - fixed
         assert {("realize slots", False), ("realize slots", True)} <= set(d._memo)
     assert queries > 1000
+
+
+def _drawn_arrow_candidates(q):
+    """The arrowhead source with every arrowhead's small boundary
+    assignments drawn from the query's own stream, none read from the memo."""
+    from splicezeta import realize
+
+    for aid, (na, ua) in q.arrow_hits.items():
+        for basew in realize._small_allowed_candidates(q.slots, q.forms, q.rng):
+            for t in range(1, 9) if q.effective else range(8):
+                yield basew | {aid: (ua - 1) + na * t}, f"arrow:{aid}"
+
+
+def test_kept_draws_give_the_outcome_of_fresh_draws(monkeypatch):
+    # every lambda in Eig of every corpus diagram, with and without
+    # --include-doubles and --effective, at count 2 and 30: a query on a
+    # freshly parsed diagram and one on a diagram whose memo holds the first
+    # arrowhead's draws, kept by the queries before it, end as the query
+    # ends when the arrowhead source draws every list from its own stream
+    # (at count 30 some queries reach the draws after the first list)
+    from splicezeta import realize
+
+    builds = []
+    first_draws = realize._first_draws
+    monkeypatch.setattr(realize, "_first_draws", lambda *a: builds.append(a) or first_draws(*a))
+    diagrams = list(golden_splice_diagrams().values())
+    for g in golden_plumbing_graphs().values():
+        with contextlib.suppress(DiagramError):
+            diagrams.append(plumbing_to_splice(g))
+    fresh_builds = 0
+    for d in diagrams:
+        if not any(d.f_divisor().values()):
+            continue
+        warm = _fresh(d)
+        warm_builds = 0
+        for lam in _eigenvalues(d):
+            for count, effective, doubles in itertools.product((2, 30), *[(False, True)] * 2):
+                kw = {"count": count, "effective": effective, "include_doubles": doubles}
+                with monkeypatch.context() as m:
+                    m.setattr(realize, "_arrow_candidates", _drawn_arrow_candidates)
+                    want = realize_eigenvalue(_fresh(d), lam, **kw)
+                builds.clear()
+                assert realize_eigenvalue(_fresh(d), lam, **kw) == want, (lam, kw)
+                fresh_builds += len(builds)
+                builds.clear()
+                assert realize_eigenvalue(warm, lam, **kw) == want, (lam, kw)
+                warm_builds += len(builds)
+        # the draws are drawn once per value of include_doubles
+        assert warm_builds == sum(("realize draws", x) in warm._memo for x in (False, True))
+    assert fresh_builds > 100
 
 
 def test_returned_values_are_not_shared():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -19,11 +20,14 @@ from splicezeta import cli, corpus, exact
 from splicezeta.cli import _json, build_parser, main
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
 from splicezeta.diagrams import DiagramError, Farrow, PlumbingGraph, PVertex, plumbing_to_splice
-from splicezeta.exact import CycloLimitError, CycloProduct, format_fraction
+from splicezeta.exact import CycloLimitError, CycloProduct, UnityRoot, format_fraction
 from splicezeta.generate import random_plumbing
 from splicezeta.io import ParseError, parse_diagram, print_diagram
+from splicezeta.monodromy import delta1, eig_contains
+from splicezeta.realize import realize_eigenvalue
 from splicezeta.selfcheck import CHECKS, run_selfcheck
 from splicezeta.zeta import ZetaResult, zeta_plumbing, zeta_splice
+from realize_oracle import realize_payload
 from zeta_oracle import func, zeta_payload
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "splicezeta" / "corpus"
@@ -698,6 +702,84 @@ def test_cli_realize_budget_exhausting_golden(capsys):
     assert main(["realize", sd, "--lambda", "37/42", "--effective", "--json"]) == 0
     golden = Path(__file__).resolve().parent / "golden" / "realize_two_cusp_mult7_37_42_effective.json"
     assert capsys.readouterr().out == golden.read_text()
+
+
+# the text output of three realize calls, as whole stdout: two realized
+# queries (one with a double, one with --count 2) and an unrealizable one
+# that prints its congruences and their reductions
+REALIZE_TEXT_GOLDENS = {
+    "realize_two_cusp_1_6_effective_count2.txt":
+        ["two_cusp.sd", "--lambda", "1/6", "--effective", "--count", "2"],
+    "realize_two_cusp_5_6_include_doubles.txt":
+        ["two_cusp.sd", "--lambda", "5/6", "--include-doubles"],
+    "realize_two_cusp_mult7_37_42.txt": ["two_cusp_mult7.sd", "--lambda", "37/42"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(REALIZE_TEXT_GOLDENS))
+def test_cli_realize_text_golden(golden, capsys):
+    file, *options = REALIZE_TEXT_GOLDENS[golden]
+    assert main(["realize", str(CORPUS / file), *options]) == 0
+    want = (Path(__file__).resolve().parent / "golden" / golden).read_text()
+    assert capsys.readouterr().out == want
+
+
+def _eig(d):
+    """Every lam in Eig(d): roots of Delta_1 and the arrowhead root groups."""
+    orders = set(delta1(d).root_orders())
+    for m in d.f_divisor().values():
+        orders.update(q for q in range(1, m + 1) if m % q == 0)
+    lams = [UnityRoot(p, q) for q in sorted(orders) for p in range(q) if gcd(p, q) == 1]
+    return [lam for lam in lams if eig_contains(d, lam)]
+
+
+# a star whose name and ids hold a non-ASCII letter, a quote and a
+# backslash; its boundary vertices are the searched slots
+ESCAPED_STAR = (
+    'splice-diagram é"\\sd\nvertex é"\\\nvertex b\\\nvertex c"\n'
+    'edge é"\\ b\\ 2 1\nedge é"\\ c" 3 1\nfarrow a" at é"\\ w=1 N=1\n'
+)
+
+
+def test_realize_json_is_json_of_the_payload():
+    # _realize_json writes _json of the payload dict, byte for byte: every
+    # lambda in Eig of every corpus diagram, plain, with --effective and
+    # with --include-doubles, and with --count 3 (the 12 two_cusp_mult7
+    # queries that end unrealizable at window 12 among them); an
+    # arrowhead-only lambda, whose outcome holds no congruence; and ids with
+    # a non-ASCII letter, a quote and a backslash as slot keys
+    cases = []
+    for path in sorted(CORPUS.iterdir()):
+        kind, name, obj = parse_diagram(path.read_text())
+        try:
+            d = obj if kind == "splice" else plumbing_to_splice(obj)
+            lams = _eig(d)
+        except DiagramError:
+            continue
+        cases += [(name, d, lam) for lam in lams]
+    _, name, star = parse_diagram(ESCAPED_STAR)
+    assert name == 'é"\\sd' and {'b\\', 'c"'} <= set(star.boundary_vertices())
+    cases += [(name, star, lam) for lam in _eig(star)]
+    options = [
+        {}, {"effective": True}, {"include_doubles": True}, {"count": 3},
+        {"count": 3, "effective": True, "include_doubles": True},
+    ]
+    exhausted = arrow_only = escaped = 0
+    for name, d, lam in cases:
+        for kw in options:
+            out = realize_eigenvalue(d, lam, **kw)
+            text = cli._realize_json(name, lam, out)
+            assert text == _json(realize_payload(name, lam, out)), (name, lam, kw)
+            assert text.isascii()
+            exhausted += out.explored["window"] == 12 and not out.realized
+            arrow_only += out.realized and not out.congruences
+            if d is star:
+                keys = {k for c in out.congruences for k in c.coefficients}
+                keys.update(k for r in out.found for k in r.w)
+                escaped += {'b\\', 'c"'} <= keys
+    assert exhausted >= 12
+    assert arrow_only > 0
+    assert escaped > 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from splicezeta.diagrams import DiagramError, Edge, Farrow, SpliceDiagram, valid
 from splicezeta.divisors import f_of, nu_values, vertex_multiplicities
 from splicezeta.exact import UnityRoot
 from splicezeta.generate import random_valid_splice
+from splicezeta.io import parse_diagram, print_diagram
 from splicezeta.monodromy import alexander, delta1, eig_contains
 from splicezeta.realize import (
     FACTOR_TRIAL_LIMIT,
@@ -125,6 +126,38 @@ def test_realize_star_automatic_pole_r1():
         z = zeta_splice(st, w=w)
         assert any(p.location == Fraction(-nu, nv) for p in z.poles()), w
     assert hits >= 10
+
+
+# a star with three arrowheads of multiplicity N: each arrowhead is a
+# source at every root of order dividing N
+THREE_ARROW_STAR = (
+    "splice-diagram s3\nvertex v\nvertex b1\nvertex b2\nedge v b1 2 1\nedge v b2 3 1\n"
+    "farrow a1 at v w=1 N={n}\nfarrow a2 at v w=1 N={n}\nfarrow a3 at v w=1 N={n}\n"
+)
+
+
+def test_realize_star_reads_the_kept_draws():
+    # realize_star on a star whose memo holds the first arrowhead's draws,
+    # kept by the queries at the roots before it, gives what it gives on a
+    # fresh star: the intro stars, and two three-arrowhead stars, whose
+    # arrowheads are sources; the solutions demo 06 prints among them
+    texts = [print_diagram(intro_star(d1, d2)) for d1, d2 in _INTRO_STARS]
+    texts += [THREE_ARROW_STAR.format(n=n) for n in (2, 6)]
+    kept = 0
+    for text in texts:
+        warm = parse_diagram(text)[2]
+        for effective in (False, True):
+            for lam in _star_roots(warm):
+                want = realize_star(parse_diagram(text)[2], lam, count=2, effective=effective)
+                assert realize_star(warm, lam, count=2, effective=effective) == want, (text, lam)
+        kept += ("realize draws", True) in warm._memo
+    assert kept == 2
+    sols = realize_star(intro_star(2, 3), UnityRoot(1, 12), count=2)
+    demo = [(s.values(), s.s0, s.source) for s in sols]
+    assert demo == [
+        ({"b1": 3}, Fraction(-11, 12), "node:v"),
+        ({"a1": -1, "a2": -5, "b1": -1, "b2": -17}, Fraction(85, 12), "node:v"),
+    ]
 
 
 def test_realize_star_effective():
@@ -771,11 +804,12 @@ def test_arrow_source_tries_zero_w_only_when_allowed(monkeypatch, capsys):
     # source's base candidates anyway, unchecked, prints the same realize
     # --json bytes for every lambda in Eig, and only adds certify calls that
     # the allowedness check refuses.  No certify call follows the count-th
-    # distinct certified W.
+    # distinct certified W.  Each run parses the file afresh, so the first
+    # arrowhead's draws are drawn again and not read from the memo.
     from math import gcd
     from pathlib import Path
 
-    from splicezeta import realize
+    from splicezeta import cli, realize
     from splicezeta.cli import main
     from splicezeta.io import parse_diagram
 
@@ -799,6 +833,7 @@ def test_arrow_source_tries_zero_w_only_when_allowed(monkeypatch, capsys):
 
     def run(argv, zero_first, count):
         certified.clear()
+        cli._parse.cache_clear()
         with monkeypatch.context() as m:
             if zero_first:
                 m.setattr(realize, "_small_allowed_candidates", lambda *a: [{}] + candidates(*a))
