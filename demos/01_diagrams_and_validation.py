@@ -10,9 +10,9 @@ from splicezeta import (
     Edge,
     Farrow,
     SpliceDiagram,
+    blow_down,
     blowup,
     edge_determinant,
-    normalize,
     plumbing_to_splice,
     validate,
 )
@@ -66,10 +66,18 @@ g2 = blowup(g, ("edge", ("e1", "e2")))
 print("after blowing up an intersection point: det(-I) =", g2.det_minus_I())
 print("still three nodes after conversion:", len(plumbing_to_splice(g2).nodes()))
 
-# a weight-1 bare leg is redundant and normalize removes it
+# a bare leg of weight 1 at its node is a generic-point blowup, and
+# blow_down undoes it
 noisy = SpliceDiagram(
     ["v", "b1", "b2", "b3"],
     [Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1), Edge("v", "b3", 1, 1)],
     [Farrow(id="a", at="v", weight=1, mult=1)],
 )
-print("\nnormalize drops the bare weight-1 leg:", normalize(noisy).vertices)
+print("\nblow_down drops the bare weight-1 leg:", blow_down(noisy).vertices)
+# blowing up a generic point of the arrowhead's curve adds such a leg to
+# the converted diagram, and the blow-down takes it off again
+g3 = blowup(g, ("vertex", "e3"))
+conv3 = plumbing_to_splice(g3)
+print("after blowing up a point of e3:", conv3.boundary_vertices())
+print("blown down:", blow_down(conv3).boundary_vertices(), "as in", conv.boundary_vertices())
+print("the converted running example is its own blow-down:", blow_down(conv) is conv)

@@ -9,9 +9,9 @@ from .diagrams import (
     SpliceDiagram,
     ValidationReport,
     Warrow,
+    blow_down,
     blowup,
     edge_determinant,
-    normalize,
     plumbing_to_splice,
     validate,
     validate_plumbing,
@@ -52,10 +52,10 @@ __all__ = [
     "ValidationReport",
     "Warrow",
     "ZetaResult",
+    "blow_down",
     "blowup",
     "canonical_plumbing",
     "edge_determinant",
-    "normalize",
     "nu_values",
     "plumbing_to_splice",
     "pullback_plumbing",

@@ -671,71 +671,61 @@ def _check_arrow_data(x: _Decorated, rep: ValidationReport):
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# blow-down
 
 
-def normalize(d: SpliceDiagram) -> SpliceDiagram:
-    """Minimal equivalent representation.
+def blow_down(d: SpliceDiagram) -> SpliceDiagram:
+    """d with its generic-point blowups undone: again and again, a boundary
+    vertex x with no arrowhead and no dashed arrow, whose edge has weight 1
+    at a node n with no dashed arrow, is deleted.  Should n stop being a
+    node, x stays, unless n is left with two edges and no arrowhead: then n
+    and both edges become one edge joining its neighbours, with their own
+    end weights.  Such an x is a (-1)-curve blown up at a generic point,
+    which leaves Z and allowedness unchanged when W is 0 on it
+    (Eisenbud-Neumann 1985).  Surviving vertices and arrowheads keep their
+    ids, so a W on the result is a W on d, lifted by zeros.  Returns d
+    itself when nothing applies; the result is kept on d."""
+    return d.memo(("blow down",), _blow_down, d)
 
-    Deletes weight-1 bare boundary legs, re-attaches warrows from weight-1
-    legs to the node, and merges valency-2 arrowhead carriers into
-    node-supported arrowheads.  Idempotent.
-    """
+
+def _blow_down(d: SpliceDiagram) -> SpliceDiagram:
+    # v -> {u: the weight at v of the edge vu}, as the deletions leave it
+    nbrs = {v: dict(ws) for v, ws in d._weighted_nbrs.items()}
+    dashed = {w.at for w in d.warrows}
+    arrows = {a.at for a in d.farrows}
     changed = True
     while changed:
         changed = False
-        # boundary vertex at the end of a weight-1 leg
-        for v in d.boundary_vertices():
-            if d.farrows_at(v):
+        for x in d.vertices:
+            if x not in nbrs or len(nbrs[x]) != 1 or x in arrows or x in dashed:
                 continue
-            (e,) = d.edges_at(v)
-            n = e.other(v)
-            if e.weight_at(n) != 1 or e.weight_at(v) != 1:
+            (n,) = nbrs[x]
+            valency = len(nbrs[n]) + len(d.farrows_at(n))
+            if nbrs[n][x] != 1 or n in dashed or valency < 3:
                 continue
-            if not d.is_node(n):
-                continue
-            wlist = d.warrows_at(v)
-            if len(wlist) > 1:
-                continue
-            vertices = [x for x in d.vertices if x != v]
-            edges = [f for f in d.edges if f.key != e.key]
-            warrows = list(d.warrows)
-            if wlist:
-                w = wlist[0]
-                warrows = [x for x in warrows if x.id != w.id]
-                warrows.append(Warrow(id=w.id, value=w.value, at=n))
-            d = SpliceDiagram(vertices, edges, d.farrows, warrows)
+            if valency == 3:
+                if n in arrows:
+                    continue
+                a, b = (y for y in nbrs[n] if y != x)
+                nbrs[a][b] = nbrs[a].pop(n)
+                nbrs[b][a] = nbrs[b].pop(n)
+                del nbrs[n]
+            else:
+                del nbrs[n][x]
+            del nbrs[x]
             changed = True
-            break
-        if changed:
-            continue
-        # valency-2 vertex carrying a weight-1 arrowhead on a weight-1 stub
-        for v in d.vertices:
-            if d.is_node(v) or d.valency_f(v) != 2:
-                continue
-            arrows = d.farrows_at(v)
-            if len(arrows) != 1 or len(d.edges_at(v)) != 1:
-                continue
-            a = arrows[0]
-            (e,) = d.edges_at(v)
-            if a.weight != 1 or e.weight_at(v) != 1:
-                continue
-            n = e.other(v)
-            vertices = [x for x in d.vertices if x != v]
-            edges = [f for f in d.edges if f.key != e.key]
-            farrows = [x for x in d.farrows if x.id != a.id]
-            farrows.append(Farrow(id=a.id, at=n, weight=e.weight_at(n), mult=a.mult))
-            warrows = []
-            for w in d.warrows:
-                if w.at == v:
-                    # a dashed arrow on the same carrier becomes a double
-                    warrows.append(Warrow(id=w.id, value=w.value, doubles=a.id))
-                else:
-                    warrows.append(w)
-            d = SpliceDiagram(vertices, edges, farrows, warrows)
-            changed = True
-            break
-    return d
+    if len(nbrs) == len(d.vertices):
+        return d
+    edges = [e for e in d.edges if e.a in nbrs and e.b in nbrs]
+    keys = {e.key for e in edges}
+    edges += [
+        Edge(a, b, nbrs[a][b], nbrs[b][a])
+        for a in nbrs
+        for b in nbrs[a]
+        if a < b and (a, b) not in keys
+    ]
+    vertices = [v for v in d.vertices if v in nbrs]
+    return SpliceDiagram(vertices, edges, d.farrows, d.warrows)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ Header line names the kind and the diagram; records follow one per line.
     warrow <wid> doubles <aid> i=<int>
 
 ``#`` starts a comment.  Unknown record kinds and duplicate ids are errors.
-Ids starting with ``~`` are reserved for vertices minted by splicing.  An
-id is a whitespace-separated token, so it is nonempty and holds no
-whitespace by construction.
+Ids starting with ``~`` are read like any other: splicing mints its ids with
+that prefix, primed where the piece already holds one, and the ``stars``
+output holding them parses back.  An id is a whitespace-separated token, so
+it is nonempty and holds no whitespace by construction.
 """
 
 from __future__ import annotations

@@ -13,6 +13,11 @@ sources, chained in this order:
 * a bounded exhaustive search over decoration windows, used as fallback and
   as an independent oracle at desk scale.
 
+The search reads ``diagrams.blow_down(d)``, whose slots are slots of d: a W
+on them is a W on d, lifted by zeros.  The searched slots, the congruences,
+the star filters, the default bound and the explored window belong to it,
+and ``certify`` judges every candidate on d itself.
+
 The sources know nothing of how many results are wanted: one loop certifies
 each divisor they yield once, and stops pulling at the requested count, so a
 source is left only when it runs dry.
@@ -73,11 +78,11 @@ zeta plan and fills in only nu, N and i.  Every candidate is judged by
 that vanish at the roots mapping to lambda and is exactly the first such
 pole of ``zeta_splice(...).poles()`` (see the ``zeta`` module docstring).
 
-What a query needs that is free of F, W and lambda is kept on the diagram:
-the searched slots, their star forms and each node's nu at W = 0 and
-linking row over them, under one memo key without and one with the
-arrowhead doubles.  A query compiles from them only what its lambda and F
-decide, N_v and the target residues.  The first arrowhead source's small
+What a query needs that is free of F, W and lambda is kept on the
+blown-down diagram: the searched slots, their star forms and each node's
+nu at W = 0 and linking row over them, under one memo key without and one
+with the arrowhead doubles.  A query compiles from them only what its
+lambda and F decide, N_v and the target residues.  The first arrowhead source's small
 boundary assignments depend on the slots and their star forms alone, as
 every query draws them first from the same fixed seed: they are kept too,
 with the state of the random stream after them, which the query restores.
@@ -103,7 +108,7 @@ from fractions import Fraction
 from math import gcd
 
 from .allowed import allowed_at, star_allowed
-from .diagrams import DiagramError, Edge, SpliceDiagram, require_valid
+from .diagrams import DiagramError, Edge, SpliceDiagram, blow_down, require_valid
 from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities, w_of
 from .exact import UnityRoot, congruence_lattice, solve_linear_congruence
 from .monodromy import alexander, eig_contains
@@ -617,7 +622,7 @@ class _Query:
     Every query draws its random candidates from the same fixed seed, so
     its output depends on its arguments alone."""
 
-    d: SpliceDiagram
+    d: SpliceDiagram  # the blown-down diagram the sources search
     fm: dict[str, int]
     lam: UnityRoot
     slots: tuple[str, ...]
@@ -792,9 +797,10 @@ def realize_eigenvalue(
     ``require_valid`` refuses d and NotAnEigenvalueError when lam is outside Eig.
     Otherwise returns
     either realized divisors or the honest bounded-search failure with the
-    per-node congruence diagnostics.  The first query on d keeps its slot
-    tables (``_slot_tables``) on d for each value of ``include_doubles``;
-    the queries after it, at any lambda, F, count and bound, read them.
+    per-node congruence diagnostics.  The search reads ``blow_down(d)``,
+    which keeps the slot tables (``_slot_tables``) of the first query on d
+    for each value of ``include_doubles``; the queries after it, at any
+    lambda, F, count and bound, read them.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -804,15 +810,16 @@ def realize_eigenvalue(
     fm = f_of(d, f)
     if not eig_contains(d, lam, fm):
         raise NotAnEigenvalueError(f"{lam} is not in Eig of this diagram")
+    small = blow_down(d)
     if bound is None:
-        maxw = max(
-            [e.wa for e in d.edges] + [e.wb for e in d.edges] + [a.weight for a in d.farrows] + [1]
-        )
-        bound = 4 * lam.order * maxw
-    slots, forms, rows = d.memo(("realize slots", include_doubles), _slot_tables, d, include_doubles)
-    node_hits, arrow_hits = _compile_hits(d, fm, lam, rows)
+        weights = [a.weight for a in small.farrows] + [w for e in small.edges for w in (e.wa, e.wb)]
+        bound = 4 * lam.order * max(weights, default=1)
+    slots, forms, rows = small.memo(
+        ("realize slots", include_doubles), _slot_tables, small, include_doubles
+    )
+    node_hits, arrow_hits = _compile_hits(small, fm, lam, rows)
     q = _Query(
-        d, fm, lam, slots, effective, forms, node_hits, arrow_hits,
+        small, fm, lam, slots, effective, forms, node_hits, arrow_hits,
         explored={"window": 0, "bound": bound}, include_doubles=include_doubles,
     )
     # the sources are pulled in turn, each only while results are missing;

@@ -22,6 +22,7 @@ from splicezeta.diagrams import (
     _plumbing_to_splice,
     _validate,
     _validate_plumbing,
+    blow_down,
     plumbing_to_splice,
     validate,
     validate_plumbing,
@@ -152,12 +153,13 @@ def test_values_at_other_decorations_are_not_kept():
     assert zeta_splice(d, None, {"bL": 1}).parts != zeta_splice(d).parts
 
 
-# every key realize may leave in a splice diagram's memo, whatever lambda
-# and W it searches: besides these, a "cut" key per special edge and kept
-# end; "realize slots" and "realize draws" are kept without and with the
-# arrowhead doubles
+# every key realize may leave in a splice diagram's memo, or in that of
+# its blow-down, whatever lambda and W it searches: besides these, a "cut"
+# key per special edge and kept end; "realize slots" and "realize draws" are
+# kept without and with the arrowhead doubles
 _REALIZE_KEYS = {
-    ("N",), ("canonical terms",), ("delta1",), ("edge determinants",), ("invariants",),
+    ("N",), ("blow down",), ("canonical terms",), ("delta1",), ("edge determinants",),
+    ("invariants",),
     ("monodromy zeta",), ("nu at W = 0",), ("realize slots", False), ("realize slots", True),
     ("realize draws", False), ("realize draws", True),
     ("star legs",), ("stars at W = 0",), ("vertex set",), ("zeta",), ("zeta plan",),
@@ -174,18 +176,22 @@ def _eigenvalues(d):
 
 def test_realize_keeps_only_the_fixed_keys():
     # realize at every lambda in Eig, with and without --effective and the
-    # arrowhead doubles: no key names a lambda or a searched W
+    # arrowhead doubles: no key names a lambda or a searched W, on the
+    # diagram or on the blown-down diagram the search reads
     rng = random.Random(20)
     diagrams = [_fresh(d) for d in golden_splice_diagrams().values()]
     for g in golden_plumbing_graphs().values():
         with contextlib.suppress(DiagramError):
             diagrams.append(_fresh(plumbing_to_splice(g)))
     diagrams += [_fresh(random_valid_splice(rng, max_nodes=3, max_weight=7)) for _ in range(10)]
-    queries = 0
+    queries = reduced = 0
     for d in diagrams:
         if not any(d.f_divisor().values()):
             continue
-        fixed = _REALIZE_KEYS | {("cut", v, e.key) for e in d.special_edges() for v in e.key}
+        small = blow_down(d)
+        fixed = _REALIZE_KEYS | {
+            ("cut", v, e.key) for x in (d, small) for e in x.special_edges() for v in e.key
+        }
         for lam in _eigenvalues(d):
             for effective in (False, True):
                 for doubles in (False, True):
@@ -193,9 +199,11 @@ def test_realize_keeps_only_the_fixed_keys():
                         d, lam, effective=effective, include_doubles=doubles, budget=5000
                     )
                     queries += 1
-                    assert set(d._memo) <= fixed, set(d._memo) - fixed
-        assert {("realize slots", False), ("realize slots", True)} <= set(d._memo)
-    assert queries > 1000
+                    for x in (d, small):
+                        assert set(x._memo) <= fixed, set(x._memo) - fixed
+        assert {("realize slots", False), ("realize slots", True)} <= set(small._memo)
+        reduced += small is not d
+    assert queries > 1000 and reduced >= 3
 
 
 def _drawn_arrow_candidates(q):

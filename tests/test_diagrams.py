@@ -22,9 +22,9 @@ from splicezeta.diagrams import (
     SpliceDiagram,
     Warrow,
     _degenerate_splice,
+    blow_down,
     blowup,
     edge_determinant,
-    normalize,
     plumbing_to_splice,
     validate,
     validate_plumbing,
@@ -219,57 +219,79 @@ def test_blowup_preserves_unimodularity_random():
         assert validate_plumbing(g, require_unimodular=True).ok
 
 
-def test_normalize_bare_leg():
+def test_blow_down_bare_leg():
     d = SpliceDiagram(
         ["v", "b1", "b2", "b3"],
         [Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1), Edge("v", "b3", 1, 1)],
         [Farrow(id="a", at="v", weight=1, mult=1)],
     )
-    n = normalize(d)
-    assert "b3" not in n.vertices
-    assert len(n.edges) == 2
+    n = blow_down(d)
+    assert n.vertices == ("v", "b1", "b2")
+    assert n.edges == d.edges[:2]
+    assert n.farrows == d.farrows
 
 
-def test_normalize_weight_one_leg_with_warrow():
+def test_blow_down_keeps_decorated_legs():
+    # a weight-1 leg stays when it carries a dashed arrow, when its node
+    # does, when its weight at the node is not 1, or when its node would
+    # stop being a node while it carries an arrowhead
+    edges = [Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1), Edge("v", "b3", 1, 1)]
+    farrow = [Farrow(id="a", at="v", weight=1, mult=1)]
+    kept = [
+        SpliceDiagram(["v", "b1", "b2", "b3"], edges, farrow, [Warrow("w", 2, at="b3")]),
+        SpliceDiagram(["v", "b1", "b2", "b3"], edges, farrow, [Warrow("w", 2, at="v")]),
+        SpliceDiagram(["v", "b1", "b2", "b3"], edges[:2] + [Edge("v", "b3", 5, 1)], farrow),
+        SpliceDiagram(["v", "b1", "b3"], [edges[0], edges[2]], farrow),
+    ]
+    for d in kept:
+        assert blow_down(d) is d
+
+
+def test_blow_down_joins_the_neighbours_of_an_absorbed_node():
+    # u is a node only through its bare weight-1 leaf x: blowing x down
+    # leaves u with two edges and no arrowhead, so u and both its edges
+    # become one edge from v to c, with the weights at v and at c; the
+    # leaf c is then a weight-1 leg of v, and goes too
+    d = SpliceDiagram(
+        ["v", "b1", "b2", "u", "x", "c"],
+        [
+            Edge("v", "b1", 2, 1),
+            Edge("v", "b2", 3, 1),
+            Edge("v", "u", 1, 43),
+            Edge("u", "x", 1, 1),
+            Edge("u", "c", 7, 1),
+        ],
+        [Farrow(id="a", at="v", weight=1, mult=2)],
+    )
+    assert validate(d).ok
+    n = blow_down(d)
+    assert n.vertices == ("v", "b1", "b2")
+    assert (n.nodes(), n.boundary_vertices()) == (("v",), ("b1", "b2"))
+    assert func(zeta_splice(n)) == func(zeta_splice(d))
+    # with weight 5 at v, the joined edge is a leg of v, and it stays
+    d2 = SpliceDiagram(d.vertices, d.edges[:2] + (Edge("v", "u", 5, 9),) + d.edges[3:], d.farrows)
+    assert validate(d2).ok
+    n2 = blow_down(d2)
+    assert n2.vertices == ("v", "b1", "b2", "c")
+    assert n2.edges == d2.edges[:2] + (Edge("c", "v", 1, 5),)
+    assert func(zeta_splice(n2)) == func(zeta_splice(d2))
+
+
+def test_blow_down_idempotent_and_invariant():
     d = SpliceDiagram(
         ["v", "b1", "b2", "b3"],
         [Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1), Edge("v", "b3", 1, 1)],
         [Farrow(id="a", at="v", weight=1, mult=1)],
-        [Warrow(id="w", value=4, at="b3")],
+        [Warrow(id="w", value=-2, at="b1")],
     )
-    n = normalize(d)
-    assert "b3" not in n.vertices
-    (w,) = n.warrows
-    assert w.at == "v" and w.value == 4
-
-
-def test_normalize_idempotent_and_invariant():
-    d = SpliceDiagram(
-        ["v", "b1", "b2", "b3"],
-        [Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1), Edge("v", "b3", 1, 1)],
-        [Farrow(id="a", at="v", weight=1, mult=1)],
-        [Warrow(id="w", value=-2, at="b3")],
-    )
-    n = normalize(d)
-    assert normalize(n).vertices == n.vertices
+    n = blow_down(d)
+    assert n is not d and n.warrows == d.warrows
+    assert blow_down(n) is n
+    assert blow_down(d) is n  # kept on d
     assert func(zeta_splice(d)) == func(zeta_splice(n))
-    # already-minimal diagram is unchanged
+    # an already-minimal diagram comes back as itself
     m = two_cusp_diagram()
-    n2 = normalize(m)
-    assert n2.vertices == m.vertices and n2.edges == m.edges
-
-
-def test_normalize_merges_arrow_carrier():
-    # valency-2 vertex carrying a weight-1 arrowhead collapses onto the node
-    d = SpliceDiagram(
-        ["v", "b1", "b2", "u"],
-        [Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1), Edge("v", "u", 7, 1)],
-        [Farrow(id="a", at="u", weight=1, mult=1)],
-    )
-    n = normalize(d)
-    assert "u" not in n.vertices
-    (a,) = n.farrows
-    assert a.at == "v" and a.weight == 7
+    assert blow_down(m) is m
 
 
 def test_conversion_always_validates_random():
@@ -350,9 +372,9 @@ def test_require_standard_raises_the_same_error_every_call(d, message):
     assert errors[0] is not errors[1]
 
 
-def test_normalize_preserves_downstream_invariants():
+def test_blow_down_preserves_downstream_invariants():
     # zeta, Alexander polynomial, and the allowedness verdict all survive
-    # normalization on decorated golden shapes
+    # the blow-down, with W on the slots it keeps
     from splicezeta.allowed import is_allowed
     from splicezeta.monodromy import alexander
 
@@ -364,36 +386,71 @@ def test_normalize_preserves_downstream_invariants():
             Edge("v", "b3", 1, 1),
         ],
         [Farrow(id="a", at="v", weight=1, mult=2)],
-        [Warrow(id="w", value=-2, at="b3")],
+        [Warrow(id="w", value=-2, at="b2")],
     )
-    slim = normalize(noisy)
+    slim = blow_down(noisy)
     assert len(slim.vertices) < len(noisy.vertices)
     assert func(zeta_splice(noisy)) == func(zeta_splice(slim))
     assert alexander(noisy) == alexander(slim)
     assert is_allowed(noisy).allowed == is_allowed(slim).allowed
-    # a valency-2 arrowhead carrier is the other redundant representation:
-    # zeta refuses it raw, and normalization recovers the node-supported form
-    carrier = SpliceDiagram(
-        ["v", "b1", "b2", "u"],
-        [
-            Edge("v", "b1", 2, 1),
-            Edge("v", "b2", 3, 1),
-            Edge("v", "u", 7, 1),
-        ],
-        [Farrow(id="a", at="u", weight=1, mult=2)],
-    )
-    direct = SpliceDiagram(
-        ["v", "b1", "b2"],
-        [Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1)],
-        [Farrow(id="a", at="v", weight=7, mult=2)],
-    )
-    import pytest as _pytest
 
-    with _pytest.raises(DiagramError):
-        zeta_splice(carrier)
-    merged = normalize(carrier)
-    assert func(zeta_splice(merged)) == func(zeta_splice(direct))
-    assert alexander(merged) == alexander(direct)
+
+def test_blow_down_is_the_identity_on_the_corpus():
+    from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
+
+    diagrams = list(golden_splice_diagrams().values())
+    for g in golden_plumbing_graphs().values():
+        try:
+            diagrams.append(plumbing_to_splice(g))
+        except DiagramError:
+            continue
+    assert len(diagrams) == 12
+    for d in diagrams:
+        assert blow_down(d) is d
+
+
+def test_blow_down_keeps_the_invariants_of_converted_curves():
+    # converted curves of 5-40 blowups: the validate verdict, (C, parts),
+    # the Alexander polynomial and the semigroup verdict at the curve's own
+    # W, and allowed_at and (C, parts) at 20 random W on the slots the
+    # blow-down keeps, lifted to the curve by zeros
+    from splicezeta.allowed import allowed_at, semigroup_condition
+    from splicezeta.monodromy import alexander
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except DiagramError:
+            return "refused"
+
+    def zeta(d, w=None):
+        z = zeta_splice(d, None, w)
+        return z.const, dict(z.parts)
+
+    rng = random.Random(27)
+    reduced = 0
+    for _ in range(130):
+        g = random_plumbing(rng, blowups=rng.randint(5, 40), arrows=rng.randint(1, 2))
+        try:
+            d = plumbing_to_splice(g)
+        except DiagramError:
+            continue
+        r = blow_down(d)
+        if r is d:
+            continue
+        reduced += 1
+        assert set(r.boundary_vertices()) <= set(d.boundary_vertices())
+        assert set(r.nodes()) <= set(d.nodes())
+        assert validate(r).ok == validate(d).ok
+        assert zeta(r) == zeta(d)
+        assert alexander(r) == alexander(d)
+        assert semigroup_condition(r).ok == semigroup_condition(d).ok
+        fm = d.f_divisor()
+        for _ in range(20):
+            w = {s: rng.randint(-3, 3) for s in r.boundary_vertices()}
+            assert outcome(allowed_at, r, fm, w) == outcome(allowed_at, d, fm, w), w
+            assert outcome(zeta, r, w) == outcome(zeta, d, w), w
+    assert reduced >= 100
 
 
 def _fresh_connected(ids, neighbours) -> bool:

@@ -16,10 +16,18 @@ from splicezeta.corpus import (
     two_cusp_diagram,
     two_cusp_diagram_mult,
 )
-from splicezeta.diagrams import DiagramError, Edge, Farrow, SpliceDiagram, validate
+from splicezeta.diagrams import (
+    DiagramError,
+    Edge,
+    Farrow,
+    SpliceDiagram,
+    blow_down,
+    plumbing_to_splice,
+    validate,
+)
 from splicezeta.divisors import f_of, nu_values, vertex_multiplicities
 from splicezeta.exact import UnityRoot
-from splicezeta.generate import random_valid_splice
+from splicezeta.generate import random_plumbing, random_valid_splice
 from splicezeta.io import parse_diagram, print_diagram
 from splicezeta.monodromy import alexander, delta1, eig_contains
 from splicezeta.realize import (
@@ -436,8 +444,6 @@ def test_realize_completeness_two_node_generated():
     # realize every eigenvalue class of bounded order
     import random as _random
 
-    from splicezeta.generate import random_valid_splice
-
     rng = _random.Random(2027)
     picked = []
     tried = 0
@@ -709,6 +715,30 @@ def _eig(d):
     return [lam for lam in lams if eig_contains(d, lam)]
 
 
+def test_realize_reaches_every_eigenvalue_of_a_large_curve():
+    # the 320-blowup curve of the large CI steps: 87 of its 98 boundary
+    # legs have weight 1 at their node, and the blow-down the search reads
+    # keeps 4 of its 63 nodes and 4 slots.  Every lambda in Eig is
+    # realized, 44 by default and the other 12 with the arrowhead doubles,
+    # and every W found passes certify on the curve itself
+    d = plumbing_to_splice(random_plumbing(random.Random(0), blowups=320, arrows=2))
+    small = blow_down(d)
+    assert (len(d.nodes()), len(d.boundary_vertices())) == (63, 98)
+    assert (len(small.nodes()), len(small.boundary_vertices())) == (4, 4)
+    fm = f_of(d, None)
+    lams = _eig(d)
+    with_doubles = 0
+    for lam in lams:
+        out = realize_eigenvalue(d, lam)
+        if not out.realized:
+            out = realize_eigenvalue(d, lam, include_doubles=True)
+            with_doubles += 1
+        assert out.realized, lam
+        for r in out.found:
+            assert certify(d, fm, r.w, lam, r.source, False) == r, (lam, r)
+    assert (len(lams), with_doubles) == (56, 12)
+
+
 def test_realize_json_matches_box_walk(monkeypatch, capsys):
     # every lambda in Eig of every corpus diagram, with and without
     # --effective and --include-doubles, the two_cusp_mult7 queries that
@@ -718,7 +748,6 @@ def test_realize_json_matches_box_walk(monkeypatch, capsys):
 
     from splicezeta import realize
     from splicezeta.cli import main
-    from splicezeta.diagrams import plumbing_to_splice
     from splicezeta.io import parse_diagram
 
     argvs = []
@@ -1015,7 +1044,6 @@ def test_certify_matches_the_whole_zeta_reference(monkeypatch):
     # what the reference gives
     from splicezeta import realize
     from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
-    from splicezeta.diagrams import plumbing_to_splice
 
     compared = []
     certify_once = realize.certify
@@ -1048,8 +1076,6 @@ def _oracle_diagrams(rng):
     """The corpus, 150 random decorated splice diagrams and 30 converted
     random plumbing curves."""
     from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
-    from splicezeta.diagrams import plumbing_to_splice
-    from splicezeta.generate import random_plumbing
 
     diagrams = list(golden_splice_diagrams().values())
     graphs = list(golden_plumbing_graphs().values())
@@ -1067,13 +1093,15 @@ def _oracle_diagrams(rng):
 def _drained_node_source(d, lam, effective, doubles):
     """Everything the node source yields at lam when it is drained, with the
     state of the random stream it leaves and the congruences and
-    diagnostics it reports."""
+    diagnostics it reports; it reads the blown-down diagram, as a query
+    does."""
     from splicezeta import realize
 
-    slots, forms, rows = realize._slot_tables(d, doubles)
+    small = blow_down(d)
+    slots, forms, rows = realize._slot_tables(small, doubles)
     fm = f_of(d, None)
-    node_hits, arrow_hits = _compile_hits(d, fm, lam, rows)
-    q = realize._Query(d, fm, lam, slots, effective, forms, node_hits, arrow_hits, explored={})
+    node_hits, arrow_hits = _compile_hits(small, fm, lam, rows)
+    q = realize._Query(small, fm, lam, slots, effective, forms, node_hits, arrow_hits, explored={})
     return list(realize._node_candidates(q)), q.rng.getstate(), q.congruences, q.diagnostics
 
 
@@ -1119,8 +1147,9 @@ def test_star_certificate_is_sound_and_moves_no_outcome(monkeypatch):
                     got = realize_eigenvalue(d, lam, **kw)
                     # every hit lattice of the query, also where the window
                     # is not reached
-                    slots, forms, rows = realize._slot_tables(d, doubles)
-                    hits = _compile_hits(d, f_of(d, None), lam, rows)
+                    small = blow_down(d)
+                    slots, forms, rows = realize._slot_tables(small, doubles)
+                    hits = _compile_hits(small, f_of(d, None), lam, rows)
                     for base, coefs, n in _hit_forms(*hits, slots):
                         realize._hit_lattice_open(forms, coefs, -base, n)
                     node_stream = _drained_node_source(d, lam, effective, doubles)
