@@ -26,10 +26,7 @@ from .exact import (
     CycloLimitError,
     CycloProduct,
     NegativeMultiplicityError,
-    NonLinearDenominatorError,
     Pole,
-    Poly,
-    RatFunc,
     UnityRoot,
 )
 from .zeta import ZetaResult, zeta_plumbing, zeta_splice
@@ -41,12 +38,9 @@ __all__ = [
     "Edge",
     "Farrow",
     "NegativeMultiplicityError",
-    "NonLinearDenominatorError",
     "PlumbingGraph",
     "Pole",
-    "Poly",
     "PVertex",
-    "RatFunc",
     "SpliceDiagram",
     "UnityRoot",
     "ValidationReport",

@@ -24,16 +24,19 @@ source is left only when it runs dry.
 
 ``realize_star`` is that engine on a standalone star, whose arrowhead
 doubles it searches too.  ``extend_allowed`` carries an allowed divisor one
-step across a special edge, with the obstructed cases detected and reported.
+step across a special edge, with the obstructed cases detected and reported:
+the far half keeps its W, so the restriction is fixed by the new slot's i,
+which the root cut at the edge reads off each candidate; no candidate is
+spliced.
 
 The search walks the windows |mult| <= width of the k searched slots width
 by width, and at each width only the new shell, the points with some
 |mult| = width (width 1 is the whole 3^k box); with ``effective=True`` only
 the non-negative points of each shell.  It stops at the requested bound or
-when the next window would hold more than ``budget`` points, counted over
-the whole window, the negative points that ``effective`` skips included.
-The budget holds at width 1 too: when 3^k exceeds it, no window is walked
-and the search ends at window 0.
+when the next window would hold more than ``SEARCH_BUDGET`` points, counted
+over the whole window, the negative points that ``effective`` skips
+included.  The budget holds at width 1 too: when 3^k exceeds it, no window
+is walked and the search ends at window 0.
 A point is a tuple of slot multiplicities.  The lambda congruences at the
 nodes and arrowheads are integer affine forms base + coefs . x = 0 (mod n),
 compiled once per query from the diagram's cached linking rows, and the
@@ -79,14 +82,15 @@ that vanish at the roots mapping to lambda and is exactly the first such
 pole of ``zeta_splice(...).poles()`` (see the ``zeta`` module docstring).
 
 What a query needs that is free of F, W and lambda is kept on the
-blown-down diagram: the searched slots, their star forms and each node's
-nu at W = 0 and linking row over them, under one memo key without and one
-with the arrowhead doubles.  A query compiles from them only what its
-lambda and F decide, N_v and the target residues.  The first arrowhead source's small
-boundary assignments depend on the slots and their star forms alone, as
-every query draws them first from the same fixed seed: they are kept too,
-with the state of the random stream after them, which the query restores.
-No memo key names a lambda or a searched W.  The kernel moves and the
+blown-down diagram, under one memo key per slot set, without and with the
+arrowhead doubles: the searched slots, their star forms, each node's nu at
+W = 0 and linking row over them, and the first arrowhead source's small
+boundary assignments.  Those depend on the slots and their star forms
+alone, as every query draws them first from the same fixed seed: the table
+keeps the state of the random stream after them, which the arrowhead source
+restores.  A query compiles from the table only what its lambda and F
+decide, N_v and the target residues.  No memo key names a lambda or a
+searched W.  The kernel moves and the
 small boundary assignments draw their random values through ``_below7``,
 which takes from the random stream what ``randint(-3, 3)`` and a seven-way
 ``choice`` take and gives what they give, in fewer calls.
@@ -190,9 +194,10 @@ _StarForm = tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]
 
 
 def star_forms(d: SpliceDiagram, slots: Sequence[str]) -> list[_StarForm]:
-    """Symbolic star decomposition over the slots: each star's legs as affine
-    forms in the slot multiplicities, kept sparse as (index, coef) terms with
-    the zero coefficients dropped; arrow doubles carry no leg condition.
+    """Symbolic star decomposition over the slots, boundary vertices and
+    arrowhead doubles: each star's legs as affine forms in the slot
+    multiplicities, kept sparse as (index, coef) terms with the zero
+    coefficients dropped; arrow doubles carry no leg condition.
     An induced leg's value is linear in W, with slope l(u, s) cut at e for
     the slots s beyond e, the ones in its cut's row."""
     index = {s: j for j, s in enumerate(slots)}
@@ -207,8 +212,6 @@ def star_forms(d: SpliceDiagram, slots: Sequence[str]) -> list[_StarForm]:
                 row = leg.cut.row
                 terms = tuple((j, row[s]) for j, s in enumerate(slots) if row.get(s, 0))
                 out.append((leg.weight, leg.cut.i0, terms))
-        if v in index:
-            out.append((1, 1, ((index[v], 1),)))
         forms.append((r, tuple(out)))
     return forms
 
@@ -289,15 +292,20 @@ _ArrowHits = dict[str, tuple[int, int]]
 
 def _slot_tables(
     d: SpliceDiagram, include_doubles: bool
-) -> tuple[tuple[str, ...], list[_StarForm], _SlotRows]:
+) -> tuple[tuple[str, ...], list[_StarForm], _SlotRows, tuple[dict[str, int], ...], tuple]:
     """The searched slots (the boundary vertices, then the arrowhead doubles
-    on request), their star forms and ``_slot_rows`` over them: free of F,
-    W and lam, so ``realize_eigenvalue`` keeps them on d, under one key per
-    value of ``include_doubles``."""
+    on request), their star forms, ``_slot_rows`` over them, and the first
+    arrowhead's small boundary assignments, drawn from a fresh stream, with
+    the stream's state after them: free of F, W and lam, so
+    ``realize_eigenvalue`` keeps them on d, under one key per value of
+    ``include_doubles``."""
     slots = d.boundary_vertices()
     if include_doubles:
         slots += tuple(a.id for a in d.farrows)
-    return slots, star_forms(d, slots), _slot_rows(d, slots)
+    forms = star_forms(d, slots)
+    rng = random.Random(_SEED)
+    draws = tuple(_small_allowed_candidates(slots, forms, rng))
+    return slots, forms, _slot_rows(d, slots), draws, rng.getstate()
 
 
 def _slot_rows(d: SpliceDiagram, slots: Sequence[str]) -> _SlotRows:
@@ -385,6 +393,9 @@ def certify(
 # this divisor; what is left of N_v is reported as one modulus.
 FACTOR_TRIAL_LIMIT = 100_000
 
+# The window search stops before a window of more than this many points.
+SEARCH_BUDGET = 400_000
+
 
 def _prime_power_factors(n: int) -> list[int]:
     """Pairwise coprime moduli whose product is n: the prime powers of the
@@ -438,7 +449,6 @@ def extend_allowed(
     e,
     w_flat: PDivisor,
     f: PDivisor | None = None,
-    include_doubles: bool = False,
 ) -> dict[str, int]:
     """Extend an allowed divisor from the far half across edge e.
 
@@ -461,8 +471,7 @@ def extend_allowed(
     if any(d.is_node(x) for x in left_vertices if x != v_l):
         raise DiagramError("left half is not star-shaped")
     w_flat = dict(w_flat)
-    target_slot = right0.new_slot
-    i_prime = w_flat.pop(target_slot, 0) + 1
+    i_prime = w_flat.pop(right0.new_slot, 0) + 1
     # w_flat's remaining slots are slots of the original diagram, on the
     # right half, whatever their multiplicity
     for s in w_of(d, w_flat):
@@ -471,32 +480,24 @@ def extend_allowed(
     partial = {s: m for s, m in w_flat.items() if m}
     # fixed induced value onto the left star
     j = root_cut(d, v_l, e).value(partial)
-    # unknowns: the left star's own leg slots (plus its doubles on request)
+    # unknowns: the left star's own leg slots
     legs = {leg.slot: leg.weight for leg in star_legs(d)[v_l][1] if leg.cut is None}
-    unknown = list(legs)
-    if include_doubles:
-        unknown += [a.id for a in d.farrows_at(v_l)]
     # i' = i0 + sum row[s] x_s over the left star's slots, all beyond e from v_r
     cut = root_cut(d, v_r, e)
-    coefs = {s: cut.row[s] for s in unknown}
-    target = i_prime - cut.i0
-    sol_exact = solve_linear_congruence([coefs[s] for s in unknown], target, 0)
+    coefs = {s: cut.row[s] for s in legs}
+    sol_exact = solve_linear_congruence(list(coefs.values()), i_prime - cut.i0, 0)
     if sol_exact is None:
         raise ExtensionObstructedError(
             f"no integer decorations on the left legs reach i' = {i_prime}"
         )
-    x = {s: m for s, m in zip(unknown, sol_exact)}
-    candidates = _leg_fixups(legs, unknown, coefs, x)
-    for cand in candidates:
+    for cand in _leg_fixups(legs, coefs, dict(zip(legs, sol_exact))):
         w_full = dict(partial)
         for s, m in cand.items():
             if m:
                 w_full[s] = m
-        if not allowed_at(d, fm, w_full):
-            continue
-        # restriction must reproduce w_flat exactly
-        _, right = splice(d, e, fm, w_full)
-        if right.diagram.w_divisor() == _normalized(w_flat | {target_slot: i_prime - 1}, right.diagram):
+        # the restriction keeps partial on the right half, so it reproduces
+        # w_flat when the new slot's i, the cut's value, is i'
+        if allowed_at(d, fm, w_full) and cut.value(w_full) == i_prime:
             return w_full
     raise ExtensionObstructedError(
         "extension obstructed: the divisible pattern forces d = j "
@@ -504,20 +505,15 @@ def extend_allowed(
     )
 
 
-def _normalized(w: dict[str, int], diagram: SpliceDiagram) -> dict[str, int]:
-    keep = set(diagram.vertices) | {a.id for a in diagram.farrows}
-    return {s: m for s, m in w.items() if m and s in keep}
-
-
-def _leg_fixups(legs, unknown, coefs, x0) -> list[dict[str, int]]:
+def _leg_fixups(legs, coefs, x0) -> list[dict[str, int]]:
     """Candidate assignments derived from one solution: the raw solution,
     kernel-shifted variants avoiding zero values, and the forced i = d branch.
     ``legs`` maps the star's boundary slots to their weights."""
     base_variants = [dict(x0)]
     # kernel pair moves: coef_a * legs[a] == coef_b * legs[b] on a star
-    slots = list(unknown)
+    slots = list(legs)
     for t in (1, -1, 2, -2, 3, -3):
-        for a, b in itertools.combinations([s for s in slots if s in legs], 2):
+        for a, b in itertools.combinations(slots, 2):
             y = dict(x0)
             y[a] += legs[a] * t
             move = coefs[a] * legs[a]
@@ -531,16 +527,12 @@ def _leg_fixups(legs, unknown, coefs, x0) -> list[dict[str, int]]:
         for s in slots:
             if s == free:
                 continue
-            if s in legs:
-                y[s] = legs[s] - 1
-            else:
-                y[s] = 0
+            y[s] = legs[s] - 1
             acc += coefs[s] * y[s]
         target = sum(coefs[s] * x0[s] for s in slots) - acc
-        if coefs.get(free):
-            if target % coefs[free] == 0:
-                y[free] = target // coefs[free]
-                base_variants.append(y)
+        if coefs[free] and target % coefs[free] == 0:
+            y[free] = target // coefs[free]
+            base_variants.append(y)
     out = []
     seen = set()
     for y in base_variants:
@@ -630,20 +622,12 @@ class _Query:
     forms: list[_StarForm]
     node_hits: _NodeHits
     arrow_hits: _ArrowHits
+    first_draws: tuple[dict[str, int], ...]  # as in the slot tables
+    drawn_state: tuple  # the stream's state after the first draws
     explored: dict[str, int]
     congruences: list[NodeCongruence] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
     rng: random.Random = field(default_factory=lambda: random.Random(_SEED))
-    include_doubles: bool = False
-
-
-def _first_draws(slots, forms) -> tuple[tuple[dict[str, int], ...], tuple]:
-    """The first arrowhead's small boundary assignments, drawn from a fresh
-    stream, and the state of the stream after them: free of F, W and lam,
-    so ``_arrow_candidates`` keeps them on the diagram, under one key per
-    value of ``include_doubles``."""
-    rng = random.Random(_SEED)
-    return tuple(_small_allowed_candidates(slots, forms, rng)), rng.getstate()
 
 
 def _arrow_candidates(q: _Query):
@@ -651,15 +635,13 @@ def _arrow_candidates(q: _Query):
     the arrowhead set so that s0 = -i_a/N_a hits lam, on top of a few small
     allowed boundary assignments.  The first arrowhead is the first to draw
     from the query's fresh stream, so it reads its assignments, and the
-    state they leave the stream in, from the diagram's memo."""
+    state they leave the stream in, from the query's slot tables."""
     for k, (aid, (na, ua)) in enumerate(q.arrow_hits.items()):
         if k:
             bases = _small_allowed_candidates(q.slots, q.forms, q.rng)
         else:
-            bases, state = q.d.memo(
-                ("realize draws", q.include_doubles), _first_draws, q.slots, q.forms
-            )
-            q.rng.setstate(state)
+            bases = q.first_draws
+            q.rng.setstate(q.drawn_state)
         # W = 0 comes first here when the star filters allow it; when they do
         # not, no W that is 0 off the double of a is allowed, as that double
         # changes no star leg
@@ -789,7 +771,6 @@ def realize_eigenvalue(
     effective: bool = False,
     bound: int | None = None,
     include_doubles: bool = False,
-    budget: int = 400_000,
 ) -> RealizeOutcome:
     """Find allowed W with a certified zeta pole mapping to lam.
 
@@ -814,20 +795,20 @@ def realize_eigenvalue(
     if bound is None:
         weights = [a.weight for a in small.farrows] + [w for e in small.edges for w in (e.wa, e.wb)]
         bound = 4 * lam.order * max(weights, default=1)
-    slots, forms, rows = small.memo(
+    slots, forms, rows, draws, state = small.memo(
         ("realize slots", include_doubles), _slot_tables, small, include_doubles
     )
     node_hits, arrow_hits = _compile_hits(small, fm, lam, rows)
     q = _Query(
-        small, fm, lam, slots, effective, forms, node_hits, arrow_hits,
-        explored={"window": 0, "bound": bound}, include_doubles=include_doubles,
+        small, fm, lam, slots, effective, forms, node_hits, arrow_hits, draws, state,
+        explored={"window": 0, "bound": bound},
     )
     # the sources are pulled in turn, each only while results are missing;
     # a W is certified once, keyed as certify keys its result
     found: list[Realization] = []
     tried: set[tuple] = set()
     for w, source in itertools.chain(
-        _arrow_candidates(q), _node_candidates(q), _window_candidates(q, bound, budget)
+        _arrow_candidates(q), _node_candidates(q), _window_candidates(q, bound, SEARCH_BUDGET)
     ):
         key = tuple(sorted((s, m) for s, m in w.items() if m))
         if key in tried:
@@ -877,12 +858,13 @@ def _drop7(rng: random.Random, count: int) -> None:
         count = len(words[3::4].translate(None, _NOT_SEVEN))
 
 
-def _small_allowed_candidates(slots, forms, rng, tries: int = 40) -> list[dict[str, int]]:
-    """A few small boundary assignments that make the divisor allowed."""
+def _small_allowed_candidates(slots, forms, rng) -> list[dict[str, int]]:
+    """A few small boundary assignments that make the divisor allowed, from
+    at most 40 draws."""
     out = []
     if _fast_allowed(forms, (0,) * len(slots)):
         out.append({})
-    for _ in range(tries):
+    for _ in range(40):
         x = {s: (0, 0, 1, -2, 2, -3, 3)[_below7(rng)] for s in slots}
         if _fast_allowed(forms, tuple(x.values())):
             out.append({s: m for s, m in x.items() if m})

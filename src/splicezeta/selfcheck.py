@@ -184,7 +184,7 @@ def _realization_goldens(rng, n):
             ok &= any(p.location == r.s0 for p in zeta_splice(d, w=r.w).poles())
         ok &= all(m >= 0 for r in out_eff.found for m in r.w.values())
     # the honest unrealizable case, with the blocking congruences
-    out7 = realize_eigenvalue(corpus.two_cusp_diagram_mult(7), UnityRoot(37, 42), budget=120_000)
+    out7 = realize_eigenvalue(corpus.two_cusp_diagram_mult(7), UnityRoot(37, 42))
     cong = [c for c in out7.congruences if c.node in ("v1", "v1p")]
     ok &= (
         out7.status == "unrealizable-within-bound"

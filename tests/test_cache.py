@@ -155,13 +155,12 @@ def test_values_at_other_decorations_are_not_kept():
 
 # every key realize may leave in a splice diagram's memo, or in that of
 # its blow-down, whatever lambda and W it searches: besides these, a "cut"
-# key per special edge and kept end; "realize slots" and "realize draws" are
-# kept without and with the arrowhead doubles
+# key per special edge and kept end; "realize slots", which holds the first
+# arrowhead's draws too, is kept without and with the arrowhead doubles
 _REALIZE_KEYS = {
     ("N",), ("blow down",), ("canonical terms",), ("delta1",), ("edge determinants",),
     ("invariants",),
     ("monodromy zeta",), ("nu at W = 0",), ("realize slots", False), ("realize slots", True),
-    ("realize draws", False), ("realize draws", True),
     ("star legs",), ("stars at W = 0",), ("vertex set",), ("zeta",), ("zeta plan",),
 }
 
@@ -174,10 +173,13 @@ def _eigenvalues(d):
     return [lam for lam in lams if eig_contains(d, lam)]
 
 
-def test_realize_keeps_only_the_fixed_keys():
+def test_realize_keeps_only_the_fixed_keys(monkeypatch):
     # realize at every lambda in Eig, with and without --effective and the
     # arrowhead doubles: no key names a lambda or a searched W, on the
     # diagram or on the blown-down diagram the search reads
+    from splicezeta import realize
+
+    monkeypatch.setattr(realize, "SEARCH_BUDGET", 5000)
     rng = random.Random(20)
     diagrams = [_fresh(d) for d in golden_splice_diagrams().values()]
     for g in golden_plumbing_graphs().values():
@@ -195,9 +197,7 @@ def test_realize_keeps_only_the_fixed_keys():
         for lam in _eigenvalues(d):
             for effective in (False, True):
                 for doubles in (False, True):
-                    realize_eigenvalue(
-                        d, lam, effective=effective, include_doubles=doubles, budget=5000
-                    )
+                    realize_eigenvalue(d, lam, effective=effective, include_doubles=doubles)
                     queries += 1
                     for x in (d, small):
                         assert set(x._memo) <= fixed, set(x._memo) - fixed
@@ -220,15 +220,15 @@ def _drawn_arrow_candidates(q):
 def test_kept_draws_give_the_outcome_of_fresh_draws(monkeypatch):
     # every lambda in Eig of every corpus diagram, with and without
     # --include-doubles and --effective, at count 2 and 30: a query on a
-    # freshly parsed diagram and one on a diagram whose memo holds the first
-    # arrowhead's draws, kept by the queries before it, end as the query
+    # freshly parsed diagram and one on a diagram whose slot tables hold the
+    # first arrowhead's draws, kept by the queries before it, end as the query
     # ends when the arrowhead source draws every list from its own stream
     # (at count 30 some queries reach the draws after the first list)
     from splicezeta import realize
 
     builds = []
-    first_draws = realize._first_draws
-    monkeypatch.setattr(realize, "_first_draws", lambda *a: builds.append(a) or first_draws(*a))
+    slot_tables = realize._slot_tables
+    monkeypatch.setattr(realize, "_slot_tables", lambda *a: builds.append(a) or slot_tables(*a))
     diagrams = list(golden_splice_diagrams().values())
     for g in golden_plumbing_graphs().values():
         with contextlib.suppress(DiagramError):
@@ -251,8 +251,10 @@ def test_kept_draws_give_the_outcome_of_fresh_draws(monkeypatch):
                 builds.clear()
                 assert realize_eigenvalue(warm, lam, **kw) == want, (lam, kw)
                 warm_builds += len(builds)
-        # the draws are drawn once per value of include_doubles
-        assert warm_builds == sum(("realize draws", x) in warm._memo for x in (False, True))
+        # the slot tables, draws included, are built once per value of
+        # include_doubles
+        small = blow_down(warm)
+        assert warm_builds == sum(("realize slots", x) in small._memo for x in (False, True)) == 2
     assert fresh_builds > 100
 
 

@@ -144,22 +144,36 @@ THREE_ARROW_STAR = (
 )
 
 
-def test_realize_star_reads_the_kept_draws():
-    # realize_star on a star whose memo holds the first arrowhead's draws,
-    # kept by the queries at the roots before it, gives what it gives on a
-    # fresh star: the intro stars, and two three-arrowhead stars, whose
+def test_realize_star_reads_the_kept_draws(monkeypatch):
+    # realize_star on a star whose slot tables hold the first arrowhead's
+    # draws, kept by the queries at the roots before it, gives what it gives
+    # on a fresh star: the intro stars, and two three-arrowhead stars, whose
     # arrowheads are sources; the solutions demo 06 prints among them
+    from splicezeta import realize
+
+    builds = []
+    slot_tables = realize._slot_tables
+    monkeypatch.setattr(realize, "_slot_tables", lambda *a: builds.append(a) or slot_tables(*a))
     texts = [print_diagram(intro_star(d1, d2)) for d1, d2 in _INTRO_STARS]
     texts += [THREE_ARROW_STAR.format(n=n) for n in (2, 6)]
-    kept = 0
+    arrow_sourced = 0
     for text in texts:
         warm = parse_diagram(text)[2]
+        warm_builds = 0
+        arrows = False
         for effective in (False, True):
             for lam in _star_roots(warm):
                 want = realize_star(parse_diagram(text)[2], lam, count=2, effective=effective)
+                builds.clear()
                 assert realize_star(warm, lam, count=2, effective=effective) == want, (text, lam)
-        kept += ("realize draws", True) in warm._memo
-    assert kept == 2
+                warm_builds += len(builds)
+                arrows |= any(r.source.startswith("arrow:") for r in want)
+        # realize_star searches the doubles: one slot set, built once
+        assert warm_builds == 1, text
+        assert ("realize slots", True) in blow_down(warm)._memo
+        arrow_sourced += arrows
+    # the kept draws are read where an arrowhead is a source
+    assert arrow_sourced == 2
     sols = realize_star(intro_star(2, 3), UnityRoot(1, 12), count=2)
     demo = [(s.values(), s.s0, s.source) for s in sols]
     assert demo == [
@@ -310,11 +324,14 @@ def test_prime_power_factors_stop_at_the_trial_limit():
     assert [m for m, _, _ in out.congruences[0].reductions] == [big * bigger]
 
 
-def test_realize_unrealizable_counterexample():
+def test_realize_unrealizable_counterexample(monkeypatch):
+    from splicezeta import realize
+
     d = two_cusp_diagram_mult(7)
     lam = UnityRoot(37, 42)
     assert eig_contains(d, lam)
-    out = realize_eigenvalue(d, lam, budget=120_000)
+    monkeypatch.setattr(realize, "SEARCH_BUDGET", 120_000)
+    out = realize_eigenvalue(d, lam)
     assert out.status == "unrealizable-within-bound"
     assert not out.found
     # diagnostics carry the nu congruence at the candidate nodes
@@ -773,14 +790,17 @@ def test_realize_json_matches_box_walk(monkeypatch, capsys):
     assert exhausted >= 12
 
 
-def test_explored_window_matches_old_budget_loop():
+def test_explored_window_matches_old_budget_loop(monkeypatch):
+    from splicezeta import realize
+
     d = two_cusp_diagram_mult(7)
     lam = UnityRoot(37, 42)
     k = len(d.boundary_vertices())
     assert k == 4
     budgets = [0, 1] + [(2 * w + 1) ** k + delta for w in (1, 2, 3) for delta in (-2, -1, 0, 1)]
     for budget in budgets:
-        out = realize_eigenvalue(d, lam, effective=True, budget=budget)
+        monkeypatch.setattr(realize, "SEARCH_BUDGET", budget)
+        out = realize_eigenvalue(d, lam, effective=True)
         assert out.status == "unrealizable-within-bound"
         want = _ref_window_reached(k, out.explored["bound"], budget)
         assert out.explored["window"] == want, (budget, out.explored)
@@ -1098,10 +1118,12 @@ def _drained_node_source(d, lam, effective, doubles):
     from splicezeta import realize
 
     small = blow_down(d)
-    slots, forms, rows = realize._slot_tables(small, doubles)
+    slots, forms, rows, draws, state = realize._slot_tables(small, doubles)
     fm = f_of(d, None)
     node_hits, arrow_hits = _compile_hits(small, fm, lam, rows)
-    q = realize._Query(small, fm, lam, slots, effective, forms, node_hits, arrow_hits, explored={})
+    q = realize._Query(
+        small, fm, lam, slots, effective, forms, node_hits, arrow_hits, draws, state, explored={}
+    )
     return list(realize._node_candidates(q)), q.rng.getstate(), q.congruences, q.diagnostics
 
 
@@ -1133,6 +1155,7 @@ def test_star_certificate_is_sound_and_moves_no_outcome(monkeypatch):
             rejected.setdefault((id(forms), tuple(x0), tuple(map(tuple, basis))), (where, forms))
         return index
 
+    monkeypatch.setattr(realize, "SEARCH_BUDGET", 3000)
     queries = 0
     for d in _oracle_diagrams(rng):
         try:
@@ -1141,14 +1164,14 @@ def test_star_certificate_is_sound_and_moves_no_outcome(monkeypatch):
             continue
         for lam in rng.sample(lams, min(8, len(lams))):
             for effective, doubles in itertools.product((False, True), (False, True)):
-                kw = dict(effective=effective, include_doubles=doubles, budget=3000)
+                kw = dict(effective=effective, include_doubles=doubles)
                 with monkeypatch.context() as m:
                     m.setattr(realize, "rejecting_star", recorded)
                     got = realize_eigenvalue(d, lam, **kw)
                     # every hit lattice of the query, also where the window
                     # is not reached
                     small = blow_down(d)
-                    slots, forms, rows = realize._slot_tables(small, doubles)
+                    slots, forms, rows, _, _ = realize._slot_tables(small, doubles)
                     hits = _compile_hits(small, f_of(d, None), lam, rows)
                     for base, coefs, n in _hit_forms(*hits, slots):
                         realize._hit_lattice_open(forms, coefs, -base, n)
