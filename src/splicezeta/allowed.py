@@ -216,8 +216,12 @@ def allowed_at(d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None =
     legs, the same nonzero condition and the same ``star_allowed``, up to
     the first failure."""
     require_valid(d)
-    fm = f_of(d, f)
-    wm = w_of(d, w)
+    return allowed_core(d, f_of(d, f), w_of(d, w))
+
+
+def allowed_core(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]) -> bool:
+    """``allowed_at`` for a d that ``require_valid`` passed and an F and a W
+    already read through ``f_of`` and ``w_of``: nothing is checked again."""
     for _, r, _, legs in _stars(d, wm):
         if not star_allowed(r, legs) or any(il == 0 for _, il in legs):
             return False

@@ -226,12 +226,19 @@ _REDUCTION = (
 )
 
 
-def _int_map(m: dict[str, int], indent: str) -> str:
-    """A slot -> int map in sorted key order, its closing brace at ``indent``."""
+def _int_map(m: dict[str, int], indent: str, prefixes: dict[str, str]) -> str:
+    """A slot -> int map in sorted key order, its closing brace at ``indent``.
+    ``prefixes`` maps each key to its encoded '"key": ', filled here with the
+    keys it lacks, so the maps of one payload encode each key once."""
     if not m:
         return "{}"
     inner = indent + "  "
-    items = [encode_basestring_ascii(k) + ": %d" % v for k, v in sorted(m.items())]
+    items = []
+    for k, v in sorted(m.items()):
+        prefix = prefixes.get(k)
+        if prefix is None:
+            prefix = prefixes[k] = encode_basestring_ascii(k) + ": "
+        items.append(prefix + "%d" % v)
     return "{" + inner + ("," + inner).join(items) + indent + "}"
 
 
@@ -243,18 +250,22 @@ def _realize_json(name: str, lam: UnityRoot, out: RealizeOutcome) -> str:
     reductions: modulus, coefficients, target) and the explored window."""
     ff = format_fraction
     enc = encode_basestring_ascii
+    keys: dict[str, str] = {}  # every slot id of the payload, encoded once
     found = [
         _FOUND % (
             ff(r.leading), r.order, ff(r.s0), enc(r.source),
-            _int_map(r.values(), "\n      "), _int_map(r.w, "\n      "),
+            _int_map(r.values(), "\n      ", keys), _int_map(r.w, "\n      ", keys),
         )
         for r in out.found
     ]
     congruences = [
         _CONGRUENCE % (
-            c.base, _int_map(c.coefficients, "\n      "), c.modulus, enc(c.node),
+            c.base, _int_map(c.coefficients, "\n      ", keys), c.modulus, enc(c.node),
             _json_list(
-                [_REDUCTION % (_int_map(co, "\n          "), m, t) for m, co, t in c.reductions],
+                [
+                    _REDUCTION % (_int_map(co, "\n          ", keys), m, t)
+                    for m, co, t in c.reductions
+                ],
                 "\n      ",
             ),
             c.target,
@@ -264,7 +275,7 @@ def _realize_json(name: str, lam: UnityRoot, out: RealizeOutcome) -> str:
     return _REALIZE % (
         _json_list(congruences, "\n  "),
         _json_list([enc(x) for x in out.diagnostics], "\n  "),
-        _int_map(out.explored, "\n  "),
+        _int_map(out.explored, "\n  ", keys),
         _json_list(found, "\n  "),
         enc(str(lam)),
         enc(name),
@@ -665,6 +676,19 @@ _COMMANDS = {
 }
 
 
+# each command's namespace before its argv is read: --json off, the command
+# and its function, and every option at its default
+_DEFAULTS = {
+    name: {
+        "json": False,
+        "command": name,
+        "fn": command.fn,
+        **{opt.dest: opt.default for opt in command.options.values()},
+    }
+    for name, command in _COMMANDS.items()
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser, built from the command table once per
@@ -703,8 +727,9 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    values = {"json": False, "command": argv[0], "fn": command.fn}
-    values.update({opt.dest: opt.default for opt in command.options.values()})
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(_DEFAULTS[argv[0]])
     positionals = []
     given = set()
     rest = iter(argv[1:])
@@ -733,7 +758,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     if any(opt.required and opt.dest not in given for opt in command.options.values()):
         return None
     values.update(zip(command.positionals, positionals))
-    return argparse.Namespace(**values)
+    return args
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

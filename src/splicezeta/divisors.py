@@ -82,6 +82,15 @@ def _vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None) -> dict[str, in
     return _multiplicities(d, f_of(d, f), d.vertices)
 
 
+def multiplicities_at(d: SpliceDiagram, fm: dict[str, int], targets) -> dict[str, int]:
+    """N_v at the targets, for an F already read through ``f_of``: at d's
+    own F the dict kept on d, over every vertex, shared and so only to be
+    read; at any other F computed at the targets alone."""
+    if is_own(d, fm):
+        return d.memo(("N",), _vertex_multiplicities, d, None)
+    return _multiplicities(d, fm, targets)
+
+
 def _multiplicities(d: SpliceDiagram, fm: dict[str, int], targets) -> dict[str, int]:
     """N_v at the targets, for an F already read through ``f_of``."""
     out = dict.fromkeys(targets, 0)
@@ -141,7 +150,7 @@ def node_data(
     """(nu_v, N_v) for every node, at an F and a W already read through
     ``f_of`` and ``w_of``: neither is checked again."""
     nu = _nu_values(d, wm)
-    nv = _multiplicities(d, fm, nu)
+    nv = multiplicities_at(d, fm, nu)
     return {v: (nu[v], nv[v]) for v in nu}
 
 

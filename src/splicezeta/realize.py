@@ -75,22 +75,27 @@ construction itself.  Certifying reuses what does not depend on W: the
 allowedness check builds no star, but reads each node's legs off the table
 cached on the diagram (``splicing.star_legs``), the one the query's star
 filters were compiled from, and ``zeta.pole_at`` reads the diagram's kept
-zeta plan and fills in only nu, N and i.  Every candidate is judged by
-``allowed_at`` (``is_allowed``'s verdict, with no report built) and by
-``pole_at``, the least pole mapping to lambda, which sums only the terms
-that vanish at the roots mapping to lambda and is exactly the first such
-pole of ``zeta_splice(...).poles()`` (see the ``zeta`` module docstring).
+zeta plan and fills in only nu, N and i (N_v at d's own F is the value kept
+on d).  ``certify`` reads and checks d, F and W once, and judges every
+candidate from that read by the cores of ``allowed_at`` (``is_allowed``'s
+verdict, with no report built) and of ``pole_at``, the least pole mapping
+to lambda, which sums only the terms that vanish at the roots mapping to
+lambda and is exactly the first such pole of ``zeta_splice(...).poles()``
+(see the ``zeta`` module docstring).
 
 What a query needs that is free of F, W and lambda is kept on the
 blown-down diagram, under one memo key per slot set, without and with the
 arrowhead doubles: the searched slots, their star forms, each node's nu at
-W = 0 and linking row over them, and the first arrowhead source's small
-boundary assignments.  Those depend on the slots and their star forms
-alone, as every query draws them first from the same fixed seed: the table
-keeps the state of the random stream after them, which the arrowhead source
-restores.  A query compiles from the table only what its lambda and F
-decide, N_v and the target residues.  No memo key names a lambda or a
-searched W.  The kernel moves and the
+W = 0 and linking row over them, the first arrowhead source's small
+boundary assignments and the largest weight, which scales the default
+bound.  The assignments depend on the slots and their star forms alone, as
+every query draws them first from the same fixed seed: the table keeps the
+state of the random stream after them, which the arrowhead source restores.
+A query compiles from the table only what its lambda and F decide, N_v and
+the target residues.  No memo key names a lambda or a searched W.  A
+query's stream is built on its first draw, from the fixed seed, or from the
+kept state once the first arrowhead has read its assignments: a query whose
+sources never draw builds none.  The kernel moves and the
 small boundary assignments draw their random values through ``_below7``,
 which takes from the random stream what ``randint(-3, 3)`` and a seven-way
 ``choice`` take and gives what they give, in fewer calls.
@@ -111,13 +116,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .allowed import allowed_at, star_allowed
+from .allowed import allowed_at, allowed_core, star_allowed
 from .diagrams import DiagramError, Edge, SpliceDiagram, blow_down, require_valid
-from .divisors import PDivisor, f_of, nu_values, vertex_multiplicities, w_of
+from .divisors import PDivisor, effective_f, f_of, multiplicities_at, nu_values, w_of
 from .exact import UnityRoot, congruence_lattice, solve_linear_congruence
 from .monodromy import alexander, eig_contains
 from .splicing import root_cut, splice, star_decomposition, star_legs
-from .zeta import pole_at, target_residue
+from .zeta import pole_core, target_residue
 
 
 class NotAnEigenvalueError(ValueError):
@@ -292,11 +297,12 @@ _ArrowHits = dict[str, tuple[int, int]]
 
 def _slot_tables(
     d: SpliceDiagram, include_doubles: bool
-) -> tuple[tuple[str, ...], list[_StarForm], _SlotRows, tuple[dict[str, int], ...], tuple]:
+) -> tuple[tuple[str, ...], list[_StarForm], _SlotRows, tuple[dict[str, int], ...], tuple, int]:
     """The searched slots (the boundary vertices, then the arrowhead doubles
-    on request), their star forms, ``_slot_rows`` over them, and the first
+    on request), their star forms, ``_slot_rows`` over them, the first
     arrowhead's small boundary assignments, drawn from a fresh stream, with
-    the stream's state after them: free of F, W and lam, so
+    the stream's state after them, and the largest arrowhead or edge weight,
+    which scales the default bound: free of F, W and lam, so
     ``realize_eigenvalue`` keeps them on d, under one key per value of
     ``include_doubles``."""
     slots = d.boundary_vertices()
@@ -305,7 +311,8 @@ def _slot_tables(
     forms = star_forms(d, slots)
     rng = random.Random(_SEED)
     draws = tuple(_small_allowed_candidates(slots, forms, rng))
-    return slots, forms, _slot_rows(d, slots), draws, rng.getstate()
+    weights = [a.weight for a in d.farrows] + [w for e in d.edges for w in (e.wa, e.wb)]
+    return slots, forms, _slot_rows(d, slots), draws, rng.getstate(), max(weights, default=1)
 
 
 def _slot_rows(d: SpliceDiagram, slots: Sequence[str]) -> _SlotRows:
@@ -325,7 +332,7 @@ def _compile_hits(
     slots.  This is the test s0 = -nu/N = lam.frac (mod 1), the one
     ``zeta.pole_at`` applies (derived in the ``zeta`` module docstring);
     only nonzero N take part, as s0 = -nu/N needs N != 0."""
-    nv = vertex_multiplicities(d, fm)
+    nv = multiplicities_at(d, fm, rows)
     nodes = {}
     for v, (nu0, coefs) in rows.items():
         u = target_residue(lam, nv[v]) if nv[v] else None
@@ -367,14 +374,20 @@ def certify(
     source: str,
     effective: bool,
 ) -> Realization | None:
-    """Full independent check: allowed, and a genuine pole maps to lam."""
+    """Full independent check: allowed, and a genuine pole maps to lam.
+    d, F and W are read and checked once, as ``allowed_at`` and ``pole_at``
+    read them, and both verdicts are reached from that one read."""
     w = {s: m for s, m in w.items() if m}
     if effective and any(m < 0 for m in w.values()):
         return None
     try:
-        if not allowed_at(d, fm, w):
+        require_valid(d)
+        # F = 0, which pole_at refuses, is refused before the verdicts
+        fm = effective_f(d, fm)
+        wm = w_of(d, w)
+        if not allowed_core(d, fm, wm):
             return None
-        pole = pole_at(d, fm, w, lam)
+        pole = pole_core(d, fm, wm, lam)
     except DiagramError:
         return None
     if pole is None:
@@ -612,7 +625,8 @@ class _Query:
     candidate sources, and what the sources report back (the node
     congruences and diagnostics they reached, the window they explored).
     Every query draws its random candidates from the same fixed seed, so
-    its output depends on its arguments alone."""
+    its output depends on its arguments alone.  The stream is built on the
+    first draw (``stream``): a query whose sources never draw builds none."""
 
     d: SpliceDiagram  # the blown-down diagram the sources search
     fm: dict[str, int]
@@ -627,21 +641,33 @@ class _Query:
     explored: dict[str, int]
     congruences: list[NodeCongruence] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
-    rng: random.Random = field(default_factory=lambda: random.Random(_SEED))
+    # the state the stream starts from when it is built, None for the fixed
+    # seed's; the stream itself, once built
+    start: tuple | None = None
+    _rng: random.Random | None = None
+
+    def stream(self) -> random.Random:
+        """The query's random stream, built on the first call."""
+        if self._rng is None:
+            self._rng = random.Random(_SEED)
+            if self.start is not None:
+                self._rng.setstate(self.start)
+        return self._rng
 
 
 def _arrow_candidates(q: _Query):
     """Arrowheads whose multiplicity the order of lam divides: the double of
     the arrowhead set so that s0 = -i_a/N_a hits lam, on top of a few small
     allowed boundary assignments.  The first arrowhead is the first to draw
-    from the query's fresh stream, so it reads its assignments, and the
-    state they leave the stream in, from the query's slot tables."""
+    from the query's fresh stream, so it reads its assignments from the
+    query's slot tables, and the stream, when a later draw builds it, starts
+    from the state they leave it in."""
     for k, (aid, (na, ua)) in enumerate(q.arrow_hits.items()):
         if k:
-            bases = _small_allowed_candidates(q.slots, q.forms, q.rng)
+            bases = _small_allowed_candidates(q.slots, q.forms, q.stream())
         else:
             bases = q.first_draws
-            q.rng.setstate(q.drawn_state)
+            q.start = q.drawn_state
         # W = 0 comes first here when the star filters allow it; when they do
         # not, no W that is 0 off the double of a is allowed, as that double
         # changes no star leg
@@ -693,7 +719,8 @@ def _node_candidates(q: _Query):
         for t in range(80):
             x = reduced
             if t:
-                x = [xi + p * (_below7(q.rng) - 3) for xi, p in zip(x, periods)]
+                rng = q.stream()
+                x = [xi + p * (_below7(rng) - 3) for xi, p in zip(x, periods)]
             if q.effective:
                 # the least non-negative value in the period class
                 x = [xi % p if xi < 0 else xi for xi, p in zip(x, periods)]
@@ -704,7 +731,7 @@ def _node_candidates(q: _Query):
                 # the coset reduced + span(p_j e_j), which a star rejects:
                 # the moves are not tested, but their draws are taken all
                 # the same, so the nodes after v see the same stream
-                _drop7(q.rng, 79 * len(periods))
+                _drop7(q.stream(), 79 * len(periods))
                 break
 
 
@@ -792,12 +819,11 @@ def realize_eigenvalue(
     if not eig_contains(d, lam, fm):
         raise NotAnEigenvalueError(f"{lam} is not in Eig of this diagram")
     small = blow_down(d)
-    if bound is None:
-        weights = [a.weight for a in small.farrows] + [w for e in small.edges for w in (e.wa, e.wb)]
-        bound = 4 * lam.order * max(weights, default=1)
-    slots, forms, rows, draws, state = small.memo(
+    slots, forms, rows, draws, state, max_weight = small.memo(
         ("realize slots", include_doubles), _slot_tables, small, include_doubles
     )
+    if bound is None:
+        bound = 4 * lam.order * max_weight
     node_hits, arrow_hits = _compile_hits(small, fm, lam, rows)
     q = _Query(
         small, fm, lam, slots, effective, forms, node_hits, arrow_hits, draws, state,

@@ -372,8 +372,12 @@ def _splice_rows(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None):
     at a node or an arrowhead, and i = 0 at a boundary vertex or a node's
     dashed arrow."""
     d.require_standard()
-    fm = effective_f(d, f)
-    wm = w_of(d, w)
+    return _rows_at(d, effective_f(d, f), w_of(d, w))
+
+
+def _rows_at(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]):
+    """``_splice_rows`` for a standard d and an F and a W already read
+    through ``effective_f`` and ``w_of``: neither is checked again."""
     data = node_data(d, fm, wm)
     nodes, specials = d.memo(("zeta plan",), _zeta_plan, d)
     rows = []
@@ -470,7 +474,16 @@ def pole_at(
     ``zeta_splice(d, fm, w).poles()`` that maps to lam, raising where
     ``zeta_splice`` raises.  Only the terms that vanish at a root mapping to
     lam are summed (see the module docstring)."""
-    rows, specials, data = _splice_rows(d, fm, w)
+    d.require_standard()
+    return pole_core(d, effective_f(d, fm), w_of(d, w), lam)
+
+
+def pole_core(
+    d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], lam: UnityRoot
+) -> Pole | None:
+    """``pole_at`` for a standard d and an F and a W already read through
+    ``effective_f`` and ``w_of``: neither is checked again."""
+    rows, specials, data = _rows_at(d, fm, wm)
     hits = set()
     for _, (nu_v, n_v), _, arrows, _ in rows:
         hits.add(_hit_numerator(nu_v, n_v, lam))

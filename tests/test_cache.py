@@ -212,7 +212,7 @@ def _drawn_arrow_candidates(q):
     from splicezeta import realize
 
     for aid, (na, ua) in q.arrow_hits.items():
-        for basew in realize._small_allowed_candidates(q.slots, q.forms, q.rng):
+        for basew in realize._small_allowed_candidates(q.slots, q.forms, q.stream()):
             for t in range(1, 9) if q.effective else range(8):
                 yield basew | {aid: (ua - 1) + na * t}, f"arrow:{aid}"
 
@@ -222,18 +222,47 @@ def test_kept_draws_give_the_outcome_of_fresh_draws(monkeypatch):
     # --include-doubles and --effective, at count 2 and 30: a query on a
     # freshly parsed diagram and one on a diagram whose slot tables hold the
     # first arrowhead's draws, kept by the queries before it, end as the query
-    # ends when the arrowhead source draws every list from its own stream
-    # (at count 30 some queries reach the draws after the first list)
+    # ends when the arrowhead source draws every list from a stream seeded
+    # when the query starts (at count 30 some queries reach the draws after
+    # the first list).  A query builds its stream only when a source draws,
+    # and then once: the queries whose sources never draw build none.
     from splicezeta import realize
 
+    @dataclasses.dataclass
+    class EagerQuery(realize._Query):
+        def __post_init__(self):
+            self.stream()
+
     builds = []
+    streams = []
+    draws = []
     slot_tables = realize._slot_tables
-    monkeypatch.setattr(realize, "_slot_tables", lambda *a: builds.append(a) or slot_tables(*a))
+
+    def tables(*args):
+        # the first draws the tables keep count as neither a draw nor a stream
+        builds.append(args)
+        n_streams, n_draws = len(streams), len(draws)
+        try:
+            return slot_tables(*args)
+        finally:
+            del streams[n_streams:], draws[n_draws:]
+
+    class CountedRandom(random.Random):
+        def __init__(self, *args):
+            streams.append(args)
+            super().__init__(*args)
+
+    below7, drop7 = realize._below7, realize._drop7
+    monkeypatch.setattr(realize, "_slot_tables", tables)
+    monkeypatch.setattr(realize.random, "Random", CountedRandom)
+    monkeypatch.setattr(realize, "_below7", lambda *a: draws.append(a) or below7(*a))
+    monkeypatch.setattr(realize, "_drop7", lambda *a: draws.append(a) or drop7(*a))
     diagrams = list(golden_splice_diagrams().values())
     for g in golden_plumbing_graphs().values():
         with contextlib.suppress(DiagramError):
             diagrams.append(plumbing_to_splice(g))
     fresh_builds = 0
+    drawing = quiet = 0
     for d in diagrams:
         if not any(d.f_divisor().values()):
             continue
@@ -244,18 +273,26 @@ def test_kept_draws_give_the_outcome_of_fresh_draws(monkeypatch):
                 kw = {"count": count, "effective": effective, "include_doubles": doubles}
                 with monkeypatch.context() as m:
                     m.setattr(realize, "_arrow_candidates", _drawn_arrow_candidates)
+                    m.setattr(realize, "_Query", EagerQuery)
                     want = realize_eigenvalue(_fresh(d), lam, **kw)
-                builds.clear()
-                assert realize_eigenvalue(_fresh(d), lam, **kw) == want, (lam, kw)
-                fresh_builds += len(builds)
-                builds.clear()
-                assert realize_eigenvalue(warm, lam, **kw) == want, (lam, kw)
-                warm_builds += len(builds)
+                for x in (_fresh(d), warm):
+                    builds.clear()
+                    streams.clear()
+                    draws.clear()
+                    assert realize_eigenvalue(x, lam, **kw) == want, (lam, kw)
+                    assert streams == ([(realize._SEED,)] if draws else []), (lam, kw)
+                    drawing += bool(draws)
+                    quiet += not draws
+                    if x is warm:
+                        warm_builds += len(builds)
+                    else:
+                        fresh_builds += len(builds)
         # the slot tables, draws included, are built once per value of
         # include_doubles
         small = blow_down(warm)
         assert warm_builds == sum(("realize slots", x) in small._memo for x in (False, True)) == 2
     assert fresh_builds > 100
+    assert drawing > 100 and quiet > 100, (drawing, quiet)
 
 
 def test_returned_values_are_not_shared():

@@ -456,6 +456,22 @@ def test_cli_dispatch_matches_the_top_level_parser(argv, tmp_path, monkeypatch):
     _same_as_the_top_level_parser(argv)
 
 
+# a value for each option that takes one, on two_cusp.sd
+_OPTION_VALUES = {"samples": "1", "lam": "1/6", "edge": "v1:v0", "count": "2", "bound": "3"}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_cli_argv_reader_reads_every_option(name):
+    # each command with --json and every one of its options given: the
+    # namespace read from the command table is the top-level parser's
+    command = cli._COMMANDS[name]
+    argv = [name, *(str(CORPUS / "two_cusp.sd") for _ in command.positionals), "--json"]
+    for flag, opt in command.options.items():
+        argv += [flag] if opt.convert is None else [flag, _OPTION_VALUES[opt.dest]]
+    assert cli._read_argv(argv) is not None
+    _same_as_the_top_level_parser(argv)
+
+
 # the argv vocabulary: command names, every option string and each of its
 # prefixes, bare and =-joined to a value, small ints, p/q values, an edge of
 # two_cusp.sd and files of the corpus that every command answers quickly

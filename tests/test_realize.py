@@ -1,5 +1,6 @@
 """Eigenvalue realization: constructive paths, extension, bounded search."""
 
+import contextlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -1092,6 +1093,79 @@ def test_certify_matches_the_whole_zeta_reference(monkeypatch):
     assert 0 < sum(compared) < len(compared)
 
 
+def test_certify_reads_each_input_once(monkeypatch):
+    # every certify call of the corpus queries that passes the --effective
+    # sign test calls require_valid, f_of and w_of exactly once each,
+    # wherever a splicezeta module binds them; and certify refuses what the
+    # reference refuses: an unknown W slot, a valency-2 W slot, i = 0 at a W
+    # slot and an explicit all-zero F
+    import sys
+
+    from splicezeta import diagrams, divisors, realize
+    from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
+
+    calls = []
+    for home, name in ((diagrams, "require_valid"), (divisors, "f_of"), (divisors, "w_of")):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("splicezeta") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    checked = []
+    certify_once = realize.certify
+
+    def once(d, fm, w, lam, source, effective):
+        calls.clear()
+        got = certify_once(d, fm, w, lam, source, effective)
+        if not (effective and any(m < 0 for m in w.values())):
+            assert sorted(calls) == ["f_of", "require_valid", "w_of"], (calls, w)
+            checked.append(got is not None)
+        return got
+
+    monkeypatch.setattr(realize, "certify", once)
+    corpus = list(golden_splice_diagrams().values())
+    for g in golden_plumbing_graphs().values():
+        with contextlib.suppress(DiagramError):
+            corpus.append(plumbing_to_splice(g))
+    rng = random.Random(29)
+    for d in corpus:
+        if not any(d.f_divisor().values()):
+            continue
+        for lam in _eig(d):
+            for effective, doubles in itertools.product((False, True), (False, True)):
+                realize_eigenvalue(d, lam, count=2, effective=effective, include_doubles=doubles)
+            # the queries' candidates all pass; these mostly fail
+            for _ in range(5):
+                w = {s: rng.randint(-2, 2) for s in d.boundary_vertices()}
+                realize.certify(d, f_of(d, None), w, lam, "random", False)
+    assert 0 < sum(checked) < len(checked)
+
+    d = two_cusp_diagram()
+    fm = f_of(d, None)
+    lam = UnityRoot(1, 6)
+    assert certify(d, fm, {"leg1p": 1}, lam, "manual", False) is not None
+    # a chain vertex c on the edge v1 - leg1, carrying W
+    edges = [(e.a, e.b, e.wa, e.wb) for e in d.edges if e.key != ("v1", "leg1")]
+    chained = SpliceDiagram(
+        [*d.vertices, "c"], edges + [("v1", "c", 3, 1), ("c", "leg1", 1, 1)], d.farrows
+    )
+    assert "c" in chained.chain_vertices()
+    zero_f = {a: 0 for a in fm}
+    for x, f, w in [
+        (d, fm, {"bogus": 1}),
+        (chained, f_of(chained, None), {"c": 1}),
+        (d, fm, {"leg1p": -1}),
+        (d, zero_f, {}),
+        (d, zero_f, {"leg1p": 1}),
+    ]:
+        assert _certify_reference(x, f, w, lam, "manual", False) is None, w
+        assert certify(x, f, w, lam, "manual", False) is None, w
+
+
 def _oracle_diagrams(rng):
     """The corpus, 150 random decorated splice diagrams and 30 converted
     random plumbing curves."""
@@ -1118,13 +1192,13 @@ def _drained_node_source(d, lam, effective, doubles):
     from splicezeta import realize
 
     small = blow_down(d)
-    slots, forms, rows, draws, state = realize._slot_tables(small, doubles)
+    slots, forms, rows, draws, state, _ = realize._slot_tables(small, doubles)
     fm = f_of(d, None)
     node_hits, arrow_hits = _compile_hits(small, fm, lam, rows)
     q = realize._Query(
         small, fm, lam, slots, effective, forms, node_hits, arrow_hits, draws, state, explored={}
     )
-    return list(realize._node_candidates(q)), q.rng.getstate(), q.congruences, q.diagnostics
+    return list(realize._node_candidates(q)), q.stream().getstate(), q.congruences, q.diagnostics
 
 
 def test_star_certificate_is_sound_and_moves_no_outcome(monkeypatch):
@@ -1171,7 +1245,7 @@ def test_star_certificate_is_sound_and_moves_no_outcome(monkeypatch):
                     # every hit lattice of the query, also where the window
                     # is not reached
                     small = blow_down(d)
-                    slots, forms, rows, _, _ = realize._slot_tables(small, doubles)
+                    slots, forms, rows, *_ = realize._slot_tables(small, doubles)
                     hits = _compile_hits(small, f_of(d, None), lam, rows)
                     for base, coefs, n in _hit_forms(*hits, slots):
                         realize._hit_lattice_open(forms, coefs, -base, n)
