@@ -293,13 +293,6 @@ def _check_farrow_data(farrows):
             raise DiagramError(f"farrow {a.id!r}: weight >= 1 and mult >= 0 required")
 
 
-class _LinkingRow(dict):
-    """Target id -> linking product from one root vertex."""
-
-    def __missing__(self, target):
-        raise DiagramError(f"no linking product towards {target!r}")
-
-
 class SpliceDiagram(_Decorated):
     """Immutable decorated splice diagram."""
 
@@ -314,7 +307,7 @@ class SpliceDiagram(_Decorated):
         for e in self.edges:
             self._adj[e.a].append(e)
             self._adj[e.b].append(e)
-        self._rows: dict[tuple, _LinkingRow] = {}
+        self._rows: dict[tuple, dict[str, int]] = {}
         # computed on first use: _classes() and require_standard()'s verdict
         self._kinds: tuple | None = None
         self._nonstandard: str | None = None
@@ -440,54 +433,36 @@ class SpliceDiagram(_Decorated):
             row = self._rows[key] = self._linking_row(v, key[1])
         return row
 
-    def _linking_row(self, v: str, excluded: tuple[str, str] | None) -> _LinkingRow:
+    def _linking_row(self, v: str, excluded: tuple[str, str] | None) -> dict[str, int]:
         # the excluded edge at v is cut off like the edge towards a parent
         cut = None
         if excluded is not None and v in excluded:
             cut = excluded[1] if excluded[0] == v else excluded[0]
-        nbrs = self._weighted_nbrs
-        row = _LinkingRow()
+        prods = weight_products(self)
+        if not all(prods.values()):
+            raise DiagramError("linking products need nonzero weights")
+        row = {}
         # Search from v, each vertex taken from the first vertex that sees
         # it: on a tree this gives the path to every vertex (elsewhere, the
-        # paths of one spanning tree).  A stack entry is (vertex, its
-        # neighbour towards v, the product over the path vertices before it).
+        # paths of one spanning tree).  A stack entry is a vertex x and the
+        # product over the path up to it, each path vertex's weight product
+        # with the path's own weights divided out (at x, the one before it).
         seen = {v, cut}
-        stack = [(v, cut, 1)]
+        stack = [(v, prods[v] // (self.edge(v, cut).weight_at(v) if cut else 1))]
         while stack:
-            x, back, before = stack.pop()
-            arrows = 1
+            x, here = stack.pop()
+            row[x] = here
             for a in self._farrows_at[x]:
-                arrows *= a.weight
-            ends = 1
-            for y, w in nbrs[x]:
-                if y != back:
-                    ends *= w
-            row[x] = before * arrows * ends
-            for a in self._farrows_at[x]:
-                # the target's own supporting edge is on the path (its
-                # weight is >= 1, checked on construction)
-                row[a.id] = before * (arrows // a.weight) * ends
-            for y, _ in nbrs[x]:
+                row[a.id] = here // a.weight  # its own supporting edge is on the path
+            for e in self._adj[x]:
+                y, wx, wy = (e.b, e.wa, e.wb) if e.a == x else (e.a, e.wb, e.wa)
                 if y not in seen:
                     seen.add(y)
-                    through = before * arrows
-                    for z, w in nbrs[x]:
-                        if z != back and z != y:
-                            through *= w
-                    stack.append((y, x, through))
+                    stack.append((y, here // wx * (prods[y] // wy)))
         for w in self.warrows:
             if w.slot in row:
                 row[w.id] = row[w.slot]
         return row
-
-    @cached_property
-    def _weighted_nbrs(self) -> dict[str, list[tuple[str, int]]]:
-        """(neighbour, weight at v) for every edge at every vertex v."""
-        out: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.a].append((e.b, e.wa))
-            out[e.b].append((e.a, e.wb))
-        return out
 
     def side_vertices(self, v: str, e: Edge) -> list[str]:
         """Vertices of the connected component of diagram minus v in direction e."""
@@ -558,19 +533,25 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+def weight_products(d: SpliceDiagram) -> dict[str, int]:
+    """Vertex -> P_x, the product of every weight at x (edge ends and
+    arrowheads); computed once per diagram and kept on it."""
+    return d.memo(("weight products",), _weight_products, d)
+
+
+def _weight_products(d: SpliceDiagram) -> dict[str, int]:
+    out = {x: prod(a.weight for a in arrows) for x, arrows in d._farrows_at.items()}
+    for e in d.edges:
+        out[e.a] *= e.wa
+        out[e.b] *= e.wb
+    return out
+
+
 def edge_determinant(d: SpliceDiagram, e: Edge) -> int:
     """q_e = d_ve * d_we - (product of all other weights at both end nodes)."""
     if not (d.is_node(e.a) and d.is_node(e.b)):
         raise DiagramError(f"edge {e.key} is not special (must join two nodes)")
-    q = e.wa * e.wb
-    rest = 1
-    for v in (e.a, e.b):
-        for f in d.edges_at(v):
-            if f.key != e.key:
-                rest *= f.weight_at(v)
-        for a in d.farrows_at(v):
-            rest *= a.weight
-    return q - rest
+    return _determinant(d, e)
 
 
 def edge_determinants(d: SpliceDiagram) -> tuple[int, ...]:
@@ -580,7 +561,18 @@ def edge_determinants(d: SpliceDiagram) -> tuple[int, ...]:
 
 
 def _edge_determinants(d: SpliceDiagram) -> tuple[int, ...]:
-    return tuple(edge_determinant(d, e) for e in d.special_edges())
+    return tuple(_determinant(d, e) for e in d.special_edges())
+
+
+def _determinant(d: SpliceDiagram, e: Edge) -> int:
+    """q_e of an edge between two nodes: the other weights at an end x
+    multiply to P_x / d_xe (``weight_products``)."""
+    if e.wa and e.wb:
+        p = weight_products(d)
+        return e.wa * e.wb - p[e.a] // e.wa * (p[e.b] // e.wb)
+    # a zero weight, which validate reports, divides nothing out
+    rest = prod(a.weight for x in e.key for a in d._farrows_at[x])
+    return -rest * prod(f.weight_at(x) for x in e.key for f in d._adj[x] if f.key != e.key)
 
 
 def validate(d: SpliceDiagram) -> ValidationReport:
@@ -690,7 +682,9 @@ def blow_down(d: SpliceDiagram) -> SpliceDiagram:
 
 def _blow_down(d: SpliceDiagram) -> SpliceDiagram:
     # v -> {u: the weight at v of the edge vu}, as the deletions leave it
-    nbrs = {v: dict(ws) for v, ws in d._weighted_nbrs.items()}
+    nbrs: dict[str, dict[str, int]] = {v: {} for v in d.vertices}
+    for e in d.edges:
+        nbrs[e.a][e.b], nbrs[e.b][e.a] = e.wa, e.wb
     dashed = {w.at for w in d.warrows}
     arrows = {a.at for a in d.farrows}
     changed = True

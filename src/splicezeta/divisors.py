@@ -5,6 +5,26 @@ values come from linking-number products; on plumbing graphs they come from
 exact linear algebra against the intersection form.  The two routes must agree
 on unimodular graphs, and the test suite enforces that.
 
+On a splice diagram N_v, nu_v and a cut's i are sums S(v) = sum of
+c_t l(v, t) over targets t, and ``linking_sums`` gives S at every vertex
+in one rerooted pass.  With P_x the product of every weight at x (edge
+ends and arrowheads), d_x(y) the weight at x towards y and A_x = c_x P_x +
+sum of c_a P_x / d_a over the arrowheads a at x, a linking product is the
+product of P along the path with the path's own weights divided out, so
+the sum over y's side of the edge x-y, with the edge excluded at y, is
+
+    side(x, y) = (A_y + sum over z != x of (P_y / d_y(z)) side(y, z)) / d_y(x),
+
+every term divisible by d_y(x), and S(v) = A_v + sum over the neighbours
+n of (P_v / d_v(n)) side(v, n).  Leaves first this gives each side(parent,
+child); root first, side(child, parent) is S(parent) less the child's
+term, over d_parent(child), and S(child) follows.  At d's own F and W one
+pass carries F, the canonical terms and the stored W (``own_sums``, kept
+on d), so the zeta function and the monodromy there read no linking row.
+At a searched W, as in ``realize``, nu_v is its value at W = 0 plus the
+sum of mult_s l(v, s) over the nonzero slots, read off the nodes' cached
+linking rows: a few terms per candidate, not a pass.
+
 Every F and W that a function here or above takes is read through ``f_of``
 and ``w_of``, on both routes: an F key must be an arrowhead id with
 multiplicity >= 0; a W key, whatever its multiplicity, a vertex or arrowhead
@@ -14,9 +34,12 @@ with one ``DiagramError`` per case; None stands for the object's own F or W.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
-from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, checked_f
+from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, checked_f, weight_products
 
 # A P-divisor is a plain mapping: arrowhead id -> multiplicity for F,
 # slot id -> multiplicity (= value - 1) for W.  Slots are boundary-vertex ids,
@@ -66,41 +89,99 @@ def effective_f(x, f: PDivisor | None) -> dict[str, int]:
     return fm
 
 
-def vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None = None) -> dict[str, int]:
-    """N_v = sum over arrowheads of N_a * l_{va}, for every vertex.
+def linking_sums(d: SpliceDiagram, vectors) -> list[tuple[dict[str, int], Callable[[str, str], int]]]:
+    """For each map c (vertex or arrowhead id -> int) the sums S(v) at every
+    vertex and ``side(v, n)`` across every edge v-n (see the module
+    docstring), from one leaf-first and one root-first traversal in exact
+    integer divisions.  Refuses a d that is not a tree or has a zero weight."""
+    prods = weight_products(d)
+    if not d.is_tree() or not all(prods.values()):
+        raise DiagramError("linking sums need a tree with nonzero weights")
+    # search order, parents first; a link is (i, its parent j, P_i / d_i(j),
+    # d_i(j), P_j / d_j(i), d_j(i))
+    order, links = [d.vertices[0]], []
+    index = {order[0]: 0}
+    for j, x in enumerate(order):
+        for e in d._adj[x]:
+            y, wx, wy = (e.b, e.wa, e.wb) if e.a == x else (e.a, e.wb, e.wa)
+            if y not in index:
+                index[y] = len(order)
+                links.append((len(order), j, prods[y] // wy, wy, prods[x] // wx, wx))
+                order.append(y)
+    out = []
+    for c in vectors:
+        acc = [0] * len(order)
+        for t, ct in c.items():
+            a = d._farrow_by_id.get(t)
+            if a is None:
+                acc[index[t]] += ct * prods[t]
+            else:
+                acc[index[a.at]] += ct * (prods[a.at] // a.weight)
+        down = acc[:]  # side(j, i), leaves first
+        for i, j, _, wi, fj, _ in reversed(links):
+            down[i] = side = acc[i] // wi
+            acc[j] += fj * side
+        up = acc[:]  # side(i, j), root first: S(j) less i's term
+        for i, j, fi, _, fj, wj in links:
+            up[i] = side = (acc[j] - fj * down[i]) // wj
+            acc[i] += fi * side
+        at = {v: acc[index[v]] for v in d.vertices}  # in the order of d's vertices
+        out.append((at, partial(_side, index, down, up)))
+    return out
 
-    Linking products are symmetric on a tree, so the row of the vertex that
-    carries a, divided by a's own supporting weight (which that row counts
-    and l_{va} does not), gives l_{va} for every v at once.  At the stored
-    F the values are kept on d; each call gets a dict of its own."""
-    if is_own(d, f):
-        return dict(d.memo(("N",), _vertex_multiplicities, d, None))
-    return _vertex_multiplicities(d, f)
+
+def _side(index, down, up, v: str, n: str) -> int:
+    i, j = index[n], index[v]  # in search order a child comes after its parent
+    return down[i] if i > j else up[j]
+
+
+class OwnSums(NamedTuple):
+    """At d's own F and W: N_v at every vertex, nu_v at W = 0 and (nu_v,
+    N_v) at every node, and i0(v, n), the i at W = 0 of n's side of the
+    edge v-n.  Kept on d and shared: only to be read."""
+
+    n: dict[str, int]
+    nu0: dict[str, int]
+    data: dict[str, tuple[int, int]]
+    i0: Callable[[str, str], int]
+
+
+def own_sums(d: SpliceDiagram) -> OwnSums:
+    """``OwnSums`` of d, from one ``linking_sums`` call kept on d."""
+    return d.memo(("own sums",), _own_sums, d)
+
+
+def _own_sums(d: SpliceDiagram) -> OwnSums:
+    # the canonical terms (see nu_values): 2 - delta_x at each vertex x, 1
+    # at each arrowhead of weight >= 2; the stored W by slot, read only
+    # where is_own finds one dashed arrow per slot
+    canonical = {x: 2 - len(es) for x, es in d._adj.items()}
+    for a in d.farrows:
+        if a.weight >= 2:
+            canonical[a.at] -= 1
+            canonical[a.id] = 1
+    stored: dict[str, int] = {}
+    for w in d.warrows:
+        stored[w.slot] = stored.get(w.slot, 0) + w.value - 1
+    (n, _), (nu0, i0), (wpart, _) = linking_sums(d, (d.f_divisor(), canonical, stored))
+    nodes = d.nodes()
+    return OwnSums(n, {v: nu0[v] for v in nodes}, {v: (nu0[v] + wpart[v], n[v]) for v in nodes}, i0)
+
+
+def vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None = None) -> dict[str, int]:
+    """N_v = sum over arrowheads of N_a * l_{va}, for every vertex; each
+    call gets a dict of its own."""
+    return dict(multiplicities_at(d, f_of(d, f)))
+
+
+def multiplicities_at(d: SpliceDiagram, fm: dict[str, int]) -> dict[str, int]:
+    """N_v at every vertex, for an F already read through ``f_of``: at d's
+    own F the dict kept on d, shared and so only to be read."""
+    return own_sums(d).n if is_own(d, fm) else _vertex_multiplicities(d, fm)
 
 
 def _vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None) -> dict[str, int]:
-    return _multiplicities(d, f_of(d, f), d.vertices)
-
-
-def multiplicities_at(d: SpliceDiagram, fm: dict[str, int], targets) -> dict[str, int]:
-    """N_v at the targets, for an F already read through ``f_of``: at d's
-    own F the dict kept on d, over every vertex, shared and so only to be
-    read; at any other F computed at the targets alone."""
-    if is_own(d, fm):
-        return d.memo(("N",), _vertex_multiplicities, d, None)
-    return _multiplicities(d, fm, targets)
-
-
-def _multiplicities(d: SpliceDiagram, fm: dict[str, int], targets) -> dict[str, int]:
-    """N_v at the targets, for an F already read through ``f_of``."""
-    out = dict.fromkeys(targets, 0)
-    for aid, mult in fm.items():
-        if mult:
-            a = d.farrow(aid)
-            row = d.linking_row(a.at)
-            for v in out:
-                out[v] += mult * (row[v] // a.weight)
-    return out
+    return linking_sums(d, (f_of(d, f),))[0][0]
 
 
 def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
@@ -109,17 +190,16 @@ def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
     The canonical part sums (2 - delta_x) l_{vx} over the vertices of the
     arrow-stripped diagram: ordinary arrowheads with supporting weight > 1
     turn into boundary vertices (contributing l_{va} each), weight-1
-    arrowheads vanish, and the dashed data is ignored.  So nu_v is one
-    integer combination of the linking row of v, the same at every node.
-    The canonical part does not depend on W: it is kept on d, and each
-    call adds its own W part to a copy.
+    arrowheads vanish, and the dashed data is ignored.  The canonical part
+    does not depend on W: it is kept on d, and each call adds its own W
+    part to a copy.
     """
     return _nu_values(d, w_of(d, w))
 
 
 def _nu_values(d: SpliceDiagram, wm: dict[str, int]) -> dict[str, int]:
     """``nu_values`` for a W already read through ``w_of``."""
-    out = dict(d.memo(("nu at W = 0",), _canonical_nu, d))
+    out = dict(own_sums(d).nu0)
     terms = [(slot, mult) for slot, mult in wm.items() if mult]
     if terms:
         for v in out:
@@ -128,29 +208,16 @@ def _nu_values(d: SpliceDiagram, wm: dict[str, int]) -> dict[str, int]:
     return out
 
 
-def _canonical_nu(d: SpliceDiagram) -> dict[str, int]:
-    return {v: canonical_part(d, d.linking_row(v)) for v in d.nodes()}
-
-
-def canonical_part(d: SpliceDiagram, row: dict[str, int]) -> int:
-    """The canonical part of nu (see ``nu_values``) summed over the targets
-    a linking row reaches; its nonzero coefficients are kept on d."""
-    terms = d.memo(("canonical terms",), _canonical_terms, d)
-    return sum(c * row[t] for t, c in terms if t in row)
-
-
-def _canonical_terms(d: SpliceDiagram) -> tuple[tuple[str, int], ...]:
-    terms = [(x, c) for x in d.vertices if (c := 2 - d.delta(x))]
-    return tuple(terms + [(a.id, 1) for a in d.farrows if a.weight >= 2])
-
-
 def node_data(
     d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]
 ) -> dict[str, tuple[int, int]]:
     """(nu_v, N_v) for every node, at an F and a W already read through
-    ``f_of`` and ``w_of``: neither is checked again."""
+    ``f_of`` and ``w_of``: neither is checked again.  At d's own F and W
+    the dict kept on d, shared and so only to be read."""
+    if is_own(d, fm, wm):
+        return own_sums(d).data
     nu = _nu_values(d, wm)
-    nv = multiplicities_at(d, fm, nu)
+    nv = multiplicities_at(d, fm)
     return {v: (nu[v], nv[v]) for v in nu}
 
 

@@ -103,7 +103,12 @@ def eig_contains(
     """Membership in Eig: root of delta1, or lam**N_a = 1 for some arrowhead.
     A diagram or graph that ``require_valid`` refuses is refused."""
     require_valid(x)
-    fm = effective_f(x, f)
+    return eig_core(x, lam, effective_f(x, f))
+
+
+def eig_core(x: SpliceDiagram | PlumbingGraph, lam: UnityRoot, fm: dict[str, int]) -> bool:
+    """``eig_contains`` for an x that ``require_valid`` passed and an F
+    already read through ``effective_f``: neither is checked again."""
     for m in fm.values():
         if m > 0 and m % lam.order == 0:
             return True

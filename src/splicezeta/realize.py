@@ -120,7 +120,7 @@ from .allowed import allowed_at, allowed_core, star_allowed
 from .diagrams import DiagramError, Edge, SpliceDiagram, blow_down, require_valid
 from .divisors import PDivisor, effective_f, f_of, multiplicities_at, nu_values, w_of
 from .exact import UnityRoot, congruence_lattice, solve_linear_congruence
-from .monodromy import alexander, eig_contains
+from .monodromy import alexander, eig_core
 from .splicing import root_cut, splice, star_decomposition, star_legs
 from .zeta import pole_core, target_residue
 
@@ -332,7 +332,7 @@ def _compile_hits(
     slots.  This is the test s0 = -nu/N = lam.frac (mod 1), the one
     ``zeta.pole_at`` applies (derived in the ``zeta`` module docstring);
     only nonzero N take part, as s0 = -nu/N needs N != 0."""
-    nv = multiplicities_at(d, fm, rows)
+    nv = multiplicities_at(d, fm)
     nodes = {}
     for v, (nu0, coefs) in rows.items():
         u = target_residue(lam, nv[v]) if nv[v] else None
@@ -815,8 +815,8 @@ def realize_eigenvalue(
     if bound is not None and bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
     require_valid(d)
-    fm = f_of(d, f)
-    if not eig_contains(d, lam, fm):
+    fm = effective_f(d, f)
+    if not eig_core(d, lam, fm):
         raise NotAnEigenvalueError(f"{lam} is not in Eig of this diagram")
     small = blow_down(d)
     slots, forms, rows, draws, state, max_weight = small.memo(

@@ -62,7 +62,7 @@ from typing import NamedTuple
 from .diagrams import (
     DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant, require_valid, slot_warrows,
 )
-from .divisors import PDivisor, canonical_part, f_of, is_own, node_data, w_of
+from .divisors import PDivisor, f_of, is_own, node_data, own_sums, w_of
 from .zeta import principal_parts, summands, zeta_splice
 
 
@@ -93,11 +93,12 @@ def root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
 
 
 def _root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
-    row = d.linking_row(e.other(keep), e)
+    far = e.other(keep)
+    row = d.linking_row(far, e)
     # the excluded row reaches exactly the far side: its vertex ids are it
     far_side = d.memo(("vertex set",), frozenset, d.vertices).intersection(row)
     far_farrows = tuple(a.id for a in d.farrows if a.at in far_side)
-    return RootCut(far_side, far_farrows, canonical_part(d, row), row)
+    return RootCut(far_side, far_farrows, own_sums(d).i0(keep, far), row)
 
 
 class Leg(NamedTuple):

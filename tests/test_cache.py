@@ -158,10 +158,10 @@ def test_values_at_other_decorations_are_not_kept():
 # key per special edge and kept end; "realize slots", which holds the first
 # arrowhead's draws too, is kept without and with the arrowhead doubles
 _REALIZE_KEYS = {
-    ("N",), ("blow down",), ("canonical terms",), ("delta1",), ("edge determinants",),
-    ("invariants",),
-    ("monodromy zeta",), ("nu at W = 0",), ("realize slots", False), ("realize slots", True),
-    ("star legs",), ("stars at W = 0",), ("vertex set",), ("zeta",), ("zeta plan",),
+    ("blow down",), ("delta1",), ("edge determinants",), ("invariants",),
+    ("monodromy zeta",), ("own sums",), ("realize slots", False), ("realize slots", True),
+    ("star legs",), ("stars at W = 0",), ("vertex set",), ("weight products",), ("zeta",),
+    ("zeta plan",),
 }
 
 

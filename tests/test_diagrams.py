@@ -1106,3 +1106,18 @@ def test_large_conversion_round_trip():
     g = random_plumbing(random.Random(0), blowups=320, arrows=2)
     assert len(g.vertices) == 321
     assert zeta_splice(plumbing_to_splice(g)).parts == zeta_plumbing(g).parts
+
+
+def test_edge_determinant_with_zero_and_negative_weights():
+    # validate reports the weights and still reads q_e: a zero weight
+    # divides nothing out of the weight products
+    from splicezeta.diagrams import Farrow
+
+    legs = [Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1), Edge("w", "c1", 2, 1), Edge("w", "c2", 3, 1)]
+    vertices = ["v", "w", "b1", "b2", "c1", "c2"]
+    d = SpliceDiagram(vertices, [Edge("v", "w", 0, 5), *legs], [Farrow("a", "w", weight=7)])
+    assert edge_determinant(d, d.edge("v", "w")) == 0 * 5 - (2 * 3) * (2 * 3 * 7)
+    d = SpliceDiagram(vertices, [Edge("v", "w", -1, 5), *legs])
+    assert edge_determinant(d, d.edge("v", "w")) == -1 * 5 - (2 * 3) * (2 * 3)
+    kinds = [v.kind for v in validate(d).violations]
+    assert kinds == ["weight", "edge-determinant"]

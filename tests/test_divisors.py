@@ -250,3 +250,141 @@ def test_every_f_and_w_entry_point_refuses_the_same_bad_input():
     # any multiplicity at a vertex or arrowhead slot is accepted, 0 included
     assert nu_values(d, {"bL": 0, "a0": 0}) == nu_values(d, {})
     assert canonical_plumbing(g, {"e1": 0, "a0": 0}) == canonical_plumbing(g, {})
+
+
+# ---------------------------------------------------------------------------
+# the rerooted pass against linking rows
+
+
+def _canonical_vector(d):
+    c = {x: 2 - d.delta(x) for x in d.vertices}
+    c.update((a.id, 1) for a in d.farrows if a.weight >= 2)
+    return c
+
+
+def _row_sum(row, c):
+    return sum(ct * row[t] for t, ct in c.items() if t in row)
+
+
+def _assert_pass_matches_rows(d, rng):
+    from splicezeta.divisors import linking_sums
+    from splicezeta.splicing import root_cut
+
+    slots = [*d.vertices, *(a.id for a in d.farrows)]
+    vectors = (
+        d.f_divisor(),
+        _canonical_vector(d),
+        {s: rng.randint(-5, 5) for s in slots},
+        {s: rng.randint(-9, 9) for s in slots if rng.random() < 0.3},
+    )
+    sums = linking_sums(d, vectors)
+    for v in d.vertices:
+        row = d.linking_row(v)
+        assert [at[v] for at, _ in sums] == [_row_sum(row, c) for c in vectors], v
+    for e in d.edges:
+        for keep in e.key:
+            far = e.other(keep)
+            row = d.linking_row(far, e)
+            want = [_row_sum(row, c) for c in vectors]
+            assert [side(keep, far) for _, side in sums] == want, (keep, far)
+            cut = root_cut(d, keep, e)
+            assert (cut.multiplicity(vectors[0]), cut.i0) == tuple(want[:2])
+    assert all(list(at) == list(d.vertices) for at, _ in sums)
+
+
+def _coverage_diagram():
+    # a weight-3 arrowhead doubled by a dashed arrow, a weight-1 arrowhead,
+    # a dashed arrow drawn at a node and one at a boundary vertex
+    from splicezeta.diagrams import Edge, Farrow, SpliceDiagram, Warrow
+
+    return SpliceDiagram(
+        ["v", "w", "b1", "b2", "c1"],
+        [Edge("v", "w", 5, 7), Edge("v", "b1", 2, 1), Edge("v", "b2", 3, 1), Edge("w", "c1", 2, 1)],
+        [Farrow("a1", "w", weight=3, mult=2), Farrow("a2", "v", weight=1, mult=1)],
+        [Warrow("d1", 4, doubles="a1"), Warrow("d2", -1, at="v"), Warrow("d3", 3, at="c1")],
+    )
+
+
+def _single_vertex_diagrams():
+    from splicezeta.diagrams import Farrow, SpliceDiagram, Warrow
+
+    yield SpliceDiagram(["v"])
+    yield SpliceDiagram(
+        ["v"],
+        [],
+        [Farrow("a", "v", weight=2, mult=3), Farrow("b", "v", weight=5, mult=1), Farrow("c", "v")],
+        [Warrow("wa", 3, doubles="a"), Warrow("wv", -2, at="v")],
+    )
+
+
+def test_linking_sums_match_linking_rows():
+    from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
+    from splicezeta.generate import random_valid_splice
+
+    rng = random.Random(30)
+    diagrams = [*golden_splice_diagrams().values(), _coverage_diagram(), *_single_vertex_diagrams()]
+    for g in golden_plumbing_graphs().values():
+        try:
+            diagrams.append(plumbing_to_splice(g))
+        except DiagramError:
+            pass
+    diagrams += [random_valid_splice(rng, with_warrows=True) for _ in range(200)]
+    for blowups in (5, 10, 20, 40, 80, 160):
+        for _ in range(3):
+            try:
+                diagrams.append(plumbing_to_splice(random_plumbing(rng, blowups=blowups, arrows=2)))
+            except DiagramError:
+                pass
+    for d in diagrams:
+        _assert_pass_matches_rows(d, rng)
+    # the cases the pass has to get right are all there
+    assert any(w.doubles is not None for d in diagrams for w in d.warrows)
+    assert any(w.at in d.nodes() for d in diagrams for w in d.warrows)
+    assert any(a.weight >= 2 for d in diagrams for a in d.farrows)
+    assert any(len(d.vertices) == 1 for d in diagrams)
+    assert max(len(d.nodes()) for d in diagrams) >= 30
+
+
+def test_linking_sums_and_rows_refuse_a_zero_weight():
+    from splicezeta.diagrams import Edge, SpliceDiagram
+    from splicezeta.divisors import linking_sums
+
+    edges = [Edge("v", "b1", 2, 1), Edge("v", "b2", 0, 1), Edge("v", "b3", 3, 1)]
+    d = SpliceDiagram(["v", "b1", "b2", "b3"], edges)
+    with pytest.raises(DiagramError, match="weight"):
+        linking_sums(d, ({"v": 1},))
+    with pytest.raises(DiagramError, match="weight"):
+        d.linking_row("v")
+
+
+def test_own_f_and_w_build_no_linking_row(monkeypatch):
+    # N and nu at a diagram's own F and W, and the zeta function there, come
+    # from the rerooted pass alone, on a freshly parsed converted curve
+    from splicezeta.diagrams import SpliceDiagram
+    from splicezeta.generate import attach_random_warrows
+    from splicezeta.io import parse_diagram, print_splice
+    from splicezeta.zeta import zeta_splice
+
+    calls = []
+    original = SpliceDiagram._linking_row
+    monkeypatch.setattr(
+        SpliceDiagram, "_linking_row", lambda self, *a: calls.append(a) or original(self, *a)
+    )
+    rng = random.Random(0)
+    texts = []
+    while len(texts) < 2:
+        g = random_plumbing(rng, blowups=80, arrows=2, warrow_chance=0.0)
+        if texts:
+            g = attach_random_warrows(rng, g)
+        try:
+            texts.append(print_splice(plumbing_to_splice(g), "curve"))
+        except DiagramError:
+            continue
+    for text in texts:
+        d = parse_diagram(text)[2]
+        z = zeta_splice(d)
+        z.poles()
+        vertex_multiplicities(d)
+        nu_values(d, {})
+        assert calls == []
+    assert any(parse_diagram(text)[2].warrows for text in texts)
