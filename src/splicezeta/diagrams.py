@@ -551,7 +551,14 @@ def edge_determinant(d: SpliceDiagram, e: Edge) -> int:
     """q_e = d_ve * d_we - (product of all other weights at both end nodes)."""
     if not (d.is_node(e.a) and d.is_node(e.b)):
         raise DiagramError(f"edge {e.key} is not special (must join two nodes)")
-    return _determinant(d, e)
+    rest = 1
+    for x, y in ((e.a, e.b), (e.b, e.a)):
+        for f in d._adj[x]:
+            if f.a != y and f.b != y:
+                rest *= f.wa if f.a == x else f.wb
+        for a in d._farrows_at[x]:
+            rest *= a.weight
+    return e.wa * e.wb - rest
 
 
 def edge_determinants(d: SpliceDiagram) -> tuple[int, ...]:
@@ -561,18 +568,7 @@ def edge_determinants(d: SpliceDiagram) -> tuple[int, ...]:
 
 
 def _edge_determinants(d: SpliceDiagram) -> tuple[int, ...]:
-    return tuple(_determinant(d, e) for e in d.special_edges())
-
-
-def _determinant(d: SpliceDiagram, e: Edge) -> int:
-    """q_e of an edge between two nodes: the other weights at an end x
-    multiply to P_x / d_xe (``weight_products``)."""
-    if e.wa and e.wb:
-        p = weight_products(d)
-        return e.wa * e.wb - p[e.a] // e.wa * (p[e.b] // e.wb)
-    # a zero weight, which validate reports, divides nothing out
-    rest = prod(a.weight for x in e.key for a in d._farrows_at[x])
-    return -rest * prod(f.weight_at(x) for x in e.key for f in d._adj[x] if f.key != e.key)
+    return tuple(edge_determinant(d, e) for e in d.special_edges())
 
 
 def validate(d: SpliceDiagram) -> ValidationReport:

@@ -6,23 +6,19 @@ exact linear algebra against the intersection form.  The two routes must agree
 on unimodular graphs, and the test suite enforces that.
 
 On a splice diagram N_v, nu_v and a cut's i are sums S(v) = sum of
-c_t l(v, t) over targets t, and ``linking_sums`` gives S at every vertex
-in one rerooted pass.  With P_x the product of every weight at x (edge
-ends and arrowheads), d_x(y) the weight at x towards y and A_x = c_x P_x +
-sum of c_a P_x / d_a over the arrowheads a at x, a linking product is the
-product of P along the path with the path's own weights divided out, so
-the sum over y's side of the edge x-y, with the edge excluded at y, is
+c_t l(v, t) over targets t, all read off one rerooted pass,
+``linking_sums``.  With P_x the product of every weight at x (edge ends
+and arrowheads), d_x(y) the weight at x towards y and A_x = c_x P_x + the
+sum of c_a P_x / d_a over the arrowheads a at x, the sum over y's side of
+the edge x-y, the edge excluded at y, is
 
     side(x, y) = (A_y + sum over z != x of (P_y / d_y(z)) side(y, z)) / d_y(x),
 
-every term divisible by d_y(x), and S(v) = A_v + sum over the neighbours
-n of (P_v / d_v(n)) side(v, n).  Leaves first this gives each side(parent,
-child); root first, side(child, parent) is S(parent) less the child's
-term, over d_parent(child), and S(child) follows.  At d's own F and W one
-pass carries F, the canonical terms and the stored W (``own_sums``, kept
-on d), so the zeta function and the monodromy there read no linking row.
-At a searched W, as in ``realize``, nu_v is its value at W = 0 plus the
-sum of mult_s l(v, s) over the nonzero slots, read off the nodes' cached
+an exact division, and S(v) = A_v + sum over the neighbours n of
+(P_v / d_v(n)) side(v, n).  At d's own F and W one pass is kept on d
+(``own_sums``), so the zeta function and the monodromy there read no
+linking row.  At a searched W, as in ``realize``, nu_v is its value at
+W = 0 plus mult_s l(v, s) over the nonzero slots, from the nodes' cached
 linking rows: a few terms per candidate, not a pass.
 
 Every F and W that a function here or above takes is read through ``f_of``
@@ -36,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, checked_f, weight_products
@@ -92,8 +87,8 @@ def effective_f(x, f: PDivisor | None) -> dict[str, int]:
 def linking_sums(d: SpliceDiagram, vectors) -> list[tuple[dict[str, int], Callable[[str, str], int]]]:
     """For each map c (vertex or arrowhead id -> int) the sums S(v) at every
     vertex and ``side(v, n)`` across every edge v-n (see the module
-    docstring), from one leaf-first and one root-first traversal in exact
-    integer divisions.  Refuses a d that is not a tree or has a zero weight."""
+    docstring), from one leaf-first and one root-first traversal.  Refuses
+    a d that is empty, not a tree or has a zero weight."""
     prods = weight_products(d)
     if not d.is_tree() or not all(prods.values()):
         raise DiagramError("linking sums need a tree with nonzero weights")
@@ -119,20 +114,19 @@ def linking_sums(d: SpliceDiagram, vectors) -> list[tuple[dict[str, int], Callab
                 acc[index[a.at]] += ct * (prods[a.at] // a.weight)
         down = acc[:]  # side(j, i), leaves first
         for i, j, _, wi, fj, _ in reversed(links):
-            down[i] = side = acc[i] // wi
-            acc[j] += fj * side
+            down[i] = s = acc[i] // wi
+            acc[j] += fj * s
         up = acc[:]  # side(i, j), root first: S(j) less i's term
         for i, j, fi, _, fj, wj in links:
-            up[i] = side = (acc[j] - fj * down[i]) // wj
-            acc[i] += fi * side
-        at = {v: acc[index[v]] for v in d.vertices}  # in the order of d's vertices
-        out.append((at, partial(_side, index, down, up)))
+            up[i] = s = (acc[j] - fj * down[i]) // wj
+            acc[i] += fi * s
+
+        def side(v: str, n: str, down=down, up=up) -> int:
+            i, j = index[n], index[v]  # in search order a child comes after its parent
+            return down[i] if i > j else up[j]
+
+        out.append(({v: acc[index[v]] for v in d.vertices}, side))  # in the order of d's vertices
     return out
-
-
-def _side(index, down, up, v: str, n: str) -> int:
-    i, j = index[n], index[v]  # in search order a child comes after its parent
-    return down[i] if i > j else up[j]
 
 
 class OwnSums(NamedTuple):
@@ -160,28 +154,21 @@ def _own_sums(d: SpliceDiagram) -> OwnSums:
         if a.weight >= 2:
             canonical[a.at] -= 1
             canonical[a.id] = 1
-    stored: dict[str, int] = {}
-    for w in d.warrows:
-        stored[w.slot] = stored.get(w.slot, 0) + w.value - 1
+    stored = {w.slot: w.value - 1 for w in d.warrows}
     (n, _), (nu0, i0), (wpart, _) = linking_sums(d, (d.f_divisor(), canonical, stored))
     nodes = d.nodes()
     return OwnSums(n, {v: nu0[v] for v in nodes}, {v: (nu0[v] + wpart[v], n[v]) for v in nodes}, i0)
 
 
 def vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None = None) -> dict[str, int]:
-    """N_v = sum over arrowheads of N_a * l_{va}, for every vertex; each
-    call gets a dict of its own."""
+    """N_v = sum over arrowheads of N_a * l_{va} at every vertex, in a dict of its own."""
     return dict(multiplicities_at(d, f_of(d, f)))
 
 
 def multiplicities_at(d: SpliceDiagram, fm: dict[str, int]) -> dict[str, int]:
     """N_v at every vertex, for an F already read through ``f_of``: at d's
     own F the dict kept on d, shared and so only to be read."""
-    return own_sums(d).n if is_own(d, fm) else _vertex_multiplicities(d, fm)
-
-
-def _vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None) -> dict[str, int]:
-    return linking_sums(d, (f_of(d, f),))[0][0]
+    return own_sums(d).n if is_own(d, fm) else linking_sums(d, (fm,))[0][0]
 
 
 def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
@@ -208,16 +195,13 @@ def _nu_values(d: SpliceDiagram, wm: dict[str, int]) -> dict[str, int]:
     return out
 
 
-def node_data(
-    d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]
-) -> dict[str, tuple[int, int]]:
+def node_data(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]) -> dict[str, tuple[int, int]]:
     """(nu_v, N_v) for every node, at an F and a W already read through
     ``f_of`` and ``w_of``: neither is checked again.  At d's own F and W
     the dict kept on d, shared and so only to be read."""
     if is_own(d, fm, wm):
         return own_sums(d).data
-    nu = _nu_values(d, wm)
-    nv = multiplicities_at(d, fm)
+    nu, nv = _nu_values(d, wm), multiplicities_at(d, fm)
     return {v: (nu[v], nv[v]) for v in nu}
 
 

@@ -59,13 +59,11 @@ A diagram or graph keeps its zeta function at its own F and W in its
 the candidates ``realize`` certifies, are summed afresh.  What the splice
 route's sum needs of the diagram alone is kept on it as a plan, whatever F
 and W are: each node's boundary legs, arrowheads and 2 - valency_f, and
-each special edge's ends and determinant, read off the diagram's weight
-products.  A sum fills in only nu, N and i, and adds each node constant as
-one integer num/den.  nu and N come from ``divisors.node_data``: at d's own
-F and W from the one rerooted pass kept on d, with no linking row; at a
-searched W, N kept on d and nu at W = 0 plus the W terms over the nodes'
-cached rows.  So a ``ZetaResult`` is read-only: frozen, with tuples of
-terms and a read-only view of the parts.
+each special edge's ends and determinant.  A sum fills in only nu, N and
+i (``divisors.node_data``: at d's own F and W the rerooted pass kept on d,
+no linking row), and adds each node constant as one integer num/den.  So a
+``ZetaResult`` is read-only: frozen, with tuples of terms and a read-only
+view of the parts.
 
 The poles are read off the parts, with no root search.  The oracle's
 ``RatFunc.poles`` returns, at a root r of order o of the reduced den,

@@ -345,9 +345,9 @@ def test_linking_sums_match_linking_rows():
     assert max(len(d.nodes()) for d in diagrams) >= 30
 
 
-def test_linking_sums_and_rows_refuse_a_zero_weight():
+def test_linking_sums_refuse_an_empty_cyclic_or_zero_weight_diagram():
     from splicezeta.diagrams import Edge, SpliceDiagram
-    from splicezeta.divisors import linking_sums
+    from splicezeta.divisors import linking_sums, vertex_multiplicities
 
     edges = [Edge("v", "b1", 2, 1), Edge("v", "b2", 0, 1), Edge("v", "b3", 3, 1)]
     d = SpliceDiagram(["v", "b1", "b2", "b3"], edges)
@@ -355,6 +355,12 @@ def test_linking_sums_and_rows_refuse_a_zero_weight():
         linking_sums(d, ({"v": 1},))
     with pytest.raises(DiagramError, match="weight"):
         d.linking_row("v")
+    cycle = SpliceDiagram(["a", "b", "c"], [("a", "b", 2, 3), ("b", "c", 5, 7), ("c", "a", 11, 13)])
+    for x in (SpliceDiagram([]), cycle):
+        with pytest.raises(DiagramError, match="tree"):
+            linking_sums(x, ({},))
+        with pytest.raises(DiagramError, match="tree"):
+            vertex_multiplicities(x)
 
 
 def test_own_f_and_w_build_no_linking_row(monkeypatch):
