@@ -17,6 +17,7 @@ from splicezeta.realize import (
     realize_eigenvalue,
     realize_star,
     rejecting_star,
+    slot_columns,
     star_forms,
 )
 from splicezeta.splicing import star_legs
@@ -49,7 +50,7 @@ d7 = two_cusp_diagram_mult(7)
 out = realize_eigenvalue(d7, UnityRoot(37, 42))
 print("\nstatus:", out.status, "explored:", out.explored)
 slots = d7.boundary_vertices()
-forms = star_forms(d7, slots)
+forms = star_forms(d7, slot_columns(d7, slots))
 stars = list(star_legs(d7).items())
 for c in out.congruences:
     print(c.describe())

@@ -10,10 +10,11 @@ d_l = 1.
 
 No star is built to reach the verdict.  Each node's legs are read off the
 cuts cached on the diagram itself (``splicing.star_legs``): a boundary leg
-has i = W(leg) + 1, a leg induced by splicing has the i of its root cut,
-and the module docstring of ``splicing`` shows that this is the value the
-star of ``star_decomposition`` carries.  The semigroup condition reads the
-same cuts: their far side, its arrowheads and its linking row.
+has i = W(leg) + 1, a leg induced by splicing has the i of its root cut
+(i0 plus the side lookup of W's linking sums), and the module docstring
+of ``splicing`` shows that this is the value the star of
+``star_decomposition`` carries.  The semigroup condition reads each
+generator as the side lookup of a boundary vertex's unit vector.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf
 
-from .diagrams import DiagramError, SpliceDiagram, require_valid
-from .divisors import PDivisor, f_of, w_of
+from .diagrams import DiagramError, SpliceDiagram, Sums, carries_arrowheads, linking_sums, require_valid
+from .divisors import PDivisor, f_of, w_of, w_sums
 from .exact import UnityRoot, format_size
 from .monodromy import eig_contains
-from .splicing import root_cut, star_legs
+from .splicing import star_legs
 from .zeta import zeta_splice
 
 
@@ -108,25 +109,32 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupReport:
     condition depends only on the support of F, which the diagram's
     arrowheads carry.  Towards a leaf the far side is the bare leaf, whose
     linking product with e excluded is 1: the generators are (1,), so the
-    pair is counted as checked and holds without a cut."""
+    pair is counted as checked and holds without a cut.  A generator
+    l(far, w), e excluded at far, is ``side(v, far)`` of w's unit vector,
+    0 exactly when w is not beyond far, as no weight is 0: one pass per
+    boundary vertex, each read by every cut and then dropped."""
     require_valid(d)
-    failures: list[SemigroupFailure] = []
-    checked = 0
+    leaves = 0
+    cuts = []  # (node, far endpoint, weight, generators)
     for v in d.nodes():
         for e in d.edges_at(v):
-            if not d.is_node(e.other(v)):
-                checked += 1
-                continue
-            cut = root_cut(d, v, e)
-            if cut.farrows:
-                continue
-            checked += 1
-            # the cut's row is l(far, w) with e excluded; a bare leaf's is 1
-            gens = tuple(sorted(cut.row[w] for w in cut.far_side if d.valency_f(w) == 1))
-            weight = e.weight_at(v)
-            if not semigroup_member(weight, gens):
-                failures.append(SemigroupFailure(v, (v, e.other(v)), weight, gens))
-    return SemigroupReport(ok=not failures, failures=failures, checked=checked)
+            far = e.other(v)
+            if not d.is_node(far):
+                leaves += 1
+            elif not carries_arrowheads(d, v, far):
+                cuts.append((v, far, e.weight_at(v), []))
+    boundary = d.boundary_vertices() if cuts else ()
+    for w in boundary:
+        column = linking_sums(d, {w: 1})
+        for v, far, _, gens in cuts:
+            if g := column.side(v, far):
+                gens.append(g)
+    failures = []
+    for v, far, weight, gens in cuts:
+        gens = tuple(sorted(gens))
+        if not semigroup_member(weight, gens):
+            failures.append(SemigroupFailure(v, (v, far), weight, gens))
+    return SemigroupReport(ok=not failures, failures=failures, checked=leaves + len(cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +202,23 @@ def _arrow_zeros(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]):
             yield f"arrowhead {a.id!r} has (N, i) = (0, 0)"
 
 
-def _stars(d: SpliceDiagram, wm: dict[str, int]):
+def _stars(d: SpliceDiagram, wm: dict[str, int], ws: Sums):
     """Each node of ``star_legs(d)`` in order, as (node, r, star, legs): its
-    legs (d_l, slot, cut) and their (d_l, i_l) at W, with a dashed arrow
-    drawn at the node last, as (1, node, None).  Refuses a diagram without
-    a node at the first step."""
+    ``Leg``s and their (d_l, i_l) at W, with a dashed arrow drawn at the
+    node last, as (1, node, None, 1); ws is W's ``w_sums``.  Refuses a
+    diagram without a node at the first step."""
     table = star_legs(d)
     if not table:
         raise DiagramError("piece without a unique node")
+    w_side = ws.side
     for node in sorted(table):
         r, star = table[node]
-        legs = [(dl, wm.get(slot, 0) + 1 if cut is None else cut.value(wm)) for dl, slot, cut in star]
+        legs = [
+            (dl, base + (wm.get(slot, 0) if far is None else w_side(node, far)))
+            for dl, slot, far, base in star
+        ]
         if wm.get(node, 0):
-            star = (*star, (1, node, None))
+            star = (*star, (1, node, None, 1))
             legs.append((1, wm[node] + 1))
         yield node, r, star, legs
 
@@ -216,13 +228,14 @@ def allowed_at(d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None =
     legs, the same nonzero condition and the same ``star_allowed``, up to
     the first failure."""
     require_valid(d)
-    return allowed_core(d, f_of(d, f), w_of(d, w))
+    fm, wm = f_of(d, f), w_of(d, w)
+    return allowed_core(d, fm, wm, w_sums(d, wm))
 
 
-def allowed_core(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]) -> bool:
-    """``allowed_at`` for a d that ``require_valid`` passed and an F and a W
-    already read through ``f_of`` and ``w_of``: nothing is checked again."""
-    for _, r, _, legs in _stars(d, wm):
+def allowed_core(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], ws: Sums) -> bool:
+    """``allowed_at`` for a d that ``require_valid`` passed, an F and a W
+    read through ``f_of`` and ``w_of``, and W's ``w_sums``: nothing is redone."""
+    for _, r, _, legs in _stars(d, wm, ws):
         if not star_allowed(r, legs) or any(il == 0 for _, il in legs):
             return False
     return next(_arrow_zeros(d, fm, wm), None) is None
@@ -239,11 +252,11 @@ def is_allowed(
     wm = w_of(d, w)
     nonzero_detail = list(_arrow_zeros(d, fm, wm))
     checks = []
-    for node, r, star, pairs in _stars(d, wm):
-        zeros = [(slot, cut) for (_, slot, cut), (_, il) in zip(star, pairs) if il == 0]
+    for node, r, star, pairs in _stars(d, wm, w_sums(d, wm)):
+        zeros = [(slot, far) for (_, slot, far, _), (_, il) in zip(star, pairs) if il == 0]
         # the star's dashed arrows list its own slots sorted, then its leaves
-        zero = sorted(slot for slot, cut in zeros if cut is None)
-        zero += [slot for slot, cut in zeros if cut is not None]
+        zero = sorted(slot for slot, far in zeros if far is None)
+        zero += [slot for slot, far in zeros if far is not None]
         nonzero_detail += [
             f"induced dashed arrow at {slot!r} (star {node}) has i = 0" for slot in zero
         ]

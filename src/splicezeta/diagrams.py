@@ -58,10 +58,12 @@ have trees, and ``validate_plumbing`` refuses any other graph.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
+from typing import NamedTuple
 
 
 class DiagramError(ValueError):
@@ -307,7 +309,6 @@ class SpliceDiagram(_Decorated):
         for e in self.edges:
             self._adj[e.a].append(e)
             self._adj[e.b].append(e)
-        self._rows: dict[tuple, dict[str, int]] = {}
         # computed on first use: _classes() and require_standard()'s verdict
         self._kinds: tuple | None = None
         self._nonstandard: str | None = None
@@ -409,60 +410,16 @@ class SpliceDiagram(_Decorated):
         """Product of weights adjacent to, but not on, the path from v to target.
 
         All weighted incidences count: edge ends and arrow supporting edges.
-        ``exclude_edge`` drops one edge at v from the adjacent set, which is the
-        edge-endpoint variant used by the splice formulas."""
-        row = self.linking_row(v, exclude_edge)
-        if target not in row and exclude_edge is not None:
-            row = self.linking_row(v)  # beyond the excluded edge, which is on the path
-        if target not in row:
-            anchor = self.anchor(target)[0]  # raises on an unknown target
-            raise DiagramError(f"no path from {v!r} to {anchor!r}")
-        return row[target]
-
-    def linking_row(self, v: str, exclude_edge: Edge | None = None) -> dict[str, int]:
-        """``linking_product(v, t, exclude_edge)`` for every target t (vertex,
-        farrow and warrow ids) reachable from v; when ``exclude_edge`` is at
-        v, only the targets on v's side of it (beyond it the edge is on the
-        path and excludes nothing).  Paths are those of a tree.
-
-        One rooted traversal gives the whole row, so a row costs one search of
-        the diagram; it is cached, as the diagram is immutable."""
-        key = (v, None if exclude_edge is None else exclude_edge.key)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = self._linking_row(v, key[1])
-        return row
-
-    def _linking_row(self, v: str, excluded: tuple[str, str] | None) -> dict[str, int]:
-        # the excluded edge at v is cut off like the edge towards a parent
-        cut = None
-        if excluded is not None and v in excluded:
-            cut = excluded[1] if excluded[0] == v else excluded[0]
-        prods = weight_products(self)
-        if not all(prods.values()):
-            raise DiagramError("linking products need nonzero weights")
-        row = {}
-        # Search from v, each vertex taken from the first vertex that sees
-        # it: on a tree this gives the path to every vertex (elsewhere, the
-        # paths of one spanning tree).  A stack entry is a vertex x and the
-        # product over the path up to it, each path vertex's weight product
-        # with the path's own weights divided out (at x, the one before it).
-        seen = {v, cut}
-        stack = [(v, prods[v] // (self.edge(v, cut).weight_at(v) if cut else 1))]
-        while stack:
-            x, here = stack.pop()
-            row[x] = here
-            for a in self._farrows_at[x]:
-                row[a.id] = here // a.weight  # its own supporting edge is on the path
-            for e in self._adj[x]:
-                y, wx, wy = (e.b, e.wa, e.wb) if e.a == x else (e.a, e.wb, e.wa)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append((y, here // wx * (prods[y] // wy)))
-        for w in self.warrows:
-            if w.slot in row:
-                row[w.id] = row[w.slot]
-        return row
+        ``exclude_edge`` drops one edge at v from the adjacent set (the
+        edge-endpoint variant of the splice formulas) unless it is on the
+        path.  One ``linking_sums`` pass of the target's unit vector."""
+        at, arrow = self.anchor(target)
+        sums = linking_sums(self, {arrow or at: 1})
+        if exclude_edge is not None and v in (exclude_edge.a, exclude_edge.b):
+            # v's side of the edge, which is 0 exactly when the target lies
+            # beyond it, as no weight is 0
+            return sums.side(exclude_edge.other(v), v) or sums.at[v]
+        return sums.at[v]
 
     def side_vertices(self, v: str, e: Edge) -> list[str]:
         """Vertices of the connected component of diagram minus v in direction e."""
@@ -533,18 +490,89 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def weight_products(d: SpliceDiagram) -> dict[str, int]:
-    """Vertex -> P_x, the product of every weight at x (edge ends and
-    arrowheads); computed once per diagram and kept on it."""
-    return d.memo(("weight products",), _weight_products, d)
+class Sums(NamedTuple):
+    """The linking sums of one map c (vertex or arrowhead id -> int): ``at``
+    holds S(v) = sum of c_t l(v, t) at every vertex, in the order of the
+    diagram's vertices, and ``side(v, n)`` the same sum over n's side of the
+    edge v-n, with the edge excluded at n."""
+
+    at: dict[str, int]
+    side: Callable[[str, str], int]
 
 
-def _weight_products(d: SpliceDiagram) -> dict[str, int]:
-    out = {x: prod(a.weight for a in arrows) for x, arrows in d._farrows_at.items()}
+def linking_sums(d: SpliceDiagram, c: dict[str, int]) -> Sums:
+    """The ``Sums`` of the map c, from one leaf-first and one root-first
+    sweep over the traversal kept on d (the formulas are in the
+    ``divisors`` module docstring).  Refuses a d that is empty, not a tree
+    or has a zero weight."""
+    index, links, leaves_first, parent, terms, _ = d.memo(("linking traversal",), _linking_traversal, d)
+    acc = [0] * len(parent)
+    for t, ct in c.items():
+        i, p = terms[t]
+        acc[i] += ct * p
+    down = acc[:]  # side(j, i), leaves first
+    for i, j, wi, fj in leaves_first:
+        down[i] = s = acc[i] // wi
+        acc[j] += fj * s
+    up = acc[:]  # side(i, j), root first: S(j) less i's term
+    for i, j, fi, fj, wj in links:
+        up[i] = s = (acc[j] - fj * down[i]) // wj
+        acc[i] += fi * s
+
+    def side(v: str, n: str) -> int:
+        i, j = index[n], index[v]
+        return down[i] if parent[i] == j else up[j]
+
+    return Sums(dict(zip(d.vertices, acc)), side)
+
+
+def carries_arrowheads(d: SpliceDiagram, v: str, n: str) -> bool:
+    """Whether n's side of the edge v-n carries arrowheads, read off the
+    counts the linking traversal keeps (refused as ``linking_sums`` is)."""
+    index, _, _, parent, _, below = d.memo(("linking traversal",), _linking_traversal, d)
+    i, j = index[n], index[v]
+    return bool(below[i] if parent[i] == j else below[0] - below[j])
+
+
+def _linking_traversal(d: SpliceDiagram):
+    """What ``linking_sums`` reads of d whatever the map, each vertex by its
+    index in d's vertices: the index; the links in search order from the
+    first vertex, parents first, as (i, its parent j, P_i / d_i(j),
+    P_j / d_j(i), d_j(i)), and leaves first as (i, j, d_i(j), P_j / d_j(i));
+    each vertex's parent (-1 at the root); each target's index and factor,
+    P_x for a vertex x (the product of every weight at x) and P_x / d_a for
+    an arrowhead a at x; and the number of arrowheads at or below each
+    vertex."""
+    prods = dict.fromkeys(d.vertices, 1)
+    for a in d.farrows:
+        prods[a.at] *= a.weight
     for e in d.edges:
-        out[e.a] *= e.wa
-        out[e.b] *= e.wb
-    return out
+        prods[e.a] *= e.wa
+        prods[e.b] *= e.wb
+    if not d.is_tree() or not all(prods.values()):
+        raise DiagramError("linking sums need a tree with nonzero weights")
+    index = {v: i for i, v in enumerate(d.vertices)}
+    terms = {x: (index[x], p) for x, p in prods.items()}
+    below = [0] * len(index)
+    for a in d.farrows:
+        terms[a.id] = index[a.at], prods[a.at] // a.weight
+        below[index[a.at]] += 1
+    parent = [-1] + [None] * (len(index) - 1)
+    links, downs, order = [], [], [d.vertices[0]]
+    for x in order:
+        j = index[x]
+        for e in d._adj[x]:
+            y, wx, wy = (e.b, e.wa, e.wb) if e.a == x else (e.a, e.wb, e.wa)
+            i = index[y]
+            if parent[i] is None:
+                parent[i], fj = j, prods[x] // wx
+                links.append((i, j, prods[y] // wy, fj, wx))
+                downs.append((i, j, wy, fj))
+                order.append(y)
+    downs.reverse()
+    for i, j, _, _ in downs:
+        below[j] += below[i]
+    return index, links, downs, parent, terms, below
 
 
 def edge_determinant(d: SpliceDiagram, e: Edge) -> int:

@@ -5,21 +5,22 @@ values come from linking-number products; on plumbing graphs they come from
 exact linear algebra against the intersection form.  The two routes must agree
 on unimodular graphs, and the test suite enforces that.
 
-On a splice diagram N_v, nu_v and a cut's i are sums S(v) = sum of
-c_t l(v, t) over targets t, all read off one rerooted pass,
-``linking_sums``.  With P_x the product of every weight at x (edge ends
-and arrowheads), d_x(y) the weight at x towards y and A_x = c_x P_x + the
-sum of c_a P_x / d_a over the arrowheads a at x, the sum over y's side of
-the edge x-y, the edge excluded at y, is
+On a splice diagram N_v, nu_v, a cut's M and i and every linking product
+are sums S(v) = sum of c_t l(v, t) over targets t, all read off one
+rerooted pass, ``diagrams.linking_sums``.  With P_x the product of every
+weight at x (edge ends and arrowheads), d_x(y) the weight at x towards y
+and A_x = c_x P_x + the sum of c_a P_x / d_a over the arrowheads a at x,
+the sum over y's side of the edge x-y, the edge excluded at y, is
 
     side(x, y) = (A_y + sum over z != x of (P_y / d_y(z)) side(y, z)) / d_y(x),
 
 an exact division, and S(v) = A_v + sum over the neighbours n of
-(P_v / d_v(n)) side(v, n).  At d's own F and W one pass is kept on d
-(``own_sums``), so the zeta function and the monodromy there read no
-linking row.  At a searched W, as in ``realize``, nu_v is its value at
-W = 0 plus mult_s l(v, s) over the nonzero slots, from the nodes' cached
-linking rows: a few terms per candidate, not a pass.
+(P_v / d_v(n)) side(v, n).  The traversal the pass sweeps is kept on d,
+and so are the sums of d's own F and W and of the canonical terms, each
+computed on first use, so the zeta function, the monodromy and every cut
+there are lookups; any other F or W is one pass of that vector, whatever
+it serves: nu and N at the nodes, the leg values of the allowedness
+check, and M and i at every cut of a splice.
 
 Every F and W that a function here or above takes is read through ``f_of``
 and ``w_of``, on both routes: an F key must be an arrowhead id with
@@ -30,11 +31,9 @@ with one ``DiagramError`` per case; None stands for the object's own F or W.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
-from typing import NamedTuple
 
-from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, checked_f, weight_products
+from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, Sums, checked_f, linking_sums
 
 # A P-divisor is a plain mapping: arrowhead id -> multiplicity for F,
 # slot id -> multiplicity (= value - 1) for W.  Slots are boundary-vertex ids,
@@ -84,91 +83,40 @@ def effective_f(x, f: PDivisor | None) -> dict[str, int]:
     return fm
 
 
-def linking_sums(d: SpliceDiagram, vectors) -> list[tuple[dict[str, int], Callable[[str, str], int]]]:
-    """For each map c (vertex or arrowhead id -> int) the sums S(v) at every
-    vertex and ``side(v, n)`` across every edge v-n (see the module
-    docstring), from one leaf-first and one root-first traversal.  Refuses
-    a d that is empty, not a tree or has a zero weight."""
-    prods = weight_products(d)
-    if not d.is_tree() or not all(prods.values()):
-        raise DiagramError("linking sums need a tree with nonzero weights")
-    # search order, parents first; a link is (i, its parent j, P_i / d_i(j),
-    # d_i(j), P_j / d_j(i), d_j(i))
-    order, links = [d.vertices[0]], []
-    index = {order[0]: 0}
-    for j, x in enumerate(order):
-        for e in d._adj[x]:
-            y, wx, wy = (e.b, e.wa, e.wb) if e.a == x else (e.a, e.wb, e.wa)
-            if y not in index:
-                index[y] = len(order)
-                links.append((len(order), j, prods[y] // wy, wy, prods[x] // wx, wx))
-                order.append(y)
-    out = []
-    for c in vectors:
-        acc = [0] * len(order)
-        for t, ct in c.items():
-            a = d._farrow_by_id.get(t)
-            if a is None:
-                acc[index[t]] += ct * prods[t]
-            else:
-                acc[index[a.at]] += ct * (prods[a.at] // a.weight)
-        down = acc[:]  # side(j, i), leaves first
-        for i, j, _, wi, fj, _ in reversed(links):
-            down[i] = s = acc[i] // wi
-            acc[j] += fj * s
-        up = acc[:]  # side(i, j), root first: S(j) less i's term
-        for i, j, fi, _, fj, wj in links:
-            up[i] = s = (acc[j] - fj * down[i]) // wj
-            acc[i] += fi * s
-
-        def side(v: str, n: str, down=down, up=up) -> int:
-            i, j = index[n], index[v]  # in search order a child comes after its parent
-            return down[i] if i > j else up[j]
-
-        out.append(({v: acc[index[v]] for v in d.vertices}, side))  # in the order of d's vertices
-    return out
+def canonical_sums(d: SpliceDiagram) -> Sums:
+    """The ``Sums`` of the canonical terms (see ``nu_values``): nu_v at
+    W = 0 at every vertex, and each cut's i at W = 0 as its side; one pass
+    kept on d."""
+    return d.memo(("canonical sums",), _canonical_sums, d)
 
 
-class OwnSums(NamedTuple):
-    """At d's own F and W: N_v at every vertex, nu_v at W = 0 and (nu_v,
-    N_v) at every node, and i0(v, n), the i at W = 0 of n's side of the
-    edge v-n.  Kept on d and shared: only to be read."""
-
-    n: dict[str, int]
-    nu0: dict[str, int]
-    data: dict[str, tuple[int, int]]
-    i0: Callable[[str, str], int]
-
-
-def own_sums(d: SpliceDiagram) -> OwnSums:
-    """``OwnSums`` of d, from one ``linking_sums`` call kept on d."""
-    return d.memo(("own sums",), _own_sums, d)
-
-
-def _own_sums(d: SpliceDiagram) -> OwnSums:
-    # the canonical terms (see nu_values): 2 - delta_x at each vertex x, 1
-    # at each arrowhead of weight >= 2; the stored W by slot, read only
-    # where is_own finds one dashed arrow per slot
+def _canonical_sums(d: SpliceDiagram) -> Sums:
+    # 2 - delta_x at each vertex x, 1 at each arrowhead of weight >= 2
     canonical = {x: 2 - len(es) for x, es in d._adj.items()}
     for a in d.farrows:
         if a.weight >= 2:
             canonical[a.at] -= 1
             canonical[a.id] = 1
-    stored = {w.slot: w.value - 1 for w in d.warrows}
-    (n, _), (nu0, i0), (wpart, _) = linking_sums(d, (d.f_divisor(), canonical, stored))
-    nodes = d.nodes()
-    return OwnSums(n, {v: nu0[v] for v in nodes}, {v: (nu0[v] + wpart[v], n[v]) for v in nodes}, i0)
+    return linking_sums(d, canonical)
+
+
+def f_sums(d: SpliceDiagram, fm: dict[str, int]) -> Sums:
+    """The ``Sums`` of an F already read through ``f_of``: N_v at every
+    vertex, and M of the cut keeping k at the edge k-f as ``side(k, f)``.
+    At d's own F one pass kept on d, shared and so only to be read."""
+    return d.memo(("F sums",), linking_sums, d, fm) if is_own(d, fm) else linking_sums(d, fm)
+
+
+def w_sums(d: SpliceDiagram, wm: dict[str, int]) -> Sums:
+    """The ``Sums`` of a W already read through ``w_of``: the W part of
+    nu_v at every vertex, and that of i at every cut as its side.  At d's
+    own W one pass kept on d."""
+    return d.memo(("W sums",), linking_sums, d, wm) if is_own(d, None, wm) else linking_sums(d, wm)
 
 
 def vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None = None) -> dict[str, int]:
     """N_v = sum over arrowheads of N_a * l_{va} at every vertex, in a dict of its own."""
-    return dict(multiplicities_at(d, f_of(d, f)))
-
-
-def multiplicities_at(d: SpliceDiagram, fm: dict[str, int]) -> dict[str, int]:
-    """N_v at every vertex, for an F already read through ``f_of``: at d's
-    own F the dict kept on d, shared and so only to be read."""
-    return own_sums(d).n if is_own(d, fm) else linking_sums(d, (fm,))[0][0]
+    return dict(f_sums(d, f_of(d, f)).at)
 
 
 def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
@@ -179,30 +127,17 @@ def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
     turn into boundary vertices (contributing l_{va} each), weight-1
     arrowheads vanish, and the dashed data is ignored.  The canonical part
     does not depend on W: it is kept on d, and each call adds its own W
-    part to a copy.
+    part.
     """
-    return _nu_values(d, w_of(d, w))
+    k, wa = canonical_sums(d).at, w_sums(d, w_of(d, w)).at
+    return {v: k[v] + wa[v] for v in d.nodes()}
 
 
-def _nu_values(d: SpliceDiagram, wm: dict[str, int]) -> dict[str, int]:
-    """``nu_values`` for a W already read through ``w_of``."""
-    out = dict(own_sums(d).nu0)
-    terms = [(slot, mult) for slot, mult in wm.items() if mult]
-    if terms:
-        for v in out:
-            row = d.linking_row(v)
-            out[v] += sum(c * row[t] for t, c in terms)
-    return out
-
-
-def node_data(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]) -> dict[str, tuple[int, int]]:
-    """(nu_v, N_v) for every node, at an F and a W already read through
-    ``f_of`` and ``w_of``: neither is checked again.  At d's own F and W
-    the dict kept on d, shared and so only to be read."""
-    if is_own(d, fm, wm):
-        return own_sums(d).data
-    nu, nv = _nu_values(d, wm), multiplicities_at(d, fm)
-    return {v: (nu[v], nv[v]) for v in nu}
+def node_data(d: SpliceDiagram, fm: dict[str, int], ws: Sums) -> dict[str, tuple[int, int]]:
+    """(nu_v, N_v) for every node, at an F already read through ``f_of``
+    and a W given by its ``w_sums``: nothing is checked again."""
+    k, wa, n = canonical_sums(d).at, ws.at, f_sums(d, fm).at
+    return {v: (k[v] + wa[v], n[v]) for v in d.nodes()}
 
 
 # ---------------------------------------------------------------------------

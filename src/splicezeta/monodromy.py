@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, require_valid
-from .divisors import PDivisor, effective_f, is_own, multiplicities_at, solve_pullback
+from .divisors import PDivisor, effective_f, f_sums, is_own, solve_pullback
 from .exact import CycloProduct, UnityRoot
 
 
@@ -34,7 +34,7 @@ def _multiplicities(x: SpliceDiagram | PlumbingGraph, fm: dict[str, int]) -> dic
     if isinstance(x, PlumbingGraph):
         return solve_pullback(x, fm)
     x.require_standard()
-    return multiplicities_at(x, fm)
+    return f_sums(x, fm).at
 
 
 def monodromy_zeta(x: SpliceDiagram | PlumbingGraph, f: PDivisor | None = None) -> CycloProduct:

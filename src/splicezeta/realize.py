@@ -26,8 +26,8 @@ source is left only when it runs dry.
 doubles it searches too.  ``extend_allowed`` carries an allowed divisor one
 step across a special edge, with the obstructed cases detected and reported:
 the far half keeps its W, so the restriction is fixed by the new slot's i,
-which the root cut at the edge reads off each candidate; no candidate is
-spliced.
+which every candidate gives exactly, as it solves that linear equation; no
+candidate is spliced.
 
 The search walks the windows |mult| <= width of the k searched slots width
 by width, and at each width only the new shell, the points with some
@@ -39,7 +39,7 @@ included.  The budget holds at width 1 too: when 3^k exceeds it, no window
 is walked and the search ends at window 0.
 A point is a tuple of slot multiplicities.  The lambda congruences at the
 nodes and arrowheads are integer affine forms base + coefs . x = 0 (mod n),
-compiled once per query from the diagram's cached linking rows, and the
+compiled once per query from the slot tables kept on the diagram, and the
 shell walk solves them one coordinate at a time: it fixes the slots in the
 shell's product order and drops a congruence below a prefix as soon as the
 partial sum is not 0 modulo the gcd of n and the coefficients still free.
@@ -86,7 +86,8 @@ lambda and is exactly the first such pole of ``zeta_splice(...).poles()``
 What a query needs that is free of F, W and lambda is kept on the
 blown-down diagram, under one memo key per slot set, without and with the
 arrowhead doubles: the searched slots, their star forms, each node's nu at
-W = 0 and linking row over them, the first arrowhead source's small
+W = 0 and its linking products with them, all read off one unit-vector
+``linking_sums`` pass per slot, the first arrowhead source's small
 boundary assignments and the largest weight, which scales the default
 bound.  The assignments depend on the slots and their star forms alone, as
 every query draws them first from the same fixed seed: the table keeps the
@@ -117,11 +118,11 @@ from fractions import Fraction
 from math import gcd
 
 from .allowed import allowed_at, allowed_core, star_allowed
-from .diagrams import DiagramError, Edge, SpliceDiagram, blow_down, require_valid
-from .divisors import PDivisor, effective_f, f_of, multiplicities_at, nu_values, w_of
+from .diagrams import DiagramError, Edge, SpliceDiagram, Sums, blow_down, linking_sums, require_valid
+from .divisors import PDivisor, canonical_sums, effective_f, f_of, f_sums, nu_values, w_of, w_sums
 from .exact import UnityRoot, congruence_lattice, solve_linear_congruence
 from .monodromy import alexander, eig_core
-from .splicing import root_cut, splice, star_decomposition, star_legs
+from .splicing import splice, star_decomposition, star_legs
 from .zeta import pole_core, target_residue
 
 
@@ -189,8 +190,8 @@ class RealizeOutcome:
 #
 # The cheap filters of a search see a candidate as a tuple x of slot
 # multiplicities, in the order of the searched slots.  Every quantity they
-# test is an integer affine form base + coefs . x, read off cached linking
-# rows once per query.
+# test is an integer affine form base + coefs . x, read off the slots'
+# unit-vector linking sums (``slot_columns``) once per slot set.
 
 
 # a star as (r, legs), each leg (d_l, base, terms) with
@@ -198,25 +199,33 @@ class RealizeOutcome:
 _StarForm = tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]
 
 
-def star_forms(d: SpliceDiagram, slots: Sequence[str]) -> list[_StarForm]:
+def slot_columns(d: SpliceDiagram, slots: Sequence[str]) -> dict[str, Sums]:
+    """Each slot s and the ``Sums`` of its unit vector, one
+    ``linking_sums`` pass each: l(v, s) at every vertex v, and as
+    ``side(v, f)`` the slope in s of the i of the cut at the edge v-f
+    keeping v, 0 unless s lies beyond the edge."""
+    return {s: linking_sums(d, {s: 1}) for s in slots}
+
+
+def star_forms(d: SpliceDiagram, columns: dict[str, Sums]) -> list[_StarForm]:
     """Symbolic star decomposition over the slots, boundary vertices and
-    arrowhead doubles: each star's legs as affine forms in the slot
-    multiplicities, kept sparse as (index, coef) terms with the zero
-    coefficients dropped; arrow doubles carry no leg condition.
-    An induced leg's value is linear in W, with slope l(u, s) cut at e for
-    the slots s beyond e, the ones in its cut's row."""
-    index = {s: j for j, s in enumerate(slots)}
+    arrowhead doubles, given with their ``slot_columns``: each star's legs
+    as affine forms in the slot multiplicities, kept sparse as (index,
+    coef) terms with the zero coefficients dropped; arrow doubles carry no
+    leg condition.  An induced leg's value is linear in W: i0 plus each
+    slot's side lookup across the leg's edge times its multiplicity."""
+    index = {s: j for j, s in enumerate(columns)}
     forms: list[_StarForm] = []
     for v, (r, legs) in star_legs(d).items():
         out = []
-        for leg in legs:
-            if leg.cut is None:
-                terms = ((index[leg.slot], 1),) if leg.slot in index else ()
-                out.append((leg.weight, 1, terms))
+        for weight, slot, far, base in legs:
+            if far is None:
+                terms = ((index[slot], 1),) if slot in index else ()
             else:
-                row = leg.cut.row
-                terms = tuple((j, row[s]) for j, s in enumerate(slots) if row.get(s, 0))
-                out.append((leg.weight, leg.cut.i0, terms))
+                terms = tuple(
+                    (j, c) for j, column in enumerate(columns.values()) if (c := column.side(v, far))
+                )
+            out.append((weight, base, terms))
         forms.append((r, tuple(out)))
     return forms
 
@@ -287,9 +296,9 @@ def rejecting_star(forms: list[_StarForm], x0: Sequence[int], columns: _Columns)
     return None
 
 
-# node -> (nu_v at W = 0, the row of v over the searched slots)
+# node -> (nu_v at W = 0, l(v, s) over the searched slots s)
 _SlotRows = dict[str, tuple[int, tuple[int, ...]]]
-# node -> (N_v, u_v, nu_v at W = 0, the row of v over the searched slots)
+# node -> (N_v, u_v, nu_v at W = 0, l(v, s) over the searched slots s)
 _NodeHits = dict[str, tuple[int, int, int, tuple[int, ...]]]
 # arrowhead -> (N_a, u_a)
 _ArrowHits = dict[str, tuple[int, int]]
@@ -308,18 +317,19 @@ def _slot_tables(
     slots = d.boundary_vertices()
     if include_doubles:
         slots += tuple(a.id for a in d.farrows)
-    forms = star_forms(d, slots)
+    columns = slot_columns(d, slots)
+    forms = star_forms(d, columns)
     rng = random.Random(_SEED)
     draws = tuple(_small_allowed_candidates(slots, forms, rng))
     weights = [a.weight for a in d.farrows] + [w for e in d.edges for w in (e.wa, e.wb)]
-    return slots, forms, _slot_rows(d, slots), draws, rng.getstate(), max(weights, default=1)
+    return slots, forms, _slot_rows(d, columns), draws, rng.getstate(), max(weights, default=1)
 
 
-def _slot_rows(d: SpliceDiagram, slots: Sequence[str]) -> _SlotRows:
-    """Each node's nu at W = 0 and its linking row over the slots: nu_v at
-    W = x is nu_v + row . x."""
+def _slot_rows(d: SpliceDiagram, columns: dict[str, Sums]) -> _SlotRows:
+    """Each node's nu at W = 0 and its linking products with the slots,
+    read off their ``slot_columns``: nu_v at W = x is nu_v + row . x."""
     nu0 = nu_values(d, {})
-    return {v: (nu0[v], tuple(d.linking_row(v)[s] for s in slots)) for v in d.nodes()}
+    return {v: (nu0[v], tuple(column.at[v] for column in columns.values())) for v in d.nodes()}
 
 
 def _compile_hits(
@@ -332,7 +342,7 @@ def _compile_hits(
     slots.  This is the test s0 = -nu/N = lam.frac (mod 1), the one
     ``zeta.pole_at`` applies (derived in the ``zeta`` module docstring);
     only nonzero N take part, as s0 = -nu/N needs N != 0."""
-    nv = multiplicities_at(d, fm)
+    nv = f_sums(d, fm).at
     nodes = {}
     for v, (nu0, coefs) in rows.items():
         u = target_residue(lam, nv[v]) if nv[v] else None
@@ -385,9 +395,10 @@ def certify(
         # F = 0, which pole_at refuses, is refused before the verdicts
         fm = effective_f(d, fm)
         wm = w_of(d, w)
-        if not allowed_core(d, fm, wm):
+        ws = w_sums(d, wm)
+        if not allowed_core(d, fm, wm, ws):
             return None
-        pole = pole_core(d, fm, wm, lam)
+        pole = pole_core(d, fm, wm, ws, lam)
     except DiagramError:
         return None
     if pole is None:
@@ -491,14 +502,13 @@ def extend_allowed(
         if d.anchor(s)[0] in left_vertices:
             raise DiagramError(f"flat divisor touches the left half at {s!r}")
     partial = {s: m for s, m in w_flat.items() if m}
-    # fixed induced value onto the left star
-    j = root_cut(d, v_l, e).value(partial)
     # unknowns: the left star's own leg slots
-    legs = {leg.slot: leg.weight for leg in star_legs(d)[v_l][1] if leg.cut is None}
-    # i' = i0 + sum row[s] x_s over the left star's slots, all beyond e from v_r
-    cut = root_cut(d, v_r, e)
-    coefs = {s: cut.row[s] for s in legs}
-    sol_exact = solve_linear_congruence(list(coefs.values()), i_prime - cut.i0, 0)
+    legs = {slot: weight for weight, slot, far, _ in star_legs(d)[v_l][1] if far is None}
+    # i' = i0 + sum l(v_l, s) x_s, e excluded, over the left star's slots,
+    # all beyond e from v_r; partial, on the right half, adds nothing
+    i0 = canonical_sums(d).side
+    coefs = {s: column.side(v_r, v_l) for s, column in slot_columns(d, legs).items()}
+    sol_exact = solve_linear_congruence(list(coefs.values()), i_prime - i0(v_r, v_l), 0)
     if sol_exact is None:
         raise ExtensionObstructedError(
             f"no integer decorations on the left legs reach i' = {i_prime}"
@@ -508,10 +518,12 @@ def extend_allowed(
         for s, m in cand.items():
             if m:
                 w_full[s] = m
-        # the restriction keeps partial on the right half, so it reproduces
-        # w_flat when the new slot's i, the cut's value, is i'
-        if allowed_at(d, fm, w_full) and cut.value(w_full) == i_prime:
+        # the restriction keeps partial on the right half, and every
+        # candidate solves the equation above, so the new slot's i is i'
+        if allowed_at(d, fm, w_full):
             return w_full
+    # the fixed induced value onto the left star
+    j = i0(v_l, v_r) + w_sums(d, partial).side(v_l, v_r)
     raise ExtensionObstructedError(
         "extension obstructed: the divisible pattern forces d = j "
         f"(d = {e.weight_at(v_l)}, j = {j})"

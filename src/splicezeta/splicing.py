@@ -7,14 +7,18 @@ whose vertex carries a dashed arrow of value i.  M collects far-side arrow
 multiplicities against linking products; i collects the canonical-class and
 dashed data of the far side the same way.
 
-Every cut reads M and i off ``root_cut``, which keeps on a diagram, per
-directed edge, all that does not depend on F and W: with f the far endpoint,
-M = sum N_a l(f, a) and i = i0 + sum mult_s l(f, s) over the far side.  The
-two routes differ in the diagram they cut.  ``splice`` reads the cuts of the
-diagram it is given: that is the local route, used by the ``splice`` command
-and by ``verify_splice_zeta``.  ``star_decomposition`` cuts every special
-edge in turn, so after the first cut it cuts pieces made of earlier halves;
-it reads the cuts of the root diagram d instead, never those of a piece.
+Cut at the edge k-f keeping k, M = sum N_a l(f, a) and i = i0 +
+sum mult_s l(f, s) over f's side, the edge excluded at f: M is
+``side(k, f)`` of F's linking sums and i - i0 that of W's
+(``divisors.f_sums``, ``w_sums``).  ``root_cut`` keeps on a diagram, per
+directed edge, what does not depend on F and W: the far side and i0.
+
+The two routes differ in the diagram they cut.  ``splice`` reads the cuts
+of the diagram it is given: that is the local route, used by the
+``splice`` command and by ``verify_splice_zeta``.
+``star_decomposition`` cuts every special edge in turn, so after the first
+cut it cuts pieces made of earlier halves; it reads the cuts of the root
+diagram d instead, never those of a piece.
 
 Why d gives a piece's values (localization).  Let a piece P contain the edge
 e = (k, f), cut keeping k, and let an earlier cut at e' = (k', f'), with k'
@@ -39,9 +43,9 @@ there, with i0 the value at W = 0.
 
 The same argument gives ``star_legs`` without cutting anything: the star of
 a node v gets one leaf or arrowhead per special edge e at v, from the cut at
-e keeping v, so an induced leg's value is ``root_cut(d, v, e).value(W)``
-and it is an arrowhead exactly when that cut carries arrowheads.  The
-allowedness check and the filters of ``realize`` read their legs there.
+e keeping v, so an induced leg's value is that cut's i at W, and it is an
+arrowhead exactly when that cut carries arrowheads.  The allowedness check
+and the filters of ``realize`` read their legs there.
 
 Why the names agree.  ``star_decomposition`` splits its pieces in the order
 repeated ``splice`` calls would: the smallest special edge by key, depth
@@ -60,31 +64,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .diagrams import (
-    DiagramError, Edge, Farrow, SpliceDiagram, Warrow, edge_determinant, require_valid, slot_warrows,
+    DiagramError, Edge, Farrow, SpliceDiagram, Warrow, carries_arrowheads, edge_determinant,
+    require_valid, slot_warrows,
 )
-from .divisors import PDivisor, f_of, is_own, node_data, own_sums, w_of
+from .divisors import PDivisor, canonical_sums, f_of, f_sums, is_own, node_data, w_of, w_sums
 from .zeta import principal_parts, summands, zeta_splice
 
 
 class RootCut(NamedTuple):
     """What a cut at e, keeping ``keep``, sees of the far side of d, whatever
-    F and W are: its vertices, its arrowhead ids, i at W = 0 (``i0``) and the
-    linking row of the far endpoint with e excluded, which reaches all of
-    that side and nothing else."""
+    F and W are: its vertices and i at W = 0 (``i0``).  Whether it carries
+    arrowheads is ``carries_arrowheads``."""
 
     far_side: frozenset[str]
-    farrows: tuple[str, ...]
     i0: int
-    row: dict[str, int]
-
-    def multiplicity(self, fm: dict[str, int]) -> int:
-        """M = sum N_a l(f, a) over the far-side arrowheads a."""
-        return sum(fm.get(a, 0) * self.row[a] for a in self.farrows)
-
-    def value(self, wm: dict[str, int]) -> int:
-        """i = i0 + sum mult_s l(f, s) over the far-side W slots s."""
-        row = self.row
-        return self.i0 + sum(mult * row[s] for s, mult in wm.items() if mult and s in row)
 
 
 def root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
@@ -94,22 +87,21 @@ def root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
 
 def _root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
     far = e.other(keep)
-    row = d.linking_row(far, e)
-    # the excluded row reaches exactly the far side: its vertex ids are it
-    far_side = d.memo(("vertex set",), frozenset, d.vertices).intersection(row)
-    far_farrows = tuple(a.id for a in d.farrows if a.at in far_side)
-    return RootCut(far_side, far_farrows, own_sums(d).i0(keep, far), row)
+    far_side = frozenset(d.component_vertices(keep, far))
+    return RootCut(far_side, canonical_sums(d).side(keep, far))
 
 
 class Leg(NamedTuple):
-    """One leg of a node's star: its weight d_l at the node, its W slot, and
-    for an induced leg the root cut it stands for.  A boundary leg's slot is
-    its vertex, with i_l = W(slot) + 1; an induced leg's is the leaf id
-    ``_cut`` mints, with i_l = ``cut.value(W)``."""
+    """One leg of a node's star: its weight d_l at the node, its W slot, for
+    an induced leg the far endpoint f of the cut it stands for, and i_l at
+    W = 0.  A boundary leg's slot is its vertex, with i_l = W(slot) + 1; an
+    induced leg's is the leaf id ``_cut`` mints, with i_l the i of the cut
+    at the edge v-f keeping the node v, i0 plus the side lookup of W."""
 
     weight: int
     slot: str
-    cut: RootCut | None
+    far: str | None
+    base: int
 
 
 def star_legs(d: SpliceDiagram) -> dict[str, tuple[int, tuple[Leg, ...]]]:
@@ -129,14 +121,14 @@ def _leg_table(d: SpliceDiagram) -> dict[str, tuple[int, tuple[Leg, ...]]]:
     for v in d.nodes():
         r = len(d.farrows_at(v))
         edges = d.edges_at(v)
-        legs = [Leg(e.weight_at(v), e.other(v), None) for e in edges if not d.is_node(e.other(v))]
+        legs = [Leg(e.weight_at(v), e.other(v), None, 1) for e in edges if not d.is_node(e.other(v))]
         for e in sorted((e for e in edges if d.is_node(e.other(v))), key=lambda x: x.key):
-            cut = root_cut(d, v, e)
-            if cut.farrows:
+            far = e.other(v)
+            if carries_arrowheads(d, v, far):
                 r += 1
             else:
-                slot = names.get((v, e.key), f"~{v}|{e.other(v)}")
-                legs.append(Leg(e.weight_at(v), slot, cut))
+                slot = names.get((v, e.key), f"~{v}|{far}")
+                legs.append(Leg(e.weight_at(v), slot, far, canonical_sums(d).side(v, far)))
         table[v] = r, tuple(legs)
     return table
 
@@ -162,7 +154,7 @@ def _minted_leaves(d: SpliceDiagram) -> dict[tuple[str, tuple[str, str]], str]:
 def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> int:
     """i for the half keeping ``keep``: canonical contribution of the far side
     plus its dashed-arrow terms."""
-    return root_cut(d, keep, e).value(w_of(d, wm))
+    return root_cut(d, keep, e).i0 + w_sums(d, w_of(d, wm)).side(keep, e.other(keep))
 
 
 @dataclass
@@ -221,16 +213,18 @@ def _cut(piece: _Piece, e: Edge, keep: str, side: set[str], wslots, m: int, i: i
     return (keep_vertices, keep_edges, keep_farrows, keep_warrows), slot
 
 
-def _half(d: SpliceDiagram, e: Edge, keep: str, fm, wm) -> SpliceHalf:
-    """One half of ``splice``, with M and i read off d's own cut."""
+def _half(d: SpliceDiagram, e: Edge, keep: str, fm, wm, m_side, w_side) -> SpliceHalf:
+    """One half of ``splice``, M and i read off the side lookups of F and W."""
     cut = root_cut(d, keep, e)
-    m, i = cut.multiplicity(fm), cut.value(wm)
+    far = e.other(keep)
+    m, i = m_side(keep, far), cut.i0 + w_side(keep, far)
     farrows = [
         Farrow(id=a.id, at=a.at, weight=a.weight, mult=fm.get(a.id, 0)) for a in d.farrows
     ]
     piece = (d.vertices, d.edges, farrows, d.warrows)
-    half, slot = _cut(piece, e, keep, cut.far_side, wm.items(), m, i, bool(cut.farrows))
-    return SpliceHalf(SpliceDiagram(*half), keep, m, i, slot if cut.farrows else None, slot)
+    arrows = carries_arrowheads(d, keep, far)
+    half, slot = _cut(piece, e, keep, cut.far_side, wm.items(), m, i, arrows)
+    return SpliceHalf(SpliceDiagram(*half), keep, m, i, slot if arrows else None, slot)
 
 
 def _resolve_edge(d: SpliceDiagram, e) -> Edge:
@@ -252,8 +246,9 @@ def splice(
         raise DiagramError(f"edge {e.key} is not special")
     fm = f_of(d, f)
     wm = w_of(d, w)
-    left = _half(d, e, e.a, fm, wm)
-    right = _half(d, e, e.b, fm, wm)
+    sides = f_sums(d, fm).side, w_sums(d, wm).side
+    left = _half(d, e, e.a, fm, wm, *sides)
+    right = _half(d, e, e.b, fm, wm, *sides)
     return left, right
 
 
@@ -294,6 +289,7 @@ def _split(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], minted: dic
     its order.  ``minted``, when given, gets the leaf id minted at each cut
     whose far side has no arrowheads, keyed by (kept node, edge key)."""
     specials = sorted(d.special_edges(), key=lambda x: x.key)
+    m_side, w_side = f_sums(d, fm).side, w_sums(d, wm).side
     # a work item is a piece and the kept node of every vertex minted in it
     work = [(d.decorated_lists(fm, wm), {})]
     while work:
@@ -308,10 +304,12 @@ def _split(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], minted: dic
         for keep in (e.a, e.b):
             cut = root_cut(d, keep, e)
             side = {v for v in vertices if home.get(v, v) in cut.far_side}
-            m, i = cut.multiplicity(fm), cut.value(wm)
-            half, slot = _cut(piece, e, keep, side, wslots, m, i, bool(cut.farrows))
+            far = e.other(keep)
+            m, i = m_side(keep, far), cut.i0 + w_side(keep, far)
+            arrows = carries_arrowheads(d, keep, far)
+            half, slot = _cut(piece, e, keep, side, wslots, m, i, arrows)
             kept_home = {v: h for v, h in home.items() if v not in side}
-            if not cut.farrows:
+            if not arrows:
                 kept_home[slot] = keep
                 if minted is not None:
                     minted[keep, e.key] = slot
@@ -365,7 +363,7 @@ def verify_splice_zeta(
     corr = (-1, (ind_l, ind_r))
     terms = [*summands(zl.node_terms, zl.edge_terms), *summands(zr.node_terms, zr.edge_terms)]
     identity = principal_parts(terms + [corr]) == (z.const, z.parts)
-    data = node_data(d, fm, wm)
+    data = node_data(d, fm, w_sums(d, wm))
     node_l, node_r = data[e.a], data[e.b]
     lemma = principal_parts([(q, (node_l, node_r))]) == principal_parts(
         [(e.weight_at(e.a), (node_l, ind_l)), (e.weight_at(e.b), (node_r, ind_r)), corr]

@@ -60,8 +60,8 @@ the candidates ``realize`` certifies, are summed afresh.  What the splice
 route's sum needs of the diagram alone is kept on it as a plan, whatever F
 and W are: each node's boundary legs, arrowheads and 2 - valency_f, and
 each special edge's ends and determinant.  A sum fills in only nu, N and
-i (``divisors.node_data``: at d's own F and W the rerooted pass kept on d,
-no linking row), and adds each node constant as one integer num/den.  So a
+i (``divisors.node_data``: the linking sums kept on d, one pass of any
+other W), and adds each node constant as one integer num/den.  So a
 ``ZetaResult`` is read-only: frozen, with tuples of terms and a read-only
 view of the parts.
 
@@ -112,7 +112,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, edge_determinants
+from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, Sums, edge_determinants
 from .divisors import (
     PDivisor,
     effective_f,
@@ -121,6 +121,7 @@ from .divisors import (
     solve_canonical,
     solve_pullback,
     w_of,
+    w_sums,
 )
 from .exact import Pole, UnityRoot
 
@@ -373,13 +374,14 @@ def _splice_rows(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None):
     at a node or an arrowhead, and i = 0 at a boundary vertex or a node's
     dashed arrow."""
     d.require_standard()
-    return _rows_at(d, effective_f(d, f), w_of(d, w))
+    fm, wm = effective_f(d, f), w_of(d, w)
+    return _rows_at(d, fm, wm, w_sums(d, wm))
 
 
-def _rows_at(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]):
-    """``_splice_rows`` for a standard d and an F and a W already read
-    through ``effective_f`` and ``w_of``: neither is checked again."""
-    data = node_data(d, fm, wm)
+def _rows_at(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], ws: Sums):
+    """``_splice_rows`` for a standard d, an F and a W read through
+    ``effective_f`` and ``w_of``, and W's ``w_sums``: nothing is redone."""
+    data = node_data(d, fm, ws)
     nodes, specials = d.memo(("zeta plan",), _zeta_plan, d)
     rows = []
     for v, legs, farrows, chi in nodes:
@@ -476,15 +478,16 @@ def pole_at(
     ``zeta_splice`` raises.  Only the terms that vanish at a root mapping to
     lam are summed (see the module docstring)."""
     d.require_standard()
-    return pole_core(d, effective_f(d, fm), w_of(d, w), lam)
+    fm, wm = effective_f(d, fm), w_of(d, w)
+    return pole_core(d, fm, wm, w_sums(d, wm), lam)
 
 
 def pole_core(
-    d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], lam: UnityRoot
+    d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], ws: Sums, lam: UnityRoot
 ) -> Pole | None:
-    """``pole_at`` for a standard d and an F and a W already read through
-    ``effective_f`` and ``w_of``: neither is checked again."""
-    rows, specials, data = _rows_at(d, fm, wm)
+    """``pole_at`` for a standard d, an F and a W read through
+    ``effective_f`` and ``w_of``, and W's ``w_sums``: nothing is redone."""
+    rows, specials, data = _rows_at(d, fm, wm, ws)
     hits = set()
     for _, (nu_v, n_v), _, arrows, _ in rows:
         hits.add(_hit_numerator(nu_v, n_v, lam))

@@ -33,6 +33,7 @@ from splicezeta.divisors import vertex_multiplicities
 from splicezeta.generate import random_plumbing
 from splicezeta.io import parse_diagram, print_plumbing
 from splicezeta.zeta import zeta_plumbing, zeta_splice
+from linking_oracle import pairwise_linking_product
 from zeta_oracle import func
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "splicezeta" / "corpus"
@@ -500,61 +501,16 @@ def test_linking_product_from_edge():
     assert d.linking_product("v1", "v1", exclude_edge=e) == 6
 
 
-def _pairwise_linking_product(d, v, target, exclude_edge=None):
-    """Reference: one search per (v, target) pair, the path walked on its own."""
-    anchor, via_farrow = d.anchor(target)
-    prev = {v: None}
-    stack = [v]
-    while stack and anchor != v:
-        x = stack.pop()
-        if x == anchor:
-            break
-        for e in d.edges_at(x):
-            y = e.other(x)
-            if y not in prev:
-                prev[y] = x
-                stack.append(y)
-    if anchor not in prev:
-        raise DiagramError(f"no path from {v!r} to {anchor!r}")
-    path = [anchor]
-    while path[-1] != v:
-        path.append(prev[path[-1]])
-    on_path = set()
-    for x, y in zip(path, path[1:]):
-        on_path |= {(x, y), (y, x)}
-    prod = 1
-    for x in path:
-        for e in d.edges_at(x):
-            if (x, e.other(x)) in on_path:
-                continue
-            if exclude_edge is not None and x == v and e.key == exclude_edge.key:
-                continue
-            prod *= e.weight_at(x)
-        for a in d.farrows_at(x):
-            if not (x == anchor and via_farrow == a.id):
-                prod *= a.weight
-    return prod
-
-
-def _assert_rows_match_pairwise(d, exclusions=True):
+def _assert_products_match_pairwise(d):
     targets = list(d.vertices) + [a.id for a in d.farrows] + [w.id for w in d.warrows]
     for v in d.vertices:
-        for ex in [None, *d.edges_at(v), *d.edges[:1]] if exclusions else [None]:
-            row = d.linking_row(v, ex)
+        for ex in [None, *d.edges_at(v), *d.edges[:1]]:
             for t in targets:
-                try:
-                    want = _pairwise_linking_product(d, v, t, ex)
-                except DiagramError:
-                    assert t not in row
-                    with pytest.raises(DiagramError):
-                        d.linking_product(v, t, exclude_edge=ex)
-                    continue
+                want = pairwise_linking_product(d, v, t, ex)
                 assert d.linking_product(v, t, exclude_edge=ex) == want, (v, t, ex)
-                # an excluded row leaves out what lies beyond the excluded edge
-                assert row[t] == want if t in row else ex is not None and v in ex.key
 
 
-def test_linking_rows_match_pairwise_search():
+def test_linking_products_match_pairwise_search():
     from splicezeta.generate import random_valid_splice
 
     rng = random.Random(41)
@@ -562,14 +518,15 @@ def test_linking_rows_match_pairwise_search():
         d = random_valid_splice(rng, max_nodes=4, max_weight=13, with_warrows=True)
         # open every doubling slot too, so warrows of both kinds are targets
         w = d.w_divisor() | {a.id: rng.randint(1, 3) for a in d.farrows if rng.random() < 0.5}
-        _assert_rows_match_pairwise(d.with_decorations(w=w))
-        # N_v from the arrowheads' rows, by symmetry of linking on a tree
+        _assert_products_match_pairwise(d.with_decorations(w=w))
+        # N_v from the arrowheads' products, by symmetry of linking on a tree
         f = {a.id: rng.randint(0, 3) for a in d.farrows}
-        want = {v: sum(m * _pairwise_linking_product(d, v, a) for a, m in f.items())
+        want = {v: sum(m * pairwise_linking_product(d, v, a) for a, m in f.items())
                 for v in d.vertices}
         assert vertex_multiplicities(d, f) == want
-    # a cycle (the search picks one path) and a second component (no path);
-    # the edge-excluded variant is defined on trees only
+    # a cycle and a second component: linking products are defined on trees
+    # only, and refused elsewhere as the pass refuses them; an unknown
+    # target is refused first
     cyclic = SpliceDiagram(
         ["a", "b", "c", "d", "x", "y"],
         [Edge("a", "b", 2, 3), Edge("b", "c", 5, 7), Edge("c", "a", 11, 13),
@@ -577,7 +534,10 @@ def test_linking_rows_match_pairwise_search():
         [Farrow(id="f", at="b", weight=31), Farrow(id="g", at="b", weight=37)],
         [Warrow(id="w", value=2, doubles="g"), Warrow(id="u", value=3, at="y")],
     )
-    _assert_rows_match_pairwise(cyclic, exclusions=False)
+    for v in cyclic.vertices:
+        for t in ["a", "d", "y", "f", "w", "u"]:
+            with pytest.raises(DiagramError, match="tree"):
+                cyclic.linking_product(v, t)
     with pytest.raises(DiagramError, match="unknown linking target"):
         cyclic.linking_product("a", "nowhere")
 

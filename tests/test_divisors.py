@@ -20,6 +20,7 @@ from splicezeta.divisors import (
     vertex_multiplicities,
 )
 from splicezeta.generate import random_plumbing
+from linking_oracle import linking_sum, pairwise_linking_product
 
 
 def test_vertex_multiplicities_golden():
@@ -76,7 +77,7 @@ def test_nu_linear_in_warrow_values():
     for slot in ("bL", "leg1", "bR", "leg1p", "a0"):
         up = nu_values(d, {slot: 1})
         for v in base:
-            assert up[v] - base[v] == d.linking_product(v, slot)
+            assert up[v] - base[v] == pairwise_linking_product(d, v, slot)
 
 
 def test_pullback_plumbing_golden():
@@ -262,12 +263,9 @@ def _canonical_vector(d):
     return c
 
 
-def _row_sum(row, c):
-    return sum(ct * row[t] for t, ct in c.items() if t in row)
-
-
-def _assert_pass_matches_rows(d, rng):
-    from splicezeta.divisors import linking_sums
+def _assert_pass_matches_oracle(d, rng):
+    from splicezeta.diagrams import linking_sums
+    from splicezeta.divisors import canonical_sums, f_sums
     from splicezeta.splicing import root_cut
 
     slots = [*d.vertices, *(a.id for a in d.farrows)]
@@ -277,19 +275,20 @@ def _assert_pass_matches_rows(d, rng):
         {s: rng.randint(-5, 5) for s in slots},
         {s: rng.randint(-9, 9) for s in slots if rng.random() < 0.3},
     )
-    sums = linking_sums(d, vectors)
+    sums = [linking_sums(d, c) for c in vectors]
     for v in d.vertices:
-        row = d.linking_row(v)
-        assert [at[v] for at, _ in sums] == [_row_sum(row, c) for c in vectors], v
+        assert [x.at[v] for x in sums] == [linking_sum(d, v, c) for c in vectors], v
+    # every side(v, n): the sum over n's side of the edge, excluded at n
     for e in d.edges:
         for keep in e.key:
             far = e.other(keep)
-            row = d.linking_row(far, e)
-            want = [_row_sum(row, c) for c in vectors]
-            assert [side(keep, far) for _, side in sums] == want, (keep, far)
-            cut = root_cut(d, keep, e)
-            assert (cut.multiplicity(vectors[0]), cut.i0) == tuple(want[:2])
-    assert all(list(at) == list(d.vertices) for at, _ in sums)
+            beyond = set(d.component_vertices(keep, far))
+            want = [linking_sum(d, far, c, e, beyond) for c in vectors]
+            assert [x.side(keep, far) for x in sums] == want, (keep, far)
+            own_f = f_sums(d, d.f_divisor()).side(keep, far)
+            assert (own_f, canonical_sums(d).side(keep, far)) == tuple(want[:2])
+            assert root_cut(d, keep, e).i0 == want[1]
+    assert all(list(x.at) == list(d.vertices) for x in sums)
 
 
 def _coverage_diagram():
@@ -317,7 +316,7 @@ def _single_vertex_diagrams():
     )
 
 
-def test_linking_sums_match_linking_rows():
+def test_linking_sums_match_the_path_oracle():
     from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
     from splicezeta.generate import random_valid_splice
 
@@ -336,7 +335,7 @@ def test_linking_sums_match_linking_rows():
             except DiagramError:
                 pass
     for d in diagrams:
-        _assert_pass_matches_rows(d, rng)
+        _assert_pass_matches_oracle(d, rng)
     # the cases the pass has to get right are all there
     assert any(w.doubles is not None for d in diagrams for w in d.warrows)
     assert any(w.at in d.nodes() for d in diagrams for w in d.warrows)
@@ -346,36 +345,61 @@ def test_linking_sums_match_linking_rows():
 
 
 def test_linking_sums_refuse_an_empty_cyclic_or_zero_weight_diagram():
-    from splicezeta.diagrams import Edge, SpliceDiagram
-    from splicezeta.divisors import linking_sums, vertex_multiplicities
+    from splicezeta.diagrams import Edge, SpliceDiagram, linking_sums
+    from splicezeta.divisors import vertex_multiplicities
 
     edges = [Edge("v", "b1", 2, 1), Edge("v", "b2", 0, 1), Edge("v", "b3", 3, 1)]
     d = SpliceDiagram(["v", "b1", "b2", "b3"], edges)
     with pytest.raises(DiagramError, match="weight"):
-        linking_sums(d, ({"v": 1},))
+        linking_sums(d, {"v": 1})
     with pytest.raises(DiagramError, match="weight"):
-        d.linking_row("v")
+        d.linking_product("v", "b1")
     cycle = SpliceDiagram(["a", "b", "c"], [("a", "b", 2, 3), ("b", "c", 5, 7), ("c", "a", 11, 13)])
     for x in (SpliceDiagram([]), cycle):
         with pytest.raises(DiagramError, match="tree"):
-            linking_sums(x, ({},))
+            linking_sums(x, {})
         with pytest.raises(DiagramError, match="tree"):
             vertex_multiplicities(x)
+    with pytest.raises(DiagramError, match="tree"):
+        cycle.linking_product("a", "b")
 
 
-def test_own_f_and_w_build_no_linking_row(monkeypatch):
-    # N and nu at a diagram's own F and W, and the zeta function there, come
-    # from the rerooted pass alone, on a freshly parsed converted curve
-    from splicezeta.diagrams import SpliceDiagram
+def _count_linking(monkeypatch):
+    """Count traversals built and passes made by ``linking_sums``,
+    wherever a splicezeta module binds it."""
+    import sys
+
+    from splicezeta import diagrams
+
+    counts = {"traversals": 0, "passes": 0}
+    sweep, traverse = diagrams.linking_sums, diagrams._linking_traversal
+
+    def counted_sums(d, c):
+        counts["passes"] += 1
+        return sweep(d, c)
+
+    def counted_traversal(d):
+        counts["traversals"] += 1
+        return traverse(d)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("splicezeta") and getattr(module, "linking_sums", None) is sweep:
+            monkeypatch.setattr(module, "linking_sums", counted_sums)
+    monkeypatch.setattr(diagrams, "_linking_traversal", counted_traversal)
+    return counts
+
+
+def test_linking_passes_are_counted(monkeypatch):
+    # on a freshly parsed converted curve: one traversal, the own F and W
+    # read off the memoized passes (F, canonical terms, stored W) with no
+    # pass after it, and one W pass per verdict at a dense W, not one per node
+    from splicezeta.allowed import allowed_at, is_allowed
     from splicezeta.generate import attach_random_warrows
     from splicezeta.io import parse_diagram, print_splice
+    from splicezeta.splicing import splice, star_decomposition
     from splicezeta.zeta import zeta_splice
 
-    calls = []
-    original = SpliceDiagram._linking_row
-    monkeypatch.setattr(
-        SpliceDiagram, "_linking_row", lambda self, *a: calls.append(a) or original(self, *a)
-    )
+    counts = _count_linking(monkeypatch)
     rng = random.Random(0)
     texts = []
     while len(texts) < 2:
@@ -388,9 +412,22 @@ def test_own_f_and_w_build_no_linking_row(monkeypatch):
             continue
     for text in texts:
         d = parse_diagram(text)[2]
-        z = zeta_splice(d)
-        z.poles()
+        counts.update(traversals=0, passes=0)
+        zeta_splice(d).poles()
+        assert counts == {"traversals": 1, "passes": 3}
         vertex_multiplicities(d)
-        nu_values(d, {})
-        assert calls == []
+        nu_values(d)
+        allowed_at(d)
+        is_allowed(d)
+        star_decomposition(d)
+        splice(d, d.special_edges()[0])
+        assert counts == {"traversals": 1, "passes": 3}
+        assert len(d.nodes()) > 10
+        for _ in range(3):
+            w = {s: rng.randint(0, 2) for s in d.boundary_vertices()}
+            for verdict in (zeta_splice, allowed_at, star_decomposition):
+                before = counts["passes"]
+                verdict(d, None, w)
+                assert counts["passes"] == before + 1, verdict
+        assert counts["traversals"] == 1
     assert any(parse_diagram(text)[2].warrows for text in texts)

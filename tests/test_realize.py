@@ -52,10 +52,12 @@ from splicezeta.realize import (
     realize_eigenvalue,
     realize_star,
     rejecting_star,
+    slot_columns,
     star_forms,
 )
 from splicezeta.splicing import induced_value, splice, verify_splice_zeta
 from splicezeta.zeta import zeta_splice
+from linking_oracle import pairwise_linking_product
 
 
 _INTRO_STARS = [(2, 3), (2, 5), (3, 4)]
@@ -416,7 +418,7 @@ def test_star_forms_match_is_allowed():
     while done < 40:
         d = random_valid_splice(rng, max_nodes=3, max_weight=13)
         slots = list(d.boundary_vertices()) + [a.id for a in d.farrows]
-        forms = star_forms(d, slots)
+        forms = star_forms(d, slot_columns(d, slots))
         for _ in range(6):
             x = {s: rng.randint(-3, 4) for s in slots if rng.random() < 0.7}
             fast = _fast_allowed(forms, tuple(x.get(s, 0) for s in slots))
@@ -586,10 +588,10 @@ def _ref_star_forms(d, slots):
                     r += 1
                     continue
                 # i at W = 0 and its slopes, linking products cut at e
-                base = sum((2 - d.delta(x)) * d.linking_product(u, x, e) for x in side)
-                base += sum(d.linking_product(u, a.id, e) for a in d.farrows
+                base = sum((2 - d.delta(x)) * pairwise_linking_product(d, u, x, e) for x in side)
+                base += sum(pairwise_linking_product(d, u, a.id, e) for a in d.farrows
                             if a.at in side and a.weight >= 2)
-                coefs = {s: d.linking_product(u, s, e)
+                coefs = {s: pairwise_linking_product(d, u, s, e)
                          for s in slots if d.anchor(s)[0] in side}
                 legs.append(_RefLeg(e.weight_at(v), base, coefs))
             else:
@@ -817,7 +819,7 @@ def test_compiled_filters_match_reference():
             slots += [a.id for a in d.farrows]
         fm = f_of(d, None)
         nv_all = vertex_multiplicities(d, fm)
-        forms = star_forms(d, slots)
+        forms = star_forms(d, slot_columns(d, slots))
         ref_forms = _ref_star_forms(d, slots + [a.id for a in d.farrows])
         # lambdas: the exponential of a node's -nu/N at some x, an arrowhead
         # class, and a random root of small order
@@ -836,7 +838,7 @@ def test_compiled_filters_match_reference():
                 assert all(c for _, c in terms)
                 assert [j for j, _ in terms] == sorted({j for j, _ in terms})
         for lam in lams:
-            compiled = _hit_forms(*_compile_hits(d, fm, lam, _slot_rows(d, slots)), slots)
+            compiled = _hit_forms(*_compile_hits(d, fm, lam, _slot_rows(d, slot_columns(d, slots))), slots)
             for _ in range(8):
                 xt = tuple(rng.randint(-4, 5) for _ in slots)
                 x = dict(zip(slots, xt))

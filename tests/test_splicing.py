@@ -17,7 +17,7 @@ from splicezeta.diagrams import (
     plumbing_to_splice,
     validate,
 )
-from splicezeta.divisors import f_of, node_data, nu_values, vertex_multiplicities, w_of
+from splicezeta.divisors import f_of, node_data, nu_values, vertex_multiplicities, w_of, w_sums
 from splicezeta.exact import Poly, RatFunc
 from splicezeta.generate import random_valid_splice
 from splicezeta.io import parse_diagram, print_splice
@@ -29,6 +29,7 @@ from splicezeta.splicing import (
     verify_splice_zeta,
 )
 from splicezeta.zeta import zeta_splice
+from linking_oracle import pairwise_linking_product
 from zeta_oracle import func
 
 
@@ -386,8 +387,8 @@ def test_root_cuts_are_cached_and_shared_across_decorations():
     for (k, key), cut in cuts.items():
         e = d.edge(*key)
         far, side = e.other(k), d.side_vertices(k, e)
-        want = sum((2 - d.delta(x)) * d.linking_product(far, x, e) for x in side)
-        want += sum(d.linking_product(far, a.id, e) for a in d.farrows
+        want = sum((2 - d.delta(x)) * pairwise_linking_product(d, far, x, e) for x in side)
+        want += sum(pairwise_linking_product(d, far, a.id, e) for a in d.farrows
                     if a.at in side and a.weight >= 2)
         assert cut.i0 == want
 
@@ -437,7 +438,7 @@ def reference_splice_verdicts(d, e):
     identity = func(zeta_splice(d)) == (
         func(zeta_splice(left.diagram)) + func(zeta_splice(right.diagram)) - corr
     )
-    data = node_data(d, d.f_divisor(), d.w_divisor())
+    data = node_data(d, d.f_divisor(), w_sums(d, d.w_divisor()))
     (nu_l, n_l), (nu_r, n_r) = data[e.a], data[e.b]
     lhs = RatFunc(Poly.const(edge_determinant(d, e)), lin(nu_l, n_l) * lin(nu_r, n_r))
     rhs = (

@@ -382,6 +382,26 @@ def test_zeta_routes_agree_on_41_vertices():
     assert zp.poles() == func(zp).poles() and zs.poles() == func(zs).poles()
 
 
+def test_zeta_routes_agree_at_a_dense_w():
+    # converted curves at a W on every boundary vertex and a random F, the
+    # splice route's W pass against the plumbing route's solves: the
+    # converted diagram keeps the graph's vertex and arrowhead ids
+    rng = random.Random(31)
+    done = 0
+    while done < 12:
+        g = random_plumbing(rng, blowups=rng.randint(20, 80), arrows=2, warrow_chance=0.0)
+        try:
+            d = plumbing_to_splice(g)
+        except DiagramError:
+            continue
+        f = {a.id: rng.randint(1, 4) for a in d.farrows}
+        w = {b: rng.choice((-3, -2, 0, 1, 2, 3)) for b in d.boundary_vertices()}
+        assert all(g.valency_f(b) == 1 for b in w)
+        zs, zp = zeta_splice(d, f, w), zeta_plumbing(g, f, w)
+        assert (zs.const, zs.parts) == (zp.const, zp.parts)
+        done += 1
+
+
 def fraction_principal_parts(terms):
     """Reference: the principal parts summed one ``Fraction`` at a time."""
     const = Fraction(0)
@@ -667,12 +687,12 @@ def _ref_zeta_splice_terms(d, f, w):
     read a per-diagram plan: every boundary leg, arrowhead and valency read
     off the diagram at each call, the constant summed as a Fraction."""
     from splicezeta.diagrams import edge_determinant
-    from splicezeta.divisors import effective_f, node_data, w_of
+    from splicezeta.divisors import effective_f, node_data, w_of, w_sums
 
     d.require_standard()
     fm = effective_f(d, f)
     wm = w_of(d, w)
-    data = node_data(d, fm, wm)
+    data = node_data(d, fm, w_sums(d, wm))
     node_terms = []
     for v in d.nodes():
         nu_v, n_v = data[v]
