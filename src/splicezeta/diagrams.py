@@ -62,6 +62,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -1038,53 +1039,57 @@ def _degenerate_splice(g: PlumbingGraph) -> SpliceDiagram:
 # blowup calculus
 
 
-def _fresh_vertex(g: PlumbingGraph, stem: str) -> str:
-    used = {v.id for v in g.vertices}
-    i = 0
-    while f"{stem}{i}" in used:
-        i += 1
-    return f"{stem}{i}"
-
-
 def blowup(g: PlumbingGraph, locus) -> PlumbingGraph:
     """Blow up a generic point of a vertex, an edge, or an arrow incidence.
 
     ``locus`` is ``("vertex", v)``, ``("edge", (a, b))`` or ``("arrow", id)``.
     """
     kind, what = locus
-    new = _fresh_vertex(g, "b")
     verts = {v.id: v.self_int for v in g.vertices}
-    edges = list(g.edges)
-    farrows = list(g.farrows)
-    warrows = list(g.warrows)
-    # the vertices the new -1 curve meets, each losing 1 of self-intersection
+    edges, farrows, warrows = list(g.edges), list(g.farrows), list(g.warrows)
     if kind == "vertex":
         if what not in verts:
             raise DiagramError(f"unknown vertex {what!r}")
-        met = [what]
     elif kind == "edge":
         a, b = sorted(what)
         if (a, b) not in edges:
             raise DiagramError(f"unknown edge ({a}, {b})")
-        edges.remove((a, b))
-        met = [a, b]
+        what = edges.index((a, b))
     elif kind == "arrow":
-        fa = next((x for x in farrows if x.id == what), None)
-        wa = next((x for x in warrows if x.id == what and x.at is not None), None)
-        if fa is not None:
-            met = [fa.at]
-            farrows = [x for x in farrows if x.id != what]
-            farrows.append(Farrow(id=fa.id, at=new, weight=1, mult=fa.mult))
-        elif wa is not None:
-            met = [wa.at]
-            warrows = [x for x in warrows if x.id != what]
-            warrows.append(Warrow(id=wa.id, value=wa.value, at=new))
+        if what in g._farrow_by_id:
+            kind, what = "farrow", [x.id for x in farrows].index(what)
+        elif what in [x.id for x in warrows if x.at is not None]:
+            kind, what = "warrow", [x.id for x in warrows].index(what)
         else:
             raise DiagramError(f"unknown arrow {what!r}")
     else:
         raise DiagramError(f"unknown blowup locus kind {kind!r}")
+    new = next(f"b{i}" for i in count() if f"b{i}" not in verts)
+    blowup_step(verts, edges, farrows, warrows, kind, what, new)
+    return PlumbingGraph([PVertex(v, s) for v, s in verts.items()], edges, farrows, warrows)
+
+
+def blowup_step(verts: dict[str, int], edges, farrows, warrows, kind: str, at, new: str) -> None:
+    """The blowup rule, in place on a graph's lists: ``verts`` maps each
+    vertex id to its self-intersection, in vertex order.  ``at`` is the
+    vertex id (``kind`` "vertex") or the index of the edge, farrow or
+    warrow at a vertex (``kind`` "edge", "farrow", "warrow") blown up.  The
+    new (-1)-curve ``new`` goes last, its edges after the others, and a
+    moved arrowhead after the others of its kind."""
+    # the vertices the new -1 curve meets, each losing 1 of self-intersection
+    if kind == "vertex":
+        met = [at]
+    elif kind == "edge":
+        met = list(edges.pop(at))
+    elif kind == "farrow":
+        a = farrows.pop(at)
+        met = [a.at]
+        farrows.append(Farrow(id=a.id, at=new, weight=1, mult=a.mult))
+    else:
+        w = warrows.pop(at)
+        met = [w.at]
+        warrows.append(Warrow(id=w.id, value=w.value, at=new))
     for v in met:
         verts[v] -= 1
+    verts[new] = -1
     edges.extend(tuple(sorted((v, new))) for v in met)
-    vertices = [PVertex(i, s) for i, s in verts.items()] + [PVertex(new, -1)]
-    return PlumbingGraph(vertices, edges, farrows, warrows)

@@ -9,6 +9,8 @@ pairwise-coprime weights and positive edge determinants.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import chain
 from math import gcd, prod
 
 from .diagrams import (
@@ -19,7 +21,7 @@ from .diagrams import (
     PVertex,
     SpliceDiagram,
     Warrow,
-    blowup,
+    blowup_step,
     plumbing_to_splice,
     validate,
 )
@@ -32,43 +34,45 @@ def random_plumbing(
     warrow_chance: float = 0.5,
 ) -> PlumbingGraph:
     """Random unimodular negative-definite tree with arrowheads; built by
-    blowing up generic points, edges, and arrow incidences."""
-    g = PlumbingGraph([PVertex("r0", -1)], [], [Farrow(id="q0", at="r0", weight=1, mult=1)])
-    for _ in range(blowups):
+    blowing up generic points, edges, and arrow incidences of a (-1)-curve.
+
+    A seed gives the same graph, and leaves ``rng`` in the same state, as
+    one ``diagrams.blowup`` call per step would: each step draws its locus
+    from the vertex, edge or arrowhead list in ``blowup``'s order.  The
+    steps run on plain lists and one ``PlumbingGraph`` is built at the end,
+    so a draw takes time linear in ``blowups``."""
+    verts, edges, farrows = {"r0": -1}, [], [Farrow(id="q0", at="r0", weight=1, mult=1)]
+    ids = ["r0"]
+    for k in range(blowups):
         kind = rng.choice(["vertex", "vertex", "edge", "arrow"])
         if kind == "vertex":
-            v = rng.choice(g.vertices).id
-            g = blowup(g, ("vertex", v))
-        elif kind == "edge" and g.edges:
-            g = blowup(g, ("edge", rng.choice(g.edges)))
+            locus = ("vertex", rng.choice(ids))
+        elif kind == "edge" and edges:
+            locus = ("edge", rng.choice(range(len(edges))))
         else:
-            g = blowup(g, ("arrow", rng.choice(g.farrows).id))
+            locus = ("farrow", rng.choice(range(len(farrows))))
+        ids.append(f"b{k}")
+        blowup_step(verts, edges, farrows, [], *locus, ids[-1])
     # re-draw the arrow set
-    verts = [v.id for v in g.vertices]
-    farrows = []
-    for k in range(arrows):
-        at = rng.choice(verts)
-        farrows.append(Farrow(id=f"q{k}", at=at, weight=1, mult=rng.randint(1, 3)))
-    g = PlumbingGraph(g.vertices, g.edges, farrows)
-    if rng.random() < warrow_chance:
-        g = attach_random_warrows(rng, g)
-    return g
+    farrows = [
+        Farrow(id=f"q{k}", at=rng.choice(ids), weight=1, mult=rng.randint(1, 3)) for k in range(arrows)
+    ]
+    warrows = _random_warrows(rng, ids, edges, farrows) if rng.random() < warrow_chance else []
+    return PlumbingGraph([PVertex(v, s) for v, s in verts.items()], edges, farrows, warrows)
 
 
-def attach_random_warrows(rng: random.Random, g: PlumbingGraph) -> PlumbingGraph:
-    """Dashed arrows at a few boundary components or doubling arrowheads."""
+def _random_warrows(rng: random.Random, ids, edges, farrows) -> list[Warrow]:
+    """Dashed arrows at a few boundary components (valency 1, arrowheads
+    counted) or doubling arrowheads of the graph with these lists."""
+    valency = Counter(chain(*edges, (a.at for a in farrows)))
     warrows = []
-    k = 0
-    for v in g.vertices:
-        if g.valency_f(v.id) == 1 and rng.random() < 0.5:
-            value = rng.choice([-3, -2, -1, 2, 3, 4])
-            warrows.append(Warrow(id=f"dw{k}", value=value, at=v.id))
-            k += 1
-    for a in g.farrows:
+    for v in ids:
+        if valency[v] == 1 and rng.random() < 0.5:
+            warrows.append(Warrow(id=f"dw{len(warrows)}", value=rng.choice([-3, -2, -1, 2, 3, 4]), at=v))
+    for a in farrows:
         if rng.random() < 0.3:
-            warrows.append(Warrow(id=f"dw{k}", value=rng.choice([-2, 0, 2, 3]), doubles=a.id))
-            k += 1
-    return PlumbingGraph(g.vertices, g.edges, g.farrows, warrows)
+            warrows.append(Warrow(id=f"dw{len(warrows)}", value=rng.choice([-2, 0, 2, 3]), doubles=a.id))
+    return warrows
 
 
 _LEG_POOLS = [

@@ -212,6 +212,39 @@ def test_blowup_arrow_and_conversion_shape():
     assert a.at != "e3"
 
 
+def test_blowup_refusals():
+    g = PlumbingGraph(
+        [PVertex("a", -1), PVertex("b", -2)],
+        [("a", "b")],
+        [Farrow(id="q", at="a")],
+        [Warrow(id="w", value=2, doubles="q")],
+    )
+    for locus, message in (
+        (("vertex", "c"), "unknown vertex 'c'"),
+        (("edge", ("b", "c")), "unknown edge (b, c)"),
+        (("arrow", "z"), "unknown arrow 'z'"),
+        (("arrow", "w"), "unknown arrow 'w'"),  # a doubling arrow has no incidence
+        (("face", "a"), "unknown blowup locus kind 'face'"),
+    ):
+        with pytest.raises(DiagramError) as info:
+            blowup(g, locus)
+        assert str(info.value) == message
+
+
+def test_blowup_moves_a_dashed_arrow_at_a_vertex():
+    g = PlumbingGraph(
+        [PVertex("a", -1), PVertex("b0", -2)],
+        [("a", "b0")],
+        [Farrow(id="q", at="a")],
+        [Warrow(id="w", value=2, at="b0"), Warrow(id="v", value=3, doubles="q")],
+    )
+    g2 = blowup(g, ("arrow", "w"))
+    assert [(v.id, v.self_int) for v in g2.vertices] == [("a", -1), ("b0", -3), ("b1", -1)]
+    assert g2.edges == (("a", "b0"), ("b0", "b1"))
+    assert g2.farrows == g.farrows
+    assert g2.warrows == (Warrow(id="v", value=3, doubles="q"), Warrow(id="w", value=2, at="b1"))
+
+
 def test_blowup_preserves_unimodularity_random():
     rng = random.Random(11)
     for _ in range(25):

@@ -394,7 +394,6 @@ def test_linking_passes_are_counted(monkeypatch):
     # read off the memoized passes (F, canonical terms, stored W) with no
     # pass after it, and one W pass per verdict at a dense W, not one per node
     from splicezeta.allowed import allowed_at, is_allowed
-    from splicezeta.generate import attach_random_warrows
     from splicezeta.io import parse_diagram, print_splice
     from splicezeta.splicing import splice, star_decomposition
     from splicezeta.zeta import zeta_splice
@@ -403,9 +402,7 @@ def test_linking_passes_are_counted(monkeypatch):
     rng = random.Random(0)
     texts = []
     while len(texts) < 2:
-        g = random_plumbing(rng, blowups=80, arrows=2, warrow_chance=0.0)
-        if texts:
-            g = attach_random_warrows(rng, g)
+        g = random_plumbing(rng, blowups=80, arrows=2, warrow_chance=1.0 if texts else 0.0)
         try:
             texts.append(print_splice(plumbing_to_splice(g), "curve"))
         except DiagramError:
