@@ -24,11 +24,11 @@ from fractions import Fraction
 from math import gcd, inf
 
 from .diagrams import DiagramError, SpliceDiagram, Sums, carries_arrowheads, linking_sums, require_valid
-from .divisors import PDivisor, f_of, w_of, w_sums
+from .divisors import PDivisor, effective_f, f_of, w_of, w_sums
 from .exact import UnityRoot, format_size
-from .monodromy import eig_contains
+from .monodromy import eig_core
 from .splicing import star_legs
-from .zeta import zeta_splice
+from .zeta import zeta_core
 
 
 # The smallest generator sizes the residue table of ``semigroup_member``: a
@@ -233,8 +233,7 @@ def allowed_at(d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None =
 
 
 def allowed_core(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], ws: Sums) -> bool:
-    """``allowed_at`` for a d that ``require_valid`` passed, an F and a W
-    read through ``f_of`` and ``w_of``, and W's ``w_sums``: nothing is redone."""
+    """``allowed_at`` for a checked d, F and W, and W's ``w_sums``."""
     for _, r, _, legs in _stars(d, wm, ws):
         if not star_allowed(r, legs) or any(il == 0 for _, il in legs):
             return False
@@ -248,8 +247,7 @@ def is_allowed(
     the star-wise divisibility implications on the canonical decomposition,
     each star's legs evaluated at W from ``star_legs``."""
     require_valid(d)
-    fm = f_of(d, f)
-    wm = w_of(d, w)
+    fm, wm = f_of(d, f), w_of(d, w)
     nonzero_detail = list(_arrow_zeros(d, fm, wm))
     checks = []
     for node, r, star, pairs in _stars(d, wm, w_sums(d, wm)):
@@ -316,23 +314,14 @@ def check_goal1(
     d: SpliceDiagram, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> Goal1Report:
     """Map every pole of the zeta function to a root of unity and test Eig
-    membership.  Allowedness is reported, not required; a diagram that
-    ``require_valid`` refuses is refused."""
+    membership.  Allowedness is reported, not required; F must be nonzero,
+    as the zeta function needs it."""
     require_valid(d)
-    allowed = allowed_at(d, f, w)
-    z = zeta_splice(d, f, w)
+    fm, wm = effective_f(d, f), w_of(d, w)
+    ws = w_sums(d, wm)
+    allowed = allowed_core(d, fm, wm, ws)
     reports = []
-    for p in z.poles():
+    for p in zeta_core(d, fm, wm, ws).poles():
         lam = UnityRoot.from_exponent(p.location)
-        reports.append(
-            PoleReport(
-                s0=p.location,
-                order=p.order,
-                leading=p.leading,
-                eigenvalue=lam,
-                in_eig=eig_contains(d, lam, f),
-            )
-        )
-    return Goal1Report(
-        holds=all(p.in_eig for p in reports), allowed=allowed, poles=reports
-    )
+        reports.append(PoleReport(p.location, p.order, p.leading, lam, eig_core(d, lam, fm)))
+    return Goal1Report(all(p.in_eig for p in reports), allowed, reports)

@@ -173,6 +173,14 @@ class _Decorated:
         self._farrows_at: dict[str, list[Farrow]] = {v: [] for v in vids}
         for a in self.farrows:
             self._farrows_at[a.at].append(a)
+        # the dashed arrows by vertex, in order, and the first doubling each arrowhead
+        self._warrows_at: dict[str, list[Warrow]] = {}
+        self._doubling: dict[str, Warrow] = {}
+        for w in self.warrows:
+            if w.at is not None:
+                self._warrows_at.setdefault(w.at, []).append(w)
+            else:
+                self._doubling.setdefault(w.doubles, w)
         self._connected: bool | None = None  # is_connected()'s verdict, on first use
         self._memo: dict = {}
 
@@ -190,13 +198,10 @@ class _Decorated:
         return tuple(self._farrows_at[v])
 
     def warrows_at(self, v: str) -> tuple[Warrow, ...]:
-        return tuple(w for w in self.warrows if w.at == v)
+        return tuple(self._warrows_at.get(v, ()))
 
     def warrow_doubling(self, farrow_id: str) -> Warrow | None:
-        for w in self.warrows:
-            if w.doubles == farrow_id:
-                return w
-        return None
+        return self._doubling.get(farrow_id)
 
     def farrow(self, farrow_id: str) -> Farrow:
         try:
@@ -310,9 +315,7 @@ class SpliceDiagram(_Decorated):
         for e in self.edges:
             self._adj[e.a].append(e)
             self._adj[e.b].append(e)
-        # computed on first use: _classes() and require_standard()'s verdict
-        self._kinds: tuple | None = None
-        self._nonstandard: str | None = None
+        self._kinds: tuple | None = None  # _classes(), computed on first use
 
     # -- structure ---------------------------------------------------------
 
@@ -337,7 +340,7 @@ class SpliceDiagram(_Decorated):
         return self._classes()[1]
 
     def chain_vertices(self) -> tuple[str, ...]:
-        """Valency-2 vertices: tolerated in the data model, rejected by most ops."""
+        """Valency-2 vertices: tolerated in the data model, refused by ``require_valid``."""
         return self._classes()[2]
 
     def special_edges(self) -> tuple[Edge, ...]:
@@ -362,22 +365,6 @@ class SpliceDiagram(_Decorated):
             specials = tuple(e for e in self.edges if e.a in node_set and e.b in node_set)
             self._kinds = tuple(nodes), tuple(boundary), tuple(chains), specials
         return self._kinds
-
-    def require_standard(self):
-        """Most operations need a tree with no valency-2 chain vertices."""
-        if self._nonstandard is None:
-            self._nonstandard = self._why_not_standard()
-        if self._nonstandard:
-            raise DiagramError(self._nonstandard)
-
-    def _why_not_standard(self) -> str:
-        """The reason ``require_standard`` refuses the diagram, or ''."""
-        if not self.is_tree():
-            return "diagram is not a connected tree"
-        chains = self.chain_vertices()
-        if chains:
-            return f"valency-2 vertices present ({', '.join(chains)})"
-        return ""
 
     def delta(self, v: str) -> int:
         """Valency with every arrowhead stripped: weight>=2 arrowheads become
@@ -608,15 +595,19 @@ def validate(d: SpliceDiagram) -> ValidationReport:
 
 
 def require_valid(x: SpliceDiagram | PlumbingGraph):
-    """Refuse a splice diagram that is not standard, or a diagram or graph
-    with a violation that does not depend on W: the verdicts call this where
-    input enters.  The W-dependent kinds (warrow, arrow-data) are left to
-    the verdicts that judge a W: a star piece carries induced dashed arrows
-    with i = 0, and its allowedness verdict is False, not a refusal."""
+    """Refuse a splice diagram that is not a tree or has a valency-2 vertex,
+    or a diagram or graph with a violation that does not depend on W: every
+    public math function calls this once, where input enters.  The
+    W-dependent kinds (warrow, arrow-data) are left to the verdicts that
+    judge a W: a star piece carries induced dashed arrows with i = 0, and
+    its allowedness verdict is False, not a refusal."""
     if isinstance(x, PlumbingGraph):
         rep, what = x.memo(("invariants",), _plumbing_invariants, x), "plumbing graph"
+    elif not x.is_tree():
+        raise DiagramError("diagram is not a connected tree")
+    elif chains := x.chain_vertices():
+        raise DiagramError(f"valency-2 vertices present ({', '.join(chains)})")
     else:
-        x.require_standard()
         rep, what = x.memo(("invariants",), _invariants, x), "splice diagram"
     if not rep.ok:
         raise DiagramError(f"invalid {what}\n{rep}")
@@ -992,23 +983,19 @@ def _plumbing_to_splice(g: PlumbingGraph) -> SpliceDiagram:
                     # boundary vertex with an arrowhead becomes a node arrowhead
                     a = tip_arrows[0]
                     farrows.append(Farrow(id=a.id, at=v, weight=det, mult=a.mult))
-                    for w in g.warrows:
-                        if w.at == tip:
-                            raise DiagramError(
-                                f"warrow {w.id!r} shares boundary component with {a.id!r}"
-                            )
+                    if shared := g.warrows_at(tip):
+                        raise DiagramError(
+                            f"warrow {shared[0].id!r} shares boundary component with {a.id!r}"
+                        )
                 else:
                     vertices.append(tip)
                     edges.append(Edge(v, tip, det, 1))
-                    for w in g.warrows:
-                        if w.at == tip:
-                            warrow_out.append(Warrow(id=w.id, value=w.value, at=tip))
+                    warrow_out += (Warrow(w.id, w.value, at=tip) for w in g.warrows_at(tip))
     for v in node_ids:
         for a in g.farrows_at(v):
             farrows.append(Farrow(id=a.id, at=v, weight=1, mult=a.mult))
-        for w in g.warrows:
-            if w.at == v:
-                raise DiagramError(f"warrow {w.id!r} attached at a rupture vertex")
+        if dashed := g.warrows_at(v):
+            raise DiagramError(f"warrow {dashed[0].id!r} attached at a rupture vertex")
     for w in g.warrows:
         if w.doubles is not None:
             warrow_out.append(w)

@@ -22,18 +22,26 @@ there are lookups; any other F or W is one pass of that vector, whatever
 it serves: nu and N at the nodes, the leg values of the allowedness
 check, and M and i at every cut of a splice.
 
-Every F and W that a function here or above takes is read through ``f_of``
-and ``w_of``, on both routes: an F key must be an arrowhead id with
-multiplicity >= 0; a W key, whatever its multiplicity, a vertex or arrowhead
-id and not a valency-2 vertex of a splice diagram.  Anything else is refused
-with one ``DiagramError`` per case; None stands for the object's own F or W.
+One contract holds here and in ``zeta``, ``monodromy``, ``splicing``,
+``allowed`` and ``realize``: a public function that takes a diagram or graph
+runs ``diagrams.require_valid`` on it once, at its entry, then reads F once
+through ``f_of`` (``effective_f`` where F must be nonzero) and W once
+through ``w_of``, on both routes.  An F key must be an arrowhead id with
+multiplicity >= 0, a W key, whatever its multiplicity, a vertex or arrowhead
+id; anything else is refused with one ``DiagramError`` per case, and None
+stands for the object's own F or W.  The checked d, F and W go to the cores
+(``f_sums``, ``w_sums``, ``canonical_sums``, ``node_data``,
+``solve_pullback``, ``solve_canonical`` and the ``*_core`` functions
+above), which check nothing again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, Sums, checked_f, linking_sums
+from .diagrams import (
+    DiagramError, PlumbingGraph, SpliceDiagram, Sums, checked_f, linking_sums, require_valid,
+)
 
 # A P-divisor is a plain mapping: arrowhead id -> multiplicity for F,
 # slot id -> multiplicity (= value - 1) for W.  Slots are boundary-vertex ids,
@@ -49,15 +57,12 @@ def f_of(x, f: PDivisor | None) -> dict[str, int]:
 
 def w_of(x, w: PDivisor | None) -> dict[str, int]:
     """W as a fresh dict: the given one, or the object's own dashed arrows;
-    refused unless every key is a vertex or arrowhead id, and not a
-    valency-2 vertex of a splice diagram."""
+    refused unless every key is a vertex or arrowhead id (``require_valid``
+    has refused a splice diagram with a valency-2 vertex)."""
     wm = x.w_divisor() if w is None else dict(w)
-    chains = x.chain_vertices() if isinstance(x, SpliceDiagram) else ()
     for slot in wm:
         if slot not in x._nbrs and slot not in x._farrow_by_id:
             raise DiagramError(f"W slot {slot!r} is not a vertex or arrowhead")
-        if slot in chains:
-            raise DiagramError(f"W slot {slot!r} is a valency-2 vertex")
     return wm
 
 
@@ -116,6 +121,7 @@ def w_sums(d: SpliceDiagram, wm: dict[str, int]) -> Sums:
 
 def vertex_multiplicities(d: SpliceDiagram, f: PDivisor | None = None) -> dict[str, int]:
     """N_v = sum over arrowheads of N_a * l_{va} at every vertex, in a dict of its own."""
+    require_valid(d)
     return dict(f_sums(d, f_of(d, f)).at)
 
 
@@ -129,6 +135,7 @@ def nu_values(d: SpliceDiagram, w: PDivisor | None = None) -> dict[str, int]:
     does not depend on W: it is kept on d, and each call adds its own W
     part.
     """
+    require_valid(d)
     k, wa = canonical_sums(d).at, w_sums(d, w_of(d, w)).at
     return {v: k[v] + wa[v] for v in d.nodes()}
 
@@ -146,6 +153,7 @@ def node_data(d: SpliceDiagram, fm: dict[str, int], ws: Sums) -> dict[str, tuple
 
 def pullback_plumbing(g: PlumbingGraph, arrows: PDivisor | None = None) -> dict[str, int | Fraction]:
     """Coefficients of the exceptional part of pi^*F: solve (pi^*F, E_i) = 0."""
+    require_valid(g)
     return solve_pullback(g, f_of(g, arrows))
 
 
@@ -164,6 +172,7 @@ def canonical_plumbing(g: PlumbingGraph, w: PDivisor | None = None) -> dict[str,
     (K, E_i) = -e_i - 2; the W part solves (pi^*W, E_i) = 0 from the dashed
     arrowhead multiplicities.
     """
+    require_valid(g)
     return solve_canonical(g, w_of(g, w))
 
 

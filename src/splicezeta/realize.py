@@ -76,12 +76,12 @@ allowedness check builds no star, but reads each node's legs off the table
 cached on the diagram (``splicing.star_legs``), the one the query's star
 filters were compiled from, and ``zeta.pole_at`` reads the diagram's kept
 zeta plan and fills in only nu, N and i (N_v at d's own F is the value kept
-on d).  ``certify`` reads and checks d, F and W once, and judges every
-candidate from that read by the cores of ``allowed_at`` (``is_allowed``'s
-verdict, with no report built) and of ``pole_at``, the least pole mapping
-to lambda, which sums only the terms that vanish at the roots mapping to
-lambda and is exactly the first such pole of ``zeta_splice(...).poles()``
-(see the ``zeta`` module docstring).
+on d).  A query checks d and reads F once, and ``certify``'s core reads
+only each candidate's W and judges it by the cores of ``allowed_at``
+(``is_allowed``'s verdict, with no report built) and of ``pole_at``, the
+least pole mapping to lambda, which sums only the terms that vanish at the
+roots mapping to lambda and is exactly the first such pole of
+``zeta_splice(...).poles()`` (see the ``zeta`` module docstring).
 
 What a query needs that is free of F, W and lambda is kept on the
 blown-down diagram, under one memo key per slot set, without and with the
@@ -117,12 +117,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .allowed import allowed_at, allowed_core, star_allowed
-from .diagrams import DiagramError, Edge, SpliceDiagram, Sums, blow_down, linking_sums, require_valid
-from .divisors import PDivisor, canonical_sums, effective_f, f_of, f_sums, nu_values, w_of, w_sums
+from .allowed import allowed_core, star_allowed
+from .diagrams import DiagramError, SpliceDiagram, Sums, blow_down, linking_sums, require_valid
+from .divisors import PDivisor, canonical_sums, effective_f, f_of, f_sums, w_of, w_sums
+from .divisors import nu_values  # noqa: F401  (perfbench's tracer test reads realize.nu_values)
 from .exact import UnityRoot, congruence_lattice, solve_linear_congruence
-from .monodromy import alexander, eig_core
-from .splicing import splice, star_decomposition, star_legs
+from .monodromy import alexander_core, eig_core
+from .splicing import splice_core, star_legs, stars_core
 from .zeta import pole_core, target_residue
 
 
@@ -328,7 +329,7 @@ def _slot_tables(
 def _slot_rows(d: SpliceDiagram, columns: dict[str, Sums]) -> _SlotRows:
     """Each node's nu at W = 0 and its linking products with the slots,
     read off their ``slot_columns``: nu_v at W = x is nu_v + row . x."""
-    nu0 = nu_values(d, {})
+    nu0 = canonical_sums(d).at
     return {v: (nu0[v], tuple(column.at[v] for column in columns.values())) for v in d.nodes()}
 
 
@@ -377,28 +378,27 @@ def _hit_forms(nodes: _NodeHits, arrows: _ArrowHits, slots: list[str]) -> list[_
 
 
 def certify(
-    d: SpliceDiagram,
-    fm: dict[str, int],
-    w: dict[str, int],
-    lam: UnityRoot,
-    source: str,
-    effective: bool,
+    d: SpliceDiagram, fm: PDivisor, w: PDivisor, lam: UnityRoot, source: str, effective: bool
 ) -> Realization | None:
     """Full independent check: allowed, and a genuine pole maps to lam.
-    d, F and W are read and checked once, as ``allowed_at`` and ``pole_at``
-    read them, and both verdicts are reached from that one read."""
-    w = {s: m for s, m in w.items() if m}
+    d, F (nonzero) and W are read and checked once, and both verdicts are
+    reached from that one read; a W they refuse is not certified: None."""
+    require_valid(d)
+    return _certify(d, effective_f(d, fm), w, lam, source, effective)
+
+
+def _certify(
+    d: SpliceDiagram, fm: dict[str, int], w: PDivisor, lam: UnityRoot, source: str, effective: bool
+) -> Realization | None:
+    """``certify`` for a checked d and F: only W is read."""
+    w = {s: m for s, m in w_of(d, w).items() if m}
     if effective and any(m < 0 for m in w.values()):
         return None
+    ws = w_sums(d, w)
     try:
-        require_valid(d)
-        # F = 0, which pole_at refuses, is refused before the verdicts
-        fm = effective_f(d, fm)
-        wm = w_of(d, w)
-        ws = w_sums(d, wm)
-        if not allowed_core(d, fm, wm, ws):
+        if not allowed_core(d, fm, w, ws):
             return None
-        pole = pole_core(d, fm, wm, ws, lam)
+        pole = pole_core(d, fm, w, ws, lam)
     except DiagramError:
         return None
     if pole is None:
@@ -446,22 +446,21 @@ def _prime_power_factors(n: int) -> list[int]:
 
 
 def realize_star(
-    star: SpliceDiagram,
-    lam: UnityRoot,
-    count: int = 1,
-    effective: bool = False,
+    star: SpliceDiagram, lam: UnityRoot, count: int = 1, effective: bool = False
 ) -> list[Realization]:
     """Allowed divisors on a one-node diagram with a certified pole hitting lam.
 
     A standalone star owns all its decorations, so ``realize_eigenvalue``
     searches its arrowhead doubles as well as its boundary vertices."""
-    star.require_standard()
+    require_valid(star)
     if len(star.nodes()) != 1:
         raise DiagramError("realize_star needs a star-shaped diagram")
-    if alexander(star).root_multiplicity(lam) <= 0:
+    fm = effective_f(star, None)
+    if alexander_core(star, fm).root_multiplicity(lam) <= 0:
         raise StarRootError(f"{lam} is not an eigenvalue of this star")
-    out = realize_eigenvalue(star, lam, count=count, effective=effective, include_doubles=True)
-    return out.found
+    _check_request(count, None)
+    # Eig holds every root of the Alexander polynomial, which divides Delta_1
+    return _realize(star, fm, lam, count, effective, None, True).found
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +468,7 @@ def realize_star(
 
 
 def extend_allowed(
-    d: SpliceDiagram,
-    e,
-    w_flat: PDivisor,
-    f: PDivisor | None = None,
+    d: SpliceDiagram, e, w_flat: PDivisor, f: PDivisor | None = None
 ) -> dict[str, int]:
     """Extend an allowed divisor from the far half across edge e.
 
@@ -485,12 +481,10 @@ def extend_allowed(
     ExtensionObstructedError when the excluded configuration blocks every
     choice.
     """
-    d.require_standard()
-    if not isinstance(e, Edge):
-        e = d.edge(*e)
+    require_valid(d)
     fm = f_of(d, f)
-    v_l, v_r = e.a, e.b
-    left0, right0 = splice(d, e, fm, {})
+    left0, right0 = splice_core(d, e, fm, {})
+    v_l, v_r = left0.kept_node, right0.kept_node
     left_vertices = set(left0.diagram.vertices) - {left0.new_slot}
     if any(d.is_node(x) for x in left_vertices if x != v_l):
         raise DiagramError("left half is not star-shaped")
@@ -520,13 +514,13 @@ def extend_allowed(
                 w_full[s] = m
         # the restriction keeps partial on the right half, and every
         # candidate solves the equation above, so the new slot's i is i'
-        if allowed_at(d, fm, w_full):
+        if allowed_core(d, fm, w_full, w_sums(d, w_full)):
             return w_full
     # the fixed induced value onto the left star
     j = i0(v_l, v_r) + w_sums(d, partial).side(v_l, v_r)
     raise ExtensionObstructedError(
         "extension obstructed: the divisible pattern forces d = j "
-        f"(d = {e.weight_at(v_l)}, j = {j})"
+        f"(d = {d.edge(v_l, v_r).weight_at(v_l)}, j = {j})"
     )
 
 
@@ -695,11 +689,12 @@ def _node_candidates(q: _Query):
     the solution fails them and a star rejects its whole kernel coset, the
     moves are not tested.  Every node reached leaves its
     congruence on the query, and the reason when it has no candidate."""
-    stars = star_decomposition(q.d, q.fm, {})
+    stars = stars_core(q.d, q.fm, {})
     for v in sorted(q.node_hits):
         nv, u, base, coefs = q.node_hits[v]
         try:
-            rootmult = alexander(stars[v]).root_multiplicity(q.lam)
+            # a star whose F is 0 has N = 0 at its node, which the product refuses
+            rootmult = alexander_core(stars[v], stars[v].f_divisor()).root_multiplicity(q.lam)
         except DiagramError:
             rootmult = 0
         q.congruences.append(
@@ -822,14 +817,23 @@ def realize_eigenvalue(
     for each value of ``include_doubles``; the queries after it, at any
     lambda, F, count and bound, read them.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    if bound is not None and bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+    _check_request(count, bound)
     require_valid(d)
     fm = effective_f(d, f)
     if not eig_core(d, lam, fm):
         raise NotAnEigenvalueError(f"{lam} is not in Eig of this diagram")
+    return _realize(d, fm, lam, count, effective, bound, include_doubles)
+
+
+def _check_request(count: int, bound: int | None):
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if bound is not None and bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+
+
+def _realize(d: SpliceDiagram, fm, lam, count, effective, bound, include_doubles) -> RealizeOutcome:
+    """``realize_eigenvalue`` for a checked d, a nonzero F and a lam in Eig."""
     small = blow_down(d)
     slots, forms, rows, draws, state, max_weight = small.memo(
         ("realize slots", include_doubles), _slot_tables, small, include_doubles
@@ -852,7 +856,7 @@ def realize_eigenvalue(
         if key in tried:
             continue
         tried.add(key)
-        r = certify(d, fm, w, lam, source, effective)
+        r = _certify(d, fm, w, lam, source, effective)
         if r is not None:
             found.append(r)
             if len(found) == count:

@@ -67,8 +67,10 @@ from .diagrams import (
     DiagramError, Edge, Farrow, SpliceDiagram, Warrow, carries_arrowheads, edge_determinant,
     require_valid, slot_warrows,
 )
-from .divisors import PDivisor, canonical_sums, f_of, f_sums, is_own, node_data, w_of, w_sums
-from .zeta import principal_parts, summands, zeta_splice
+from .divisors import (
+    PDivisor, canonical_sums, effective_f, f_of, f_sums, is_own, node_data, w_of, w_sums,
+)
+from .zeta import principal_parts, summands, zeta_core
 
 
 class RootCut(NamedTuple):
@@ -146,7 +148,7 @@ def _minted_leaves(d: SpliceDiagram) -> dict[tuple[str, tuple[str, str]], str]:
     if not any(x.startswith("~") or "|" in x for x in ids):
         return {}
     minted: dict[tuple[str, tuple[str, str]], str] = {}
-    for _ in _split(d, f_of(d, None), {}, minted):
+    for _ in _split(d, d.f_divisor(), {}, minted):
         pass
     return minted
 
@@ -154,6 +156,7 @@ def _minted_leaves(d: SpliceDiagram) -> dict[tuple[str, tuple[str, str]], str]:
 def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> int:
     """i for the half keeping ``keep``: canonical contribution of the far side
     plus its dashed-arrow terms."""
+    require_valid(d)
     return root_cut(d, keep, e).i0 + w_sums(d, w_of(d, wm)).side(keep, e.other(keep))
 
 
@@ -227,12 +230,6 @@ def _half(d: SpliceDiagram, e: Edge, keep: str, fm, wm, m_side, w_side) -> Splic
     return SpliceHalf(SpliceDiagram(*half), keep, m, i, slot if arrows else None, slot)
 
 
-def _resolve_edge(d: SpliceDiagram, e) -> Edge:
-    if isinstance(e, Edge):
-        return d.edge(e.a, e.b)
-    return d.edge(*e)
-
-
 def splice(
     d: SpliceDiagram, e, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> tuple[SpliceHalf, SpliceHalf]:
@@ -240,16 +237,20 @@ def splice(
 
     M and i are read off the cuts of d itself, so this is the local route
     that ``star_decomposition``'s whole-diagram route is checked against."""
-    d.require_standard()
-    e = _resolve_edge(d, e)
+    require_valid(d)
+    return splice_core(d, e, f_of(d, f), w_of(d, w))
+
+
+def splice_core(
+    d: SpliceDiagram, e, fm: dict[str, int], wm: dict[str, int]
+) -> tuple[SpliceHalf, SpliceHalf]:
+    """``splice`` for a checked d, F and W: only the edge, (a, b) or an
+    Edge, is checked.  The halves of a valid d are valid (the tests check it)."""
+    e = d.edge(e.a, e.b) if isinstance(e, Edge) else d.edge(*e)
     if not (d.is_node(e.a) and d.is_node(e.b)):
         raise DiagramError(f"edge {e.key} is not special")
-    fm = f_of(d, f)
-    wm = w_of(d, w)
     sides = f_sums(d, fm).side, w_sums(d, wm).side
-    left = _half(d, e, e.a, fm, wm, *sides)
-    right = _half(d, e, e.b, fm, wm, *sides)
-    return left, right
+    return _half(d, e, e.a, fm, wm, *sides), _half(d, e, e.b, fm, wm, *sides)
 
 
 def star_decomposition(
@@ -265,9 +266,12 @@ def star_decomposition(
     diagram with one node is rebuilt with F and W as its one star.  The
     stars at d's own F and W = 0, which ``realize`` reads, are kept on d;
     each call gets a dict of its own."""
-    d.require_standard()
-    fm = f_of(d, f)
-    wm = w_of(d, w)
+    require_valid(d)
+    return stars_core(d, f_of(d, f), w_of(d, w))
+
+
+def stars_core(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]) -> dict[str, SpliceDiagram]:
+    """``star_decomposition`` for a checked d, F and W."""
     if is_own(d, fm) and not any(wm.values()):
         return dict(d.memo(("stars at W = 0",), _stars, d, fm, {}))
     return _stars(d, fm, wm)
@@ -339,12 +343,12 @@ class SpliceCheck:
 def verify_splice_zeta(
     d: SpliceDiagram, e, f: PDivisor | None = None, w: PDivisor | None = None
 ) -> SpliceCheck:
-    """Exact check of the zeta splice identity and the edge lemma at e."""
+    """Exact check of the zeta splice identity and the edge lemma at e;
+    F must be nonzero, as the zeta functions need it."""
     require_valid(d)
-    e = _resolve_edge(d, e)
-    fm = f_of(d, f)
-    wm = w_of(d, w)
-    left, right = splice(d, e, fm, wm)
+    fm, wm = effective_f(d, f), w_of(d, w)
+    left, right = splice_core(d, e, fm, wm)
+    e = d.edge(left.kept_node, right.kept_node)
     q = edge_determinant(d, e)
     # conventions: the pair (i, M) decorates the left half, (i', M') the right
     m_l, i_l = left.m, left.i
@@ -353,9 +357,13 @@ def verify_splice_zeta(
         return SpliceCheck(e.key, left, right, q, "left factor identically zero", None, None, None)
     if m_r == 0 and i_r == 0:
         return SpliceCheck(e.key, left, right, q, "right factor identically zero", None, None, None)
-    z = zeta_splice(d, fm, wm)
-    zl = zeta_splice(left.diagram)
-    zr = zeta_splice(right.diagram)
+    ws = w_sums(d, wm)
+    z = zeta_core(d, fm, wm, ws)
+    # the halves at their own F and W, valid and with F nonzero as d's is
+    zl, zr = (
+        zeta_core(h, h.f_divisor(), h.w_divisor(), w_sums(h, h.w_divisor()))
+        for h in (left.diagram, right.diagram)
+    )
     # both sides compared as C + principal parts, which is canonical (see
     # the ``zeta`` module docstring); corr is 1 / ((i + s M)(i' + s M')),
     # each linear form a + s b as the int pair (a, b)
@@ -363,7 +371,7 @@ def verify_splice_zeta(
     corr = (-1, (ind_l, ind_r))
     terms = [*summands(zl.node_terms, zl.edge_terms), *summands(zr.node_terms, zr.edge_terms)]
     identity = principal_parts(terms + [corr]) == (z.const, z.parts)
-    data = node_data(d, fm, w_sums(d, wm))
+    data = node_data(d, fm, ws)
     node_l, node_r = data[e.a], data[e.b]
     lemma = principal_parts([(q, (node_l, node_r))]) == principal_parts(
         [(e.weight_at(e.a), (node_l, ind_l)), (e.weight_at(e.b), (node_r, ind_r)), corr]

@@ -112,7 +112,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, Sums, edge_determinants
+from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, Sums, edge_determinants, require_valid
 from .divisors import (
     PDivisor,
     effective_f,
@@ -342,9 +342,17 @@ def zeta_splice(
     """Z(Gamma; s) of the decorated diagram, with the per-node term list;
     at d's own F and W, kept on d.  At any F and W it reads the plan kept
     on d (see the module docstring)."""
-    if is_own(d, f, w):
-        return d.memo(("zeta",), _zeta_splice, d, None, None)
-    return _zeta_splice(d, f, w)
+    require_valid(d)
+    fm, wm = effective_f(d, f), w_of(d, w)
+    return zeta_core(d, fm, wm, w_sums(d, wm))
+
+
+def zeta_core(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], ws: Sums) -> ZetaResult:
+    """``zeta_splice`` for a checked d, F and W, and W's ``w_sums``; at d's
+    own F and W, kept on d."""
+    if is_own(d, fm, wm):
+        return d.memo(("zeta",), _zeta_splice, d, fm, wm, ws)
+    return _zeta_splice(d, fm, wm, ws)
 
 
 def _zeta_plan(d: SpliceDiagram) -> tuple[tuple, tuple]:
@@ -364,29 +372,20 @@ def _zeta_plan(d: SpliceDiagram) -> tuple[tuple, tuple]:
     return nodes, tuple((e.a, e.b, q) for e, q in specials)
 
 
-def _splice_rows(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None):
-    """The splice sum's integers at F and W, each read and checked once:
-    each node as (v, (nu_v, N_v), its legs as (d_vw, i_w), its arrow parts
-    as (weight, (i, N)), chi), with a dashed arrow drawn at the node as the
-    last arrow part, weight 1 and N = 0, counted out of chi; and each
-    special edge as (a, b, q_e).  Also the (nu_v, N_v) of every node.
-    Refuses a nonstandard d, F = 0, a W ``w_of`` refuses, (nu, N) = (0, 0)
-    at a node or an arrowhead, and i = 0 at a boundary vertex or a node's
-    dashed arrow."""
-    d.require_standard()
-    fm, wm = effective_f(d, f), w_of(d, w)
-    return _rows_at(d, fm, wm, w_sums(d, wm))
-
-
 def _rows_at(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], ws: Sums):
-    """``_splice_rows`` for a standard d, an F and a W read through
-    ``effective_f`` and ``w_of``, and W's ``w_sums``: nothing is redone."""
+    """The splice sum's integers at checked F and W (as ``zeta_core``
+    takes them): each node as (v, (nu_v, N_v), its legs as (d_vw, i_w), its
+    arrow parts as (weight, (i, N)), chi), with a dashed arrow drawn at the
+    node as the last arrow part, weight 1 and N = 0, counted out of chi; and
+    each special edge as (a, b, q_e).  Also the (nu_v, N_v) of every node.
+    Refuses (nu, N) = (0, 0) at an arrowhead, and i = 0 at a boundary vertex
+    or a node's dashed arrow; N_v > 0 at every node, as F is nonzero and
+    every linking product positive."""
     data = node_data(d, fm, ws)
     nodes, specials = d.memo(("zeta plan",), _zeta_plan, d)
     rows = []
     for v, legs, farrows, chi in nodes:
         form = data[v]
-        _require_nonzero_pair(*form, "node", v)
         leg_values = []
         for weight, u in legs:
             i_w = wm.get(u, 0) + 1
@@ -416,8 +415,8 @@ def _node_const(legs, chi: int) -> tuple[int, int]:
     return num + chi * den, den
 
 
-def _zeta_splice(d: SpliceDiagram, f: PDivisor | None, w: PDivisor | None) -> ZetaResult:
-    rows, specials, data = _splice_rows(d, f, w)
+def _zeta_splice(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], ws: Sums) -> ZetaResult:
+    rows, specials, data = _rows_at(d, fm, wm, ws)
     node_terms: list[NodeTerm] = []
     for v, form, legs, arrows, chi in rows:
         num, den = _node_const(legs, chi)
@@ -477,7 +476,7 @@ def pole_at(
     ``zeta_splice(d, fm, w).poles()`` that maps to lam, raising where
     ``zeta_splice`` raises.  Only the terms that vanish at a root mapping to
     lam are summed (see the module docstring)."""
-    d.require_standard()
+    require_valid(d)
     fm, wm = effective_f(d, fm), w_of(d, w)
     return pole_core(d, fm, wm, w_sums(d, wm), lam)
 
@@ -485,8 +484,7 @@ def pole_at(
 def pole_core(
     d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], ws: Sums, lam: UnityRoot
 ) -> Pole | None:
-    """``pole_at`` for a standard d, an F and a W read through
-    ``effective_f`` and ``w_of``, and W's ``w_sums``: nothing is redone."""
+    """``pole_at`` for a checked d, F and W, and W's ``w_sums``."""
     rows, specials, data = _rows_at(d, fm, wm, ws)
     hits = set()
     for _, (nu_v, n_v), _, arrows, _ in rows:
@@ -523,23 +521,23 @@ def zeta_plumbing(
     Works in general (non-unimodular negative-definite) mode, where the
     nu_v and N_v may be rational.  At g's own F and W, kept on g.
     """
-    if is_own(g, f, w):
-        return g.memo(("zeta",), _zeta_plumbing, g, None, None)
-    return _zeta_plumbing(g, f, w)
+    require_valid(g)
+    fm, wm = effective_f(g, f), w_of(g, w)
+    if is_own(g, fm, wm):
+        return g.memo(("zeta",), _zeta_plumbing, g, fm, wm)
+    return _zeta_plumbing(g, fm, wm)
 
 
-def _zeta_plumbing(g: PlumbingGraph, f: PDivisor | None, w: PDivisor | None) -> ZetaResult:
-    fm = effective_f(g, f)
-    wm = w_of(g, w)
+def _zeta_plumbing(g: PlumbingGraph, fm: dict[str, int], wm: dict[str, int]) -> ZetaResult:
     nv = solve_pullback(g, fm)
     kv = solve_canonical(g, wm)
-    # strict transforms at each vertex: (weight-like count, i, N)
+    # strict transforms at each vertex: (weight-like count, i, N); N_v > 0,
+    # as F is nonzero and -I(G) of a connected definite graph has a positive inverse
     node_terms: list[NodeTerm] = []
     edge_terms: list[EdgeTerm] = []
     for v in g.vertices:
         nu_v = kv[v.id] + 1
         n_v = nv[v.id]
-        _require_nonzero_pair(nu_v, n_v, "vertex", v.id)
         transforms: list[ArrowPart] = []
         for a in g.farrows_at(v.id):
             i_a = wm.get(a.id, 0) + 1

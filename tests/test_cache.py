@@ -28,7 +28,7 @@ from splicezeta.diagrams import (
     validate_plumbing,
 )
 from splicezeta.diagrams import linking_sums
-from splicezeta.divisors import nu_values, vertex_multiplicities
+from splicezeta.divisors import effective_f, nu_values, vertex_multiplicities, w_sums
 from splicezeta.exact import UnityRoot
 from splicezeta.generate import random_valid_splice
 from splicezeta.io import parse_diagram, print_diagram, print_splice
@@ -98,8 +98,9 @@ def test_kept_splice_invariants_equal_fresh_computations():
         fresh = _fresh(d)
         for _ in range(2):  # the first call fills the memo, the second reads it
             assert validate(d) == _validate(fresh)
+            x, wm = _fresh(d), d.w_divisor()
             assert _zeta_key(_outcome(zeta_splice, d)) == _zeta_key(
-                _outcome(_zeta_splice, _fresh(d), None, None)
+                _outcome(lambda: _zeta_splice(x, effective_f(x, None), wm, w_sums(x, wm)))
             )
             assert vertex_multiplicities(d) == linking_sums(_fresh(d), d.f_divisor()).at
             assert nu_values(d, {}) == _nu_reference(d, {})
@@ -111,7 +112,8 @@ def test_kept_splice_invariants_equal_fresh_computations():
                 (delta1, _delta1),
                 (alexander, _alexander),
             ):
-                assert _outcome(own, d) == _outcome(compute, _fresh(d), None)
+                x = _fresh(d)
+                assert _outcome(own, d) == _outcome(lambda: compute(x, effective_f(x, None)))
             assert _stars_key(_outcome(star_decomposition, d, None, {})) == _stars_key(
                 _outcome(_stars, _fresh(d), d.f_divisor(), {})
             )
@@ -129,11 +131,13 @@ def test_kept_plumbing_invariants_equal_fresh_computations():
                 assert converted == reference
             else:
                 assert print_splice(converted) == print_splice(reference)
+            x = _fresh(g)
             assert _zeta_key(_outcome(zeta_plumbing, g)) == _zeta_key(
-                _outcome(_zeta_plumbing, _fresh(g), None, None)
+                _outcome(lambda: _zeta_plumbing(x, effective_f(x, None), x.w_divisor()))
             )
             for own, compute in ((monodromy_zeta, _monodromy_zeta), (delta1, _delta1)):
-                assert _outcome(own, g) == _outcome(compute, _fresh(g), None)
+                x = _fresh(g)
+                assert _outcome(own, g) == _outcome(lambda: compute(x, effective_f(x, None)))
 
 
 def test_values_at_other_decorations_are_not_kept():

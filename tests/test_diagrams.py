@@ -26,6 +26,7 @@ from splicezeta.diagrams import (
     blowup,
     edge_determinant,
     plumbing_to_splice,
+    require_valid,
     validate,
     validate_plumbing,
 )
@@ -395,12 +396,12 @@ def test_cached_structure_matches_fresh_computation():
         ),
     ],
 )
-def test_require_standard_raises_the_same_error_every_call(d, message):
-    # a cyclic diagram and a chain: the cached verdict is raised anew each time
+def test_require_valid_raises_the_same_error_every_call(d, message):
+    # a cyclic diagram and a chain: the verdict is raised anew each time
     errors = []
     for _ in range(3):
         with pytest.raises(DiagramError) as info:
-            d.require_standard()
+            require_valid(d)
         errors.append(info.value)
     assert [str(e) for e in errors] == [message] * 3
     assert errors[0] is not errors[1]

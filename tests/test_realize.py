@@ -873,14 +873,14 @@ def test_arrow_source_tries_zero_w_only_when_allowed(monkeypatch, capsys):
     lams = [lam for lam in lams if eig_contains(d, lam)]
     assert UnityRoot(0, 1) in lams  # the arrowhead's own root group
     certified = []
-    certify_once = realize.certify
+    certify_once = realize._certify
 
     def counted(*args, **kw):
         r = certify_once(*args, **kw)
         certified.append(r)
         return r
 
-    monkeypatch.setattr(realize, "certify", counted)
+    monkeypatch.setattr(realize, "_certify", counted)
     candidates = realize._small_allowed_candidates
 
     def run(argv, zero_first, count):
@@ -1069,7 +1069,7 @@ def test_certify_matches_the_whole_zeta_reference(monkeypatch):
     from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
 
     compared = []
-    certify_once = realize.certify
+    certify_once = realize._certify
 
     def both(*args):
         got = certify_once(*args)
@@ -1077,7 +1077,7 @@ def test_certify_matches_the_whole_zeta_reference(monkeypatch):
         compared.append(got is not None)
         return got
 
-    monkeypatch.setattr(realize, "certify", both)
+    monkeypatch.setattr(realize, "_certify", both)
     diagrams = list(golden_splice_diagrams().values())
     for g in golden_plumbing_graphs().values():
         try:
@@ -1096,11 +1096,13 @@ def test_certify_matches_the_whole_zeta_reference(monkeypatch):
 
 
 def test_certify_reads_each_input_once(monkeypatch):
-    # every certify call of the corpus queries that passes the --effective
-    # sign test calls require_valid, f_of and w_of exactly once each,
-    # wherever a splicezeta module binds them; and certify refuses what the
-    # reference refuses: an unknown W slot, a valency-2 W slot, i = 0 at a W
-    # slot and an explicit all-zero F
+    # a query checks d and reads F once, and certifies each candidate by
+    # certify's core, which calls w_of once and neither require_valid nor
+    # f_of; a certify call calls require_valid, f_of and w_of exactly once
+    # each, wherever a splicezeta module binds them.  certify judges i = 0
+    # at a W slot as the reference does, and refuses an unknown W slot, a
+    # diagram with a valency-2 vertex and an explicit all-zero F with the
+    # messages of w_of, require_valid and effective_f
     import sys
 
     from splicezeta import diagrams, divisors, realize
@@ -1118,17 +1120,15 @@ def test_certify_reads_each_input_once(monkeypatch):
             if module_name.startswith("splicezeta") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     checked = []
-    certify_once = realize.certify
+    certify_once = realize._certify
 
     def once(d, fm, w, lam, source, effective):
         calls.clear()
         got = certify_once(d, fm, w, lam, source, effective)
-        if not (effective and any(m < 0 for m in w.values())):
-            assert sorted(calls) == ["f_of", "require_valid", "w_of"], (calls, w)
-            checked.append(got is not None)
+        assert calls == ["w_of"], (calls, w)
+        checked.append(got is not None)
         return got
 
-    monkeypatch.setattr(realize, "certify", once)
     corpus = list(golden_splice_diagrams().values())
     for g in golden_plumbing_graphs().values():
         with contextlib.suppress(DiagramError):
@@ -1138,34 +1138,41 @@ def test_certify_reads_each_input_once(monkeypatch):
         if not any(d.f_divisor().values()):
             continue
         for lam in _eig(d):
-            for effective, doubles in itertools.product((False, True), (False, True)):
-                realize_eigenvalue(d, lam, count=2, effective=effective, include_doubles=doubles)
+            with monkeypatch.context() as m:
+                m.setattr(realize, "_certify", once)
+                for effective, doubles in itertools.product((False, True), (False, True)):
+                    realize_eigenvalue(d, lam, count=2, effective=effective, include_doubles=doubles)
             # the queries' candidates all pass; these mostly fail
             for _ in range(5):
                 w = {s: rng.randint(-2, 2) for s in d.boundary_vertices()}
-                realize.certify(d, f_of(d, None), w, lam, "random", False)
+                calls.clear()
+                got = realize.certify(d, f_of(d, None), w, lam, "random", False)
+                assert sorted(calls) == ["f_of", "require_valid", "w_of"], calls
+                checked.append(got is not None)
     assert 0 < sum(checked) < len(checked)
 
     d = two_cusp_diagram()
     fm = f_of(d, None)
     lam = UnityRoot(1, 6)
     assert certify(d, fm, {"leg1p": 1}, lam, "manual", False) is not None
+    assert _certify_reference(d, fm, {"leg1p": -1}, lam, "manual", False) is None
+    assert certify(d, fm, {"leg1p": -1}, lam, "manual", False) is None
     # a chain vertex c on the edge v1 - leg1, carrying W
-    edges = [(e.a, e.b, e.wa, e.wb) for e in d.edges if e.key != ("v1", "leg1")]
+    edges = [(e.a, e.b, e.wa, e.wb) for e in d.edges if e.key != ("leg1", "v1")]
     chained = SpliceDiagram(
         [*d.vertices, "c"], edges + [("v1", "c", 3, 1), ("c", "leg1", 1, 1)], d.farrows
     )
     assert "c" in chained.chain_vertices()
     zero_f = {a: 0 for a in fm}
-    for x, f, w in [
-        (d, fm, {"bogus": 1}),
-        (chained, f_of(chained, None), {"c": 1}),
-        (d, fm, {"leg1p": -1}),
-        (d, zero_f, {}),
-        (d, zero_f, {"leg1p": 1}),
+    for x, f, w, message in [
+        (d, fm, {"bogus": 1}, r"^W slot 'bogus' is not a vertex or arrowhead$"),
+        (chained, f_of(chained, None), {"c": 1}, r"^valency-2 vertices present \(c\)$"),
+        (d, zero_f, {}, "^F must be effective and nonzero$"),
+        (d, zero_f, {"leg1p": 1}, "^F must be effective and nonzero$"),
     ]:
         assert _certify_reference(x, f, w, lam, "manual", False) is None, w
-        assert certify(x, f, w, lam, "manual", False) is None, w
+        with pytest.raises(DiagramError, match=message):
+            certify(x, f, w, lam, "manual", False)
 
 
 def _oracle_diagrams(rng):

@@ -15,6 +15,7 @@ from splicezeta.diagrams import (
     Warrow,
     edge_determinant,
     plumbing_to_splice,
+    require_valid,
     validate,
 )
 from splicezeta.divisors import f_of, node_data, nu_values, vertex_multiplicities, w_of, w_sums
@@ -155,7 +156,7 @@ def test_star_decomposition_order_independent():
 def reference_star_decomposition(d, f=None, w=None):
     """Star decomposition by repeated ``splice`` calls, each half computing
     its M and i on itself."""
-    d.require_standard()
+    require_valid(d)
     work = [d.with_decorations(f_of(d, f), w_of(d, w))]
     stars = {}
     while work:
@@ -208,7 +209,7 @@ def _reference_star_check(star):
 def reference_is_allowed(d, f=None, w=None):
     """The allowedness verdict built on the stars of
     ``reference_star_decomposition``, each judged as a diagram of its own."""
-    d.require_standard()
+    require_valid(d)
     fm, wm = f_of(d, f), w_of(d, w)
     nonzero_detail = []
     fids = {a.id for a in d.farrows}

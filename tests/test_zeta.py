@@ -686,10 +686,10 @@ def _ref_zeta_splice_terms(d, f, w):
     """The node and edge terms as the splice route assembled them before it
     read a per-diagram plan: every boundary leg, arrowhead and valency read
     off the diagram at each call, the constant summed as a Fraction."""
-    from splicezeta.diagrams import edge_determinant
+    from splicezeta.diagrams import edge_determinant, require_valid
     from splicezeta.divisors import effective_f, node_data, w_of, w_sums
 
-    d.require_standard()
+    require_valid(d)
     fm = effective_f(d, f)
     wm = w_of(d, w)
     data = node_data(d, fm, w_sums(d, wm))
