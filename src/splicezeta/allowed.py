@@ -9,9 +9,10 @@ them (vacuous for r >= 3).  Dashed arrows drawn at the node participate with
 d_l = 1.
 
 No star is built to reach the verdict.  Each node's legs are read off the
-cuts cached on the diagram itself (``splicing.star_legs``): a boundary leg
-has i = W(leg) + 1, a leg induced by splicing has the i of its root cut
-(i0 plus the side lookup of W's linking sums), and the module docstring
+leg table kept on the diagram itself (``splicing.star_legs``): a boundary
+leg has i = W(leg) + 1, a leg induced by splicing has the i of the cut of
+the diagram at its edge (i0, the side lookup of the canonical sums, plus
+that of W's linking sums), and the module docstring
 of ``splicing`` shows that this is the value the star of
 ``star_decomposition`` carries.  The semigroup condition reads each
 generator as the side lookup of a boundary vertex's unit vector.

@@ -182,6 +182,7 @@ class _Decorated:
             else:
                 self._doubling.setdefault(w.doubles, w)
         self._connected: bool | None = None  # is_connected()'s verdict, on first use
+        self._own: tuple | None = None  # the stored F and W maps of divisors.is_own, on first use
         self._memo: dict = {}
 
     def neighbours(self, v: str) -> tuple[str, ...]:
@@ -212,17 +213,7 @@ class _Decorated:
     def component_vertices(self, v: str, towards: str) -> list[str]:
         """Vertices of the component of the graph minus v containing
         ``towards``; with v == towards, the component of v itself."""
-        seen = {v, towards}
-        out = [towards]
-        stack = [towards]
-        while stack:
-            x = stack.pop()
-            for y in self._nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    out.append(y)
-                    stack.append(y)
-        return out
+        return component(self._nbrs, v, towards)
 
     def is_connected(self) -> bool:
         """One search on first use; the object is immutable, so the verdict
@@ -260,6 +251,20 @@ class _Decorated:
                 raise DiagramError(f"two warrows on slot {w.slot!r}")
             out[w.slot] = w.value - 1
         return out
+
+
+def component(nbrs: dict[str, list[str]], v: str, towards: str) -> list[str]:
+    """``component_vertices`` of the graph with these neighbour lists."""
+    seen = {v, towards}
+    out = [towards]
+    stack = [towards]
+    while stack:
+        for y in nbrs[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+                stack.append(y)
+    return out
 
 
 def _index_arrowheads(vset: set[str], farrows, warrows) -> dict[str, Farrow]:
@@ -409,10 +414,6 @@ class SpliceDiagram(_Decorated):
             return sums.side(exclude_edge.other(v), v) or sums.at[v]
         return sums.at[v]
 
-    def side_vertices(self, v: str, e: Edge) -> list[str]:
-        """Vertices of the connected component of diagram minus v in direction e."""
-        return self.component_vertices(v, e.other(v))
-
     # -- rebuilding ----------------------------------------------------------
 
     def with_decorations(self, f: dict[str, int] | None = None, w: dict[str, int] | None = None) -> "SpliceDiagram":
@@ -423,22 +424,12 @@ class SpliceDiagram(_Decorated):
         slot (vertex id or farrow id) -> multiplicity i-1; slots with
         multiplicity 0 are dropped.
         """
-        return SpliceDiagram(*self.decorated_lists(f, w))
-
-    def decorated_lists(self, f: dict[str, int] | None, w: dict[str, int] | None):
-        """The vertex, edge, farrow and warrow lists of ``with_decorations(f,
-        w)``, checked with its constructor's messages but without building
-        the diagram."""
-        farrows = list(self.farrows)
+        farrows = self.farrows
         if f is not None:
             checked_f(self, f)
             farrows = [Farrow(a.id, a.at, a.weight, f.get(a.id, 0)) for a in farrows]
-        warrows = list(self.warrows)
-        if w is not None:
-            warrows = slot_warrows(sorted(w.items()), self._farrow_by_id)
-        _index_arrowheads(set(self.vertices), farrows, warrows)
-        _check_farrow_data(farrows)
-        return self.vertices, self.edges, farrows, warrows
+        warrows = self.warrows if w is None else slot_warrows(sorted(w.items()), self._farrow_by_id)
+        return SpliceDiagram(self.vertices, self.edges, farrows, warrows)
 
     def __repr__(self):
         return (

@@ -69,15 +69,17 @@ def w_of(x, w: PDivisor | None) -> dict[str, int]:
 def is_own(x, f: PDivisor | None, w: PDivisor | None = None) -> bool:
     """Whether F and W, None standing for the stored one, are the object's
     stored decorations.  Values at those are the ones kept in the object's
-    ``memo``: any other F or W is computed afresh."""
-    if f is not None and f != x.f_divisor():
-        return False
-    if w is None:
-        return True
-    try:
-        return w == x.w_divisor()
-    except DiagramError:  # two dashed arrows on one slot: no stored W
-        return False
+    ``memo``: any other F or W is computed afresh.  The stored maps are
+    built once per object; with two dashed arrows on one slot there is no
+    stored W."""
+    if x._own is None:
+        try:
+            own_w = x.w_divisor()
+        except DiagramError:  # two dashed arrows on one slot
+            own_w = None
+        x._own = x.f_divisor(), own_w
+    own_f, own_w = x._own
+    return (f is None or f == own_f) and (w is None or w == own_w)
 
 
 def effective_f(x, f: PDivisor | None) -> dict[str, int]:

@@ -15,7 +15,10 @@ from typing import Callable
 
 from . import corpus
 from .allowed import check_goal1, is_allowed, semigroup_condition
-from .diagrams import DiagramError, SpliceDiagram, blowup, plumbing_to_splice, validate, validate_plumbing
+from .diagrams import (
+    DiagramError, SpliceDiagram, blowup, carries_arrowheads, plumbing_to_splice, validate,
+    validate_plumbing,
+)
 from .divisors import canonical_plumbing, nu_values, pullback_plumbing, vertex_multiplicities
 from .exact import CycloProduct, UnityRoot
 from .generate import random_allowed_w, random_plumbing, random_valid_splice
@@ -266,8 +269,7 @@ def _arithmetic_lemmas(rng, n):
             continue
         for e in d.special_edges():
             for keep in (e.a, e.b):
-                side = set(d.side_vertices(keep, e))
-                if any(a.at in side for a in d.farrows):
+                if carries_arrowheads(d, keep, e.other(keep)):
                     continue
                 iprime = induced_value(d, e, keep, {})
                 checked += 1

@@ -9,16 +9,17 @@ dashed data of the far side the same way.
 
 Cut at the edge k-f keeping k, M = sum N_a l(f, a) and i = i0 +
 sum mult_s l(f, s) over f's side, the edge excluded at f: M is
-``side(k, f)`` of F's linking sums and i - i0 that of W's
-(``divisors.f_sums``, ``w_sums``).  ``root_cut`` keeps on a diagram, per
-directed edge, what does not depend on F and W: the far side and i0.
+``side(k, f)`` of F's linking sums, i0 (i at W = 0) that of the
+canonical sums and i - i0 that of W's (``divisors.f_sums``,
+``canonical_sums``, ``w_sums``).  Nothing is kept per cut: the vertices a
+cut removes are found by one search of the piece it cuts.
 
-The two routes differ in the diagram they cut.  ``splice`` reads the cuts
+The two routes differ in the diagram they cut.  ``splice`` reads the sums
 of the diagram it is given: that is the local route, used by the
 ``splice`` command and by ``verify_splice_zeta``.
 ``star_decomposition`` cuts every special edge in turn, so after the first
-cut it cuts pieces made of earlier halves; it reads the cuts of the root
-diagram d instead, never those of a piece.
+cut it cuts pieces made of earlier halves; it reads M and i off the sums
+of the root diagram d instead, never those of a piece.
 
 Why d gives a piece's values (localization).  Let a piece P contain the edge
 e = (k, f), cut keeping k, and let an earlier cut at e' = (k', f'), with k'
@@ -48,8 +49,9 @@ arrowhead exactly when that cut carries arrowheads.  The allowedness check
 and the filters of ``realize`` read their legs there.
 
 Why the names agree.  ``star_decomposition`` splits its pieces in the order
-repeated ``splice`` calls would: the smallest special edge by key, depth
-first, the half keeping e.b first.  Both build a half with the same list
+repeated ``splice`` calls would: the smallest-key edge joining two
+vertices of valency >= 3 in the piece (arrowheads counted), depth first,
+the half keeping e.b first.  Both build a half with the same list
 operation ``_cut`` from equal inputs, so the minted ids (``~a...``,
 ``~...|...``, ``~w...``, and the ``~W.<slot>`` renames at each later cut)
 and the order of every list are those of that recursion, which the test
@@ -64,33 +66,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .diagrams import (
-    DiagramError, Edge, Farrow, SpliceDiagram, Warrow, carries_arrowheads, edge_determinant,
-    require_valid, slot_warrows,
+    DiagramError, Edge, Farrow, SpliceDiagram, Warrow, carries_arrowheads, component,
+    edge_determinant, require_valid, slot_warrows,
 )
 from .divisors import (
     PDivisor, canonical_sums, effective_f, f_of, f_sums, is_own, node_data, w_of, w_sums,
 )
 from .zeta import principal_parts, summands, zeta_core
-
-
-class RootCut(NamedTuple):
-    """What a cut at e, keeping ``keep``, sees of the far side of d, whatever
-    F and W are: its vertices and i at W = 0 (``i0``).  Whether it carries
-    arrowheads is ``carries_arrowheads``."""
-
-    far_side: frozenset[str]
-    i0: int
-
-
-def root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
-    """The cut of d at e keeping ``keep``, cached on d."""
-    return d.memo(("cut", keep, e.key), _root_cut, d, keep, e)
-
-
-def _root_cut(d: SpliceDiagram, keep: str, e: Edge) -> RootCut:
-    far = e.other(keep)
-    far_side = frozenset(d.component_vertices(keep, far))
-    return RootCut(far_side, canonical_sums(d).side(keep, far))
 
 
 class Leg(NamedTuple):
@@ -157,7 +139,8 @@ def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> i
     """i for the half keeping ``keep``: canonical contribution of the far side
     plus its dashed-arrow terms."""
     require_valid(d)
-    return root_cut(d, keep, e).i0 + w_sums(d, w_of(d, wm)).side(keep, e.other(keep))
+    far = e.other(keep)
+    return canonical_sums(d).side(keep, far) + w_sums(d, w_of(d, wm)).side(keep, far)
 
 
 @dataclass
@@ -216,17 +199,20 @@ def _cut(piece: _Piece, e: Edge, keep: str, side: set[str], wslots, m: int, i: i
     return (keep_vertices, keep_edges, keep_farrows, keep_warrows), slot
 
 
+def _whole(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]) -> _Piece:
+    """d's lists at a checked F and W: F's multiplicities on the
+    arrowheads, W's dashed arrows in slot order."""
+    farrows = [Farrow(a.id, a.at, a.weight, fm.get(a.id, 0)) for a in d.farrows]
+    return d.vertices, d.edges, farrows, slot_warrows(sorted(wm.items()), d._farrow_by_id)
+
+
 def _half(d: SpliceDiagram, e: Edge, keep: str, fm, wm, m_side, w_side) -> SpliceHalf:
     """One half of ``splice``, M and i read off the side lookups of F and W."""
-    cut = root_cut(d, keep, e)
     far = e.other(keep)
-    m, i = m_side(keep, far), cut.i0 + w_side(keep, far)
-    farrows = [
-        Farrow(id=a.id, at=a.at, weight=a.weight, mult=fm.get(a.id, 0)) for a in d.farrows
-    ]
-    piece = (d.vertices, d.edges, farrows, d.warrows)
+    m, i = m_side(keep, far), canonical_sums(d).side(keep, far) + w_side(keep, far)
     arrows = carries_arrowheads(d, keep, far)
-    half, slot = _cut(piece, e, keep, cut.far_side, wm.items(), m, i, arrows)
+    side = set(d.component_vertices(keep, far))
+    half, slot = _cut(_whole(d, fm, wm), e, keep, side, wm.items(), m, i, arrows)
     return SpliceHalf(SpliceDiagram(*half), keep, m, i, slot if arrows else None, slot)
 
 
@@ -235,7 +221,7 @@ def splice(
 ) -> tuple[SpliceHalf, SpliceHalf]:
     """Split at a special edge; returns the decorated halves (left keeps e.a).
 
-    M and i are read off the cuts of d itself, so this is the local route
+    M and i are read off the linking sums of d itself, so this is the local route
     that ``star_decomposition``'s whole-diagram route is checked against."""
     require_valid(d)
     return splice_core(d, e, f_of(d, f), w_of(d, w))
@@ -261,7 +247,7 @@ def star_decomposition(
     The pieces are split at their smallest special edge (by key), depth
     first, right half first, exactly as repeated ``splice`` calls would, so
     the minted ids and the order of the stars are those of that recursion.
-    Each cut reads M and i off d's cached ``root_cut`` (see the module
+    Each cut reads M and i off d's linking sums (see the module
     docstring); a ``SpliceDiagram`` is built only for the stars, so a
     diagram with one node is rebuilt with F and W as its one star.  The
     stars at d's own F and W = 0, which ``realize`` reads, are kept on d;
@@ -291,33 +277,42 @@ def _stars(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int]) -> dict[str
 def _split(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], minted: dict | None = None):
     """The final pieces of ``star_decomposition``'s recursion, as lists, in
     its order.  ``minted``, when given, gets the leaf id minted at each cut
-    whose far side has no arrowheads, keyed by (kept node, edge key)."""
-    specials = sorted(d.special_edges(), key=lambda x: x.key)
-    m_side, w_side = f_sums(d, fm).side, w_sums(d, wm).side
-    # a work item is a piece and the kept node of every vertex minted in it
-    work = [(d.decorated_lists(fm, wm), {})]
+    whose far side has no arrowheads, keyed by (kept node, edge key).
+    Each piece is cut at its smallest-key edge between two vertices of
+    valency >= 3 in it, arrowheads counted, and what the cut removes is one
+    search of the piece from the far end."""
+    m_side, w_side, i0 = f_sums(d, fm).side, w_sums(d, wm).side, canonical_sums(d).side
+    work = [_whole(d, fm, wm)]
+    # a dashed arrow named ~W.<slot> here is refused, as ``with_decorations``
+    # refuses it, when d already has that id
+    for x in work[0][3]:
+        if x.id in d._nbrs or x.id in d._farrow_by_id:
+            raise DiagramError(f"duplicate id {x.id!r}")
     while work:
-        piece, home = work.pop()
-        vertices = piece[0]
-        own = {v for v in vertices if v not in home}
-        e = next((x for x in specials if x.a in own and x.b in own), None)
-        if e is None:
+        piece = work.pop()
+        vertices, edges, farrows, warrows = piece
+        nbrs: dict[str, list[str]] = {v: [] for v in vertices}
+        for x in edges:
+            nbrs[x.a].append(x.b)
+            nbrs[x.b].append(x.a)
+        valency = {v: len(ns) for v, ns in nbrs.items()}
+        for a in farrows:
+            valency[a.at] += 1
+        cuts = [x for x in edges if valency[x.a] >= 3 and valency[x.b] >= 3]
+        if not cuts:
             yield piece
             continue
-        wslots = [(x.slot, x.value - 1) for x in piece[3]]
-        for keep in (e.a, e.b):
-            cut = root_cut(d, keep, e)
-            side = {v for v in vertices if home.get(v, v) in cut.far_side}
+        e = min(cuts, key=lambda x: x.key)
+        b_side = set(component(nbrs, e.a, e.b))
+        wslots = [(x.slot, x.value - 1) for x in warrows]
+        for keep, side in ((e.a, b_side), (e.b, set(vertices) - b_side)):
             far = e.other(keep)
-            m, i = m_side(keep, far), cut.i0 + w_side(keep, far)
+            m, i = m_side(keep, far), i0(keep, far) + w_side(keep, far)
             arrows = carries_arrowheads(d, keep, far)
             half, slot = _cut(piece, e, keep, side, wslots, m, i, arrows)
-            kept_home = {v: h for v, h in home.items() if v not in side}
-            if not arrows:
-                kept_home[slot] = keep
-                if minted is not None:
-                    minted[keep, e.key] = slot
-            work.append((half, kept_home))
+            if minted is not None and not arrows:
+                minted[keep, e.key] = slot
+            work.append(half)
 
 
 @dataclass

@@ -116,7 +116,7 @@ def test_semigroup_condition_matches_reference():
         checked, failures = 0, []
         for v in d.nodes():
             for e in d.edges_at(v):
-                side = d.side_vertices(v, e)
+                side = d.component_vertices(v, e.other(v))
                 if any(a.at in side for a in d.farrows):
                     continue
                 checked += 1
@@ -383,7 +383,7 @@ def test_induced_value_negative_on_minimal_arrowfree_sides():
         sg = semigroup_condition(d).ok
         for e in d.special_edges():
             for keep, far in ((e.a, e.b), (e.b, e.a)):
-                side = set(d.side_vertices(keep, e))
+                side = set(d.component_vertices(keep, far))
                 if any(a.at in side for a in d.farrows):
                     continue
                 iprime = induced_value(d, e, keep, {})

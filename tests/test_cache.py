@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from splicezeta import cli
+from splicezeta.allowed import check_goal1, is_allowed, semigroup_condition
 from splicezeta.corpus import golden_plumbing_graphs, golden_splice_diagrams
 from splicezeta.diagrams import (
     DiagramError,
@@ -28,9 +29,9 @@ from splicezeta.diagrams import (
     validate_plumbing,
 )
 from splicezeta.diagrams import linking_sums
-from splicezeta.divisors import effective_f, nu_values, vertex_multiplicities, w_sums
+from splicezeta.divisors import effective_f, is_own, nu_values, vertex_multiplicities, w_sums
 from splicezeta.exact import UnityRoot
-from splicezeta.generate import random_valid_splice
+from splicezeta.generate import random_plumbing, random_valid_splice
 from splicezeta.io import parse_diagram, print_diagram, print_splice
 from splicezeta.monodromy import (
     _alexander,
@@ -42,7 +43,7 @@ from splicezeta.monodromy import (
     monodromy_zeta,
 )
 from splicezeta.realize import realize_eigenvalue
-from splicezeta.splicing import _stars, star_decomposition
+from splicezeta.splicing import _stars, induced_value, splice, star_decomposition
 from splicezeta.zeta import _zeta_plumbing, _zeta_splice, zeta_plumbing, zeta_splice
 from linking_oracle import pairwise_linking_product
 
@@ -159,10 +160,57 @@ def test_values_at_other_decorations_are_not_kept():
     assert zeta_splice(d, None, {"bL": 1}).parts != zeta_splice(d).parts
 
 
+def test_the_memo_holds_as_many_entries_on_a_larger_diagram():
+    # every verdict, then splice and induced_value at every special edge:
+    # nothing is kept per cut, so a curve of 640 blowups keeps as many
+    # entries as one of 80
+    sizes = []
+    for blowups in (80, 640):
+        d = plumbing_to_splice(random_plumbing(random.Random(0), blowups=blowups, arrows=2))
+        star_decomposition(d)
+        is_allowed(d)
+        semigroup_condition(d)
+        check_goal1(d)
+        zeta_splice(d)
+        alexander(d)
+        for e in d.special_edges():
+            splice(d, e)
+            for keep in e.key:
+                induced_value(d, e, keep, {})
+        sizes.append(len(d._memo))
+    assert sizes[0] == sizes[1], sizes
+
+
+def test_a_kept_zeta_builds_the_stored_decorations_once(monkeypatch):
+    # at d's own F and W, a second zeta_splice builds the stored F and W
+    # once each, to read them; is_own compares against maps kept on d
+    from splicezeta import diagrams
+
+    d = golden_splice_diagrams()["two_cusp"].with_decorations(w={"bL": 1, "leg1p": -2})
+    first = zeta_splice(d)
+    calls = dict.fromkeys(("f_divisor", "w_divisor"), 0)
+    for name in calls:
+        original = getattr(diagrams._Decorated, name)
+
+        def counted(self, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(diagrams._Decorated, name, counted)
+    assert zeta_splice(d) is first
+    assert max(calls.values()) <= 1, calls
+    # two dashed arrows on one slot: no stored W, so no W is d's own
+    shared = diagrams.SpliceDiagram(
+        d.vertices, d.edges, d.farrows,
+        [diagrams.Warrow("x", 2, at="bL"), diagrams.Warrow("y", 3, at="bL")],
+    )
+    assert is_own(shared, None) and not is_own(shared, None, {"bL": 1})
+
+
 # every key realize may leave in a splice diagram's memo, or in that of
-# its blow-down, whatever lambda and W it searches: besides these, a "cut"
-# key per special edge and kept end; "realize slots", which holds the first
-# arrowhead's draws too, is kept without and with the arrowhead doubles
+# its blow-down, whatever lambda and W it searches; "realize slots", which
+# holds the first arrowhead's draws too, is kept without and with the
+# arrowhead doubles
 _REALIZE_KEYS = {
     ("blow down",), ("delta1",), ("edge determinants",), ("invariants",),
     ("monodromy zeta",), ("F sums",), ("canonical sums",), ("W sums",),
@@ -198,16 +246,13 @@ def test_realize_keeps_only_the_fixed_keys(monkeypatch):
         if not any(d.f_divisor().values()):
             continue
         small = blow_down(d)
-        fixed = _REALIZE_KEYS | {
-            ("cut", v, e.key) for x in (d, small) for e in x.special_edges() for v in e.key
-        }
         for lam in _eigenvalues(d):
             for effective in (False, True):
                 for doubles in (False, True):
                     realize_eigenvalue(d, lam, effective=effective, include_doubles=doubles)
                     queries += 1
                     for x in (d, small):
-                        assert set(x._memo) <= fixed, set(x._memo) - fixed
+                        assert set(x._memo) <= _REALIZE_KEYS, set(x._memo) - _REALIZE_KEYS
         assert {("realize slots", False), ("realize slots", True)} <= set(small._memo)
         reduced += small is not d
     assert queries > 1000 and reduced >= 3

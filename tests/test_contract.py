@@ -110,7 +110,7 @@ CORES = {
     "divisors.canonical_sums", "divisors.f_sums", "divisors.w_sums", "divisors.node_data",
     "divisors.solve_pullback", "divisors.solve_canonical", "zeta.zeta_core", "zeta.pole_core",
     "monodromy.alexander_core", "monodromy.eig_core", "allowed.allowed_core",
-    "splicing.root_cut", "splicing.star_legs", "splicing.splice_core", "splicing.stars_core",
+    "splicing.star_legs", "splicing.splice_core", "splicing.stars_core",
     "realize.slot_columns", "realize.star_forms",
 }
 
@@ -256,12 +256,13 @@ W_GRAPH = {"e1": 1, "e7": 2}
 
 
 def _count_checks(monkeypatch) -> dict[str, int]:
-    """Count the calls of require_valid, f_of and w_of, wherever a
-    splicezeta module binds them."""
+    """Count the calls of require_valid, f_of, w_of and the F check
+    checked_f that f_of runs, wherever a splicezeta module binds them."""
     from splicezeta import diagrams
 
-    counts = dict.fromkeys(("require_valid", "f_of", "w_of"), 0)
-    for home, name in ((diagrams, "require_valid"), (divisors, "f_of"), (divisors, "w_of")):
+    counts = dict.fromkeys(("require_valid", "f_of", "w_of", "checked_f"), 0)
+    homes = (diagrams, "require_valid"), (divisors, "f_of"), (divisors, "w_of"), (diagrams, "checked_f")
+    for home, name in homes:
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original):
@@ -291,6 +292,7 @@ def test_one_call_runs_each_check_at_most_once(name, monkeypatch):
         # the F and W a call takes are read once; realize_star reads its
         # star's own F once, and realize reads each candidate's W afresh
         assert counts["f_of"] == ("F" in entry.reads or name == "realize.realize_star"), counts
+        assert counts["checked_f"] == counts["f_of"], counts
         if name not in ("realize.realize_eigenvalue", "realize.realize_star"):
             assert counts["w_of"] == ("W" in entry.reads), counts
 

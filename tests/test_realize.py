@@ -236,10 +236,10 @@ def test_extend_allowed_randomized_restriction():
         for e in specials:
             # left star-shaped: every other node on the right of e
             left_nodes = [
-                v for v in d.side_vertices(e.b, e) if d.is_node(v)
+                v for v in d.component_vertices(e.b, e.a) if d.is_node(v)
             ]
             if left_nodes == [e.a]:
-                side = set(d.side_vertices(e.a, e))
+                side = set(d.component_vertices(e.a, e.b))
                 if any(a.at in side for a in d.farrows):
                     target = e
                     break
@@ -583,7 +583,7 @@ def _ref_star_forms(d, slots):
         for e in d.edges_at(v):
             u = e.other(v)
             if d.is_node(u):
-                side = set(d.side_vertices(v, e))
+                side = set(d.component_vertices(v, u))
                 if any(a.at in side for a in d.farrows):
                     r += 1
                     continue
@@ -914,9 +914,9 @@ def test_arrow_source_tries_zero_w_only_when_allowed(monkeypatch, capsys):
 
 
 def test_realize_certifies_from_cached_cuts(monkeypatch):
-    # certify splits the diagram into stars through the cuts cached on it:
-    # no half diagram is spliced off, and each directed special edge is cut
-    # from the root once however many candidates are certified
+    # certify reads every cut of the diagram through the leg table kept on
+    # it: no half diagram is spliced off, and each diagram builds its table
+    # once however many candidates are certified
     from splicezeta import splicing
 
     def refuse(*args, **kw):
@@ -924,19 +924,19 @@ def test_realize_certifies_from_cached_cuts(monkeypatch):
 
     monkeypatch.setattr(splicing, "splice", refuse)
     built = []
-    make_cut = splicing._root_cut
+    make_table = splicing._leg_table
 
-    def counted(d, keep, e):
-        built.append((keep, e.key))
-        return make_cut(d, keep, e)
+    def counted(d):
+        built.append(d)
+        return make_table(d)
 
-    monkeypatch.setattr(splicing, "_root_cut", counted)
+    monkeypatch.setattr(splicing, "_leg_table", counted)
     d = two_cusp_diagram_mult(7)
     certified = 0
     for lam in (UnityRoot(5, 6), UnityRoot(1, 7), UnityRoot(1, 42), UnityRoot(0, 1)):
         certified += len(realize_eigenvalue(d, lam).found)
     assert certified == 4
-    assert sorted(built) == sorted({(k, e.key) for e in d.special_edges() for k in (e.a, e.b)})
+    assert d in built and len({id(x) for x in built}) == len(built)
 
 
 def test_library_verdicts_refuse_an_invalid_diagram():

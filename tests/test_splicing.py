@@ -18,13 +18,14 @@ from splicezeta.diagrams import (
     require_valid,
     validate,
 )
-from splicezeta.divisors import f_of, node_data, nu_values, vertex_multiplicities, w_of, w_sums
+from splicezeta.divisors import (
+    canonical_sums, f_of, node_data, nu_values, vertex_multiplicities, w_of, w_sums,
+)
 from splicezeta.exact import Poly, RatFunc
 from splicezeta.generate import random_valid_splice
 from splicezeta.io import parse_diagram, print_splice
 from splicezeta.splicing import (
     induced_value,
-    root_cut,
     splice,
     star_decomposition,
     verify_splice_zeta,
@@ -375,23 +376,17 @@ def test_w_keyed_by_a_dashed_arrow_id_is_refused_everywhere():
     assert left.diagram.w_divisor() == {"bL": 4, "~av1|v0": -2}
 
 
-def test_root_cuts_are_cached_and_shared_across_decorations():
-    d = two_cusp_diagram()
-    first = star_decomposition(d, None, {})
-    cuts = {(k, e.key): root_cut(d, k, e) for e in d.special_edges() for k in (e.a, e.b)}
-    again = star_decomposition(d, None, {"bR": 2, "leg1p": -3})
-    assert list(again) == list(first)
-    for (k, key), cut in cuts.items():
-        assert root_cut(d, k, d.edge(*key)) is cut
+def test_cut_value_at_w0_is_the_canonical_side_sum():
     # the W-independent part of each cut is i at W = 0, summed here over a
-    # side walk of its own
-    for (k, key), cut in cuts.items():
-        e = d.edge(*key)
-        far, side = e.other(k), d.side_vertices(k, e)
-        want = sum((2 - d.delta(x)) * pairwise_linking_product(d, far, x, e) for x in side)
-        want += sum(pairwise_linking_product(d, far, a.id, e) for a in d.farrows
-                    if a.at in side and a.weight >= 2)
-        assert cut.i0 == want
+    # side walk of its own, and induced_value adds nothing to it at W = 0
+    d = two_cusp_diagram()
+    for e in d.special_edges():
+        for k in (e.a, e.b):
+            far, side = e.other(k), d.component_vertices(k, e.other(k))
+            want = sum((2 - d.delta(x)) * pairwise_linking_product(d, far, x, e) for x in side)
+            want += sum(pairwise_linking_product(d, far, a.id, e) for a in d.farrows
+                        if a.at in side and a.weight >= 2)
+            assert canonical_sums(d).side(k, far) == induced_value(d, e, k, {}) == want
 
 
 def test_verify_three_star_identity():
