@@ -20,9 +20,9 @@ generator as the side lookup of a boundary vertex's unit vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf
+from typing import NamedTuple
 
 from .diagrams import DiagramError, SpliceDiagram, Sums, carries_arrowheads, linking_sums, require_valid
 from .divisors import PDivisor, effective_f, f_of, w_of, w_sums
@@ -82,8 +82,7 @@ def semigroup_member(target: int, generators) -> bool:
     return least[target % a] <= target
 
 
-@dataclass
-class SemigroupFailure:
+class SemigroupFailure(NamedTuple):
     node: str
     edge: tuple[str, str]
     weight: int
@@ -96,10 +95,9 @@ class SemigroupFailure:
         )
 
 
-@dataclass
-class SemigroupReport:
+class SemigroupReport(NamedTuple):
     ok: bool
-    failures: list[SemigroupFailure] = field(default_factory=list)
+    failures: list[SemigroupFailure]
     checked: int = 0
 
 
@@ -142,8 +140,7 @@ def semigroup_condition(d: SpliceDiagram) -> SemigroupReport:
 # allowedness
 
 
-@dataclass
-class StarCheck:
+class StarCheck(NamedTuple):
     node: str
     r: int
     legs: list[tuple[int, int]]  # (d_l, i_l) including induced and node-drawn ones
@@ -158,8 +155,7 @@ class StarCheck:
         return f"star {self.node} (r={self.r}): [{legs}] {state}"
 
 
-@dataclass
-class AllowedVerdict:
+class AllowedVerdict(NamedTuple):
     allowed: bool
     stars: list[StarCheck]
     nonzero_ok: bool
@@ -279,8 +275,7 @@ def is_allowed(
 # the pole -> eigenvalue property
 
 
-@dataclass
-class PoleReport:
+class PoleReport(NamedTuple):
     s0: Fraction
     order: int
     leading: Fraction
@@ -288,8 +283,7 @@ class PoleReport:
     in_eig: bool
 
 
-@dataclass
-class Goal1Report:
+class Goal1Report(NamedTuple):
     holds: bool
     allowed: bool
     poles: list[PoleReport]

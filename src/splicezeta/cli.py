@@ -32,7 +32,6 @@ payload is written by ``_json``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from collections.abc import Callable
@@ -611,7 +610,7 @@ def cmd_selfcheck(args):
         raise CliError(1, "--samples must be at least 1")
     lines = run_selfcheck(args.samples)
     ok = all(line.ok for line in lines)
-    payload = {"ok": ok, "checks": [dataclasses.asdict(line) for line in lines]}
+    payload = {"ok": ok, "checks": [line._asdict() for line in lines]}
     text = "\n".join(map(str, lines)) + ("\nall checks passed" if ok else "\nFAILURES PRESENT")
     _emit(args, payload, text)
     if not ok:

@@ -59,7 +59,6 @@ have trees, and ``validate_plumbing`` refuses any other graph.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
@@ -71,8 +70,7 @@ class DiagramError(ValueError):
     """Structural precondition violated (bad locus, non-tree input, ...)."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     a: str
     b: str
     wa: int = 1
@@ -97,8 +95,7 @@ class Edge:
         return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
 
 
-@dataclass(frozen=True)
-class Farrow:
+class Farrow(NamedTuple):
     """Ordinary arrowhead: one component of F with multiplicity ``mult``."""
 
     id: str
@@ -107,23 +104,30 @@ class Farrow:
     mult: int = 1
 
 
-@dataclass(frozen=True)
-class Warrow:
+class _WarrowFields(NamedTuple):
+    id: str
+    value: int
+    at: str | None
+    doubles: str | None
+
+
+class Warrow(_WarrowFields):
     """Dashed arrowhead: one component of W with value i (stored mult i-1).
 
     Exactly one of ``at`` (a vertex id) and ``doubles`` (a farrow id) is set.
     """
 
-    id: str
-    value: int
-    at: str | None = None
-    doubles: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.at is None) == (self.doubles is None):
-            raise DiagramError(
-                f"warrow {self.id!r}: exactly one of at/doubles must be given"
-            )
+    def __new__(cls, id: str, value: int, at: str | None = None, doubles: str | None = None):
+        if (at is None) == (doubles is None):
+            raise DiagramError(f"warrow {id!r}: exactly one of at/doubles must be given")
+        return super().__new__(cls, id, value, at, doubles)
+
+    @classmethod
+    def _make(cls, iterable):
+        """As ``Warrow(*iterable)``: ``_replace`` builds through here, so it is checked too."""
+        return cls(*iterable)
 
     @property
     def slot(self) -> str:
@@ -442,8 +446,7 @@ class SpliceDiagram(_Decorated):
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     where: str
     detail: str
@@ -452,9 +455,8 @@ class Violation:
         return f"[{self.kind}] {self.where}: {self.detail}"
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    violations: list[Violation]
 
     @property
     def ok(self) -> bool:
@@ -624,7 +626,7 @@ def _validate(d: SpliceDiagram) -> ValidationReport:
 def _invariants(d: SpliceDiagram) -> ValidationReport:
     """The violations that do not depend on W: structure, weight, farrow,
     coprimality and edge-determinant."""
-    rep = ValidationReport()
+    rep = ValidationReport([])
     if not d.vertices:
         rep.add("structure", "-", "empty diagram")
         return rep
@@ -733,8 +735,7 @@ def _blow_down(d: SpliceDiagram) -> SpliceDiagram:
 # plumbing graphs
 
 
-@dataclass(frozen=True)
-class PVertex:
+class PVertex(NamedTuple):
     id: str
     self_int: int
 
@@ -887,7 +888,7 @@ def _validate_plumbing(g: PlumbingGraph, require_unimodular: bool) -> Validation
 def _plumbing_invariants(g: PlumbingGraph) -> ValidationReport:
     """The violations that depend on neither W nor unimodularity: structure
     (the first found) and definiteness."""
-    rep = ValidationReport()
+    rep = ValidationReport([])
     if not g.vertices:
         rep.add("structure", "-", "empty graph")
     elif not g.is_connected():

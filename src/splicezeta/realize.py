@@ -113,9 +113,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .allowed import allowed_core, star_allowed
 from .diagrams import DiagramError, SpliceDiagram, Sums, blow_down, linking_sums, require_valid
@@ -139,8 +139,7 @@ class ExtensionObstructedError(ValueError):
     """No allowed extension exists for the requested flat divisor."""
 
 
-@dataclass
-class Realization:
+class Realization(NamedTuple):
     w: dict[str, int]
     s0: Fraction
     order: int
@@ -153,14 +152,13 @@ class Realization:
         return {s: m + 1 for s, m in self.w.items()}
 
 
-@dataclass
-class NodeCongruence:
+class NodeCongruence(NamedTuple):
     node: str
     modulus: int
     base: int
     target: int
     coefficients: dict[str, int]
-    reductions: list[tuple[int, dict[str, int], int]] = field(default_factory=list)
+    reductions: list[tuple[int, dict[str, int], int]]
 
     def describe(self) -> str:
         terms = " + ".join(f"{c}*x[{s}]" for s, c in self.coefficients.items())
@@ -173,8 +171,7 @@ class NodeCongruence:
         return "\n".join(lines)
 
 
-@dataclass
-class RealizeOutcome:
+class RealizeOutcome(NamedTuple):
     status: str  # realized | unrealizable-within-bound
     found: list[Realization]
     diagnostics: list[str]
@@ -625,7 +622,6 @@ def _hit_walk(forms: list[_Congruence], k: int, width: int, effective: bool):
 _SEED = 20260810
 
 
-@dataclass
 class _Query:
     """One realize query: what is compiled for it once and shared by its
     candidate sources, and what the sources report back (the node
@@ -634,23 +630,29 @@ class _Query:
     its output depends on its arguments alone.  The stream is built on the
     first draw (``stream``): a query whose sources never draw builds none."""
 
-    d: SpliceDiagram  # the blown-down diagram the sources search
-    fm: dict[str, int]
-    lam: UnityRoot
-    slots: tuple[str, ...]
-    effective: bool
-    forms: list[_StarForm]
-    node_hits: _NodeHits
-    arrow_hits: _ArrowHits
-    first_draws: tuple[dict[str, int], ...]  # as in the slot tables
-    drawn_state: tuple  # the stream's state after the first draws
-    explored: dict[str, int]
-    congruences: list[NodeCongruence] = field(default_factory=list)
-    diagnostics: list[str] = field(default_factory=list)
-    # the state the stream starts from when it is built, None for the fixed
-    # seed's; the stream itself, once built
-    start: tuple | None = None
-    _rng: random.Random | None = None
+    def __init__(
+        self,
+        d: SpliceDiagram,  # the blown-down diagram the sources search
+        fm: dict[str, int],
+        lam: UnityRoot,
+        slots: tuple[str, ...],
+        effective: bool,
+        forms: list[_StarForm],
+        node_hits: _NodeHits,
+        arrow_hits: _ArrowHits,
+        first_draws: tuple[dict[str, int], ...],  # as in the slot tables
+        drawn_state: tuple,  # the stream's state after the first draws
+        explored: dict[str, int],
+    ):
+        self.d, self.fm, self.lam, self.slots, self.effective = d, fm, lam, slots, effective
+        self.forms, self.node_hits, self.arrow_hits = forms, node_hits, arrow_hits
+        self.first_draws, self.drawn_state, self.explored = first_draws, drawn_state, explored
+        self.congruences: list[NodeCongruence] = []
+        self.diagnostics: list[str] = []
+        # the state the stream starts from when it is built, None for the fixed
+        # seed's; the stream itself, once built
+        self.start: tuple | None = None
+        self._rng: random.Random | None = None
 
     def stream(self) -> random.Random:
         """The query's random stream, built on the first call."""

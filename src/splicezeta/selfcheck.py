@@ -9,9 +9,8 @@ run ``CHECKS``.  Each entry draws its samples from ``random.Random(seed)``;
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import corpus
 from .allowed import check_goal1, is_allowed, semigroup_condition
@@ -28,8 +27,7 @@ from .splicing import induced_value, splice, star_decomposition, verify_splice_z
 from .zeta import pole_at, principal_parts, summands, zeta_plumbing, zeta_splice
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """``run(rng, n) -> (ok, detail)`` over ``n`` samples."""
 
     name: str
@@ -357,8 +355,7 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-@dataclass
-class CheckLine:
+class CheckLine(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -62,7 +62,6 @@ the names off the same recursion, run on lists (``_minted_leaves``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .diagrams import (
@@ -143,8 +142,7 @@ def induced_value(d: SpliceDiagram, e: Edge, keep: str, wm: dict[str, int]) -> i
     return canonical_sums(d).side(keep, far) + w_sums(d, w_of(d, wm)).side(keep, far)
 
 
-@dataclass
-class SpliceHalf:
+class SpliceHalf(NamedTuple):
     diagram: SpliceDiagram
     kept_node: str
     m: int
@@ -315,8 +313,7 @@ def _split(d: SpliceDiagram, fm: dict[str, int], wm: dict[str, int], minted: dic
             work.append(half)
 
 
-@dataclass
-class SpliceCheck:
+class SpliceCheck(NamedTuple):
     """The verdicts at edge ``edge``, with the halves ``splice`` gives there."""
 
     edge: tuple[str, str]

@@ -62,8 +62,8 @@ and W are: each node's boundary legs, arrowheads and 2 - valency_f, and
 each special edge's ends and determinant.  A sum fills in only nu, N and
 i (``divisors.node_data``: the linking sums kept on d, one pass of any
 other W), and adds each node constant as one integer num/den.  So a
-``ZetaResult`` is read-only: frozen, with tuples of terms and a read-only
-view of the parts.
+``ZetaResult`` is read-only: a NamedTuple, with tuples of terms and a
+read-only view of the parts.
 
 The poles are read off the parts, with no root search.  The oracle's
 ``RatFunc.poles`` returns, at a root r of order o of the reduced den,
@@ -107,10 +107,10 @@ compiles its lambda congruences from ``target_residue`` too.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .diagrams import DiagramError, PlumbingGraph, SpliceDiagram, Sums, edge_determinants, require_valid
 from .divisors import (
@@ -126,8 +126,7 @@ from .divisors import (
 from .exact import Pole, UnityRoot
 
 
-@dataclass(frozen=True)
-class ArrowPart:
+class ArrowPart(NamedTuple):
     """d / (i + s N) inside a node bracket."""
 
     weight: int
@@ -135,8 +134,7 @@ class ArrowPart:
     n: int | Fraction
 
 
-@dataclass(frozen=True)
-class NodeTerm:
+class NodeTerm(NamedTuple):
     """(1/(nu + s N)) * (const + sum of arrow parts)."""
 
     vertex: str
@@ -146,8 +144,7 @@ class NodeTerm:
     arrows: tuple[ArrowPart, ...]
 
 
-@dataclass(frozen=True)
-class EdgeTerm:
+class EdgeTerm(NamedTuple):
     """q / ((nu + s N)(nu' + s N'))."""
 
     vertices: tuple[str, str]
@@ -158,8 +155,7 @@ class EdgeTerm:
     n2: int | Fraction
 
 
-@dataclass(frozen=True)
-class ZetaResult:
+class ZetaResult(NamedTuple):
     """Z(s) as C + its principal parts {r: (a1_r, a2_r)} (see the module
     docstring), with the node and edge terms it was summed from."""
 

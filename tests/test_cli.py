@@ -124,6 +124,16 @@ print(at_import, reads() >= 7)
     assert out == "0 True\n"  # e8.pg and the six .sd files, at least
 
 
+def test_cli_import_loads_no_dataclasses():
+    # the package's records are NamedTuples: no module it imports pulls in
+    # dataclasses, whose class processing would run at every CLI start
+    code = "import sys, splicezeta.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_diagram("")

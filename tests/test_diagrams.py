@@ -349,6 +349,40 @@ def test_duplicate_ids_rejected():
         PlumbingGraph([PVertex("v", -1), PVertex("v", -2)])
 
 
+WARROW_ANCHORS = "warrow 'w': exactly one of at/doubles must be given"
+
+
+def test_warrow_needs_exactly_one_anchor():
+    for kwargs in ({}, {"at": "v", "doubles": "a"}):
+        with pytest.raises(DiagramError, match=WARROW_ANCHORS):
+            Warrow("w", 2, **kwargs)
+
+
+def test_warrow_replace_is_checked_as_construction():
+    w = Warrow("w", 2, at="v")
+    with pytest.raises(DiagramError, match=WARROW_ANCHORS):
+        w._replace(doubles="a")
+    assert w._replace(at=None, doubles="a") == Warrow("w", 2, doubles="a")
+
+
+def test_validation_reports_do_not_share_a_violation_list():
+    # each report starts from an empty list of its own: a list shared by the
+    # reports would carry one diagram's violations into the other's report
+    star = SpliceDiagram(
+        ["v", "b1", "b2", "b3"],
+        [Edge("v", "b1", 2, 1), Edge("v", "b2", 4, 1), Edge("v", "b3", 3, 1)],
+        [Farrow(id="a", at="v", weight=1, mult=1)],
+    )
+    empty, coprime = validate(SpliceDiagram([])), validate(star)
+    assert [v.kind for v in empty.violations] == ["structure"]
+    assert [v.kind for v in coprime.violations] == ["coprimality"]
+    assert empty.violations is not coprime.violations
+    empty, definite = (validate_plumbing(PlumbingGraph(vs)) for vs in ([], [PVertex("v", 1)]))
+    assert [v.kind for v in empty.violations] == ["structure"]
+    assert [v.kind for v in definite.violations] == ["definiteness"]
+    assert empty.violations is not definite.violations
+
+
 def _fresh_structure(d):
     """nodes, boundary vertices, chain vertices and special edges, recomputed."""
     node = {v: len(d.vertices) == 1 or d.valency_f(v) >= 3 for v in d.vertices}

@@ -4,7 +4,6 @@ import random
 from math import gcd
 from collections import defaultdict
 from itertools import chain
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -277,10 +276,10 @@ def random_terms(rng):
     mode = rng.random()
     if mode < 0.3:  # add the negatives: the sum is 0, or a constant below
         node_terms += [
-            replace(t, const=-t.const, arrows=tuple(replace(p, weight=-p.weight) for p in t.arrows))
+            t._replace(const=-t.const, arrows=tuple(p._replace(weight=-p.weight) for p in t.arrows))
             for t in node_terms
         ]
-        edge_terms += [replace(e, q=-e.q) for e in edge_terms]
+        edge_terms += [e._replace(q=-e.q) for e in edge_terms]
         if mode < 0.15:
             const = Fraction(rng.randint(-3, 3))
             node_terms.append(NodeTerm("c", Fraction(2), Fraction(0), const, ()))
@@ -576,10 +575,10 @@ def test_reduced_ratfunc_when_every_part_cancels():
     while not node_terms and not edge_terms:
         node_terms, edge_terms = random_terms(rng)
     node_terms += [
-        replace(t, const=-t.const, arrows=tuple(replace(p, weight=-p.weight) for p in t.arrows))
+        t._replace(const=-t.const, arrows=tuple(p._replace(weight=-p.weight) for p in t.arrows))
         for t in node_terms
     ]
-    edge_terms += [replace(e, q=-e.q) for e in edge_terms]
+    edge_terms += [e._replace(q=-e.q) for e in edge_terms]
     const, parts = principal_parts(summands(node_terms, edge_terms))
     assert (const, parts) == (0, {})
     for f in (reduced_ratfunc(const, parts), fraction_reduced_ratfunc(const, parts)):
@@ -638,17 +637,16 @@ def test_term_entries_are_ints_where_integral():
 def _as_fraction_terms(z: ZetaResult) -> ZetaResult:
     """z with every term entry but the arrow weights as a Fraction."""
     node_terms = [
-        replace(
-            t,
+        t._replace(
             nu=Fraction(t.nu),
             n=Fraction(t.n),
             const=Fraction(t.const),
-            arrows=tuple(replace(p, i=Fraction(p.i), n=Fraction(p.n)) for p in t.arrows),
+            arrows=tuple(p._replace(i=Fraction(p.i), n=Fraction(p.n)) for p in t.arrows),
         )
         for t in z.node_terms
     ]
     edge_terms = [
-        replace(e, **{k: Fraction(getattr(e, k)) for k in ("q", "nu1", "n1", "nu2", "n2")})
+        e._replace(**{k: Fraction(getattr(e, k)) for k in ("q", "nu1", "n1", "nu2", "n2")})
         for e in z.edge_terms
     ]
     return ZetaResult(z.const, z.parts, node_terms, edge_terms)
@@ -674,7 +672,7 @@ def test_zeta_reads_arrowhead_multiplicities_from_the_given_f():
         if isinstance(x, SpliceDiagram):
             stored, zeta = x.with_decorations(f=f), zeta_splice
         else:
-            farrows = [replace(a, mult=f[a.id]) for a in x.farrows]
+            farrows = [a._replace(mult=f[a.id]) for a in x.farrows]
             stored, zeta = PlumbingGraph(x.vertices, x.edges, farrows, x.warrows), zeta_plumbing
         if f:
             assert func(zeta(x, f)) == func(zeta(stored))
